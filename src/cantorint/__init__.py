@@ -21,7 +21,6 @@ from .exactnum import (  # noqa: F401
     eval_poly_in_alpha,
     format_real,
     parse_real,
-    refine,
 )
 from .words import (  # noqa: F401
     TERNARY,

@@ -47,12 +47,9 @@ def _parse_alpha(text: str):
 def _parse_t(text: str, sys_: BaseSystem):
     """Translation values: a number format, or closed-form sugar."""
     if text == "sum-neg-alpha":
-        a = sys_.ctx.alpha_element
-        return -a / (sys_.ctx.one + a)
+        return acceptance.ex51_translation(sys_)
     if text == "ex52":
-        a = sys_.ctx.alpha_element
-        a3 = a * a * a
-        return a / (a3 - sys_.ctx.one) + a * a / (sys_.ctx.one - a3)
+        return acceptance.ex52_translation(sys_)
     value = _parse_alpha(text)
     if isinstance(value, Fraction):
         return sys_.embed(value)
@@ -208,6 +205,9 @@ def _cmd_intersect(args):
         result["dimension"] = _dim_payload(dv)
         bound = dimension.freq_upper_bound_over_expansions(auto)
         result["cycle_zero_frequency_bound"] = str(bound)
+    else:
+        result["reason"] = (f"state cap {args.state_cap} hit before the "
+                            "automaton closed; no dimension computed")
     return ({"alpha": args.alpha, "t": args.t}, result)
 
 
@@ -415,7 +415,9 @@ def main(argv=None) -> int:
         inputs, result = _HANDLERS[args.command](args)
     except _DOMAIN_ERRORS as e:
         if args.json:
-            print(json.dumps({"command": args.command, "inputs": {},
+            inputs = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "json")}
+            print(json.dumps({"command": args.command, "inputs": inputs,
                               "result": None,
                               "status": f"error: {e}"}, sort_keys=False))
         else:

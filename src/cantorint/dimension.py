@@ -573,9 +573,15 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
     An upper count keeps every depth-n prefix that survives outward-rounded
     interval pruning against the translated set refined to depth n+buffer;
     a lower count additionally requires an exact membership certificate for
-    a witness point in the cylinder.  The least-squares slope of log(upper)
-    against n * (-log alpha) over the last half of the depths estimates the
+    a witness point in the cylinder: the prefix value p, with p - t in
+    Gamma_alpha.  The least-squares slope of log(upper) against
+    n * (-log alpha) over the last half of the depths estimates the
     dimension.
+
+    The witnesses of one call share one :class:`expansions.GammaSearch`,
+    and p - t is carried down the walk exactly.  Sharing cannot change a
+    row where a fresh search certifies its verdict: the search keeps only
+    certified IN/OUT facts, never a value cut short by a cap.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -590,15 +596,18 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
 
     # exact side for witnesses
     ctx = None
-    t_exact = None
-    if witnesses:
-        if isinstance(t, QAlphaElement):
-            ctx, t_exact = t.ctx, t
-        elif isinstance(alpha, (Fraction, int)) or isinstance(alpha, AlgebraicReal):
-            if isinstance(t, (int, Fraction)):
-                ctx = exactnum.QAlphaContext(alpha)
-                t_exact = ctx.embed(Fraction(t))
-    alpha_el = ctx.alpha_element if ctx is not None else None
+    if witnesses and isinstance(t, QAlphaElement):
+        ctx, t_exact = t.ctx, t
+    elif (witnesses and isinstance(alpha, (Fraction, int, AlgebraicReal))
+          and isinstance(t, (int, Fraction))):
+        ctx = exactnum.QAlphaContext(alpha)
+        t_exact = ctx.embed(Fraction(t))
+    search = None
+    if ctx is not None:
+        search = expansions.GammaSearch(ctx, depth_cap=512)
+        a_pows = [ctx.one]
+        for _ in range(depth):
+            a_pows.append(a_pows[-1] * ctx.alpha_element)
 
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
@@ -632,16 +641,7 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
             pow_list.append(_iv_mul(pow_list[-1], a_iv))
         return pow_list[k]
 
-    def certify(digits):
-        if ctx is None:
-            return False
-        x = ctx.zero
-        for d in reversed(digits):
-            x = (x + d) * alpha_el
-        res = expansions.gamma_membership(alpha, x - t_exact, depth_cap=512)
-        return res.status is expansions.GammaStatus.IN
-
-    def walk(k, part, gammas, digits):
+    def walk(k, part, gammas, x):  # x = prefix value - t, exact, or None
         I = (part[0],
              math.nextafter(part[1] + _iv_mul(_pow_cache(k), u_iv)[1], _INF))
         # keep gamma prefixes whose cylinder can still meet I
@@ -658,7 +658,8 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
             return
         if k > 0:
             uppers[k] += 1
-            if witnesses and certify(digits):
+            if search is not None and search.membership(x).status is \
+                    expansions.GammaStatus.IN:
                 lowers[k] += 1
         if k == depth:
             return
@@ -668,10 +669,11 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
             z, o = gamma_children(g, pw)
             next_g.append(z)
             next_g.append(o)
-        walk(k + 1, part, next_g, digits + [0])
-        walk(k + 1, _iv_add(part, pw), next_g, digits + [1])
+        walk(k + 1, part, next_g, x)
+        walk(k + 1, _iv_add(part, pw), next_g,
+             None if search is None else x + a_pows[k + 1])
 
-    walk(0, (0.0, 0.0), [t_iv], [])
+    walk(0, (0.0, 0.0), [t_iv], None if search is None else -t_exact)
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]
@@ -847,16 +849,6 @@ class _LiouvilleBlocks:
         return self.bounds.index(i) + 1
 
 
-def liouville_t_seq(pq: Fraction) -> LazySeq:
-    """(t_i) = (1 -1)^(n_1) 0 (1 -1)^(n_2) 0 ... with the minimal n_k.
-
-    The block lengths are extended on demand, so the generator stays a pure
-    function of the index while only paying for the blocks actually read.
-    """
-    blocks = _LiouvilleBlocks(pq)
-    return LazySeq(blocks.digit, TERNARY, f"liouville({Fraction(pq)})")
-
-
 def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
     """Run the Liouville construction and verify its inequalities exactly.
 
@@ -1019,7 +1011,7 @@ def d_set(alpha, nstar_cap: int = 12, sft_n_cap: int = 8,
     _check_dimension_domain(alpha)
     full = full_dimension(alpha)
 
-    if _is_alpha_kl_value(alpha):
+    if thuemorse.is_alpha_kl(alpha):
         values = [dim_from_frequency(alpha, Fraction(0)),
                   dim_from_frequency(alpha, Fraction(1, 3)),
                   full]
@@ -1068,7 +1060,3 @@ def d_set(alpha, nstar_cap: int = 12, sft_n_cap: int = 8,
         DSetKind.CONTAINS_INTERVAL, alpha, full, proper_subset=True,
         sft_n=n, sft_interval=interval, excluded_band=band)
 
-
-def _is_alpha_kl_value(alpha) -> bool:
-    return isinstance(alpha, exactnum.SeriesReal) and \
-        alpha.description == "alpha_KL"

@@ -435,17 +435,6 @@ def enclosure(x: RealNumber, width) -> tuple:
     raise TypeError(f"not a RealNumber: {x!r}")
 
 
-def refine(x, width) -> tuple:
-    """Alias for :func:`enclosure`."""
-    return enclosure(x, width)
-
-
-def to_float(x: RealNumber) -> float:
-    if isinstance(x, (int, Fraction)):
-        return float(x)
-    return float(x)
-
-
 def compare(a: RealNumber, b: RealNumber,
             precision: Fraction = DEFAULT_PRECISION) -> Comparison:
     """Certified three-way comparison, or UNDECIDED below ``precision``.

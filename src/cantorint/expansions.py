@@ -17,13 +17,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from . import exactnum, words
+from . import exactnum, thuemorse, words
 from .exactnum import (
     AlgebraicReal,
     Comparison,
     QAlphaContext,
     QAlphaElement,
-    SeriesReal,
     UnsupportedBase,
     compare,
 )
@@ -51,10 +50,6 @@ class OutOfDomain(ExpansionError):
 # (3 - sqrt(5)) / 2, the threshold base: root of x^2 - 3x + 1 in (1/3, 1/2)
 def golden_threshold() -> AlgebraicReal:
     return AlgebraicReal([1, -3, 1], Fraction(1, 3), Fraction(1, 2))
-
-
-def _is_alpha_kl(alpha) -> bool:
-    return isinstance(alpha, SeriesReal) and alpha.description == "alpha_KL"
 
 
 class BaseSystem:
@@ -139,7 +134,7 @@ class _DeltaCache:
         self.sys = sys
         self.digits: list[int] = []
         if sys.ctx is None:
-            if not _is_alpha_kl(sys.alpha):
+            if not thuemorse.is_alpha_kl(sys.alpha):
                 raise UnsupportedBase(
                     "quasi-greedy expansion of 1 needs a rational/algebraic "
                     "base (or the alpha_KL constant)")
@@ -166,7 +161,6 @@ class _DeltaCache:
     def extend(self, n: int):
         if self._lam_backed:
             if len(self.digits) < n:
-                from . import thuemorse
                 for i in range(len(self.digits) + 1, n + 1):
                     self.digits.append(1 + thuemorse.lam(i))
             return
@@ -621,61 +615,81 @@ class GammaResult:
     witness: Optional[FiniteWord] = None
 
 
-def gamma_membership(alpha, x, depth_cap: int = 4096,
-                     node_cap: int = 200_000) -> GammaResult:
-    """Branch-and-prune membership test for the {0,1} Cantor set.
+class GammaSearch:
+    """Branch-and-prune membership test for the {0,1} Cantor set of one
+    base, with certified facts shared across queries.
 
-    OUT is certified by interval exclusion along every branch; IN is
-    certified when a follower value repeats along a surviving path (the
-    cycle pumps to an infinite valid expansion) and returns the digit
-    prefix reaching the cycle.  Anything cut short by the caps is UNKNOWN.
+    OUT is certified by interval exclusion along every branch; IN when a
+    follower value repeats along a surviving path (the cycle pumps to an
+    infinite valid expansion) or reaches a value certified IN earlier, with
+    the digit prefix reaching it as witness.  Anything cut short by the
+    caps, which apply per query, is UNKNOWN.  ``dead`` keeps the values
+    searched fully with no cap hit (OUT) and ``live`` the values on a path
+    that reached a cycle or a live value (IN); a value cut short enters
+    neither, so sharing never changes a verdict a fresh search certifies.
     """
-    ctx = QAlphaContext(alpha) if not isinstance(x, QAlphaElement) else x.ctx
-    x_el = x if isinstance(x, QAlphaElement) else ctx.embed(Fraction(x))
-    a = ctx.alpha_element
-    bound = a / (ctx.one - a)
-    inv = ctx.one / a
-    if x_el.sign() < 0 or (bound - x_el).sign() < 0:
-        return GammaResult(GammaStatus.OUT)
 
-    frames = [[x_el, 0, False]]  # element, next digit, tainted-by-cap
-    on_path = {x_el: 0}
-    digit_path: list[int] = []
-    dead = set()
-    nodes = 0
-    root_taint = False
-    while frames:
-        el, di, taint = frames[-1]
-        if di == 2:
-            frames.pop()
-            del on_path[el]
-            if digit_path:
-                digit_path.pop()
-            if taint:
-                if frames:
+    def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
+                 node_cap: int = 200_000):
+        self.ctx = ctx
+        self.depth_cap = depth_cap
+        self.node_cap = node_cap
+        a = ctx.alpha_element
+        self.bound = a / (ctx.one - a)
+        self.inv = ctx.one / a
+        self.dead: set = set()  # coefficient tuples: all values share ctx
+        self.live: set = set()
+
+    def membership(self, x) -> GammaResult:
+        x_el = x if isinstance(x, QAlphaElement) else self.ctx.embed(Fraction(x))
+        bound, inv, dead, live = self.bound, self.inv, self.dead, self.live
+        if x_el.sign() < 0 or (bound - x_el).sign() < 0 or x_el.coeffs in dead:
+            return GammaResult(GammaStatus.OUT)
+        if x_el.coeffs in live:
+            return GammaResult(GammaStatus.IN, FiniteWord([], Alphabet(0, 2)))
+
+        frames = [[x_el, 0, False]]  # element, next digit, tainted-by-cap
+        on_path = {x_el.coeffs}
+        digit_path: list[int] = []
+        nodes = 0
+        while frames:
+            el, d, taint = frames[-1]
+            if d == 2:
+                frames.pop()
+                on_path.remove(el.coeffs)
+                if digit_path:
+                    digit_path.pop()
+                if not taint:
+                    dead.add(el.coeffs)
+                elif frames:
                     frames[-1][2] = True
                 else:
-                    root_taint = True
-            else:
-                dead.add(el)
-            continue
-        frames[-1][1] += 1
-        d = di  # digits 0 then 1
-        child = el * inv - d
-        if child.sign() < 0 or (bound - child).sign() < 0:
-            continue
-        if child in on_path:
-            witness = FiniteWord(digit_path + [d], Alphabet(0, 2))
-            return GammaResult(GammaStatus.IN, witness)
-        if child in dead:
-            continue
-        nodes += 1
-        if len(frames) >= depth_cap or nodes > node_cap:
-            frames[-1][2] = True
-            continue
-        frames.append([child, 0, False])
-        on_path[child] = len(frames) - 1
-        digit_path.append(d)
-    if root_taint:
-        return GammaResult(GammaStatus.UNKNOWN)
-    return GammaResult(GammaStatus.OUT)
+                    return GammaResult(GammaStatus.UNKNOWN)
+                continue
+            frames[-1][1] += 1  # digits 0 then 1
+            child = el * inv - d
+            if child.sign() < 0 or (bound - child).sign() < 0:
+                continue
+            key = child.coeffs
+            if key in on_path or key in live:
+                live.update(on_path)
+                return GammaResult(GammaStatus.IN,
+                                   FiniteWord(digit_path + [d], Alphabet(0, 2)))
+            if key in dead:
+                continue
+            nodes += 1
+            if len(frames) >= self.depth_cap or nodes > self.node_cap:
+                frames[-1][2] = True
+                continue
+            frames.append([child, 0, False])
+            on_path.add(key)
+            digit_path.append(d)
+        return GammaResult(GammaStatus.OUT)
+
+
+def gamma_membership(alpha, x, depth_cap: int = 4096,
+                     node_cap: int = 200_000) -> GammaResult:
+    """Membership of x in the {0,1} Cantor set: one query on a fresh
+    :class:`GammaSearch`, so an IN witness is the prefix reaching a cycle."""
+    ctx = x.ctx if isinstance(x, QAlphaElement) else QAlphaContext(alpha)
+    return GammaSearch(ctx, depth_cap, node_cap).membership(x)

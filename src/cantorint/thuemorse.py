@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import exactnum
-from .exactnum import Fraction as _F  # noqa: F401  (re-export convenience)
 from .words import (
     TERNARY,
     Alphabet,
@@ -184,6 +183,12 @@ def alpha_kl_real() -> exactnum.SeriesReal:
         _AKL_REAL.append(exactnum.SeriesReal(
             digits, Fraction(1, 2), 0, 1, description="alpha_KL"))
     return _AKL_REAL[0]
+
+
+def is_alpha_kl(x) -> bool:
+    """Whether x is the :func:`alpha_kl_real` singleton itself; a number
+    that merely carries the same description is not alpha_KL."""
+    return bool(_AKL_REAL) and x is _AKL_REAL[0]
 
 
 exactnum.register_constant("akl", alpha_kl_real)

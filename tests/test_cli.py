@@ -58,6 +58,17 @@ class TestSubcommands:
                                  "--t", "ex52")
         assert code == 0
         assert payload["result"]["states"] == 5
+        assert "reason" not in payload["result"]
+
+    def test_intersect_state_cap_reason(self, capsys):
+        # 2/5 is not the reciprocal of a Pisot number: no finite closure
+        code, payload = run_json(capsys, "intersect", "--alpha", "rat:2/5",
+                                 "--t", "rat:1/7", "--state-cap", "2000")
+        assert code == 0 and payload["status"] == "ok"
+        res = payload["result"]
+        assert res["states"] == 2000 and not res["complete"]
+        assert "state cap 2000" in res["reason"]
+        assert "dimension" not in res
 
     def test_expand(self, capsys):
         code, payload = run_json(capsys, "expand", "--alpha", "rat:9/20",
@@ -159,6 +170,11 @@ class TestErrors:
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
         assert code == 1
         assert payload["status"].startswith("error")
+
+    def test_json_error_envelope_keeps_inputs(self, capsys):
+        code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
+        assert code == 1 and payload["result"] is None
+        assert payload["inputs"] == {"pq": "1/4", "k": 1, "free_rule": 0}
 
     def test_depth_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "12")

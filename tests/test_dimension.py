@@ -229,6 +229,22 @@ class TestBoxCount:
         with pytest.raises(D.DepthCapExceeded):
             box_count_oracle(F(2, 5), F(0), 25)
 
+    # the rows of the verify-paper box-counting check at its own depths;
+    # a fresh membership search per witness gives exactly these
+    def test_check7_rows_identity(self):
+        rep = box_count_oracle(F(2, 5), F(0), 14)
+        assert rep.rows == [(n, 2**n, 2**n) for n in range(1, 15)]
+
+    def test_check7_rows_example51(self):
+        sys = cubic_base()
+        a = sys.ctx.alpha_element
+        rep = box_count_oracle(sys.alpha, -a / (sys.ctx.one + a), 12)
+        assert rep.rows == [
+            (1, 2, 2), (2, 3, 3), (3, 4, 5), (4, 7, 9), (5, 12, 15),
+            (6, 19, 25), (7, 32, 43), (8, 55, 73), (9, 92, 123),
+            (10, 155, 209), (11, 264, 355), (12, 447, 601)]
+        assert abs(rep.slope - 0.6436137580344715) <= 1e-12
+
 
 class TestSelfSimilar:
     def test_family_word(self):
@@ -343,6 +359,17 @@ class TestDSet:
         ds = d_set(T.alpha_kl_real())
         assert ds.kind is DSetKind.COUNTABLE_FAMILY
         assert len(ds.values) == 3
+
+    def test_alpha_kl_lookalike(self):
+        # alpha_KL is the singleton, not any series carrying its description
+        look = X.SeriesReal(lambda i: int(i in (2, 3)), F(1, 2), 0, 1,
+                            description="alpha_KL")  # 3/8
+        assert T.is_alpha_kl(T.alpha_kl_real())
+        assert not T.is_alpha_kl(look)
+        with pytest.raises(X.UnsupportedBase):
+            d_set(look)
+        with pytest.raises(X.UnsupportedBase):
+            BaseSystem(look, TERNARY).delta_cache()
 
     def test_values_distinct_and_interior(self):
         # at a base just above alpha_KL several block levels survive

@@ -348,6 +348,63 @@ class TestGammaMembership:
                               E.GammaStatus.IN)
 
 
+class TestGammaSearch:
+    """One search shared across many queries gives every query the
+    verdict of a fresh search."""
+
+    @staticmethod
+    def _points(sys, t, rng, count=240):
+        # x = value of a random {0,1} prefix - t: the box oracle's witnesses
+        a = sys.ctx.alpha_element
+        out = []
+        for _ in range(count):
+            x, p = -t, sys.ctx.one
+            for _ in range(rng.randint(1, 10)):
+                p = p * a
+                if rng.random() < 0.5:
+                    x = x + p
+            out.append(x)
+        rng.shuffle(out)
+        return out
+
+    @pytest.mark.parametrize("base,seed", [("2/5", 11), ("3/8", 12),
+                                           ("ex51", 13)])
+    def test_shared_matches_fresh(self, base, seed):
+        rng = random.Random(seed)
+        if base == "ex51":
+            sys = cubic_base()
+            a = sys.ctx.alpha_element
+            t = -a / (sys.ctx.one + a)
+        else:
+            sys = BaseSystem(F(base), TERNARY)
+            word = [rng.choice((-1, 0, 1)) for _ in range(4)]
+            t = E.seq_value(sys, FiniteWord(word, TERNARY))
+        search = E.GammaSearch(sys.ctx, depth_cap=512)
+        seen = set()
+        for x in self._points(sys, t, rng):
+            fresh = E.gamma_membership(sys.alpha, x, depth_cap=512)
+            assert fresh.status is not E.GammaStatus.UNKNOWN
+            assert search.membership(x).status is fresh.status
+            seen.add(fresh.status)
+        assert seen == {E.GammaStatus.IN, E.GammaStatus.OUT}
+
+    def test_memo_is_certified_only(self):
+        # a value cut short by the cap is memoised neither way, and every
+        # value memoised OUT is OUT for a fresh, deeper search
+        search = E.GammaSearch(X.QAlphaContext(F(2, 5)), depth_cap=8)
+        for x in (F(1, 5), F(1, 7), F(1, 11), F(1, 5)):
+            expect = E.GammaStatus.UNKNOWN if x == F(1, 5) else \
+                E.GammaStatus.OUT
+            assert search.membership(x).status is expect
+        assert (F(1, 5),) not in search.dead | search.live
+        assert search.dead
+        for (v,) in search.dead:
+            assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
+        search = E.GammaSearch(X.QAlphaContext(F(2, 5)))
+        assert search.membership(F(0)).status is E.GammaStatus.IN
+        assert search.live and search.membership(F(0)).witness.digits == ()
+
+
 class TestSeqValue:
     def test_periodic_value(self):
         sys = BaseSystem(F(2, 5), TERNARY)
