@@ -6,9 +6,11 @@ Routes implemented:
   for translations with a unique expansion,
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
-  alpha), with the spectral radius both certified by exact row-sum brackets
-  of matrix powers and pinned down exactly via the characteristic
-  polynomial,
+  alpha).  The spectral radius is certified by a Collatz-Wielandt bracket:
+  split the matrix into strongly connected components, take a float Perron
+  vector v of each, and bound the radius by the least and largest
+  (Av)_i/v_i from one exact integer mat-vec.  For at most 24 rows the
+  characteristic polynomial also pins it down exactly,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -161,58 +163,39 @@ def full_dimension(alpha) -> DimensionValue:
 
 def char_poly(entries: Sequence[Sequence[int]]) -> list:
     """Characteristic polynomial (low degree first) of an integer matrix,
-    computed exactly by the Faddeev-LeVerrier recurrence."""
+    computed exactly by the Faddeev-LeVerrier recurrence.
+
+    For an integer matrix every M_k and c_k is integral, so the recurrence
+    runs on Python ints; a trace not divisible by k would be a bug.
+    """
     n = len(entries)
-    A = [[Fraction(x) for x in row] for row in entries]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
+    succ = [[(l, int(a)) for l, a in enumerate(row) if a] for row in entries]
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = []
     for k in range(1, n + 1):
-        # M <- A * M
-        AM = [[sum(A[i][l] * M[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = -sum(AM[i][i] for i in range(n)) / k
-        cs.append(c)
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)]
-             for i in range(n)]
-    low_first = list(reversed(cs)) + [Fraction(1)]
-    out = []
-    for c in low_first:
-        if c.denominator != 1:
+        # M <- A * M, row i of A*M being sum_l A[i][l] * M[l]
+        AM = []
+        for i in range(n):
+            acc = [0] * n
+            for l, a in succ[i]:
+                acc = [x + a * y for x, y in zip(acc, M[l])]
+            AM.append(acc)
+        tr = sum(AM[i][i] for i in range(n))
+        if tr % k != 0:
             raise VerificationFailed("characteristic polynomial not integral")
-        out.append(int(c))
-    return out
-
-
-def _kth_root_bounds(x: int, k: int, scale_bits: int = 28):
-    """Rational lower/upper bounds on x**(1/k), verified exactly.
-
-    A float logarithm seeds dyadic candidates, then one exact big-integer
-    power comparison per side certifies them (adjusting in the rare case
-    the float seed was off).
-    """
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    if k == 1:
-        return Fraction(x), Fraction(x)
-    scale = 1 << scale_bits
-    seed = math.exp(math.log(x) / k)
-    target = x << (scale_bits * k)
-    lo_num = int(seed * (1 - 1e-9) * scale)
-    while lo_num > 0 and lo_num**k > target:
-        lo_num = min(lo_num - 1, int(lo_num * (1 - 1e-9)))
-    hi_num = int(seed * (1 + 1e-9) * scale) + 1
-    while hi_num**k < target:
-        hi_num = max(hi_num + 1, int(hi_num * (1 + 1e-9)))
-    return Fraction(lo_num, scale), Fraction(hi_num, scale)
+        c = -tr // k
+        cs.append(c)
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return list(reversed(cs)) + [1]
 
 
 @dataclass
 class PerronInfo:
     """Spectral radius data for a nonnegative integer matrix."""
 
-    estimate: float
+    estimate: float  # midpoint of rowsum_bracket
     algebraic: Optional[AlgebraicReal]
     rowsum_bracket: tuple  # (Fraction lo, Fraction hi), certified
     char: Optional[list] = None
@@ -230,6 +213,9 @@ class PerronInfo:
         return f"in [{lo}, {hi}]"
 
 
+CHARPOLY_MAX_DIM = 24  # larger matrices get the bracket alone
+
+
 class CountMatrix:
     """Nonnegative integer matrix counting labelled edges, with its Perron
     eigenvalue certified on demand."""
@@ -243,79 +229,73 @@ class CountMatrix:
             if any(x < 0 for x in row):
                 raise ValueError("matrix must be nonnegative")
         self.n = n
+        self.succ = [[(j, x) for j, x in enumerate(row) if x]
+                     for row in self.entries]
         self._perron: Optional[PerronInfo] = None
 
     def row_sums(self):
         return [sum(row) for row in self.entries]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.succ)
 
-    def power_estimate(self, residual: float = 1e-12,
-                       max_iter: int = 100_000) -> float:
-        """Power iteration on floats; an estimate only.
+    def power_estimate(self) -> list:
+        """Float Perron vectors: ``(rows, v)`` for each strongly connected
+        component that carries a cycle; an estimate only.
 
-        Iterates on A + I so that periodic cycle structure cannot make the
-        Rayleigh quotients oscillate, then shifts the result back.
+        ``v`` is ``|Re|`` of the eigenvector of the component's eigenvalue
+        with the largest real part, which is its Perron root even when the
+        component is periodic.  Non-positive entries are raised to the
+        least positive one: any positive vector gives a valid bracket.
         """
-        if self.n == 0 or self.is_zero():
-            return 0.0
-        A = np.array(self.entries, dtype=float) + np.eye(self.n)
-        v = np.ones(self.n)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = A @ v
-            norm = np.linalg.norm(w)
-            if norm == 0:
-                return 0.0
-            w /= norm
-            new_lam = float(w @ (A @ w))
-            if abs(new_lam - lam) <= residual * max(1.0, abs(new_lam)):
-                lam = new_lam
-                break
-            lam, v = new_lam, w
-        return lam - 1.0
+        comp = _sccs(self.n, lambda u: [v for v, _ in self.succ[u]])
+        groups: dict = {}
+        for u, c in enumerate(comp):
+            groups.setdefault(c, []).append(u)
+        dense = np.array(self.entries, dtype=float)
+        out = []
+        for rows in groups.values():
+            sub = dense[np.ix_(rows, rows)]
+            if not sub.any():
+                continue  # a transient state with no self-loop
+            vals, vecs = np.linalg.eig(sub)
+            v = np.abs(vecs[:, int(np.argmax(vals.real))].real)
+            positive = v[v > 0]
+            v[~(v > 0)] = positive.min() if positive.size else 1.0
+            out.append((rows, v))
+        return out
 
-    def rowsum_enclosure(self, width=Fraction(1, 10**3),
-                         k_cap: int = 1 << 14):
-        """Certified bracket: min/max row sums of A^k bound lambda^k.
+    def rowsum_enclosure(self, vectors: list) -> tuple:
+        """Certified bracket on the spectral radius (Collatz-Wielandt).
 
-        The power is grown by repeated squaring (exact integers) until the
-        k-th-root bracket is narrower than ``width`` or k reaches the cap.
+        Each float vector is scaled exactly to positive integers by a power
+        of two, v.  For an irreducible A_c and any positive v the radius of
+        A_c lies between the least and the largest (A_c v)_i / v_i, the row
+        sums of D^-1 A_c D with D = diag(v); one exact integer mat-vec over
+        the successor lists gives them.  The radius of A is the largest
+        component radius, so it lies in [max_c lo_c, max_c hi_c].
         """
-        if self.n == 0 or self.is_zero():
-            return (Fraction(0), Fraction(0))
-        width = Fraction(width)
-        B = [list(row) for row in self.entries]
-        k = 1
-        best = None
-        while True:
-            rs = [sum(row) for row in B]
-            lo, _ = _kth_root_bounds(min(rs), k)
-            _, hi = _kth_root_bounds(max(rs), k)
-            if best is None:
-                best = (lo, hi)
-            else:
-                best = (max(lo, best[0]), min(hi, best[1]))
-            if best[0] > best[1]:
-                raise VerificationFailed("row-sum brackets are inconsistent")
-            if best[1] - best[0] <= width or 2 * k > k_cap:
-                return best
-            n = self.n
-            B = [[sum(B[i][l] * B[l][j] for l in range(n)) for j in range(n)]
-                 for i in range(n)]
-            k *= 2
+        lo = hi = Fraction(0)
+        for rows, v in vectors:
+            ratios = [float(x).as_integer_ratio() for x in v]
+            den = max(q for _, q in ratios)
+            w = dict(zip(rows, (p * (den // q) for p, q in ratios)))
+            sums = [Fraction(sum(a * w[j] for j, a in self.succ[i] if j in w),
+                             w[i]) for i in rows]
+            lo, hi = max(lo, min(sums)), max(hi, max(sums))
+        return lo, hi
 
-    def perron(self, charpoly_max_dim: int = 24) -> PerronInfo:
-        """Estimate, certified bracket, and (for small matrices) the exact
-        algebraic form of the spectral radius."""
+    def perron(self) -> PerronInfo:
+        """Certified bracket, its midpoint as the estimate, and (for at
+        most ``CHARPOLY_MAX_DIM`` rows) the exact algebraic form of the
+        spectral radius."""
         if self._perron is not None:
             return self._perron
-        est = self.power_estimate()
-        bracket = self.rowsum_enclosure()
+        bracket = self.rowsum_enclosure(self.power_estimate())
+        blo, bhi = bracket
         algebraic = None
         cp = None
-        if 0 < self.n <= charpoly_max_dim and not self.is_zero():
+        if self.n <= CHARPOLY_MAX_DIM and bhi > 0:
             cp = char_poly(self.entries)
             stripped = list(cp)
             while stripped and stripped[0] == 0:
@@ -324,12 +304,12 @@ class CountMatrix:
             hi = Fraction(max(self.row_sums()) + 1)
             algebraic = exactnum.isolate_largest_root(stripped, Fraction(0), hi)
             lam_lo, lam_hi = algebraic.refine(Fraction(1, 10**12))
-            blo, bhi = bracket
             if lam_hi < blo or lam_lo > bhi:
                 raise VerificationFailed(
-                    "characteristic-polynomial root disagrees with row-sum "
-                    "bracket")
-        self._perron = PerronInfo(est, algebraic, bracket, cp)
+                    "characteristic-polynomial root disagrees with the "
+                    "Collatz-Wielandt bracket")
+        self._perron = PerronInfo(float((blo + bhi) / 2), algebraic, bracket,
+                                  cp)
         return self._perron
 
 
@@ -353,9 +333,6 @@ class IntersectionGraph:
     count_matrix: CountMatrix
     state_map: list  # graph row -> automaton state index
     empty: bool = False
-
-    def perron(self) -> PerronInfo:
-        return self.count_matrix.perron()
 
 
 def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
@@ -532,6 +509,7 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _INF = math.inf
+_BOX_BUFFER = 8  # gamma levels each upper-count probe looks past n
 
 
 def _iv_add(a, b):
@@ -565,23 +543,23 @@ class BoxCountReport:
         return self.rows[n - 1][1]
 
 
-def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
-                     max_depth: int = 20,
-                     witnesses: bool = True) -> BoxCountReport:
+def box_count_oracle(alpha, t, depth: int,
+                     max_depth: int = 20) -> BoxCountReport:
     """Count {0,1} prefixes whose cylinder can meet the intersection.
 
     An upper count keeps every depth-n prefix that survives outward-rounded
-    interval pruning against the translated set refined to depth n+buffer;
-    a lower count additionally requires an exact membership certificate for
-    a witness point in the cylinder: the prefix value p, with p - t in
-    Gamma_alpha.  The least-squares slope of log(upper) against
-    n * (-log alpha) over the last half of the depths estimates the
-    dimension.
+    interval pruning against the translated set refined to depth
+    n + _BOX_BUFFER; a lower count additionally requires an exact
+    membership certificate for a witness point in the cylinder: the prefix
+    value p, with p - t in Gamma_alpha.  The least-squares slope of
+    log(upper) against n * (-log alpha) over the last half of the depths
+    estimates the dimension.
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
     and p - t is carried down the walk exactly.  Sharing cannot change a
     row where a fresh search certifies its verdict: the search keeps only
-    certified IN/OUT facts, never a value cut short by a cap.
+    certified IN/OUT facts, never a value cut short by a cap.  Shifts with
+    no exact form get the upper count and no witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -593,12 +571,17 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
     recip = (math.nextafter(1.0 / one_minus[1], -_INF),
              math.nextafter(1.0 / one_minus[0], _INF))
     u_iv = _iv_mul(a_iv, recip)  # alpha/(1-alpha)
+    # alpha^m and the upper end of the tail width alpha^m * alpha/(1-alpha)
+    pows = [(1.0, 1.0)]
+    for _ in range(depth + _BOX_BUFFER):
+        pows.append(_iv_mul(pows[-1], a_iv))
+    tails = [_iv_mul(p, u_iv)[1] for p in pows]
 
     # exact side for witnesses
     ctx = None
-    if witnesses and isinstance(t, QAlphaElement):
+    if isinstance(t, QAlphaElement):
         ctx, t_exact = t.ctx, t
-    elif (witnesses and isinstance(alpha, (Fraction, int, AlgebraicReal))
+    elif (isinstance(alpha, (Fraction, int, AlgebraicReal))
           and isinstance(t, (int, Fraction))):
         ctx = exactnum.QAlphaContext(alpha)
         t_exact = ctx.embed(Fraction(t))
@@ -612,49 +595,34 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
 
-    def gamma_children(part_iv, pow_next):
-        zero = part_iv
-        one = _iv_add(part_iv, pow_next)
-        return (zero, one)
-
-    def probe(I, gammas, k, extra):
-        """Is some gamma extension ``extra`` levels deeper still overlapping
-        the fixed interval I?  gammas hold partial-sum intervals at depth k."""
+    def probe(I, gammas, k):
+        """Is some gamma extension _BOX_BUFFER levels deeper still
+        overlapping the fixed interval I?  gammas hold partial-sum
+        intervals at depth k."""
         stack = [(g, k) for g in gammas]
         while stack:
             part, m = stack.pop()
-            tail_hi = _iv_mul(_pow_cache(m), u_iv)[1]
-            if part[0] > I[1] or math.nextafter(part[1] + tail_hi, _INF) < I[0]:
+            if part[0] > I[1] or math.nextafter(part[1] + tails[m], _INF) < I[0]:
                 continue
-            if m >= k + extra:
+            if m >= k + _BOX_BUFFER:
                 return True
-            child_pow = _pow_cache(m + 1)
-            z, o = gamma_children(part, child_pow)
-            stack.append((z, m + 1))
-            stack.append((o, m + 1))
+            stack.append((part, m + 1))
+            stack.append((_iv_add(part, pows[m + 1]), m + 1))
         return False
 
-    pow_list = [(1.0, 1.0)]
-
-    def _pow_cache(k):
-        while len(pow_list) <= k:
-            pow_list.append(_iv_mul(pow_list[-1], a_iv))
-        return pow_list[k]
-
     def walk(k, part, gammas, x):  # x = prefix value - t, exact, or None
-        I = (part[0],
-             math.nextafter(part[1] + _iv_mul(_pow_cache(k), u_iv)[1], _INF))
+        tail_hi = tails[k]
+        I = (part[0], math.nextafter(part[1] + tail_hi, _INF))
         # keep gamma prefixes whose cylinder can still meet I
         kept = []
         seen = set()
         for g in gammas:
-            tail_hi = _iv_mul(_pow_cache(k), u_iv)[1]
             if g[0] > I[1] or math.nextafter(g[1] + tail_hi, _INF) < I[0]:
                 continue
             if g not in seen:
                 seen.add(g)
                 kept.append(g)
-        if not kept or not probe(I, kept, k, buffer):
+        if not kept or not probe(I, kept, k):
             return
         if k > 0:
             uppers[k] += 1
@@ -663,12 +631,11 @@ def box_count_oracle(alpha, t, depth: int, buffer: int = 8,
                 lowers[k] += 1
         if k == depth:
             return
-        pw = _pow_cache(k + 1)
+        pw = pows[k + 1]
         next_g = []
         for g in kept:
-            z, o = gamma_children(g, pw)
-            next_g.append(z)
-            next_g.append(o)
+            next_g.append(g)
+            next_g.append(_iv_add(g, pw))
         walk(k + 1, part, next_g, x)
         walk(k + 1, _iv_add(part, pw), next_g,
              None if search is None else x + a_pows[k + 1])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cantorint import dimension as D
@@ -79,6 +80,13 @@ class TestCharPoly:
         m = ((1, 0), (0, 1))
         assert char_poly(m) == [1, -2, 1]
 
+    def test_char_poly_matches_numpy(self):
+        import random as _r
+        rng = _r.Random(7)
+        m = [[rng.randrange(0, 4) for _ in range(8)] for _ in range(8)]
+        want = np.poly(np.array(m, dtype=float))[::-1]
+        assert np.allclose(char_poly(m), want, rtol=1e-9, atol=1e-6)
+
 
 class TestPerron:
     def test_single_entry_two(self):
@@ -127,6 +135,65 @@ class TestPerron:
             blo, bhi = info.rowsum_bracket
             assert blo <= hi and lo <= bhi  # the certified routes overlap
             assert float(blo) - 1e-6 <= info.estimate <= float(bhi) + 1e-6
+
+    def test_712_state_matrix(self):
+        # sqrt(2)-1 with t = 1/211: one 712-row component, past the
+        # char-poly limit, so the bracket alone certifies the radius
+        sys = BaseSystem(X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2)),
+                         TERNARY)
+        auto = E.build_expansion_automaton(sys, sys.embed(F(1, 211)))
+        cm = build_intersection_graph(auto).count_matrix
+        assert cm.n == 712
+        info = cm.perron()
+        lo, hi = info.rowsum_bracket
+        assert info.algebraic is None
+        assert hi - lo <= F(1, 10**9)
+        assert round(float(lo), 8) == round(float(hi), 8) == 1.63767075
+
+    def test_reducible_ex51_shift_is_narrow(self):
+        # 25 rows in 12 components; the least row sum of A^k follows the
+        # smallest component, which left a bracket about 0.2 wide
+        sys = cubic_base()
+        t = E.seq_value(sys, W.parse_seq("+++-0+"))
+        g = build_intersection_graph(E.build_expansion_automaton(sys, t))
+        assert g.count_matrix.n == 25
+        assert len(g.count_matrix.power_estimate()) > 1
+        dv = perron_dimension(g, sys.alpha)
+        assert dv.hi - dv.lo <= 1e-9
+
+    def test_long_periodic_cycle(self):
+        # a 30-cycle with one edge of weight 2: period 30, lambda^30 = 2,
+        # too many rows for the char poly
+        n = 30
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][(i + 1) % n] = 1
+        m[n - 1][0] = 2
+        info = CountMatrix(m).perron()
+        lo, hi = info.rowsum_bracket
+        assert info.algebraic is None
+        assert lo**30 <= 2 <= hi**30
+        assert hi - lo <= F(1, 10**9)
+
+    def test_dominant_component_behind_transient_states(self):
+        # block triangular: a self-loop (radius 1) feeds the transient
+        # states 1 and 2, which alone lead to the golden block {3, 4};
+        # that block drains into a final self-loop
+        m = ((1, 1, 0, 0, 0, 0),
+             (0, 0, 1, 0, 0, 0),
+             (0, 0, 0, 1, 0, 0),
+             (0, 0, 0, 1, 1, 0),
+             (0, 0, 0, 1, 0, 1),
+             (0, 0, 0, 0, 0, 1))
+        cm = CountMatrix(m)
+        assert sorted(len(rows) for rows, _ in cm.power_estimate()) == \
+            [1, 1, 2]
+        lo, hi = cm.rowsum_enclosure(cm.power_estimate())
+        assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+        assert hi - lo <= F(1, 10**12)
+        info = cm.perron()
+        glo, ghi = info.enclosure(F(1, 10**12))
+        assert glo * glo - glo - 1 <= 0 <= ghi * ghi - ghi - 1
 
 
 class TestIntersectionGraph:
