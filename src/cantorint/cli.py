@@ -27,6 +27,17 @@ class CliError(Exception):
     pass
 
 
+# size limits, checked before anything is allocated
+TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
+LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
+LIOUVILLE_K_MAX = 4  # k = 5 builds integers of thousands of digits
+
+
+def _check_bound(flag: str, value: int, bound: int, name: str):
+    if value > bound:
+        raise CliError(f"{flag} {value} is over the bound {name} = {bound}")
+
+
 def _depth_cap(default: int) -> int:
     env = os.environ.get("CANTOR_DEPTH_CAP")
     if env:
@@ -76,6 +87,7 @@ def _dim_payload(dv: dimension.DimensionValue) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args):
+    _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
     alpha = _parse_alpha(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
     sys_ = BaseSystem(alpha, alphabet)
@@ -89,6 +101,7 @@ def _cmd_expand(args):
 
 
 def _cmd_delta(args):
+    _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
     alpha = _parse_alpha(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
     sys_ = BaseSystem(alpha, alphabet)
@@ -115,6 +128,10 @@ def _cmd_unique(args):
 
 def _cmd_tm(args):
     n = args.n
+    if args.what in ("tau", "lambda"):  # n digits
+        _check_bound("--n", n, 2**TM_N_MAX, "2**TM_N_MAX")
+    else:
+        _check_bound("--n", n, TM_N_MAX, "TM_N_MAX")
     if args.what == "tau":
         word = thuemorse.tau_prefix(n)
     elif args.what == "lambda":
@@ -208,6 +225,10 @@ def _cmd_intersect(args):
     else:
         result["reason"] = (f"state cap {args.state_cap} hit before the "
                             "automaton closed; no dimension computed")
+        if isinstance(alpha, Fraction) and alpha.numerator > 1:
+            result["reason"] += (
+                f"; 1/alpha = {1 / alpha} is not an algebraic integer, so it "
+                "is not a Pisot number and no finite closure is guaranteed")
     return ({"alpha": args.alpha, "t": args.t}, result)
 
 
@@ -260,6 +281,7 @@ def _cmd_dense_targets(args):
 
 
 def _cmd_liouville(args):
+    _check_bound("--k", args.k, LIOUVILLE_K_MAX, "LIOUVILLE_K_MAX")
     pq = Fraction(args.pq)
     lw = dimension.liouville_witness(pq, args.k,
                                      free_digit_rule=args.free_rule)

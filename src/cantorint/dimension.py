@@ -16,6 +16,10 @@ Routes implemented:
   family of self-similar targets below the threshold base, and the
   Liouville construction producing intersections of purely transcendental
   numbers.
+
+The graph algorithms behind these routes (trimming to states on an
+infinite path, reachability, strongly connected components, Karp's
+maximum cycle mean) live in :mod:`cantorint.graph`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import exactnum, expansions, thuemorse, words
+from . import exactnum, expansions, graph, thuemorse, words
 from .exactnum import AlgebraicReal, Comparison, QAlphaElement, compare
 from .expansions import (
     BaseSystem,
@@ -169,7 +173,7 @@ def char_poly(entries: Sequence[Sequence[int]]) -> list:
     runs on Python ints; a trace not divisible by k would be a bug.
     """
     n = len(entries)
-    succ = [[(l, int(a)) for l, a in enumerate(row) if a] for row in entries]
+    succ = graph.successors([[int(a) for a in row] for row in entries])
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = []
     for k in range(1, n + 1):
@@ -229,8 +233,7 @@ class CountMatrix:
             if any(x < 0 for x in row):
                 raise ValueError("matrix must be nonnegative")
         self.n = n
-        self.succ = [[(j, x) for j, x in enumerate(row) if x]
-                     for row in self.entries]
+        self.succ = graph.successors(self.entries)
         self._perron: Optional[PerronInfo] = None
 
     def row_sums(self):
@@ -248,13 +251,9 @@ class CountMatrix:
         component is periodic.  Non-positive entries are raised to the
         least positive one: any positive vector gives a valid bracket.
         """
-        comp = _sccs(self.n, lambda u: [v for v, _ in self.succ[u]])
-        groups: dict = {}
-        for u, c in enumerate(comp):
-            groups.setdefault(c, []).append(u)
         dense = np.array(self.entries, dtype=float)
         out = []
-        for rows in groups.values():
+        for rows in graph.sccs(self.succ):
             sub = dense[np.ix_(rows, rows)]
             if not sub.any():
                 continue  # a transient state with no self-loop
@@ -340,25 +339,15 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
     states that are reachable and lie on infinite paths."""
     if not auto.complete:
         raise IncompleteAutomaton("intersection graph needs a closed automaton")
-    if auto.initial is None:
+    live = graph.trim(auto.succ)
+    if auto.initial is None or not live[auto.initial]:
         return IntersectionGraph(auto, CountMatrix([]), [], empty=True)
-    alive = auto.essential_mask()
-    reach = {auto.initial} if alive[auto.initial] else set()
-    frontier = list(reach)
-    while frontier:
-        i = frontier.pop()
-        for (d, t) in auto.out_edges(i):
-            if alive[t] and t not in reach:
-                reach.add(t)
-                frontier.append(t)
-    keep = [i for i in range(len(auto.states)) if i in reach]
-    if not keep:
-        return IntersectionGraph(auto, CountMatrix([]), [], empty=True)
+    keep = graph.reachable(live, auto.initial)
     pos = {i: r for r, i in enumerate(keep)}
     n = len(keep)
     entries = [[0] * n for _ in range(n)]
-    for (f, d, t) in auto.edges:
-        if f in pos and t in pos:
+    for f in keep:
+        for (t, d) in live[f]:
             entries[pos[f]][pos[t]] += _edge_label_count(d)
     return IntersectionGraph(auto, CountMatrix(entries), keep)
 
@@ -391,81 +380,6 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
 # max cycle-mean of the zero indicator (bounds sup of upper densities)
 # ---------------------------------------------------------------------------
 
-def _sccs(n: int, succ) -> list:
-    """Strongly connected components (Kosaraju, iterative)."""
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for v in succ(u):
-            radj[v].append(u)
-    order, seen = [], [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, iter(succ(s)))]
-        seen[s] = True
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, iter(succ(v))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-                stack.pop()
-    comp = [-1] * n
-    c = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = c
-        while stack:
-            u = stack.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = c
-                    stack.append(v)
-        c += 1
-    return comp
-
-
-def _karp_max_cycle_mean(nodes: list, edges: list) -> Optional[Fraction]:
-    """Karp's algorithm on one strongly connected component.
-
-    ``edges`` are (u, v, weight) with u, v indices into ``nodes``.
-    Returns None if the component has no edge.
-    """
-    n = len(nodes)
-    if not edges:
-        return None
-    NEG = None
-    d = [[NEG] * n for _ in range(n + 1)]
-    d[0][0] = 0
-    for k in range(1, n + 1):
-        for (u, v, w) in edges:
-            if d[k - 1][u] is not None:
-                cand = d[k - 1][u] + w
-                if d[k][v] is None or cand > d[k][v]:
-                    d[k][v] = cand
-    best = None
-    for v in range(n):
-        if d[n][v] is None:
-            continue
-        worst = None
-        for k in range(n):
-            if d[k][v] is None:
-                continue
-            mean = Fraction(d[n][v] - d[k][v], n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
-
-
 def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
     """Maximum cycle-mean of the zero-digit indicator over the automaton.
 
@@ -475,33 +389,10 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
     """
     if not auto.complete:
         raise IncompleteAutomaton("frequency bound needs a closed automaton")
-    if auto.initial is None:
-        return Fraction(0)
-    alive = auto.essential_mask()
-    n = len(auto.states)
-    adj = [[] for _ in range(n)]
-    for (f, d, t) in auto.edges:
-        if alive[f] and alive[t]:
-            adj[f].append((t, 1 if d == 0 else 0))
-    comp = _sccs(n, lambda u: [v for (v, _) in adj[u]])
-    best = Fraction(0)
-    found = False
-    groups: dict = {}
-    for u in range(n):
-        groups.setdefault(comp[u], []).append(u)
-    for members in groups.values():
-        mset = set(members)
-        pos = {u: i for i, u in enumerate(members)}
-        edges = [(pos[u], pos[v], w) for u in members for (v, w) in adj[u]
-                 if v in mset]
-        mean = _karp_max_cycle_mean(members, edges)
-        if mean is not None:
-            found = True
-            if mean > best:
-                best = mean
-    if not found:
-        return Fraction(0)
-    return best
+    # every node on a cycle starts an infinite path: no trimming needed
+    zeros = [[(t, int(d == 0)) for t, d in out] for out in auto.succ]
+    best = graph.max_cycle_mean(zeros)
+    return Fraction(0) if best is None else best
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from . import exactnum, thuemorse, words
+from . import exactnum, graph, thuemorse, words
 from .exactnum import (
     AlgebraicReal,
     Comparison,
@@ -448,53 +448,34 @@ class ExpansionAutomaton:
     """Follower-value graph of all expansions of t over the alphabet.
 
     States are exact Q(alpha) elements in [low*u, high*u] for
-    u = alpha/(1-alpha); an edge (s, d, s') means s' = s/alpha - d stays in
-    that interval.  Infinite paths from the initial state spell exactly the
-    expansions of t.
+    u = alpha/(1-alpha); ``succ[s]`` holds a pair (s', d) for each digit d
+    with s' = s/alpha - d in that interval.  Infinite paths from the initial
+    state spell exactly the expansions of t.
     """
 
     states: list
     initial: Optional[int]
-    edges: list
+    succ: list  # successor lists of (state, digit) pairs, digits ascending
     complete: bool
     alphabet: Alphabet = TERNARY
 
-    def out_edges(self, i: int):
-        return [(d, j) for (f, d, j) in self.edges if f == i]
+    @property
+    def edges(self) -> list:
+        """(from, digit, to) triples, by source state, then by digit."""
+        return [(i, d, j) for i, out in enumerate(self.succ) for j, d in out]
 
-    def essential_mask(self) -> list:
-        """States that lie on some infinite path (out-degree never dies)."""
-        alive = [True] * len(self.states)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.states)):
-                if alive[i] and not any(f == i and alive[t]
-                                        for (f, d, t) in self.edges):
-                    alive[i] = False
-                    changed = True
-        return alive
+    def out_edges(self, i: int) -> list:
+        """(state, digit) pairs leaving state i."""
+        return self.succ[i]
 
     def has_unique_infinite_path(self) -> bool:
         if not self.complete:
             raise ExpansionError("path structure needs a closed automaton")
-        if self.initial is None:
+        live = graph.trim(self.succ)
+        if self.initial is None or not live[self.initial]:
             return False
-        alive = self.essential_mask()
-        if not alive[self.initial]:
-            return False
-        seen = {self.initial}
-        queue = [self.initial]
-        while queue:
-            i = queue.pop()
-            outs = [(d, t) for (d, t) in self.out_edges(i) if alive[t]]
-            if len(outs) != 1:
-                return False
-            t = outs[0][1]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-        return True
+        return all(len(live[i]) == 1
+                   for i in graph.reachable(live, self.initial))
 
     def path_count(self, length: int) -> int:
         """Number of digit words of the given length spelled from the
@@ -505,7 +486,7 @@ class ExpansionAutomaton:
         for _ in range(length):
             nxt: dict = {}
             for i, c in counts.items():
-                for (_, t) in self.out_edges(i):
+                for (t, _) in self.succ[i]:
                     nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
@@ -520,7 +501,7 @@ class ExpansionAutomaton:
             if len(prefix) == length:
                 out.add(tuple(prefix))
                 return
-            for (d, t) in self.out_edges(i):
+            for (t, d) in self.succ[i]:
                 rec(t, prefix + [d])
 
         rec(self.initial, [])
@@ -545,7 +526,6 @@ def build_expansion_automaton(sys: BaseSystem, t,
     and t in Q(alpha) the closure is finite; the state cap guards other
     bases and yields a partial automaton flagged ``complete=False``.
     """
-    ctx = sys._require_ctx()
     t_el = sys.embed(t)
     lo = sys.low_tail()
     hi = sys.high_tail()
@@ -554,13 +534,11 @@ def build_expansion_automaton(sys: BaseSystem, t,
     inv = sys.inv_alpha
     states = [t_el]
     index = {t_el: 0}
-    edges = []
+    succ: list = []
     complete = True
-    queue = [0]
     digits = range(sys.alphabet.low, sys.alphabet.high + 1)
-    while queue:
-        i = queue.pop(0)
-        s = states[i]
+    for s in states:  # grows while walked: discovery order is breadth-first
+        out = []
         q = s * inv
         for d in digits:
             child = q - d
@@ -574,9 +552,9 @@ def build_expansion_automaton(sys: BaseSystem, t,
                 j = len(states)
                 index[child] = j
                 states.append(child)
-                queue.append(j)
-            edges.append((i, d, j))
-    return ExpansionAutomaton(states, 0, edges, complete, sys.alphabet)
+            out.append((j, d))
+        succ.append(out)
+    return ExpansionAutomaton(states, 0, succ, complete, sys.alphabet)
 
 
 def seq_value(sys: BaseSystem, seq: Union[FiniteWord, EPSeq]) -> QAlphaElement:

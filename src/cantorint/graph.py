@@ -1,0 +1,135 @@
+"""Directed graphs as successor lists, and the algorithms run on them.
+
+A graph on the nodes 0..n-1 is a list ``succ`` in which ``succ[u]`` holds
+one ``(v, label)`` pair per edge u -> v; self-loops and parallel edges are
+allowed.  Labels are digits in the expansion automaton, multiplicities in
+a count matrix and 0/1 weights in the zero-frequency bound.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+
+def successors(matrix: Sequence[Sequence[int]]) -> list:
+    """Successor lists of a square matrix: ``(j, m[i][j])`` per nonzero
+    entry, columns ascending."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+
+
+def trim(succ: list) -> list:
+    """The subgraph on the nodes that start an infinite path, in O(V+E):
+    nodes of out-degree zero leave by a worklist that lowers the out-degree
+    of their predecessors.  Node numbers are kept; exactly the removed nodes
+    have empty lists, and edges into them are dropped."""
+    pred: list = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for v, _ in out:
+            pred[v].append(u)
+    degree = [len(out) for out in succ]
+    dead = [u for u, k in enumerate(degree) if not k]
+    for v in dead:  # the worklist grows while it is walked
+        for u in pred[v]:
+            degree[u] -= 1
+            if not degree[u]:
+                dead.append(u)
+    gone = set(dead)
+    return [[] if u in gone else [(v, x) for v, x in out if v not in gone]
+            for u, out in enumerate(succ)]
+
+
+def reachable(succ: list, start: int) -> list:
+    """The nodes reachable from ``start``, itself included, ascending."""
+    seen = [False] * len(succ)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for v, _ in succ[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return [u for u, s in enumerate(seen) if s]
+
+
+def sccs(succ: list) -> list:
+    """Strongly connected components (Kosaraju, iterative), as member
+    lists in ascending order, ordered by their least member."""
+    n = len(succ)
+    pred: list = [[] for _ in range(n)]
+    for u, out in enumerate(succ):
+        for v, _ in out:
+            pred[v].append(u)
+    order, seen = [], [False] * n
+    for s in range(n):
+        if not seen[s]:
+            seen[s] = True
+            stack = [(s, iter(succ[s]))]
+            while stack:
+                u, it = stack[-1]
+                for v, _ in it:
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append((v, iter(succ[v])))
+                        break
+                else:
+                    order.append(u)
+                    stack.pop()
+    comps, placed = [], [False] * n
+    for s in reversed(order):
+        if not placed[s]:
+            placed[s] = True
+            members = [s]
+            for u in members:  # grows while it is walked
+                for v in pred[u]:
+                    if not placed[v]:
+                        placed[v] = True
+                        members.append(v)
+            comps.append(sorted(members))
+    return sorted(comps)
+
+
+def max_cycle_mean(succ: list) -> Optional[Fraction]:
+    """Largest mean label over the cycles of a graph with integer labels,
+    or None if it has no cycle: Karp's algorithm on each strongly connected
+    component, from its least member."""
+    best = None
+    for members in sccs(succ):
+        n = len(members)
+        pos = {u: i for i, u in enumerate(members)}
+        edges = [(pos[u], pos[v], w) for u in members for v, w in succ[u]
+                 if v in pos]
+        # d[k][v]: largest label sum of a k-edge walk from members[0] to v
+        d = [[0] + [None] * (n - 1)]
+        for _ in range(n):
+            prev, row = d[-1], [None] * n
+            for u, v, w in edges:
+                if prev[u] is not None and (row[v] is None
+                                            or prev[u] + w > row[v]):
+                    row[v] = prev[u] + w
+            d.append(row)
+        for v in range(n):
+            if d[n][v] is not None:
+                mean = min(Fraction(d[n][v] - d[k][v], n - k)
+                           for k in range(n) if d[k][v] is not None)
+                best = mean if best is None else max(best, mean)
+    return best
+
+
+def simple_cycles(succ: list) -> list:
+    """Every simple cycle once, as the node list starting at its least
+    node; labels and parallel edges are ignored.  Exhaustive depth-first
+    search, for small graphs."""
+    cycles: list = []
+
+    def extend(path):
+        for w, _ in succ[path[-1]]:
+            if w == path[0]:
+                if path not in cycles:
+                    cycles.append(path)
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in range(len(succ)):
+        extend([s])
+    return cycles

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from . import exactnum
+from . import exactnum, graph
 from .words import (
     TERNARY,
     Alphabet,
@@ -238,31 +239,6 @@ def sft_blocks(n: int) -> SftBlocks:
     return SftBlocks(n, z, e, zb, eb, SFT_MATRIX, omega1, omega2, d1, d2)
 
 
-def _simple_cycles(matrix) -> list:
-    """All simple cycles of a small digraph, as vertex lists."""
-    n = len(matrix)
-    cycles = []
-    seen = set()
-
-    def dfs(start, v, path, on_path):
-        for w in range(n):
-            if not matrix[v][w]:
-                continue
-            if w == start:
-                rot = min(path[i:] + path[:i] for i in range(len(path)))
-                if tuple(rot) not in seen:
-                    seen.add(tuple(rot))
-                    cycles.append(list(rot))
-            elif w > start and w not in on_path:
-                on_path.add(w)
-                dfs(start, w, path + [w], on_path)
-                on_path.remove(w)
-
-    for s in range(n):
-        dfs(s, s, [s], {s})
-    return cycles
-
-
 def sft_cycle_words(n: int, blocks: Optional[SftBlocks] = None) -> list:
     """Periodic digit sequences for every simple block cycle of the
     transition graph, plus splices of each pair of cycles at a shared
@@ -271,17 +247,13 @@ def sft_cycle_words(n: int, blocks: Optional[SftBlocks] = None) -> list:
     if blocks is None:
         blocks = sft_blocks(n)
     bw = [tuple(b.digits) for b in blocks.blocks]
-    cycles = _simple_cycles(SFT_MATRIX)
+    cycles = graph.simple_cycles(graph.successors(SFT_MATRIX))
     block_cycles = list(cycles)
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            shared = set(cycles[i]) & set(cycles[j])
-            if not shared:
-                continue
-            v = min(shared)
-            ci = cycles[i][cycles[i].index(v):] + cycles[i][:cycles[i].index(v)]
-            cj = cycles[j][cycles[j].index(v):] + cycles[j][:cycles[j].index(v)]
-            block_cycles.append(ci + cj)
+    for ci, cj in combinations(cycles, 2):
+        shared = set(ci) & set(cj)
+        if shared:
+            i, j = ci.index(min(shared)), cj.index(min(shared))
+            block_cycles.append(ci[i:] + ci[:i] + cj[j:] + cj[:j])
     words = []
     for cyc in block_cycles:
         period = tuple(d for b in cyc for d in bw[b])

@@ -68,7 +68,17 @@ class TestSubcommands:
         res = payload["result"]
         assert res["states"] == 2000 and not res["complete"]
         assert "state cap 2000" in res["reason"]
+        assert "1/alpha = 5/2 is not an algebraic integer" in res["reason"]
         assert "dimension" not in res
+
+    def test_capped_reason_for_integer_reciprocal(self, capsys):
+        # 1/alpha = 3 is a Pisot number; only the cap stopped the closure
+        code, payload = run_json(capsys, "intersect", "--alpha", "rat:1/3",
+                                 "--t", "rat:1/7", "--state-cap", "1")
+        res = payload["result"]
+        assert code == 0 and not res["complete"]
+        assert "state cap 1" in res["reason"]
+        assert "Pisot" not in res["reason"]
 
     def test_expand(self, capsys):
         code, payload = run_json(capsys, "expand", "--alpha", "rat:9/20",
@@ -175,6 +185,21 @@ class TestErrors:
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
         assert code == 1 and payload["result"] is None
         assert payload["inputs"] == {"pq": "1/4", "k": 1, "free_rule": 0}
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("tm", "--what", "w", "--n", "21"), "TM_N_MAX = 20"),
+        (("tm", "--what", "tau", "--n", str(2**20 + 1)),
+         "2**TM_N_MAX = 1048576"),
+        (("liouville", "--pq", "2/5", "--k", "5"), "LIOUVILLE_K_MAX = 4"),
+        (("expand", "--alpha", "rat:2/5", "--x", "1/3", "--length", "5001"),
+         "LENGTH_MAX = 5000"),
+        (("delta", "--alpha", "rat:2/5", "--length", "5001"),
+         "LENGTH_MAX = 5000"),
+    ])
+    def test_size_bounds_fail_fast(self, capsys, argv, bound):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["result"] is None
+        assert bound in payload["status"]
 
     def test_depth_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "12")

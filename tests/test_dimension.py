@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -142,10 +143,19 @@ class TestPerron:
         sys = BaseSystem(X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2)),
                          TERNARY)
         auto = E.build_expansion_automaton(sys, sys.embed(F(1, 211)))
-        cm = build_intersection_graph(auto).count_matrix
+        g = build_intersection_graph(auto)
+        cm = g.count_matrix
         assert cm.n == 712
+        # recorded before the graph code moved to cantorint.graph: any
+        # reordering of rows, or of the component members handed to
+        # numpy.linalg.eig, changes these
+        assert hashlib.sha1(repr(cm.entries).encode()).hexdigest() == \
+            "1cec84dff9c16a06dc79dbdd61ae797ab149da6b"
+        assert g.state_map == list(range(712))
         info = cm.perron()
         lo, hi = info.rowsum_bracket
+        assert (lo, hi) == (F(995760897988799, 608034856174461),
+                            F(2548789517493514, 1556350395779473))
         assert info.algebraic is None
         assert hi - lo <= F(1, 10**9)
         assert round(float(lo), 8) == round(float(hi), 8) == 1.63767075

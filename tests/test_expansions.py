@@ -268,6 +268,17 @@ class TestAutomaton:
         degrees = sorted(len(v) for v in outs.values())
         assert degrees == [1, 1, 1, 1, 2, 2]
         assert not auto.has_unique_infinite_path()
+        # recorded before the automaton kept successor lists: states, edge
+        # order, initial state and completeness
+        assert auto.to_json_dict() == {
+            "states": ["-1/2,0,1", "1/2,0,-1", "-1/2,0,-1", "1/2,0,1",
+                       "1/2,-2,-1", "-1/2,2,1"],
+            "initial": 0,
+            "edges": [{"from": f, "digit": d, "to": t} for f, d, t in
+                      [(0, -1, 1), (0, 0, 2), (1, 0, 3), (1, 1, 0),
+                       (2, -1, 4), (3, 1, 5), (4, -1, 0), (5, 1, 1)]],
+            "complete": True,
+        }
 
     def test_right_endpoint_single_loop(self):
         sys = BaseSystem(F(2, 5), TERNARY)

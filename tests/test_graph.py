@@ -1,0 +1,114 @@
+"""The graph helpers against brute-force definitions, on seeded random
+digraphs of 1-9 nodes with self-loops and parallel edges."""
+
+import random
+from fractions import Fraction as F
+
+from cantorint import graph
+from cantorint.thuemorse import SFT_MATRIX
+
+
+def random_graphs(count=200, seed=4):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        yield [[(rng.randrange(n), rng.randint(-2, 3))
+                for _ in range(rng.randrange(4))] for _ in range(n)]
+
+
+def closure(succ):
+    """reach[u][v]: a path (possibly empty) leads from u to v."""
+    n = len(succ)
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for u, out in enumerate(succ):
+        for v, _ in out:
+            reach[u][v] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+def fixpoint_alive(succ):
+    """States on an infinite path, as the automaton once computed them:
+    drop any state without an edge to a live state until nothing changes."""
+    alive = [True] * len(succ)
+    changed = True
+    while changed:
+        changed = False
+        for i, out in enumerate(succ):
+            if alive[i] and not any(alive[t] for t, _ in out):
+                alive[i] = False
+                changed = True
+    return alive
+
+
+def labelled_simple_cycles(succ):
+    """Every simple cycle as (node list from its least node, label list),
+    one entry per choice among parallel edges."""
+    found = []
+
+    def extend(nodes, labels):
+        for w, x in succ[nodes[-1]]:
+            if w == nodes[0]:
+                found.append((tuple(nodes), labels + [x]))
+            elif w > nodes[0] and w not in nodes:
+                extend(nodes + [w], labels + [x])
+
+    for s in range(len(succ)):
+        extend([s], [])
+    return found
+
+
+def test_trim_matches_fixpoint():
+    for succ in random_graphs():
+        alive = fixpoint_alive(succ)
+        assert graph.trim(succ) == [
+            [(v, x) for v, x in out if alive[v]] if alive[u] else []
+            for u, out in enumerate(succ)]
+
+
+def test_reachable_matches_closure():
+    for succ in random_graphs():
+        reach = closure(succ)
+        for s in range(len(succ)):
+            assert graph.reachable(succ, s) == \
+                [v for v in range(len(succ)) if reach[s][v]]
+
+
+def test_sccs_are_mutual_reachability_classes():
+    for succ in random_graphs():
+        n = len(succ)
+        reach = closure(succ)
+        comps = graph.sccs(succ)
+        assert sorted(u for c in comps for u in c) == list(range(n))
+        assert all(c == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        comp_of = {u: i for i, c in enumerate(comps) for u in c}
+        for u in range(n):
+            for v in range(n):
+                assert (comp_of[u] == comp_of[v]) == \
+                    (reach[u][v] and reach[v][u])
+
+
+def test_karp_matches_exhaustive_cycle_means():
+    for succ in random_graphs():
+        means = [F(sum(labels), len(labels))
+                 for _, labels in labelled_simple_cycles(succ)]
+        assert graph.max_cycle_mean(succ) == (max(means) if means else None)
+
+
+def test_simple_cycles_match_exhaustive_enumeration():
+    for succ in random_graphs():
+        cycles = graph.simple_cycles(succ)
+        assert len({tuple(c) for c in cycles}) == len(cycles)
+        assert {tuple(c) for c in cycles} == \
+            {nodes for nodes, _ in labelled_simple_cycles(succ)}
+
+
+def test_subshift_cycles():
+    # every cycle of the four-block subshift passes through block 0
+    assert graph.simple_cycles(graph.successors(SFT_MATRIX)) == \
+        [[0, 1, 2], [0, 1, 2, 3], [0, 2], [0, 2, 3]]
