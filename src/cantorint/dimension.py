@@ -581,6 +581,21 @@ def self_similar_check(sys: BaseSystem, seq: EPSeq) -> SelfSimilarResult:
     return SelfSimilarResult(SelfSimilarStatus.SELF_SIMILAR, wit)
 
 
+def _family_counts(a: Fraction, tol: Fraction,
+                   n2_cap: int) -> Optional[tuple[int, int]]:
+    """First (n1, n2), n1 in 1..64 then n2 in 0..n2_cap, whose word
+    ((1 -1)^n1 0^n2)^inf has zero density n2/(2 n1 + n2) within tol of a.
+    |n2/m - a| <= tol is compared cross-multiplied, m = 2 n1 + n2."""
+    an, ad = a.numerator, a.denominator
+    tn, td = tol.numerator, tol.denominator
+    for n1 in range(1, 65):
+        for n2 in range(0, n2_cap + 1):
+            m = 2 * n1 + n2
+            if abs(n2 * ad - an * m) * td <= tn * ad * m:
+                return (n1, n2)
+    return None
+
+
 def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
     """Periodic words ((1 -1)^a 0^b)^inf realising each target zero density
     within ``tol``, each passing both the uniqueness test and the
@@ -601,15 +616,7 @@ def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
             else Fraction(target).limit_denominator(10**6)
         if not 0 <= a <= 1:
             raise ValueError("targets must lie in [0, 1]")
-        found = None
-        for n1 in range(1, 65):
-            for n2 in range(0, n2_cap + 1):
-                d = Fraction(n2, 2 * n1 + n2)
-                if abs(d - a) <= tol:
-                    found = (n1, n2)
-                    break
-            if found:
-                break
+        found = _family_counts(a, tol, n2_cap)
         if not found:
             raise DimensionError(f"no family word within tol of {a}")
         n1, n2 = found

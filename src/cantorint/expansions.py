@@ -4,9 +4,9 @@ test, and the all-expansions automaton.
 Everything works over an arbitrary alphabet of consecutive integers but is
 phrased internally over the shifted digits {0, ..., M}; statements for
 {0,1,2} transfer to {-1,0,1} by the order-preserving digit shift.  All
-comparisons run in exact arithmetic (rationals, or Q(alpha) for an
-algebraic base), so every verdict below is certified unless it explicitly
-says UNDECIDED.
+comparisons run in exact arithmetic (integers or rationals for a rational
+base, Q(alpha) for an algebraic one), so every verdict below is certified
+unless it explicitly says UNDECIDED.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Optional, Union
 
@@ -128,11 +129,17 @@ class BaseSystem:
 
 class _DeltaCache:
     """Digits of the quasi-greedy expansion of 1 over {0..M}, grown on
-    demand, with remainder bookkeeping for eventual-periodicity detection."""
+    demand, with its eventually periodic form ``ep`` once one is known.
+
+    For a rational base p/q with p >= 2, ``ep`` stays None because delta is
+    proved never eventually periodic (below), so nothing is searched.  For
+    other bases a repeated remainder reveals the period.
+    """
 
     def __init__(self, sys: BaseSystem):
         self.sys = sys
         self.digits: list[int] = []
+        self.ep: Optional[tuple[int, int]] = None  # (preperiod, period)
         if sys.ctx is None:
             if not thuemorse.is_alpha_kl(sys.alpha):
                 raise UnsupportedBase(
@@ -141,7 +148,6 @@ class _DeltaCache:
             if sys.M != 2:
                 raise OutOfDomain("alpha_KL is a base for three-digit alphabets")
             self._lam_backed = True
-            self.ep = None
             return
         self._lam_backed = False
         ctx = sys.ctx
@@ -149,46 +155,50 @@ class _DeltaCache:
         if (sys.M * sys.tail_unit - ctx.one).sign() < 0:
             raise OutOfDomain("quasi-greedy expansion of 1 needs "
                               "alpha >= 1/(M+1)")
-        self._inv = sys.inv_alpha
-        self._rems = [ctx.one]
-        self._seen = {ctx.one: 0}
-        self.ep: Optional[tuple[int, int]] = None  # (preperiod, period)
+        self._loop = _digit_loop(sys, ctx.one, strict=True)
+        # Rational alpha = p/q with p >= 2: by _digit_loop the remainder
+        # after k digits is N_k / p^k with N_0 = 1, and N_(k+1) = q N_k - d
+        # p^(k+1) is q N_k mod p.  As gcd(q, p) = 1, no N_k shares a factor
+        # with p, so the remainders have the distinct reduced denominators
+        # p^k and never repeat.  A remainder is the value of the tail after
+        # it, so no two tails of delta are equal: delta is never eventually
+        # periodic.  Only other bases look for a repeat, keyed as
+        # _digit_loop yields them (N_k, or the Q(alpha) coefficients).
+        self._aperiodic = ctx.degree == 1 and ctx.alpha.numerator >= 2
+        self._seen = None if self._aperiodic else \
+            {1 if ctx.degree == 1 else ctx.one.coeffs: 0}
 
     def digit(self, i: int) -> int:
         self.extend(i)
         return self.digits[i - 1]
 
     def extend(self, n: int):
+        digits = self.digits
         if self._lam_backed:
-            if len(self.digits) < n:
-                for i in range(len(self.digits) + 1, n + 1):
-                    self.digits.append(1 + thuemorse.lam(i))
+            for i in range(len(digits) + 1, n + 1):
+                digits.append(1 + thuemorse.lam(i))
             return
-        M = self.sys.M
-        while len(self.digits) < n:
+        while len(digits) < n:
             if self.ep is not None:
                 pre, per = self.ep
-                i = len(self.digits)
-                self.digits.append(self.digits[pre + (i - pre) % per])
+                i = len(digits)
+                digits.append(digits[pre + (i - pre) % per])
                 continue
-            q = self._rems[-1] * self._inv
-            for d in range(M, -1, -1):
-                if d == 0 or (q - d).sign() > 0:
-                    break
-            self.digits.append(d)
-            y = q - d
-            seen_at = self._seen.get(y)
+            d, key = next(self._loop)
+            digits.append(d)
+            if self._seen is None:
+                continue
+            seen_at = self._seen.get(key)
             if seen_at is not None:
-                self.ep = (seen_at, len(self._rems) - seen_at)
-                self._rems.clear()
-                self._seen.clear()
+                self.ep = (seen_at, len(digits) - seen_at)
+                self._seen = self._loop = None
             else:
-                self._seen[y] = len(self._rems)
-                self._rems.append(y)
+                self._seen[key] = len(digits)
 
     def ep_form(self, depth_cap: int) -> Optional[EPSeq]:
-        """Exact eventually periodic form, if a remainder repeats in time."""
-        if self._lam_backed:
+        """Exact eventually periodic form: None when delta is proved not
+        eventually periodic, or when no remainder repeats within the cap."""
+        if self._lam_backed or self._aperiodic:
             return None
         step = 64
         while self.ep is None and len(self.digits) < depth_cap:
@@ -202,6 +212,50 @@ class _DeltaCache:
                      Alphabet(0, self.sys.M + 1))
 
 
+def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
+    """Greedy (``strict=False``) or quasi-greedy (``strict=True``) digits
+    over {0..M} of a remainder y of the attainable interval, endlessly.
+
+    Each step maps y to y/alpha - d for the largest d <= M that leaves it
+    >= 0 (greedy) or > 0 (quasi-greedy), and d = 0 if none does.  It yields
+    d with a hashable key of the new remainder.
+
+    For a rational base p/q in lowest terms the remainder after k digits is
+    N_k / (b p^k), with b the denominator of y, so integers do the work: d
+    is the largest with q N_k > d b p^(k+1) (>= for greedy), N_(k+1) =
+    q N_k - d b p^(k+1), and the key is N_(k+1).  It pins the remainder
+    only for p = 1, where the scale b p^k stays b.  Other bases step in
+    Q(alpha) and key by the coefficients.
+    """
+    M = sys.M
+    ctx = sys.ctx
+    if ctx.degree == 1:
+        p, q = ctx.alpha.numerator, ctx.alpha.denominator
+        start = y.coeffs[0]
+        num, scale = start.numerator, start.denominator
+        while True:
+            scale *= p
+            qn = q * num
+            d = M
+            if strict:
+                while d and qn <= d * scale:
+                    d -= 1
+            else:
+                while d and qn < d * scale:
+                    d -= 1
+            num = qn - d * scale
+            yield d, num
+    inv = sys.inv_alpha
+    floor = 0 if strict else -1
+    while True:
+        y = y * inv
+        for d in range(M, -1, -1):
+            if d == 0 or (y - d).sign() > floor:
+                break
+        y = y - d
+        yield d, y.coeffs
+
+
 def _shifted_attainable(sys: BaseSystem, x) -> QAlphaElement:
     """Map x into the {0..M} picture and check attainability."""
     el = sys.embed(x)
@@ -211,22 +265,18 @@ def _shifted_attainable(sys: BaseSystem, x) -> QAlphaElement:
     return y
 
 
+def _expansion(sys: BaseSystem, y: QAlphaElement, length: int,
+               strict: bool) -> FiniteWord:
+    low = sys.alphabet.low
+    digits = islice(_digit_loop(sys, y, strict), length)
+    return FiniteWord([d + low for d, _ in digits], sys.alphabet)
+
+
 def greedy_expansion(sys: BaseSystem, x, length: int) -> FiniteWord:
     """First ``length`` digits of the lexicographically largest expansion."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    y = _shifted_attainable(sys, x)
-    inv = sys.inv_alpha
-    M, low = sys.M, sys.alphabet.low
-    out = []
-    for _ in range(length):
-        q = y * inv
-        for d in range(M, -1, -1):
-            if d == 0 or (q - d).sign() >= 0:
-                break
-        out.append(d + low)
-        y = q - d
-    return FiniteWord(out, sys.alphabet)
+    return _expansion(sys, _shifted_attainable(sys, x), length, strict=False)
 
 
 def quasi_greedy_expansion(sys: BaseSystem, x, length: int) -> FiniteWord:
@@ -236,19 +286,9 @@ def quasi_greedy_expansion(sys: BaseSystem, x, length: int) -> FiniteWord:
     if length < 1:
         raise ValueError("length must be at least 1")
     y = _shifted_attainable(sys, x)
-    inv = sys.inv_alpha
-    M, low = sys.M, sys.alphabet.low
     if y.sign() == 0:
-        return FiniteWord([low] * length, sys.alphabet)
-    out = []
-    for _ in range(length):
-        q = y * inv
-        for d in range(M, -1, -1):
-            if d == 0 or (q - d).sign() > 0:
-                break
-        out.append(d + low)
-        y = q - d
-    return FiniteWord(out, sys.alphabet)
+        return FiniteWord([sys.alphabet.low] * length, sys.alphabet)
+    return _expansion(sys, y, length, strict=True)
 
 
 def delta(sys: BaseSystem, length: int) -> FiniteWord:
@@ -271,7 +311,10 @@ def delta_seq(sys: BaseSystem) -> LazySeq:
 
 
 def try_ep_form(sys: BaseSystem, depth_cap: int = 2048) -> Optional[EPSeq]:
-    """Eventually periodic form of delta, over sys.alphabet, or None if no
+    """Eventually periodic form of delta, over sys.alphabet, or None.
+
+    None is proved for a rational base p/q with p >= 2, where delta is never
+    eventually periodic, and for alpha_KL; for other bases it means that no
     remainder repeats within the cap."""
     ep = sys.delta_cache().ep_form(depth_cap)
     if ep is None:
@@ -348,7 +391,7 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
         raise words.AlphabetMismatch("sequence alphabet differs from system")
     M, low = sys.M, sys.alphabet.low
     dcache = sys.delta_cache()
-    ep_delta = dcache.ep_form(512) if not dcache._lam_backed else None
+    ep_delta = dcache.ep_form(512)
 
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
 

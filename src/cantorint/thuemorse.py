@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Optional
 
 from . import exactnum, graph
@@ -41,18 +42,31 @@ def lam(i: int) -> int:
     return tau(i) - tau(i - 1)
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _tau_bytes(n: int) -> bytes:
+    """tau_0 ... tau_(n-1), built by the doubling tau <- tau + (1 - tau),
+    where + joins words and 1 - tau flips every bit."""
+    t = b"\x00"
+    while len(t) < n:
+        t += t.translate(_FLIP)
+    return t[:n]
+
+
 def tau_prefix(n: int) -> FiniteWord:
     """First n digits tau_0 ... tau_{n-1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(tuple(tau(i) for i in range(n)), BIT01)
+    return FiniteWord(tuple(_tau_bytes(n)), BIT01)
 
 
 def lambda_prefix(n: int) -> FiniteWord:
     """lambda_1 ... lambda_n over {-1,0,1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(tuple(lam(i) for i in range(1, n + 1)), TERNARY)
+    t = _tau_bytes(n + 1)
+    return FiniteWord(tuple(map(sub, t[1:], t)), TERNARY)
 
 
 def lambda_seq() -> LazySeq:
@@ -70,14 +84,14 @@ def zeta(n: int) -> FiniteWord:
     """zeta_n = 0 lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((0,) + tuple(lam(i) for i in range(1, 2**n)), TERNARY)
+    return FiniteWord((0,) + lambda_prefix(2**n - 1).digits, TERNARY)
 
 
 def eta(n: int) -> FiniteWord:
     """eta_n = (-1) lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((-1,) + tuple(lam(i) for i in range(1, 2**n)), TERNARY)
+    return FiniteWord((-1,) + lambda_prefix(2**n - 1).digits, TERNARY)
 
 
 def dw(n: int) -> Fraction:

@@ -56,6 +56,9 @@ BINARY = Alphabet(0, 2)
 
 
 def _check_digits(digits, alphabet):
+    if not digits or (alphabet.low <= min(digits)
+                      and max(digits) <= alphabet.high):
+        return
     for d in digits:
         if d not in alphabet:
             raise WordsError(f"digit {d} outside alphabet "

@@ -364,6 +364,20 @@ class TestDenseTargets:
         with pytest.raises(OutOfDomain):
             dense_selfsimilar_targets(F(2, 5), [F(1, 2)], F(1, 100))
 
+    @pytest.mark.parametrize("tol", [F(1, 100), F(1, 37)])
+    def test_integer_search_matches_fraction_loop(self, tol):
+        n2_cap = int(4 / tol) + 4
+
+        def fraction_search(a):
+            for n1 in range(1, 65):
+                for n2 in range(0, n2_cap + 1):
+                    if abs(F(n2, 2 * n1 + n2) - a) <= tol:
+                        return (n1, n2)
+            return None
+
+        for a in [F(j, 10) for j in range(11)] + [F(j, 7) for j in range(8)]:
+            assert D._family_counts(a, tol, n2_cap) == fraction_search(a)
+
 
 class TestLiouville:
     def test_minimal_growth_two_fifths(self):

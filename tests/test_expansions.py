@@ -139,6 +139,98 @@ class TestDelta:
                     is not Verdict.FALSE
 
 
+def fraction_digits(alpha, M, y, length, strict):
+    """Reference digit loop over {0..M} in plain Fractions: the largest d
+    with y/alpha - d > 0 (quasi-greedy) or >= 0 (greedy), else 0."""
+    out = []
+    for _ in range(length):
+        q = y / alpha
+        d = M
+        while d and (q - d <= 0 if strict else q - d < 0):
+            d -= 1
+        out.append(d)
+        y = q - d
+    return out
+
+
+def fraction_delta_ep(alpha, M):
+    """Eventually periodic form of delta from the Fraction loop, by a
+    repeated remainder."""
+    y, digits, seen = F(1), [], {F(1): 0}
+    while True:
+        (d,) = fraction_digits(alpha, M, y, 1, strict=True)
+        digits.append(d)
+        y = y / alpha - d
+        if y in seen:
+            k = seen[y]
+            return EPSeq(digits[:k], digits[k:], Alphabet(0, M + 1))
+        seen[y] = len(digits)
+
+
+def seeded_bases(rng, M, count):
+    """Rational bases in [1/(M+1), 1) with numerator at least 2."""
+    out = []
+    while len(out) < count:
+        den = rng.randrange(3, 300)
+        a = F(rng.randrange(2, den), den)
+        if a.numerator >= 2 and a * (M + 1) >= 1:
+            out.append(a)
+    return out
+
+
+KERNEL_ALPHABETS = (A01, A012, Alphabet(0, 4))
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS)
+    def test_delta_matches_fraction_loop(self, alphabet):
+        M = alphabet.size - 1
+        for a in seeded_bases(random.Random(500 + M), M, 4):
+            ref = fraction_digits(a, M, F(1), 1000, strict=True)
+            assert list(E.delta(BaseSystem(a, alphabet), 1000)) == ref
+            # the remainder after k digits has reduced denominator p^k
+            y = F(1)
+            for k, d in enumerate(ref[:200], start=1):
+                y = y / a - d
+                assert y.denominator == a.numerator ** k
+
+    @pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS)
+    def test_expansions_match_fraction_loop(self, alphabet):
+        M = alphabet.size - 1
+        rng = random.Random(600 + M)
+        for a in seeded_bases(rng, M, 4):
+            sys = BaseSystem(a, alphabet)
+            hi = M * a / (1 - a)
+            xs = [F(0), hi, a, a * a]
+            xs += [hi * F(rng.randrange(0, 1001), 1000) for _ in range(6)]
+            # values with finite expansions, where greedy and quasi-greedy
+            # part ways
+            for _ in range(4):
+                word = [rng.randrange(0, M + 1) for _ in range(8)]
+                xs.append(sum(d * a ** i for i, d in enumerate(word, 1)))
+            for x in xs:
+                assert list(E.greedy_expansion(sys, x, 120)) == \
+                    fraction_digits(a, M, x, 120, strict=False)
+                assert list(E.quasi_greedy_expansion(sys, x, 120)) == \
+                    fraction_digits(a, M, x, 120, strict=True)
+
+    @pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS)
+    def test_no_periodicity_search_for_p_at_least_2(self, alphabet):
+        M = alphabet.size - 1
+        for a in seeded_bases(random.Random(700 + M), M, 6) + [F(2, 3)]:
+            sys = BaseSystem(a, alphabet)
+            assert E.try_ep_form(sys) is None
+            assert len(sys.delta_cache().digits) == 0
+
+    @pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS)
+    def test_reciprocal_integer_bases_periodic(self, alphabet):
+        M = alphabet.size - 1
+        for q in range(2, M + 2):
+            a = F(1, q)
+            assert E.try_ep_form(BaseSystem(a, alphabet)) == \
+                fraction_delta_ep(a, M)
+
+
 class TestAdmissible:
     def test_threshold_sequence(self):
         assert E.admissible_delta(EPSeq((2,), (1,), A012)) is Verdict.TRUE

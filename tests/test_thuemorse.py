@@ -18,6 +18,12 @@ class TestGenerators:
     def test_lambda_prefix_8(self):
         assert tuple(T.lambda_prefix(8)) == (1, 0, -1, 1, -1, 0, 1, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 4097])
+    def test_prefixes_match_per_digit(self, n):
+        assert T.lambda_prefix(n).digits == \
+            tuple(T.lam(i) for i in range(1, n + 1))
+        assert T.tau_prefix(n).digits == tuple(T.tau(i) for i in range(n))
+
     def test_lambda_prefix_2_is_w1(self):
         assert tuple(T.lambda_prefix(2)) == (1, 0)
         assert tuple(T.w_word(1)) == (1, 0)

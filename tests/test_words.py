@@ -50,6 +50,21 @@ class TestCanonicalForm:
         assert EPSeq((1,), (0, 1), BINARY) == EPSeq((1, 0), (1, 0), BINARY)
 
 
+class TestDigitCheck:
+    def test_first_bad_digit_named(self):
+        with pytest.raises(W.WordsError) as err:
+            FiniteWord((0, 1, 5, -3, 7), TERNARY)
+        assert str(err.value) == "digit 5 outside alphabet [-1, 1]"
+        with pytest.raises(W.WordsError) as err:
+            EPSeq((1, 0), (0, -2, 2), BINARY)
+        assert str(err.value) == "digit -2 outside alphabet [0, 1]"
+
+    def test_bounds_and_empty_accepted(self):
+        assert FiniteWord((), TERNARY).digits == ()
+        assert FiniteWord((-1, 1, 0), TERNARY).digits == (-1, 1, 0)
+        assert EPSeq((), (0, 1), BINARY).per == (0, 1)
+
+
 class TestLexCompare:
     def test_first_digit_decides(self):
         a = EPSeq((-1,), (0,), TERNARY)
