@@ -31,6 +31,7 @@ class CliError(Exception):
 TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
 LIOUVILLE_K_MAX = 4  # k = 5 builds integers of thousands of digits
+AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 1.3 s at 1e-40
 
 
 def _check_bound(flag: str, value: int, bound: int, name: str):
@@ -151,6 +152,9 @@ def _cmd_tm(args):
 
 def _cmd_alpha_kl(args):
     width = Fraction(args.width)
+    if 0 < width < AKL_WIDTH_MIN:
+        raise CliError(f"--width {args.width} is under the bound "
+                       f"AKL_WIDTH_MIN = {float(AKL_WIDTH_MIN):g}")
     lo, hi = thuemorse.alpha_kl_enclosure(width)
     return ({"width": args.width},
             {"lo": f"rat:{lo.numerator}/{lo.denominator}",

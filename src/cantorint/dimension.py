@@ -830,7 +830,9 @@ class DSetDescription:
     def interval(self) -> Optional[tuple]:
         """The certified interval for the interval-shaped kinds: all of
         [0, full] when the spectrum is the full interval, otherwise the
-        subshift frequency interval it provably contains."""
+        frequency interval of the level-``sft_n`` four-block subshift.  That
+        level is certified by comparing the subshift's largest sequence with
+        delta (see :func:`thuemorse.find_smallest_sft_n`)."""
         if self.kind is DSetKind.FULL_INTERVAL:
             return (dim_from_frequency(self.alpha, Fraction(0)), self.full)
         if self.kind is DSetKind.CONTAINS_INTERVAL:
@@ -840,8 +842,8 @@ class DSetDescription:
 
 def tm_block_word(n: int) -> EPSeq:
     """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}."""
-    w = thuemorse.w_word(n)
-    return EPSeq((), w.digits + words.reflect(w).digits, TERNARY)
+    w = thuemorse.w_word(n).digits
+    return EPSeq((), w + tuple(-d for d in w), TERNARY)
 
 
 def n_star(alpha, cap: int = 12, depth_cap: int = 4096) -> tuple:

@@ -115,21 +115,3 @@ def max_cycle_mean(succ: list) -> Optional[Fraction]:
                 best = mean if best is None else max(best, mean)
     return best
 
-
-def simple_cycles(succ: list) -> list:
-    """Every simple cycle once, as the node list starting at its least
-    node; labels and parallel edges are ignored.  Exhaustive depth-first
-    search, for small graphs."""
-    cycles: list = []
-
-    def extend(path):
-        for w, _ in succ[path[-1]]:
-            if w == path[0]:
-                if path not in cycles:
-                    cycles.append(path)
-            elif w > path[0] and w not in path:
-                extend(path + [w])
-
-    for s in range(len(succ)):
-        extend([s])
-    return cycles

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from operator import sub
-from typing import Optional
 
 from . import exactnum, graph
 from .words import (
@@ -22,6 +21,8 @@ from .words import (
     EPSeq,
     FiniteWord,
     LazySeq,
+    Lex,
+    lex_compare,
     reflect,
 )
 
@@ -253,26 +254,33 @@ def sft_blocks(n: int) -> SftBlocks:
     return SftBlocks(n, z, e, zb, eb, SFT_MATRIX, omega1, omega2, d1, d2)
 
 
-def sft_cycle_words(n: int, blocks: Optional[SftBlocks] = None) -> list:
-    """Periodic digit sequences for every simple block cycle of the
-    transition graph, plus splices of each pair of cycles at a shared
-    block.  These are the certificates checked by
-    :func:`find_smallest_sft_n`."""
-    if blocks is None:
-        blocks = sft_blocks(n)
-    bw = [tuple(b.digits) for b in blocks.blocks]
-    cycles = graph.simple_cycles(graph.successors(SFT_MATRIX))
-    block_cycles = list(cycles)
-    for ci, cj in combinations(cycles, 2):
-        shared = set(ci) & set(cj)
-        if shared:
-            i, j = ci.index(min(shared)), cj.index(min(shared))
-            block_cycles.append(ci[i:] + ci[:i] + cj[j:] + cj[:j])
-    words = []
-    for cyc in block_cycles:
-        period = tuple(d for b in cyc for d in bw[b])
-        words.append(EPSeq((), period, TERNARY))
-    return words
+def sft_max_word(n: int) -> EPSeq:
+    """The lexicographically largest sequence of the level-n subshift.
+
+    It starts at some digit of some block and, at each block end, takes the
+    successor with the larger first digit: those are 0, -1, 0, +1 for zeta,
+    eta, zeta-bar, eta-bar, so two successors never tie.  Each start gives
+    an eventually periodic candidate; candidates are compared on prefixes of
+    length (longest preperiod) + lcm(periods), which decide equality.
+    """
+    blocks = [b.digits for b in sft_blocks(n).blocks]
+    succ = [[v for v, _ in out] for out in graph.successors(SFT_MATRIX)]
+    assert all(len({blocks[v][0] for v in out}) == len(out) for out in succ)
+    nxt = [max(out, key=lambda v: blocks[v][0]) for out in succ]
+    candidates = []
+    for b in range(len(blocks)):
+        chain = [b]
+        while nxt[chain[-1]] not in chain:
+            chain.append(nxt[chain[-1]])
+        k = chain.index(nxt[chain[-1]])
+        pre, per = (tuple(d for c in part for d in blocks[c])
+                    for part in (chain[:k], chain[k:]))
+        candidates += [((pre + per)[i:], per) for i in range(len(blocks[b]))]
+    bound = (max(len(pre) for pre, _ in candidates)
+             + lcm(*{len(per) for _, per in candidates}))
+    pre, per = max(candidates, key=lambda c: (
+        c[0] + c[1] * (bound // len(c[1]) + 1))[:bound])
+    return EPSeq(pre, per, TERNARY)
 
 
 class NotFoundUnderCap(Exception):
@@ -282,10 +290,20 @@ class NotFoundUnderCap(Exception):
 def find_smallest_sft_n(alpha, n_cap: int = 8, depth_cap: int = 4096) -> int:
     """Smallest n <= n_cap whose four-block subshift lies in the univoque set.
 
-    The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Certification
-    is by the lexicographic uniqueness test on every cyclic block word from
-    :func:`sft_cycle_words` (a finite heuristic verification bound; the
-    depth cap used is recorded in the raised error on failure).
+    The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
+    certified when ``sft_max_word(n)`` is lex-< delta(alpha) within
+    ``depth_cap`` digits; an equal or undecided comparison skips the level.
+    This is Parry's criterion carried to {-1,0,1}: the subshift X lies in
+    the univoque set iff max X < delta.
+
+    * If max X < delta: X is shift-invariant, and closed under reflection
+      because ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar,
+      eta-bar.  So every tail of every element, and its reflection, is
+      below delta, and the uniqueness test passes.
+    * If m = max X >= delta, with m starting in block b: b has a
+      predecessor c, and c holds a digit other than +1.  The element of X
+      starting at that digit reaches m after a prefix not all +1, so it is
+      not a unique expansion.
     """
     from . import expansions  # deferred: expansions depends on this module
 
@@ -295,15 +313,9 @@ def find_smallest_sft_n(alpha, n_cap: int = 8, depth_cap: int = 4096) -> int:
                         precision=Fraction(1, 2**64)) is not exactnum.Comparison.LESS:
         raise expansions.OutOfDomain("alpha must lie below alpha_KL")
 
-    sys = expansions.BaseSystem(alpha, TERNARY)
+    delta = expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY))
     for n in range(1, n_cap + 1):
-        ok = True
-        for word in sft_cycle_words(n):
-            res = expansions.is_unique_expansion(sys, word, depth_cap=depth_cap)
-            if res.status is not expansions.UniqStatus.UNIQUE:
-                ok = False
-                break
-        if ok:
+        if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
             return n
     raise NotFoundUnderCap(
         f"no subshift level n <= {n_cap} certified at depth cap {depth_cap}")

@@ -47,9 +47,6 @@ class Alphabet:
     def __contains__(self, d: int) -> bool:
         return self.low <= d <= self.high
 
-    def reflect_digit(self, d: int) -> int:
-        return self.low + self.high - d
-
 
 TERNARY = Alphabet(-1, 3)
 BINARY = Alphabet(0, 2)
@@ -261,13 +258,14 @@ def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int = DEFAULT_DEPTH_CAP) -> L
 def reflect(s: SeqLike) -> SeqLike:
     """Digitwise map d -> low + high - d (negation for {-1,0,1})."""
     alph = s.alphabet
-    r = alph.reflect_digit
+    total = alph.low + alph.high
     if isinstance(s, FiniteWord):
-        return FiniteWord(tuple(r(d) for d in s.digits), alph)
+        return FiniteWord(tuple(total - d for d in s.digits), alph)
     if isinstance(s, EPSeq):
-        return EPSeq(tuple(r(d) for d in s.pre), tuple(r(d) for d in s.per), alph)
+        return EPSeq(tuple(total - d for d in s.pre),
+                     tuple(total - d for d in s.per), alph)
     if isinstance(s, LazySeq):
-        return LazySeq(lambda i, _s=s: r(_s.digit(i)), alph,
+        return LazySeq(lambda i, _s=s: total - _s.digit(i), alph,
                        f"reflect({s.description})")
     raise TypeError(f"not a sequence: {s!r}")
 
@@ -317,26 +315,24 @@ def substitute_alphabet(s: SeqLike, frm: Alphabet, to: Alphabet) -> SeqLike:
 def strongly_eventually_periodic(s: EPSeq):
     """Witness (I, J) with s = I J^inf, |I| = |J|, I lex-<= J, else None.
 
-    Any such factorisation forces an eventual period of length |J| with
-    preperiod at most |I|, so block lengths beyond preperiod+period of the
-    canonical form add nothing new; it suffices to scan k up to that bound
-    with J read off as the aligned continuation.  (Cross-checked by brute
-    force in the test suite.)
+    With p, q the canonical preperiod and period, |I| = |J| = k works as a
+    factorisation iff q divides k and k >= max(p, 1), since every eventual
+    period is a multiple of q.  Only the least such k0 is tried: for any
+    other k, I(k) starts with I(k0), and J(k) starts with J(k0) because both
+    read the periodic part at offsets differing by a multiple of q; and
+    I(k0) = J(k0) makes s = I(k0)^inf, so I(k) = J(k).  So I(k) <= J(k) iff
+    I(k0) <= J(k0), and k0 gives the witness if any k does.
     """
     if not isinstance(s, EPSeq):
         raise TypeError("strongly_eventually_periodic needs an EPSeq")
     if s.alphabet.size != 2:
         raise WordsError("test is defined over two-letter alphabets")
     p, q = len(s.pre), len(s.per)
-    for k in range(1, p + q + 1):
-        # s must repeat with period k from position k+1 onward
-        check_to = max(k + 1, p) + lcm(k, q)
-        if all(s.digit(i) == s.digit(i + k) for i in range(k + 1, check_to + 1)):
-            word_i = tuple(s.digit(i) for i in range(1, k + 1))
-            word_j = tuple(s.digit(i) for i in range(k + 1, 2 * k + 1))
-            if word_i <= word_j:
-                return (FiniteWord(word_i, s.alphabet),
-                        FiniteWord(word_j, s.alphabet))
+    k = q * -(-max(p, 1) // q)
+    word_i = tuple(s.digit(i) for i in range(1, k + 1))
+    word_j = tuple(s.digit(i) for i in range(k + 1, 2 * k + 1))
+    if word_i <= word_j:
+        return (FiniteWord(word_i, s.alphabet), FiniteWord(word_j, s.alphabet))
     return None
 
 

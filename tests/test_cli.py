@@ -195,6 +195,7 @@ class TestErrors:
          "LENGTH_MAX = 5000"),
         (("delta", "--alpha", "rat:2/5", "--length", "5001"),
          "LENGTH_MAX = 5000"),
+        (("alpha-kl", "--width", "9.9e-41"), "AKL_WIDTH_MIN = 1e-40"),
     ])
     def test_size_bounds_fail_fast(self, capsys, argv, bound):
         code, payload = run_json(capsys, *argv)

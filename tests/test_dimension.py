@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -69,6 +71,24 @@ class TestFrequencyFormula:
     def test_decimal_inside_enclosure(self):
         dv = dim_from_frequency(F(19, 50), F(1, 3))
         assert dv.lo <= dv.decimal <= dv.hi
+
+    def test_encloses_decimal_reference(self):
+        # f ln2 / (-ln alpha) at 60 digits, whose error is far below the
+        # width of the float enclosure
+        ctx = decimal.Context(prec=60)
+        ln2 = ctx.ln(decimal.Decimal(2))
+        rng = random.Random(5)
+        for k in range(2000):
+            q = rng.randint(7, 10**6)
+            alpha = F(rng.randint(q // 3 + 1, (q - 1) // 2), q)
+            den = rng.randint(1, 10**6)
+            f = F(0) if k == 0 else F(1) if k == 1 else \
+                F(rng.randint(0, den), den)
+            ref = ctx.divide(
+                ctx.multiply(ctx.divide(f.numerator, f.denominator), ln2),
+                -ctx.ln(ctx.divide(alpha.numerator, alpha.denominator)))
+            dv = dim_from_frequency(alpha, f)
+            assert decimal.Decimal(dv.lo) <= ref <= decimal.Decimal(dv.hi)
 
 
 class TestCharPoly:

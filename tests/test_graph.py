@@ -5,7 +5,6 @@ import random
 from fractions import Fraction as F
 
 from cantorint import graph
-from cantorint.thuemorse import SFT_MATRIX
 
 
 def random_graphs(count=200, seed=4):
@@ -98,17 +97,3 @@ def test_karp_matches_exhaustive_cycle_means():
         means = [F(sum(labels), len(labels))
                  for _, labels in labelled_simple_cycles(succ)]
         assert graph.max_cycle_mean(succ) == (max(means) if means else None)
-
-
-def test_simple_cycles_match_exhaustive_enumeration():
-    for succ in random_graphs():
-        cycles = graph.simple_cycles(succ)
-        assert len({tuple(c) for c in cycles}) == len(cycles)
-        assert {tuple(c) for c in cycles} == \
-            {nodes for nodes, _ in labelled_simple_cycles(succ)}
-
-
-def test_subshift_cycles():
-    # every cycle of the four-block subshift passes through block 0
-    assert graph.simple_cycles(graph.successors(SFT_MATRIX)) == \
-        [[0, 1, 2], [0, 1, 2, 3], [0, 2], [0, 2, 3]]

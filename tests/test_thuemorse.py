@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from cantorint import exactnum as X
+from cantorint import expansions as E
 from cantorint import thuemorse as T
 from cantorint import words as W
 
@@ -126,20 +129,110 @@ class TestSftBlocks:
         glo, ghi = golden.refine(F(1, 10**12))
         assert abs((lo + hi) / 2 - (glo + ghi) / 2) <= F(1, 10**10)
 
-    def test_cycle_words_include_omegas(self):
-        wordset = {s.per for s in T.sft_cycle_words(1)}
+
+def brute_max_prefix(n, length):
+    """Largest length-digit word over every start position of every block
+    path long enough to hold it."""
+    blocks = [b.digits for b in T.sft_blocks(n).blocks]
+    k = length // 2**n + 1
+    paths = [[b] for b in range(4)]
+    for _ in range(k - 1):
+        paths = [p + [v] for p in paths
+                 for v in range(4) if T.SFT_MATRIX[p[-1]][v]]
+    best = ()
+    for p in paths:
+        digits = tuple(d for b in p for d in blocks[b])
+        best = max([best] + [digits[i:i + length] for i in range(2**n)])
+    return best
+
+
+def cycle_and_splice_n(alpha, n_cap=8):
+    """The former certificate, kept as the reference: the smallest n at
+    which every simple block cycle of the subshift, and every splice of two
+    cycles at their least shared block, is a unique expansion."""
+    succ = [[v for v, x in enumerate(row) if x] for row in T.SFT_MATRIX]
+    cycles = []
+
+    def extend(path):
+        for w in succ[path[-1]]:
+            if w == path[0]:
+                cycles.append(path)
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in range(4):
+        extend([s])
+    block_cycles = list(cycles)
+    for ci, cj in combinations(cycles, 2):
+        shared = set(ci) & set(cj)
+        if shared:
+            i, j = ci.index(min(shared)), cj.index(min(shared))
+            block_cycles.append(ci[i:] + ci[:i] + cj[j:] + cj[:j])
+    sys = E.BaseSystem(alpha, W.TERNARY)
+    for n in range(1, n_cap + 1):
+        bw = [b.digits for b in T.sft_blocks(n).blocks]
+        words = [W.EPSeq((), tuple(d for b in cyc for d in bw[b]))
+                 for cyc in block_cycles]
+        if all(E.is_unique_expansion(sys, w, depth_cap=4096).status
+               is E.UniqStatus.UNIQUE for w in words):
+            return n
+    return None
+
+
+class TestSftMaxWord:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force(self, n):
+        length = 8 * 2**n
+        assert T.sft_max_word(n).prefix(length).digits == \
+            brute_max_prefix(n, length)
+
+    def test_matrix_closed_under_reflection(self):
+        swap = (2, 3, 0, 1)  # zeta <-> zeta-bar, eta <-> eta-bar
+        m = T.SFT_MATRIX
+        assert all(m[swap[i]][swap[j]] == m[i][j]
+                   for i in range(4) for j in range(4))
+
+    def test_omega_shifts_below_max(self):
+        top = T.sft_max_word(1)
         b = T.sft_blocks(1)
-        # the omega words appear as periods up to rotation
-        def rotations(t):
-            return {t[i:] + t[:i] for i in range(len(t))}
-        assert any(tuple(b.omega1) in rotations(p) for p in wordset)
-        assert any(tuple(b.omega2) in rotations(p) for p in wordset)
+        for omega in (b.omega1, b.omega2):
+            s = W.EPSeq((), omega.digits)
+            for k in range(len(omega)):
+                assert W.lex_compare(s.shift(k), top) is not W.Lex.GREATER
+
+    def test_above_lambda_at_alpha_kl(self):
+        # delta(alpha_KL) = lambda: no level certifies the critical base
+        for n in range(1, 7):
+            assert W.lex_compare(T.sft_max_word(n), T.lambda_seq(),
+                                 4096) is W.Lex.GREATER
 
 
 class TestFindSmallestSftN:
     def test_values(self):
         assert T.find_smallest_sft_n(F(7, 20)) == 1
         assert T.find_smallest_sft_n(F(17, 50), n_cap=8) == 1
+
+    def test_matches_cycle_and_splice_reference(self):
+        # equal, so never below the weaker certificate
+        rng = random.Random(6)
+        lo, _ = T.alpha_kl_enclosure(F(1, 10**20))
+        bases = []
+        for _ in range(30):
+            q = rng.randint(30, 5000)
+            bases.append(F(rng.randint(q // 3 + 1, q * 3943 // 10000), q))
+            # just below alpha_KL, where the level rises to 3
+            bases.append(lo - F(rng.randint(1, 10**6), 10**rng.randint(8, 18)))
+        for alpha in bases:
+            assert T.find_smallest_sft_n(alpha) == cycle_and_splice_n(alpha)
+
+    def test_undecided_levels_are_skipped(self):
+        # both sequences start with +1, so one digit decides no level
+        with pytest.raises(T.NotFoundUnderCap):
+            T.find_smallest_sft_n(F(7, 20), depth_cap=1)
+
+    def test_near_alpha_kl(self):
+        lo, _ = T.alpha_kl_enclosure(F(1, 10**20))
+        assert T.find_smallest_sft_n(lo - F(1, 2 * 10**12)) == 3
 
     def test_out_of_domain(self):
         from cantorint.expansions import OutOfDomain

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -235,6 +236,19 @@ def sep_brute_force(s: EPSeq, k_max: int = 16) -> bool:
     return False
 
 
+def sep_scan_reference(s: EPSeq):
+    """The witness of the former scan over every block length 1..p+q."""
+    p, q = len(s.pre), len(s.per)
+    for k in range(1, p + q + 1):
+        check_to = max(k + 1, p) + math.lcm(k, q)
+        if all(s.digit(i) == s.digit(i + k) for i in range(k + 1, check_to + 1)):
+            word_i = tuple(s.digit(i) for i in range(1, k + 1))
+            word_j = tuple(s.digit(i) for i in range(k + 1, 2 * k + 1))
+            if word_i <= word_j:
+                return word_i, word_j
+    return None
+
+
 class TestStronglyEventuallyPeriodic:
     def test_periodic_is_sep(self):
         got = strongly_eventually_periodic(EPSeq((), (0, 0, 1), BINARY))
@@ -262,8 +276,15 @@ class TestStronglyEventuallyPeriodic:
         rng = random.Random(31)
         for _ in range(300):
             s = rand_epseq(rng, BINARY, max_pre=3, max_per=4)
-            assert (strongly_eventually_periodic(s) is not None) == \
-                sep_brute_force(s)
+            got = strongly_eventually_periodic(s)
+            assert (got is not None) == sep_brute_force(s)
+            assert sep_scan_reference(s) == \
+                (None if got is None else (got[0].digits, got[1].digits))
+        for _ in range(2000):
+            s = rand_epseq(rng, BINARY, max_pre=9, max_per=7)
+            got = strongly_eventually_periodic(s)
+            assert sep_scan_reference(s) == \
+                (None if got is None else (got[0].digits, got[1].digits))
 
     def test_requires_two_letters(self):
         with pytest.raises(W.WordsError):
