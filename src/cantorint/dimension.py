@@ -447,7 +447,8 @@ def box_count_oracle(alpha, t, depth: int,
     estimates the dimension.
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
-    and p - t is carried down the walk exactly.  Sharing cannot change a
+    and p - t is carried down the walk exactly, as a state of the field's
+    :class:`exactnum.FollowerKernel`.  Sharing cannot change a
     row where a fresh search certifies its verdict: the search keeps only
     certified IN/OUT facts, never a value cut short by a cap.  Shifts with
     no exact form get the upper count and no witnesses.
@@ -479,9 +480,11 @@ def box_count_oracle(alpha, t, depth: int,
     search = None
     if ctx is not None:
         search = expansions.GammaSearch(ctx, depth_cap=512)
+        kernel = search.kernel
         a_pows = [ctx.one]
         for _ in range(depth):
             a_pows.append(a_pows[-1] * ctx.alpha_element)
+        a_pows = [kernel.state(p) for p in a_pows]
 
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
@@ -501,7 +504,7 @@ def box_count_oracle(alpha, t, depth: int,
             stack.append((_iv_add(part, pows[m + 1]), m + 1))
         return False
 
-    def walk(k, part, gammas, x):  # x = prefix value - t, exact, or None
+    def walk(k, part, gammas, x):  # x = prefix value - t, a state, or None
         tail_hi = tails[k]
         I = (part[0], math.nextafter(part[1] + tail_hi, _INF))
         # keep gamma prefixes whose cylinder can still meet I
@@ -529,15 +532,16 @@ def box_count_oracle(alpha, t, depth: int,
             next_g.append(_iv_add(g, pw))
         walk(k + 1, part, next_g, x)
         walk(k + 1, _iv_add(part, pw), next_g,
-             None if search is None else x + a_pows[k + 1])
+             None if search is None else kernel.add(x, a_pows[k + 1]))
 
-    walk(0, (0.0, 0.0), [t_iv], None if search is None else -t_exact)
+    walk(0, (0.0, 0.0), [t_iv],
+         None if search is None else kernel.state(-t_exact))
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]
     half = pts[len(pts) // 2:]
     if len(half) >= 2:
-        neg_log = -math.log((_iv_of(alpha)[0] + _iv_of(alpha)[1]) / 2)
+        neg_log = -math.log((a_iv[0] + a_iv[1]) / 2)
         xs = np.array([n * neg_log for (n, _) in half])
         ys = np.array([math.log(u) for (_, u) in half])
         slope = float(np.polyfit(xs, ys, 1)[0])

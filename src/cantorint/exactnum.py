@@ -13,7 +13,8 @@ Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` at the requested precision.  The module
 also provides arithmetic in the number field Q(alpha) for alpha rational or
 algebraic (``QAlphaElement``), which backs every exact test in the expansion
-algorithms.
+algorithms, and ``FollowerKernel``, the integer form of Q(alpha) on which
+the follower-value closures s -> s/alpha - d run.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -251,6 +253,50 @@ def interval_poly_eval(coeffs: Sequence[Fraction], iv):
     return (lo, hi)
 
 
+def _bisect(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
+    """Halve an isolating interval of a root of the integer polynomial
+    ``coeffs`` until it is at most ``width`` wide; an endpoint that is a
+    root collapses the interval onto it.
+
+    Every midpoint lies on the grid lo + (hi - lo) j / 2^s.  With lo = P/Q
+    and hi - lo = R/Q, the point (P 2^s + R j) / (Q 2^s) = N / M has the
+    sign of the integer sum c_i N^i M^(n-i), so the halvings run on ints.
+    """
+    if hi - lo <= width:
+        return (lo, hi)
+    Q = lcm(lo.denominator, hi.denominator)
+    P = lo.numerator * (Q // lo.denominator)
+    R = hi.numerator * (Q // hi.denominator) - P
+    top = coeffs[-1]
+    rest = coeffs[-2::-1]
+
+    def value(N, M):  # sum c_i N^i M^(n-i), by Horner
+        acc, m = top, 1
+        for c in rest:
+            m *= M
+            acc = acc * N + c * m
+        return acc
+
+    up = value(P, Q) > 0
+    j = s = 0
+    scale = 1  # 2^s
+    while R * width.denominator > width.numerator * Q * scale:
+        s += 1
+        if s > _BISECTION_CAP:
+            raise IterationLimit("algebraic refinement exceeded cap")
+        j *= 2
+        scale *= 2
+        N = P * scale + R * (j + 1)
+        v = value(N, Q * scale)
+        if v == 0:
+            mid = Fraction(N, Q * scale)
+            return (mid, mid)
+        if (v > 0) == up:
+            j += 1
+    N, M = P * scale + R * j, Q * scale
+    return (Fraction(N, M), Fraction(N + R, M))
+
+
 class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
@@ -295,26 +341,8 @@ class AlgebraicReal:
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        lo, hi = self._lo, self._hi
-        if hi - lo <= width:
-            return (lo, hi)
-        sign_lo = 1 if poly_eval(self.coeffs, lo) > 0 else -1
-        steps = 0
-        while hi - lo > width:
-            steps += 1
-            if steps > _BISECTION_CAP:
-                raise IterationLimit("algebraic refinement exceeded cap")
-            mid = (lo + hi) / 2
-            v = poly_eval(self.coeffs, mid)
-            if v == 0:
-                lo = hi = mid
-                break
-            if (v > 0) == (sign_lo > 0):
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
-        return (lo, hi)
+        self._lo, self._hi = _bisect(self.coeffs, self._lo, self._hi, width)
+        return (self._lo, self._hi)
 
     def __float__(self):
         lo, hi = self.refine(Fraction(1, 10**17) * max(Fraction(1), abs(self._hi)))
@@ -537,6 +565,7 @@ class QAlphaContext:
     """
 
     def __init__(self, alpha: RealNumber):
+        self._kernel = None
         if isinstance(alpha, int):
             alpha = Fraction(alpha)
         if isinstance(alpha, Fraction):
@@ -648,6 +677,13 @@ class QAlphaContext:
 
     def alpha_enclosure(self, width):
         return enclosure(self.alpha, width)
+
+    @property
+    def kernel(self) -> "FollowerKernel":
+        """The integer follower-value kernel of this field, built once."""
+        if self._kernel is None:
+            self._kernel = FollowerKernel(self)
+        return self._kernel
 
     def __repr__(self):
         return f"QAlphaContext({self.alpha!r})"
@@ -812,6 +848,243 @@ class QAlphaElement:
 
     def __repr__(self):
         return f"QAlpha{list(self.coeffs)}"
+
+
+# ---------------------------------------------------------------------------
+# the integer follower-value kernel
+# ---------------------------------------------------------------------------
+
+FILTER_BITS = 64  # K, the fixed-point precision of the sign filter
+
+
+def _filter_sign(S: int, E: int) -> int:
+    """The sign of S when the margin |S| > E proves it, else 0."""
+    if S > E:
+        return 1
+    if S < -E:
+        return -1
+    return 0
+
+
+def _reduced(v, D: int) -> tuple:
+    g = gcd(D, *v)
+    if g == 1:
+        return (*v, D)
+    return (*(x // g for x in v), D // g)
+
+
+class FollowerKernel:
+    """Integer arithmetic for the follower values s -> s/alpha - d.
+
+    A state is a tuple ``(v_0, ..., v_(n-1), D)`` of ints, n the degree of
+    alpha, standing for sum v_i beta^i / D over the powers of beta =
+    1/alpha, with D > 0 and gcd(v_0, ..., v_(n-1), D) = 1.  The form is
+    canonical: equal values have equal tuples, so states are dict keys.
+
+    Step.  Let c_0 + c_1 x + ... + c x^n be the primitive integer minimal
+    polynomial of beta with c > 0.  Then s beta has the numerator
+    v'_0 = -v_(n-1) c_0, v'_i = c v_(i-1) - v_(n-1) c_i over c D, and
+    s beta - d subtracts d c D from v'_0; one gcd reduces the pair.  For
+    alpha = p/q this is (q N - d p D, p D).  For beta an algebraic integer
+    c = 1, so D never grows.
+
+    Sign.  D > 0, so a state has the sign of w = sum v_i beta^i.  The ints
+    B_i lie within 1 of beta^i 2^K, with B_0 = 2^K exactly, so S = sum v_i
+    B_i differs from 2^K w by at most E = sum_(i>=1) |v_i|.  If |S| > E,
+    2^K w lies strictly on the side of 0 that S does, which proves the
+    sign.  Otherwise, and always for w = 0 (S = E = 0), the value converts
+    to a :class:`QAlphaElement` for the exact ``sign()``, and ``fallbacks``
+    counts it.  Degree 1 needs no filter: the sign is that of v_0.  When
+    beta is a Pisot number, Garsia's separation lemma (Garsia 1962) keeps
+    nonzero values with bounded integer coefficients away from 0, so the
+    filter decides all but the exact zeros of a follower-value closure.
+
+    Each B_i rounds the midpoint of an enclosure of beta^i 2^K at most 1
+    wide, so it is within 1/2 + 1/2 of beta^i 2^K.  The enclosures come
+    from alpha's isolating interval, halved without storing the result;
+    they are computed at the first sign that needs them.
+    """
+
+    def __init__(self, ctx: QAlphaContext):
+        self.ctx = ctx
+        n = self.degree = ctx.degree
+        if n == 1:
+            a = (-ctx.alpha.numerator, ctx.alpha.denominator)
+        else:
+            a = ctx.alpha.coeffs
+        rev = list(reversed(a))  # beta = 1/alpha is a root of the reverse
+        if rev[-1] == 0:
+            raise UnsupportedBase("the polynomial of alpha must have a "
+                                  "nonzero constant term")
+        if rev[-1] < 0:
+            rev = [-c for c in rev]
+        self.lead = rev[-1]
+        self.low = tuple(rev[:-1])  # c_0 .. c_(n-1)
+        # beta^i in the alpha basis, over one common denominator; beta =
+        # -(a_1 + a_2 alpha + ... + a_n alpha^(n-1)) / a_0
+        beta = tuple(Fraction(-x, a[0]) for x in a[1:])
+        rows = [ctx.one.coeffs]
+        for _ in range(n - 1):
+            rows.append(ctx.mul(rows[-1], beta))
+        den = 1
+        for row in rows:
+            for x in row:
+                den = lcm(den, Fraction(x).denominator)
+        self._to_alpha = [tuple(int(x * den) for x in row) for row in rows]
+        self._to_alpha_den = den
+        # alpha^j in the beta basis: alpha x moves v_i to v_(i-1), and
+        # beta^-1 = -(c_1 + c_2 beta + ... + c beta^(n-1)) / c_0
+        inv = [Fraction(-c, rev[0]) for c in rev[1:]]
+        col = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        self._to_beta = [col]
+        for _ in range(n - 1):
+            col = [col[i + 1] + col[0] * inv[i] for i in range(n - 1)] + \
+                [col[0] * inv[n - 1]]
+            self._to_beta.append(col)
+        self._B: Optional[tuple] = None
+        self.fallbacks = 0
+
+    # -- conversions ---------------------------------------------------------
+
+    def state(self, x) -> tuple:
+        """The state of a :class:`QAlphaElement` or a rational."""
+        if not isinstance(x, QAlphaElement):
+            x = self.ctx.embed(Fraction(x))
+        n = self.degree
+        b = [Fraction(0)] * n
+        for a, col in zip(x.coeffs, self._to_beta):
+            if a:
+                for i in range(n):
+                    b[i] += a * col[i]
+        D = 1
+        for y in b:
+            D = lcm(D, y.denominator)
+        return _reduced([int(y * D) for y in b], D)
+
+    def element(self, s) -> QAlphaElement:
+        """The :class:`QAlphaElement` of a state."""
+        n = self.degree
+        if n == 1:
+            return QAlphaElement(self.ctx, (Fraction(s[0], s[1]),))
+        den = s[n] * self._to_alpha_den
+        rows = self._to_alpha
+        return QAlphaElement(self.ctx, tuple(
+            Fraction(sum(s[i] * rows[i][j] for i in range(n)), den)
+            for j in range(n)))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _shift(self, s):
+        """Numerator and denominator of s beta, unreduced."""
+        n, c, low = self.degree, self.lead, self.low
+        top = s[n - 1]
+        w = [-top * low[0]]
+        w += [c * s[i - 1] - top * low[i] for i in range(1, n)]
+        return w, c * s[n]
+
+    def step(self, s, d: int) -> tuple:
+        """The state of s beta - d."""
+        w, D = self._shift(s)
+        w[0] -= d * D
+        return _reduced(w, D)
+
+    def add(self, a, b) -> tuple:
+        n = self.degree
+        aD, bD = a[n], b[n]
+        return _reduced([a[i] * bD + b[i] * aD for i in range(n)], aD * bD)
+
+    # -- signs ---------------------------------------------------------------
+
+    def _fixed_point(self) -> tuple:
+        if self._B is None:
+            one = 1 << FILTER_BITS
+            alpha = self.ctx.alpha
+            width = Fraction(1, one << 4)
+            while True:
+                lo, hi = _bisect(alpha.coeffs, *alpha.interval(), width)
+                if lo > 0:
+                    blo, bhi = 1 / hi, 1 / lo
+                    pows = [(blo**i, bhi**i) for i in range(1, self.degree)]
+                    if all((h - l) * one <= 1 for l, h in pows):
+                        break
+                width /= 16
+            self._B = (one, *(round((l + h) * one / 2) for l, h in pows))
+        return self._B
+
+    def _sign_vector(self, u) -> int:
+        """The sign of sum u_i beta^i for ints u_i."""
+        if self.degree == 1:
+            return (u[0] > 0) - (u[0] < 0)
+        B = self._fixed_point()
+        sg = _filter_sign(sum(map(mul, u, B)), sum(map(abs, u[1:])))
+        return sg or self._exact_sign(u)
+
+    def _exact_sign(self, u) -> int:
+        self.fallbacks += 1
+        return self.element((*u, 1)).sign()
+
+    def sign(self, s) -> int:
+        return self._sign_vector(s[:self.degree])
+
+    def compare(self, a, b) -> int:
+        """The sign of a - b."""
+        n = self.degree
+        aD, bD = a[n], b[n]
+        return self._sign_vector([a[i] * bD - b[i] * aD for i in range(n)])
+
+    def children(self, lo, hi, digits) -> Callable[[tuple], list]:
+        """The function s -> [(s beta - d, d) for d in digits, kept where
+        lo <= s beta - d <= hi].  ``lo`` and ``hi`` are states, or any
+        (v..., D) tuples with D > 0; digits keep their order."""
+        n, c, low = self.degree, self.lead, self.low
+        lD, hD = lo[n], hi[n]
+        if n == 1:
+            c0, l0, h0 = low[0], lo[0], hi[0]
+
+            def kids(s):
+                w, Dq = -c0 * s[0], c * s[1]
+                lb, hb = l0 * Dq, h0 * Dq
+                out = []
+                for d in digits:
+                    x = w - d * Dq
+                    if x * lD < lb or x * hD > hb:
+                        continue
+                    g = gcd(x, Dq)
+                    out.append(((x // g, Dq // g), d))
+                return out
+            return kids
+
+        B = self._fixed_point()
+        one = B[0]
+        lv, hv = lo[:n], hi[:n]
+        exact = self._exact_sign
+
+        def kids(s):
+            w, Dq = self._shift(s)
+            # numerators of child - lo over lD Dq and of hi - child over
+            # hD Dq at d = 0; a digit d moves their constant terms by
+            # -d lD Dq and +d hD Dq
+            ul = [lD * x - Dq * y for x, y in zip(w, lv)]
+            uh = [Dq * y - hD * x for x, y in zip(w, hv)]
+            El, Eh = sum(map(abs, ul[1:])), sum(map(abs, uh[1:]))
+            Sl, Sh = sum(map(mul, ul, B)), sum(map(mul, uh, B))
+            ml, mh = lD * Dq, hD * Dq
+            out = []
+            for d in digits:
+                sg = _filter_sign(Sl - d * ml * one, El)
+                if sg == 0:
+                    sg = exact([ul[0] - d * ml] + ul[1:])
+                if sg < 0:
+                    continue
+                sg = _filter_sign(Sh + d * mh * one, Eh)
+                if sg == 0:
+                    sg = exact([uh[0] + d * mh] + uh[1:])
+                if sg < 0:
+                    continue
+                x = [w[0] - d * Dq] + w[1:]
+                out.append((_reduced(x, Dq), d))
+            return out
+        return kids
 
 
 def eval_poly_in_alpha(coeffs: Sequence, alpha: RealNumber) -> QAlphaElement:

@@ -4,9 +4,21 @@ test, and the all-expansions automaton.
 Everything works over an arbitrary alphabet of consecutive integers but is
 phrased internally over the shifted digits {0, ..., M}; statements for
 {0,1,2} transfer to {-1,0,1} by the order-preserving digit shift.  All
-comparisons run in exact arithmetic (integers or rationals for a rational
-base, Q(alpha) for an algebraic one), so every verdict below is certified
-unless it explicitly says UNDECIDED.
+comparisons are certified, so every verdict below is exact unless it
+explicitly says UNDECIDED.
+
+The closures under s -> s/alpha - d (the digit loop of an algebraic base,
+the expansion automaton and the Gamma membership search) step on the
+states of :class:`exactnum.FollowerKernel`: an integer vector v over 1,
+beta, ..., beta^(n-1), with beta = 1/alpha, over a denominator D > 0,
+reduced by gcd(v, D).  The form is canonical, so equal values meet in
+dict and set lookups.  A step is a companion-matrix shift on ints.  A sign
+comes from a fixed-point filter: with ints B_i within 1 of beta^i 2^K and
+B_0 = 2^K, S = sum v_i B_i is within E = sum_(i>=1) |v_i| of 2^K sum v_i
+beta^i, so |S| > E proves that the value has the sign of S.  Otherwise
+(always for an exact 0) the kernel takes the exact Q(alpha) sign and
+counts a fallback.  A rational base p/q is degree 1, where E = 0 and the
+state (N, D) steps to (q N - d p D, p D).
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import lcm
 from typing import Optional, Union
@@ -92,12 +105,7 @@ class BaseSystem:
     def alpha_el(self) -> QAlphaElement:
         return self._require_ctx().alpha_element
 
-    @property
-    def inv_alpha(self) -> QAlphaElement:
-        ctx = self._require_ctx()
-        return ctx.one / ctx.alpha_element
-
-    @property
+    @cached_property
     def tail_unit(self) -> QAlphaElement:
         """alpha / (1 - alpha): the value of the all-ones tail."""
         ctx = self._require_ctx()
@@ -163,10 +171,10 @@ class _DeltaCache:
         # p^k and never repeat.  A remainder is the value of the tail after
         # it, so no two tails of delta are equal: delta is never eventually
         # periodic.  Only other bases look for a repeat, keyed as
-        # _digit_loop yields them (N_k, or the Q(alpha) coefficients).
+        # _digit_loop yields them (N_k, or the kernel state).
         self._aperiodic = ctx.degree == 1 and ctx.alpha.numerator >= 2
         self._seen = None if self._aperiodic else \
-            {1 if ctx.degree == 1 else ctx.one.coeffs: 0}
+            {1 if ctx.degree == 1 else ctx.kernel.state(1): 0}
 
     def digit(self, i: int) -> int:
         self.extend(i)
@@ -224,8 +232,9 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
     N_k / (b p^k), with b the denominator of y, so integers do the work: d
     is the largest with q N_k > d b p^(k+1) (>= for greedy), N_(k+1) =
     q N_k - d b p^(k+1), and the key is N_(k+1).  It pins the remainder
-    only for p = 1, where the scale b p^k stays b.  Other bases step in
-    Q(alpha) and key by the coefficients.
+    only for p = 1, where the scale b p^k stays b.  Other bases step on
+    the states of the field's :class:`exactnum.FollowerKernel`, which are
+    canonical and so are the keys.
     """
     M = sys.M
     ctx = sys.ctx
@@ -245,15 +254,16 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
                     d -= 1
             num = qn - d * scale
             yield d, num
-    inv = sys.inv_alpha
+    kernel = ctx.kernel
+    y = kernel.state(y)
     floor = 0 if strict else -1
     while True:
-        y = y * inv
         for d in range(M, -1, -1):
-            if d == 0 or (y - d).sign() > floor:
+            child = kernel.step(y, d)
+            if d == 0 or kernel.sign(child) > floor:
                 break
-        y = y - d
-        yield d, y.coeffs
+        y = child
+        yield d, y
 
 
 def _shifted_attainable(sys: BaseSystem, x) -> QAlphaElement:
@@ -564,29 +574,30 @@ def build_expansion_automaton(sys: BaseSystem, t,
                               state_cap: int = 10_000) -> ExpansionAutomaton:
     """Breadth-first closure of follower values of t under s -> s/alpha - d.
 
-    Exact comparisons decide interval membership, and states deduplicate by
-    canonical Q(alpha) equality.  For alpha the reciprocal of a Pisot number
-    and t in Q(alpha) the closure is finite; the state cap guards other
-    bases and yields a partial automaton flagged ``complete=False``.
+    The closure runs on the integer states of the base's
+    :class:`exactnum.FollowerKernel`, whose certified signs decide interval
+    membership and whose canonical form deduplicates states; each state
+    converts to Q(alpha) once, at the end.  For alpha the reciprocal of a
+    Pisot number and t in Q(alpha) the closure is finite; the state cap
+    guards other bases and yields a partial automaton flagged
+    ``complete=False``.
     """
     t_el = sys.embed(t)
     lo = sys.low_tail()
     hi = sys.high_tail()
     if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
-    inv = sys.inv_alpha
-    states = [t_el]
-    index = {t_el: 0}
+    kernel = sys.ctx.kernel
+    children = kernel.children(kernel.state(lo), kernel.state(hi),
+                               range(sys.alphabet.low, sys.alphabet.high + 1))
+    first = kernel.state(t_el)
+    states = [first]
+    index = {first: 0}
     succ: list = []
     complete = True
-    digits = range(sys.alphabet.low, sys.alphabet.high + 1)
     for s in states:  # grows while walked: discovery order is breadth-first
         out = []
-        q = s * inv
-        for d in digits:
-            child = q - d
-            if (child - lo).sign() < 0 or (hi - child).sign() < 0:
-                continue
+        for child, d in children(s):
             j = index.get(child)
             if j is None:
                 if len(states) >= state_cap:
@@ -597,7 +608,8 @@ def build_expansion_automaton(sys: BaseSystem, t,
                 states.append(child)
             out.append((j, d))
         succ.append(out)
-    return ExpansionAutomaton(states, 0, succ, complete, sys.alphabet)
+    return ExpansionAutomaton([kernel.element(s) for s in states], 0, succ,
+                              complete, sys.alphabet)
 
 
 def seq_value(sys: BaseSystem, seq: Union[FiniteWord, EPSeq]) -> QAlphaElement:
@@ -648,6 +660,7 @@ class GammaSearch:
     searched fully with no cap hit (OUT) and ``live`` the values on a path
     that reached a cycle or a live value (IN); a value cut short enters
     neither, so sharing never changes a verdict a fresh search certifies.
+    Values are states of the field's :class:`exactnum.FollowerKernel`.
     """
 
     def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
@@ -655,55 +668,60 @@ class GammaSearch:
         self.ctx = ctx
         self.depth_cap = depth_cap
         self.node_cap = node_cap
+        kernel = self.kernel = ctx.kernel
         a = ctx.alpha_element
-        self.bound = a / (ctx.one - a)
-        self.inv = ctx.one / a
-        self.dead: set = set()  # coefficient tuples: all values share ctx
+        self.bound = kernel.state(a / (ctx.one - a))
+        self._children = kernel.children((0,) * kernel.degree + (1,),
+                                         self.bound, (0, 1))
+        self.dead: set = set()  # kernel states
         self.live: set = set()
 
     def membership(self, x) -> GammaResult:
-        x_el = x if isinstance(x, QAlphaElement) else self.ctx.embed(Fraction(x))
-        bound, inv, dead, live = self.bound, self.inv, self.dead, self.live
-        if x_el.sign() < 0 or (bound - x_el).sign() < 0 or x_el.coeffs in dead:
+        """Verdict on x: a :class:`QAlphaElement`, a rational, or a
+        kernel state."""
+        kernel, dead, live = self.kernel, self.dead, self.live
+        if not isinstance(x, tuple):
+            x = kernel.state(x)
+        if x in dead:
             return GammaResult(GammaStatus.OUT)
-        if x_el.coeffs in live:
+        if x in live:
             return GammaResult(GammaStatus.IN, FiniteWord([], Alphabet(0, 2)))
-
-        frames = [[x_el, 0, False]]  # element, next digit, tainted-by-cap
-        on_path = {x_el.coeffs}
+        if kernel.sign(x) < 0 or kernel.compare(self.bound, x) < 0:
+            return GammaResult(GammaStatus.OUT)
+        children = self._children
+        frames = [[x, children(x), 0, False]]  # state, kids, next, tainted
+        on_path = {x}
         digit_path: list[int] = []
         nodes = 0
         while frames:
-            el, d, taint = frames[-1]
-            if d == 2:
+            top = frames[-1]
+            s, kids, k, taint = top
+            if k == len(kids):
                 frames.pop()
-                on_path.remove(el.coeffs)
+                on_path.remove(s)
                 if digit_path:
                     digit_path.pop()
                 if not taint:
-                    dead.add(el.coeffs)
+                    dead.add(s)
                 elif frames:
-                    frames[-1][2] = True
+                    frames[-1][3] = True
                 else:
                     return GammaResult(GammaStatus.UNKNOWN)
                 continue
-            frames[-1][1] += 1  # digits 0 then 1
-            child = el * inv - d
-            if child.sign() < 0 or (bound - child).sign() < 0:
-                continue
-            key = child.coeffs
-            if key in on_path or key in live:
+            top[2] = k + 1
+            child, d = kids[k]
+            if child in on_path or child in live:
                 live.update(on_path)
                 return GammaResult(GammaStatus.IN,
                                    FiniteWord(digit_path + [d], Alphabet(0, 2)))
-            if key in dead:
+            if child in dead:
                 continue
             nodes += 1
             if len(frames) >= self.depth_cap or nodes > self.node_cap:
-                frames[-1][2] = True
+                top[3] = True
                 continue
-            frames.append([child, 0, False])
-            on_path.add(key)
+            frames.append([child, children(child), 0, False])
+            on_path.add(child)
             digit_path.append(d)
         return GammaResult(GammaStatus.OUT)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -203,3 +204,106 @@ class TestPolynomials:
         r = X.isolate_largest_root([-6, 11, -6, 1], F(0), F(10))
         lo, hi = r.refine(F(1, 1000))
         assert lo <= 3 <= hi
+
+
+def fraction_refine(coeffs, lo, hi, width):
+    """AlgebraicReal.refine as it bisected in Fractions."""
+    if hi - lo <= width:
+        return (lo, hi)
+    sign_lo = X.poly_eval(coeffs, lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = X.poly_eval(coeffs, mid)
+        if v == 0:
+            return (mid, mid)
+        if (v > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+KERNEL_BASES = ("alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]",
+                "alg:1,-3,1@[1/3,1/2]", "alg:-1,2,2@[1/3,1/2]",
+                "alg:-2,4,1@[2/5,1/2]")
+
+
+class TestIntegerBisection:
+    def test_matches_fraction_loop(self):
+        rng = random.Random(41)
+        cases = [(parse_real(b).coeffs, *parse_real(b).interval())
+                 for b in KERNEL_BASES]
+        cases.append(((-1, 2), F(0), F(1)))          # 1/2 is a midpoint
+        cases.append(((-1, 0, 0, 3), F(1, 7), F(5, 6)))
+        for coeffs, lo, hi in cases:
+            x = AlgebraicReal(coeffs, lo, hi)
+            for _ in range(12):
+                width = F(1, rng.randrange(1, 2**rng.randrange(1, 90)))
+                want = fraction_refine(x.coeffs, *x.interval(), width)
+                assert X._bisect(x.coeffs, *x.interval(), width) == want
+                assert x.refine(width) == want
+        assert AlgebraicReal((-1, 2), F(0), F(1)).refine(F(1, 4)) == \
+            (F(1, 2), F(1, 2))
+
+
+class TestFollowerKernel:
+    @pytest.mark.parametrize("text", KERNEL_BASES + ("rat:2/5", "rat:3/7"))
+    def test_arithmetic_matches_qalpha(self, text):
+        ctx = QAlphaContext(parse_real(text))
+        k = ctx.kernel
+        inv = ctx.one / ctx.alpha_element
+        rng = random.Random(text)
+
+        def rand_el():
+            return ctx.element([F(rng.randrange(-50, 51), rng.randrange(1, 13))
+                                for _ in range(ctx.degree)])
+
+        for _ in range(40):
+            x, y = rand_el(), rand_el()
+            s, r = k.state(x), k.state(y)
+            assert k.element(s) == x
+            assert s[-1] > 0 and math.gcd(*s) == 1
+            assert k.state(k.element(s)) == s
+            d = rng.randrange(-2, 3)
+            assert k.element(k.step(s, d)) == x * inv - d
+            assert k.element(k.add(s, r)) == x + y
+            assert k.sign(s) == x.sign()
+            assert k.compare(s, r) == (x - y).sign()
+            lo, hi = sorted((x, y), key=lambda e: float(e))
+            kids = k.children(k.state(lo), k.state(hi), range(-2, 3))(s)
+            assert kids == [(k.state(x * inv - d), d) for d in range(-2, 3)
+                            if lo <= x * inv - d <= hi]
+        assert k.fallbacks == 0
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_margin_is_strict(self, text):
+        # zero, and a sum S equal to its bound E, go to the exact sign
+        k = QAlphaContext(parse_real(text)).kernel
+        n = k.degree
+        assert k.sign((0,) * n + (1,)) == 0 and k.fallbacks == 1
+        B = k._fixed_point()
+        one = 1 << X.FILTER_BITS
+        # v_0 + 2^K beta with v_0 = 1 - B_1: S = 2^K = E, value in (0, 2)
+        v = (1 - B[1], one) + (0,) * (n - 2) + (1,)
+        assert sum(a * b for a, b in zip(v, B)) == one
+        assert k.sign(v) == 1 and k.fallbacks == 2
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_filter_near_zero_matches_exact_sign(self, text):
+        # sums of size about 1 with coefficients about 2^K: the error
+        # bound is as large as the value, so the filter decides some and
+        # falls back on others, and every sign must be exact
+        ctx = QAlphaContext(parse_real(text))
+        k = ctx.kernel
+        n = k.degree
+        rng = random.Random(text)
+        span = 1 << (X.FILTER_BITS + 2)
+        decided = 0
+        for _ in range(150):
+            v = [0] + [rng.randrange(-span, span) for _ in range(n - 1)]
+            lo, _ = k.element((*v, 1)).value_enclosure(F(1, 4))
+            v[0] = -math.floor(lo) + rng.randrange(-2, 3)
+            before = k.fallbacks
+            assert k.sign((*v, 1)) == k.element((*v, 1)).sign()
+            decided += k.fallbacks == before
+        assert 0 < decided < 150

@@ -499,9 +499,11 @@ class TestGammaSearch:
             expect = E.GammaStatus.UNKNOWN if x == F(1, 5) else \
                 E.GammaStatus.OUT
             assert search.membership(x).status is expect
-        assert (F(1, 5),) not in search.dead | search.live
+        kernel = search.kernel
+        assert kernel.state(F(1, 5)) not in search.dead | search.live
         assert search.dead
-        for (v,) in search.dead:
+        for s in search.dead:
+            v = kernel.element(s).to_fraction()
             assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
         search = E.GammaSearch(X.QAlphaContext(F(2, 5)))
         assert search.membership(F(0)).status is E.GammaStatus.IN
@@ -520,3 +522,228 @@ class TestSeqValue:
         sys = BaseSystem(F(1, 2), TERNARY)
         w = FiniteWord((1, 0, -1), TERNARY)
         assert E.seq_value(sys, w).to_fraction() == F(1, 2) - F(1, 8)
+
+
+# ---------------------------------------------------------------------------
+# the integer follower-value kernel against the Q(alpha) loops it replaced
+# ---------------------------------------------------------------------------
+
+SHIPPED_ALGEBRAIC = ("alg:-1,1,2,2@[2/5,1/2]",  # Example 5.1
+                     "alg:-1,2,1@[2/5,1/2]",    # sqrt(2) - 1
+                     "alg:1,-3,1@[1/3,1/2]",    # (3 - sqrt(5)) / 2
+                     "alg:-1,2,2@[1/3,1/2]")    # (sqrt(3) - 1) / 2
+SQRT6_MINUS_2 = "alg:-2,4,1@[2/5,1/2]"  # 1/alpha is no algebraic integer
+KERNEL_BASES = SHIPPED_ALGEBRAIC + (SQRT6_MINUS_2,)
+
+
+def reference_automaton(sys, t, state_cap):
+    """build_expansion_automaton as it stepped in Q(alpha)."""
+    t_el = sys.embed(t)
+    lo, hi = sys.low_tail(), sys.high_tail()
+    if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
+        return E.ExpansionAutomaton([], None, [], True, sys.alphabet)
+    inv = sys.ctx.one / sys.ctx.alpha_element
+    states, index, succ, complete = [t_el], {t_el: 0}, [], True
+    for s in states:
+        out = []
+        q = s * inv
+        for d in range(sys.alphabet.low, sys.alphabet.high + 1):
+            child = q - d
+            if (child - lo).sign() < 0 or (hi - child).sign() < 0:
+                continue
+            j = index.get(child)
+            if j is None:
+                if len(states) >= state_cap:
+                    complete = False
+                    continue
+                j = len(states)
+                index[child] = j
+                states.append(child)
+            out.append((j, d))
+        succ.append(out)
+    return E.ExpansionAutomaton(states, 0, succ, complete, sys.alphabet)
+
+
+class ReferenceGammaSearch:
+    """GammaSearch as it stepped in Q(alpha), keyed by coefficients."""
+
+    def __init__(self, ctx, depth_cap=4096, node_cap=200_000):
+        self.ctx, self.depth_cap, self.node_cap = ctx, depth_cap, node_cap
+        a = ctx.alpha_element
+        self.bound = a / (ctx.one - a)
+        self.inv = ctx.one / a
+        self.dead, self.live = set(), set()
+
+    def membership(self, x_el):
+        bound, inv, dead, live = self.bound, self.inv, self.dead, self.live
+        if x_el.sign() < 0 or (bound - x_el).sign() < 0 or \
+                x_el.coeffs in dead:
+            return E.GammaResult(E.GammaStatus.OUT)
+        if x_el.coeffs in live:
+            return E.GammaResult(E.GammaStatus.IN, FiniteWord([], A01))
+        frames = [[x_el, 0, False]]
+        on_path = {x_el.coeffs}
+        digit_path = []
+        nodes = 0
+        while frames:
+            el, d, taint = frames[-1]
+            if d == 2:
+                frames.pop()
+                on_path.remove(el.coeffs)
+                if digit_path:
+                    digit_path.pop()
+                if not taint:
+                    dead.add(el.coeffs)
+                elif frames:
+                    frames[-1][2] = True
+                else:
+                    return E.GammaResult(E.GammaStatus.UNKNOWN)
+                continue
+            frames[-1][1] += 1
+            child = el * inv - d
+            if child.sign() < 0 or (bound - child).sign() < 0:
+                continue
+            key = child.coeffs
+            if key in on_path or key in live:
+                live.update(on_path)
+                return E.GammaResult(E.GammaStatus.IN,
+                                     FiniteWord(digit_path + [d], A01))
+            if key in dead:
+                continue
+            nodes += 1
+            if len(frames) >= self.depth_cap or nodes > self.node_cap:
+                frames[-1][2] = True
+                continue
+            frames.append([child, 0, False])
+            on_path.add(key)
+            digit_path.append(d)
+        return E.GammaResult(E.GammaStatus.OUT)
+
+
+def reference_digits(sys, y, length, strict, stop_at_repeat=False):
+    """The algebraic branch of _digit_loop as it stepped in Q(alpha), with
+    (preperiod, period) from the first repeated remainder, or None."""
+    inv = sys.ctx.one / sys.ctx.alpha_element
+    floor = 0 if strict else -1
+    out, seen, repeat = [], {y.coeffs: 0}, None
+    for _ in range(length):
+        y = y * inv
+        for d in range(sys.M, -1, -1):
+            if d == 0 or (y - d).sign() > floor:
+                break
+        y = y - d
+        out.append(d)
+        if repeat is None:
+            if y.coeffs in seen:
+                repeat = (seen[y.coeffs], len(out) - seen[y.coeffs])
+                if stop_at_repeat:  # the rest follows from the period
+                    break
+            seen[y.coeffs] = len(out)
+    return out, repeat
+
+
+def kernel_cases():
+    """(base, seed) pairs: seeded rationals in (1/3, 1/2) and the kernel
+    bases."""
+    rng = random.Random(900)
+    rats = set()
+    while len(rats) < 4:
+        den = rng.randrange(5, 40)
+        a = F(rng.randrange(den // 3 + 1, (den + 1) // 2), den)
+        if F(1, 3) < a < F(1, 2) and a.numerator >= 2:
+            rats.add(f"rat:{a.numerator}/{a.denominator}")
+    bases = sorted(rats) + list(KERNEL_BASES)
+    return [(b, 910 + i) for i, b in enumerate(bases)]
+
+
+class TestFollowerKernel:
+    @pytest.mark.parametrize("base,seed", kernel_cases())
+    def test_automaton_matches_reference(self, base, seed):
+        rng = random.Random(seed)
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        shifts = [sys.low_tail(), sys.high_tail(), sys.embed(0)]
+        for _ in range(3):
+            word = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 5))]
+            shifts.append(E.seq_value(sys, FiniteWord(word, TERNARY)))
+        for t in shifts:
+            auto = E.build_expansion_automaton(sys, t, state_cap=150)
+            ref = reference_automaton(sys, t, state_cap=150)
+            assert auto.to_json_dict() == ref.to_json_dict()
+            assert [s.coeffs for s in auto.states] == \
+                [s.coeffs for s in ref.states]
+            assert auto.complete == ref.complete
+
+    @pytest.mark.parametrize("base,seed", kernel_cases())
+    def test_shared_search_matches_reference(self, base, seed):
+        rng = random.Random(seed)
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        word = [rng.choice((-1, 0, 1)) for _ in range(4)]
+        t = E.seq_value(sys, FiniteWord(word, TERNARY))
+        points = TestGammaSearch._points(sys, t, rng, count=60)
+        points += [sys.embed(0), sys.tail_unit, sys.tail_unit * 2]
+        search = E.GammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
+        ref = ReferenceGammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
+        for x in points:
+            got, want = search.membership(x), ref.membership(x)
+            assert got.status is want.status
+            assert got.witness == want.witness
+
+    def test_interval_end_falls_back_to_exact_sign(self):
+        # high_tail is the fixed point u beta - 1 = u: each step lands on
+        # the interval's end, where the value hi - child is exactly 0
+        for base in KERNEL_BASES:
+            sys = BaseSystem(X.parse_real(base), TERNARY)
+            for t in (sys.high_tail(), sys.low_tail()):
+                auto = E.build_expansion_automaton(sys, t)
+                assert auto.to_json_dict() == \
+                    reference_automaton(sys, t, 10_000).to_json_dict()
+            assert sys.ctx.kernel.fallbacks >= 1
+
+    def test_no_fallbacks_on_pinned_automata(self):
+        sys = cubic_base()
+        a = sys.ctx.alpha_element
+        auto = E.build_expansion_automaton(sys, -a / (sys.ctx.one + a))
+        assert len(auto.states) == 6
+        assert sys.ctx.kernel.fallbacks == 0
+        sys = BaseSystem(X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2)),
+                         TERNARY)
+        auto = E.build_expansion_automaton(sys, sys.embed(F(1, 211)))
+        assert len(auto.states) >= 712 and auto.complete
+        assert sys.ctx.kernel.fallbacks == 0
+
+    @pytest.mark.parametrize("alphabet", (TERNARY, A01, Alphabet(0, 4)))
+    @pytest.mark.parametrize("base", KERNEL_BASES)
+    def test_digit_loop_matches_reference(self, base, alphabet):
+        sys = BaseSystem(X.parse_real(base), alphabet)
+        ctx = sys.ctx
+        try:
+            cache = sys.delta_cache()
+        except OutOfDomain:  # {0,1} needs alpha >= 1/2
+            cache = None
+        if cache is not None:
+            ref, repeat = reference_digits(sys, ctx.one, 2048, strict=True,
+                                           stop_at_repeat=True)
+            if repeat is not None:
+                pre, per = repeat
+                ref += [ref[pre + (i - pre) % per]
+                        for i in range(len(ref), 2048)]
+            low = alphabet.low
+            assert list(E.delta(sys, 2048)) == [d + low for d in ref]
+            ep = E.try_ep_form(sys)
+            assert (ep is None) == (repeat is None)
+            if ep is not None:
+                assert (len(ep.pre), len(ep.per)) == repeat
+        # greedy and quasi-greedy digits of seeded values
+        rng = random.Random(len(base) + alphabet.size)
+        top = sys.M * sys.tail_unit
+        xs = [ctx.zero, top, ctx.alpha_element]
+        xs += [top * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
+        for x in xs:
+            y = x + sys.low_tail()
+            for strict, fn in ((False, E.greedy_expansion),
+                               (True, E.quasi_greedy_expansion)):
+                if strict and x.is_zero():
+                    continue  # the all-low convention, no digit loop
+                ref, _ = reference_digits(sys, x, 64, strict)
+                assert list(fn(sys, y, 64)) == \
+                    [d + alphabet.low for d in ref]
