@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
 from . import dimension, exactnum, expansions, thuemorse, words
 from .dimension import tm_block_word
 from .exactnum import AlgebraicReal, Comparison, compare
@@ -86,8 +84,11 @@ def check_01_alpha_kl() -> AccResult:
                      ok, f"[{float(lo):.12f}, {float(hi):.12f}] in {elapsed:.3f}s")
 
 
-def _tau_doubling(n: int) -> np.ndarray:
-    """Independent tau construction: block doubling 0 -> 01 -> 0110 -> ..."""
+def _tau_doubling(n: int):
+    """Independent tau construction: block doubling 0 -> 01 -> 0110 -> ...,
+    as an int8 numpy array."""
+    import numpy as np  # check 2 alone needs it; not loaded on import
+
     arr = np.array([0], dtype=np.int8)
     while len(arr) < n:
         arr = np.concatenate([arr, 1 - arr])
@@ -95,6 +96,8 @@ def _tau_doubling(n: int) -> np.ndarray:
 
 
 def check_02_tau_lambda_identities() -> AccResult:
+    import numpy as np
+
     n = 2**20
     tau = _tau_doubling(n + 1)
     ok = "".join(str(d) for d in thuemorse.tau_prefix(16)) == "0110100110010110"

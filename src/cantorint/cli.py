@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import acceptance, dimension, exactnum, expansions, thuemorse, words
+from . import dimension, exactnum, expansions, thuemorse, words
 from .exactnum import QAlphaElement, decimal_string, format_real, parse_real
 from .expansions import BaseSystem
 from .words import TERNARY, Alphabet, EPSeq, FiniteWord, format_seq, parse_seq
@@ -58,10 +58,13 @@ def _parse_alpha(text: str):
 
 def _parse_t(text: str, sys_: BaseSystem):
     """Translation values: a number format, or closed-form sugar."""
+    # the worked examples live with the checks, which are not loaded on import
     if text == "sum-neg-alpha":
-        return acceptance.ex51_translation(sys_)
+        from .acceptance import ex51_translation
+        return ex51_translation(sys_)
     if text == "ex52":
-        return acceptance.ex52_translation(sys_)
+        from .acceptance import ex52_translation
+        return ex52_translation(sys_)
     value = _parse_alpha(text)
     if isinstance(value, Fraction):
         return sys_.embed(value)
@@ -301,6 +304,8 @@ def _cmd_liouville(args):
 
 
 def _cmd_verify_paper(args):
+    from . import acceptance
+
     results = acceptance.run_all(verbose=not args.json)
     payload = [{"number": r.number, "name": r.name,
                 "passed": r.passed, "detail": r.detail} for r in results]

@@ -10,7 +10,8 @@ Routes implemented:
   split the matrix into strongly connected components, take a float Perron
   vector v of each, and bound the radius by the least and largest
   (Av)_i/v_i from one exact integer mat-vec.  For at most 24 rows the
-  characteristic polynomial also pins it down exactly,
+  characteristic polynomial also pins it down exactly.  Only the float
+  vectors use numpy, and they import it when called, not on import,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -24,13 +25,12 @@ maximum cycle mean) live in :mod:`cantorint.graph`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from . import exactnum, expansions, graph, thuemorse, words
 from .exactnum import AlgebraicReal, Comparison, QAlphaElement, compare
@@ -165,15 +165,15 @@ def full_dimension(alpha) -> DimensionValue:
 # exact spectral radius machinery
 # ---------------------------------------------------------------------------
 
-def char_poly(entries: Sequence[Sequence[int]]) -> list:
-    """Characteristic polynomial (low degree first) of an integer matrix,
-    computed exactly by the Faddeev-LeVerrier recurrence.
+def char_poly(succ: list) -> list:
+    """Characteristic polynomial (low degree first) of an integer matrix
+    given as successor lists (see :func:`graph.successors`), computed
+    exactly by the Faddeev-LeVerrier recurrence.
 
     For an integer matrix every M_k and c_k is integral, so the recurrence
     runs on Python ints; a trace not divisible by k would be a bug.
     """
-    n = len(entries)
-    succ = graph.successors([[int(a) for a in row] for row in entries])
+    n = len(succ)
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = []
     for k in range(1, n + 1):
@@ -222,22 +222,44 @@ CHARPOLY_MAX_DIM = 24  # larger matrices get the bracket alone
 
 class CountMatrix:
     """Nonnegative integer matrix counting labelled edges, with its Perron
-    eigenvalue certified on demand."""
+    eigenvalue certified on demand.
+
+    The matrix is held as successor lists ``succ`` in the form of
+    :func:`graph.successors`: ``(j, a)`` per nonzero entry, columns
+    ascending, so parallel edges are summed and zeros dropped.  Every
+    computation reads them; the dense ``entries`` are derived on first use.
+    """
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
+        rows = [[int(x) for x in row] for row in entries]
+        for row in rows:
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
             if any(x < 0 for x in row):
                 raise ValueError("matrix must be nonnegative")
-        self.n = n
-        self.succ = graph.successors(self.entries)
+        self.n = len(rows)
+        self.succ = graph.successors(rows)
         self._perron: Optional[PerronInfo] = None
 
+    @classmethod
+    def from_successors(cls, succ: list) -> CountMatrix:
+        """The matrix of successor lists already in :func:`graph.successors`
+        form with positive entries, in O(V+E)."""
+        m = cls.__new__(cls)
+        m.n, m.succ, m._perron = len(succ), succ, None
+        return m
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """The dense rows, as a tuple of int tuples."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for row, out in zip(rows, self.succ):
+            for j, a in out:
+                row[j] = a
+        return tuple(tuple(row) for row in rows)
+
     def row_sums(self):
-        return [sum(row) for row in self.entries]
+        return [sum(a for _, a in out) for out in self.succ]
 
     def is_zero(self) -> bool:
         return not any(self.succ)
@@ -251,10 +273,16 @@ class CountMatrix:
         component is periodic.  Non-positive entries are raised to the
         least positive one: any positive vector gives a valid bracket.
         """
-        dense = np.array(self.entries, dtype=float)
+        import numpy as np  # only the bracket needs it; not loaded on import
+
         out = []
         for rows in graph.sccs(self.succ):
-            sub = dense[np.ix_(rows, rows)]
+            local = {r: k for k, r in enumerate(rows)}
+            sub = np.zeros((len(rows), len(rows)))
+            for k, r in enumerate(rows):
+                for j, a in self.succ[r]:
+                    if j in local:
+                        sub[k, local[j]] = a
             if not sub.any():
                 continue  # a transient state with no self-loop
             vals, vecs = np.linalg.eig(sub)
@@ -295,7 +323,7 @@ class CountMatrix:
         algebraic = None
         cp = None
         if self.n <= CHARPOLY_MAX_DIM and bhi > 0:
-            cp = char_poly(self.entries)
+            cp = char_poly(self.succ)
             stripped = list(cp)
             while stripped and stripped[0] == 0:
                 stripped.pop(0)  # remove x^k factors (zero eigenvalues)
@@ -344,12 +372,13 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
         return IntersectionGraph(auto, CountMatrix([]), [], empty=True)
     keep = graph.reachable(live, auto.initial)
     pos = {i: r for r, i in enumerate(keep)}
-    n = len(keep)
-    entries = [[0] * n for _ in range(n)]
+    succ = []
     for f in keep:
+        row: dict = {}
         for (t, d) in live[f]:
-            entries[pos[f]][pos[t]] += _edge_label_count(d)
-    return IntersectionGraph(auto, CountMatrix(entries), keep)
+            row[pos[t]] = row.get(pos[t], 0) + _edge_label_count(d)
+        succ.append(sorted((j, a) for j, a in row.items() if a))
+    return IntersectionGraph(auto, CountMatrix.from_successors(succ), keep)
 
 
 def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
@@ -420,6 +449,17 @@ def _iv_of(x, width=Fraction(1, 10**22)):
     return (math.nextafter(float(lo), -_INF), math.nextafter(float(hi), _INF))
 
 
+def _lsq_slope(xs: list, ys: list) -> float:
+    """Least-squares slope of ``ys`` against ``xs``, in closed form:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, each sum by
+    ``math.fsum``.  Needs two distinct ``xs``."""
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return (math.fsum(d * (y - my) for d, y in zip(dx, ys))
+            / math.fsum(d * d for d in dx))
+
+
 @dataclass(frozen=True)
 class BoxCountReport:
     rows: list  # (n, lower_count, upper_count)
@@ -443,8 +483,8 @@ def box_count_oracle(alpha, t, depth: int,
     n + _BOX_BUFFER; a lower count additionally requires an exact
     membership certificate for a witness point in the cylinder: the prefix
     value p, with p - t in Gamma_alpha.  The least-squares slope of
-    log(upper) against n * (-log alpha) over the last half of the depths
-    estimates the dimension.
+    log(upper) against n * (-log alpha) over the last half of the depths,
+    in closed form by :func:`_lsq_slope`, estimates the dimension.
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
     and p - t is carried down the walk exactly, as a state of the field's
@@ -542,9 +582,8 @@ def box_count_oracle(alpha, t, depth: int,
     half = pts[len(pts) // 2:]
     if len(half) >= 2:
         neg_log = -math.log((a_iv[0] + a_iv[1]) / 2)
-        xs = np.array([n * neg_log for (n, _) in half])
-        ys = np.array([math.log(u) for (_, u) in half])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        slope = _lsq_slope([n * neg_log for (n, _) in half],
+                           [math.log(u) for (_, u) in half])
     else:
         slope = 0.0
     return BoxCountReport(rows, slope, alpha, t)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,58 @@ class TestErrors:
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
                                  "--t", "rat:0", "--depth", "14")
         assert code == 1  # depth above the overridden cap
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every subcommand that needs neither the Perron bracket nor check 2
+NUMPY_FREE = [
+    ("boxcount", "--alpha", "rat:2/5", "--t", "rat:0", "--depth", "6"),
+    ("unique", "--alpha", "rat:9/25", "--t-seq", "(+-0)"),
+    ("delta", "--alpha", "rat:2/5", "--length", "16"),
+    ("dset", "--alpha", "rat:19/50"),
+    ("dim", "--alpha", "rat:9/25", "--t-seq", "(+-0)"),
+    ("selfsimilar", "--alpha", "rat:9/25", "--t-seq", "(+-0)"),
+    ("dense-targets", "--alpha", "rat:19/50"),
+    ("alpha-kl", "--width", "1e-6"),
+    ("tm", "--what", "w", "--n", "4"),
+    ("expand", "--alpha", "rat:2/5", "--x", "1/3", "--length", "8"),
+    ("liouville", "--pq", "2/5", "--k", "2"),
+]
+
+
+def loaded_after(*commands):
+    """Run ``cantor`` on each argv in a fresh interpreter and return the
+    names of the modules imported by then."""
+    code = "\n".join(
+        ["import contextlib, io, json, sys", "from cantorint.cli import main"]
+        + [f"with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert main({list(argv)!r}) == 0" for argv in commands]
+        + ["print(json.dumps(sorted(sys.modules)))"])
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    """Neither numpy nor the acceptance checks are on ``cantor``'s
+    start-up path: numpy is loaded only by the Perron bracket and
+    verify-paper check 2, the checks only by verify-paper and the
+    worked-example shifts."""
+
+    def test_import_loads_no_numpy(self):
+        loaded = loaded_after()
+        assert "numpy" not in loaded
+        assert "cantorint.acceptance" not in loaded
+
+    def test_small_queries_load_no_numpy(self):
+        assert "numpy" not in loaded_after(*NUMPY_FREE)
+
+    def test_perron_bracket_loads_numpy(self):
+        # the probe can see numpy at all
+        assert "numpy" in loaded_after(("intersect",
+                                        "--alpha", "alg:-1,1,2,2@[2/5,1/2]",
+                                        "--t", "sum-neg-alpha"))

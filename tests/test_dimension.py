@@ -10,6 +10,7 @@ import pytest
 from cantorint import dimension as D
 from cantorint import exactnum as X
 from cantorint import expansions as E
+from cantorint import graph as G
 from cantorint import thuemorse as T
 from cantorint import words as W
 from cantorint.dimension import (
@@ -95,18 +96,19 @@ class TestCharPoly:
     def test_companion(self):
         # companion matrix of x^3 - x - 1
         m = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
-        assert char_poly(m) == [-1, -1, 0, 1]
+        assert char_poly(G.successors(m)) == [-1, -1, 0, 1]
 
     def test_identity(self):
         m = ((1, 0), (0, 1))
-        assert char_poly(m) == [1, -2, 1]
+        assert char_poly(G.successors(m)) == [1, -2, 1]
 
     def test_char_poly_matches_numpy(self):
         import random as _r
         rng = _r.Random(7)
         m = [[rng.randrange(0, 4) for _ in range(8)] for _ in range(8)]
         want = np.poly(np.array(m, dtype=float))[::-1]
-        assert np.allclose(char_poly(m), want, rtol=1e-9, atol=1e-6)
+        assert np.allclose(char_poly(G.successors(m)), want,
+                           rtol=1e-9, atol=1e-6)
 
 
 class TestPerron:
@@ -171,6 +173,7 @@ class TestPerron:
         # numpy.linalg.eig, changes these
         assert hashlib.sha1(repr(cm.entries).encode()).hexdigest() == \
             "1cec84dff9c16a06dc79dbdd61ae797ab149da6b"
+        assert cm.succ == G.successors(cm.entries)
         assert g.state_map == list(range(712))
         info = cm.perron()
         lo, hi = info.rowsum_bracket
@@ -224,6 +227,35 @@ class TestPerron:
         info = cm.perron()
         glo, ghi = info.enclosure(F(1, 10**12))
         assert glo * glo - glo - 1 <= 0 <= ghi * ghi - ghi - 1
+
+
+class TestCountMatrix:
+    def test_successor_lists_and_entries(self):
+        m = ((0, 2, 0), (1, 0, 3), (0, 0, 0))
+        cm = CountMatrix(m)
+        assert cm.succ == [[(1, 2)], [(0, 1), (2, 3)], []]
+        assert cm.entries == m and cm.n == 3
+        assert cm.row_sums() == [2, 4, 0]
+        assert CountMatrix.from_successors(cm.succ).entries == m
+        assert CountMatrix([]).entries == () and CountMatrix([]).is_zero()
+
+    def test_rejects_non_square_and_negative(self):
+        with pytest.raises(ValueError):
+            CountMatrix([[1, 0]])
+        with pytest.raises(ValueError):
+            CountMatrix([[1, -1], [0, 1]])
+
+    def test_graph_lists_are_successors_of_entries(self):
+        # build_intersection_graph hands over summed lists: columns
+        # ascending, parallel edges summed, zeros dropped
+        sys, auto = ex51_setup()
+        for t in (auto.states[0], sys.high_tail(),
+                  E.seq_value(sys, W.parse_seq("+++-0+"))):
+            g = build_intersection_graph(
+                E.build_expansion_automaton(sys, t))
+            cm = g.count_matrix
+            assert cm.succ == G.successors(cm.entries)
+            assert cm.row_sums() == [sum(r) for r in cm.entries]
 
 
 class TestIntersectionGraph:
@@ -300,6 +332,26 @@ class TestBoxCount:
     def test_outside(self):
         rep = box_count_oracle(F(2, 5), F(5, 3), 6)
         assert all(l == 0 and u == 0 for (_, l, u) in rep.rows)
+        assert rep.slope == 0.0  # no point to fit
+
+    def test_one_point_has_slope_zero(self):
+        assert box_count_oracle(F(2, 5), F(0), 1).slope == 0.0
+        assert box_count_oracle(F(2, 5), F(0), 3).slope > 0  # two points
+
+    def test_slope_matches_polyfit(self):
+        # the closed form against numpy's least squares on point sets
+        # shaped like the oracle's: consecutive depths times -log alpha
+        # against the log of the counts
+        rng = random.Random(811)
+        for _ in range(2000):
+            k = rng.randrange(2, 11)
+            step = rng.uniform(0.6, 1.2)
+            n0 = rng.randrange(1, 12)
+            xs = [(n0 + i) * step for i in range(k)]
+            a, b = rng.uniform(0.3, 1.5), rng.uniform(-2.0, 2.0)
+            ys = [a * x + b + rng.gauss(0.0, 0.02) for x in xs]
+            want = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+            assert abs(D._lsq_slope(xs, ys) - want) <= 1e-12 * abs(want)
 
     def test_example51_slope(self):
         sys, auto = ex51_setup()
