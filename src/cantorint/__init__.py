@@ -15,6 +15,7 @@ from .exactnum import (  # noqa: F401
     QAlphaContext,
     QAlphaElement,
     Rational,
+    EnclosedReal,
     SeriesReal,
     compare,
     decimal_string,

@@ -30,7 +30,6 @@ class CliError(Exception):
 # size limits, checked before anything is allocated
 TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
-LIOUVILLE_K_MAX = 4  # k = 5 builds integers of thousands of digits
 AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 1.3 s at 1e-40
 
 
@@ -76,8 +75,6 @@ def _num_payload(x) -> dict:
     if isinstance(x, QAlphaElement):
         return {"exact": ",".join(str(c) for c in x.coeffs),
                 "decimal": decimal_string(x)}
-    if isinstance(x, Fraction):
-        return {"exact": format_real(x), "decimal": decimal_string(x)}
     return {"exact": format_real(x), "decimal": decimal_string(x)}
 
 
@@ -288,7 +285,6 @@ def _cmd_dense_targets(args):
 
 
 def _cmd_liouville(args):
-    _check_bound("--k", args.k, LIOUVILLE_K_MAX, "LIOUVILLE_K_MAX")
     pq = Fraction(args.pq)
     lw = dimension.liouville_witness(pq, args.k,
                                      free_digit_rule=args.free_rule)
@@ -440,10 +436,21 @@ _DOMAIN_ERRORS = (CliError, exactnum.ExactnumError, words.WordsError,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader stopped early (`cantor ... | head`): send what is left
+        # to devnull, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
     try:
         inputs, result = _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        raise  # an OSError, but not an input problem: see main
     except _DOMAIN_ERRORS as e:
         if args.json:
             inputs = {k: v for k, v in vars(args).items()
@@ -464,6 +471,7 @@ def main(argv=None) -> int:
         else:
             ok = result["all_passed"]
             print(f"\nall checks passed: {ok}")
+    sys.stdout.flush()
     if args.command == "verify-paper" and not result["all_passed"]:
         return 1
     return 0

@@ -68,7 +68,6 @@ class VerificationFailed(DimensionError):
 class DimForm(Enum):
     FREQUENCY = "frequency"
     PERRON = "perron"
-    BOX = "box"
 
 
 def _log_interval(lo: Fraction, hi: Fraction):
@@ -119,10 +118,8 @@ class DimensionValue:
             return "0 (empty intersection)"
         if self.form is DimForm.FREQUENCY:
             return f"({self.freq}) * log(2)/(-log(alpha))"
-        if self.form is DimForm.PERRON:
-            return "log(lambda)/(-log(alpha)), lambda = " + \
-                (self.perron.exact_str() if self.perron else "?")
-        return f"box-count slope ~ {self.decimal:.6f}"
+        return "log(lambda)/(-log(alpha)), lambda = " + \
+            (self.perron.exact_str() if self.perron else "?")
 
     def __repr__(self):
         return f"DimensionValue({self.exact_str()} ~ {self.decimal:.6f})"
@@ -199,7 +196,6 @@ def char_poly(succ: list) -> list:
 class PerronInfo:
     """Spectral radius data for a nonnegative integer matrix."""
 
-    estimate: float  # midpoint of rowsum_bracket
     algebraic: Optional[AlgebraicReal]
     rowsum_bracket: tuple  # (Fraction lo, Fraction hi), certified
     char: Optional[list] = None
@@ -313,9 +309,8 @@ class CountMatrix:
         return lo, hi
 
     def perron(self) -> PerronInfo:
-        """Certified bracket, its midpoint as the estimate, and (for at
-        most ``CHARPOLY_MAX_DIM`` rows) the exact algebraic form of the
-        spectral radius."""
+        """Certified bracket and (for at most ``CHARPOLY_MAX_DIM`` rows) the
+        exact algebraic form of the spectral radius."""
         if self._perron is not None:
             return self._perron
         bracket = self.rowsum_enclosure(self.power_estimate())
@@ -327,7 +322,6 @@ class CountMatrix:
             stripped = list(cp)
             while stripped and stripped[0] == 0:
                 stripped.pop(0)  # remove x^k factors (zero eigenvalues)
-            stripped = exactnum.poly_squarefree_part(stripped)
             hi = Fraction(max(self.row_sums()) + 1)
             algebraic = exactnum.isolate_largest_root(stripped, Fraction(0), hi)
             lam_lo, lam_hi = algebraic.refine(Fraction(1, 10**12))
@@ -335,8 +329,7 @@ class CountMatrix:
                 raise VerificationFailed(
                     "characteristic-polynomial root disagrees with the "
                     "Collatz-Wielandt bracket")
-        self._perron = PerronInfo(float((blo + bhi) / 2), algebraic, bracket,
-                                  cp)
+        self._perron = PerronInfo(algebraic, bracket, cp)
         return self._perron
 
 
@@ -442,10 +435,7 @@ def _iv_mul(a, b):
 
 
 def _iv_of(x, width=Fraction(1, 10**22)):
-    if isinstance(x, QAlphaElement):
-        lo, hi = x.value_enclosure(width)
-    else:
-        lo, hi = exactnum.enclosure(x, width)
+    lo, hi = exactnum.enclosure(x, width)
     return (math.nextafter(float(lo), -_INF), math.nextafter(float(hi), _INF))
 
 
@@ -717,13 +707,7 @@ def _liouville_min_next(p: int, q: int, nk: list) -> int:
     return m
 
 
-def liouville_nk(pq: Fraction, count: int) -> list:
-    """n_1 = 1 and then the minimal growth sequence."""
-    p, q = pq.numerator, pq.denominator
-    nk = [1]
-    while len(nk) < count:
-        nk.append(_liouville_min_next(p, q, nk))
-    return nk
+LIOUVILLE_DIGITS_MAX = 4000  # under Python's 4300-digit int-to-str limit
 
 
 class _LiouvilleBlocks:
@@ -770,6 +754,13 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
 
     Any failure raises ``VerificationFailed`` (it would be a bug, not an
     input problem).
+
+    n_1 = 1, and each later n_k is the least that meets the growth
+    inequality of ``_liouville_min_next``.  The enclosure of x at width (p/q)^(2(n_1+..+n_(K+1)) + K + 64) has
+    denominators of that exponent times log10 q digits.  Each term only
+    raises it, so the terms grow one at a time, and a ``DimensionError``
+    stops the construction before the next term once the count passes
+    ``LIOUVILLE_DIGITS_MAX``.
     """
     pq = Fraction(pq)
     if K < 1:
@@ -789,7 +780,18 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
             raise ValueError("free digit rule must produce 0 or 1")
         rule = lambda slot: const  # noqa: E731
 
-    nk = liouville_nk(pq, K + 1)
+    p, q = pq.numerator, pq.denominator
+    nk = [1]
+    while True:
+        digits = (2 * sum(nk) + K + 64) * math.log10(q)
+        if digits > LIOUVILLE_DIGITS_MAX:
+            raise DimensionError(
+                f"K = {K} at p/q = {pq} needs x enclosures of at least "
+                f"{digits:.0f} digits, over the bound "
+                f"LIOUVILLE_DIGITS_MAX = {LIOUVILLE_DIGITS_MAX}")
+        if len(nk) == K + 1:
+            break
+        nk.append(_liouville_min_next(p, q, nk))
     blocks = _LiouvilleBlocks(pq)
     t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})")
 
@@ -803,7 +805,6 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
 
     x = exactnum.SeriesReal(eps, pq, 0, 1, description=f"liouville-x({pq})")
 
-    q = pq.denominator
     approximants = []
     for k in range(1, K + 1):
         m_k = 2 * sum(nk[:k]) + k

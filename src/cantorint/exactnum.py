@@ -1,13 +1,15 @@
 """Exact and rigorously enclosed real arithmetic.
 
-Three number kinds are supported:
+Four number kinds are supported:
 
 * ``Fraction`` (aliased ``Rational``) -- exact rationals,
 * ``AlgebraicReal`` -- an integer polynomial together with a rational
   isolating interval containing exactly one of its real roots,
 * ``SeriesReal`` -- a lazily generated digit series ``sum d_i * r^i`` whose
   value is only ever reported as a rational interval (partial sum plus a
-  geometric tail bound).
+  geometric tail bound),
+* ``EnclosedReal`` -- a number known only through its own nested
+  enclosures, such as the bisection brackets of alpha_KL.
 
 Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` at the requested precision.  The module
@@ -15,6 +17,10 @@ also provides arithmetic in the number field Q(alpha) for alpha rational or
 algebraic (``QAlphaElement``), which backs every exact test in the expansion
 algorithms, and ``FollowerKernel``, the integer form of Q(alpha) on which
 the follower-value closures s -> s/alpha - d run.
+
+Each exact fact has one routine: ``enclosure`` encloses every number kind
+and every ``QAlphaElement``, and one Sturm chain per polynomial both
+isolates a root and yields the squarefree polynomial that defines it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ Rational = Fraction
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
-_SIGN_CAP = 256  # halvings of the base enclosure before giving up
+_SIGN_CAP = 256  # base enclosures, each 16 times narrower, before giving up
 
 
 class ExactnumError(Exception):
@@ -142,35 +148,12 @@ def poly_normalize(coeffs):
     return tuple(ints)
 
 
-def poly_gcd(a, b):
-    """Monic gcd of two polynomials over the rationals."""
-    a = poly_trim([Fraction(c) for c in a])
-    b = poly_trim([Fraction(c) for c in b])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_squarefree_part(coeffs):
-    """coeffs / gcd(coeffs, coeffs'): same roots, all simple."""
-    coeffs = poly_trim([Fraction(c) for c in coeffs])
-    d = poly_trim(poly_derivative(coeffs))
-    if not d:
-        return coeffs
-    g = poly_gcd(coeffs, d)
-    if poly_degree(g) == 0:
-        return coeffs
-    q, r = poly_divmod(coeffs, g)
-    if r:
-        raise ExactnumError("squarefree reduction failed")
-    return q
-
-
 def sturm_chain(coeffs):
+    """p, p', then the negated remainders of Euclid's algorithm on them.
+
+    The chain stops at the last nonzero remainder, so its last member is
+    gcd(p, p') up to a constant factor, for any nonconstant p.
+    """
     chain = [poly_trim([Fraction(c) for c in coeffs])]
     d = poly_derivative(chain[0])
     if poly_trim(d):
@@ -208,6 +191,12 @@ def sturm_root_count(coeffs, lo: Fraction, hi: Fraction, chain=None) -> int:
 def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     """Isolate the largest real root of ``coeffs`` inside (lo, hi].
 
+    The polynomial p need not be squarefree.  Its one Sturm chain serves
+    twice.  Sturm's theorem counts the distinct roots of any p in (a, b]
+    when neither end is a root, so the bisection runs on the chain.  The
+    chain's last member is g = gcd(p, p'), so p / g, which has the same
+    roots, all simple, defines the returned ``AlgebraicReal``.
+
     Raises ``NonIsolatingInterval`` if the interval holds no root.  The
     endpoints must not themselves be roots.
     """
@@ -232,7 +221,8 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
         else:
             hi = mid
             total = sturm_root_count(coeffs, lo, hi, chain)
-    return AlgebraicReal(coeffs, lo, hi)
+    squarefree, _ = poly_divmod(chain[0], chain[-1])
+    return AlgebraicReal(squarefree, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ class AlgebraicReal:
     shrinks, so the denoted root never changes.
     """
 
-    __slots__ = ("coeffs", "_lo", "_hi", "_chain")
+    __slots__ = ("coeffs", "_lo", "_hi")
 
     def __init__(self, coeffs, lo, hi):
         self.coeffs = poly_normalize(coeffs)
@@ -318,8 +308,7 @@ class AlgebraicReal:
         if poly_eval(self.coeffs, lo) == 0 or poly_eval(self.coeffs, hi) == 0:
             raise NonIsolatingInterval(
                 "interval endpoint is itself a root; use the rational directly")
-        self._chain = sturm_chain(self.coeffs)
-        n = sturm_root_count(self.coeffs, lo, hi, self._chain)
+        n = sturm_root_count(self.coeffs, lo, hi)
         if n != 1:
             raise NonIsolatingInterval(
                 f"interval ({lo}, {hi}) contains {n} roots, need exactly 1")
@@ -417,48 +406,41 @@ class SeriesReal:
         return f"SeriesReal<{name}>"
 
 
-def binary_digit_source(refine_fn: Callable[[Fraction], tuple],
-                        cap: int = 4096) -> Callable[[int], int]:
-    """Turn a rigorous enclosure function into a binary digit stream.
+class EnclosedReal:
+    """A real given by ``enclose(width)``: nested rational enclosures, each
+    at most ``width`` wide, such as the brackets of a bisection on a
+    monotone function whose sign is certified at rational points."""
 
-    ``refine_fn(width)`` must return nested rational enclosures of a value in
-    (0, 1) that is not a dyadic rational.  The returned callable yields the
-    value's binary digits, so ``SeriesReal(digits, 1/2, 0, 1)`` re-encloses
-    the same number through the standard partial-sum machinery.
-    """
-    bits: list[int] = []
+    __slots__ = ("enclosure", "description")
 
-    def digit(i: int) -> int:
-        while len(bits) < i:
-            k = max(8, 2 * (len(bits) + 1))
-            while True:
-                if k > cap:
-                    raise IterationLimit("binary digit extraction stalled")
-                lo, hi = refine_fn(Fraction(1, 2**k))
-                n = len(bits) + 1
-                if (lo * 2**n).__floor__() == (hi * 2**n).__floor__():
-                    break
-                k *= 2
-            scaled = (lo * 2**n).__floor__()
-            del bits[:]
-            bits.extend(int(b) for b in bin(scaled)[2:].zfill(n)[-n:])
-        return bits[i - 1]
+    def __init__(self, enclose: Callable[[Fraction], tuple],
+                 description: str = ""):
+        self.enclosure = enclose
+        self.description = description
 
-    return digit
+    def __float__(self):
+        lo, hi = self.enclosure(Fraction(1, 10**17))
+        return float((lo + hi) / 2)
+
+    def __repr__(self):
+        return f"EnclosedReal<{self.description}>"
 
 
-RealNumber = Union[Fraction, AlgebraicReal, SeriesReal]
+RealNumber = Union[Fraction, AlgebraicReal, SeriesReal, EnclosedReal]
 
 
-def enclosure(x: RealNumber, width) -> tuple:
-    """Uniform rational enclosure for any ``RealNumber``."""
+def enclosure(x, width) -> tuple:
+    """Rational enclosure, at most ``width`` wide, of a ``RealNumber`` or a
+    ``QAlphaElement``."""
     width = Fraction(width)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         return (x, x)
     if isinstance(x, AlgebraicReal):
         return x.refine(width)
-    if isinstance(x, SeriesReal):
+    if isinstance(x, QAlphaElement):
+        return x.value_enclosure(width)
+    if isinstance(x, (SeriesReal, EnclosedReal)):
         return x.enclosure(width)
     raise TypeError(f"not a RealNumber: {x!r}")
 
@@ -675,9 +657,6 @@ class QAlphaContext:
         inv = [x / c for x in s0]
         return tuple(self._reduce(inv))
 
-    def alpha_enclosure(self, width):
-        return enclosure(self.alpha, width)
-
     @property
     def kernel(self) -> "FollowerKernel":
         """The integer follower-value kernel of this field, built once."""
@@ -768,21 +747,26 @@ class QAlphaElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def _enclosures(self, cap: int):
+        """Enclosures of the value over alpha enclosed at widths 1/16,
+        1/16^2, ..., at most ``cap`` of them."""
+        width = Fraction(1, 16)
+        for _ in range(cap):
+            yield interval_poly_eval(self.coeffs,
+                                     enclosure(self.ctx.alpha, width))
+            width /= 16
+
     def sign(self) -> int:
         if self.is_zero():
             return 0
         if self.ctx.degree == 1:
             v = self.coeffs[0]
             return 1 if v > 0 else -1
-        width = Fraction(1, 16)
-        for _ in range(_SIGN_CAP):
-            iv = self.ctx.alpha_enclosure(width)
-            lo, hi = interval_poly_eval(self.coeffs, iv)
+        for lo, hi in self._enclosures(_SIGN_CAP):
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            width /= 16
         raise UndecidedComparison(
             "sign of Q(alpha) element not certified (is the base polynomial "
             "irreducible?)")
@@ -792,13 +776,9 @@ class QAlphaElement:
         if self.ctx.degree == 1:
             v = self.coeffs[0]
             return (v, v)
-        aw = Fraction(1, 16)
-        for _ in range(_BISECTION_CAP):
-            iv = self.ctx.alpha_enclosure(aw)
-            lo, hi = interval_poly_eval(self.coeffs, iv)
+        for lo, hi in self._enclosures(_BISECTION_CAP):
             if hi - lo <= width:
                 return (lo, hi)
-            aw /= 16
         raise IterationLimit("Q(alpha) enclosure did not converge")
 
     def to_fraction(self) -> Fraction:
@@ -1140,7 +1120,7 @@ def format_real(x: RealNumber) -> str:
         lo, hi = x.interval()
         cs = ",".join(str(c) for c in x.coeffs)
         return f"alg:{cs}@[{lo},{hi}]"
-    if isinstance(x, SeriesReal):
+    if isinstance(x, (SeriesReal, EnclosedReal)):
         return x.description or "series"
     raise TypeError(f"not a RealNumber: {x!r}")
 
@@ -1152,8 +1132,5 @@ def decimal_string(x, digits: int = 12) -> str:
     enclosure is tightened until it is narrower than one unit in the last
     requested digit, so the rendering never feeds back into computation.
     """
-    if isinstance(x, QAlphaElement):
-        lo, hi = x.value_enclosure(Fraction(1, 10**(digits + 2)))
-    else:
-        lo, hi = enclosure(x, Fraction(1, 10**(digits + 2)))
+    lo, hi = enclosure(x, Fraction(1, 10**(digits + 2)))
     return repr(round(float((lo + hi) / 2), digits))

@@ -16,8 +16,8 @@ from operator import sub
 
 from . import exactnum, graph
 from .words import (
+    BINARY,
     TERNARY,
-    Alphabet,
     EPSeq,
     FiniteWord,
     LazySeq,
@@ -25,8 +25,6 @@ from .words import (
     lex_compare,
     reflect,
 )
-
-BIT01 = Alphabet(0, 2)
 
 
 def tau(i: int) -> int:
@@ -59,7 +57,7 @@ def tau_prefix(n: int) -> FiniteWord:
     """First n digits tau_0 ... tau_{n-1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(tuple(_tau_bytes(n)), BIT01)
+    return FiniteWord(tuple(_tau_bytes(n)), BINARY)
 
 
 def lambda_prefix(n: int) -> FiniteWord:
@@ -187,17 +185,11 @@ def alpha_kl_enclosure(width) -> tuple:
 _AKL_REAL: list = []
 
 
-def alpha_kl_real() -> exactnum.SeriesReal:
-    """alpha_KL as a SeriesReal (module singleton).
-
-    The digit stream is the binary expansion of alpha_KL, extracted lazily
-    from the bisection enclosure, so the generic partial-sum machinery
-    reproduces rigorous enclosures of the constant.
-    """
+def alpha_kl_real() -> exactnum.EnclosedReal:
+    """alpha_KL as an ``EnclosedReal`` (module singleton) whose enclosure
+    at width w is ``alpha_kl_enclosure(w)``, the bisection on F itself."""
     if not _AKL_REAL:
-        digits = exactnum.binary_digit_source(alpha_kl_enclosure)
-        _AKL_REAL.append(exactnum.SeriesReal(
-            digits, Fraction(1, 2), 0, 1, description="alpha_KL"))
+        _AKL_REAL.append(exactnum.EnclosedReal(alpha_kl_enclosure, "alpha_KL"))
     return _AKL_REAL[0]
 
 

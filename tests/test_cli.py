@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,33 @@ class TestSubcommands:
         assert code == 0
         assert payload["result"]["kind"] == "full-interval"
 
+    def test_dset_text_nests_dicts_and_lists(self, capsys):
+        code, out, _ = run(capsys, "dset", "--alpha", "rat:21/50")
+        assert code == 0
+        assert out.startswith("kind: finite-list\nproper_subset: True\n"
+                              "full_dimension:\n"
+                              "  exact: (1) * log(2)/(-log(alpha))\n")
+        assert "\nvalues:\n  exact: (0) * log(2)/(-log(alpha))\n" in out
+        assert "  empty: False\n\n  exact: (1)" in out
+        assert "\nexcluded_frequency_band: [1/2, 1]\n" in out
+
+    def test_verify_paper_json(self, capsys):
+        code, payload = run_json(capsys, "verify-paper")
+        assert code == 1
+        checks = payload["result"]["checks"]
+        assert len(checks) == 13
+        assert [c["number"] for c in checks if not c["passed"]] == ["10"]
+        assert payload["result"]["all_passed"] is False
+
+    def test_verify_paper_text(self, capsys):
+        code, out, _ = run(capsys, "verify-paper")
+        assert code == 1
+        lines = out.splitlines()
+        assert sum(ln.startswith("[PASS]") for ln in lines) == 12
+        assert [ln.split()[1] for ln in lines if ln.startswith("[FAIL]")] \
+            == ["10"]
+        assert lines[-1] == "all checks passed: False"
+
     def test_boxcount_csv(self, capsys, tmp_path):
         csv = tmp_path / "counts.csv"
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
@@ -194,7 +222,12 @@ class TestErrors:
         (("tm", "--what", "w", "--n", "21"), "TM_N_MAX = 20"),
         (("tm", "--what", "tau", "--n", str(2**20 + 1)),
          "2**TM_N_MAX = 1048576"),
-        (("liouville", "--pq", "2/5", "--k", "5"), "LIOUVILLE_K_MAX = 4"),
+        (("liouville", "--pq", "2/5", "--k", "5"),
+         "at least 12961 digits, over the bound LIOUVILLE_DIGITS_MAX = 4000"),
+        (("liouville", "--pq", "7/20", "--k", "4"),
+         "at least 15899 digits, over the bound LIOUVILLE_DIGITS_MAX = 4000"),
+        (("liouville", "--pq", "99/200", "--k", "4"),
+         "LIOUVILLE_DIGITS_MAX = 4000"),
         (("expand", "--alpha", "rat:2/5", "--x", "1/3", "--length", "5001"),
          "LENGTH_MAX = 5000"),
         (("delta", "--alpha", "rat:2/5", "--length", "5001"),
@@ -202,7 +235,9 @@ class TestErrors:
         (("alpha-kl", "--width", "9.9e-41"), "AKL_WIDTH_MIN = 1e-40"),
     ])
     def test_size_bounds_fail_fast(self, capsys, argv, bound):
+        start = time.perf_counter()
         code, payload = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1
         assert code == 1 and payload["result"] is None
         assert bound in payload["status"]
 
@@ -266,3 +301,24 @@ class TestStartup:
         assert "numpy" in loaded_after(("intersect",
                                         "--alpha", "alg:-1,1,2,2@[2/5,1/2]",
                                         "--t", "sum-neg-alpha"))
+
+
+class TestBrokenPipe:
+    """A reader that closes the pipe early (``cantor ... | head``) ends
+    the run with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_closed_pipe_no_traceback(self, mode):
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cantorint.cli", *mode, "tm",
+             "--what", "lambda", "--n", str(2**20)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -93,6 +93,19 @@ class TestRefine:
         lo2, hi2 = a.refine(F(1, 10**8))
         assert lo1 <= lo2 and hi2 <= hi1
 
+    def test_alpha_kl_nested_and_as_wide_as_asked(self):
+        akl = T.alpha_kl_real()
+        outer = (F(0), F(1))
+        for k in range(8, 101):
+            lo, hi = X.enclosure(akl, F(1, 2**k))
+            assert outer[0] <= lo < hi <= outer[1]
+            assert hi - lo <= F(1, 2**k)
+            outer = (lo, hi)
+        assert compare(akl, F(394329, 1000000)) is Comparison.GREATER
+        assert compare(akl, F(39433, 100000)) is Comparison.LESS
+        assert compare(F(394329, 1000000), akl) is Comparison.LESS
+        assert compare(F(39433, 100000), akl) is Comparison.GREATER
+
     def test_series_nesting_eps_over_ten(self):
         akl = T.alpha_kl_real()
         for eps in (F(1, 10**3), F(1, 10**5)):
@@ -172,7 +185,8 @@ class TestParsing:
 
     def test_named_constant(self):
         akl = parse_real("akl")
-        assert isinstance(akl, SeriesReal)
+        assert T.is_alpha_kl(akl)
+        assert X.format_real(akl) == "alpha_KL"
 
     def test_non_isolating_rejected(self):
         # x^2 - 3x + 1 has no root in [1, 2]
@@ -195,10 +209,11 @@ class TestPolynomials:
         assert X.sturm_root_count(p, F(3, 2), F(5, 2)) == 1
 
     def test_squarefree_part(self):
-        # (x-1)^2 (x+2) = x^3 - 3x + 2
-        sf = X.poly_squarefree_part([2, -3, 0, 1])
-        norm = X.poly_normalize(sf)
-        assert norm == (-2, 1, 1)  # (x-1)(x+2) = x^2 + x - 2
+        # (x-1)^2 (x+2) = x^3 - 3x + 2: the root carries the squarefree
+        # part (x-1)(x+2) = x^2 + x - 2
+        r = X.isolate_largest_root([2, -3, 0, 1], F(0), F(10))
+        assert r.coeffs == (-2, 1, 1)
+        assert compare(r, F(1)) is Comparison.EQUAL
 
     def test_isolate_largest_root(self):
         r = X.isolate_largest_root([-6, 11, -6, 1], F(0), F(10))
