@@ -618,14 +618,17 @@ def _family_counts(a: Fraction, tol: Fraction,
                    n2_cap: int) -> Optional[tuple[int, int]]:
     """First (n1, n2), n1 in 1..64 then n2 in 0..n2_cap, whose word
     ((1 -1)^n1 0^n2)^inf has zero density n2/(2 n1 + n2) within tol of a.
-    |n2/m - a| <= tol is compared cross-multiplied, m = 2 n1 + n2."""
+    The density rises with n2, so only the least n2 >= 0 with density >=
+    b = a - tol, ceil(2 n1 b / (1 - b)), can qualify for a given n1; it is
+    checked cross-multiplied, |n2 - a m| <= tol m with m = 2 n1 + n2."""
     an, ad = a.numerator, a.denominator
     tn, td = tol.numerator, tol.denominator
+    bn, bd = an * td - tn * ad, ad * td  # b = bn / bd < 1
     for n1 in range(1, 65):
-        for n2 in range(0, n2_cap + 1):
-            m = 2 * n1 + n2
-            if abs(n2 * ad - an * m) * td <= tn * ad * m:
-                return (n1, n2)
+        n2 = max(0, -(-2 * n1 * bn // (bd - bn)))
+        m = 2 * n1 + n2
+        if n2 <= n2_cap and abs(n2 * ad - an * m) * td <= tn * ad * m:
+            return (n1, n2)
     return None
 
 

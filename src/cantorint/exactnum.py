@@ -21,6 +21,11 @@ the follower-value closures s -> s/alpha - d run.
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
 isolates a root and yields the squarefree polynomial that defines it.
+The kernel's fixed-point filter decides every sign and enclosure in
+Q(alpha): an undecided sign doubles K from 64 bits up to a cap.  The zero
+vector is an exact 0.  Because alpha's polynomial is irreducible, every
+other vector has a nonzero value, which the doubling filter certifies; on
+a reducible base it raises ``UndecidedComparison``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 Rational = Fraction
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
-_SIGN_CAP = 256  # base enclosures, each 16 times narrower, before giving up
 
 
 class ExactnumError(Exception):
@@ -223,24 +227,6 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
             total = sturm_root_count(coeffs, lo, hi, chain)
     squarefree, _ = poly_divmod(chain[0], chain[-1])
     return AlgebraicReal(squarefree, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# interval helpers over rational endpoints
-# ---------------------------------------------------------------------------
-
-def interval_mul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(p), max(p))
-
-
-def interval_poly_eval(coeffs: Sequence[Fraction], iv):
-    """Horner evaluation of a polynomial over a rational interval."""
-    lo = hi = Fraction(0)
-    for c in reversed(list(coeffs)):
-        lo, hi = interval_mul((lo, hi), iv)
-        lo, hi = lo + c, hi + c
-    return (lo, hi)
 
 
 def _bisect(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
@@ -542,8 +528,8 @@ class QAlphaContext:
     Elements are canonical coefficient vectors of length ``degree`` (degree 1
     for rational alpha, so elements collapse to plain rationals).  Products
     are reduced modulo the defining polynomial, which must be irreducible for
-    sign certification to terminate; every base shipped with this package
-    satisfies that.
+    every nonzero sign to be certified rather than raise; every base shipped
+    with this package satisfies that.
     """
 
     def __init__(self, alpha: RealNumber):
@@ -679,9 +665,8 @@ class QAlphaElement:
     """Canonical element of Q(alpha); immutable and hashable.
 
     Supports field arithmetic with other elements of the same context and
-    with rationals.  ``sign()`` is exact: nonzero elements separate from zero
-    after finitely many refinements of the base enclosure because the
-    defining polynomial is irreducible.
+    with rationals.  ``sign()`` and ``value_enclosure`` convert the element
+    to a state of the field's :class:`FollowerKernel`, which decides both.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -747,39 +732,13 @@ class QAlphaElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _enclosures(self, cap: int):
-        """Enclosures of the value over alpha enclosed at widths 1/16,
-        1/16^2, ..., at most ``cap`` of them."""
-        width = Fraction(1, 16)
-        for _ in range(cap):
-            yield interval_poly_eval(self.coeffs,
-                                     enclosure(self.ctx.alpha, width))
-            width /= 16
-
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if self.ctx.degree == 1:
-            v = self.coeffs[0]
-            return 1 if v > 0 else -1
-        for lo, hi in self._enclosures(_SIGN_CAP):
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-        raise UndecidedComparison(
-            "sign of Q(alpha) element not certified (is the base polynomial "
-            "irreducible?)")
+        kernel = self.ctx.kernel
+        return kernel.sign(kernel.state(self))
 
     def value_enclosure(self, width):
-        width = Fraction(width)
-        if self.ctx.degree == 1:
-            v = self.coeffs[0]
-            return (v, v)
-        for lo, hi in self._enclosures(_BISECTION_CAP):
-            if hi - lo <= width:
-                return (lo, hi)
-        raise IterationLimit("Q(alpha) enclosure did not converge")
+        kernel = self.ctx.kernel
+        return kernel.enclosure(kernel.state(self), width)
 
     def to_fraction(self) -> Fraction:
         if self.ctx.degree == 1:
@@ -835,6 +794,7 @@ class QAlphaElement:
 # ---------------------------------------------------------------------------
 
 FILTER_BITS = 64  # K, the fixed-point precision of the sign filter
+SIGN_BITS_CAP = 2048  # the last K an undecided sign is tried at
 
 
 def _filter_sign(S: int, E: int) -> int:
@@ -854,7 +814,8 @@ def _reduced(v, D: int) -> tuple:
 
 
 class FollowerKernel:
-    """Integer arithmetic for the follower values s -> s/alpha - d.
+    """Integer arithmetic for the follower values s -> s/alpha - d, and the
+    one place where a sign or an enclosure in Q(alpha) is decided.
 
     A state is a tuple ``(v_0, ..., v_(n-1), D)`` of ints, n the degree of
     alpha, standing for sum v_i beta^i / D over the powers of beta =
@@ -872,17 +833,23 @@ class FollowerKernel:
     B_i lie within 1 of beta^i 2^K, with B_0 = 2^K exactly, so S = sum v_i
     B_i differs from 2^K w by at most E = sum_(i>=1) |v_i|.  If |S| > E,
     2^K w lies strictly on the side of 0 that S does, which proves the
-    sign.  Otherwise, and always for w = 0 (S = E = 0), the value converts
-    to a :class:`QAlphaElement` for the exact ``sign()``, and ``fallbacks``
-    counts it.  Degree 1 needs no filter: the sign is that of v_0.  When
-    beta is a Pisot number, Garsia's separation lemma (Garsia 1962) keeps
-    nonzero values with bounded integer coefficients away from 0, so the
-    filter decides all but the exact zeros of a follower-value closure.
+    sign.  K starts at 64; a sign left undecided, counted in
+    ``fallbacks``, doubles K up to ``SIGN_BITS_CAP`` and then raises
+    ``UndecidedComparison``.  The zero vector has sign 0 with no fallback.
+    That is exact when alpha's polynomial is irreducible: 1, beta, ...,
+    beta^(n-1) are then independent over Q, so only v = 0 gives w = 0.  (A
+    nonzero v with w = 0 keeps |S| <= E at every K, so it raises.)  Degree
+    1 needs no filter: the sign is that of v_0.  When beta is a Pisot
+    number, Garsia's separation lemma (Garsia 1962) keeps nonzero values
+    with bounded integer coefficients away from 0, so the 64-bit filter
+    decides all but the exact zeros of a follower-value closure.  The same
+    sums enclose s in [(S - E) / (2^K D), (S + E) / (2^K D)], exact for a
+    rational value (E = 0).
 
     Each B_i rounds the midpoint of an enclosure of beta^i 2^K at most 1
     wide, so it is within 1/2 + 1/2 of beta^i 2^K.  The enclosures come
     from alpha's isolating interval, halved without storing the result;
-    they are computed at the first sign that needs them.
+    they are computed at the first sign that needs them, once per K.
     """
 
     def __init__(self, ctx: QAlphaContext):
@@ -921,7 +888,7 @@ class FollowerKernel:
             col = [col[i + 1] + col[0] * inv[i] for i in range(n - 1)] + \
                 [col[0] * inv[n - 1]]
             self._to_beta.append(col)
-        self._B: Optional[tuple] = None
+        self._B: dict = {}  # K -> (B_0, ..., B_(n-1))
         self.fallbacks = 0
 
     # -- conversions ---------------------------------------------------------
@@ -973,11 +940,12 @@ class FollowerKernel:
         aD, bD = a[n], b[n]
         return _reduced([a[i] * bD + b[i] * aD for i in range(n)], aD * bD)
 
-    # -- signs ---------------------------------------------------------------
+    # -- signs and enclosures ------------------------------------------------
 
-    def _fixed_point(self) -> tuple:
-        if self._B is None:
-            one = 1 << FILTER_BITS
+    def _fixed_point(self, K: int) -> tuple:
+        B = self._B.get(K)
+        if B is None:
+            one = 1 << K
             alpha = self.ctx.alpha
             width = Fraction(1, one << 4)
             while True:
@@ -988,20 +956,33 @@ class FollowerKernel:
                     if all((h - l) * one <= 1 for l, h in pows):
                         break
                 width /= 16
-            self._B = (one, *(round((l + h) * one / 2) for l, h in pows))
-        return self._B
+            B = self._B[K] = (one, *(round((l + h) * one / 2)
+                                     for l, h in pows))
+        return B
 
     def _sign_vector(self, u) -> int:
         """The sign of sum u_i beta^i for ints u_i."""
         if self.degree == 1:
             return (u[0] > 0) - (u[0] < 0)
-        B = self._fixed_point()
+        B = self._fixed_point(FILTER_BITS)
         sg = _filter_sign(sum(map(mul, u, B)), sum(map(abs, u[1:])))
-        return sg or self._exact_sign(u)
+        return sg or self._undecided_sign(u)
 
-    def _exact_sign(self, u) -> int:
+    def _undecided_sign(self, u) -> int:
+        """The sign of sum u_i beta^i that the filter left undecided at
+        K = 64: 0 for u = 0, else the filter at K = 128, 256, ..."""
+        if not any(u):
+            return 0
         self.fallbacks += 1
-        return self.element((*u, 1)).sign()
+        E = sum(map(abs, u[1:]))
+        K = FILTER_BITS
+        while K < SIGN_BITS_CAP:
+            K *= 2
+            sg = _filter_sign(sum(map(mul, u, self._fixed_point(K))), E)
+            if sg:
+                return sg
+        raise UndecidedComparison(f"sign not certified at {K} bits (is the "
+                                  "base polynomial irreducible?)")
 
     def sign(self, s) -> int:
         return self._sign_vector(s[:self.degree])
@@ -1011,6 +992,23 @@ class FollowerKernel:
         n = self.degree
         aD, bD = a[n], b[n]
         return self._sign_vector([a[i] * bD - b[i] * aD for i in range(n)])
+
+    def enclosure(self, s, width) -> tuple:
+        """[(S - E) / (2^K D), (S + E) / (2^K D)] at the least K that makes
+        it at most ``width`` wide."""
+        width = Fraction(width)
+        if width <= 0:
+            raise ValueError("width must be positive")
+        n, D = self.degree, s[self.degree]
+        E = sum(map(abs, s[1:n]))
+        if E == 0:
+            x = Fraction(s[0], D)
+            return (x, x)
+        K = FILTER_BITS
+        while 2 * E * width.denominator > (width.numerator * D) << K:
+            K *= 2
+        S = sum(map(mul, s[:n], self._fixed_point(K)))
+        return (Fraction(S - E, D << K), Fraction(S + E, D << K))
 
     def children(self, lo, hi, digits) -> Callable[[tuple], list]:
         """The function s -> [(s beta - d, d) for d in digits, kept where
@@ -1034,10 +1032,10 @@ class FollowerKernel:
                 return out
             return kids
 
-        B = self._fixed_point()
+        B = self._fixed_point(FILTER_BITS)
         one = B[0]
         lv, hv = lo[:n], hi[:n]
-        exact = self._exact_sign
+        undecided = self._undecided_sign
 
         def kids(s):
             w, Dq = self._shift(s)
@@ -1053,12 +1051,12 @@ class FollowerKernel:
             for d in digits:
                 sg = _filter_sign(Sl - d * ml * one, El)
                 if sg == 0:
-                    sg = exact([ul[0] - d * ml] + ul[1:])
+                    sg = undecided([ul[0] - d * ml] + ul[1:])
                 if sg < 0:
                     continue
                 sg = _filter_sign(Sh + d * mh * one, Eh)
                 if sg == 0:
-                    sg = exact([uh[0] + d * mh] + uh[1:])
+                    sg = undecided([uh[0] + d * mh] + uh[1:])
                 if sg < 0:
                     continue
                 x = [w[0] - d * Dq] + w[1:]

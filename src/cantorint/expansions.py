@@ -15,10 +15,12 @@ reduced by gcd(v, D).  The form is canonical, so equal values meet in
 dict and set lookups.  A step is a companion-matrix shift on ints.  A sign
 comes from a fixed-point filter: with ints B_i within 1 of beta^i 2^K and
 B_0 = 2^K, S = sum v_i B_i is within E = sum_(i>=1) |v_i| of 2^K sum v_i
-beta^i, so |S| > E proves that the value has the sign of S.  Otherwise
-(always for an exact 0) the kernel takes the exact Q(alpha) sign and
-counts a fallback.  A rational base p/q is degree 1, where E = 0 and the
-state (N, D) steps to (q N - d p D, p D).
+beta^i, so |S| > E proves that the value has the sign of S.  K starts at
+64 bits; a sign left undecided doubles K and counts a fallback.  The zero
+vector is an exact 0.  Because alpha's polynomial is irreducible, every
+other vector has a nonzero value, which the doubling filter certifies; on
+a reducible base it raises UndecidedComparison.  A rational base p/q is
+degree 1, where E = 0 and the state (N, D) steps to (q N - d p D, p D).
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ class BaseSystem:
         return self.ctx
 
     # frequently used exact quantities
-    @property
-    def alpha_el(self) -> QAlphaElement:
-        return self._require_ctx().alpha_element
-
     @cached_property
     def tail_unit(self) -> QAlphaElement:
         """alpha / (1 - alpha): the value of the all-ones tail."""

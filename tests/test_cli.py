@@ -233,6 +233,9 @@ class TestErrors:
         (("delta", "--alpha", "rat:2/5", "--length", "5001"),
          "LENGTH_MAX = 5000"),
         (("alpha-kl", "--width", "9.9e-41"), "AKL_WIDTH_MIN = 1e-40"),
+        # n2 may reach 4/tol; each n1 tries only its one candidate n2
+        (("dense-targets", "--alpha", "rat:7/20", "--targets", "0.123456789",
+          "--tol", "1e-7"), "no family word within tol"),
     ])
     def test_size_bounds_fail_fast(self, capsys, argv, bound):
         start = time.perf_counter()

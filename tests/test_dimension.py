@@ -483,6 +483,30 @@ class TestDenseTargets:
         for a in [F(j, 10) for j in range(11)] + [F(j, 7) for j in range(8)]:
             assert D._family_counts(a, tol, n2_cap) == fraction_search(a)
 
+    def test_closed_form_matches_loop_over_n2(self):
+        def loop_search(a, tol, n2_cap):  # every n2 for each n1, as it was
+            an, ad = a.numerator, a.denominator
+            tn, td = tol.numerator, tol.denominator
+            for n1 in range(1, 65):
+                for n2 in range(0, n2_cap + 1):
+                    m = 2 * n1 + n2
+                    if abs(n2 * ad - an * m) * td <= tn * ad * m:
+                        return (n1, n2)
+            return None
+
+        rng = random.Random(606)
+        found = 0
+        for _ in range(3000):
+            den = rng.randrange(1, 400)
+            a = F(rng.randrange(0, den + 1), den)
+            tol = F(rng.randrange(1, 4), rng.randrange(4, 80))
+            # the search's own cap, or a small one that cuts some off
+            n2_cap = rng.choice((int(4 / tol) + 4, rng.randrange(0, 40)))
+            want = loop_search(a, tol, n2_cap)
+            assert D._family_counts(a, tol, n2_cap) == want
+            found += want is not None
+        assert 0 < found < 3000
+
 
 class TestLiouville:
     def test_minimal_growth_two_fifths(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -241,6 +242,47 @@ def fraction_refine(coeffs, lo, hi, width):
 KERNEL_BASES = ("alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]",
                 "alg:1,-3,1@[1/3,1/2]", "alg:-1,2,2@[1/3,1/2]",
                 "alg:-2,4,1@[2/5,1/2]")
+# (x^2 + 2x - 1)(x - 3) with sqrt(2) - 1 isolated: the ring has zero
+# divisors, and alpha^2 + 2 alpha - 1 is a nonzero vector of value 0
+REDUCIBLE = "alg:3,-7,-1,1@[2/5,1/2]"
+
+
+def horner_enclosures(el, cap):
+    """Enclosures of a Q(alpha) element by Fraction interval Horner over
+    alpha enclosed at widths 1/16, 1/16^2, ..., at most ``cap`` of them:
+    the sign and enclosure route QAlphaElement had before the kernel."""
+    a = el.ctx.alpha
+    alpha = AlgebraicReal(a.coeffs, *a.interval())  # refined on its own
+    width = F(1, 16)
+    for _ in range(cap):
+        alo, ahi = alpha.refine(width)
+        lo = hi = F(0)
+        for c in reversed(el.coeffs):
+            p = (lo * alo, lo * ahi, hi * alo, hi * ahi)
+            lo, hi = min(p) + c, max(p) + c
+        yield lo, hi
+        width /= 16
+
+
+def reference_sign(el):
+    if el.is_zero():
+        return 0
+    if el.ctx.degree == 1:
+        return 1 if el.coeffs[0] > 0 else -1
+    for lo, hi in horner_enclosures(el, 256):
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise X.UndecidedComparison("reference sign not certified")
+
+
+def reference_enclosure(el, width):
+    if el.ctx.degree == 1:
+        return (el.coeffs[0], el.coeffs[0])
+    for lo, hi in horner_enclosures(el, 100_000):
+        if hi - lo <= width:
+            return (lo, hi)
 
 
 class TestIntegerBisection:
@@ -282,32 +324,37 @@ class TestFollowerKernel:
             d = rng.randrange(-2, 3)
             assert k.element(k.step(s, d)) == x * inv - d
             assert k.element(k.add(s, r)) == x + y
-            assert k.sign(s) == x.sign()
-            assert k.compare(s, r) == (x - y).sign()
-            lo, hi = sorted((x, y), key=lambda e: float(e))
+            assert k.sign(s) == reference_sign(x)
+            assert k.compare(s, r) == reference_sign(x - y)
+            lo, hi = (x, y) if reference_sign(x - y) <= 0 else (y, x)
             kids = k.children(k.state(lo), k.state(hi), range(-2, 3))(s)
             assert kids == [(k.state(x * inv - d), d) for d in range(-2, 3)
-                            if lo <= x * inv - d <= hi]
+                            if reference_sign(x * inv - d - lo) >= 0
+                            and reference_sign(hi - (x * inv - d)) >= 0]
         assert k.fallbacks == 0
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_margin_is_strict(self, text):
-        # zero, and a sum S equal to its bound E, go to the exact sign
+        # the zero vector is an exact 0 with no fallback; a sum S equal to
+        # its bound E is undecided at K = 64 and doubles K
         k = QAlphaContext(parse_real(text)).kernel
         n = k.degree
-        assert k.sign((0,) * n + (1,)) == 0 and k.fallbacks == 1
-        B = k._fixed_point()
+        assert k.sign((0,) * n + (1,)) == 0 and k.fallbacks == 0
+        B = k._fixed_point(X.FILTER_BITS)
         one = 1 << X.FILTER_BITS
         # v_0 + 2^K beta with v_0 = 1 - B_1: S = 2^K = E, value in (0, 2)
         v = (1 - B[1], one) + (0,) * (n - 2) + (1,)
         assert sum(a * b for a, b in zip(v, B)) == one
-        assert k.sign(v) == 1 and k.fallbacks == 2
+        assert 2 * X.FILTER_BITS not in k._B
+        assert k.sign(v) == 1 and k.fallbacks == 1
+        assert 2 * X.FILTER_BITS in k._B
+        assert reference_sign(k.element(v)) == 1
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_filter_near_zero_matches_exact_sign(self, text):
         # sums of size about 1 with coefficients about 2^K: the error
-        # bound is as large as the value, so the filter decides some and
-        # falls back on others, and every sign must be exact
+        # bound is as large as the value, so the 64-bit filter decides
+        # some and doubles K on others, and every sign must be exact
         ctx = QAlphaContext(parse_real(text))
         k = ctx.kernel
         n = k.degree
@@ -316,9 +363,79 @@ class TestFollowerKernel:
         decided = 0
         for _ in range(150):
             v = [0] + [rng.randrange(-span, span) for _ in range(n - 1)]
-            lo, _ = k.element((*v, 1)).value_enclosure(F(1, 4))
+            lo, _ = reference_enclosure(k.element((*v, 1)), F(1, 4))
             v[0] = -math.floor(lo) + rng.randrange(-2, 3)
             before = k.fallbacks
-            assert k.sign((*v, 1)) == k.element((*v, 1)).sign()
+            assert k.sign((*v, 1)) == reference_sign(k.element((*v, 1)))
             decided += k.fallbacks == before
         assert 0 < decided < 150
+
+
+def seeded_elements(ctx, rng, count):
+    """Random elements, each also minus a close rational, so that many
+    values lie within 2^-64 of 0; and the zero and a rational."""
+    out = [ctx.zero, ctx.embed(F(-7, 3))]
+    for _ in range(count):
+        x = ctx.element([F(rng.randrange(-60, 61), rng.randrange(1, 20))
+                         for _ in range(ctx.degree)])
+        lo, hi = reference_enclosure(x, F(1, 2**130))
+        near = ((lo + hi) / 2).limit_denominator(2**rng.randrange(8, 61))
+        out += [x, x - near]
+    return out
+
+
+class TestOneSignRoute:
+    """QAlphaElement's sign, enclosure and decimal string, all decided by
+    the follower kernel, against the interval-Horner route it replaced."""
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_sign_matches_interval_horner(self, text):
+        ctx = QAlphaContext(parse_real(text))
+        for x in seeded_elements(ctx, random.Random(text + "sign"), 40):
+            assert x.sign() == reference_sign(x)
+            assert (-x).sign() == -reference_sign(x)
+        assert ctx.kernel.fallbacks > 0  # some signs needed K = 128
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_enclosure_matches_interval_horner(self, text):
+        ctx = QAlphaContext(parse_real(text))
+        rng = random.Random(text + "enclosure")
+        for x in seeded_elements(ctx, rng, 8):
+            # a far narrower reference overlaps each enclosure: both hold x
+            rlo, rhi = reference_enclosure(x, F(1, 2**232))
+            for k in range(8, 201, 8):
+                width = F(1, 2**k)
+                lo, hi = x.value_enclosure(width)
+                assert lo <= hi and hi - lo <= width
+                assert X.enclosure(x, width) == (lo, hi)
+                assert lo <= rhi and rlo <= hi
+            if x.coeffs[1:] == (0,) * (ctx.degree - 1):  # rational: exact
+                assert x.value_enclosure(F(1, 4)) == (x.coeffs[0],) * 2
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_decimal_string_matches_interval_horner(self, text):
+        ctx = QAlphaContext(parse_real(text))
+        for x in seeded_elements(ctx, random.Random(text + "decimal"), 20):
+            lo, hi = reference_enclosure(x, F(1, 10**14))
+            want = repr(round(float((lo + hi) / 2), 12))
+            # a value within 5e-13 of 0 renders as 0.0 or -0.0, after
+            # the sign of its enclosure's midpoint
+            assert X.decimal_string(x) == want or \
+                float(X.decimal_string(x)) == float(want) == 0
+            assert abs(float(x) - float(lo)) <= 1e-13 * max(1, abs(float(lo)))
+
+    def test_reducible_base_raises_and_never_signs(self):
+        ctx = QAlphaContext(parse_real(REDUCIBLE))
+        a = ctx.alpha_element
+        zero = a * a + 2 * a - 1  # 0 in value, not as a vector
+        assert not zero.is_zero()
+        for el in (zero, -zero, 5 * zero):
+            start = time.perf_counter()
+            with pytest.raises(X.UndecidedComparison):
+                el.sign()
+            assert time.perf_counter() - start < 1
+        with pytest.raises(X.UndecidedComparison):
+            reference_sign(zero)
+        # nonzero values of the ring still get their signs
+        assert (a - F(2, 5)).sign() == 1 == reference_sign(a - F(2, 5))
+        assert (zero - F(1, 10**30)).sign() == -1

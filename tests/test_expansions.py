@@ -688,16 +688,21 @@ class TestFollowerKernel:
             assert got.status is want.status
             assert got.witness == want.witness
 
-    def test_interval_end_falls_back_to_exact_sign(self):
+    def test_interval_end_is_an_exact_zero(self):
         # high_tail is the fixed point u beta - 1 = u: each step lands on
-        # the interval's end, where the value hi - child is exactly 0
+        # the interval's end, where hi - child is the zero vector, an
+        # exact 0 that needs no fallback
         for base in KERNEL_BASES:
             sys = BaseSystem(X.parse_real(base), TERNARY)
+            kernel = sys.ctx.kernel
+            lo, hi = kernel.state(sys.low_tail()), kernel.state(sys.high_tail())
+            kids = kernel.children(lo, hi, (-1, 0, 1))
+            assert (hi, 1) in kids(hi) and (lo, -1) in kids(lo)
             for t in (sys.high_tail(), sys.low_tail()):
                 auto = E.build_expansion_automaton(sys, t)
                 assert auto.to_json_dict() == \
                     reference_automaton(sys, t, 10_000).to_json_dict()
-            assert sys.ctx.kernel.fallbacks >= 1
+            assert kernel.fallbacks == 0
 
     def test_no_fallbacks_on_pinned_automata(self):
         sys = cubic_base()
