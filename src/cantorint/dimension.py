@@ -511,10 +511,7 @@ def box_count_oracle(alpha, t, depth: int,
     if ctx is not None:
         search = expansions.GammaSearch(ctx, depth_cap=512)
         kernel = search.kernel
-        a_pows = [ctx.one]
-        for _ in range(depth):
-            a_pows.append(a_pows[-1] * ctx.alpha_element)
-        a_pows = [kernel.state(p) for p in a_pows]
+        a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
 
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
@@ -565,7 +562,7 @@ def box_count_oracle(alpha, t, depth: int,
              None if search is None else kernel.add(x, a_pows[k + 1]))
 
     walk(0, (0.0, 0.0), [t_iv],
-         None if search is None else kernel.state(-t_exact))
+         None if search is None else (-t_exact).state)
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]

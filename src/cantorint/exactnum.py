@@ -14,18 +14,22 @@ Four number kinds are supported:
 Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` at the requested precision.  The module
 also provides arithmetic in the number field Q(alpha) for alpha rational or
-algebraic (``QAlphaElement``), which backs every exact test in the expansion
-algorithms, and ``FollowerKernel``, the integer form of Q(alpha) on which
-the follower-value closures s -> s/alpha - d run.
+algebraic, which backs every exact test in the expansion algorithms.
+Q(alpha) has one representation: a state of ``FollowerKernel``, an integer
+vector over 1, alpha, ..., alpha^(n-1) with a denominator.  A
+``QAlphaElement`` is a handle on one state, and the follower-value
+closures s -> s/alpha - d step on the states themselves.
 
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
 isolates a root and yields the squarefree polynomial that defines it.
-The kernel's fixed-point filter decides every sign and enclosure in
-Q(alpha): an undecided sign doubles K from 64 bits up to a cap.  The zero
-vector is an exact 0.  Because alpha's polynomial is irreducible, every
-other vector has a nonzero value, which the doubling filter certifies; on
-a reducible base it raises ``UndecidedComparison``.
+The kernel does all Q(alpha) arithmetic on ints, and its fixed-point
+filter decides every sign and enclosure: an undecided sign doubles K from
+64 bits up to a cap.  The zero vector is an exact 0.  Because alpha's
+polynomial is irreducible, every other vector has a nonzero value, which
+the doubling filter certifies; on a reducible base it raises
+``UndecidedComparison``, and the inverse of a zero divisor raises
+``UnsupportedBase``.
 """
 
 from __future__ import annotations
@@ -525,15 +529,14 @@ def _compare_by_enclosure(a, b, precision) -> Comparison:
 class QAlphaContext:
     """The field Q(alpha) for alpha rational or algebraic.
 
-    Elements are canonical coefficient vectors of length ``degree`` (degree 1
-    for rational alpha, so elements collapse to plain rationals).  Products
-    are reduced modulo the defining polynomial, which must be irreducible for
-    every nonzero sign to be certified rather than raise; every base shipped
-    with this package satisfies that.
+    Elements are states of the field's :class:`FollowerKernel`, which does
+    all their arithmetic (degree 1 for rational alpha, so elements collapse
+    to plain rationals).  The defining polynomial must be irreducible for
+    every nonzero sign to be certified and every nonzero element to have an
+    inverse, rather than raise; every base shipped here satisfies that.
     """
 
     def __init__(self, alpha: RealNumber):
-        self._kernel = None
         if isinstance(alpha, int):
             alpha = Fraction(alpha)
         if isinstance(alpha, Fraction):
@@ -544,44 +547,20 @@ class QAlphaContext:
             self.alpha = alpha
             self.degree = alpha.degree
             self.key = ("alg", alpha.coeffs)
-            lead = Fraction(alpha.coeffs[-1])
-            monic = [Fraction(c) / lead for c in alpha.coeffs]
-            # reduction table: alpha^d .. alpha^(2d-2) as canonical vectors
-            d = self.degree
-            self._red = []
-            vec = [-c for c in monic[:-1]]  # alpha^d
-            self._red.append(tuple(vec))
-            for _ in range(d - 2):
-                vec = self._shift_reduce(vec)
-                self._red.append(tuple(vec))
-            self._monic = tuple(monic)
         else:
             raise UnsupportedBase(
                 "Q(alpha) arithmetic requires a rational or algebraic base")
-
-    def _shift_reduce(self, vec):
-        d = self.degree
-        out = [Fraction(0)] * d
-        top = vec[-1]
-        for i in range(d - 1):
-            out[i + 1] = vec[i]
-        if top:
-            red0 = self._red[0]
-            for i in range(d):
-                out[i] += top * red0[i]
-        return out
+        self.kernel = FollowerKernel(self)
 
     def element(self, coeffs) -> "QAlphaElement":
+        """sum coeffs[i] alpha^i, for any number of rational coeffs."""
         coeffs = [Fraction(c) for c in coeffs]
-        if self.degree == 1:
-            return QAlphaElement(self, (poly_eval(coeffs, self.alpha),))
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return QAlphaElement(self, tuple(coeffs))
+        D = lcm(*(c.denominator for c in coeffs))
+        return QAlphaElement(self, self.kernel.reduce(
+            [c.numerator * (D // c.denominator) for c in coeffs], D))
 
     def embed(self, value) -> "QAlphaElement":
-        return self.element([Fraction(value)] + [0] * (self.degree - 1))
+        return QAlphaElement(self, self.kernel.state(value))
 
     @property
     def zero(self):
@@ -593,87 +572,29 @@ class QAlphaContext:
 
     @property
     def alpha_element(self):
-        if self.degree == 1:
-            return self.embed(self.alpha)
         return self.element([0, 1])
-
-    def _reduce(self, coeffs):
-        d = self.degree
-        out = [Fraction(c) for c in coeffs[:d]]
-        out += [Fraction(0)] * (d - len(out))
-        for j in range(d, len(coeffs)):
-            c = coeffs[j]
-            if c == 0:
-                continue
-            red = self._red[j - d]
-            for i in range(d):
-                out[i] += c * red[i]
-        return out
-
-    def mul(self, a, b):
-        if self.degree == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * self.degree - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-        return tuple(self._reduce(prod))
-
-    def inverse(self, coeffs):
-        if self.degree == 1:
-            if coeffs[0] == 0:
-                raise ZeroDivisionError("division by zero in Q(alpha)")
-            return (1 / coeffs[0],)
-        if all(c == 0 for c in coeffs):
-            raise ZeroDivisionError("division by zero in Q(alpha)")
-        # extended Euclid: u * f + v * minpoly = gcd = constant
-        f = poly_trim(list(coeffs))
-        g = list(self._monic)
-        s0, s1 = [Fraction(1)], []
-        while poly_trim(g):
-            q, r = poly_divmod(f, g)
-            f, g = g, r
-            s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
-        if poly_degree(f) != 0:
-            raise UnsupportedBase(
-                "defining polynomial is not irreducible over Q")
-        c = f[0]
-        inv = [x / c for x in s0]
-        return tuple(self._reduce(inv))
-
-    @property
-    def kernel(self) -> "FollowerKernel":
-        """The integer follower-value kernel of this field, built once."""
-        if self._kernel is None:
-            self._kernel = FollowerKernel(self)
-        return self._kernel
 
     def __repr__(self):
         return f"QAlphaContext({self.alpha!r})"
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return poly_trim([x - y for x, y in zip(a, b)])
-
-
 class QAlphaElement:
-    """Canonical element of Q(alpha); immutable and hashable.
+    """Element of Q(alpha): a handle on a canonical state of the field's
+    :class:`FollowerKernel`, which does its arithmetic with elements of the
+    same context and with rationals, and decides its sign and enclosures.
+    Immutable and hashable."""
 
-    Supports field arithmetic with other elements of the same context and
-    with rationals.  ``sign()`` and ``value_enclosure`` convert the element
-    to a state of the field's :class:`FollowerKernel`, which decides both.
-    """
+    __slots__ = ("ctx", "state")
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: QAlphaContext, coeffs):
+    def __init__(self, ctx: QAlphaContext, state: tuple):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.state = state
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients over 1, alpha, ..., alpha^(n-1), as Fractions."""
+        D = self.state[-1]
+        return tuple(Fraction(v, D) for v in self.state[:-1])
 
     def _coerce(self, other):
         if isinstance(other, QAlphaElement):
@@ -688,8 +609,7 @@ class QAlphaElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QAlphaElement(self.ctx,
-                             tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return QAlphaElement(self.ctx, self.ctx.kernel.add(self.state, o.state))
 
     __radd__ = __add__
 
@@ -697,8 +617,9 @@ class QAlphaElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        kernel = self.ctx.kernel
         return QAlphaElement(self.ctx,
-                             tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+                             kernel.add(self.state, kernel.neg(o.state)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -707,13 +628,13 @@ class QAlphaElement:
         return o - self
 
     def __neg__(self):
-        return QAlphaElement(self.ctx, tuple(-a for a in self.coeffs))
+        return QAlphaElement(self.ctx, self.ctx.kernel.neg(self.state))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QAlphaElement(self.ctx, self.ctx.mul(self.coeffs, o.coeffs))
+        return QAlphaElement(self.ctx, self.ctx.kernel.mul(self.state, o.state))
 
     __rmul__ = __mul__
 
@@ -721,7 +642,7 @@ class QAlphaElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * QAlphaElement(self.ctx, self.ctx.inverse(o.coeffs))
+        return self * QAlphaElement(self.ctx, self.ctx.kernel.inverse(o.state))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -730,32 +651,28 @@ class QAlphaElement:
         return o / self
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.state[:-1])
 
     def sign(self) -> int:
-        kernel = self.ctx.kernel
-        return kernel.sign(kernel.state(self))
+        return self.ctx.kernel.sign(self.state)
 
     def value_enclosure(self, width):
-        kernel = self.ctx.kernel
-        return kernel.enclosure(kernel.state(self), width)
+        return self.ctx.kernel.enclosure(self.state, width)
 
     def to_fraction(self) -> Fraction:
-        if self.ctx.degree == 1:
-            return self.coeffs[0]
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        raise ValueError("element is not rational")
+        if any(self.state[1:-1]):
+            raise ValueError("element is not rational")
+        return Fraction(self.state[0], self.state[-1])
 
     # exact comparisons
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.state == o.state
 
     def __hash__(self):
-        return hash((self.ctx.key, self.coeffs))
+        return hash((self.ctx.key, self.state))
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -814,42 +731,48 @@ def _reduced(v, D: int) -> tuple:
 
 
 class FollowerKernel:
-    """Integer arithmetic for the follower values s -> s/alpha - d, and the
-    one place where a sign or an enclosure in Q(alpha) is decided.
+    """Integer arithmetic in Q(alpha), for the follower values s -> s/alpha
+    - d above all, and the one place where a sign or an enclosure in
+    Q(alpha) is decided.
 
     A state is a tuple ``(v_0, ..., v_(n-1), D)`` of ints, n the degree of
-    alpha, standing for sum v_i beta^i / D over the powers of beta =
-    1/alpha, with D > 0 and gcd(v_0, ..., v_(n-1), D) = 1.  The form is
-    canonical: equal values have equal tuples, so states are dict keys.
+    alpha, standing for sum v_i alpha^i / D, with D > 0 and gcd(v_0, ...,
+    v_(n-1), D) = 1.  The form is canonical: equal values have equal
+    tuples, so states are dict keys.  Every :class:`QAlphaElement` holds
+    one.
 
-    Step.  Let c_0 + c_1 x + ... + c x^n be the primitive integer minimal
-    polynomial of beta with c > 0.  Then s beta has the numerator
-    v'_0 = -v_(n-1) c_0, v'_i = c v_(i-1) - v_(n-1) c_i over c D, and
-    s beta - d subtracts d c D from v'_0; one gcd reduces the pair.  For
-    alpha = p/q this is (q N - d p D, p D).  For beta an algebraic integer
-    c = 1, so D never grows.
+    Step.  Let a_0 + a_1 x + ... + a_n x^n be the primitive integer
+    minimal polynomial of alpha with a_n > 0, and write c = |a_0| and r_i
+    = sign(a_0) a_(i+1), so that 1/alpha = -(r_0 + r_1 alpha + ... +
+    r_(n-1) alpha^(n-1)) / c.  Then s/alpha has the numerator w_i = c
+    v_(i+1) - v_0 r_i (with v_n = 0) over c D, and s/alpha - d subtracts
+    d c D from w_0; one gcd reduces the pair.  For alpha = p/q this is
+    (q N - d p D, p D).  When 1/alpha is an algebraic integer, c = 1, so D
+    never grows.  Products reduce modulo the polynomial on ints, and an
+    inverse solves a linear system by fraction-free Gauss-Jordan.
 
-    Sign.  D > 0, so a state has the sign of w = sum v_i beta^i.  The ints
-    B_i lie within 1 of beta^i 2^K, with B_0 = 2^K exactly, so S = sum v_i
-    B_i differs from 2^K w by at most E = sum_(i>=1) |v_i|.  If |S| > E,
-    2^K w lies strictly on the side of 0 that S does, which proves the
-    sign.  K starts at 64; a sign left undecided, counted in
+    Sign.  D > 0, so a state has the sign of w = sum v_i alpha^i.  The
+    ints B_i lie within 1 of alpha^i 2^K, with B_0 = 2^K exactly, so S =
+    sum v_i B_i differs from 2^K w by at most E = sum_(i>=1) |v_i|.  If |S|
+    > E, 2^K w lies strictly on the side of 0 that S does, which proves
+    the sign.  K starts at 64; a sign left undecided, counted in
     ``fallbacks``, doubles K up to ``SIGN_BITS_CAP`` and then raises
     ``UndecidedComparison``.  The zero vector has sign 0 with no fallback.
-    That is exact when alpha's polynomial is irreducible: 1, beta, ...,
-    beta^(n-1) are then independent over Q, so only v = 0 gives w = 0.  (A
-    nonzero v with w = 0 keeps |S| <= E at every K, so it raises.)  Degree
-    1 needs no filter: the sign is that of v_0.  When beta is a Pisot
-    number, Garsia's separation lemma (Garsia 1962) keeps nonzero values
-    with bounded integer coefficients away from 0, so the 64-bit filter
-    decides all but the exact zeros of a follower-value closure.  The same
-    sums enclose s in [(S - E) / (2^K D), (S + E) / (2^K D)], exact for a
-    rational value (E = 0).
+    That is exact when alpha's polynomial is irreducible: 1, alpha, ...,
+    alpha^(n-1) are then independent over Q, so only v = 0 gives w = 0.
+    (A nonzero v with w = 0 keeps |S| <= E at every K, so it raises.)
+    Degree 1 needs no filter: the sign is that of v_0.  When 1/alpha is a
+    Pisot number, Garsia's separation lemma (Garsia 1962) keeps nonzero
+    values with bounded integer coefficients away from 0, so the 64-bit
+    filter decides all but the exact zeros of a follower-value closure.
+    The same sums enclose s in [(S - E) / (2^K D), (S + E) / (2^K D)],
+    exact for a rational value (E = 0).
 
-    Each B_i rounds the midpoint of an enclosure of beta^i 2^K at most 1
-    wide, so it is within 1/2 + 1/2 of beta^i 2^K.  The enclosures come
-    from alpha's isolating interval, halved without storing the result;
-    they are computed at the first sign that needs them, once per K.
+    Each B_i rounds the midpoint of an enclosure of alpha^i 2^K at most 1
+    wide, so it is within 1/2 + 1/2 of alpha^i 2^K.  The enclosures are
+    the powers of alpha's isolating interval, halved without storing the
+    result; they are computed at the first sign that needs them, once per
+    K.
     """
 
     def __init__(self, ctx: QAlphaContext):
@@ -859,78 +782,62 @@ class FollowerKernel:
             a = (-ctx.alpha.numerator, ctx.alpha.denominator)
         else:
             a = ctx.alpha.coeffs
-        rev = list(reversed(a))  # beta = 1/alpha is a root of the reverse
-        if rev[-1] == 0:
+        if a[0] == 0:
             raise UnsupportedBase("the polynomial of alpha must have a "
                                   "nonzero constant term")
-        if rev[-1] < 0:
-            rev = [-c for c in rev]
-        self.lead = rev[-1]
-        self.low = tuple(rev[:-1])  # c_0 .. c_(n-1)
-        # beta^i in the alpha basis, over one common denominator; beta =
-        # -(a_1 + a_2 alpha + ... + a_n alpha^(n-1)) / a_0
-        beta = tuple(Fraction(-x, a[0]) for x in a[1:])
-        rows = [ctx.one.coeffs]
-        for _ in range(n - 1):
-            rows.append(ctx.mul(rows[-1], beta))
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-        self._to_alpha = [tuple(int(x * den) for x in row) for row in rows]
-        self._to_alpha_den = den
-        # alpha^j in the beta basis: alpha x moves v_i to v_(i-1), and
-        # beta^-1 = -(c_1 + c_2 beta + ... + c beta^(n-1)) / c_0
-        inv = [Fraction(-c, rev[0]) for c in rev[1:]]
-        col = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        self._to_beta = [col]
-        for _ in range(n - 1):
-            col = [col[i + 1] + col[0] * inv[i] for i in range(n - 1)] + \
-                [col[0] * inv[n - 1]]
-            self._to_beta.append(col)
+        self.poly = a  # a_0 .. a_n, a_n > 0
+        sg = 1 if a[0] > 0 else -1
+        self.c = sg * a[0]
+        self.r = tuple(sg * x for x in a[1:])  # r_0 .. r_(n-1)
         self._B: dict = {}  # K -> (B_0, ..., B_(n-1))
         self.fallbacks = 0
 
-    # -- conversions ---------------------------------------------------------
+    # -- states --------------------------------------------------------------
 
     def state(self, x) -> tuple:
-        """The state of a :class:`QAlphaElement` or a rational."""
-        if not isinstance(x, QAlphaElement):
-            x = self.ctx.embed(Fraction(x))
-        n = self.degree
-        b = [Fraction(0)] * n
-        for a, col in zip(x.coeffs, self._to_beta):
-            if a:
-                for i in range(n):
-                    b[i] += a * col[i]
-        D = 1
-        for y in b:
-            D = lcm(D, y.denominator)
-        return _reduced([int(y * D) for y in b], D)
+        """The state of a :class:`QAlphaElement` (its own) or a rational."""
+        if isinstance(x, QAlphaElement):
+            return x.state
+        x = Fraction(x)
+        return (x.numerator, *(0,) * (self.degree - 1), x.denominator)
 
     def element(self, s) -> QAlphaElement:
         """The :class:`QAlphaElement` of a state."""
-        n = self.degree
-        if n == 1:
-            return QAlphaElement(self.ctx, (Fraction(s[0], s[1]),))
-        den = s[n] * self._to_alpha_den
-        rows = self._to_alpha
-        return QAlphaElement(self.ctx, tuple(
-            Fraction(sum(s[i] * rows[i][j] for i in range(n)), den)
-            for j in range(n)))
+        return QAlphaElement(self.ctx, s)
 
     # -- arithmetic ----------------------------------------------------------
 
+    def reduce(self, u, D: int) -> tuple:
+        """The state of sum u_i alpha^i / D for any number of ints u_i and
+        D > 0: Horner's rule on ints from the top n coefficients down, each
+        step v -> v alpha + u_j reduced modulo alpha's polynomial."""
+        lead = self.poly[-1]
+        k = max(len(u) - self.degree, 0)
+        v = list(u[k:]) + [0] * (self.degree + k - len(u))
+        S = 1  # v / S = u_j + u_(j+1) alpha + ..., j the last index done
+        for c in reversed(u[:k]):
+            S *= lead
+            v = self._times_alpha(v)
+            v[0] += c * S
+        return _reduced(v, S * D)
+
+    def _times_alpha(self, v) -> list:
+        """a_n alpha v for an int vector v: a shift, with a_n alpha^n =
+        -(a_0 + a_1 alpha + ... + a_(n-1) alpha^(n-1))."""
+        a, top = self.poly, v[-1]
+        return [-top * a[0]] + [a[-1] * v[i - 1] - top * a[i]
+                                for i in range(1, self.degree)]
+
     def _shift(self, s):
-        """Numerator and denominator of s beta, unreduced."""
-        n, c, low = self.degree, self.lead, self.low
-        top = s[n - 1]
-        w = [-top * low[0]]
-        w += [c * s[i - 1] - top * low[i] for i in range(1, n)]
+        """Numerator and denominator of s/alpha, unreduced."""
+        n, c, r = self.degree, self.c, self.r
+        v0 = s[0]
+        w = [c * s[i + 1] - v0 * r[i] for i in range(n - 1)]
+        w.append(-v0 * r[n - 1])
         return w, c * s[n]
 
     def step(self, s, d: int) -> tuple:
-        """The state of s beta - d."""
+        """The state of s/alpha - d."""
         w, D = self._shift(s)
         w[0] -= d * D
         return _reduced(w, D)
@@ -939,6 +846,52 @@ class FollowerKernel:
         n = self.degree
         aD, bD = a[n], b[n]
         return _reduced([a[i] * bD + b[i] * aD for i in range(n)], aD * bD)
+
+    def neg(self, s) -> tuple:
+        return (*(-x for x in s[:-1]), s[-1])
+
+    def mul(self, a, b) -> tuple:
+        n = self.degree
+        prod = [0] * (2 * n - 1)
+        for i in range(n):
+            x = a[i]
+            if x:
+                for j in range(n):
+                    prod[i + j] += x * b[j]
+        return self.reduce(prod, a[n] * b[n])
+
+    def inverse(self, s) -> tuple:
+        """The state of 1/s.  For s = u/D it solves u y = D: with u alpha^j
+        = c_j / a_n^j, sum_j z_j c_j = D e_0 for z_j = y_j / a_n^j, by
+        fraction-free Gauss-Jordan (Bareiss), whose divisions are exact.  A
+        zero determinant means u is a zero divisor."""
+        n, lead = self.degree, self.poly[-1]
+        u = list(s[:n])
+        if not any(u):
+            raise ZeroDivisionError("division by zero in Q(alpha)")
+        cols = [u]
+        for _ in range(n - 1):
+            cols.append(self._times_alpha(cols[-1]))
+        rows = [[col[i] for col in cols] + [s[n] if i == 0 else 0]
+                for i in range(n)]
+        prev = 1
+        for k in range(n):
+            p = next((i for i in range(k, n) if rows[i][k]), None)
+            if p is None:
+                raise UnsupportedBase(
+                    "defining polynomial is not irreducible over Q")
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for i in range(n):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(pivot * x - f * y) // prev
+                               for x, y in zip(rows[i], pivot_row)]
+            prev = pivot
+        sg = -1 if prev < 0 else 1
+        return _reduced([sg * rows[j][n] * lead**j for j in range(n)],
+                        sg * prev)
 
     # -- signs and enclosures ------------------------------------------------
 
@@ -950,9 +903,8 @@ class FollowerKernel:
             width = Fraction(1, one << 4)
             while True:
                 lo, hi = _bisect(alpha.coeffs, *alpha.interval(), width)
-                if lo > 0:
-                    blo, bhi = 1 / hi, 1 / lo
-                    pows = [(blo**i, bhi**i) for i in range(1, self.degree)]
+                if lo >= 0:  # alpha^i is then increasing over [lo, hi]
+                    pows = [(lo**i, hi**i) for i in range(1, self.degree)]
                     if all((h - l) * one <= 1 for l, h in pows):
                         break
                 width /= 16
@@ -961,7 +913,7 @@ class FollowerKernel:
         return B
 
     def _sign_vector(self, u) -> int:
-        """The sign of sum u_i beta^i for ints u_i."""
+        """The sign of sum u_i alpha^i for ints u_i."""
         if self.degree == 1:
             return (u[0] > 0) - (u[0] < 0)
         B = self._fixed_point(FILTER_BITS)
@@ -969,7 +921,7 @@ class FollowerKernel:
         return sg or self._undecided_sign(u)
 
     def _undecided_sign(self, u) -> int:
-        """The sign of sum u_i beta^i that the filter left undecided at
+        """The sign of sum u_i alpha^i that the filter left undecided at
         K = 64: 0 for u = 0, else the filter at K = 128, 256, ..."""
         if not any(u):
             return 0
@@ -1011,16 +963,16 @@ class FollowerKernel:
         return (Fraction(S - E, D << K), Fraction(S + E, D << K))
 
     def children(self, lo, hi, digits) -> Callable[[tuple], list]:
-        """The function s -> [(s beta - d, d) for d in digits, kept where
-        lo <= s beta - d <= hi].  ``lo`` and ``hi`` are states, or any
+        """The function s -> [(s/alpha - d, d) for d in digits, kept where
+        lo <= s/alpha - d <= hi].  ``lo`` and ``hi`` are states, or any
         (v..., D) tuples with D > 0; digits keep their order."""
-        n, c, low = self.degree, self.lead, self.low
+        n, c = self.degree, self.c
         lD, hD = lo[n], hi[n]
         if n == 1:
-            c0, l0, h0 = low[0], lo[0], hi[0]
+            r0, l0, h0 = self.r[0], lo[0], hi[0]
 
             def kids(s):
-                w, Dq = -c0 * s[0], c * s[1]
+                w, Dq = -r0 * s[0], c * s[1]
                 lb, hb = l0 * Dq, h0 * Dq
                 out = []
                 for d in digits:
@@ -1129,6 +1081,15 @@ def decimal_string(x, digits: int = 12) -> str:
     The string is the shortest float repr of the enclosure midpoint; the
     enclosure is tightened until it is narrower than one unit in the last
     requested digit, so the rendering never feeds back into computation.
+    A value that rounds to zero renders as ``-0.0`` exactly when its
+    certified sign is negative, so the string depends on the value alone.
     """
     lo, hi = enclosure(x, Fraction(1, 10**(digits + 2)))
-    return repr(round(float((lo + hi) / 2), digits))
+    r = round(float((lo + hi) / 2), digits)
+    if r == 0:
+        if isinstance(x, QAlphaElement):
+            negative = x.sign() < 0
+        else:
+            negative = compare(x, Fraction(0)) is Comparison.LESS
+        r = -0.0 if negative else 0.0
+    return repr(r)

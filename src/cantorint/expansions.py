@@ -10,17 +10,20 @@ explicitly says UNDECIDED.
 The closures under s -> s/alpha - d (the digit loop of an algebraic base,
 the expansion automaton and the Gamma membership search) step on the
 states of :class:`exactnum.FollowerKernel`: an integer vector v over 1,
-beta, ..., beta^(n-1), with beta = 1/alpha, over a denominator D > 0,
-reduced by gcd(v, D).  The form is canonical, so equal values meet in
-dict and set lookups.  A step is a companion-matrix shift on ints.  A sign
-comes from a fixed-point filter: with ints B_i within 1 of beta^i 2^K and
-B_0 = 2^K, S = sum v_i B_i is within E = sum_(i>=1) |v_i| of 2^K sum v_i
-beta^i, so |S| > E proves that the value has the sign of S.  K starts at
-64 bits; a sign left undecided doubles K and counts a fallback.  The zero
-vector is an exact 0.  Because alpha's polynomial is irreducible, every
-other vector has a nonzero value, which the doubling filter certifies; on
-a reducible base it raises UndecidedComparison.  A rational base p/q is
-degree 1, where E = 0 and the state (N, D) steps to (q N - d p D, p D).
+alpha, ..., alpha^(n-1) over a denominator D > 0, reduced by gcd(v, D).
+Every QAlphaElement holds such a state, so values pass between the
+closures and Q(alpha) arithmetic with no conversion.  The form is
+canonical, so equal values meet in dict and set lookups.  A step is a
+companion-matrix shift on ints, by 1/alpha = -(a_1 + a_2 alpha + ... +
+a_n alpha^(n-1)) / a_0.  A sign comes from a fixed-point filter: with
+ints B_i within 1 of alpha^i 2^K and B_0 = 2^K, S = sum v_i B_i is within
+E = sum_(i>=1) |v_i| of 2^K sum v_i alpha^i, so |S| > E proves that the
+value has the sign of S.  K starts at 64 bits; a sign left undecided
+doubles K and counts a fallback.  The zero vector is an exact 0.  Because
+alpha's polynomial is irreducible, every other vector has a nonzero
+value, which the doubling filter certifies; on a reducible base it raises
+UndecidedComparison.  A rational base p/q is degree 1, where E = 0 and
+the state (N, D) steps to (q N - d p D, p D).
 """
 
 from __future__ import annotations
@@ -230,16 +233,16 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
     N_k / (b p^k), with b the denominator of y, so integers do the work: d
     is the largest with q N_k > d b p^(k+1) (>= for greedy), N_(k+1) =
     q N_k - d b p^(k+1), and the key is N_(k+1).  It pins the remainder
-    only for p = 1, where the scale b p^k stays b.  Other bases step on
-    the states of the field's :class:`exactnum.FollowerKernel`, which are
-    canonical and so are the keys.
+    only for p = 1, where the scale b p^k stays b.  Unlike the kernel's
+    step, this loop takes no gcd per digit; it is the faster path for
+    degree 1.  Other bases step y's kernel state, canonical and so the
+    key.
     """
     M = sys.M
     ctx = sys.ctx
     if ctx.degree == 1:
         p, q = ctx.alpha.numerator, ctx.alpha.denominator
-        start = y.coeffs[0]
-        num, scale = start.numerator, start.denominator
+        num, scale = y.state
         while True:
             scale *= p
             qn = q * num
@@ -253,7 +256,7 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
             num = qn - d * scale
             yield d, num
     kernel = ctx.kernel
-    y = kernel.state(y)
+    y = y.state
     floor = 0 if strict else -1
     while True:
         for d in range(M, -1, -1):
@@ -574,11 +577,11 @@ def build_expansion_automaton(sys: BaseSystem, t,
 
     The closure runs on the integer states of the base's
     :class:`exactnum.FollowerKernel`, whose certified signs decide interval
-    membership and whose canonical form deduplicates states; each state
-    converts to Q(alpha) once, at the end.  For alpha the reciprocal of a
-    Pisot number and t in Q(alpha) the closure is finite; the state cap
-    guards other bases and yields a partial automaton flagged
-    ``complete=False``.
+    membership and whose canonical form deduplicates states; they are the
+    states QAlphaElements hold, so nothing converts.  For alpha the
+    reciprocal of a Pisot number and t in Q(alpha) the closure is finite;
+    the state cap guards other bases and yields a partial automaton
+    flagged ``complete=False``.
     """
     t_el = sys.embed(t)
     lo = sys.low_tail()
@@ -586,9 +589,9 @@ def build_expansion_automaton(sys: BaseSystem, t,
     if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
     kernel = sys.ctx.kernel
-    children = kernel.children(kernel.state(lo), kernel.state(hi),
+    children = kernel.children(lo.state, hi.state,
                                range(sys.alphabet.low, sys.alphabet.high + 1))
-    first = kernel.state(t_el)
+    first = t_el.state
     states = [first]
     index = {first: 0}
     succ: list = []
@@ -613,25 +616,12 @@ def build_expansion_automaton(sys: BaseSystem, t,
 def seq_value(sys: BaseSystem, seq: Union[FiniteWord, EPSeq]) -> QAlphaElement:
     """Exact value sum seq_i alpha^i in Q(alpha)."""
     ctx = sys._require_ctx()
-    a = ctx.alpha_element
-
-    def horner(digits):
-        acc = ctx.zero
-        for d in reversed(list(digits)):
-            acc = (acc + d) * a
-        return acc
-
     if isinstance(seq, FiniteWord):
-        return horner(seq.digits)
+        return ctx.element([0, *seq.digits])
     p, q = len(seq.pre), len(seq.per)
-    a_p = ctx.one
-    for _ in range(p):
-        a_p = a_p * a
-    a_q = ctx.one
-    for _ in range(q):
-        a_q = a_q * a
-    per_val = horner(seq.per)
-    return horner(seq.pre) + a_p * per_val / (ctx.one - a_q)
+    # pre, then alpha^p per / (1 - alpha^q)
+    return ctx.element([0, *seq.pre]) + ctx.element([0] * p + [0, *seq.per]) \
+        / (ctx.one - ctx.element([0] * q + [1]))
 
 
 class GammaStatus(Enum):
@@ -658,7 +648,8 @@ class GammaSearch:
     searched fully with no cap hit (OUT) and ``live`` the values on a path
     that reached a cycle or a live value (IN); a value cut short enters
     neither, so sharing never changes a verdict a fresh search certifies.
-    Values are states of the field's :class:`exactnum.FollowerKernel`.
+    Values are states of the field's :class:`exactnum.FollowerKernel`, as
+    QAlphaElements hold them.
     """
 
     def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
@@ -668,7 +659,7 @@ class GammaSearch:
         self.node_cap = node_cap
         kernel = self.kernel = ctx.kernel
         a = ctx.alpha_element
-        self.bound = kernel.state(a / (ctx.one - a))
+        self.bound = (a / (ctx.one - a)).state
         self._children = kernel.children((0,) * kernel.degree + (1,),
                                          self.bound, (0, 1))
         self.dead: set = set()  # kernel states

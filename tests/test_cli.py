@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,65 @@ class TestDeterminism:
                          "--alpha", "alg:-1,1,2,2@[2/5,1/2]",
                          "--t", "sum-neg-alpha")
         assert out1 == out2
+
+
+CUBIC = "alg:-1,1,2,2@[2/5,1/2]"
+SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
+
+# SHA-256 of `cantor --json` stdout, followed by the --export file where
+# there is one.  Every automaton here has at most 24 rows, so lambda comes
+# from the characteristic polynomial and no digest depends on numpy's
+# eigenvectors.  CI runs these under two hash seeds as well, which pins the
+# output order across processes.
+GOLDEN = [
+    (("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
+      "--export", "ex51.json"),
+     "9f481b80305c731a9bdc1e3d10064eb6a94f24769ea47fc03b839b204e38af3b"),
+    (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "ex52",
+      "--export", "ex52.json"),
+     "f54908c2b3c65e4409487b6534b05b1e4434ae69a156b96c6406d58254b7ecbb"),
+    (("boxcount", "--alpha", CUBIC, "--t", "sum-neg-alpha", "--depth", "12"),
+     "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
+    (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
+      "--algorithm", "greedy"),
+     "be84b0f343331d620589f32710cd39879713b4b327e6e03052572b71994de12a"),
+    (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
+      "--algorithm", "quasi-greedy"),
+     "7ff51f79993fcb797a21a74dfb13c4959946bbd2d7533aad675acdb2bc56d115"),
+    (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
+      "--algorithm", "greedy"),
+     "ade46100c4d548674c2001dffb934e5be277fb1d6424abc0260904ef28cdd44c"),
+    (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
+      "--algorithm", "quasi-greedy"),
+     "78fcafd31466aea1452151f38f01ba07892d4e548b4b248e9f5a505407c4075a"),
+    (("delta", "--alpha", CUBIC, "--length", "40"),
+     "0f7035d83852e0a35ebdbe8996c5431372dbf3c6df4389c32df6e608a6d2c535"),
+    (("delta", "--alpha", SQRT2_MINUS_1, "--length", "40"),
+     "d6034eda8014debb93915a43a348dddeba858923d4ee6ae798a3bbc809962a3c"),
+    (("delta", "--alpha", "rat:2/5", "--length", "40"),
+     "ec32a38ad057523682e9fad8bb850be71e21d302df95d070a11036cea2588e1e"),
+    (("dset", "--alpha", "akl"),
+     "f4e7c2a4a52791a7e608b8a75a6f6854e4b86a50beb3fb4286cd7f21e206abf0"),
+    (("dset", "--alpha", "rat:21/50"),
+     "82a1c8d1513fad20cdb483bcf61609b622e0d1469b283ce44b691662b2cdbb48"),
+    (("unique", "--alpha", CUBIC, "--t-seq", "(-+)"),
+     "10cfc90fdc7b54f2672c9a7745ed9d070431f6bc5f36396108a5fdb3166b6c6f"),
+    (("selfsimilar", "--alpha", "rat:9/25", "--t-seq", "(+-+-000)"),
+     "9e80a3f50197cd35c048d31c477a7e2cded64cb5a2adde0a1cea8748c52863b4"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv,digest", GOLDEN,
+                             ids=[" ".join(a[:5:2]) for a, _ in GOLDEN])
+    def test_json_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)  # the export name in stdout is fixed
+        code, out, _ = run(capsys, "--json", *argv)
+        data = out.encode()
+        if "--export" in argv:
+            data += (tmp_path / argv[-1]).read_bytes()
+        assert code == 0
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestErrors:

@@ -285,6 +285,59 @@ def reference_enclosure(el, width):
             return (lo, hi)
 
 
+# The Fraction field arithmetic QAlphaContext had before its elements became
+# kernel states: coefficient vectors over 1, alpha, ..., alpha^(d-1).
+
+def reference_reduce(ctx, coeffs):
+    """sum coeffs[i] alpha^i as a vector, by a table of alpha^d, alpha^(d+1),
+    ... reduced modulo alpha's monic polynomial."""
+    coeffs = [F(c) for c in coeffs]
+    if ctx.degree == 1:
+        return (X.poly_eval(coeffs, ctx.alpha),)
+    d = ctx.degree
+    lead = ctx.alpha.coeffs[-1]
+    red = [[F(-c, lead) for c in ctx.alpha.coeffs[:-1]]]  # alpha^d
+    while len(red) < len(coeffs) - d:
+        prev = red[-1]  # alpha times prev, its alpha^d term reduced
+        red.append([x + prev[-1] * y
+                    for x, y in zip([F(0)] + prev[:-1], red[0])])
+    out = coeffs[:d] + [F(0)] * (d - len(coeffs))
+    for j in range(d, len(coeffs)):
+        for i in range(d):
+            out[i] += coeffs[j] * red[j - d][i]
+    return tuple(out)
+
+
+def reference_mul(ctx, a, b):
+    prod = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return reference_reduce(ctx, prod)
+
+
+def reference_inverse(ctx, a):
+    """Extended Euclid over the rationals: u a + v p = gcd(a, p), constant
+    exactly when a is no zero divisor modulo alpha's polynomial p."""
+    if not any(a):
+        raise ZeroDivisionError("division by zero in Q(alpha)")
+    if ctx.degree == 1:
+        return (1 / a[0],)
+    f, g = X.poly_trim(list(a)), [F(c) for c in ctx.alpha.coeffs]
+    s0, s1 = [F(1)], []
+    while X.poly_trim(g):
+        q, r = X.poly_divmod(f, g)
+        f, g = g, r
+        qs = X.poly_mul(q, s1)
+        n = max(len(s0), len(qs))
+        s0, s1 = s1, X.poly_trim([x - y for x, y in
+                                  zip(s0 + [0] * (n - len(s0)),
+                                      qs + [0] * (n - len(qs)))])
+    if X.poly_degree(f) != 0:
+        raise X.UnsupportedBase("defining polynomial is not irreducible")
+    return reference_reduce(ctx, [x / f[0] for x in s0])
+
+
 class TestIntegerBisection:
     def test_matches_fraction_loop(self):
         rng = random.Random(41)
@@ -342,7 +395,7 @@ class TestFollowerKernel:
         assert k.sign((0,) * n + (1,)) == 0 and k.fallbacks == 0
         B = k._fixed_point(X.FILTER_BITS)
         one = 1 << X.FILTER_BITS
-        # v_0 + 2^K beta with v_0 = 1 - B_1: S = 2^K = E, value in (0, 2)
+        # v_0 + 2^K alpha with v_0 = 1 - B_1: S = 2^K = E, value in (0, 2)
         v = (1 - B[1], one) + (0,) * (n - 2) + (1,)
         assert sum(a * b for a, b in zip(v, B)) == one
         assert 2 * X.FILTER_BITS not in k._B
@@ -369,6 +422,64 @@ class TestFollowerKernel:
             assert k.sign((*v, 1)) == reference_sign(k.element((*v, 1)))
             decided += k.fallbacks == before
         assert 0 < decided < 150
+
+
+class TestIntegerField:
+    """QAlphaContext.element, * and / on kernel states against the Fraction
+    reduction, product and extended Euclid they replaced."""
+
+    @pytest.mark.parametrize("text", KERNEL_BASES + ("rat:2/5", "rat:3/7"))
+    def test_matches_fraction_field(self, text):
+        ctx = QAlphaContext(parse_real(text))
+        n = ctx.degree
+        rng = random.Random(text + "field")
+
+        def rand_vec(length):  # some zero entries, so pivots must move
+            return [F(rng.randrange(-30, 31), rng.randrange(1, 9))
+                    if rng.random() < 0.7 else F(0) for _ in range(length)]
+
+        for length in range(2 * n + 2):
+            for _ in range(6):
+                v = rand_vec(length)
+                assert ctx.element(v).coeffs == reference_reduce(ctx, v)
+        els = [ctx.alpha_element, ctx.one - ctx.alpha_element,
+               ctx.embed(F(-3, 7))]
+        els += [ctx.element(rand_vec(n)) for _ in range(30)]
+        inv_alpha = reference_inverse(ctx, ctx.alpha_element.coeffs)
+        for x in els:
+            s = x.state
+            assert s[-1] > 0 and math.gcd(*s) == 1
+            assert ctx.kernel.state(x) is s
+            for d in (-1, 0, 2):
+                want = list(reference_mul(ctx, x.coeffs, inv_alpha))
+                want[0] -= d
+                assert ctx.kernel.element(ctx.kernel.step(s, d)).coeffs == \
+                    tuple(want)
+            y = rng.choice(els)
+            assert (x * y).coeffs == reference_mul(ctx, x.coeffs, y.coeffs)
+            assert (x * 3).coeffs == tuple(3 * c for c in x.coeffs)
+            if x.is_zero():
+                continue
+            want = reference_mul(ctx, y.coeffs,
+                                 reference_inverse(ctx, x.coeffs))
+            assert (y / x).coeffs == want
+            assert (1 / x).coeffs == reference_inverse(ctx, x.coeffs)
+        with pytest.raises(ZeroDivisionError):
+            ctx.one / ctx.zero
+
+    def test_zero_divisor_raises(self):
+        ctx = QAlphaContext(parse_real(REDUCIBLE))
+        a = ctx.alpha_element
+        zero = a * a + 2 * a - 1  # a zero divisor: divides 0 by alpha - 3
+        assert zero * (a - 3) == ctx.zero
+        for el in (zero, -zero, 5 * zero, zero * (a + 1)):
+            with pytest.raises(X.UnsupportedBase):
+                ctx.one / el
+            with pytest.raises(X.UnsupportedBase):
+                reference_inverse(ctx, el.coeffs)
+        # elements prime to the polynomial still have their inverses
+        x = a - F(2, 5)
+        assert (1 / x).coeffs == reference_inverse(ctx, x.coeffs)
 
 
 def seeded_elements(ctx, rng, count):
@@ -418,11 +529,39 @@ class TestOneSignRoute:
         for x in seeded_elements(ctx, random.Random(text + "decimal"), 20):
             lo, hi = reference_enclosure(x, F(1, 10**14))
             want = repr(round(float((lo + hi) / 2), 12))
-            # a value within 5e-13 of 0 renders as 0.0 or -0.0, after
-            # the sign of its enclosure's midpoint
-            assert X.decimal_string(x) == want or \
-                float(X.decimal_string(x)) == float(want) == 0
+            if float(want) == 0:  # rounds to zero: the sign decides
+                want = "-0.0" if reference_sign(x) < 0 else "0.0"
+            assert X.decimal_string(x) == want
             assert abs(float(x) - float(lo)) <= 1e-13 * max(1, abs(float(lo)))
+
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_decimal_zero_follows_the_sign(self, text):
+        # x - q with q a close rational: |x - q| < 5e-13, so only the
+        # certified sign tells 0.0 from -0.0
+        ctx = QAlphaContext(parse_real(text))
+        assert X.decimal_string(ctx.zero) == "0.0"
+        rng = random.Random(text + "zero")
+        signs = set()
+        for _ in range(20):  # no zero coefficient: x is irrational
+            x = ctx.element([F(rng.choice((-1, 1)) * rng.randrange(1, 61),
+                               rng.randrange(1, 20))
+                             for _ in range(ctx.degree)])
+            lo, hi = reference_enclosure(x, F(1, 2**130))
+            tiny = x - ((lo + hi) / 2).limit_denominator(10**9)
+            assert 0 < abs(float(tiny)) < 5e-13
+            sg = reference_sign(tiny)
+            signs.add(sg)
+            assert X.decimal_string(tiny) == ("-0.0" if sg < 0 else "0.0")
+            assert X.decimal_string(-tiny) == ("0.0" if sg < 0 else "-0.0")
+        assert signs == {-1, 1}
+
+    def test_decimal_zero_of_other_kinds(self):
+        assert X.decimal_string(F(0)) == X.decimal_string(0) == "0.0"
+        assert X.decimal_string(F(-1, 10**20)) == "-0.0"
+        assert X.decimal_string(F(1, 10**20)) == "0.0"
+        assert X.decimal_string(AlgebraicReal([-1, 10**14], 0, 1)) == "0.0"
+        assert X.decimal_string(AlgebraicReal([1, 10**14], -1, 0)) == "-0.0"
+        assert X.decimal_string(F(-1, 3)) == "-0.333333333333"
 
     def test_reducible_base_raises_and_never_signs(self):
         ctx = QAlphaContext(parse_real(REDUCIBLE))

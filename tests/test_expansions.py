@@ -689,7 +689,7 @@ class TestFollowerKernel:
             assert got.witness == want.witness
 
     def test_interval_end_is_an_exact_zero(self):
-        # high_tail is the fixed point u beta - 1 = u: each step lands on
+        # high_tail is the fixed point u/alpha - 1 = u: each step lands on
         # the interval's end, where hi - child is the zero vector, an
         # exact 0 that needs no fallback
         for base in KERNEL_BASES:
