@@ -30,7 +30,8 @@ class CliError(Exception):
 # size limits, checked before anything is allocated
 TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
-AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 1.3 s at 1e-40
+AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 0.1 s at 1e-40
+STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3
 
 
 def _check_bound(flag: str, value: int, bound: int, name: str):
@@ -203,6 +204,7 @@ def _cmd_dim(args):
 
 
 def _cmd_intersect(args):
+    _check_bound("--state-cap", args.state_cap, STATE_CAP_MAX, "STATE_CAP_MAX")
     alpha = _parse_alpha(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)

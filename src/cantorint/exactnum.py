@@ -7,7 +7,7 @@ Four number kinds are supported:
   isolating interval containing exactly one of its real roots,
 * ``SeriesReal`` -- a lazily generated digit series ``sum d_i * r^i`` whose
   value is only ever reported as a rational interval (partial sum plus a
-  geometric tail bound),
+  geometric tail bound, both kept on ints),
 * ``EnclosedReal`` -- a number known only through its own nested
   enclosures, such as the bisection brackets of alpha_KL.
 
@@ -23,6 +23,8 @@ closures s -> s/alpha - d step on the states themselves.
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
 isolates a root and yields the squarefree polynomial that defines it.
+One int evaluator signs every polynomial at a rational, and one bisection
+refines every bracket, alpha_KL's too.
 The kernel does all Q(alpha) arithmetic on ints, and its fixed-point
 filter decides every sign and enclosure: an undecided sign doubles K from
 64 bits up to a cap.  The zero vector is an exact 0.  Because alpha's
@@ -37,6 +39,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence, Union
@@ -133,58 +136,64 @@ def poly_mul(a, b):
     return poly_trim(out)
 
 
+def _primitive(coeffs) -> list:
+    """The primitive integer polynomial c p, c > 0, of a rational p."""
+    fracs = [Fraction(c) for c in poly_trim(coeffs)]
+    D = lcm(*(c.denominator for c in fracs))
+    ints = [c.numerator * (D // c.denominator) for c in fracs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
 def poly_normalize(coeffs):
     """Integer-primitive form with positive leading coefficient.
 
     Used as the canonical key when deciding whether two algebraic reals
     carry the same defining polynomial.
     """
-    coeffs = poly_trim(coeffs)
-    if not coeffs:
-        return ()
-    fracs = [Fraction(c) for c in coeffs]
-    denom = 1
-    for c in fracs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
+    ints = _primitive(coeffs)
+    if ints and ints[-1] < 0:
         ints = [-c for c in ints]
     return tuple(ints)
 
 
-def sturm_chain(coeffs):
-    """p, p', then the negated remainders of Euclid's algorithm on them.
+def _scaled_value(coeffs, N: int, M: int) -> int:
+    """M^n p(N/M) = sum c_i N^i M^(n-i) for an integer polynomial p of
+    degree n, by Horner's rule on ints; for M > 0 it has the sign of p."""
+    acc, m = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        m *= M
+        acc = acc * N + c * m
+    return acc
 
-    The chain stops at the last nonzero remainder, so its last member is
-    gcd(p, p') up to a constant factor, for any nonconstant p.
+
+def _value_at(coeffs, x) -> int:
+    """An int with the sign of p(x) for a rational x."""
+    return _scaled_value(coeffs, x.numerator, x.denominator)
+
+
+def sturm_chain(coeffs):
+    """p, p', then the negated remainders of Euclid's algorithm on them,
+    each scaled by a positive rational to a primitive integer polynomial,
+    which keeps its signs.  The chain stops at the last nonzero remainder,
+    so its last member is gcd(p, p') up to a positive factor, for any
+    nonconstant p.
     """
-    chain = [poly_trim([Fraction(c) for c in coeffs])]
-    d = poly_derivative(chain[0])
-    if poly_trim(d):
-        chain.append(poly_trim(d))
-        while poly_degree(chain[-1]) > 0:
+    chain = [_primitive(coeffs)]
+    d = _primitive(poly_derivative(chain[0]))
+    if d:
+        chain.append(d)
+        while len(chain[-1]) > 1:
             _, rem = poly_divmod(chain[-2], chain[-1])
             if not rem:
                 break
-            chain.append([-c for c in rem])
+            chain.append(_primitive([-c for c in rem]))
     return chain
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
+    signs = [v > 0 for v in (_value_at(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def sturm_root_count(coeffs, lo: Fraction, hi: Fraction, chain=None) -> int:
@@ -210,17 +219,18 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     """
     lo, hi = Fraction(lo), Fraction(hi)
     chain = sturm_chain(coeffs)
-    if poly_eval(coeffs, lo) == 0 or poly_eval(coeffs, hi) == 0:
+    p = chain[0]  # coeffs as ints
+    if _value_at(p, lo) == 0 or _value_at(p, hi) == 0:
         raise NonIsolatingInterval("endpoint is a root; shift the interval")
     total = sturm_root_count(coeffs, lo, hi, chain)
     if total == 0:
         raise NonIsolatingInterval("no real root in the given interval")
     while total > 1:
         mid = (lo + hi) / 2
-        if poly_eval(coeffs, mid) == 0:
+        if _value_at(p, mid) == 0:
             # nudge the split point off the root
             mid = (lo + 2 * hi) / 3
-            if poly_eval(coeffs, mid) == 0:
+            if _value_at(p, mid) == 0:
                 raise NonIsolatingInterval("could not separate roots")
         upper = sturm_root_count(coeffs, mid, hi, chain)
         if upper >= 1:
@@ -233,37 +243,28 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     return AlgebraicReal(squarefree, lo, hi)
 
 
-def _bisect(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
-    """Halve an isolating interval of a root of the integer polynomial
-    ``coeffs`` until it is at most ``width`` wide; an endpoint that is a
-    root collapses the interval onto it.
+def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None):
+    """Halve a bracket [lo, hi] on the one sign change of f until it is at
+    most ``width`` wide; a point where f is 0 collapses it onto the point.
 
-    Every midpoint lies on the grid lo + (hi - lo) j / 2^s.  With lo = P/Q
-    and hi - lo = R/Q, the point (P 2^s + R j) / (Q 2^s) = N / M has the
-    sign of the integer sum c_i N^i M^(n-i), so the halvings run on ints.
+    ``value(N, M)`` is an int with the sign of f(N/M), M > 0, and ``up``
+    whether f > 0 at lo (None evaluates it).  Every midpoint lies on the
+    grid lo + (hi - lo) j / 2^s: with lo = P/Q and hi - lo = R/Q it is
+    (P 2^s + R j) / (Q 2^s), so the halvings run on ints.
     """
     if hi - lo <= width:
         return (lo, hi)
     Q = lcm(lo.denominator, hi.denominator)
     P = lo.numerator * (Q // lo.denominator)
     R = hi.numerator * (Q // hi.denominator) - P
-    top = coeffs[-1]
-    rest = coeffs[-2::-1]
-
-    def value(N, M):  # sum c_i N^i M^(n-i), by Horner
-        acc, m = top, 1
-        for c in rest:
-            m *= M
-            acc = acc * N + c * m
-        return acc
-
-    up = value(P, Q) > 0
+    if up is None:
+        up = value(P, Q) > 0
     j = s = 0
     scale = 1  # 2^s
     while R * width.denominator > width.numerator * Q * scale:
         s += 1
         if s > _BISECTION_CAP:
-            raise IterationLimit("algebraic refinement exceeded cap")
+            raise IterationLimit("bisection exceeded cap")
         j *= 2
         scale *= 2
         N = P * scale + R * (j + 1)
@@ -295,14 +296,15 @@ class AlgebraicReal:
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise NonIsolatingInterval("empty interval")
-        if poly_eval(self.coeffs, lo) == 0 or poly_eval(self.coeffs, hi) == 0:
+        vlo, vhi = _value_at(self.coeffs, lo), _value_at(self.coeffs, hi)
+        if vlo == 0 or vhi == 0:
             raise NonIsolatingInterval(
                 "interval endpoint is itself a root; use the rational directly")
         n = sturm_root_count(self.coeffs, lo, hi)
         if n != 1:
             raise NonIsolatingInterval(
                 f"interval ({lo}, {hi}) contains {n} roots, need exactly 1")
-        if poly_eval(self.coeffs, lo) * poly_eval(self.coeffs, hi) > 0:
+        if (vlo > 0) == (vhi > 0):
             raise NonIsolatingInterval(
                 "no sign change over the interval (even multiplicity?); "
                 "pass the squarefree part of the polynomial")
@@ -320,7 +322,8 @@ class AlgebraicReal:
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        self._lo, self._hi = _bisect(self.coeffs, self._lo, self._hi, width)
+        self._lo, self._hi = _bisect(partial(_scaled_value, self.coeffs),
+                                     self._lo, self._hi, width)
         return (self._lo, self._hi)
 
     def __float__(self):
@@ -343,13 +346,15 @@ class SeriesReal:
     """Value of ``sum_{i>=1} d_i * ratio^i`` for a lazy digit stream.
 
     ``digits(i)`` must be a pure, total function of ``i >= 1`` with values in
-    ``[digit_low, digit_high]``.  Enclosures are partial sums plus the exact
-    geometric bound on the remaining tail, so every returned interval
-    rigorously contains the value.
+    ``[digit_low, digit_high]``.  With ratio p/q, the first n terms sum to
+    one int S over q^n and the tail after them lies in [digit_low,
+    digit_high] p^(n+1) / (q^n (q - p)), so every enclosure rigorously
+    contains the value; ``enclosure(w)`` sums up to the least n
+    (``terms``) that makes it at most w wide.
     """
 
     __slots__ = ("digits", "ratio", "digit_low", "digit_high", "description",
-                 "_n", "_partial", "_pow")
+                 "terms", "_sum", "_pn", "_qn")
 
     def __init__(self, digits: Callable[[int], int], ratio, digit_low: int,
                  digit_high: int, description: str = ""):
@@ -362,30 +367,31 @@ class SeriesReal:
         self.digit_low = digit_low
         self.digit_high = digit_high
         self.description = description
-        self._n = 0
-        self._partial = Fraction(0)
-        self._pow = Fraction(1)  # ratio ** _n
-
-    def _tail_bounds(self):
-        geo = self._pow * self.ratio / (1 - self.ratio)
-        return (self.digit_low * geo, self.digit_high * geo)
+        self.terms = 0
+        self._sum = 0  # S, the partial sum times q^n
+        self._pn = self._qn = 1  # p^n, q^n
 
     def enclosure(self, width: Fraction):
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        span = self.digit_high - self.digit_low
+        p, q = self.ratio.numerator, self.ratio.denominator
+        low, high = self.digit_low, self.digit_high
+        over = (high - low) * p * width.denominator * self._pn
+        under = width.numerator * (q - p) * self._qn
         steps = 0
-        while True:
-            t_lo, t_hi = self._tail_bounds()
-            if span == 0 or t_hi - t_lo <= width:
-                return (self._partial + t_lo, self._partial + t_hi)
+        while over > under:
             steps += 1
             if steps > _BISECTION_CAP:
                 raise IterationLimit("series refinement exceeded cap")
-            self._n += 1
-            self._pow *= self.ratio
-            self._partial += self.digits(self._n) * self._pow
+            over, under = over * p, under * q
+            self.terms += 1
+            self._pn, self._qn = self._pn * p, self._qn * q
+            self._sum = self._sum * q + self.digits(self.terms) * self._pn
+        base, tail = self._sum * (q - p), self._pn * p
+        den = self._qn * (q - p)
+        return (Fraction(base + low * tail, den),
+                Fraction(base + high * tail, den))
 
     def __float__(self):
         lo, hi = self.enclosure(Fraction(1, 10**17))
@@ -491,8 +497,7 @@ def _flip(c: Comparison) -> Comparison:
 def _compare_rat_alg(q: Fraction, x: AlgebraicReal) -> Comparison:
     lo, hi = x.interval()
     if lo < hi:
-        v = poly_eval(x.coeffs, q)
-        if v == 0 and lo < q < hi:
+        if _value_at(x.coeffs, q) == 0 and lo < q < hi:
             return Comparison.EQUAL
         # q is not the denoted root, so bisection must separate them
         steps = 0
@@ -902,7 +907,8 @@ class FollowerKernel:
             alpha = self.ctx.alpha
             width = Fraction(1, one << 4)
             while True:
-                lo, hi = _bisect(alpha.coeffs, *alpha.interval(), width)
+                lo, hi = _bisect(partial(_scaled_value, alpha.coeffs),
+                                 *alpha.interval(), width)
                 if lo >= 0:  # alpha^i is then increasing over [lo, hi]
                     pows = [(lo**i, hi**i) for i in range(1, self.degree)]
                     if all((h - l) * one <= 1 for l, h in pows):

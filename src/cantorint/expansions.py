@@ -581,8 +581,10 @@ def build_expansion_automaton(sys: BaseSystem, t,
     states QAlphaElements hold, so nothing converts.  For alpha the
     reciprocal of a Pisot number and t in Q(alpha) the closure is finite;
     the state cap guards other bases and yields a partial automaton
-    flagged ``complete=False``.
+    flagged ``complete=False``; a cap under 1 raises ``ValueError``.
     """
+    if state_cap < 1:
+        raise ValueError(f"state cap must be at least 1, got {state_cap}")
     t_el = sys.embed(t)
     lo = sys.low_tail()
     hi = sys.high_tail()

@@ -128,35 +128,31 @@ _SERIES_CAP = 200_000
 
 
 def series_sign_at(a: Fraction, cap: int = _SERIES_CAP) -> int:
-    """Certified sign of F(a) for rational a in (0, 1).
-
-    Uses partial sums of the series with the geometric tail bound
-    0 <= tail <= 2 a^(N+1) / (1-a); the coefficients 1 + lambda_i lie in
-    [0, 2].  F has no rational zero in (1/3, 1/2) (its unique zero there is
-    transcendental), so the loop terminates for the inputs we feed it.
+    """Certified sign of F(a) for rational a in (0, 1), from enclosures of
+    ``SeriesReal(1 + lambda_i, a, 0, 2)`` at widths 2^-32, 2^-64, 2^-128,
+    ... until one excludes 1.  F has no rational zero in (1/3, 1/2) (its
+    unique zero there is transcendental), so this ends for the inputs we
+    feed it; ``IterationLimit`` once ``cap`` terms leave the sign undecided.
     """
     a = Fraction(a)
     if not 0 < a < 1:
         raise ValueError("series sign needs a in (0, 1)")
-    partial = Fraction(0)
-    power = Fraction(1)
-    i = 0
-    while i < cap:
-        i += 1
-        power *= a
-        partial += (1 + lam(i)) * power
-        tail_hi = 2 * power * a / (1 - a)
-        if partial - 1 > 0:
+    series = exactnum.SeriesReal(lambda i: 1 + lam(i), a, 0, 2)
+    width = Fraction(1, 2**32)
+    while series.terms < cap:
+        lo, hi = series.enclosure(width)
+        if lo > 1:
             return 1
-        if partial - 1 + tail_hi < 0:
+        if hi < 1:
             return -1
+        width *= width
     raise exactnum.IterationLimit("series sign undecided at cap")
 
 
 def alpha_kl_enclosure(width) -> tuple:
     """Rational interval of width <= ``width`` certified to contain alpha_KL.
 
-    Bisection on F, which is strictly increasing in a (all series
+    ``exactnum._bisect`` on F, which is strictly increasing in a (all series
     coefficients are nonnegative, infinitely many positive).  Successive
     calls refine a module-level bracket, so enclosures are nested.
     """
@@ -167,17 +163,10 @@ def alpha_kl_enclosure(width) -> tuple:
         if series_sign_at(_AKL_BRACKET[0]) >= 0 or series_sign_at(_AKL_BRACKET[1]) <= 0:
             raise exactnum.ExactnumError("alpha_KL bracket invalid")
         _AKL_CHECKED[0] = True
-    lo, hi = _AKL_BRACKET
-    steps = 0
-    while hi - lo > width:
-        steps += 1
-        if steps > 10_000:
-            raise exactnum.IterationLimit("alpha_KL bisection exceeded cap")
-        mid = (lo + hi) / 2
-        if series_sign_at(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    # series_sign_at is looked up at each midpoint N/M, so a wrapper
+    # installed on this module sees every call
+    lo, hi = exactnum._bisect(lambda N, M: series_sign_at(Fraction(N, M)),
+                              *_AKL_BRACKET, width, up=False)
     _AKL_BRACKET[0], _AKL_BRACKET[1] = lo, hi
     return (lo, hi)
 

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cantorint import thuemorse
 from cantorint.cli import main
 
 
@@ -230,6 +232,12 @@ GOLDEN = [
      "10cfc90fdc7b54f2672c9a7745ed9d070431f6bc5f36396108a5fdb3166b6c6f"),
     (("selfsimilar", "--alpha", "rat:9/25", "--t-seq", "(+-+-000)"),
      "9e80a3f50197cd35c048d31c477a7e2cded64cb5a2adde0a1cea8748c52863b4"),
+    (("alpha-kl", "--width", "1e-30"),
+     "a1bd7d8e456e08b40774e59d3d51d01ac85729f318958e3ed81738426a9435b9"),
+    (("liouville", "--pq", "3/8", "--k", "4"),
+     "6ea31ebeae838cb07af0ae8cd7c8727b08dc040b5456ead2a8cc670869e7f75f"),
+    (("dset", "--alpha", "rat:39/100"),
+     "baeeb2bd0319b1b2a6a0989fbdc6f8763613c4bf7dbb1be74bc8d69ceb03ce09"),
 ]
 
 
@@ -238,6 +246,10 @@ class TestGoldenOutput:
                              ids=[" ".join(a[:5:2]) for a, _ in GOLDEN])
     def test_json_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)  # the export name in stdout is fixed
+        # the alpha_KL bracket as a new process has it: earlier calls in
+        # this one may have narrowed it
+        monkeypatch.setattr(thuemorse, "_AKL_BRACKET",
+                            [Fraction(1, 3), Fraction(1, 2)])
         code, out, _ = run(capsys, "--json", *argv)
         data = out.encode()
         if "--export" in argv:
@@ -293,6 +305,12 @@ class TestErrors:
         (("delta", "--alpha", "rat:2/5", "--length", "5001"),
          "LENGTH_MAX = 5000"),
         (("alpha-kl", "--width", "9.9e-41"), "AKL_WIDTH_MIN = 1e-40"),
+        (("intersect", "--alpha", "rat:2/5", "--t", "rat:1/3",
+          "--state-cap", "100001"), "STATE_CAP_MAX = 100000"),
+        (("intersect", "--alpha", "rat:2/5", "--t", "rat:1/3",
+          "--state-cap", "0"), "state cap must be at least 1, got 0"),
+        (("intersect", "--alpha", "rat:2/5", "--t", "rat:1/3",
+          "--state-cap", "-3"), "state cap must be at least 1, got -3"),
         # n2 may reach 4/tol; each n1 tries only its one candidate n2
         (("dense-targets", "--alpha", "rat:7/20", "--targets", "0.123456789",
           "--tol", "1e-7"), "no family word within tol"),

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -350,10 +351,184 @@ class TestIntegerBisection:
             for _ in range(12):
                 width = F(1, rng.randrange(1, 2**rng.randrange(1, 90)))
                 want = fraction_refine(x.coeffs, *x.interval(), width)
-                assert X._bisect(x.coeffs, *x.interval(), width) == want
+                value = partial(X._scaled_value, x.coeffs)
+                assert X._bisect(value, *x.interval(), width) == want
                 assert x.refine(width) == want
         assert AlgebraicReal((-1, 2), F(0), F(1)).refine(F(1, 4)) == \
             (F(1, 2), F(1, 2))
+
+
+# The Fraction loops that the integer Sturm evaluation and the integer
+# series sum replaced.
+
+def reference_sign_variations(coeffs, x):
+    """Sign variations at x of the Sturm chain of p, built and evaluated in
+    Fractions with no rescaling of its members."""
+    chain = [X.poly_trim([F(c) for c in coeffs])]
+    d = X.poly_trim(X.poly_derivative(chain[0]))
+    if d:
+        chain.append(d)
+        while X.poly_degree(chain[-1]) > 0:
+            _, rem = X.poly_divmod(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    signs = []
+    for p in chain:
+        v = X.poly_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def reference_isolate(coeffs, lo, hi):
+    """isolate_largest_root's bisection on reference_sign_variations: the
+    squarefree polynomial and the isolating interval."""
+    def count(a, b):
+        return (reference_sign_variations(coeffs, a)
+                - reference_sign_variations(coeffs, b))
+
+    if X.poly_eval(coeffs, lo) == 0 or X.poly_eval(coeffs, hi) == 0:
+        raise X.NonIsolatingInterval("endpoint is a root")
+    total = count(lo, hi)
+    if total == 0:
+        raise X.NonIsolatingInterval("no root")
+    while total > 1:
+        mid = (lo + hi) / 2
+        if X.poly_eval(coeffs, mid) == 0:
+            mid = (lo + 2 * hi) / 3
+            if X.poly_eval(coeffs, mid) == 0:
+                raise X.NonIsolatingInterval("could not separate roots")
+        upper = count(mid, hi)
+        if upper >= 1:
+            lo, total = mid, upper
+        else:
+            hi = mid
+            total = count(lo, hi)
+    p = [F(c) for c in coeffs]
+    g = X.poly_trim(p)
+    dp = X.poly_trim(X.poly_derivative(g))
+    while dp:  # gcd(p, p') by Euclid
+        g, dp = dp, X.poly_divmod(g, dp)[1]
+    return X.poly_normalize(X.poly_divmod(p, g)[0]), (lo, hi)
+
+
+def reference_series_enclosure(digits, ratio, low, high, widths):
+    """SeriesReal.enclosure as it summed in Fractions: the enclosures that
+    one series returns for ``widths`` asked in turn."""
+    n, partial_sum, power = 0, F(0), F(1)
+    out = []
+    for width in widths:
+        while True:
+            geo = power * ratio / (1 - ratio)
+            t_lo, t_hi = low * geo, high * geo
+            if high == low or t_hi - t_lo <= width:
+                out.append((partial_sum + t_lo, partial_sum + t_hi))
+                break
+            n += 1
+            power *= ratio
+            partial_sum += digits(n) * power
+    return out
+
+
+def poly_from_roots(roots, quadratics=()):
+    """Integer coefficients of prod (b x - a) over roots a/b, times the
+    given integer quadratics."""
+    p = [F(1)]
+    for r in roots:
+        p = X.poly_mul(p, [-F(r).numerator, F(r).denominator])
+    for q in quadratics:
+        p = X.poly_mul(p, q)
+    return [int(c) for c in p]
+
+
+# (x - 1)^2 (x - 3) (x^2 - 2): on (0, 6] the first midpoint 3 is a root,
+# which forces the nudge to (lo + 2 hi) / 3
+NUDGED = poly_from_roots([1, 1, 3], [[-2, 0, 1]])
+
+
+class TestIntegerSturm:
+    def seeded_polys(self):
+        rng = random.Random(53)
+        polys = [NUDGED, poly_from_roots([2, 2, 2, -1, -1]),
+                 poly_from_roots([F(1, 2), F(1, 2), 3], [[1, 0, 1]])]
+        for _ in range(30):
+            roots = [F(rng.randrange(-12, 13), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(1, 5))]
+            roots += rng.sample(roots, rng.randrange(0, len(roots) + 1))
+            quads = [[rng.randrange(-5, 6), rng.randrange(-3, 4), 1]
+                     for _ in range(rng.randrange(0, 2))]
+            polys.append([rng.choice((-3, -1, 2)) * c
+                          for c in poly_from_roots(roots, quads)])
+        return rng, polys
+
+    def test_sign_variations_and_counts_match_fraction_chain(self):
+        rng, polys = self.seeded_polys()
+        for p in polys:
+            chain = X.sturm_chain(p)
+            assert all(isinstance(c, int) for q in chain for c in q)
+            points = [F(rng.randrange(-60, 61), rng.randrange(1, 9))
+                      for _ in range(12)] + [F(1), F(3), F(1, 2)]
+            for x in points:
+                assert X._sign_variations(chain, x) == \
+                    reference_sign_variations(p, x)
+            for a, b in zip(points, points[1:]):
+                lo, hi = min(a, b), max(a, b)
+                want = (reference_sign_variations(p, lo)
+                        - reference_sign_variations(p, hi)) if lo < hi else 0
+                assert X.sturm_root_count(p, lo, hi) == want
+
+    def test_isolation_matches_fraction_bisection(self):
+        rng, polys = self.seeded_polys()
+        cases = [(NUDGED, F(0), F(6)), (NUDGED, F(0), F(10))]
+        for p in polys:
+            for _ in range(4):
+                lo = F(rng.randrange(-80, 0), rng.randrange(1, 7))
+                hi = F(rng.randrange(1, 80), rng.randrange(1, 7))
+                cases.append((p, lo, hi))
+        isolated = 0
+        for p, lo, hi in cases:
+            try:
+                want = reference_isolate(p, lo, hi)
+            except X.NonIsolatingInterval:
+                with pytest.raises(X.NonIsolatingInterval):
+                    X.isolate_largest_root(p, lo, hi)
+                continue
+            got = X.isolate_largest_root(p, lo, hi)
+            assert (got.coeffs, got.interval()) == want
+            isolated += 1
+        assert isolated >= 100
+        # the nudged split: 3 is a root, so (0 + 2 * 6) / 3 = 4 splits
+        assert X.isolate_largest_root(NUDGED, F(0), F(6)).interval() == \
+            (F(2), F(4))
+
+
+class TestIntegerSeries:
+    @pytest.mark.parametrize("ratio", [F(2, 5), F(3, 8), F(7, 20)])
+    def test_enclosures_match_fraction_sum(self, ratio):
+        rng = random.Random(str(ratio))
+        table = [rng.randrange(-1, 3) for _ in range(2000)]
+
+        def digits(i):
+            return table[i % len(table)]
+
+        widths = [F(1, 10**k) for k in (3, 40, 7, 120, 120, 2, 300, 60)]
+        widths += [F(rng.randrange(1, 100), 2**rng.randrange(1, 900))
+                   for _ in range(12)]
+        series = SeriesReal(digits, ratio, -1, 2)
+        got = [series.enclosure(w) for w in widths]
+        assert got == reference_series_enclosure(digits, ratio, -1, 2,
+                                                  widths)
+        for (lo, hi), w in zip(got, widths):
+            assert hi - lo <= w
+
+    def test_constant_series_matches_fraction_sum(self):
+        third = SeriesReal(lambda i: 3, F(1, 10), 3, 3, "1/3")
+        widths = [F(1, 1000), F(1, 10**30), F(1, 2)]
+        got = [third.enclosure(w) for w in widths]
+        assert got == reference_series_enclosure(lambda i: 3, F(1, 10), 3,
+                                                 3, widths)
+        assert got[0] == (F(1, 3), F(1, 3))
 
 
 class TestFollowerKernel:

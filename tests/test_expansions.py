@@ -372,6 +372,14 @@ class TestAutomaton:
             "complete": True,
         }
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_state_cap_under_one_raises(self, cap):
+        sys = BaseSystem(F(2, 5), TERNARY)
+        with pytest.raises(ValueError, match="at least 1"):
+            E.build_expansion_automaton(sys, F(1, 3), state_cap=cap)
+        auto = E.build_expansion_automaton(sys, F(1, 3), state_cap=1)
+        assert len(auto.states) == 1 and not auto.complete
+
     def test_right_endpoint_single_loop(self):
         sys = BaseSystem(F(2, 5), TERNARY)
         t = sys.high_tail()

@@ -74,6 +74,20 @@ class TestDensities:
             assert abs(rep.lower - F(1, 3)) == F(1, 3 * 2**n)
 
 
+def reference_series_sign_at(a, cap=200_000):
+    """series_sign_at as it summed F(a) + 1 in Fractions, one term at a
+    time, with the tail bound 2 a^(i+1) / (1 - a)."""
+    partial, power = F(0), F(1)
+    for i in range(1, cap + 1):
+        power *= a
+        partial += (1 + T.lam(i)) * power
+        if partial > 1:
+            return 1
+        if partial + 2 * power * a / (1 - a) < 1:
+            return -1
+    raise X.IterationLimit("series sign undecided at cap")
+
+
 class TestAlphaKL:
     def test_enclosure_location(self):
         lo, hi = T.alpha_kl_enclosure(F(1, 10**4))
@@ -87,6 +101,30 @@ class TestAlphaKL:
     def test_sign_oracle_at_two_fifths(self):
         assert T.series_sign_at(F(2, 5)) == 1
         assert T.series_sign_at(F(1, 3)) == -1
+
+    def test_series_sign_matches_fraction_sum(self):
+        rng = random.Random(29)
+        points = [F(rng.randrange(10**4 + 1, 15_000), 3 * 10**4)
+                  for _ in range(140)]  # (1/3, 1/2)
+        lo, hi = T.alpha_kl_enclosure(F(1, 10**34))
+        mid = (lo + hi) / 2
+        points += [mid + F(rng.randrange(-1000, 1000), 2**110)
+                   for _ in range(60)]  # within 1e-30 of alpha_KL
+        signs = [T.series_sign_at(a) for a in points]
+        assert signs == [reference_series_sign_at(a) for a in points]
+        assert -1 in signs[140:] and 1 in signs[140:]
+
+    def test_bisection_meets_the_fraction_halving(self, monkeypatch):
+        # a fresh module bracket, as earlier calls may have narrowed it
+        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+        lo, hi = F(1, 3), F(1, 2)
+        while hi - lo > F(1, 10**12):
+            mid = (lo + hi) / 2
+            if reference_series_sign_at(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert T.alpha_kl_enclosure(F(1, 10**12)) == (lo, hi)
 
     def test_series_real_consistent(self):
         akl = T.alpha_kl_real()
