@@ -418,25 +418,12 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# box-counting oracle (independent of the exact machinery above)
+# box-counting oracle on an exact integer grid, independent of the above
 # ---------------------------------------------------------------------------
 
-_INF = math.inf
 _BOX_BUFFER = 8  # gamma levels each upper-count probe looks past n
-
-
-def _iv_add(a, b):
-    return (math.nextafter(a[0] + b[0], -_INF), math.nextafter(a[1] + b[1], _INF))
-
-
-def _iv_mul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (math.nextafter(min(p), -_INF), math.nextafter(max(p), _INF))
-
-
-def _iv_of(x, width=Fraction(1, 10**22)):
-    lo, hi = exactnum.enclosure(x, width)
-    return (math.nextafter(float(lo), -_INF), math.nextafter(float(hi), _INF))
+_BOX_BITS = 64  # the walk's intervals are ints times 2^-64
+_BOX_WIDTH = Fraction(1, 2**80)  # of the enclosures of alpha and t
 
 
 def _lsq_slope(xs: list, ys: list) -> float:
@@ -450,6 +437,34 @@ def _lsq_slope(xs: list, ys: list) -> float:
             / math.fsum(d * d for d in dx))
 
 
+def _box_grid(alpha, t, levels: int) -> tuple:
+    """The box walk's exact integer grid 2^-64, from one enclosure [alo,
+    ahi] of alpha and one [tlo, thi] of t: (alo, ahi, t_iv, pows, tails)
+    for m = 0 .. levels, where the int pairs t_iv and pows[m] hold 2^64 t
+    and 2^64 alpha^m, and the int tails[m] bounds 2^64 alpha^(m+1)/(1 -
+    alpha) from above.  Every walk sum is then exact, and each interval
+    holds 2^64 times its true value: 0 < alo <= alpha <= ahi < 1, and
+    x^(m+1)/(1 - x) increases on (0, 1)."""
+    alo, ahi = exactnum.enclosure(alpha, _BOX_WIDTH)
+    if not 0 < alo <= ahi < 1:
+        raise ValueError("base must lie strictly between 0 and 1")
+    tlo, thi = exactnum.enclosure(t, _BOX_WIDTH)
+
+    def down(n, q):  # floor(2^64 n/q), for q > 0
+        return (n << _BOX_BITS) // q
+
+    def up(n, q):  # ceil(2^64 n/q)
+        return -(-(n << _BOX_BITS) // q)
+
+    t_iv = (down(tlo.numerator, tlo.denominator),
+            up(thi.numerator, thi.denominator))
+    a, b, c, d = alo.numerator, alo.denominator, ahi.numerator, ahi.denominator
+    pows = [(down(a**m, b**m), up(c**m, d**m)) for m in range(levels + 1)]
+    # ahi^(m+1)/(1 - ahi) = c^(m+1) / (d^m (d - c))
+    tails = [up(c**(m + 1), d**m * (d - c)) for m in range(levels + 1)]
+    return alo, ahi, t_iv, pows, tails
+
+
 @dataclass(frozen=True)
 class BoxCountReport:
     rows: list  # (n, lower_count, upper_count)
@@ -457,20 +472,14 @@ class BoxCountReport:
     alpha: object
     t: object
 
-    def upper(self, n: int) -> int:
-        return self.rows[n - 1][2]
-
-    def lower(self, n: int) -> int:
-        return self.rows[n - 1][1]
-
 
 def box_count_oracle(alpha, t, depth: int,
                      max_depth: int = 20) -> BoxCountReport:
     """Count {0,1} prefixes whose cylinder can meet the intersection.
 
-    An upper count keeps every depth-n prefix that survives outward-rounded
-    interval pruning against the translated set refined to depth
-    n + _BOX_BUFFER; a lower count additionally requires an exact
+    An upper count keeps every depth-n prefix that survives interval
+    pruning, on an exact integer grid, against the translated set refined
+    to depth n + _BOX_BUFFER; a lower count additionally requires an exact
     membership certificate for a witness point in the cylinder: the prefix
     value p, with p - t in Gamma_alpha.  The least-squares slope of
     log(upper) against n * (-log alpha) over the last half of the depths,
@@ -478,26 +487,16 @@ def box_count_oracle(alpha, t, depth: int,
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
     and p - t is carried down the walk exactly, as a state of the field's
-    :class:`exactnum.FollowerKernel`.  Sharing cannot change a
-    row where a fresh search certifies its verdict: the search keeps only
-    certified IN/OUT facts, never a value cut short by a cap.  Shifts with
-    no exact form get the upper count and no witnesses.
+    :class:`exactnum.QAlphaContext`.  Sharing cannot change a row where a
+    fresh search certifies its verdict: the search keeps only certified
+    IN/OUT facts, never a value cut short by a cap.  Shifts with no exact
+    form get the upper count and no witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > max_depth:
         raise DepthCapExceeded(f"depth {depth} above configured max {max_depth}")
-    a_iv = _iv_of(alpha)
-    t_iv = _iv_of(t)
-    one_minus = _iv_add((1.0, 1.0), (-a_iv[1], -a_iv[0]))
-    recip = (math.nextafter(1.0 / one_minus[1], -_INF),
-             math.nextafter(1.0 / one_minus[0], _INF))
-    u_iv = _iv_mul(a_iv, recip)  # alpha/(1-alpha)
-    # alpha^m and the upper end of the tail width alpha^m * alpha/(1-alpha)
-    pows = [(1.0, 1.0)]
-    for _ in range(depth + _BOX_BUFFER):
-        pows.append(_iv_mul(pows[-1], a_iv))
-    tails = [_iv_mul(p, u_iv)[1] for p in pows]
+    alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth + _BOX_BUFFER)
 
     # exact side for witnesses
     ctx = None
@@ -510,7 +509,6 @@ def box_count_oracle(alpha, t, depth: int,
     search = None
     if ctx is not None:
         search = expansions.GammaSearch(ctx, depth_cap=512)
-        kernel = search.kernel
         a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
 
     uppers = [0] * (depth + 1)
@@ -523,22 +521,23 @@ def box_count_oracle(alpha, t, depth: int,
         stack = [(g, k) for g in gammas]
         while stack:
             part, m = stack.pop()
-            if part[0] > I[1] or math.nextafter(part[1] + tails[m], _INF) < I[0]:
+            if part[0] > I[1] or part[1] + tails[m] < I[0]:
                 continue
             if m >= k + _BOX_BUFFER:
                 return True
             stack.append((part, m + 1))
-            stack.append((_iv_add(part, pows[m + 1]), m + 1))
+            pw = pows[m + 1]
+            stack.append(((part[0] + pw[0], part[1] + pw[1]), m + 1))
         return False
 
     def walk(k, part, gammas, x):  # x = prefix value - t, a state, or None
         tail_hi = tails[k]
-        I = (part[0], math.nextafter(part[1] + tail_hi, _INF))
+        I = (part[0], part[1] + tail_hi)
         # keep gamma prefixes whose cylinder can still meet I
         kept = []
         seen = set()
         for g in gammas:
-            if g[0] > I[1] or math.nextafter(g[1] + tail_hi, _INF) < I[0]:
+            if g[0] > I[1] or g[1] + tail_hi < I[0]:
                 continue
             if g not in seen:
                 seen.add(g)
@@ -552,23 +551,23 @@ def box_count_oracle(alpha, t, depth: int,
                 lowers[k] += 1
         if k == depth:
             return
-        pw = pows[k + 1]
+        p0, p1 = pows[k + 1]
         next_g = []
         for g in kept:
             next_g.append(g)
-            next_g.append(_iv_add(g, pw))
+            next_g.append((g[0] + p0, g[1] + p1))
         walk(k + 1, part, next_g, x)
-        walk(k + 1, _iv_add(part, pw), next_g,
-             None if search is None else kernel.add(x, a_pows[k + 1]))
+        walk(k + 1, (part[0] + p0, part[1] + p1), next_g,
+             None if search is None else ctx.add(x, a_pows[k + 1]))
 
-    walk(0, (0.0, 0.0), [t_iv],
+    walk(0, (0, 0), [t_iv],
          None if search is None else (-t_exact).state)
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]
     half = pts[len(pts) // 2:]
     if len(half) >= 2:
-        neg_log = -math.log((a_iv[0] + a_iv[1]) / 2)
+        neg_log = -math.log(float((alo + ahi) / 2))
         slope = _lsq_slope([n * neg_log for (n, _) in half],
                            [math.log(u) for (_, u) in half])
     else:
@@ -611,6 +610,11 @@ def self_similar_check(sys: BaseSystem, seq: EPSeq) -> SelfSimilarResult:
     return SelfSimilarResult(SelfSimilarStatus.SELF_SIMILAR, wit)
 
 
+# family word digits: a 100 000-digit word takes 0.6 s through
+# `cantor --json dense-targets` (19/50, target 1, tol 2e-5) on a 2-core Xeon
+FAMILY_WORD_MAX = 100_000
+
+
 def _family_counts(a: Fraction, tol: Fraction,
                    n2_cap: int) -> Optional[tuple[int, int]]:
     """First (n1, n2), n1 in 1..64 then n2 in 0..n2_cap, whose word
@@ -632,7 +636,9 @@ def _family_counts(a: Fraction, tol: Fraction,
 def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
     """Periodic words ((1 -1)^a 0^b)^inf realising each target zero density
     within ``tol``, each passing both the uniqueness test and the
-    self-similarity criterion.  Only valid up to the threshold base."""
+    self-similarity criterion.  Only valid up to the threshold base.  The
+    word for a target near 1 has about 2/tol zeros; a ``DimensionError``
+    stops before building one longer than ``FAMILY_WORD_MAX`` digits."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -653,6 +659,11 @@ def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
         if not found:
             raise DimensionError(f"no family word within tol of {a}")
         n1, n2 = found
+        if 2 * n1 + n2 > FAMILY_WORD_MAX:
+            raise DimensionError(
+                f"the family word for {a} within tol {tol} has "
+                f"{2 * n1 + n2} digits, over the bound "
+                f"FAMILY_WORD_MAX = {FAMILY_WORD_MAX}")
         seq = EPSeq((), (1, -1) * n1 + (0,) * n2, TERNARY)
         if is_unique_expansion(sys, seq).status is not UniqStatus.UNIQUE:
             raise VerificationFailed("family word failed the uniqueness test")

@@ -15,23 +15,23 @@ Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` at the requested precision.  The module
 also provides arithmetic in the number field Q(alpha) for alpha rational or
 algebraic, which backs every exact test in the expansion algorithms.
-Q(alpha) has one representation: a state of ``FollowerKernel``, an integer
-vector over 1, alpha, ..., alpha^(n-1) with a denominator.  A
-``QAlphaElement`` is a handle on one state, and the follower-value
-closures s -> s/alpha - d step on the states themselves.
+Q(alpha) is one object, ``QAlphaContext``, and has one representation:
+a state, an integer vector over 1, alpha, ..., alpha^(n-1) with a
+denominator.  A ``QAlphaElement`` is a handle on one state, and the
+follower-value closures s -> s/alpha - d step on the states themselves.
 
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
 isolates a root and yields the squarefree polynomial that defines it.
 One int evaluator signs every polynomial at a rational, and one bisection
 refines every bracket, alpha_KL's too.
-The kernel does all Q(alpha) arithmetic on ints, and its fixed-point
-filter decides every sign and enclosure: an undecided sign doubles K from
-64 bits up to a cap.  The zero vector is an exact 0.  Because alpha's
-polynomial is irreducible, every other vector has a nonzero value, which
-the doubling filter certifies; on a reducible base it raises
-``UndecidedComparison``, and the inverse of a zero divisor raises
-``UnsupportedBase``.
+``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
+fixed-point filter decides every sign and enclosure: an undecided sign
+doubles K from 64 bits up to a cap.  The zero vector is an exact 0.
+Because alpha's polynomial is irreducible, every other vector has a
+nonzero value, which the doubling filter certifies; on a reducible base
+it raises ``UndecidedComparison``, and the inverse of a zero divisor
+raises ``UnsupportedBase``.
 """
 
 from __future__ import annotations
@@ -531,190 +531,6 @@ def _compare_by_enclosure(a, b, precision) -> Comparison:
 # Q(alpha) arithmetic
 # ---------------------------------------------------------------------------
 
-class QAlphaContext:
-    """The field Q(alpha) for alpha rational or algebraic.
-
-    Elements are states of the field's :class:`FollowerKernel`, which does
-    all their arithmetic (degree 1 for rational alpha, so elements collapse
-    to plain rationals).  The defining polynomial must be irreducible for
-    every nonzero sign to be certified and every nonzero element to have an
-    inverse, rather than raise; every base shipped here satisfies that.
-    """
-
-    def __init__(self, alpha: RealNumber):
-        if isinstance(alpha, int):
-            alpha = Fraction(alpha)
-        if isinstance(alpha, Fraction):
-            self.alpha = alpha
-            self.degree = 1
-            self.key = ("rat", alpha)
-        elif isinstance(alpha, AlgebraicReal):
-            self.alpha = alpha
-            self.degree = alpha.degree
-            self.key = ("alg", alpha.coeffs)
-        else:
-            raise UnsupportedBase(
-                "Q(alpha) arithmetic requires a rational or algebraic base")
-        self.kernel = FollowerKernel(self)
-
-    def element(self, coeffs) -> "QAlphaElement":
-        """sum coeffs[i] alpha^i, for any number of rational coeffs."""
-        coeffs = [Fraction(c) for c in coeffs]
-        D = lcm(*(c.denominator for c in coeffs))
-        return QAlphaElement(self, self.kernel.reduce(
-            [c.numerator * (D // c.denominator) for c in coeffs], D))
-
-    def embed(self, value) -> "QAlphaElement":
-        return QAlphaElement(self, self.kernel.state(value))
-
-    @property
-    def zero(self):
-        return self.embed(0)
-
-    @property
-    def one(self):
-        return self.embed(1)
-
-    @property
-    def alpha_element(self):
-        return self.element([0, 1])
-
-    def __repr__(self):
-        return f"QAlphaContext({self.alpha!r})"
-
-
-class QAlphaElement:
-    """Element of Q(alpha): a handle on a canonical state of the field's
-    :class:`FollowerKernel`, which does its arithmetic with elements of the
-    same context and with rationals, and decides its sign and enclosures.
-    Immutable and hashable."""
-
-    __slots__ = ("ctx", "state")
-
-    def __init__(self, ctx: QAlphaContext, state: tuple):
-        self.ctx = ctx
-        self.state = state
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients over 1, alpha, ..., alpha^(n-1), as Fractions."""
-        D = self.state[-1]
-        return tuple(Fraction(v, D) for v in self.state[:-1])
-
-    def _coerce(self, other):
-        if isinstance(other, QAlphaElement):
-            if other.ctx.key != self.ctx.key:
-                raise ValueError("elements from different Q(alpha) contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.embed(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QAlphaElement(self.ctx, self.ctx.kernel.add(self.state, o.state))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        kernel = self.ctx.kernel
-        return QAlphaElement(self.ctx,
-                             kernel.add(self.state, kernel.neg(o.state)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return QAlphaElement(self.ctx, self.ctx.kernel.neg(self.state))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QAlphaElement(self.ctx, self.ctx.kernel.mul(self.state, o.state))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * QAlphaElement(self.ctx, self.ctx.kernel.inverse(o.state))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def is_zero(self) -> bool:
-        return not any(self.state[:-1])
-
-    def sign(self) -> int:
-        return self.ctx.kernel.sign(self.state)
-
-    def value_enclosure(self, width):
-        return self.ctx.kernel.enclosure(self.state, width)
-
-    def to_fraction(self) -> Fraction:
-        if any(self.state[1:-1]):
-            raise ValueError("element is not rational")
-        return Fraction(self.state[0], self.state[-1])
-
-    # exact comparisons
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.state == o.state
-
-    def __hash__(self):
-        return hash((self.ctx.key, self.state))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
-    def __float__(self):
-        lo, hi = self.value_enclosure(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
-
-    def __repr__(self):
-        return f"QAlpha{list(self.coeffs)}"
-
-
-# ---------------------------------------------------------------------------
-# the integer follower-value kernel
-# ---------------------------------------------------------------------------
-
 FILTER_BITS = 64  # K, the fixed-point precision of the sign filter
 SIGN_BITS_CAP = 2048  # the last K an undecided sign is tried at
 
@@ -735,16 +551,22 @@ def _reduced(v, D: int) -> tuple:
     return (*(x // g for x in v), D // g)
 
 
-class FollowerKernel:
-    """Integer arithmetic in Q(alpha), for the follower values s -> s/alpha
-    - d above all, and the one place where a sign or an enclosure in
-    Q(alpha) is decided.
+class QAlphaContext:
+    """The field Q(alpha) for alpha rational or algebraic: integer
+    arithmetic on its states, for the follower values s -> s/alpha - d
+    above all, and the one place where a sign or an enclosure in Q(alpha)
+    is decided.
 
     A state is a tuple ``(v_0, ..., v_(n-1), D)`` of ints, n the degree of
     alpha, standing for sum v_i alpha^i / D, with D > 0 and gcd(v_0, ...,
     v_(n-1), D) = 1.  The form is canonical: equal values have equal
     tuples, so states are dict keys.  Every :class:`QAlphaElement` holds
-    one.
+    one.  ``element``, ``embed``, ``zero``, ``one`` and ``alpha_element``
+    build elements; ``state``, ``reduce``, ``step``, ``add``, ``neg``,
+    ``mul``, ``inverse``, ``sign``, ``compare``, ``enclosure`` and
+    ``children`` work on the states themselves, which is what the closures
+    under s -> s/alpha - d step on.  A rational alpha has degree 1, where a
+    state is a plain rational (N, D).
 
     Step.  Let a_0 + a_1 x + ... + a_n x^n be the primitive integer
     minimal polynomial of alpha with a_n > 0, and write c = |a_0| and r_i
@@ -765,13 +587,15 @@ class FollowerKernel:
     ``UndecidedComparison``.  The zero vector has sign 0 with no fallback.
     That is exact when alpha's polynomial is irreducible: 1, alpha, ...,
     alpha^(n-1) are then independent over Q, so only v = 0 gives w = 0.
-    (A nonzero v with w = 0 keeps |S| <= E at every K, so it raises.)
-    Degree 1 needs no filter: the sign is that of v_0.  When 1/alpha is a
-    Pisot number, Garsia's separation lemma (Garsia 1962) keeps nonzero
-    values with bounded integer coefficients away from 0, so the 64-bit
-    filter decides all but the exact zeros of a follower-value closure.
-    The same sums enclose s in [(S - E) / (2^K D), (S + E) / (2^K D)],
-    exact for a rational value (E = 0).
+    (A nonzero v with w = 0 keeps |S| <= E at every K, so it raises, and
+    the inverse of such a zero divisor raises ``UnsupportedBase``; every
+    base shipped here is irreducible.)  Degree 1 needs no filter: the sign
+    is that of v_0.  When 1/alpha is a Pisot number, Garsia's separation
+    lemma (Garsia 1962) keeps nonzero values with bounded integer
+    coefficients away from 0, so the 64-bit filter decides all but the
+    exact zeros of a follower-value closure.  The same sums enclose s in
+    [(S - E) / (2^K D), (S + E) / (2^K D)], exact for a rational value (E
+    = 0).
 
     Each B_i rounds the midpoint of an enclosure of alpha^i 2^K at most 1
     wide, so it is within 1/2 + 1/2 of alpha^i 2^K.  The enclosures are
@@ -780,22 +604,57 @@ class FollowerKernel:
     K.
     """
 
-    def __init__(self, ctx: QAlphaContext):
-        self.ctx = ctx
-        n = self.degree = ctx.degree
-        if n == 1:
-            a = (-ctx.alpha.numerator, ctx.alpha.denominator)
+    def __init__(self, alpha: RealNumber):
+        if isinstance(alpha, int):
+            alpha = Fraction(alpha)
+        if isinstance(alpha, Fraction):
+            self.degree = 1
+            self.key = ("rat", alpha)
+            a = (-alpha.numerator, alpha.denominator)
+        elif isinstance(alpha, AlgebraicReal):
+            self.degree = alpha.degree
+            self.key = ("alg", alpha.coeffs)
+            a = alpha.coeffs
         else:
-            a = ctx.alpha.coeffs
+            raise UnsupportedBase(
+                "Q(alpha) arithmetic requires a rational or algebraic base")
         if a[0] == 0:
             raise UnsupportedBase("the polynomial of alpha must have a "
                                   "nonzero constant term")
+        self.alpha = alpha
         self.poly = a  # a_0 .. a_n, a_n > 0
         sg = 1 if a[0] > 0 else -1
         self.c = sg * a[0]
         self.r = tuple(sg * x for x in a[1:])  # r_0 .. r_(n-1)
         self._B: dict = {}  # K -> (B_0, ..., B_(n-1))
         self.fallbacks = 0
+
+    # -- elements ------------------------------------------------------------
+
+    def element(self, coeffs) -> "QAlphaElement":
+        """sum coeffs[i] alpha^i, for any number of rational coeffs."""
+        coeffs = [Fraction(c) for c in coeffs]
+        D = lcm(*(c.denominator for c in coeffs))
+        return QAlphaElement(self, self.reduce(
+            [c.numerator * (D // c.denominator) for c in coeffs], D))
+
+    def embed(self, value) -> "QAlphaElement":
+        return QAlphaElement(self, self.state(value))
+
+    @property
+    def zero(self):
+        return self.embed(0)
+
+    @property
+    def one(self):
+        return self.embed(1)
+
+    @property
+    def alpha_element(self):
+        return self.element([0, 1])
+
+    def __repr__(self):
+        return f"QAlphaContext({self.alpha!r})"
 
     # -- states --------------------------------------------------------------
 
@@ -805,12 +664,6 @@ class FollowerKernel:
             return x.state
         x = Fraction(x)
         return (x.numerator, *(0,) * (self.degree - 1), x.denominator)
-
-    def element(self, s) -> QAlphaElement:
-        """The :class:`QAlphaElement` of a state."""
-        return QAlphaElement(self.ctx, s)
-
-    # -- arithmetic ----------------------------------------------------------
 
     def reduce(self, u, D: int) -> tuple:
         """The state of sum u_i alpha^i / D for any number of ints u_i and
@@ -904,7 +757,7 @@ class FollowerKernel:
         B = self._B.get(K)
         if B is None:
             one = 1 << K
-            alpha = self.ctx.alpha
+            alpha = self.alpha
             width = Fraction(1, one << 4)
             while True:
                 lo, hi = _bisect(partial(_scaled_value, alpha.coeffs),
@@ -1021,6 +874,134 @@ class FollowerKernel:
                 out.append((_reduced(x, Dq), d))
             return out
         return kids
+
+
+class QAlphaElement:
+    """Element of Q(alpha): a handle on a canonical state of its
+    :class:`QAlphaContext`, which does its arithmetic with elements of the
+    same field and with rationals, and decides its sign and enclosures.
+    ``QAlphaElement(ctx, s)`` wraps a state s.  Immutable and hashable."""
+
+    __slots__ = ("ctx", "state")
+
+    def __init__(self, ctx: QAlphaContext, state: tuple):
+        self.ctx = ctx
+        self.state = state
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients over 1, alpha, ..., alpha^(n-1), as Fractions."""
+        D = self.state[-1]
+        return tuple(Fraction(v, D) for v in self.state[:-1])
+
+    def _coerce(self, other):
+        if isinstance(other, QAlphaElement):
+            if other.ctx.key != self.ctx.key:
+                raise ValueError("elements from different Q(alpha) contexts")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ctx.embed(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QAlphaElement(self.ctx, self.ctx.add(self.state, o.state))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ctx = self.ctx
+        return QAlphaElement(ctx, ctx.add(self.state, ctx.neg(o.state)))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return QAlphaElement(self.ctx, self.ctx.neg(self.state))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QAlphaElement(self.ctx, self.ctx.mul(self.state, o.state))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * QAlphaElement(self.ctx, self.ctx.inverse(o.state))
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def is_zero(self) -> bool:
+        return not any(self.state[:-1])
+
+    def sign(self) -> int:
+        return self.ctx.sign(self.state)
+
+    def value_enclosure(self, width):
+        return self.ctx.enclosure(self.state, width)
+
+    def to_fraction(self) -> Fraction:
+        if any(self.state[1:-1]):
+            raise ValueError("element is not rational")
+        return Fraction(self.state[0], self.state[-1])
+
+    # exact comparisons
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.state == o.state
+
+    def __hash__(self):
+        return hash((self.ctx.key, self.state))
+
+    def __lt__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __le__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() <= 0
+
+    def __gt__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() > 0
+
+    def __ge__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() >= 0
+
+    def __float__(self):
+        lo, hi = self.value_enclosure(Fraction(1, 10**17))
+        return float((lo + hi) / 2)
+
+    def __repr__(self):
+        return f"QAlpha{list(self.coeffs)}"
+
 
 
 def eval_poly_in_alpha(coeffs: Sequence, alpha: RealNumber) -> QAlphaElement:

@@ -8,9 +8,10 @@ comparisons are certified, so every verdict below is exact unless it
 explicitly says UNDECIDED.
 
 The closures under s -> s/alpha - d (the digit loop of an algebraic base,
-the expansion automaton and the Gamma membership search) step on the
-states of :class:`exactnum.FollowerKernel`: an integer vector v over 1,
-alpha, ..., alpha^(n-1) over a denominator D > 0, reduced by gcd(v, D).
+the expansion automaton and the Gamma membership search) call the base's
+:class:`exactnum.QAlphaContext` directly and step on its states: an
+integer vector v over 1, alpha, ..., alpha^(n-1) over a denominator D >
+0, reduced by gcd(v, D).
 Every QAlphaElement holds such a state, so values pass between the
 closures and Q(alpha) arithmetic with no conversion.  The form is
 canonical, so equal values meet in dict and set lookups.  A step is a
@@ -172,10 +173,10 @@ class _DeltaCache:
         # p^k and never repeat.  A remainder is the value of the tail after
         # it, so no two tails of delta are equal: delta is never eventually
         # periodic.  Only other bases look for a repeat, keyed as
-        # _digit_loop yields them (N_k, or the kernel state).
+        # _digit_loop yields them (N_k, or the state of the remainder).
         self._aperiodic = ctx.degree == 1 and ctx.alpha.numerator >= 2
         self._seen = None if self._aperiodic else \
-            {1 if ctx.degree == 1 else ctx.kernel.state(1): 0}
+            {1 if ctx.degree == 1 else ctx.state(1): 0}
 
     def digit(self, i: int) -> int:
         self.extend(i)
@@ -233,10 +234,10 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
     N_k / (b p^k), with b the denominator of y, so integers do the work: d
     is the largest with q N_k > d b p^(k+1) (>= for greedy), N_(k+1) =
     q N_k - d b p^(k+1), and the key is N_(k+1).  It pins the remainder
-    only for p = 1, where the scale b p^k stays b.  Unlike the kernel's
-    step, this loop takes no gcd per digit; it is the faster path for
-    degree 1.  Other bases step y's kernel state, canonical and so the
-    key.
+    only for p = 1, where the scale b p^k stays b.  Unlike
+    ``QAlphaContext.step``, this loop takes no gcd per digit; it is the
+    faster path for degree 1.  Other bases step y's state, canonical and
+    so the key.
     """
     M = sys.M
     ctx = sys.ctx
@@ -255,13 +256,12 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
                     d -= 1
             num = qn - d * scale
             yield d, num
-    kernel = ctx.kernel
     y = y.state
     floor = 0 if strict else -1
     while True:
         for d in range(M, -1, -1):
-            child = kernel.step(y, d)
-            if d == 0 or kernel.sign(child) > floor:
+            child = ctx.step(y, d)
+            if d == 0 or ctx.sign(child) > floor:
                 break
         y = child
         yield d, y
@@ -576,7 +576,7 @@ def build_expansion_automaton(sys: BaseSystem, t,
     """Breadth-first closure of follower values of t under s -> s/alpha - d.
 
     The closure runs on the integer states of the base's
-    :class:`exactnum.FollowerKernel`, whose certified signs decide interval
+    :class:`exactnum.QAlphaContext`, whose certified signs decide interval
     membership and whose canonical form deduplicates states; they are the
     states QAlphaElements hold, so nothing converts.  For alpha the
     reciprocal of a Pisot number and t in Q(alpha) the closure is finite;
@@ -590,9 +590,9 @@ def build_expansion_automaton(sys: BaseSystem, t,
     hi = sys.high_tail()
     if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
-    kernel = sys.ctx.kernel
-    children = kernel.children(lo.state, hi.state,
-                               range(sys.alphabet.low, sys.alphabet.high + 1))
+    ctx = sys.ctx
+    children = ctx.children(lo.state, hi.state,
+                            range(sys.alphabet.low, sys.alphabet.high + 1))
     first = t_el.state
     states = [first]
     index = {first: 0}
@@ -611,8 +611,8 @@ def build_expansion_automaton(sys: BaseSystem, t,
                 states.append(child)
             out.append((j, d))
         succ.append(out)
-    return ExpansionAutomaton([kernel.element(s) for s in states], 0, succ,
-                              complete, sys.alphabet)
+    return ExpansionAutomaton([QAlphaElement(ctx, s) for s in states], 0,
+                              succ, complete, sys.alphabet)
 
 
 def seq_value(sys: BaseSystem, seq: Union[FiniteWord, EPSeq]) -> QAlphaElement:
@@ -650,8 +650,9 @@ class GammaSearch:
     searched fully with no cap hit (OUT) and ``live`` the values on a path
     that reached a cycle or a live value (IN); a value cut short enters
     neither, so sharing never changes a verdict a fresh search certifies.
-    Values are states of the field's :class:`exactnum.FollowerKernel`, as
-    QAlphaElements hold them.
+    Values are states of the field's :class:`exactnum.QAlphaContext`, as
+    QAlphaElements hold them, and the search steps and signs them through
+    the context itself.
     """
 
     def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
@@ -659,25 +660,23 @@ class GammaSearch:
         self.ctx = ctx
         self.depth_cap = depth_cap
         self.node_cap = node_cap
-        kernel = self.kernel = ctx.kernel
         a = ctx.alpha_element
         self.bound = (a / (ctx.one - a)).state
-        self._children = kernel.children((0,) * kernel.degree + (1,),
-                                         self.bound, (0, 1))
-        self.dead: set = set()  # kernel states
+        self._children = ctx.children(ctx.state(0), self.bound, (0, 1))
+        self.dead: set = set()  # states
         self.live: set = set()
 
     def membership(self, x) -> GammaResult:
         """Verdict on x: a :class:`QAlphaElement`, a rational, or a
-        kernel state."""
-        kernel, dead, live = self.kernel, self.dead, self.live
+        state."""
+        ctx, dead, live = self.ctx, self.dead, self.live
         if not isinstance(x, tuple):
-            x = kernel.state(x)
+            x = ctx.state(x)
         if x in dead:
             return GammaResult(GammaStatus.OUT)
         if x in live:
             return GammaResult(GammaStatus.IN, FiniteWord([], Alphabet(0, 2)))
-        if kernel.sign(x) < 0 or kernel.compare(self.bound, x) < 0:
+        if ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
             return GammaResult(GammaStatus.OUT)
         children = self._children
         frames = [[x, children(x), 0, False]]  # state, kids, next, tainted

@@ -280,6 +280,13 @@ class TestErrors:
             main(["not-a-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("alphabet", ["x", "0:1:2", "a:3"])
+    def test_malformed_alphabet(self, capsys, alphabet):
+        code, out, err = run(capsys, "expand", "--alpha", "rat:2/5",
+                             "--x", "1/3", "--alphabet", alphabet)
+        assert code == 1
+        assert "must be 'ternary' or low:size" in err and alphabet in err
+
     def test_json_error_envelope(self, capsys):
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
         assert code == 1
@@ -314,6 +321,14 @@ class TestErrors:
         # n2 may reach 4/tol; each n1 tries only its one candidate n2
         (("dense-targets", "--alpha", "rat:7/20", "--targets", "0.123456789",
           "--tol", "1e-7"), "no family word within tol"),
+        # the word for target 1 has about 2/tol zeros
+        (("dense-targets", "--alpha", "rat:19/50", "--targets", "1",
+          "--tol", "1e-8"),
+         "200000000 digits, over the bound FAMILY_WORD_MAX = 100000"),
+        (("delta", "--alpha", "rat:2/5", "--alphabet", "0:100000000",
+          "--length", "4"), "ALPHABET_MAX = 64"),
+        (("expand", "--alpha", "rat:2/5", "--x", "1/3", "--alphabet", "0:65"),
+         "--alphabet size 65 is over the bound ALPHABET_MAX = 64"),
     ])
     def test_size_bounds_fail_fast(self, capsys, argv, bound):
         start = time.perf_counter()

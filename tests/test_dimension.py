@@ -356,6 +356,125 @@ class TestFrequencyBound:
         assert rhs.hi < dv.lo
 
 
+# The float walk box_count_oracle had before the exact integer grid: the
+# same walk on float intervals, rounded outward by nextafter at each step.
+
+def _ref_iv_add(a, b):
+    return (math.nextafter(a[0] + b[0], -math.inf),
+            math.nextafter(a[1] + b[1], math.inf))
+
+
+def _ref_iv_mul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (math.nextafter(min(p), -math.inf),
+            math.nextafter(max(p), math.inf))
+
+
+def _ref_iv_of(x, width=F(1, 10**22)):
+    lo, hi = X.enclosure(x, width)
+    return (math.nextafter(float(lo), -math.inf),
+            math.nextafter(float(hi), math.inf))
+
+
+def reference_box_rows(alpha, t, depth):
+    """(rows, slope) of the float walk, witnesses as box_count_oracle's."""
+    inf, buf = math.inf, D._BOX_BUFFER
+    a_iv, t_iv = _ref_iv_of(alpha), _ref_iv_of(t)
+    one_minus = _ref_iv_add((1.0, 1.0), (-a_iv[1], -a_iv[0]))
+    recip = (math.nextafter(1.0 / one_minus[1], -inf),
+             math.nextafter(1.0 / one_minus[0], inf))
+    u_iv = _ref_iv_mul(a_iv, recip)  # alpha/(1-alpha)
+    pows = [(1.0, 1.0)]
+    for _ in range(depth + buf):
+        pows.append(_ref_iv_mul(pows[-1], a_iv))
+    tails = [_ref_iv_mul(p, u_iv)[1] for p in pows]
+    ctx = None
+    if isinstance(t, X.QAlphaElement):
+        ctx, t_exact = t.ctx, t
+    elif isinstance(t, (int, F)):
+        ctx = X.QAlphaContext(alpha)
+        t_exact = ctx.embed(F(t))
+    search = None
+    if ctx is not None:
+        search = E.GammaSearch(ctx, depth_cap=512)
+        a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
+    uppers = [0] * (depth + 1)
+    lowers = [0] * (depth + 1)
+
+    def probe(I, gammas, k):
+        stack = [(g, k) for g in gammas]
+        while stack:
+            part, m = stack.pop()
+            if part[0] > I[1] or \
+                    math.nextafter(part[1] + tails[m], inf) < I[0]:
+                continue
+            if m >= k + buf:
+                return True
+            stack.append((part, m + 1))
+            stack.append((_ref_iv_add(part, pows[m + 1]), m + 1))
+        return False
+
+    def walk(k, part, gammas, x):
+        tail_hi = tails[k]
+        I = (part[0], math.nextafter(part[1] + tail_hi, inf))
+        kept = []
+        for g in gammas:
+            if g[0] > I[1] or math.nextafter(g[1] + tail_hi, inf) < I[0]:
+                continue
+            if g not in kept:
+                kept.append(g)
+        if not kept or not probe(I, kept, k):
+            return
+        if k > 0:
+            uppers[k] += 1
+            if search is not None and search.membership(x).status is \
+                    E.GammaStatus.IN:
+                lowers[k] += 1
+        if k == depth:
+            return
+        pw = pows[k + 1]
+        next_g = [h for g in kept for h in (g, _ref_iv_add(g, pw))]
+        walk(k + 1, part, next_g, x)
+        walk(k + 1, _ref_iv_add(part, pw), next_g,
+             None if search is None else ctx.add(x, a_pows[k + 1]))
+
+    walk(0, (0.0, 0.0), [t_iv], None if search is None else (-t_exact).state)
+    rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
+    half = [(n, u) for (n, _, u) in rows if u > 0]
+    half = half[len(half) // 2:]
+    if len(half) < 2:
+        return rows, 0.0
+    neg_log = -math.log((a_iv[0] + a_iv[1]) / 2)
+    return rows, D._lsq_slope([n * neg_log for (n, _) in half],
+                              [math.log(u) for (_, u) in half])
+
+
+BOX_BASES = ("rat:2/5", "rat:19/50", "rat:9/25", "rat:3/7", "rat:41/100",
+             "alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]",
+             "alg:1,-3,1@[1/3,1/2]", "alg:-1,2,2@[1/3,1/2]")
+
+
+def box_cases():
+    """(alpha, t, depth): per base, two rational shifts and two Q(alpha)
+    shifts, from seeded digit words and fractions of alpha/(1 - alpha),
+    at seeded depths 1 to 9."""
+    rng = random.Random(1301)
+    out = []
+    for text in BOX_BASES:
+        sys = BaseSystem(X.parse_real(text), TERNARY)
+        u = sys.tail_unit
+        for _ in range(2):
+            word = [rng.choice((-1, 0, 1)) for _ in range(rng.randint(1, 4))]
+            out.append((sys.alpha, E.seq_value(sys, W.FiniteWord(word,
+                                                                TERNARY)),
+                        rng.randint(1, 9)))
+            out.append((sys.alpha, u * F(rng.randrange(-12, 13), 10),
+                        rng.randint(1, 9)))
+            r = F(rng.randrange(-40, 41), rng.randrange(1, 60))
+            out.append((sys.alpha, r, rng.randint(1, 9)))
+    return out
+
+
 class TestBoxCount:
     def test_identity_translation(self):
         rep = box_count_oracle(F(2, 5), F(0), 8)
@@ -411,6 +530,12 @@ class TestBoxCount:
         with pytest.raises(D.DepthCapExceeded):
             box_count_oracle(F(2, 5), F(0), 25)
 
+    @pytest.mark.parametrize("alpha", [F(3, 2), F(1), F(0), F(-1, 3)])
+    def test_base_outside_unit_interval(self, alpha):
+        # the grid's tails and powers hold only for 0 < alpha < 1
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            box_count_oracle(alpha, F(0), 4)
+
     # the rows of the verify-paper box-counting check at its own depths;
     # a fresh membership search per witness gives exactly these
     def test_check7_rows_identity(self):
@@ -426,6 +551,67 @@ class TestBoxCount:
             (6, 19, 25), (7, 32, 43), (8, 55, 73), (9, 92, 123),
             (10, 155, 209), (11, 264, 355), (12, 447, 601)]
         assert abs(rep.slope - 0.6436137580344715) <= 1e-12
+
+
+    def test_grid_matches_float_walk(self):
+        # the exact grid keeps every row and slope of the float walk
+        cases = box_cases()
+        witnessed = sloped = 0
+        for alpha, t, depth in cases:
+            rep = box_count_oracle(alpha, t, depth)
+            assert (rep.rows, rep.slope) == reference_box_rows(alpha, t, depth)
+            witnessed += rep.rows[-1][1] > 0
+            sloped += rep.slope != 0
+        assert len(cases) == 54 and witnessed >= 10 and sloped >= 10
+
+    def test_grid_matches_float_walk_check7(self):
+        sys = cubic_base()
+        a = sys.ctx.alpha_element
+        outside = 2 * F(2, 5) / (1 - F(2, 5))
+        for alpha, t, depth in ((F(2, 5), F(0), 14),
+                                (sys.alpha, -a / (sys.ctx.one + a), 12),
+                                (F(2, 5), outside, 8)):
+            rep = box_count_oracle(alpha, t, depth)
+            assert (rep.rows, rep.slope) == reference_box_rows(alpha, t, depth)
+
+    @pytest.mark.parametrize("text", BOX_BASES)
+    def test_grid_holds_true_values(self, text):
+        # ints that hold 2^64 t and 2^64 alpha^m, a bound on 2^64
+        # alpha^(m+1)/(1 - alpha) from above, each at most 2 grid steps
+        # off; a far narrower enclosure stands in for the true values
+        one = 1 << 64
+        alpha = X.parse_real(text)
+        sys = BaseSystem(alpha, TERNARY)
+        u = sys.tail_unit
+        for t in (F(0), F(-7, 3), F(1, 3), u, -u * F(2, 7), u * u - 1):
+            alo, ahi, t_iv, pows, tails = D._box_grid(alpha, t, 20)
+            assert (alo, ahi) == X.enclosure(alpha, F(1, 2**80))
+            lo, hi = X.enclosure(alpha, F(1, 2**200))
+            tlo, thi = X.enclosure(t, F(1, 2**200))
+            grid = [*t_iv, *tails] + [x for p in pows for x in p]
+            assert len(pows) == len(tails) == 21
+            assert all(type(x) is int for x in grid)
+            assert t_iv[0] <= tlo * one and thi * one <= t_iv[1]
+            assert t_iv[1] - t_iv[0] <= 2
+            for m, (p0, p1) in enumerate(pows):
+                assert p0 <= lo**m * one and hi**m * one <= p1 <= p0 + 2
+                tail = hi**(m + 1) / (1 - hi) * one
+                assert tail <= tails[m] <= tail + 2
+
+    @pytest.mark.parametrize("base", ["rat:2/5", "alg:-1,2,1@[2/5,1/2]"])
+    def test_exact_touching(self, base):
+        # Gamma + alpha/(1 - alpha) meets Gamma in its one end point: the
+        # cylinder 1...1 is kept, and its prefix value is no witness
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        u = sys.tail_unit
+        rep = box_count_oracle(sys.alpha, u, 8)
+        assert rep.rows == [(n, 0, 1) for n in range(1, 9)]
+        if sys.ctx.degree == 1:  # the same shift as a Fraction
+            assert box_count_oracle(sys.alpha, u.to_fraction(), 8).rows == \
+                rep.rows
+            # Gamma - alpha/(1 - alpha) meets Gamma in 0, a witness
+            rep = box_count_oracle(sys.alpha, -u, 8)
+            assert rep.rows == [(n, 1, 1) for n in range(1, 9)]
 
 
 class TestSelfSimilar:

@@ -11,6 +11,7 @@ from cantorint.exactnum import (
     AlgebraicReal,
     Comparison,
     QAlphaContext,
+    QAlphaElement,
     SeriesReal,
     compare,
     eval_poly_in_alpha,
@@ -251,7 +252,8 @@ REDUCIBLE = "alg:3,-7,-1,1@[2/5,1/2]"
 def horner_enclosures(el, cap):
     """Enclosures of a Q(alpha) element by Fraction interval Horner over
     alpha enclosed at widths 1/16, 1/16^2, ..., at most ``cap`` of them:
-    the sign and enclosure route QAlphaElement had before the kernel."""
+    the sign and enclosure route QAlphaElement had before the integer
+    filter."""
     a = el.ctx.alpha
     alpha = AlgebraicReal(a.coeffs, *a.interval())  # refined on its own
     width = F(1, 16)
@@ -287,7 +289,7 @@ def reference_enclosure(el, width):
 
 
 # The Fraction field arithmetic QAlphaContext had before its elements became
-# kernel states: coefficient vectors over 1, alpha, ..., alpha^(d-1).
+# integer states: coefficient vectors over 1, alpha, ..., alpha^(d-1).
 
 def reference_reduce(ctx, coeffs):
     """sum coeffs[i] alpha^i as a vector, by a table of alpha^d, alpha^(d+1),
@@ -531,11 +533,11 @@ class TestIntegerSeries:
         assert got[0] == (F(1, 3), F(1, 3))
 
 
-class TestFollowerKernel:
+class TestStateArithmetic:
     @pytest.mark.parametrize("text", KERNEL_BASES + ("rat:2/5", "rat:3/7"))
     def test_arithmetic_matches_qalpha(self, text):
         ctx = QAlphaContext(parse_real(text))
-        k = ctx.kernel
+        k = ctx
         inv = ctx.one / ctx.alpha_element
         rng = random.Random(text)
 
@@ -546,12 +548,12 @@ class TestFollowerKernel:
         for _ in range(40):
             x, y = rand_el(), rand_el()
             s, r = k.state(x), k.state(y)
-            assert k.element(s) == x
+            assert QAlphaElement(k, s) == x
             assert s[-1] > 0 and math.gcd(*s) == 1
-            assert k.state(k.element(s)) == s
+            assert k.state(QAlphaElement(k, s)) == s
             d = rng.randrange(-2, 3)
-            assert k.element(k.step(s, d)) == x * inv - d
-            assert k.element(k.add(s, r)) == x + y
+            assert QAlphaElement(k, k.step(s, d)) == x * inv - d
+            assert QAlphaElement(k, k.add(s, r)) == x + y
             assert k.sign(s) == reference_sign(x)
             assert k.compare(s, r) == reference_sign(x - y)
             lo, hi = (x, y) if reference_sign(x - y) <= 0 else (y, x)
@@ -565,7 +567,7 @@ class TestFollowerKernel:
     def test_margin_is_strict(self, text):
         # the zero vector is an exact 0 with no fallback; a sum S equal to
         # its bound E is undecided at K = 64 and doubles K
-        k = QAlphaContext(parse_real(text)).kernel
+        k = QAlphaContext(parse_real(text))
         n = k.degree
         assert k.sign((0,) * n + (1,)) == 0 and k.fallbacks == 0
         B = k._fixed_point(X.FILTER_BITS)
@@ -576,7 +578,7 @@ class TestFollowerKernel:
         assert 2 * X.FILTER_BITS not in k._B
         assert k.sign(v) == 1 and k.fallbacks == 1
         assert 2 * X.FILTER_BITS in k._B
-        assert reference_sign(k.element(v)) == 1
+        assert reference_sign(QAlphaElement(k, v)) == 1
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_filter_near_zero_matches_exact_sign(self, text):
@@ -584,23 +586,23 @@ class TestFollowerKernel:
         # bound is as large as the value, so the 64-bit filter decides
         # some and doubles K on others, and every sign must be exact
         ctx = QAlphaContext(parse_real(text))
-        k = ctx.kernel
+        k = ctx
         n = k.degree
         rng = random.Random(text)
         span = 1 << (X.FILTER_BITS + 2)
         decided = 0
         for _ in range(150):
             v = [0] + [rng.randrange(-span, span) for _ in range(n - 1)]
-            lo, _ = reference_enclosure(k.element((*v, 1)), F(1, 4))
+            lo, _ = reference_enclosure(QAlphaElement(k, (*v, 1)), F(1, 4))
             v[0] = -math.floor(lo) + rng.randrange(-2, 3)
             before = k.fallbacks
-            assert k.sign((*v, 1)) == reference_sign(k.element((*v, 1)))
+            assert k.sign((*v, 1)) == reference_sign(QAlphaElement(k, (*v, 1)))
             decided += k.fallbacks == before
         assert 0 < decided < 150
 
 
 class TestIntegerField:
-    """QAlphaContext.element, * and / on kernel states against the Fraction
+    """QAlphaContext.element, * and / on integer states against the Fraction
     reduction, product and extended Euclid they replaced."""
 
     @pytest.mark.parametrize("text", KERNEL_BASES + ("rat:2/5", "rat:3/7"))
@@ -624,11 +626,11 @@ class TestIntegerField:
         for x in els:
             s = x.state
             assert s[-1] > 0 and math.gcd(*s) == 1
-            assert ctx.kernel.state(x) is s
+            assert ctx.state(x) is s
             for d in (-1, 0, 2):
                 want = list(reference_mul(ctx, x.coeffs, inv_alpha))
                 want[0] -= d
-                assert ctx.kernel.element(ctx.kernel.step(s, d)).coeffs == \
+                assert QAlphaElement(ctx, ctx.step(s, d)).coeffs == \
                     tuple(want)
             y = rng.choice(els)
             assert (x * y).coeffs == reference_mul(ctx, x.coeffs, y.coeffs)
@@ -672,7 +674,7 @@ def seeded_elements(ctx, rng, count):
 
 class TestOneSignRoute:
     """QAlphaElement's sign, enclosure and decimal string, all decided by
-    the follower kernel, against the interval-Horner route it replaced."""
+    QAlphaContext's integer filter, against the interval-Horner route it replaced."""
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_sign_matches_interval_horner(self, text):
@@ -680,7 +682,7 @@ class TestOneSignRoute:
         for x in seeded_elements(ctx, random.Random(text + "sign"), 40):
             assert x.sign() == reference_sign(x)
             assert (-x).sign() == -reference_sign(x)
-        assert ctx.kernel.fallbacks > 0  # some signs needed K = 128
+        assert ctx.fallbacks > 0  # some signs needed K = 128
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_enclosure_matches_interval_horner(self, text):

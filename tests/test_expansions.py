@@ -507,11 +507,11 @@ class TestGammaSearch:
             expect = E.GammaStatus.UNKNOWN if x == F(1, 5) else \
                 E.GammaStatus.OUT
             assert search.membership(x).status is expect
-        kernel = search.kernel
-        assert kernel.state(F(1, 5)) not in search.dead | search.live
+        ctx = search.ctx
+        assert ctx.state(F(1, 5)) not in search.dead | search.live
         assert search.dead
         for s in search.dead:
-            v = kernel.element(s).to_fraction()
+            v = X.QAlphaElement(ctx, s).to_fraction()
             assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
         search = E.GammaSearch(X.QAlphaContext(F(2, 5)))
         assert search.membership(F(0)).status is E.GammaStatus.IN
@@ -533,7 +533,8 @@ class TestSeqValue:
 
 
 # ---------------------------------------------------------------------------
-# the integer follower-value kernel against the Q(alpha) loops it replaced
+# the integer follower-value closures against the Q(alpha) loops they
+# replaced
 # ---------------------------------------------------------------------------
 
 SHIPPED_ALGEBRAIC = ("alg:-1,1,2,2@[2/5,1/2]",  # Example 5.1
@@ -650,9 +651,9 @@ def reference_digits(sys, y, length, strict, stop_at_repeat=False):
     return out, repeat
 
 
-def kernel_cases():
-    """(base, seed) pairs: seeded rationals in (1/3, 1/2) and the kernel
-    bases."""
+def closure_cases():
+    """(base, seed) pairs: seeded rationals in (1/3, 1/2) and
+    ``KERNEL_BASES``."""
     rng = random.Random(900)
     rats = set()
     while len(rats) < 4:
@@ -664,8 +665,8 @@ def kernel_cases():
     return [(b, 910 + i) for i, b in enumerate(bases)]
 
 
-class TestFollowerKernel:
-    @pytest.mark.parametrize("base,seed", kernel_cases())
+class TestFollowerClosures:
+    @pytest.mark.parametrize("base,seed", closure_cases())
     def test_automaton_matches_reference(self, base, seed):
         rng = random.Random(seed)
         sys = BaseSystem(X.parse_real(base), TERNARY)
@@ -681,7 +682,7 @@ class TestFollowerKernel:
                 [s.coeffs for s in ref.states]
             assert auto.complete == ref.complete
 
-    @pytest.mark.parametrize("base,seed", kernel_cases())
+    @pytest.mark.parametrize("base,seed", closure_cases())
     def test_shared_search_matches_reference(self, base, seed):
         rng = random.Random(seed)
         sys = BaseSystem(X.parse_real(base), TERNARY)
@@ -702,27 +703,27 @@ class TestFollowerKernel:
         # exact 0 that needs no fallback
         for base in KERNEL_BASES:
             sys = BaseSystem(X.parse_real(base), TERNARY)
-            kernel = sys.ctx.kernel
-            lo, hi = kernel.state(sys.low_tail()), kernel.state(sys.high_tail())
-            kids = kernel.children(lo, hi, (-1, 0, 1))
+            ctx = sys.ctx
+            lo, hi = ctx.state(sys.low_tail()), ctx.state(sys.high_tail())
+            kids = ctx.children(lo, hi, (-1, 0, 1))
             assert (hi, 1) in kids(hi) and (lo, -1) in kids(lo)
             for t in (sys.high_tail(), sys.low_tail()):
                 auto = E.build_expansion_automaton(sys, t)
                 assert auto.to_json_dict() == \
                     reference_automaton(sys, t, 10_000).to_json_dict()
-            assert kernel.fallbacks == 0
+            assert ctx.fallbacks == 0
 
     def test_no_fallbacks_on_pinned_automata(self):
         sys = cubic_base()
         a = sys.ctx.alpha_element
         auto = E.build_expansion_automaton(sys, -a / (sys.ctx.one + a))
         assert len(auto.states) == 6
-        assert sys.ctx.kernel.fallbacks == 0
+        assert sys.ctx.fallbacks == 0
         sys = BaseSystem(X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2)),
                          TERNARY)
         auto = E.build_expansion_automaton(sys, sys.embed(F(1, 211)))
         assert len(auto.states) >= 712 and auto.complete
-        assert sys.ctx.kernel.fallbacks == 0
+        assert sys.ctx.fallbacks == 0
 
     @pytest.mark.parametrize("alphabet", (TERNARY, A01, Alphabet(0, 4)))
     @pytest.mark.parametrize("base", KERNEL_BASES)
