@@ -32,8 +32,9 @@ TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
 AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 0.1 s at 1e-40
 STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3
-# --alphabet size: expand and delta try the digits one at a time, and
-# expand --length 5000 on a cubic base takes 1.2 s at 0:64 (2-core Xeon)
+# --alphabet size: on an algebraic base expand and delta try the digits one
+# at a time, and expand --length 5000 on a cubic base takes 1.2 s at 0:64
+# (2-core Xeon); a rational base takes each digit by one floor division
 ALPHABET_MAX = 64
 
 
@@ -101,7 +102,7 @@ def _cmd_expand(args):
         else expansions.quasi_greedy_expansion
     word = fn(sys_, x, args.length)
     return ({"alpha": args.alpha, "x": args.x, "algorithm": args.algorithm,
-             "length": args.length},
+             "alphabet": args.alphabet, "length": args.length},
             {"digits": format_seq(word)})
 
 
@@ -112,7 +113,8 @@ def _cmd_delta(args):
     sys_ = BaseSystem(alpha, alphabet)
     word = expansions.delta(sys_, args.length)
     ep = expansions.try_ep_form(sys_, depth_cap=_depth_cap(2048))
-    return ({"alpha": args.alpha, "length": args.length},
+    return ({"alpha": args.alpha, "alphabet": args.alphabet,
+             "length": args.length},
             {"prefix": format_seq(word),
              "eventually_periodic": format_seq(ep) if ep else None})
 

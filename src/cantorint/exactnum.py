@@ -23,8 +23,11 @@ follower-value closures s -> s/alpha - d step on the states themselves.
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
 isolates a root and yields the squarefree polynomial that defines it.
-One int evaluator signs every polynomial at a rational, and one bisection
-refines every bracket, alpha_KL's too.
+Every polynomial is a primitive int list: rational coefficients are
+cleared where they enter, and one int pseudo-division builds both the
+Sturm chain and the squarefree part.  One int evaluator signs every
+polynomial at a rational, and one bisection refines every bracket,
+alpha_KL's too.
 ``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
 fixed-point filter decides every sign and enclosure: an undecided sign
 doubles K from 64 bits up to a cap.  The zero vector is an exact 0.
@@ -88,46 +91,14 @@ def poly_trim(coeffs):
     return coeffs
 
 
-def poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_degree(coeffs) -> int:
-    return len(poly_trim(coeffs)) - 1
-
-
 def poly_derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def poly_divmod(num, den):
-    """Quotient and remainder of two polynomials over the rationals."""
-    num = [Fraction(c) for c in poly_trim(num)]
-    den = [Fraction(c) for c in poly_trim(den)]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    dlead = den[-1]
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        q = rem[-1] / dlead
-        quot[shift] = q
-        for i, c in enumerate(den):
-            rem[shift + i] -= q * c
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), rem
 
 
 def poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -136,11 +107,36 @@ def poly_mul(a, b):
     return poly_trim(out)
 
 
+def poly_pseudo_divmod(a, b):
+    """Pseudo-division of int polynomials (Knuth, TAOCP 4.6.1, Algorithm R):
+    (q, r) with c a = q b + r and deg r < deg b, for c = |lead b|^k > 0.
+
+    Each step scales q and r by |lead b| and cancels r's top term, so no
+    fraction arises and the positive factor c keeps every sign of r.
+    """
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = poly_trim(a)
+    quot = [0] * max(0, len(rem) - len(b) + 1)
+    scale, sg = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        t = sg * rem[-1]  # scale * rem[-1] = t * lead b
+        rem = [scale * c for c in rem]
+        quot = [scale * c for c in quot]
+        quot[shift] = t
+        for i, c in enumerate(b):
+            rem[shift + i] -= t * c
+        rem = poly_trim(rem)
+    return poly_trim(quot), rem
+
+
 def _primitive(coeffs) -> list:
-    """The primitive integer polynomial c p, c > 0, of a rational p."""
-    fracs = [Fraction(c) for c in poly_trim(coeffs)]
-    D = lcm(*(c.denominator for c in fracs))
-    ints = [c.numerator * (D // c.denominator) for c in fracs]
+    """The primitive int polynomial c p, c > 0, of an int or rational p."""
+    coeffs = poly_trim(coeffs)
+    D = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (D // c.denominator) for c in coeffs]
     g = gcd(*ints)
     return [c // g for c in ints]
 
@@ -173,18 +169,19 @@ def _value_at(coeffs, x) -> int:
 
 
 def sturm_chain(coeffs):
-    """p, p', then the negated remainders of Euclid's algorithm on them,
-    each scaled by a positive rational to a primitive integer polynomial,
-    which keeps its signs.  The chain stops at the last nonzero remainder,
-    so its last member is gcd(p, p') up to a positive factor, for any
-    nonconstant p.
+    """p, p', then the negated pseudo-remainders of Euclid's algorithm on
+    them, each a primitive int polynomial.  A pseudo-remainder is the
+    rational remainder times a positive factor, so every member has the
+    signs of the classical Sturm sequence.  The chain stops at the last
+    nonzero remainder, so its last member is gcd(p, p') up to a positive
+    factor, for any nonconstant p.
     """
     chain = [_primitive(coeffs)]
     d = _primitive(poly_derivative(chain[0]))
     if d:
         chain.append(d)
         while len(chain[-1]) > 1:
-            _, rem = poly_divmod(chain[-2], chain[-1])
+            _, rem = poly_pseudo_divmod(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append(_primitive([-c for c in rem]))
@@ -212,7 +209,9 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     twice.  Sturm's theorem counts the distinct roots of any p in (a, b]
     when neither end is a root, so the bisection runs on the chain.  The
     chain's last member is g = gcd(p, p'), so p / g, which has the same
-    roots, all simple, defines the returned ``AlgebraicReal``.
+    roots, all simple, defines the returned ``AlgebraicReal``.  It is the
+    pseudo-quotient of p by g, p / g times a positive int, which
+    ``AlgebraicReal`` reduces to the primitive p / g (Gauss's lemma).
 
     Raises ``NonIsolatingInterval`` if the interval holds no root.  The
     endpoints must not themselves be roots.
@@ -239,7 +238,7 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
         else:
             hi = mid
             total = sturm_root_count(coeffs, lo, hi, chain)
-    squarefree, _ = poly_divmod(chain[0], chain[-1])
+    squarefree, _ = poly_pseudo_divmod(p, chain[-1])
     return AlgebraicReal(squarefree, lo, hi)
 
 

@@ -232,12 +232,12 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
 
     For a rational base p/q in lowest terms the remainder after k digits is
     N_k / (b p^k), with b the denominator of y, so integers do the work: d
-    is the largest with q N_k > d b p^(k+1) (>= for greedy), N_(k+1) =
-    q N_k - d b p^(k+1), and the key is N_(k+1).  It pins the remainder
-    only for p = 1, where the scale b p^k stays b.  Unlike
-    ``QAlphaContext.step``, this loop takes no gcd per digit; it is the
-    faster path for degree 1.  Other bases step y's state, canonical and
-    so the key.
+    is the largest with q N_k > d b p^(k+1) (>= for greedy), found by one
+    floor division, N_(k+1) = q N_k - d b p^(k+1), and the key is N_(k+1).
+    It pins the remainder only for p = 1, where the scale b p^k stays b.
+    Unlike ``QAlphaContext.step``, this loop takes no gcd per digit; it is
+    the faster path for degree 1.  Other bases step y's state, canonical
+    and so the key.
     """
     M = sys.M
     ctx = sys.ctx
@@ -247,13 +247,7 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
         while True:
             scale *= p
             qn = q * num
-            d = M
-            if strict:
-                while d and qn <= d * scale:
-                    d -= 1
-            else:
-                while d and qn < d * scale:
-                    d -= 1
+            d = max(0, min(M, (qn - 1 if strict else qn) // scale))
             num = qn - d * scale
             yield d, num
     y = y.state

@@ -104,6 +104,16 @@ class TestSubcommands:
         assert payload["result"]["prefix"] == "+00000"
         assert payload["result"]["eventually_periodic"] == "+(0)"
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--alpha", "rat:2/5", "--x", "1/3", "--length", "4"),
+        ("delta", "--alpha", "rat:2/5", "--length", "4"),
+    ])
+    def test_alphabet_in_inputs(self, capsys, argv):
+        # runs over different alphabets record different inputs
+        code, payload = run_json(capsys, *argv, "--alphabet", "0:64")
+        assert code == 0
+        assert payload["inputs"]["alphabet"] == "0:64"
+
     def test_tm(self, capsys):
         code, payload = run_json(capsys, "tm", "--what", "tau", "--n", "16")
         assert code == 0
@@ -208,22 +218,22 @@ GOLDEN = [
      "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "greedy"),
-     "be84b0f343331d620589f32710cd39879713b4b327e6e03052572b71994de12a"),
+     "0331753a65242cca7983a848e560cf91bd3969641ab71ad3a42f0923b3a6e4d6"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "quasi-greedy"),
-     "7ff51f79993fcb797a21a74dfb13c4959946bbd2d7533aad675acdb2bc56d115"),
+     "357eb80033e202a88d4fc07e8298c4ecceba65e39de85091b2a2bcfe7ba8fb31"),
     (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "greedy"),
-     "ade46100c4d548674c2001dffb934e5be277fb1d6424abc0260904ef28cdd44c"),
+     "5d4abf6afdca0adb718192e34be57bd0c450668d526e55858c352cdce2d1be56"),
     (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "quasi-greedy"),
-     "78fcafd31466aea1452151f38f01ba07892d4e548b4b248e9f5a505407c4075a"),
+     "f6149d2fdab23e0b696d7f69a1f79c86bad8b255c16fd4bf010014d53d3de2f4"),
     (("delta", "--alpha", CUBIC, "--length", "40"),
-     "0f7035d83852e0a35ebdbe8996c5431372dbf3c6df4389c32df6e608a6d2c535"),
+     "5a980b3d8b88374339aa5f15110be67ca18c934b73c1f968897e5608d91760ba"),
     (("delta", "--alpha", SQRT2_MINUS_1, "--length", "40"),
-     "d6034eda8014debb93915a43a348dddeba858923d4ee6ae798a3bbc809962a3c"),
+     "00f8002a5f7e2a700a83129d7b745e81296c7041700b07dcda10113b84f5e7f8"),
     (("delta", "--alpha", "rat:2/5", "--length", "40"),
-     "ec32a38ad057523682e9fad8bb850be71e21d302df95d070a11036cea2588e1e"),
+     "63223fd60f0a304fcf48e37733170cad6d1a05c5b2345c6ac51a6ca89df33033"),
     (("dset", "--alpha", "akl"),
      "f4e7c2a4a52791a7e608b8a75a6f6854e4b86a50beb3fb4286cd7f21e206abf0"),
     (("dset", "--alpha", "rat:21/50"),

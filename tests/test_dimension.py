@@ -145,12 +145,22 @@ class TestPerron:
     def test_one_chain_root_matches_two_pass_route(self):
         # the squarefree part by a gcd, then isolation on it, as the root
         # was found before one Sturm chain did both
+        def frac_divmod(num, den):  # over the rationals
+            quot, rem = [F(0)] * max(0, len(num) - len(den) + 1), num[:]
+            while len(rem) >= len(den):
+                shift = len(rem) - len(den)
+                quot[shift] = rem[-1] / den[-1]
+                for i, c in enumerate(den):
+                    rem[shift + i] -= quot[shift] * c
+                rem = X.poly_trim(rem)
+            return quot, rem
+
         def two_pass(p, hi):
             p = X.poly_trim([F(c) for c in p])
             a, b = p, X.poly_trim(X.poly_derivative(p))
             while b:
-                a, b = b, X.poly_divmod(a, b)[1]
-            return X.isolate_largest_root(X.poly_divmod(p, a)[0], F(0), hi)
+                a, b = b, frac_divmod(a, b)[1]
+            return X.isolate_largest_root(frac_divmod(p, a)[0], F(0), hi)
 
         rng = random.Random(77)
         repeated = 0
@@ -166,8 +176,7 @@ class TestPerron:
             cm = CountMatrix(m)
             cp = char_poly(cm.succ)
             stripped = cp[next(i for i, c in enumerate(cp) if c):]
-            repeated += X.poly_degree(
-                X.sturm_chain(stripped)[-1]) > 0
+            repeated += len(X.sturm_chain(stripped)[-1]) > 1
             got = cm.perron().algebraic
             want = two_pass(stripped, F(max(cm.row_sums()) + 1))
             assert got.coeffs == want.coeffs

@@ -224,14 +224,40 @@ class TestPolynomials:
         assert lo <= 3 <= hi
 
 
+# The Fraction polynomial arithmetic that int pseudo-division and the int
+# evaluator replaced.
+
+def frac_eval(coeffs, x):
+    acc = F(0)
+    for c in reversed(list(coeffs)):
+        acc = acc * x + c
+    return acc
+
+
+def frac_divmod(num, den):
+    """Quotient and remainder of two polynomials over the rationals."""
+    num = [F(c) for c in X.poly_trim(num)]
+    den = [F(c) for c in X.poly_trim(den)]
+    quot = [F(0)] * max(0, len(num) - len(den) + 1)
+    rem = num[:]
+    while len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        q = rem[-1] / den[-1]
+        quot[shift] = q
+        for i, c in enumerate(den):
+            rem[shift + i] -= q * c
+        rem = X.poly_trim(rem)
+    return X.poly_trim(quot), rem
+
+
 def fraction_refine(coeffs, lo, hi, width):
     """AlgebraicReal.refine as it bisected in Fractions."""
     if hi - lo <= width:
         return (lo, hi)
-    sign_lo = X.poly_eval(coeffs, lo) > 0
+    sign_lo = frac_eval(coeffs, lo) > 0
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = X.poly_eval(coeffs, mid)
+        v = frac_eval(coeffs, mid)
         if v == 0:
             return (mid, mid)
         if (v > 0) == sign_lo:
@@ -296,7 +322,7 @@ def reference_reduce(ctx, coeffs):
     ... reduced modulo alpha's monic polynomial."""
     coeffs = [F(c) for c in coeffs]
     if ctx.degree == 1:
-        return (X.poly_eval(coeffs, ctx.alpha),)
+        return (frac_eval(coeffs, ctx.alpha),)
     d = ctx.degree
     lead = ctx.alpha.coeffs[-1]
     red = [[F(-c, lead) for c in ctx.alpha.coeffs[:-1]]]  # alpha^d
@@ -329,14 +355,14 @@ def reference_inverse(ctx, a):
     f, g = X.poly_trim(list(a)), [F(c) for c in ctx.alpha.coeffs]
     s0, s1 = [F(1)], []
     while X.poly_trim(g):
-        q, r = X.poly_divmod(f, g)
+        q, r = frac_divmod(f, g)
         f, g = g, r
         qs = X.poly_mul(q, s1)
         n = max(len(s0), len(qs))
         s0, s1 = s1, X.poly_trim([x - y for x, y in
                                   zip(s0 + [0] * (n - len(s0)),
                                       qs + [0] * (n - len(qs)))])
-    if X.poly_degree(f) != 0:
+    if len(f) != 1:
         raise X.UnsupportedBase("defining polynomial is not irreducible")
     return reference_reduce(ctx, [x / f[0] for x in s0])
 
@@ -363,21 +389,26 @@ class TestIntegerBisection:
 # The Fraction loops that the integer Sturm evaluation and the integer
 # series sum replaced.
 
-def reference_sign_variations(coeffs, x):
-    """Sign variations at x of the Sturm chain of p, built and evaluated in
-    Fractions with no rescaling of its members."""
+def reference_chain(coeffs):
+    """The Sturm chain of p, built in Fractions with no rescaling of its
+    members."""
     chain = [X.poly_trim([F(c) for c in coeffs])]
     d = X.poly_trim(X.poly_derivative(chain[0]))
     if d:
         chain.append(d)
-        while X.poly_degree(chain[-1]) > 0:
-            _, rem = X.poly_divmod(chain[-2], chain[-1])
+        while len(chain[-1]) > 1:
+            _, rem = frac_divmod(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append([-c for c in rem])
+    return chain
+
+
+def reference_sign_variations(coeffs, x):
+    """Sign variations at x of reference_chain(p), evaluated in Fractions."""
     signs = []
-    for p in chain:
-        v = X.poly_eval(p, x)
+    for p in reference_chain(coeffs):
+        v = frac_eval(p, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -390,16 +421,16 @@ def reference_isolate(coeffs, lo, hi):
         return (reference_sign_variations(coeffs, a)
                 - reference_sign_variations(coeffs, b))
 
-    if X.poly_eval(coeffs, lo) == 0 or X.poly_eval(coeffs, hi) == 0:
+    if frac_eval(coeffs, lo) == 0 or frac_eval(coeffs, hi) == 0:
         raise X.NonIsolatingInterval("endpoint is a root")
     total = count(lo, hi)
     if total == 0:
         raise X.NonIsolatingInterval("no root")
     while total > 1:
         mid = (lo + hi) / 2
-        if X.poly_eval(coeffs, mid) == 0:
+        if frac_eval(coeffs, mid) == 0:
             mid = (lo + 2 * hi) / 3
-            if X.poly_eval(coeffs, mid) == 0:
+            if frac_eval(coeffs, mid) == 0:
                 raise X.NonIsolatingInterval("could not separate roots")
         upper = count(mid, hi)
         if upper >= 1:
@@ -411,8 +442,8 @@ def reference_isolate(coeffs, lo, hi):
     g = X.poly_trim(p)
     dp = X.poly_trim(X.poly_derivative(g))
     while dp:  # gcd(p, p') by Euclid
-        g, dp = dp, X.poly_divmod(g, dp)[1]
-    return X.poly_normalize(X.poly_divmod(p, g)[0]), (lo, hi)
+        g, dp = dp, frac_divmod(g, dp)[1]
+    return X.poly_normalize(frac_divmod(p, g)[0]), (lo, hi)
 
 
 def reference_series_enclosure(digits, ratio, low, high, widths):
@@ -503,6 +534,80 @@ class TestIntegerSturm:
         # the nudged split: 3 is a root, so (0 + 2 * 6) / 3 = 4 splits
         assert X.isolate_largest_root(NUDGED, F(0), F(6)).interval() == \
             (F(2), F(4))
+
+
+def sparse_polys(rng, count):
+    """Seeded int polynomials of degree 3 to 8 with about half their
+    coefficients 0, so that remainders drop by several degrees."""
+    polys = []
+    for _ in range(count):
+        p = [rng.choice((0, 0, 0, rng.randrange(-9, 10)))
+             for _ in range(rng.randrange(3, 9))]
+        polys.append(p + [rng.choice((-4, -3, -2, -1, 1, 2, 3, 5))])
+    return polys
+
+
+class TestPseudoDivision:
+    def test_pseudo_divmod_scales_fraction_divmod(self):
+        # (q, r) = c (q0, r0), with (q0, r0) the rational division and
+        # c = |lead b|^k > 0
+        rng = random.Random(61)
+        for _ in range(300):
+            a = [rng.randrange(-20, 21) for _ in range(rng.randrange(0, 9))]
+            b = [rng.randrange(-20, 21) for _ in range(rng.randrange(0, 5))]
+            b.append(rng.choice((-6, -1, 1, 4, 7)))
+            q, r = X.poly_pseudo_divmod(a, b)
+            q0, r0 = frac_divmod(a, b)
+            assert len(r) < len(b)
+            assert all(isinstance(c, int) for c in q + r)
+            c = F((q or r or [1])[-1]) / (q0 or r0 or [1])[-1]
+            assert c in {abs(b[-1]) ** k for k in range(len(a) + 1)}
+            assert q == [c * x for x in q0] and r == [c * x for x in r0]
+
+    def test_pseudo_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            X.poly_pseudo_divmod([1, 2], [0, 0])
+
+    def chain_polys(self):
+        """The Sturm tests' polynomials, sparse ones, and squares of
+        non-monic factors times a cofactor, so that g = gcd(p, p') has a
+        leading term other than 1."""
+        rng, polys = TestIntegerSturm().seeded_polys()
+        polys += sparse_polys(rng, 60)
+        for _ in range(20):
+            f = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 3))]
+            f.append(rng.choice((-3, -2, 2, 3, 5)))
+            h = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 4))]
+            polys.append(X.poly_mul(X.poly_mul(f, f), h + [1]))
+        return polys
+
+    def test_chain_is_primitive_fraction_chain(self):
+        # the Fraction chain's members scaled to primitive ints, member for
+        # member, on chains whose divisors have negative leading terms
+        # and remainders that drop one, two and more degrees
+        drops, odd_negative = set(), 0
+        for p in self.chain_polys():
+            chain = X.sturm_chain(p)
+            assert chain == [X._primitive(m) for m in reference_chain(p)]
+            drops.update(len(a) - len(b) for a, b in zip(chain[1:],
+                                                          chain[2:]))
+            # a divisor with a negative leading term, k odd steps: a
+            # signed factor lead^k would flip the remainder
+            odd_negative += sum(b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+                                for a, b in zip(chain, chain[1:]))
+        assert {1, 2, 3} <= drops
+        assert odd_negative >= 5
+
+    def test_squarefree_part_is_fraction_quotient(self):
+        scaled = 0
+        for p in self.chain_polys():
+            g = reference_chain(p)[-1]
+            want = X.poly_normalize(frac_divmod(p, g)[0])
+            chain = X.sturm_chain(p)
+            quot, rem = X.poly_pseudo_divmod(chain[0], chain[-1])
+            assert rem == [] and X.poly_normalize(quot) == want
+            scaled += abs(chain[-1][-1]) > 1 and len(quot) > 1
+        assert scaled >= 10  # q is scaled in more than one step
 
 
 class TestIntegerSeries:

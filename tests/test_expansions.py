@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -649,6 +649,42 @@ def reference_digits(sys, y, length, strict, stop_at_repeat=False):
                     break
             seen[y.coeffs] = len(out)
     return out, repeat
+
+
+def reference_rational_digits(sys, y, strict):
+    """The rational branch of _digit_loop as it tried the digits from M
+    down: (digit, key) pairs, endlessly."""
+    p, q = sys.ctx.alpha.numerator, sys.ctx.alpha.denominator
+    num, scale = y.state
+    while True:
+        scale *= p
+        qn = q * num
+        d = sys.M
+        if strict:
+            while d and qn <= d * scale:
+                d -= 1
+        else:
+            while d and qn < d * scale:
+                d -= 1
+        num = qn - d * scale
+        yield d, num
+
+
+class TestRationalDigitLoop:
+    def test_floor_division_matches_digit_by_digit(self):
+        rng = random.Random(64)
+        for size in range(2, 65):
+            sys = BaseSystem(F(rng.randrange(1, 50), 50),
+                             Alphabet(0, size))
+            top = sys.M * sys.tail_unit
+            xs = [sys.ctx.zero, top, sys.ctx.one]
+            xs += [top * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
+            for x in xs:
+                for strict in (False, True):
+                    got = islice(E._digit_loop(sys, x, strict), 80)
+                    want = islice(reference_rational_digits(sys, x, strict),
+                                  80)
+                    assert list(got) == list(want)
 
 
 def closure_cases():
