@@ -36,6 +36,7 @@ STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3
 # at a time, and expand --length 5000 on a cubic base takes 1.2 s at 0:64
 # (2-core Xeon); a rational base takes each digit by one floor division
 ALPHABET_MAX = 64
+BOX_DEPTH_MAX = 20  # boxcount: 2/5 with t = 0 keeps all 2^20 cells in 16 s
 
 
 def _check_bound(flag: str, value: int, bound: int, name: str):
@@ -244,11 +245,12 @@ def _cmd_intersect(args):
 
 
 def _cmd_boxcount(args):
+    _check_bound("--depth", args.depth, BOX_DEPTH_MAX, "BOX_DEPTH_MAX")
     alpha = _parse_alpha(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
     rep = dimension.box_count_oracle(alpha, t, args.depth,
-                                     max_depth=_depth_cap(20))
+                                     max_depth=_depth_cap(BOX_DEPTH_MAX))
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,lower,upper\n")

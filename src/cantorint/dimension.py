@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from . import exactnum, expansions, graph, thuemorse, words
@@ -421,7 +422,6 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
 # box-counting oracle on an exact integer grid, independent of the above
 # ---------------------------------------------------------------------------
 
-_BOX_BUFFER = 8  # gamma levels each upper-count probe looks past n
 _BOX_BITS = 64  # the walk's intervals are ints times 2^-64
 _BOX_WIDTH = Fraction(1, 2**80)  # of the enclosures of alpha and t
 
@@ -477,26 +477,36 @@ def box_count_oracle(alpha, t, depth: int,
                      max_depth: int = 20) -> BoxCountReport:
     """Count {0,1} prefixes whose cylinder can meet the intersection.
 
-    An upper count keeps every depth-n prefix that survives interval
-    pruning, on an exact integer grid, against the translated set refined
-    to depth n + _BOX_BUFFER; a lower count additionally requires an exact
-    membership certificate for a witness point in the cylinder: the prefix
-    value p, with p - t in Gamma_alpha.  The least-squares slope of
-    log(upper) against n * (-log alpha) over the last half of the depths,
-    in closed form by :func:`_lsq_slope`, estimates the dimension.
+    An upper count keeps every depth-n prefix whose cylinder hull I =
+    [p_0, p_1 + tails[n]] on the exact integer grid meets the hull of a
+    depth-n prefix of the translated set; a lower count also needs an
+    exact certificate that the prefix value p has p - t in Gamma_alpha.
+    The least-squares slope of log(upper) against n * (-log alpha) over
+    the last half of the depths, in closed form by :func:`_lsq_slope`,
+    estimates the dimension.
+
+    No deeper look can prune a kept prefix: a translated prefix (g_0,
+    g_1) at level m >= n that meets I has a child that does.  If the
+    0-child misses, g_1 + tails[m+1] < p_0; then the 1-child, which adds
+    pows[m+1], reaches p_0, as pows[m+1][1] + tails[m+1] >= tails[m]
+    (ceilings are superadditive and ahi^(m+1) + ahi^(m+2)/(1 - ahi) =
+    ahi^(m+1)/(1 - ahi)), and starts below I's upper end, as g_0 +
+    pows[m+1][0] < p_0 + tails[n].
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
     and p - t is carried down the walk exactly, as a state of the field's
     :class:`exactnum.QAlphaContext`.  Sharing cannot change a row where a
     fresh search certifies its verdict: the search keeps only certified
-    IN/OUT facts, never a value cut short by a cap.  Shifts with no exact
-    form get the upper count and no witnesses.
+    IN/OUT facts, never a value cut short by a cap.  A 0-child has its
+    parent's p, so it inherits an IN/OUT verdict and searches again only
+    after UNKNOWN.  Shifts with no exact form get the upper count and no
+    witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > max_depth:
         raise DepthCapExceeded(f"depth {depth} above configured max {max_depth}")
-    alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth + _BOX_BUFFER)
+    alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth)
 
     # exact side for witnesses
     ctx = None
@@ -509,59 +519,38 @@ def box_count_oracle(alpha, t, depth: int,
     search = None
     if ctx is not None:
         search = expansions.GammaSearch(ctx, depth_cap=512)
-        a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
+        a_pows = list(accumulate([ctx.alpha_element.state] * depth, ctx.mul,
+                                 initial=ctx.one.state))
+    IN, UNKNOWN = expansions.GammaStatus.IN, expansions.GammaStatus.UNKNOWN
 
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
 
-    def probe(I, gammas, k):
-        """Is some gamma extension _BOX_BUFFER levels deeper still
-        overlapping the fixed interval I?  gammas hold partial-sum
-        intervals at depth k."""
-        stack = [(g, k) for g in gammas]
-        while stack:
-            part, m = stack.pop()
-            if part[0] > I[1] or part[1] + tails[m] < I[0]:
-                continue
-            if m >= k + _BOX_BUFFER:
-                return True
-            stack.append((part, m + 1))
-            pw = pows[m + 1]
-            stack.append(((part[0] + pw[0], part[1] + pw[1]), m + 1))
-        return False
-
-    def walk(k, part, gammas, x):  # x = prefix value - t, a state, or None
+    # x = prefix value - t, a state, or None; verdict = x's GammaStatus
+    def walk(k, part, gammas, x, verdict):
         tail_hi = tails[k]
-        I = (part[0], part[1] + tail_hi)
-        # keep gamma prefixes whose cylinder can still meet I
-        kept = []
-        seen = set()
-        for g in gammas:
-            if g[0] > I[1] or g[1] + tail_hi < I[0]:
-                continue
-            if g not in seen:
-                seen.add(g)
-                kept.append(g)
-        if not kept or not probe(I, kept, k):
+        lo, hi = part[0], part[1] + tail_hi
+        # keep gamma prefixes whose cylinder can still meet I = [lo, hi]
+        kept = list(dict.fromkeys(g for g in gammas
+                                  if g[0] <= hi and g[1] + tail_hi >= lo))
+        if not kept:
             return
         if k > 0:
             uppers[k] += 1
-            if search is not None and search.membership(x).status is \
-                    expansions.GammaStatus.IN:
-                lowers[k] += 1
+            if search is not None:
+                if verdict is None or verdict is UNKNOWN:
+                    verdict = search.membership(x).status
+                lowers[k] += verdict is IN
         if k == depth:
             return
         p0, p1 = pows[k + 1]
-        next_g = []
-        for g in kept:
-            next_g.append(g)
-            next_g.append((g[0] + p0, g[1] + p1))
-        walk(k + 1, part, next_g, x)
+        next_g = [h for g in kept for h in (g, (g[0] + p0, g[1] + p1))]
+        walk(k + 1, part, next_g, x, verdict)
         walk(k + 1, (part[0] + p0, part[1] + p1), next_g,
-             None if search is None else ctx.add(x, a_pows[k + 1]))
+             None if search is None else ctx.add(x, a_pows[k + 1]), None)
 
     walk(0, (0, 0), [t_iv],
-         None if search is None else (-t_exact).state)
+         None if search is None else (-t_exact).state, None)
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]

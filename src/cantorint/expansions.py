@@ -47,6 +47,7 @@ from .exactnum import (
     compare,
 )
 from .words import (
+    BINARY,
     TERNARY,
     Alphabet,
     EPSeq,
@@ -649,6 +650,8 @@ class GammaSearch:
     the context itself.
     """
 
+    EMPTY_WITNESS = FiniteWord((), BINARY)  # x itself is a live value
+
     def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
                  node_cap: int = 200_000):
         self.ctx = ctx
@@ -669,7 +672,7 @@ class GammaSearch:
         if x in dead:
             return GammaResult(GammaStatus.OUT)
         if x in live:
-            return GammaResult(GammaStatus.IN, FiniteWord([], Alphabet(0, 2)))
+            return GammaResult(GammaStatus.IN, self.EMPTY_WITNESS)
         if ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
             return GammaResult(GammaStatus.OUT)
         children = self._children
@@ -697,7 +700,7 @@ class GammaSearch:
             if child in on_path or child in live:
                 live.update(on_path)
                 return GammaResult(GammaStatus.IN,
-                                   FiniteWord(digit_path + [d], Alphabet(0, 2)))
+                                   FiniteWord(digit_path + [d], BINARY))
             if child in dead:
                 continue
             nodes += 1

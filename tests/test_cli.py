@@ -347,6 +347,17 @@ class TestErrors:
         assert code == 1 and payload["result"] is None
         assert bound in payload["status"]
 
+    def test_depth_cap_env_only_lowers(self, capsys, monkeypatch):
+        # BOX_DEPTH_MAX holds even where the env var sets a higher cap
+        monkeypatch.setenv("CANTOR_DEPTH_CAP", "100")
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
+                                 "--t", "rat:0", "--depth", "30")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and payload["result"] is None
+        assert "--depth 30 is over the bound BOX_DEPTH_MAX = 20" in \
+            payload["status"]
+
     def test_depth_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "12")
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",

@@ -387,7 +387,7 @@ def _ref_iv_of(x, width=F(1, 10**22)):
 
 def reference_box_rows(alpha, t, depth):
     """(rows, slope) of the float walk, witnesses as box_count_oracle's."""
-    inf, buf = math.inf, D._BOX_BUFFER
+    inf, buf = math.inf, 8  # gamma levels each upper-count probe looks past n
     a_iv, t_iv = _ref_iv_of(alpha), _ref_iv_of(t)
     one_minus = _ref_iv_add((1.0, 1.0), (-a_iv[1], -a_iv[0]))
     recip = (math.nextafter(1.0 / one_minus[1], -inf),
@@ -456,6 +456,88 @@ def reference_box_rows(alpha, t, depth):
     neg_log = -math.log((a_iv[0] + a_iv[1]) / 2)
     return rows, D._lsq_slope([n * neg_log for (n, _) in half],
                               [math.log(u) for (_, u) in half])
+
+
+# The integer probe box_count_oracle ran below every kept node before its
+# docstring's lemma showed that it always finds an extension.
+
+def reference_probe(I, gammas, k, pows, tails, buf=8):
+    """Is some extension of a gamma prefix ``buf`` levels below level k
+    still overlapping I?"""
+    stack = [(g, k) for g in gammas]
+    while stack:
+        part, m = stack.pop()
+        if part[0] > I[1] or part[1] + tails[m] < I[0]:
+            continue
+        if m >= k + buf:
+            return True
+        stack.append((part, m + 1))
+        pw = pows[m + 1]
+        stack.append(((part[0] + pw[0], part[1] + pw[1]), m + 1))
+    return False
+
+
+def probe_at_kept_nodes(alpha, t, depth):
+    """Walk box_count_oracle's kept filter to ``depth`` and run the probe
+    at every node it keeps: (upper counts per depth, kept nodes, probes
+    that found no extension)."""
+    _, _, t_iv, pows, tails = D._box_grid(alpha, t, depth + 8)
+    uppers = [0] * (depth + 1)
+    misses = []
+
+    def walk(k, part, gammas):
+        I = (part[0], part[1] + tails[k])
+        kept = list(dict.fromkeys(g for g in gammas if g[0] <= I[1]
+                                  and g[1] + tails[k] >= I[0]))
+        if not kept:
+            return
+        uppers[k] += 1
+        if not reference_probe(I, kept, k, pows, tails):
+            misses.append((k, part))
+        if k == depth:
+            return
+        p0, p1 = pows[k + 1]
+        next_g = [h for g in kept for h in (g, (g[0] + p0, g[1] + p1))]
+        walk(k + 1, part, next_g)
+        walk(k + 1, (part[0] + p0, part[1] + p1), next_g)
+
+    walk(0, (0, 0), [t_iv])
+    return uppers[1:], sum(uppers), misses
+
+
+def check7_cases():
+    """verify-paper check 7's three box-count calls at its own depths."""
+    sys = cubic_base()
+    a = sys.ctx.alpha_element
+    return [(F(2, 5), F(0), 14),
+            (sys.alpha, -a / (sys.ctx.one + a), 12),
+            (F(2, 5), 2 * F(2, 5) / (1 - F(2, 5)), 8)]
+
+
+def touching_cases():
+    """Gamma + t meeting Gamma in one end point, t = +-alpha/(1 - alpha),
+    at depth 8, with the rational shifts also as Fractions."""
+    out = []
+    for base in ("rat:2/5", "alg:-1,2,1@[2/5,1/2]"):
+        u = BaseSystem(X.parse_real(base), TERNARY).tail_unit
+        out += [(u.ctx.alpha, u, 8), (u.ctx.alpha, -u, 8)]
+        if u.ctx.degree == 1:
+            out += [(u.ctx.alpha, u.to_fraction(), 8),
+                    (u.ctx.alpha, -u.to_fraction(), 8)]
+    return out
+
+
+def edge_base_cases():
+    """Bases near 1/3 and 1/2, and 1/5 and 3/5, with shifts from 0 past
+    the ends of Gamma, at depth 10 (8 for the overlapping 3/5)."""
+    out = []
+    for alpha in (F(1, 3) + F(1, 1000), F(1, 2) - F(1, 1000), F(1, 5),
+                  F(3, 5)):
+        u = alpha / (1 - alpha)
+        depth = 8 if alpha > F(1, 2) else 10
+        for c in (F(0), F(1, 3), F(-1, 2), F(1), F(-1), F(7, 5)):
+            out.append((alpha, u * c, depth))
+    return out
 
 
 BOX_BASES = ("rat:2/5", "rat:19/50", "rat:9/25", "rat:3/7", "rat:41/100",
@@ -574,14 +656,80 @@ class TestBoxCount:
         assert len(cases) == 54 and witnessed >= 10 and sloped >= 10
 
     def test_grid_matches_float_walk_check7(self):
-        sys = cubic_base()
-        a = sys.ctx.alpha_element
-        outside = 2 * F(2, 5) / (1 - F(2, 5))
-        for alpha, t, depth in ((F(2, 5), F(0), 14),
-                                (sys.alpha, -a / (sys.ctx.one + a), 12),
-                                (F(2, 5), outside, 8)):
+        for alpha, t, depth in check7_cases():
             rep = box_count_oracle(alpha, t, depth)
             assert (rep.rows, rep.slope) == reference_box_rows(alpha, t, depth)
+
+    def test_probe_finds_extension_at_every_kept_node(self):
+        # the lemma in box_count_oracle's docstring: below a kept node some
+        # gamma extension overlaps the cylinder 8 levels further down, so
+        # the deleted probe could never prune.  The walk here keeps the
+        # oracle's upper counts; the edge bases skip that comparison, since
+        # the oracle's witness searches on them run to the node cap
+        cases = box_cases() + check7_cases() + touching_cases()
+        nodes = 0
+        for i, (alpha, t, depth) in enumerate(cases + edge_base_cases()):
+            uppers, kept, misses = probe_at_kept_nodes(alpha, t, depth)
+            assert misses == []
+            if i < len(cases):
+                assert uppers == [u for (_, _, u) in
+                                  box_count_oracle(alpha, t, depth).rows]
+            nodes += kept
+        assert len(cases) == 63 and nodes > 45_000
+
+    def test_inherited_verdicts_under_tiny_node_cap(self, monkeypatch):
+        # a node cap of 2 leaves many verdicts UNKNOWN; a 0-child inherits
+        # only IN/OUT and searches again after UNKNOWN, so the rows equal
+        # the walk that searches at every node, and the capped rows differ
+        # from the uncapped ones on some cases
+        statuses = []
+
+        class Capped(E.GammaSearch):
+            def __init__(self, ctx, depth_cap=4096, node_cap=200_000):
+                super().__init__(ctx, depth_cap, node_cap=2)
+
+            def membership(self, x):
+                res = super().membership(x)
+                statuses.append(res.status)
+                return res
+
+        cases = check7_cases() + box_cases()
+        uncapped = [box_count_oracle(*c).rows for c in cases]
+        monkeypatch.setattr(E, "GammaSearch", Capped)
+        calls = ref_calls = changed = 0
+        for case, rows in zip(cases, uncapped):
+            statuses.clear()
+            rep = box_count_oracle(*case)
+            calls += len(statuses)
+            unknown = statuses.count(E.GammaStatus.UNKNOWN)
+            statuses.clear()
+            assert (rep.rows, rep.slope) == reference_box_rows(*case)
+            ref_calls += len(statuses)
+            changed += unknown > 0 and rep.rows != rows
+        assert changed >= 10 and calls < ref_calls
+
+    def test_unknown_verdict_is_searched_again(self, monkeypatch):
+        # a search that answers UNKNOWN the first time it is asked about a
+        # value, as a capped search can before later facts complete it:
+        # the 0-child asks again and gets the certified verdict
+        class AskTwice(E.GammaSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.asked = set()
+
+            def membership(self, x):
+                if x in self.asked:
+                    return super().membership(x)
+                self.asked.add(x)
+                return E.GammaResult(E.GammaStatus.UNKNOWN)
+
+        monkeypatch.setattr(E, "GammaSearch", AskTwice)
+        witnessed = 0
+        for case in check7_cases() + box_cases():
+            rep = box_count_oracle(*case)
+            assert (rep.rows, rep.slope) == reference_box_rows(*case)
+            witnessed += rep.rows[-1][1] > 0
+        assert witnessed >= 10
 
     @pytest.mark.parametrize("text", BOX_BASES)
     def test_grid_holds_true_values(self, text):
