@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import sub
 
 from . import dimension, exactnum, expansions, thuemorse, words
 from .dimension import tm_block_word
@@ -84,30 +85,16 @@ def check_01_alpha_kl() -> AccResult:
                      ok, f"[{float(lo):.12f}, {float(hi):.12f}] in {elapsed:.3f}s")
 
 
-def _tau_doubling(n: int):
-    """Independent tau construction: block doubling 0 -> 01 -> 0110 -> ...,
-    as an int8 numpy array."""
-    import numpy as np  # check 2 alone needs it; not loaded on import
-
-    arr = np.array([0], dtype=np.int8)
-    while len(arr) < n:
-        arr = np.concatenate([arr, 1 - arr])
-    return arr[:n]
-
-
 def check_02_tau_lambda_identities() -> AccResult:
-    import numpy as np
-
     n = 2**20
-    tau = _tau_doubling(n + 1)
+    tau = thuemorse._tau_bytes(n + 1)  # the doubling construction
     ok = "".join(str(d) for d in thuemorse.tau_prefix(16)) == "0110100110010110"
     display = (1, 0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 1, 0, -1, 1)
     ok = ok and tuple(thuemorse.lambda_prefix(16)) == display
     # the digit-sum generator must agree with the doubling oracle everywhere
-    module_tau = np.fromiter((thuemorse.tau(i) for i in range(n + 1)),
-                             dtype=np.int8, count=n + 1)
-    ok = ok and bool(np.array_equal(module_tau, tau))
-    lam = (tau[1:].astype(np.int8) - tau[:-1].astype(np.int8))  # lam[i-1] = lambda_i
+    ok = ok and bytes(map(thuemorse.tau, range(n + 1))) == tau
+    lam = list(map(sub, tau[1:], tau))  # lam[i-1] = lambda_i
+    neg = [-d for d in lam]
     ok = ok and lam[0] == 1
     p = 1
     while 2 * 2**p <= n:
@@ -116,14 +103,13 @@ def check_02_tau_lambda_identities() -> AccResult:
     p = 1
     while 2**p <= n // 2:
         half = 2**p
-        ok = ok and bool(np.all(lam[half:2 * half - 1] == -lam[:half - 1]))
+        ok = ok and lam[half:2 * half - 1] == neg[:half - 1]
         p += 1
     # doubling property of the block words, n <= 18
     for m in range(1, 19):
-        w = lam[:2**m]
-        w_next = lam[:2**(m + 1)].copy()
+        w_next = lam[:2**(m + 1)]
         w_next[-1] -= 1
-        ok = ok and bool(np.all(w_next == np.concatenate([w, -w])))
+        ok = ok and w_next == lam[:2**m] + neg[:2**m]
     return AccResult("2", "Thue-Morse prefixes and recursions", bool(ok))
 
 

@@ -8,10 +8,12 @@ Routes implemented:
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
   alpha).  The spectral radius is certified by a Collatz-Wielandt bracket:
   split the matrix into strongly connected components, take a float Perron
-  vector v of each, and bound the radius by the least and largest
-  (Av)_i/v_i from one exact integer mat-vec.  For at most 24 rows the
-  characteristic polynomial also pins it down exactly.  Only the float
-  vectors use numpy, and they import it when called, not on import,
+  vector v of each from Noda's shift-and-invert iteration on its successor
+  lists, and bound the radius by the least and largest (Av)_i/v_i from one
+  exact integer mat-vec.  The vectors are plain Python floats, so the
+  bracket is the same on every machine.  For at most 24 rows the
+  characteristic polynomial also pins the radius down exactly, and its
+  root seeds the iteration,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -98,7 +101,11 @@ class DimensionValue:
     """An exact dimension expression together with a decimal rendering.
 
     The decimal is the midpoint of ``(lo, hi)``, a float interval computed
-    from certified enclosures of the exact ingredients.
+    from certified enclosures of the exact ingredients.  Its float steps
+    are not all outward-rounded: ``_log_interval`` widens libm's ``log``
+    by 4 ulps, and ``_ratio_interval`` rounds each quotient to nearest.
+    So ``(lo, hi)`` holds the dimension on the assumption that ``log`` is
+    within 1 ulp; the exact expression needs no such assumption.
     """
 
     form: DimForm
@@ -261,32 +268,18 @@ class CountMatrix:
     def is_zero(self) -> bool:
         return not any(self.succ)
 
-    def power_estimate(self) -> list:
+    def power_estimate(self, root=None) -> list:
         """Float Perron vectors: ``(rows, v)`` for each strongly connected
-        component that carries a cycle; an estimate only.
-
-        ``v`` is ``|Re|`` of the eigenvector of the component's eigenvalue
-        with the largest real part, which is its Perron root even when the
-        component is periodic.  Non-positive entries are raised to the
-        least positive one: any positive vector gives a valid bracket.
-        """
-        import numpy as np  # only the bracket needs it; not loaded on import
-
+        component that carries a cycle, from Noda's iteration
+        (:func:`_noda_vector`) on its successor lists; an estimate only.
+        ``root`` is an isolating ``(lo, hi)`` of the radius, when known."""
         out = []
         for rows in graph.sccs(self.succ):
             local = {r: k for k, r in enumerate(rows)}
-            sub = np.zeros((len(rows), len(rows)))
-            for k, r in enumerate(rows):
-                for j, a in self.succ[r]:
-                    if j in local:
-                        sub[k, local[j]] = a
-            if not sub.any():
-                continue  # a transient state with no self-loop
-            vals, vecs = np.linalg.eig(sub)
-            v = np.abs(vecs[:, int(np.argmax(vals.real))].real)
-            positive = v[v > 0]
-            v[~(v > 0)] = positive.min() if positive.size else 1.0
-            out.append((rows, v))
+            adj = [[(local[j], a) for j, a in self.succ[r] if j in local]
+                   for r in rows]
+            if any(adj):  # else a transient state with no self-loop
+                out.append((rows, _noda_vector(adj, root)))
         return out
 
     def rowsum_enclosure(self, vectors: list) -> tuple:
@@ -310,28 +303,170 @@ class CountMatrix:
         return lo, hi
 
     def perron(self) -> PerronInfo:
-        """Certified bracket and (for at most ``CHARPOLY_MAX_DIM`` rows) the
-        exact algebraic form of the spectral radius."""
+        """Certified bracket and (for at most ``CHARPOLY_MAX_DIM`` rows
+        with a cycle) the exact algebraic form of the spectral radius.
+
+        The characteristic-polynomial root comes first, so that Noda's
+        iteration can start its shifts just above it.
+        """
         if self._perron is not None:
             return self._perron
-        bracket = self.rowsum_enclosure(self.power_estimate())
-        blo, bhi = bracket
-        algebraic = None
-        cp = None
-        if self.n <= CHARPOLY_MAX_DIM and bhi > 0:
+        algebraic = cp = root = None
+        if self.n <= CHARPOLY_MAX_DIM:
             cp = char_poly(self.succ)
-            stripped = list(cp)
-            while stripped and stripped[0] == 0:
-                stripped.pop(0)  # remove x^k factors (zero eigenvalues)
-            hi = Fraction(max(self.row_sums()) + 1)
-            algebraic = exactnum.isolate_largest_root(stripped, Fraction(0), hi)
-            lam_lo, lam_hi = algebraic.refine(Fraction(1, 10**12))
-            if lam_hi < blo or lam_lo > bhi:
-                raise VerificationFailed(
-                    "characteristic-polynomial root disagrees with the "
-                    "Collatz-Wielandt bracket")
+            k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
+            if k == self.n:
+                cp = None  # nilpotent: no cycle, radius 0
+            else:
+                hi = Fraction(max(self.row_sums()) + 1)
+                algebraic = exactnum.isolate_largest_root(cp[k:],
+                                                          Fraction(0), hi)
+                root = algebraic.refine(Fraction(1, 10**12))
+        bracket = self.rowsum_enclosure(self.power_estimate(root))
+        if root is not None and (root[1] < bracket[0] or root[0] > bracket[1]):
+            raise VerificationFailed(
+                "characteristic-polynomial root disagrees with the "
+                "Collatz-Wielandt bracket")
         self._perron = PerronInfo(algebraic, bracket, cp)
         return self._perron
+
+
+NODA_TOL = 1e-13        # a component stops once hi - lo <= NODA_TOL * hi
+NODA_SHIFT = 1e-3       # sigma exceeds hi by this share of hi - lo,
+NODA_SHIFT_MIN = 1e-12  # and by at least this much
+NODA_FILL_CAP = 8       # factor entries allowed per entry of sigma I - A
+
+
+def _quotient_range(adj: list, v: list) -> tuple:
+    """The least and largest (Av)_i / v_i in floats.  The sums run left to
+    right: ``sum`` of floats is compensated from Python 3.12 on, and the
+    vectors must not depend on the Python version."""
+    q = []
+    for out, x in zip(adj, v):
+        s = 0.0
+        for j, a in out:
+            s += a * v[j]
+        q.append(s / x)
+    return min(q), max(q)
+
+
+def _noda_vector(adj: list, root=None) -> list:
+    """Positive float Perron vector of the irreducible matrix A with
+    successor lists ``adj``, by Noda's shift-and-invert iteration (Noda
+    1971, Numer. Math. 17).
+
+    From v = 1, with lo and hi the least and largest (Av)_i / v_i, each
+    step solves (sigma I - A) y = v for sigma = hi + max(NODA_SHIFT_MIN,
+    NODA_SHIFT (hi - lo)) and takes v = |y| / max |y|, until hi - lo <=
+    NODA_TOL hi.  Since (Ay)_i / y_i = sigma - v_i / y_i, the new hi is
+    below sigma.  Given ``root``, the first sigma is just above its upper
+    end, and the iteration stops once hi falls below its lower end: the
+    component can no longer move the bracket.  It also stops, keeping
+    the last positive v, when the factors would hold more than
+    NODA_FILL_CAP times the entries of sigma I - A, when a solve fails
+    (see :func:`_shifted_solve`), when a new v has an entry 0, or when a
+    step does not narrow hi - lo, as once rounding dominates.  The
+    bracket needs no convergence: any positive v certifies one.
+    """
+    v = [1.0] * len(adj)
+    lo, hi = _quotient_range(adj, v)
+    root_lo = float(root[0]) if root is not None else -math.inf
+    sigma = float(root[1]) + NODA_SHIFT_MIN if root is not None else None
+    pattern = None
+    while hi - lo > NODA_TOL * hi and hi >= root_lo:
+        if pattern is None:
+            pattern = _elimination_pattern(
+                adj, NODA_FILL_CAP * (len(adj) + sum(map(len, adj))))
+            if pattern is None:
+                break
+        if sigma is None:
+            sigma = hi + max(NODA_SHIFT_MIN, NODA_SHIFT * (hi - lo))
+        y = _shifted_solve(adj, pattern, sigma, v)
+        if y is None:
+            break
+        top = max(map(abs, y))
+        w = [abs(x) / top for x in y]
+        if not all(x > 0 for x in w):
+            break
+        width = hi - lo
+        v, sigma = w, None
+        lo, hi = _quotient_range(adj, v)
+        if hi - lo >= width:
+            break
+    return v
+
+
+def _elimination_pattern(adj: list, cap: int):
+    """The sparsity pattern of Gaussian elimination without pivoting on a
+    matrix with the pattern of ``adj`` and a full diagonal: per row, the
+    columns it eliminates, ascending, and the columns of its row of the
+    upper factor.  None once the factors would hold more than ``cap``
+    entries."""
+    elim, upper = [], []
+    size = 0
+    for i, out in enumerate(adj):
+        cols = {j for j, _ in out}
+        cols.add(i)
+        todo = sorted(k for k in cols if k < i)
+        ks = []
+        while todo:
+            k = todo.pop(0)
+            ks.append(k)
+            for j in upper[k]:
+                if j not in cols:
+                    cols.add(j)
+                    if j < i:
+                        insort(todo, j)
+        size += len(cols)
+        if size > cap:
+            return None
+        elim.append(ks)
+        upper.append(sorted(j for j in cols if j > i))
+    return elim, upper
+
+
+def _shifted_solve(adj: list, pattern: tuple, sigma: float, v: list):
+    """y with (sigma I - A) y = v by Gaussian elimination without
+    pivoting, on the rows of ``adj`` and their ``pattern``
+    (:func:`_elimination_pattern`); None if a pivot is not positive.
+
+    For sigma above the radius of A, sigma I - A is a nonsingular
+    M-matrix, whose LU factors are M-matrices (Fiedler and Ptak 1962), so
+    every pivot is positive; only rounding can make one not.  The forward
+    substitution runs along with the elimination, so the lower factor is
+    never stored.
+    """
+    elim, ucols = pattern
+    n = len(adj)
+    work = [0.0] * n  # row i during its elimination, zero elsewhere
+    urows, pivots, z = [], [], []
+    for i, out in enumerate(adj):
+        work[i] = sigma
+        for j, a in out:
+            work[j] -= a
+        zi = v[i]
+        for k in elim[i]:
+            f = work[k] / pivots[k]
+            work[k] = 0.0
+            zi -= f * z[k]
+            for j, u in urows[k]:
+                work[j] -= f * u
+        p = work[i]
+        if not p > 0:
+            return None
+        work[i] = 0.0
+        urows.append([(j, work[j]) for j in ucols[i]])
+        for j in ucols[i]:
+            work[j] = 0.0
+        pivots.append(p)
+        z.append(zi)
+    y = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        yi = z[i]
+        for j, u in urows[i]:
+            yi -= u * y[j]
+        y[i] = yi / pivots[i]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,8 @@ SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
 
 # SHA-256 of `cantor --json` stdout, followed by the --export file where
 # there is one.  Every automaton here has at most 24 rows, so lambda comes
-# from the characteristic polynomial and no digest depends on numpy's
-# eigenvectors.  CI runs these under two hash seeds as well, which pins the
-# output order across processes.
+# from the characteristic polynomial.  CI runs these under two hash seeds
+# as well, which pins the output order across processes.
 GOLDEN = [
     (("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
       "--export", "ex51.json"),
@@ -367,8 +366,10 @@ class TestErrors:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every subcommand that needs neither the Perron bracket nor check 2
-NUMPY_FREE = [
+# one call of every subcommand; intersect twice, with and without a
+# characteristic polynomial (6 and 26 rows), and verify-paper last, which
+# exits 1 on the paper's stated base 2/5 in check 10
+SUBCOMMANDS = [
     ("boxcount", "--alpha", "rat:2/5", "--t", "rat:0", "--depth", "6"),
     ("unique", "--alpha", "rat:9/25", "--t-seq", "(+-0)"),
     ("delta", "--alpha", "rat:2/5", "--length", "16"),
@@ -380,44 +381,66 @@ NUMPY_FREE = [
     ("tm", "--what", "w", "--n", "4"),
     ("expand", "--alpha", "rat:2/5", "--x", "1/3", "--length", "8"),
     ("liouville", "--pq", "2/5", "--k", "2"),
+    ("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha"),
+    ("intersect", "--alpha", SQRT2_MINUS_1, "--t", "rat:1/16"),
+    ("verify-paper",),
 ]
 
 
 def loaded_after(*commands):
     """Run ``cantor`` on each argv in a fresh interpreter and return the
-    names of the modules imported by then."""
+    exit codes and the names of the modules imported by then."""
     code = "\n".join(
-        ["import contextlib, io, json, sys", "from cantorint.cli import main"]
+        ["import contextlib, io, json, sys", "from cantorint.cli import main",
+         "codes = []"]
         + [f"with contextlib.redirect_stdout(io.StringIO()):\n"
-           f"    assert main({list(argv)!r}) == 0" for argv in commands]
-        + ["print(json.dumps(sorted(sys.modules)))"])
+           f"    codes.append(main({list(argv)!r}))" for argv in commands]
+        + ["print(json.dumps([codes, sorted(sys.modules)]))"])
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    codes, modules = json.loads(out.stdout.splitlines()[-1])
+    return codes, set(modules)
 
 
 class TestStartup:
-    """Neither numpy nor the acceptance checks are on ``cantor``'s
-    start-up path: numpy is loaded only by the Perron bracket and
-    verify-paper check 2, the checks only by verify-paper and the
-    worked-example shifts."""
+    """numpy is on no path of ``cantor``, and the acceptance checks are
+    not on its start-up path: they are loaded only by verify-paper and
+    the worked-example shifts."""
 
     def test_import_loads_no_numpy(self):
-        loaded = loaded_after()
+        _, loaded = loaded_after()
         assert "numpy" not in loaded
         assert "cantorint.acceptance" not in loaded
 
-    def test_small_queries_load_no_numpy(self):
-        assert "numpy" not in loaded_after(*NUMPY_FREE)
+    def test_no_subcommand_loads_numpy(self):
+        codes, loaded = loaded_after(*SUBCOMMANDS)
+        assert codes == [0] * (len(SUBCOMMANDS) - 1) + [1]
+        assert "numpy" not in loaded
+        # the probe sees the modules that these calls do load
+        assert {"cantorint.dimension", "cantorint.acceptance"} <= loaded
 
-    def test_perron_bracket_loads_numpy(self):
-        # the probe can see numpy at all
-        assert "numpy" in loaded_after(("intersect",
-                                        "--alpha", "alg:-1,1,2,2@[2/5,1/2]",
-                                        "--t", "sum-neg-alpha"))
+
+class TestReproducible:
+    def test_bracket_ignores_blas_threads(self):
+        # a 712-row count matrix, past the char-poly limit: the printed
+        # lambda and dimension come from the bracket alone
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cantorint.cli", "--json", "intersect",
+                 "--alpha", SQRT2_MINUS_1, "--t", "rat:1/211"],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path,
+                         OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])["result"]["count_matrix"]) == 712
 
 
 class TestBrokenPipe:
