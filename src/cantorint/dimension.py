@@ -789,12 +789,9 @@ def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
                 f"{2 * n1 + n2} digits, over the bound "
                 f"FAMILY_WORD_MAX = {FAMILY_WORD_MAX}")
         seq = EPSeq((), (1, -1) * n1 + (0,) * n2, TERNARY)
-        if is_unique_expansion(sys, seq).status is not UniqStatus.UNIQUE:
-            raise VerificationFailed("family word failed the uniqueness test")
-        if self_similar_check(sys, seq).status is not \
-                SelfSimilarStatus.SELF_SIMILAR:
-            raise VerificationFailed("family word failed the "
-                                     "self-similarity criterion")
+        status = self_similar_check(sys, seq).status  # UNIQUE comes first
+        if status is not SelfSimilarStatus.SELF_SIMILAR:
+            raise VerificationFailed(f"family word is {status.value}")
         out.append(seq)
     return out
 
@@ -849,15 +846,18 @@ class _LiouvilleBlocks:
     """Lazily extended block table for (1 -1)^(n_1) 0 (1 -1)^(n_2) 0 ..."""
 
     def __init__(self, pq: Fraction):
-        self.pq = Fraction(pq)
+        self.p, self.q = pq.numerator, pq.denominator
         self.nk = [1]
         self.bounds = [3]  # end position of each block (1 -1)^(n_j) 0
 
+    def grow(self):
+        """Append the next block, its n_k from ``_liouville_min_next``."""
+        self.nk.append(_liouville_min_next(self.p, self.q, self.nk))
+        self.bounds.append(self.bounds[-1] + 2 * self.nk[-1] + 1)
+
     def _ensure(self, i: int):
-        p, q = self.pq.numerator, self.pq.denominator
         while self.bounds[-1] < i:
-            self.nk.append(_liouville_min_next(p, q, self.nk))
-            self.bounds.append(self.bounds[-1] + 2 * self.nk[-1] + 1)
+            self.grow()
 
     def digit(self, i: int) -> int:
         self._ensure(i)
@@ -915,19 +915,19 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
             raise ValueError("free digit rule must produce 0 or 1")
         rule = lambda slot: const  # noqa: E731
 
-    p, q = pq.numerator, pq.denominator
-    nk = [1]
+    q = pq.denominator
+    blocks = _LiouvilleBlocks(pq)
     while True:
-        digits = (2 * sum(nk) + K + 64) * math.log10(q)
+        digits = (2 * sum(blocks.nk) + K + 64) * math.log10(q)
         if digits > LIOUVILLE_DIGITS_MAX:
             raise DimensionError(
                 f"K = {K} at p/q = {pq} needs x enclosures of at least "
                 f"{digits:.0f} digits, over the bound "
                 f"LIOUVILLE_DIGITS_MAX = {LIOUVILLE_DIGITS_MAX}")
-        if len(nk) == K + 1:
+        if len(blocks.nk) == K + 1:
             break
-        nk.append(_liouville_min_next(p, q, nk))
-    blocks = _LiouvilleBlocks(pq)
+        blocks.grow()
+    nk = blocks.nk[:]  # t_seq goes on extending the table
     t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})")
 
     def eps(i: int) -> int:

@@ -12,7 +12,9 @@ Four number kinds are supported:
   enclosures, such as the bisection brackets of alpha_KL.
 
 Comparisons between any two of these either return a certified sign or an
-explicit ``Comparison.UNDECIDED`` at the requested precision.  The module
+explicit ``Comparison.UNDECIDED`` at the requested precision; a rational
+against an algebraic number takes one polynomial sign and never narrows
+the ``AlgebraicReal``.  ``parse_real`` reads them as text.  The module
 also provides arithmetic in the number field Q(alpha) for alpha rational or
 algebraic, which backs every exact test in the expansion algorithms.
 Q(alpha) is one object, ``QAlphaContext``, and has one representation:
@@ -44,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import mul
+from operator import ge, gt, le, lt, mul
 from typing import Callable, Sequence, Union
 
 Rational = Fraction
@@ -78,6 +80,9 @@ class Comparison(Enum):
     EQUAL = "equal"
     GREATER = "greater"
     UNDECIDED = "undecided"
+
+
+_ORDER = (Comparison.LESS, Comparison.EQUAL, Comparison.GREATER)  # by sign
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +466,11 @@ def compare(a: RealNumber, b: RealNumber,
         b = Fraction(b)
 
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        if a < b:
-            return Comparison.LESS
-        if a > b:
-            return Comparison.GREATER
-        return Comparison.EQUAL
-
+        return _ORDER[1 + (a > b) - (a < b)]
     if isinstance(a, Fraction) and isinstance(b, AlgebraicReal):
-        inv = _compare_rat_alg(a, b)
-        return inv
+        return _ORDER[1 + _rat_minus_alg_sign(a, b)]
     if isinstance(a, AlgebraicReal) and isinstance(b, Fraction):
-        return _flip(_compare_rat_alg(b, a))
+        return _ORDER[1 - _rat_minus_alg_sign(b, a)]
 
     if isinstance(a, AlgebraicReal) and isinstance(b, AlgebraicReal):
         if a.coeffs == b.coeffs:
@@ -485,31 +484,22 @@ def compare(a: RealNumber, b: RealNumber,
     return _compare_by_enclosure(a, b, precision)
 
 
-def _flip(c: Comparison) -> Comparison:
-    if c is Comparison.LESS:
-        return Comparison.GREATER
-    if c is Comparison.GREATER:
-        return Comparison.LESS
-    return c
-
-
-def _compare_rat_alg(q: Fraction, x: AlgebraicReal) -> Comparison:
+def _rat_minus_alg_sign(q: Fraction, x: AlgebraicReal) -> int:
+    """The sign of q - x, with x left as it is.  The root lies in the open
+    interval (lo, hi), where x's polynomial p changes sign, or is lo once
+    ``_bisect`` has collapsed it; inside, it is p's only zero, and p(q)
+    with the sign of p(lo) puts q below it."""
     lo, hi = x.interval()
-    if lo < hi:
-        if _value_at(x.coeffs, q) == 0 and lo < q < hi:
-            return Comparison.EQUAL
-        # q is not the denoted root, so bisection must separate them
-        steps = 0
-        while lo <= q <= hi and lo < hi:
-            steps += 1
-            if steps > _BISECTION_CAP:
-                raise IterationLimit("rational/algebraic comparison stalled")
-            lo, hi = x.refine((hi - lo) / 4)
-    if lo == hi:  # interval collapsed onto a rational root
-        if q == lo:
-            return Comparison.EQUAL
-        return Comparison.LESS if q < lo else Comparison.GREATER
-    return Comparison.LESS if q < lo else Comparison.GREATER
+    if q == lo == hi:
+        return 0
+    if q <= lo:
+        return -1
+    if q >= hi:
+        return 1
+    v = _value_at(x.coeffs, q)
+    if v == 0:
+        return 0
+    return -1 if (v > 0) == (_value_at(x.coeffs, lo) > 0) else 1
 
 
 def _compare_by_enclosure(a, b, precision) -> Comparison:
@@ -875,6 +865,16 @@ class QAlphaContext:
         return kids
 
 
+def _ordering(op):
+    """``op(self, other)`` on QAlphaElements, by ``QAlphaContext.compare``."""
+    def method(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return op(self.ctx.compare(self.state, o.state), 0)
+    return method
+
+
 class QAlphaElement:
     """Element of Q(alpha): a handle on a canonical state of its
     :class:`QAlphaContext`, which does its arithmetic with elements of the
@@ -970,29 +970,10 @@ class QAlphaElement:
     def __hash__(self):
         return hash((self.ctx.key, self.state))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+    __lt__ = _ordering(lt)
+    __le__ = _ordering(le)
+    __gt__ = _ordering(gt)
+    __ge__ = _ordering(ge)
 
     def __float__(self):
         lo, hi = self.value_enclosure(Fraction(1, 10**17))
@@ -1014,24 +995,20 @@ def eval_poly_in_alpha(coeffs: Sequence, alpha: RealNumber) -> QAlphaElement:
 
 
 # ---------------------------------------------------------------------------
-# text formats:  rat:p/q   alg:c0,c1,...,ck@[lo,hi]   plus named constants
+# text formats:  rat:p/q   alg:c0,c1,...,ck@[lo,hi]   akl
 # ---------------------------------------------------------------------------
-
-_NAMED_CONSTANTS: dict[str, Callable[[], RealNumber]] = {}
-
-
-def register_constant(name: str, factory: Callable[[], RealNumber]):
-    _NAMED_CONSTANTS[name] = factory
-
 
 _ALG_RE = re.compile(r"^alg:(?P<coeffs>[^@]+)@\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\]$")
 
 
 def parse_real(text: str) -> RealNumber:
-    """Parse ``rat:p/q``, ``alg:c0,...,ck@[lo,hi]`` or a registered name."""
+    """Parse ``rat:p/q``, ``alg:c0,...,ck@[lo,hi]``, a bare rational, or
+    ``akl``: the ``thuemorse.alpha_kl_real()`` singleton itself, which
+    ``thuemorse.is_alpha_kl`` recognises."""
     text = text.strip()
-    if text in _NAMED_CONSTANTS:
-        return _NAMED_CONSTANTS[text]()
+    if text == "akl":
+        from . import thuemorse  # deferred: thuemorse builds on this module
+        return thuemorse.alpha_kl_real()
     if text.startswith("rat:"):
         return Fraction(text[4:])
     m = _ALG_RE.match(text)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from math import lcm
+from itertools import count, islice
 from typing import Optional, Union
 
 from . import exactnum, graph, thuemorse, words
@@ -140,11 +139,14 @@ class BaseSystem:
 
 class _DeltaCache:
     """Digits of the quasi-greedy expansion of 1 over {0..M}, grown on
-    demand, with its eventually periodic form ``ep`` once one is known.
+    demand from one digit source (``_digit_loop``, or 1 + lambda_i for
+    alpha_KL), with its eventually periodic form ``ep`` once one is known.
 
-    For a rational base p/q with p >= 2, ``ep`` stays None because delta is
-    proved never eventually periodic (below), so nothing is searched.  For
-    other bases a repeated remainder reveals the period.
+    ``ep`` stays None, and nothing is searched, where delta is proved never
+    eventually periodic: for a rational base p/q with p >= 2 (below), and
+    for alpha_KL, as lambda is eventually periodic only if its bounded
+    partial sums tau are, and Thue-Morse is not.  For other bases a
+    repeated remainder reveals the period.
     """
 
     def __init__(self, sys: BaseSystem):
@@ -158,9 +160,9 @@ class _DeltaCache:
                     "base (or the alpha_KL constant)")
             if sys.M != 2:
                 raise OutOfDomain("alpha_KL is a base for three-digit alphabets")
-            self._lam_backed = True
+            self._loop = ((1 + thuemorse.lam(i), None) for i in count(1))
+            self._aperiodic, self._seen = True, None
             return
-        self._lam_backed = False
         ctx = sys.ctx
         # domain: alpha >= 1/(M+1) so that 1 is attainable
         if (sys.M * sys.tail_unit - ctx.one).sign() < 0:
@@ -185,10 +187,6 @@ class _DeltaCache:
 
     def extend(self, n: int):
         digits = self.digits
-        if self._lam_backed:
-            for i in range(len(digits) + 1, n + 1):
-                digits.append(1 + thuemorse.lam(i))
-            return
         while len(digits) < n:
             if self.ep is not None:
                 pre, per = self.ep
@@ -209,7 +207,7 @@ class _DeltaCache:
     def ep_form(self, depth_cap: int) -> Optional[EPSeq]:
         """Exact eventually periodic form: None when delta is proved not
         eventually periodic, or when no remainder repeats within the cap."""
-        if self._lam_backed or self._aperiodic:
+        if self._aperiodic:
             return None
         step = 64
         while self.ep is None and len(self.digits) < depth_cap:
@@ -388,71 +386,51 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
 
     A sequence is the unique expansion of its value iff every tail after a
     prefix that is not all-high stays lex-< delta, and symmetrically for the
-    reflected sequence after prefixes that are not all-low.  EPSeq inputs
-    are decided exactly whenever each tail comparison resolves at finite
-    depth (always true when delta is eventually periodic, and in practice
-    long before the cap otherwise).
+    reflected sequence after prefixes that are not all-low.  One scan per
+    shift compares the tail over {0..M}, then its reflection u -> M - u,
+    with delta for at most ``compare_cap`` digits.  An EPSeq is decided
+    exactly when delta is eventually periodic: the cap then passes
+    ``words._ep_equality_bound``, so a tail that reaches it equals delta.
+    Otherwise a tail reaching the cap, or a LazySeq, leaves it UNDECIDED.
     """
     if seq.alphabet != sys.alphabet:
         raise words.AlphabetMismatch("sequence alphabet differs from system")
     M, low = sys.M, sys.alphabet.low
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
-
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
-
+    exact = isinstance(seq, EPSeq) and ep_delta is not None
     if isinstance(seq, EPSeq):
         shifts = len(seq.pre) + len(seq.per)
-        if ep_delta is not None:
-            # equality of an EPSeq tail with an EP delta is decidable
-            bound = (max(len(seq.pre), len(ep_delta.pre))
-                     + lcm(len(seq.per), len(ep_delta.per)) + 1)
-            compare_cap = max(compare_cap, bound)
-        eq_bound = None if ep_delta is None else compare_cap
+        if exact:
+            compare_cap = max(compare_cap,
+                              words._ep_equality_bound(seq, ep_delta) + 1)
     else:
         shifts = depth_cap if depth_cap is not None else _DEFAULT_LAZY_SHIFTS
-        eq_bound = None
 
-    def sd(i):
-        return seq.digit(i) - low
-
-    def check_tail(n: int, reflected: bool):
-        """STRICT tail < delta?  Returns ('ok'|'violation'|'equal'|'cap',
-        position)."""
-        for j in range(1, compare_cap + 1):
-            u = sd(n + j)
-            if reflected:
-                u = M - u
-            dj = dcache.digit(j)
-            if u < dj:
-                return ("ok", None)
-            if u > dj:
-                return ("violation", n + j)
-            if eq_bound is not None and j >= eq_bound:
-                return ("equal", None)
-        if eq_bound is not None:
-            return ("equal", None)
-        return ("cap", None)
-
-    all_high = True
-    all_low = True
+    all_high = all_low = True
     undecided = False
-    for n in range(0, shifts + 1):
-        if not all_high:
-            kind, pos = check_tail(n, reflected=False)
-            if kind == "violation" or kind == "equal":
-                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, pos),
-                                        n, compare_cap)
-            if kind == "cap":
+    for n in range(shifts + 1):
+        # u = offset + sign * digit over {0..M}: the tail, then its reflection
+        for offset, sign, exempt in ((-low, 1, all_high),
+                                     (M + low, -1, all_low)):
+            if exempt:
+                continue
+            for j in range(1, compare_cap + 1):
+                u = offset + sign * seq.digit(n + j)
+                dj = dcache.digit(j)
+                if u != dj:
+                    break
+            else:  # equal to delta up to the cap
+                if exact:
+                    return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
+                                            n, compare_cap)
                 undecided = True
-        if not all_low:
-            kind, pos = check_tail(n, reflected=True)
-            if kind == "violation" or kind == "equal":
-                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, pos),
+                continue
+            if u > dj:
+                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
                                         n, compare_cap)
-            if kind == "cap":
-                undecided = True
-        d_next = sd(n + 1)
+        d_next = seq.digit(n + 1) - low
         all_high = all_high and d_next == M
         all_low = all_low and d_next == 0
 
@@ -583,6 +561,8 @@ def build_expansion_automaton(sys: BaseSystem, t,
     t_el = sys.embed(t)
     lo = sys.low_tail()
     hi = sys.high_tail()
+    # QAlphaElement.sign, not an ordering: perfbench traces exact signs
+    # through it, and on a query such as ex52 this check is the only one
     if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
     ctx = sys.ctx
@@ -678,7 +658,6 @@ class GammaSearch:
         children = self._children
         frames = [[x, children(x), 0, False]]  # state, kids, next, tainted
         on_path = {x}
-        digit_path: list[int] = []
         nodes = 0
         while frames:
             top = frames[-1]
@@ -686,8 +665,6 @@ class GammaSearch:
             if k == len(kids):
                 frames.pop()
                 on_path.remove(s)
-                if digit_path:
-                    digit_path.pop()
                 if not taint:
                     dead.add(s)
                 elif frames:
@@ -696,11 +673,12 @@ class GammaSearch:
                     return GammaResult(GammaStatus.UNKNOWN)
                 continue
             top[2] = k + 1
-            child, d = kids[k]
+            child = kids[k][0]
             if child in on_path or child in live:
                 live.update(on_path)
-                return GammaResult(GammaStatus.IN,
-                                   FiniteWord(digit_path + [d], BINARY))
+                # the digits of each frame's last child taken spell the path
+                return GammaResult(GammaStatus.IN, FiniteWord(
+                    [f[1][f[2] - 1][1] for f in frames], BINARY))
             if child in dead:
                 continue
             nodes += 1
@@ -709,7 +687,6 @@ class GammaSearch:
                 continue
             frames.append([child, children(child), 0, False])
             on_path.add(child)
-            digit_path.append(d)
         return GammaResult(GammaStatus.OUT)
 
 

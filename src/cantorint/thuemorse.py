@@ -188,9 +188,6 @@ def is_alpha_kl(x) -> bool:
     return bool(_AKL_REAL) and x is _AKL_REAL[0]
 
 
-exactnum.register_constant("akl", alpha_kl_real)
-
-
 # ---------------------------------------------------------------------------
 # the four-block subshift driving the interval-of-dimensions regime
 # ---------------------------------------------------------------------------

@@ -240,34 +240,34 @@ def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int = DEFAULT_DEPTH_CAP) -> L
             return Lex.EQUAL
         return Lex.LESS if a.digits < b.digits else Lex.GREATER
 
-    if isinstance(a, EPSeq) and isinstance(b, EPSeq):
-        bound = _ep_equality_bound(a, b)
-        for i in range(1, bound + 1):
-            da, db = a.digit(i), b.digit(i)
-            if da != db:
-                return Lex.LESS if da < db else Lex.GREATER
-        return Lex.EQUAL
-
-    for i in range(1, depth_cap + 1):
+    # an EPSeq pair that agrees up to its equality bound agrees forever
+    exact = isinstance(a, EPSeq) and isinstance(b, EPSeq)
+    stop = _ep_equality_bound(a, b) if exact else depth_cap
+    for i in range(1, stop + 1):
         da, db = a.digit(i), b.digit(i)
         if da != db:
             return Lex.LESS if da < db else Lex.GREATER
-    return Lex.UNDECIDED_AT_DEPTH
+    return Lex.EQUAL if exact else Lex.UNDECIDED_AT_DEPTH
+
+
+def _map_digits(s: SeqLike, f: Callable[[int], int], alphabet: Alphabet,
+                name: str) -> SeqLike:
+    """s with f applied to every digit, over ``alphabet``; a lazy result
+    is described as ``name(description)``."""
+    if isinstance(s, FiniteWord):
+        return FiniteWord(tuple(map(f, s.digits)), alphabet)
+    if isinstance(s, EPSeq):
+        return EPSeq(tuple(map(f, s.pre)), tuple(map(f, s.per)), alphabet)
+    if isinstance(s, LazySeq):
+        return LazySeq(lambda i: f(s.digit(i)), alphabet,
+                       f"{name}({s.description})")
+    raise TypeError(f"not a sequence: {s!r}")
 
 
 def reflect(s: SeqLike) -> SeqLike:
     """Digitwise map d -> low + high - d (negation for {-1,0,1})."""
-    alph = s.alphabet
-    total = alph.low + alph.high
-    if isinstance(s, FiniteWord):
-        return FiniteWord(tuple(total - d for d in s.digits), alph)
-    if isinstance(s, EPSeq):
-        return EPSeq(tuple(total - d for d in s.pre),
-                     tuple(total - d for d in s.per), alph)
-    if isinstance(s, LazySeq):
-        return LazySeq(lambda i, _s=s: total - _s.digit(i), alph,
-                       f"reflect({s.description})")
-    raise TypeError(f"not a sequence: {s!r}")
+    total = s.alphabet.low + s.alphabet.high
+    return _map_digits(s, lambda d: total - d, s.alphabet, "reflect")
 
 
 def zero_density(s: Union[FiniteWord, EPSeq]) -> FreqReport:
@@ -301,15 +301,7 @@ def substitute_alphabet(s: SeqLike, frm: Alphabet, to: Alphabet) -> SeqLike:
     if s.alphabet != frm:
         raise AlphabetMismatch("sequence is not over the source alphabet")
     shift = to.low - frm.low
-    if isinstance(s, FiniteWord):
-        return FiniteWord(tuple(d + shift for d in s.digits), to)
-    if isinstance(s, EPSeq):
-        return EPSeq(tuple(d + shift for d in s.pre),
-                     tuple(d + shift for d in s.per), to)
-    if isinstance(s, LazySeq):
-        return LazySeq(lambda i, _s=s: _s.digit(i) + shift, to,
-                       f"shift({s.description})")
-    raise TypeError(f"not a sequence: {s!r}")
+    return _map_digits(s, lambda d: d + shift, to, "shift")
 
 
 def strongly_eventually_periodic(s: EPSeq):

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from functools import partial
@@ -70,6 +73,76 @@ class TestCompare:
             want = Comparison.LESS if sign < 0 else \
                 Comparison.GREATER if sign > 0 else Comparison.EQUAL
             assert got is want
+
+
+def reference_compare_rat_alg(q, x):
+    """compare(q, x) as it bisected x until q fell outside the interval,
+    narrowing x as it went."""
+    lo, hi = x.interval()
+    if lo < hi:
+        if X._value_at(x.coeffs, q) == 0 and lo < q < hi:
+            return Comparison.EQUAL
+        while lo <= q <= hi and lo < hi:
+            lo, hi = x.refine((hi - lo) / 4)
+    if lo == hi and q == lo:
+        return Comparison.EQUAL
+    return Comparison.LESS if q < lo else Comparison.GREATER
+
+
+def collapsed_half():
+    """2x - 1 on (0, 1), refined: the first midpoint is the root, so the
+    interval collapses onto [1/2, 1/2]."""
+    x = AlgebraicReal([-1, 2], 0, 1)
+    x.refine(F(1, 4))
+    return x
+
+
+# factories, so that every comparison meets a fresh number
+COMPARE_CASES = (
+    lambda: AlgebraicReal(SQRT2_MINUS_1, F(2, 5), F(1, 2)),
+    lambda: AlgebraicReal([1, -3, 1], F(1, 3), F(1, 2)),  # decreasing
+    lambda: AlgebraicReal([-2, 0, 1], -2, -1),  # -sqrt(2), decreasing
+    alg_cubic,
+    lambda: AlgebraicReal([-1, 2, 2], F(1, 3), F(1, 2)),
+    lambda: AlgebraicReal([-2, 0, 0, 1], 1, 2),  # cube root of 2
+    lambda: AlgebraicReal([-1, 2], 0, 1),
+    collapsed_half,
+)
+
+
+class TestCompareReference:
+    @pytest.mark.parametrize("case", range(len(COMPARE_CASES)))
+    def test_matches_bisection_and_leaves_x_alone(self, case):
+        make = COMPARE_CASES[case]
+        x = make()
+        lo, hi = x.interval()
+        rng = random.Random(case)
+        qs = [lo, hi, lo - 1, hi + F(1, 7), (lo + hi) / 2,
+              lo - F(1, 10**9), hi + F(1, 10**9)]
+        qs += [lo + (hi - lo) * F(rng.randrange(1, 1000), 1000)
+               for _ in range(20)]
+        if lo < hi:  # the root itself, within 1e-30, from both sides
+            r_lo, r_hi = make().refine(F(1, 10**30))
+            qs += [r_lo, r_hi]
+        seen = set()
+        for q in qs:
+            want = reference_compare_rat_alg(q, make())
+            assert compare(q, x) is want
+            flipped = {Comparison.LESS: Comparison.GREATER,
+                       Comparison.GREATER: Comparison.LESS}.get(want, want)
+            assert compare(x, q) is flipped
+            assert x.interval() == (lo, hi)
+            seen.add(want)
+        assert {Comparison.LESS, Comparison.GREATER} <= seen
+        if case >= len(COMPARE_CASES) - 2:  # 2x - 1 meets 1/2
+            assert Comparison.EQUAL in seen
+
+    def test_collapsed_interval(self):
+        x = collapsed_half()
+        assert x.interval() == (F(1, 2), F(1, 2))
+        assert compare(F(1, 2), x) is Comparison.EQUAL
+        assert compare(F(1, 3), x) is Comparison.LESS
+        assert compare(x, F(2, 3)) is Comparison.LESS
 
 
 class TestRefine:
@@ -190,6 +263,22 @@ class TestParsing:
         akl = parse_real("akl")
         assert T.is_alpha_kl(akl)
         assert X.format_real(akl) == "alpha_KL"
+
+    def test_akl_is_the_singleton_in_a_fresh_interpreter(self):
+        # is_alpha_kl tests identity, so the parsed base must be the very
+        # object thuemorse hands out, whatever was imported first
+        code = ("import cantorint.exactnum as X\n"
+                "a = X.parse_real('akl')\n"
+                "from cantorint import thuemorse\n"
+                "assert a is thuemorse.alpha_kl_real()\n"
+                "assert thuemorse.is_alpha_kl(a)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == 0, out.stderr
 
     def test_non_isolating_rejected(self):
         # x^2 - 3x + 1 has no root in [1, 2]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import islice, product
+from math import lcm
 
 import pytest
 
@@ -314,6 +315,112 @@ class TestUniqueness:
                 continue
             assert (res.status is UniqStatus.UNIQUE) == \
                 auto.has_unique_infinite_path()
+
+
+def reference_is_unique_expansion(sys, seq, depth_cap=None):
+    """is_unique_expansion as it scanned each tail and each reflected tail
+    in two copied blocks, through a closure reporting 'ok', 'violation',
+    'equal' or 'cap'."""
+    M, low = sys.M, sys.alphabet.low
+    dcache = sys.delta_cache()
+    ep_delta = dcache.ep_form(512)
+    compare_cap = depth_cap if depth_cap is not None else 4096
+    if isinstance(seq, EPSeq):
+        shifts = len(seq.pre) + len(seq.per)
+        if ep_delta is not None:
+            bound = (max(len(seq.pre), len(ep_delta.pre))
+                     + lcm(len(seq.per), len(ep_delta.per)) + 1)
+            compare_cap = max(compare_cap, bound)
+        eq_bound = None if ep_delta is None else compare_cap
+    else:
+        shifts = depth_cap if depth_cap is not None else 512
+        eq_bound = None
+
+    def check_tail(n, reflected):
+        for j in range(1, compare_cap + 1):
+            u = seq.digit(n + j) - low
+            if reflected:
+                u = M - u
+            dj = dcache.digit(j)
+            if u < dj:
+                return ("ok", None)
+            if u > dj:
+                return ("violation", n + j)
+            if eq_bound is not None and j >= eq_bound:
+                return ("equal", None)
+        return ("cap", None) if eq_bound is None else ("equal", None)
+
+    all_high = all_low = True
+    undecided = False
+    for n in range(shifts + 1):
+        for reflected, exempt in ((False, all_high), (True, all_low)):
+            if exempt:
+                continue
+            kind, pos = check_tail(n, reflected)
+            if kind in ("violation", "equal"):
+                return E.UniquenessResult(UniqStatus.NOT_UNIQUE, (n, pos),
+                                          n, compare_cap)
+            undecided = undecided or kind == "cap"
+        d_next = seq.digit(n + 1) - low
+        all_high = all_high and d_next == M
+        all_low = all_low and d_next == 0
+    status = UniqStatus.UNDECIDED if isinstance(seq, LazySeq) or undecided \
+        else UniqStatus.UNIQUE
+    return E.UniquenessResult(status, None, shifts, compare_cap)
+
+
+# rational bases below and above alpha_KL ~ 0.394330, then sqrt(2) - 1, the
+# golden threshold (3 - sqrt(5)) / 2 and Example 5.1's cubic
+UNIQUENESS_BASES = ("rat:9/25", "rat:39/100", "rat:3943/10000",
+                    "rat:3944/10000", "rat:2/5", "rat:9/20",
+                    "alg:-1,2,1@[2/5,1/2]", "alg:1,-3,1@[1/3,1/2]",
+                    "alg:-1,1,2,2@[2/5,1/2]")
+
+
+def uniqueness_words(rng, count=60):
+    from cantorint.dimension import tm_block_word
+    seqs = [tm_block_word(n) for n in range(1, 7)]
+    for _ in range(count):
+        pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4))]
+        per = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 9))]
+        seqs.append(EPSeq(pre, per, TERNARY))
+    return [s for seq in seqs for s in (seq, W.reflect(seq))]
+
+
+class TestUniquenessReference:
+    """Every field of every result matches the two-block scan."""
+
+    @pytest.mark.parametrize("base", UNIQUENESS_BASES)
+    def test_words_match_reference(self, base):
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        rng = random.Random(len(base) * 31 + sum(map(ord, base)))
+        seen = set()
+        for seq in uniqueness_words(rng):
+            for cap in (None, 3, 40):
+                got = E.is_unique_expansion(sys, seq, cap)
+                assert got == reference_is_unique_expansion(sys, seq, cap)
+                seen.add(got.status)
+        assert UniqStatus.NOT_UNIQUE in seen and len(seen) >= 2
+
+    def test_alpha_kl_lazy_inputs_match_reference(self):
+        from cantorint.dimension import tm_block_word
+        sys = BaseSystem(T.alpha_kl_real(), TERNARY)
+        rng = random.Random(77)
+        lazies = [T.lambda_seq(),
+                  LazySeq(lambda i: 1 if i % 3 else -1, TERNARY),
+                  LazySeq(lambda i: (i * i) % 3 - 1, TERNARY)]
+        for _ in range(4):
+            digits = [rng.choice((-1, 0, 1)) for _ in range(200)]
+            lazies.append(LazySeq(lambda i, d=digits: d[i % 200], TERNARY))
+        seqs = [s for lz in lazies for s in (lz, W.reflect(lz))]
+        seqs += [tm_block_word(n) for n in range(1, 4)]
+        seen = set()
+        for seq in seqs:
+            for cap in (1, 6, 24, 64):
+                got = E.is_unique_expansion(sys, seq, cap)
+                assert got == reference_is_unique_expansion(sys, seq, cap)
+                seen.add(got.status)
+        assert {UniqStatus.NOT_UNIQUE, UniqStatus.UNDECIDED} <= seen
 
 
 class TestForbiddenZeroRun:
