@@ -19,7 +19,6 @@ from .exactnum import (  # noqa: F401
     SeriesReal,
     compare,
     decimal_string,
-    eval_poly_in_alpha,
     format_real,
     parse_real,
 )

@@ -307,6 +307,20 @@ def check_09_self_similarity() -> AccResult:
                      bool(ok))
 
 
+def _approximants_ok(lw) -> bool:
+    """The two approximant clauses at every k of a Liouville witness, with
+    q the denominator of its base: q_k <= q^(m_k + 3) and
+    |x - p_k/q_k| q_k^k <= 1."""
+    q = lw.pq.denominator
+    xl, xh = lw.x_enclosure
+    ok = True
+    for k, approx in enumerate(lw.approximants, 1):
+        qk = approx.denominator
+        ok = ok and qk <= q**(lw.block_boundary(k) + 3)
+        ok = ok and max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
+    return ok
+
+
 def check_10_liouville() -> AccResult:
     """Three exact clauses hold at 2/5; the uniqueness clause cannot.
 
@@ -329,14 +343,7 @@ def check_10_liouville() -> AccResult:
         nk_ok = nk_ok and q**e_ok >= 2**e_ok * q**f
         if m > 1:
             nk_ok = nk_ok and q**e_no < 2**e_no * q**f
-    xl, xh = lw.x_enclosure
-    approx_ok = True
-    for k in range(1, 4):
-        approx = lw.approximants[k - 1]
-        qk = approx.denominator
-        approx_ok = approx_ok and qk <= q**(lw.block_boundary(k) + 3)
-        approx_ok = approx_ok and \
-            max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
+    approx_ok = _approximants_ok(lw)
     sys = BaseSystem(Fraction(2, 5), TERNARY)
     uniq = expansions.is_unique_expansion(sys, lw.t_seq, depth_cap=256)
     uniq_ok = uniq.status is not UniqStatus.NOT_UNIQUE
@@ -354,13 +361,7 @@ def check_10b_liouville_in_range() -> AccResult:
     """The same construction inside the valid range passes every clause."""
     pq = Fraction(7, 20)
     lw = dimension.liouville_witness(pq, 3)
-    xl, xh = lw.x_enclosure
-    ok = True
-    for k in range(1, 4):
-        approx = lw.approximants[k - 1]
-        qk = approx.denominator
-        ok = ok and qk <= 20**(lw.block_boundary(k) + 3)
-        ok = ok and max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
+    ok = _approximants_ok(lw)
     sys = BaseSystem(pq, TERNARY)
     uniq = expansions.is_unique_expansion(sys, lw.t_seq, depth_cap=256)
     ok = ok and uniq.status is not UniqStatus.NOT_UNIQUE
@@ -384,11 +385,10 @@ def check_11_sft_interval() -> AccResult:
     ends_ok = {blocks.d_omega1, blocks.d_omega2} == \
         {Fraction(1, 2), Fraction(1, 3)}
     alpha = Fraction(7, 20)
-    n = thuemorse.find_smallest_sft_n(alpha)
     ds = dimension.d_set(alpha)
     full = dimension.full_dimension(alpha).decimal
     lo_v, hi_v = ds.sft_interval
-    interval_ok = (n == 1 and ds.sft_n == 1
+    interval_ok = (ds.sft_n == 1
                    and abs(lo_v.decimal - full / 3) <= 1e-9
                    and abs(hi_v.decimal - full / 2) <= 1e-9)
     ok = char_ok and radius_ok and ends_ok and interval_ok

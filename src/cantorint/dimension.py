@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import exactnum, expansions, graph, thuemorse, words
 from .exactnum import AlgebraicReal, Comparison, QAlphaElement, compare
@@ -808,7 +808,6 @@ class LiouvilleWitness:
     x_enclosure: tuple  # rational interval certified to contain x
     x: exactnum.SeriesReal
     t_seq: LazySeq
-    free_rule: Callable[[int], int]
 
     def block_boundary(self, k: int) -> int:
         """Index of the k-th separating zero: m_k = 2(n_1+..+n_k) + k."""
@@ -855,43 +854,35 @@ class _LiouvilleBlocks:
         self.nk.append(_liouville_min_next(self.p, self.q, self.nk))
         self.bounds.append(self.bounds[-1] + 2 * self.nk[-1] + 1)
 
-    def _ensure(self, i: int):
+    def digit(self, i: int) -> int:
         while self.bounds[-1] < i:
             self.grow()
-
-    def digit(self, i: int) -> int:
-        self._ensure(i)
-        lo = 0
-        for b in self.bounds:
-            if i <= b:
-                if i == b:
-                    return 0  # the separating zero
-                return 1 if (i - lo) % 2 == 1 else -1
-            lo = b
-        raise AssertionError
-
-    def slot_of(self, i: int) -> int:
-        """1-based number of the separating zero sitting at position i."""
-        self._ensure(i)
-        return self.bounds.index(i) + 1
+        j = bisect_left(self.bounds, i)
+        if self.bounds[j] == i:
+            return 0  # the separating zero
+        start = self.bounds[j - 1] if j else 0
+        return 1 if (i - start) % 2 == 1 else -1
 
 
-def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
+def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
     """Run the Liouville construction and verify its inequalities exactly.
 
-    ``free_digit_rule`` fixes the {0,1} digit at each separating-zero slot
-    (a constant, or a callable on the slot number).  For every k <= K the
-    witness checks, in exact rational arithmetic, that
+    x takes the digit 1 on each 1 of (t_i), 0 on each -1, and
+    ``free_digit_rule``, 0 or 1 (ValueError otherwise), at every
+    separating zero.  For every k <= K, with m_k the position of the k-th
+    separating zero, the witness checks, in exact rational arithmetic, that
 
     * q_k respects the displayed denominator bound q^(m_k + 3),
     * |x - p_k/q_k| <= q_k^(-k), and
     * p_k/q_k != x.
 
     Any failure raises ``VerificationFailed`` (it would be a bug, not an
-    input problem).
+    input problem).  One running sum of x's digits up to m_K gives every
+    p_k/q_k, each with the tail of the block after m_k.
 
     n_1 = 1, and each later n_k is the least that meets the growth
-    inequality of ``_liouville_min_next``.  The enclosure of x at width (p/q)^(2(n_1+..+n_(K+1)) + K + 64) has
+    inequality of ``_liouville_min_next``.  The enclosure of x at width
+    (p/q)^(m_(K+1) + 63) = (p/q)^(2(n_1+..+n_(K+1)) + K + 64) has
     denominators of that exponent times log10 q digits.  Each term only
     raises it, so the terms grow one at a time, and a ``DimensionError``
     stops the construction before the next term once the count passes
@@ -907,13 +898,8 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
         # uniqueness test still passes, and every inequality is re-verified
         # exactly below anyway
         raise OutOfDomain("p/q must lie in (1/3, 1/2)")
-    if callable(free_digit_rule):
-        rule = free_digit_rule
-    else:
-        const = int(free_digit_rule)
-        if const not in (0, 1):
-            raise ValueError("free digit rule must produce 0 or 1")
-        rule = lambda slot: const  # noqa: E731
+    if free_digit_rule not in (0, 1):
+        raise ValueError("free digit rule must be 0 or 1")
 
     q = pq.denominator
     blocks = _LiouvilleBlocks(pq)
@@ -930,32 +916,27 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
     nk = blocks.nk[:]  # t_seq goes on extending the table
     t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})")
 
+    x_digit = {1: 1, -1: 0, 0: int(free_digit_rule)}
+
     def eps(i: int) -> int:
-        d = blocks.digit(i)
-        if d == 1:
-            return 1
-        if d == -1:
-            return 0
-        return rule(blocks.slot_of(i))
+        return x_digit[blocks.digit(i)]
 
     x = exactnum.SeriesReal(eps, pq, 0, 1, description=f"liouville-x({pq})")
 
+    m = blocks.bounds[:K + 1]  # m_1 .. m_(K+1)
     approximants = []
-    for k in range(1, K + 1):
-        m_k = 2 * sum(nk[:k]) + k
-        partial = Fraction(0)
-        power = Fraction(1)
-        for i in range(1, m_k + 1):
+    partial, power = Fraction(0), Fraction(1)  # the sum up to m_k, pq^m_k
+    for prev, m_k in zip([0] + m, m[:K]):
+        for i in range(prev + 1, m_k + 1):
             power *= pq
             partial += eps(i) * power
-        tail = pq ** (m_k + 1) / (1 - pq * pq)
-        approx = partial + tail
+        approx = partial + power * pq / (1 - pq * pq)
         approximants.append(approx)
         if approx.denominator > q ** (m_k + 3):
             raise VerificationFailed("denominator bound violated")
 
     # enclose x deep enough for all checks
-    deepest = 2 * sum(nk[:K + 1]) + K + 64
+    deepest = m[K] + 63
     x_lo, x_hi = x.enclosure(pq ** deepest)
 
     for k in range(1, K + 1):
@@ -977,7 +958,7 @@ def liouville_witness(pq, K: int, free_digit_rule=0) -> LiouvilleWitness:
             else:
                 raise VerificationFailed("could not separate x from p_k/q_k")
 
-    return LiouvilleWitness(pq, nk, approximants, (x_lo, x_hi), x, t_seq, rule)
+    return LiouvilleWitness(pq, nk, approximants, (x_lo, x_hi), x, t_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,34 +1006,39 @@ def tm_block_word(n: int) -> EPSeq:
     return EPSeq((), w + tuple(-d for d in w), TERNARY)
 
 
-def n_star(alpha, cap: int = 12, depth_cap: int = 4096) -> tuple:
-    """Largest n <= cap with (w_n reflect(w_n))^inf passing the uniqueness
-    test; returns (n*, cap_hit).
+_NSTAR_CAP = 12  # highest block-word level n_star tests
+
+
+def n_star(sys: BaseSystem, depth_cap: int = 4096) -> tuple:
+    """Largest n <= ``_NSTAR_CAP`` with (w_n reflect(w_n))^inf passing the
+    uniqueness test over ``sys``; returns (n*, cap_hit).
 
     Every level up to the cap is tested (passes have always been downward
     closed in practice, but the maximum is what is reported).  cap_hit is
     True when the top level itself passes, i.e. the cap may be binding.
     """
-    sys = BaseSystem(alpha, TERNARY)
     last_pass = 0
-    for n in range(1, cap + 1):
+    for n in range(1, _NSTAR_CAP + 1):
         res = is_unique_expansion(sys, tm_block_word(n), depth_cap=depth_cap)
         if res.status is UniqStatus.UNIQUE:
             last_pass = n
         elif res.status is UniqStatus.UNDECIDED:
             raise exactnum.UndecidedComparison(
                 f"uniqueness of the level-{n} block word undecided at depth")
-    return last_pass, last_pass == cap
+    return last_pass, last_pass == _NSTAR_CAP
 
 
-def d_set(alpha, nstar_cap: int = 12, sft_n_cap: int = 8,
-          depth_cap: int = 4096) -> DSetDescription:
+def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     """Describe D_alpha per the trichotomy around alpha_KL.
 
     Above alpha_KL the set is the finite list {0, full} plus the block-word
-    frequencies up to n*; at alpha_KL it is the countable family; below it
-    contains the interval spanned by the four-block subshift frequencies,
-    and is all of [0, full] exactly on (1/3, (3-sqrt(5))/2].
+    frequencies up to n* (:func:`n_star`); at alpha_KL it is the countable
+    family; below it contains the interval spanned by the four-block
+    subshift frequencies (:func:`thuemorse.find_smallest_sft_n`), and is
+    all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  Above that, one
+    ``BaseSystem`` gives n* and the excluded band ((k+1)/(k+2), 1) from
+    :func:`expansions.forbidden_zero_run`.  ``depth_cap`` bounds every
+    lexicographic comparison with delta.
     """
     _check_dimension_domain(alpha)
     full = full_dimension(alpha)
@@ -1073,36 +1059,31 @@ def d_set(alpha, nstar_cap: int = 12, sft_n_cap: int = 8,
         raise exactnum.UndecidedComparison(
             "position of alpha relative to alpha_KL undecided")
 
+    sys = BaseSystem(alpha, TERNARY)
     if pos is Comparison.GREATER:
-        ns, cap_hit = n_star(alpha, nstar_cap, depth_cap)
+        ns, cap_hit = n_star(sys, depth_cap)
         values = [dim_from_frequency(alpha, Fraction(0))]
         values += [dim_from_frequency(alpha, thuemorse.dw(n))
                    for n in range(1, ns + 1)]
         values.append(full)
-        sys = BaseSystem(alpha, TERNARY)
-        k = expansions.forbidden_zero_run(sys)
-        band = (Fraction(k + 1, k + 2), Fraction(1))
-        return DSetDescription(
+        ds = DSetDescription(
             DSetKind.FINITE_LIST, alpha, full, proper_subset=True,
-            values=values, nstar=ns, nstar_cap_hit=cap_hit,
-            excluded_band=band)
-
-    # alpha below alpha_KL: interval regime
-    n = thuemorse.find_smallest_sft_n(alpha, n_cap=sft_n_cap,
-                                      depth_cap=depth_cap)
-    blocks = thuemorse.sft_blocks(n)
-    d_lo, d_hi = blocks.density_interval
-    interval = (dim_from_frequency(alpha, d_lo), dim_from_frequency(alpha, d_hi))
-    rel_golden = compare(alpha, golden_threshold())
-    if rel_golden in (Comparison.LESS, Comparison.EQUAL):
-        return DSetDescription(
-            DSetKind.FULL_INTERVAL, alpha, full, proper_subset=False,
-            sft_n=n, sft_interval=interval,
-            note="D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]")
-    sys = BaseSystem(alpha, TERNARY)
+            values=values, nstar=ns, nstar_cap_hit=cap_hit)
+    else:  # alpha below alpha_KL: interval regime
+        n = thuemorse.find_smallest_sft_n(alpha, depth_cap=depth_cap)
+        d_lo, d_hi = thuemorse.sft_blocks(n).density_interval
+        interval = (dim_from_frequency(alpha, d_lo),
+                    dim_from_frequency(alpha, d_hi))
+        if compare(alpha, golden_threshold()) in (Comparison.LESS,
+                                                  Comparison.EQUAL):
+            return DSetDescription(
+                DSetKind.FULL_INTERVAL, alpha, full, proper_subset=False,
+                sft_n=n, sft_interval=interval,
+                note="D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]")
+        ds = DSetDescription(
+            DSetKind.CONTAINS_INTERVAL, alpha, full, proper_subset=True,
+            sft_n=n, sft_interval=interval)
     k = expansions.forbidden_zero_run(sys)
-    band = (Fraction(k + 1, k + 2), Fraction(1))
-    return DSetDescription(
-        DSetKind.CONTAINS_INTERVAL, alpha, full, proper_subset=True,
-        sft_n=n, sft_interval=interval, excluded_band=band)
+    ds.excluded_band = (Fraction(k + 1, k + 2), Fraction(1))
+    return ds
 

@@ -47,12 +47,13 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import ge, gt, le, lt, mul
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 Rational = Fraction
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
+_DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
 
 
 class ExactnumError(Exception):
@@ -439,7 +440,7 @@ def enclosure(x, width) -> tuple:
     if isinstance(x, AlgebraicReal):
         return x.refine(width)
     if isinstance(x, QAlphaElement):
-        return x.value_enclosure(width)
+        return x.ctx.enclosure(x.state, width)
     if isinstance(x, (SeriesReal, EnclosedReal)):
         return x.enclosure(width)
     raise TypeError(f"not a RealNumber: {x!r}")
@@ -648,8 +649,16 @@ class QAlphaContext:
     # -- states --------------------------------------------------------------
 
     def state(self, x) -> tuple:
-        """The state of a :class:`QAlphaElement` (its own) or a rational."""
+        """The state of a rational, or of a :class:`QAlphaElement` of this
+        field: its context is this one, or one on the same alpha.  Two
+        roots of one polynomial share a key, so only then are the roots
+        compared.  An element of another field raises ValueError."""
         if isinstance(x, QAlphaElement):
+            other = x.ctx
+            if other is not self and (other.key != self.key or (
+                    self.degree > 1 and compare(other.alpha, self.alpha)
+                    is not Comparison.EQUAL)):
+                raise ValueError("elements from different Q(alpha) contexts")
             return x.state
         x = Fraction(x)
         return (x.numerator, *(0,) * (self.degree - 1), x.denominator)
@@ -751,9 +760,9 @@ class QAlphaContext:
             while True:
                 lo, hi = _bisect(partial(_scaled_value, alpha.coeffs),
                                  *alpha.interval(), width)
-                if lo >= 0:  # alpha^i is then increasing over [lo, hi]
+                if lo >= 0 or hi <= 0:  # alpha^i is then monotone on [lo, hi]
                     pows = [(lo**i, hi**i) for i in range(1, self.degree)]
-                    if all((h - l) * one <= 1 for l, h in pows):
+                    if all(abs(h - l) * one <= 1 for l, h in pows):
                         break
                 width /= 16
             B = self._B[K] = (one, *(round((l + h) * one / 2)
@@ -894,11 +903,7 @@ class QAlphaElement:
         return tuple(Fraction(v, D) for v in self.state[:-1])
 
     def _coerce(self, other):
-        if isinstance(other, QAlphaElement):
-            if other.ctx.key != self.ctx.key:
-                raise ValueError("elements from different Q(alpha) contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (QAlphaElement, int, Fraction)):
             return self.ctx.embed(other)
         return None
 
@@ -952,9 +957,6 @@ class QAlphaElement:
     def sign(self) -> int:
         return self.ctx.sign(self.state)
 
-    def value_enclosure(self, width):
-        return self.ctx.enclosure(self.state, width)
-
     def to_fraction(self) -> Fraction:
         if any(self.state[1:-1]):
             raise ValueError("element is not rational")
@@ -976,22 +978,11 @@ class QAlphaElement:
     __ge__ = _ordering(ge)
 
     def __float__(self):
-        lo, hi = self.value_enclosure(Fraction(1, 10**17))
+        lo, hi = self.ctx.enclosure(self.state, Fraction(1, 10**17))
         return float((lo + hi) / 2)
 
     def __repr__(self):
         return f"QAlpha{list(self.coeffs)}"
-
-
-
-def eval_poly_in_alpha(coeffs: Sequence, alpha: RealNumber) -> QAlphaElement:
-    """Canonical Q(alpha) element for ``sum coeffs[i] * alpha^i``.
-
-    For rational alpha the result collapses to a single rational coefficient.
-    Raises ``UnsupportedBase`` for series-valued alpha.
-    """
-    ctx = QAlphaContext(alpha)
-    return ctx.element([Fraction(c) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -1038,17 +1029,18 @@ def format_real(x: RealNumber) -> str:
     raise TypeError(f"not a RealNumber: {x!r}")
 
 
-def decimal_string(x, digits: int = 12) -> str:
+def decimal_string(x) -> str:
     """Decimal rendering backed by a certified enclosure.
 
-    The string is the shortest float repr of the enclosure midpoint; the
-    enclosure is tightened until it is narrower than one unit in the last
-    requested digit, so the rendering never feeds back into computation.
-    A value that rounds to zero renders as ``-0.0`` exactly when its
-    certified sign is negative, so the string depends on the value alone.
+    The string is the shortest float repr of the enclosure midpoint rounded
+    to ``_DECIMAL_DIGITS`` places; the enclosure is narrower than one unit
+    in the last of them, so the rendering never feeds back into
+    computation.  A value that rounds to zero renders as ``-0.0`` exactly
+    when its certified sign is negative, so the string depends on the value
+    alone.
     """
-    lo, hi = enclosure(x, Fraction(1, 10**(digits + 2)))
-    r = round(float((lo + hi) / 2), digits)
+    lo, hi = enclosure(x, Fraction(1, 10**(_DECIMAL_DIGITS + 2)))
+    r = round(float((lo + hi) / 2), _DECIMAL_DIGITS)
     if r == 0:
         if isinstance(x, QAlphaElement):
             negative = x.sign() < 0

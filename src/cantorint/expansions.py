@@ -121,12 +121,7 @@ class BaseSystem:
         return self.alphabet.high * self.tail_unit
 
     def embed(self, x) -> QAlphaElement:
-        ctx = self._require_ctx()
-        if isinstance(x, QAlphaElement):
-            if x.ctx.key != ctx.key:
-                raise ValueError("element from a different base system")
-            return x
-        return ctx.embed(Fraction(x))
+        return self._require_ctx().embed(x)
 
     def delta_cache(self) -> "_DeltaCache":
         if self._delta is None:
@@ -378,6 +373,7 @@ class UniquenessResult:
 
 _DEFAULT_COMPARE_CAP = 4096
 _DEFAULT_LAZY_SHIFTS = 512
+_ZERO_RUN_SCAN_CAP = 100_000  # delta digits forbidden_zero_run reads
 
 
 def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
@@ -439,13 +435,14 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     return UniquenessResult(UniqStatus.UNIQUE, None, shifts, compare_cap)
 
 
-def forbidden_zero_run(sys: BaseSystem, scan_cap: int = 100_000) -> int:
+def forbidden_zero_run(sys: BaseSystem) -> int:
     """The k >= 0 with delta(alpha) = 1 0^k (-1) ... over {-1,0,1}.
 
     Only defined for alpha strictly between (3-sqrt(5))/2 and 1/2; at or
     below the threshold delta is 1 0^infinity and no finite k exists.  As a
     consequence no member of the univoque set contains 1 0^(k+1) (or its
-    reflection) infinitely often.
+    reflection) infinitely often.  ``IterationLimit`` when no -1 shows
+    among the first ``_ZERO_RUN_SCAN_CAP`` digits.
     """
     if sys.alphabet != TERNARY:
         raise OutOfDomain("forbidden zero run is stated over {-1,0,1}")
@@ -456,7 +453,7 @@ def forbidden_zero_run(sys: BaseSystem, scan_cap: int = 100_000) -> int:
     dcache = sys.delta_cache()
     if dcache.digit(1) != 2:
         raise OutOfDomain("expected delta to start with the top digit")
-    for i in range(2, scan_cap):
+    for i in range(2, _ZERO_RUN_SCAN_CAP):
         d = dcache.digit(i) - 1  # over {-1,0,1}
         if d == 0:
             continue
@@ -490,10 +487,6 @@ class ExpansionAutomaton:
     def edges(self) -> list:
         """(from, digit, to) triples, by source state, then by digit."""
         return [(i, d, j) for i, out in enumerate(self.succ) for j, d in out]
-
-    def out_edges(self, i: int) -> list:
-        """(state, digit) pairs leaving state i."""
-        return self.succ[i]
 
     def has_unique_infinite_path(self) -> bool:
         if not self.complete:

@@ -127,19 +127,20 @@ _AKL_CHECKED = [False]
 _SERIES_CAP = 200_000
 
 
-def series_sign_at(a: Fraction, cap: int = _SERIES_CAP) -> int:
+def series_sign_at(a: Fraction) -> int:
     """Certified sign of F(a) for rational a in (0, 1), from enclosures of
     ``SeriesReal(1 + lambda_i, a, 0, 2)`` at widths 2^-32, 2^-64, 2^-128,
     ... until one excludes 1.  F has no rational zero in (1/3, 1/2) (its
     unique zero there is transcendental), so this ends for the inputs we
-    feed it; ``IterationLimit`` once ``cap`` terms leave the sign undecided.
+    feed it; ``IterationLimit`` once ``_SERIES_CAP`` terms leave the sign
+    undecided.
     """
     a = Fraction(a)
     if not 0 < a < 1:
         raise ValueError("series sign needs a in (0, 1)")
     series = exactnum.SeriesReal(lambda i: 1 + lam(i), a, 0, 2)
     width = Fraction(1, 2**32)
-    while series.terms < cap:
+    while series.terms < _SERIES_CAP:
         lo, hi = series.enclosure(width)
         if lo > 1:
             return 1
@@ -196,6 +197,7 @@ SFT_MATRIX = ((0, 1, 1, 0),
               (0, 0, 1, 0),
               (1, 0, 0, 1),
               (1, 0, 0, 0))
+_SFT_N_CAP = 8  # highest subshift level find_smallest_sft_n tries
 
 
 @dataclass(frozen=True)
@@ -265,8 +267,9 @@ class NotFoundUnderCap(Exception):
     pass
 
 
-def find_smallest_sft_n(alpha, n_cap: int = 8, depth_cap: int = 4096) -> int:
-    """Smallest n <= n_cap whose four-block subshift lies in the univoque set.
+def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
+    """Smallest n <= ``_SFT_N_CAP`` whose four-block subshift lies in the
+    univoque set, or ``NotFoundUnderCap``.
 
     The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
     certified when ``sft_max_word(n)`` is lex-< delta(alpha) within
@@ -292,8 +295,8 @@ def find_smallest_sft_n(alpha, n_cap: int = 8, depth_cap: int = 4096) -> int:
         raise expansions.OutOfDomain("alpha must lie below alpha_KL")
 
     delta = expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY))
-    for n in range(1, n_cap + 1):
+    for n in range(1, _SFT_N_CAP + 1):
         if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
             return n
     raise NotFoundUnderCap(
-        f"no subshift level n <= {n_cap} certified at depth cap {depth_cap}")
+        f"no subshift level n <= {_SFT_N_CAP} certified at depth cap {depth_cap}")

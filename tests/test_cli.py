@@ -247,6 +247,10 @@ GOLDEN = [
      "6ea31ebeae838cb07af0ae8cd7c8727b08dc040b5456ead2a8cc670869e7f75f"),
     (("dset", "--alpha", "rat:39/100"),
      "baeeb2bd0319b1b2a6a0989fbdc6f8763613c4bf7dbb1be74bc8d69ceb03ce09"),
+    (("dset", "--alpha", "rat:19/50"),
+     "c7c75c60a5a0ef8edfad67542990626937f8734f135fdbf10764754c9602a7bc"),
+    (("liouville", "--pq", "7/20", "--k", "3", "--free-rule", "1"),
+     "1aa4f53b34ead9a6c626e817beb2109a328000a16fddecc58703893e85feb648"),
 ]
 
 

@@ -932,6 +932,11 @@ class TestLiouville:
         # the x values differ at the separating slots
         assert lw0.x_enclosure[1] < lw1.x_enclosure[0]
 
+    def test_free_rule_is_a_digit(self):
+        for rule in (2, -1, lambda slot: slot % 2):
+            with pytest.raises(ValueError):
+                liouville_witness(F(2, 5), 1, free_digit_rule=rule)
+
     def test_t_seq_blocks(self):
         lw = liouville_witness(F(2, 5), 2)
         t = lw.t_seq

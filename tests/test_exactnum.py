@@ -17,10 +17,11 @@ from cantorint.exactnum import (
     QAlphaElement,
     SeriesReal,
     compare,
-    eval_poly_in_alpha,
     parse_real,
 )
 from cantorint import thuemorse as T
+from cantorint.expansions import BaseSystem
+from cantorint.words import TERNARY
 
 
 ALPHA_CUBIC = [-1, 1, 2, 2]  # 2x^3 + 2x^2 + x - 1, root ~ 0.44062
@@ -192,7 +193,7 @@ class TestRefine:
 
 class TestQAlpha:
     def test_rational_base_collapses(self):
-        el = eval_poly_in_alpha([0, -1], F(2, 5))
+        el = QAlphaContext(F(2, 5)).element([0, -1])
         assert el.to_fraction() == F(-2, 5)
 
     def test_sum_neg_alpha_closed_form(self):
@@ -211,7 +212,7 @@ class TestQAlpha:
         t = ctx.one / (a * (a3 - ctx.one)) + ctx.one / (a * a * (ctx.one - a3))
         # denominators cleared via the defining polynomial: the element is a
         # plain coefficient vector and evaluates consistently (~3.6754)
-        lo, hi = t.value_enclosure(F(1, 10**9))
+        lo, hi = X.enclosure(t, F(1, 10**9))
         assert F(36, 10) < lo and hi < F(37, 10)
         # and the corrected closed form matches the coded value exactly
         t2 = a / (a3 - ctx.one) + a * a / (ctx.one - a3)
@@ -237,7 +238,7 @@ class TestQAlpha:
 
     def test_series_base_rejected(self):
         with pytest.raises(X.UnsupportedBase):
-            eval_poly_in_alpha([0, 1], T.alpha_kl_real())
+            QAlphaContext(T.alpha_kl_real())
 
     def test_reducible_base_rejected_on_division(self):
         # (x-1)(x-2) with the root 1 isolated: the ring has zero divisors,
@@ -853,6 +854,57 @@ class TestIntegerField:
         assert (1 / x).coeffs == reference_inverse(ctx, x.coeffs)
 
 
+class TestFieldIdentity:
+    """Which base a context stands for: a negative root, and two roots of
+    one polynomial, which share the context key."""
+
+    def test_negative_algebraic_base(self):
+        # the powers of alpha behind the sign filter once waited for a
+        # bracket with lo >= 0, which a negative alpha never reaches; a
+        # fresh interpreter with a timeout keeps such a hang out of the suite
+        code = ("from fractions import Fraction as F\n"
+                "from cantorint.exactnum import QAlphaContext, parse_real\n"
+                "ctx = QAlphaContext(parse_real('alg:-1,2,1@[-3,-2]'))\n"
+                "a = ctx.alpha_element\n"
+                "print(a.sign(), (a + F(12, 5)).sign(), (a + F(5, 2)).sign(),"
+                " float(a), float(1 / (1 - a)))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == 0, out.stderr
+        *signs, alpha, inverse = out.stdout.split()
+        assert signs == ["-1", "-1", "1"]  # -1 - sqrt(2) ~ -2.41421
+        assert float(alpha) == pytest.approx(-1 - math.sqrt(2), abs=1e-15)
+        assert float(inverse) == pytest.approx(1 / (2 + math.sqrt(2)),
+                                               abs=1e-15)
+
+    def test_roots_of_one_polynomial_do_not_mix(self):
+        small = QAlphaContext(parse_real("alg:1,-3,1@[1/3,1/2]"))
+        large = QAlphaContext(parse_real("alg:1,-3,1@[2,3]"))
+        with pytest.raises(ValueError):
+            small.one + large.alpha_element
+        with pytest.raises(ValueError):
+            small.alpha_element == large.alpha_element
+        # 5x^2 - 5x + 1 has both its roots in (0, 1)
+        low = BaseSystem(parse_real("alg:1,-5,5@[0,1/2]"), TERNARY)
+        high = BaseSystem(parse_real("alg:1,-5,5@[1/2,1]"), TERNARY)
+        with pytest.raises(ValueError):
+            low.embed(high.ctx.alpha_element)
+
+    def test_one_root_through_two_intervals_mixes(self):
+        a = QAlphaContext(parse_real("alg:1,-3,1@[1/3,1/2]"))
+        b = QAlphaContext(parse_real("alg:1,-3,1@[3/10,2/5]"))
+        assert a.alpha_element == b.alpha_element
+        x = a.one + b.alpha_element
+        assert x.ctx is a and x.coeffs == (1, 1)
+        assert float(x) == pytest.approx((5 - math.sqrt(5)) / 2, abs=1e-15)
+        sys_ = BaseSystem(a.alpha, TERNARY)
+        assert sys_.embed(b.alpha_element) == sys_.ctx.alpha_element
+
+
 def seeded_elements(ctx, rng, count):
     """Random elements, each also minus a close rational, so that many
     values lie within 2^-64 of 0; and the zero and a rational."""
@@ -887,12 +939,12 @@ class TestOneSignRoute:
             rlo, rhi = reference_enclosure(x, F(1, 2**232))
             for k in range(8, 201, 8):
                 width = F(1, 2**k)
-                lo, hi = x.value_enclosure(width)
+                lo, hi = ctx.enclosure(x.state, width)
                 assert lo <= hi and hi - lo <= width
                 assert X.enclosure(x, width) == (lo, hi)
                 assert lo <= rhi and rlo <= hi
             if x.coeffs[1:] == (0,) * (ctx.degree - 1):  # rational: exact
-                assert x.value_enclosure(F(1, 4)) == (x.coeffs[0],) * 2
+                assert ctx.enclosure(x.state, F(1, 4)) == (x.coeffs[0],) * 2
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_decimal_string_matches_interval_horner(self, text):

@@ -463,7 +463,7 @@ class TestAutomaton:
         auto = E.build_expansion_automaton(sys, t)
         assert len(auto.states) == 6 and auto.complete
         # Figure-1 shape: three 2-cycles chained by single edges
-        outs = {i: sorted(auto.out_edges(i)) for i in range(6)}
+        outs = {i: sorted(auto.succ[i]) for i in range(6)}
         degrees = sorted(len(v) for v in outs.values())
         assert degrees == [1, 1, 1, 1, 2, 2]
         assert not auto.has_unique_infinite_path()

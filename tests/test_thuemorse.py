@@ -185,7 +185,7 @@ def brute_max_prefix(n, length):
     return best
 
 
-def cycle_and_splice_n(alpha, n_cap=8):
+def cycle_and_splice_n(alpha):
     """The former certificate, kept as the reference: the smallest n at
     which every simple block cycle of the subshift, and every splice of two
     cycles at their least shared block, is a unique expansion."""
@@ -208,7 +208,7 @@ def cycle_and_splice_n(alpha, n_cap=8):
             i, j = ci.index(min(shared)), cj.index(min(shared))
             block_cycles.append(ci[i:] + ci[:i] + cj[j:] + cj[:j])
     sys = E.BaseSystem(alpha, W.TERNARY)
-    for n in range(1, n_cap + 1):
+    for n in range(1, T._SFT_N_CAP + 1):
         bw = [b.digits for b in T.sft_blocks(n).blocks]
         words = [W.EPSeq((), tuple(d for b in cyc for d in bw[b]))
                  for cyc in block_cycles]
@@ -249,7 +249,7 @@ class TestSftMaxWord:
 class TestFindSmallestSftN:
     def test_values(self):
         assert T.find_smallest_sft_n(F(7, 20)) == 1
-        assert T.find_smallest_sft_n(F(17, 50), n_cap=8) == 1
+        assert T.find_smallest_sft_n(F(17, 50)) == 1
 
     def test_matches_cycle_and_splice_reference(self):
         # equal, so never below the weaker certificate
