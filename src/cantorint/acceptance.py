@@ -94,6 +94,8 @@ def check_02_tau_lambda_identities() -> AccResult:
     # the digit-sum generator must agree with the doubling oracle everywhere
     ok = ok and bytes(map(thuemorse.tau, range(n + 1))) == tau
     lam = list(map(sub, tau[1:], tau))  # lam[i-1] = lambda_i
+    # the doubling kernel behind lambda_prefix, which check 3 counts
+    ok = ok and thuemorse.lambda_prefix(n).digits == tuple(lam)
     neg = [-d for d in lam]
     ok = ok and lam[0] == 1
     p = 1

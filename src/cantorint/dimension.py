@@ -1001,9 +1001,12 @@ class DSetDescription:
 
 
 def tm_block_word(n: int) -> EPSeq:
-    """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}."""
-    w = thuemorse.w_word(n).digits
-    return EPSeq((), w + tuple(-d for d in w), TERNARY)
+    """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
+    joins the two lists of one :func:`thuemorse._lambda_pair` doubling."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    pos, neg = thuemorse._lambda_pair(2**n)
+    return EPSeq((), pos + neg, TERNARY)
 
 
 _NSTAR_CAP = 12  # highest block-word level n_star tests

@@ -42,6 +42,7 @@ raises ``UnsupportedBase``.
 from __future__ import annotations
 
 import re
+from copy import copy
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -504,6 +505,9 @@ def _rat_minus_alg_sign(q: Fraction, x: AlgebraicReal) -> int:
 
 
 def _compare_by_enclosure(a, b, precision) -> Comparison:
+    """Separate a and b by enclosures 1/16, 1/256, ... wide.  An
+    ``AlgebraicReal`` is narrowed in a copy, so neither argument changes."""
+    a, b = (copy(x) if isinstance(x, AlgebraicReal) else x for x in (a, b))
     width = Fraction(1, 16)
     while True:
         alo, ahi = enclosure(a, width)

@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import exactnum, graph, thuemorse, words
 from .exactnum import (
@@ -602,8 +602,15 @@ class GammaStatus(Enum):
 
 @dataclass(frozen=True)
 class GammaResult:
+    """A verdict and, for IN, the digits of its witness; ``witness``
+    builds their word when first read, as the box walk reads only
+    ``status``."""
     status: GammaStatus
-    witness: Optional[FiniteWord] = None
+    digits: Optional[Sequence[int]] = None
+
+    @cached_property
+    def witness(self) -> Optional[FiniteWord]:
+        return None if self.digits is None else FiniteWord(self.digits, BINARY)
 
 
 class GammaSearch:
@@ -622,8 +629,6 @@ class GammaSearch:
     QAlphaElements hold them, and the search steps and signs them through
     the context itself.
     """
-
-    EMPTY_WITNESS = FiniteWord((), BINARY)  # x itself is a live value
 
     def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
                  node_cap: int = 200_000):
@@ -645,7 +650,7 @@ class GammaSearch:
         if x in dead:
             return GammaResult(GammaStatus.OUT)
         if x in live:
-            return GammaResult(GammaStatus.IN, self.EMPTY_WITNESS)
+            return GammaResult(GammaStatus.IN, ())  # x itself is live
         if ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
             return GammaResult(GammaStatus.OUT)
         children = self._children
@@ -670,8 +675,8 @@ class GammaSearch:
             if child in on_path or child in live:
                 live.update(on_path)
                 # the digits of each frame's last child taken spell the path
-                return GammaResult(GammaStatus.IN, FiniteWord(
-                    [f[1][f[2] - 1][1] for f in frames], BINARY))
+                return GammaResult(GammaStatus.IN,
+                                   [f[1][f[2] - 1][1] for f in frames])
             if child in dead:
                 continue
             nodes += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
 
 from . import exactnum, graph
 from .words import (
@@ -60,12 +59,27 @@ def tau_prefix(n: int) -> FiniteWord:
     return FiniteWord(tuple(_tau_bytes(n)), BINARY)
 
 
+def _lambda_pair(n: int) -> tuple:
+    """The lists (w, reflect(w)) of w = lambda_1 ... lambda_(2^k), 2^k the
+    least power of 2 >= n, built by doubling: w_(k+1) is w_k reflect(w_k)
+    with its last digit raised by one, and its reflection is reflect(w_k)
+    w_k with its last digit lowered by one."""
+    pos, neg = [1], [-1]
+    while len(pos) < n:
+        pos, neg = pos + neg, neg + pos
+        pos[-1] += 1
+        neg[-1] -= 1
+    return pos, neg
+
+
 def lambda_prefix(n: int) -> FiniteWord:
-    """lambda_1 ... lambda_n over {-1,0,1}."""
+    """lambda_1 ... lambda_n over {-1,0,1}: the first n digits of the
+    doubling word of :func:`_lambda_pair`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    t = _tau_bytes(n + 1)
-    return FiniteWord(tuple(map(sub, t[1:], t)), TERNARY)
+    pos = _lambda_pair(n)[0]
+    del pos[n:]
+    return FiniteWord(pos, TERNARY)
 
 
 def lambda_seq() -> LazySeq:
@@ -76,21 +90,21 @@ def w_word(n: int) -> FiniteWord:
     """w_n = lambda_1 ... lambda_{2^n}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return lambda_prefix(2**n)
+    return FiniteWord(_lambda_pair(2**n)[0], TERNARY)
 
 
 def zeta(n: int) -> FiniteWord:
     """zeta_n = 0 lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((0,) + lambda_prefix(2**n - 1).digits, TERNARY)
+    return FiniteWord((0, *_lambda_pair(2**n)[0][:-1]), TERNARY)
 
 
 def eta(n: int) -> FiniteWord:
     """eta_n = (-1) lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((-1,) + lambda_prefix(2**n - 1).digits, TERNARY)
+    return FiniteWord((-1, *_lambda_pair(2**n)[0][:-1]), TERNARY)
 
 
 def dw(n: int) -> Fraction:

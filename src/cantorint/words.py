@@ -53,8 +53,11 @@ BINARY = Alphabet(0, 2)
 
 
 def _check_digits(digits, alphabet):
-    if not digits or (alphabet.low <= min(digits)
-                      and max(digits) <= alphabet.high):
+    """Raise ``WordsError`` on the first digit outside ``alphabet``.  One
+    pass builds the set of digits, and its bounds are read off that set;
+    only a failing word is scanned again, for the digit to name."""
+    seen = set(digits)
+    if not seen or (alphabet.low <= min(seen) and max(seen) <= alphabet.high):
         return
     for d in digits:
         if d not in alphabet:
@@ -98,7 +101,10 @@ class EPSeq:
 
     Stored in canonical form: the period is primitive (no shorter repeating
     block) and the preperiod is as short as possible, which makes structural
-    equality coincide with sequence equality.
+    equality coincide with sequence equality.  The d with ``per ==
+    per[:d] * (n // d)``, n = len(per), are the multiples of the root's
+    length r that divide n, so stripping each prime factor q of n from
+    d = n while d // q is one of them leaves d = r.
     """
 
     __slots__ = ("pre", "per", "alphabet")
@@ -111,19 +117,25 @@ class EPSeq:
         _check_digits(pre, alphabet)
         _check_digits(per, alphabet)
         # primitive period
-        n = len(per)
-        for d in range(1, n + 1):
-            if n % d == 0 and per == per[:d] * (n // d):
-                per = per[:d]
-                break
+        n = m = d = len(per)
+        q = 2
+        while m > 1:
+            if q * q > m:
+                q = m  # what is left of n is prime
+            if m % q == 0:
+                while m % q == 0:
+                    m //= q
+                while d % q == 0 and per == per[:d // q] * (n * q // d):
+                    d //= q
+            q += 1
+        per = per[:d]
         # minimal preperiod: absorb matching tail digits into a rotation
         pre = list(pre)
-        per = list(per)
         while pre and pre[-1] == per[-1]:
-            per = [per[-1]] + per[:-1]
+            per = per[-1:] + per[:-1]
             pre.pop()
         self.pre = tuple(pre)
-        self.per = tuple(per)
+        self.per = per
         self.alphabet = alphabet
 
     def digit(self, i: int) -> int:

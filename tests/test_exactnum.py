@@ -138,6 +138,17 @@ class TestCompareReference:
         if case >= len(COMPARE_CASES) - 2:  # 2x - 1 meets 1/2
             assert Comparison.EQUAL in seen
 
+    def test_algebraic_pair_left_alone(self):
+        from cantorint.expansions import golden_threshold
+        x = parse_real("alg:-1,2,2@[1/3,1/2]")
+        g = golden_threshold()
+        texts = X.format_real(x), X.format_real(g)
+        assert compare(x, g) is Comparison.LESS
+        assert compare(g, x) is Comparison.GREATER
+        assert compare(x, T.alpha_kl_real()) is Comparison.LESS
+        assert (X.format_real(x), X.format_real(g)) == texts
+        assert texts[0] == "alg:-1,2,2@[1/3,1/2]"
+
     def test_collapsed_interval(self):
         x = collapsed_half()
         assert x.interval() == (F(1, 2), F(1, 2))

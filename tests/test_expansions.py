@@ -17,7 +17,8 @@ from cantorint.expansions import (
     Verdict,
     golden_threshold,
 )
-from cantorint.words import TERNARY, Alphabet, EPSeq, FiniteWord, LazySeq
+from cantorint.words import (BINARY, TERNARY, Alphabet, EPSeq, FiniteWord,
+                             LazySeq)
 
 A012 = Alphabet(0, 3)
 A01 = Alphabet(0, 2)
@@ -546,6 +547,14 @@ class TestGammaMembership:
         assert res.status is E.GammaStatus.IN
         assert tuple(res.witness) == (1,)
 
+    def test_witness_is_a_binary_word_built_once(self):
+        u = F(2, 5) / (1 - F(2, 5))
+        res = E.gamma_membership(F(2, 5), u)
+        w = res.witness
+        assert isinstance(w, FiniteWord) and w.alphabet == BINARY
+        assert res.witness is w
+        assert E.gamma_membership(F(2, 5), u * 3 / 2).witness is None
+
     def test_beyond_max(self):
         u = F(2, 5) / (1 - F(2, 5))
         assert E.gamma_membership(F(2, 5), u * 3 / 2).status \
@@ -696,7 +705,7 @@ class ReferenceGammaSearch:
                 x_el.coeffs in dead:
             return E.GammaResult(E.GammaStatus.OUT)
         if x_el.coeffs in live:
-            return E.GammaResult(E.GammaStatus.IN, FiniteWord([], A01))
+            return E.GammaResult(E.GammaStatus.IN, [])
         frames = [[x_el, 0, False]]
         on_path = {x_el.coeffs}
         digit_path = []
@@ -722,8 +731,7 @@ class ReferenceGammaSearch:
             key = child.coeffs
             if key in on_path or key in live:
                 live.update(on_path)
-                return E.GammaResult(E.GammaStatus.IN,
-                                     FiniteWord(digit_path + [d], A01))
+                return E.GammaResult(E.GammaStatus.IN, digit_path + [d])
             if key in dead:
                 continue
             nodes += 1

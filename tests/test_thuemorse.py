@@ -51,6 +51,47 @@ class TestGenerators:
             assert T.w_word(n).digit(2**n) == (0 if n % 2 else 1)
 
 
+def parity_lambda(n):
+    """lambda_1 ... lambda_n from the digit-sum parity of i, digit by
+    digit: the definition the doubling kernel must meet."""
+    return tuple(i.bit_count() % 2 - (i - 1).bit_count() % 2
+                 for i in range(1, n + 1))
+
+
+class TestDoublingKernel:
+    LAMBDA = parity_lambda(2**16 + 1)
+
+    def test_lambda_prefix_every_n_to_5000(self):
+        for n in range(1, 5001):
+            assert T.lambda_prefix(n).digits == self.LAMBDA[:n]
+
+    def test_lambda_prefix_around_powers_of_two(self):
+        for k in range(17):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                if n >= 1:
+                    assert T.lambda_prefix(n).digits == self.LAMBDA[:n]
+
+    def test_block_word_period_is_w_then_its_negation(self):
+        from cantorint.dimension import tm_block_word
+        for n in range(1, 14):
+            w = self.LAMBDA[:2**n]
+            s = tm_block_word(n)
+            assert s.pre == () and s.per == w + tuple(-d for d in w)
+        with pytest.raises(ValueError):
+            tm_block_word(0)
+
+    def test_w_zeta_eta_definitions(self):
+        for n in range(1, 14):
+            w = self.LAMBDA[:2**n]
+            assert T.w_word(n).digits == w
+            assert T.zeta(n).digits == (0,) + w[:-1]
+            assert T.eta(n).digits == (-1,) + w[:-1]
+            assert T.w_word(n).alphabet == T.zeta(n).alphabet == W.TERNARY
+        for f in (T.w_word, T.zeta, T.eta, T.lambda_prefix):
+            with pytest.raises(ValueError):
+                f(0)
+
+
 class TestDensities:
     def test_dw_small(self):
         assert T.dw(1) == F(1, 2)

@@ -51,7 +51,65 @@ class TestCanonicalForm:
         assert EPSeq((1,), (0, 1), BINARY) == EPSeq((1, 0), (1, 0), BINARY)
 
 
+def divisor_loop_canonical(pre, per):
+    """EPSeq's canonical form as it was first built: the least divisor d
+    of len(per) with per a power of per[:d], then the preperiod's tail
+    absorbed into rotations of the period."""
+    n = len(per)
+    for d in range(1, n + 1):
+        if n % d == 0 and per == per[:d] * (n // d):
+            per = per[:d]
+            break
+    pre, per = list(pre), list(per)
+    while pre and pre[-1] == per[-1]:
+        per = [per[-1]] + per[:-1]
+        pre.pop()
+    return tuple(pre), tuple(per)
+
+
+class TestPrimitivePeriod:
+    LENGTHS = [1, 2, 3, 5, 7, 13, 31, 4, 8, 9, 16, 25, 27, 49, 64, 12, 360,
+               8192]
+
+    @staticmethod
+    def cases(rng, n):
+        """Random periods of length n: free ones, and powers of a random
+        root for every divisor d of n."""
+        def word(k, size=3):
+            return tuple(rng.randrange(size) - 1 for _ in range(k))
+        yield word(n)
+        yield word(n, 2)
+        for d in (d for d in range(1, n) if n % d == 0):
+            root = word(d, rng.choice((2, 3)))
+            yield root * (n // d)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_divisor_loop(self, n):
+        rng = random.Random(7000 + n)
+        for per in self.cases(rng, n):
+            pre = tuple(rng.randrange(3) - 1 for _ in range(rng.randrange(4)))
+            pre += per[-rng.randrange(3):] if rng.random() < 0.5 else ()
+            s = EPSeq(pre, per, TERNARY)
+            assert (s.pre, s.per) == divisor_loop_canonical(pre, per)
+
+    def test_root_of_a_near_power_is_whole(self):
+        # one changed digit breaks every proper period
+        for n in (12, 360, 8192):
+            per = (1, 0, -1) * (n // 3) if n % 3 == 0 else (1, 0) * (n // 2)
+            bent = per[:-1] + (-per[-1] if per[-1] else 1,)
+            assert EPSeq((), bent, TERNARY).per == bent
+            assert len(EPSeq((), per, TERNARY).per) == (3 if n % 3 == 0 else 2)
+
+
 class TestDigitCheck:
+    def test_one_bad_digit_at_the_end_of_a_long_word(self):
+        digits = tuple(T.lambda_prefix(65535)) + (2,)
+        with pytest.raises(W.WordsError) as err:
+            FiniteWord(digits, TERNARY)
+        assert str(err.value) == "digit 2 outside alphabet [-1, 1]"
+        with pytest.raises(W.WordsError):
+            EPSeq((), digits, TERNARY)
+
     def test_first_bad_digit_named(self):
         with pytest.raises(W.WordsError) as err:
             FiniteWord((0, 1, 5, -3, 7), TERNARY)
