@@ -48,16 +48,18 @@ def _alpha_ex52() -> AlgebraicReal:
 
 def ex51_translation(sys: BaseSystem):
     """t = sum (-alpha)^i = -alpha/(1+alpha)."""
-    a = sys.ctx.alpha_element
-    return -a / (sys.ctx.one + a)
+    ctx = sys._require_ctx()
+    a = ctx.alpha_element
+    return -a / (ctx.one + a)
 
 
 def ex52_translation(sys: BaseSystem):
     """t = alpha/(alpha^3-1) + alpha^2/(1-alpha^3), the value whose
     expansions are exactly the concatenations of 0(-1)(-1) and (-1)10."""
-    a = sys.ctx.alpha_element
+    ctx = sys._require_ctx()
+    a = ctx.alpha_element
     a3 = a * a * a
-    return a / (a3 - sys.ctx.one) + a * a / (sys.ctx.one - a3)
+    return a / (a3 - ctx.one) + a * a / (ctx.one - a3)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ polynomial at a rational, and one bisection refines every bracket,
 alpha_KL's too.
 ``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
 fixed-point filter decides every sign and enclosure: an undecided sign
-doubles K from 64 bits up to a cap.  The zero vector is an exact 0.
-Because alpha's polynomial is irreducible, every other vector has a
-nonzero value, which the doubling filter certifies; on a reducible base
-it raises ``UndecidedComparison``, and the inverse of a zero divisor
-raises ``UnsupportedBase``.
+doubles K from 64 bits up to a cap.  The one invariant it relies on is
+checked where it is built: alpha's polynomial is proven irreducible over
+Q by reduction modulo a prime below 50, or it raises ``UnsupportedBase``.
+So Q(alpha) is a field, the zero vector is the only exact 0, and every
+other vector has a nonzero value, which the doubling filter certifies.
 """
 
 from __future__ import annotations
@@ -527,6 +527,44 @@ def _compare_by_enclosure(a, b, precision) -> Comparison:
 
 FILTER_BITS = 64  # K, the fixed-point precision of the sign filter
 SIGN_BITS_CAP = 2048  # the last K an undecided sign is tried at
+_PROOF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _rem_mod(a, b, p: int) -> list:
+    """a mod b in F_p[x] up to a unit factor, b's lead a unit mod p."""
+    return poly_trim([c % p for c in poly_pseudo_divmod(a, b)[1]])
+
+
+def _irreducible_mod(P, p: int) -> bool:
+    """Whether the int polynomial P, of degree n with p prime to its lead,
+    is irreducible in F_p[x].  A reducible P, repeated factors included,
+    has an irreducible factor of some degree i <= n/2, which divides
+    x^(p^i) - x; so gcd(x^(p^i) - x, P) = 1 for every such i proves P
+    irreducible (the distinct-degree test, Knuth TAOCP 4.6.2)."""
+    inv = pow(P[-1], -1, p)
+    f = [c * inv % p for c in P]  # monic, so x^e mod f is exact
+    for i in range(1, (len(P) - 1) // 2 + 1):
+        h = [1]
+        for bit in bin(p**i)[2:]:  # x^(p^i) mod f, by binary powering
+            h = _rem_mod(poly_mul(h, h), f, p)
+            if bit == "1":
+                h = _rem_mod([0] + h, f, p)
+        h += [0] * (2 - len(h))
+        h[1] -= 1
+        a, b = f, _rem_mod(h, f, p)
+        while b:  # Euclid in F_p[x]
+            a, b = b, _rem_mod(a, b, p)
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _proven_irreducible(P) -> bool:
+    """Whether P, a primitive int polynomial, is irreducible mod some prime
+    p < 50 prime to its lead, which proves it irreducible over Q: factors
+    over Q give factors over Z (Gauss's lemma) that keep their degrees mod
+    p.  Some irreducible P, like x^4 - 10 x^2 + 1, split mod every prime."""
+    return any(P[-1] % p and _irreducible_mod(P, p) for p in _PROOF_PRIMES)
 
 
 def _filter_sign(S: int, E: int) -> int:
@@ -577,14 +615,14 @@ class QAlphaContext:
     sum v_i B_i differs from 2^K w by at most E = sum_(i>=1) |v_i|.  If |S|
     > E, 2^K w lies strictly on the side of 0 that S does, which proves
     the sign.  K starts at 64; a sign left undecided, counted in
-    ``fallbacks``, doubles K up to ``SIGN_BITS_CAP`` and then raises
-    ``UndecidedComparison``.  The zero vector has sign 0 with no fallback.
-    That is exact when alpha's polynomial is irreducible: 1, alpha, ...,
-    alpha^(n-1) are then independent over Q, so only v = 0 gives w = 0.
-    (A nonzero v with w = 0 keeps |S| <= E at every K, so it raises, and
-    the inverse of such a zero divisor raises ``UnsupportedBase``; every
-    base shipped here is irreducible.)  Degree 1 needs no filter: the sign
-    is that of v_0.  When 1/alpha is a Pisot number, Garsia's separation
+    ``fallbacks``, doubles K up to ``SIGN_BITS_CAP``, a bound on the work
+    only, and then raises ``UndecidedComparison``.  The zero vector has
+    sign 0 with no fallback.  That is exact because the constructor
+    proves alpha's polynomial irreducible (``_proven_irreducible``), or
+    raises ``UnsupportedBase``: 1, alpha, ..., alpha^(n-1) are then
+    independent over Q, so only v = 0 gives w = 0, and every nonzero state
+    has an inverse.  Degree 1 needs no proof and no filter: the sign is
+    that of v_0.  When 1/alpha is a Pisot number, Garsia's separation
     lemma (Garsia 1962) keeps nonzero values with bounded integer
     coefficients away from 0, so the 64-bit filter decides all but the
     exact zeros of a follower-value closure.  The same sums enclose s in
@@ -615,6 +653,10 @@ class QAlphaContext:
         if a[0] == 0:
             raise UnsupportedBase("the polynomial of alpha must have a "
                                   "nonzero constant term")
+        if self.degree > 1 and not _proven_irreducible(a):
+            raise UnsupportedBase("alpha's polynomial is not proven "
+                                  "irreducible over Q: it is reducible, or "
+                                  "it splits modulo every prime below 50")
         self.alpha = alpha
         self.poly = a  # a_0 .. a_n, a_n > 0
         sg = 1 if a[0] > 0 else -1
@@ -723,8 +765,8 @@ class QAlphaContext:
     def inverse(self, s) -> tuple:
         """The state of 1/s.  For s = u/D it solves u y = D: with u alpha^j
         = c_j / a_n^j, sum_j z_j c_j = D e_0 for z_j = y_j / a_n^j, by
-        fraction-free Gauss-Jordan (Bareiss), whose divisions are exact.  A
-        zero determinant means u is a zero divisor."""
+        fraction-free Gauss-Jordan (Bareiss), whose divisions are exact; u
+        != 0 in the field Q(alpha) is invertible, so a pivot always exists."""
         n, lead = self.degree, self.poly[-1]
         u = list(s[:n])
         if not any(u):
@@ -736,10 +778,7 @@ class QAlphaContext:
                 for i in range(n)]
         prev = 1
         for k in range(n):
-            p = next((i for i in range(k, n) if rows[i][k]), None)
-            if p is None:
-                raise UnsupportedBase(
-                    "defining polynomial is not irreducible over Q")
+            p = next(i for i in range(k, n) if rows[i][k])
             rows[k], rows[p] = rows[p], rows[k]
             pivot_row = rows[k]
             pivot = pivot_row[k]
@@ -794,8 +833,7 @@ class QAlphaContext:
             sg = _filter_sign(sum(map(mul, u, self._fixed_point(K))), E)
             if sg:
                 return sg
-        raise UndecidedComparison(f"sign not certified at {K} bits (is the "
-                                  "base polynomial irreducible?)")
+        raise UndecidedComparison(f"sign not certified at {K} bits")
 
     def sign(self, s) -> int:
         return self._sign_vector(s[:self.degree])
@@ -960,11 +998,6 @@ class QAlphaElement:
 
     def sign(self) -> int:
         return self.ctx.sign(self.state)
-
-    def to_fraction(self) -> Fraction:
-        if any(self.state[1:-1]):
-            raise ValueError("element is not rational")
-        return Fraction(self.state[0], self.state[-1])
 
     # exact comparisons
     def __eq__(self, other):

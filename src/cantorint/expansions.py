@@ -20,11 +20,11 @@ a_n alpha^(n-1)) / a_0.  A sign comes from a fixed-point filter: with
 ints B_i within 1 of alpha^i 2^K and B_0 = 2^K, S = sum v_i B_i is within
 E = sum_(i>=1) |v_i| of 2^K sum v_i alpha^i, so |S| > E proves that the
 value has the sign of S.  K starts at 64 bits; a sign left undecided
-doubles K and counts a fallback.  The zero vector is an exact 0.  Because
-alpha's polynomial is irreducible, every other vector has a nonzero
-value, which the doubling filter certifies; on a reducible base it raises
-UndecidedComparison.  A rational base p/q is degree 1, where E = 0 and
-the state (N, D) steps to (q N - d p D, p D).
+doubles K and counts a fallback.  QAlphaContext proves alpha's
+polynomial irreducible when it is built, or raises UnsupportedBase; so
+the zero vector is the only exact 0, and every other vector has a
+nonzero value, which the doubling filter certifies.  A rational base p/q
+is degree 1, where E = 0 and the state (N, D) steps to (q N - d p D, p D).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Optional, Sequence, Union
 
-from . import exactnum, graph, thuemorse, words
+from . import exactnum, thuemorse, words
 from .exactnum import (
     AlgebraicReal,
     Comparison,
@@ -487,15 +487,6 @@ class ExpansionAutomaton:
     def edges(self) -> list:
         """(from, digit, to) triples, by source state, then by digit."""
         return [(i, d, j) for i, out in enumerate(self.succ) for j, d in out]
-
-    def has_unique_infinite_path(self) -> bool:
-        if not self.complete:
-            raise ExpansionError("path structure needs a closed automaton")
-        live = graph.trim(self.succ)
-        if self.initial is None or not live[self.initial]:
-            return False
-        return all(len(live[i]) == 1
-                   for i in graph.reachable(live, self.initial))
 
     def path_count(self, length: int) -> int:
         """Number of digit words of the given length spelled from the

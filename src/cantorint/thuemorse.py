@@ -118,20 +118,6 @@ def dw(n: int) -> Fraction:
     return (1 - Fraction(-1, 2)**n) / 3
 
 
-def zero_count_recursion_check(n: int) -> bool:
-    """Verify the doubling zero-count identity at level n (n >= 2).
-
-    zeros(w_n) = 2 * zeros(w_{n-1}) - 1 for even n, + 1 for odd n,
-    checked by direct counting.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    count_n = sum(1 for i in range(1, 2**n + 1) if lam(i) == 0)
-    count_prev = sum(1 for i in range(1, 2**(n - 1) + 1) if lam(i) == 0)
-    delta = -1 if n % 2 == 0 else 1
-    return count_n == 2 * count_prev + delta
-
-
 # ---------------------------------------------------------------------------
 # alpha_KL: the root of F(a) = sum_{i>=1} (1 + lambda_i) a^i - 1 in (1/3, 1/2)
 # ---------------------------------------------------------------------------

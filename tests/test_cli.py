@@ -350,6 +350,29 @@ class TestErrors:
         assert code == 1 and payload["result"] is None
         assert bound in payload["status"]
 
+    @pytest.mark.parametrize("argv", [
+        ("intersect", "--alpha", "akl", "--t", "ex52"),
+        ("intersect", "--alpha", "akl", "--t", "sum-neg-alpha"),
+        ("boxcount", "--alpha", "akl", "--t", "ex52", "--depth", "4"),
+        ("boxcount", "--alpha", "akl", "--t", "sum-neg-alpha", "--depth", "4"),
+    ])
+    def test_worked_example_shift_needs_a_field(self, capsys, argv):
+        # alpha_KL has no Q(alpha): the named shifts are an error envelope
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["result"] is None
+        assert "needs exact Q(alpha) arithmetic" in payload["status"]
+
+    @pytest.mark.parametrize("alpha", [
+        "alg:3,-7,-1,1@[2/5,1/2]",      # (x^2 + 2x - 1)(x - 3)
+        "alg:1,0,-10,0,1@[3/10,1/3]"])  # irreducible, split mod every p
+    def test_unproven_polynomial_exits_1(self, capsys, alpha):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "intersect", "--alpha", alpha,
+                                 "--t", "rat:1/3")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and payload["result"] is None
+        assert "not proven irreducible" in payload["status"]
+
     def test_depth_cap_env_only_lowers(self, capsys, monkeypatch):
         # BOX_DEPTH_MAX holds even where the env var sets a higher cap
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "100")

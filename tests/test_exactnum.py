@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction as F
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestRefine:
 class TestQAlpha:
     def test_rational_base_collapses(self):
         el = QAlphaContext(F(2, 5)).element([0, -1])
-        assert el.to_fraction() == F(-2, 5)
+        assert el.coeffs == (F(-2, 5),)
 
     def test_sum_neg_alpha_closed_form(self):
         # sum (-alpha)^i = -alpha/(1+alpha) for the cubic base
@@ -252,13 +253,11 @@ class TestQAlpha:
             QAlphaContext(T.alpha_kl_real())
 
     def test_reducible_base_rejected_on_division(self):
-        # (x-1)(x-2) with the root 1 isolated: the ring has zero divisors,
-        # so inversion must refuse rather than return nonsense
+        # (x-1)(x-2) with the root 1 isolated: the ring would have zero
+        # divisors, so the field is refused before any division
         base = AlgebraicReal([2, -3, 1], F(1, 2), F(3, 2))
-        ctx = QAlphaContext(base)
-        a = ctx.alpha_element
-        with pytest.raises(X.UnsupportedBase):
-            ctx.one / (a - 1)
+        with pytest.raises(X.UnsupportedBase, match="irreducible"):
+            QAlphaContext(base)
 
 
 class TestParsing:
@@ -851,18 +850,20 @@ class TestIntegerField:
             ctx.one / ctx.zero
 
     def test_zero_divisor_raises(self):
-        ctx = QAlphaContext(parse_real(REDUCIBLE))
-        a = ctx.alpha_element
-        zero = a * a + 2 * a - 1  # a zero divisor: divides 0 by alpha - 3
-        assert zero * (a - 3) == ctx.zero
-        for el in (zero, -zero, 5 * zero, zero * (a + 1)):
+        # the reducible base is refused where its field would be built, so
+        # no zero divisor reaches the inverse; the Euclid reference, on the
+        # ring itself, still finds alpha^2 + 2 alpha - 1 a zero divisor
+        with pytest.raises(X.UnsupportedBase, match="irreducible"):
+            QAlphaContext(parse_real(REDUCIBLE))
+        ring = SimpleNamespace(degree=3, alpha=parse_real(REDUCIBLE))
+        zero = [F(-1), F(2), F(1)]
+        for el in (zero, [-x for x in zero], [5 * x for x in zero],
+                   [F(-1), F(1), F(3), F(1)]):  # the last times alpha + 1
             with pytest.raises(X.UnsupportedBase):
-                ctx.one / el
-            with pytest.raises(X.UnsupportedBase):
-                reference_inverse(ctx, el.coeffs)
-        # elements prime to the polynomial still have their inverses
-        x = a - F(2, 5)
-        assert (1 / x).coeffs == reference_inverse(ctx, x.coeffs)
+                reference_inverse(ring, el)
+        x = [F(-2, 5), F(1)]  # prime to the polynomial: invertible
+        assert reference_mul(ring, x, reference_inverse(ring, x)) == \
+            (1, 0, 0)
 
 
 class TestFieldIdentity:
@@ -914,6 +915,67 @@ class TestFieldIdentity:
         assert float(x) == pytest.approx((5 - math.sqrt(5)) / 2, abs=1e-15)
         sys_ = BaseSystem(a.alpha, TERNARY)
         assert sys_.embed(b.alpha_element) == sys_.ctx.alpha_element
+
+
+def has_rational_root(coeffs) -> bool:
+    """Whether an int polynomial has a rational root, by the rational root
+    theorem: each is +-r/s with r | c_0 and s | c_n (c_0 != 0)."""
+    def divisors(m):
+        return [d for d in range(1, abs(m) + 1) if m % d == 0]
+    return any(frac_eval(coeffs, sg * F(r, s)) == 0
+               for r in divisors(coeffs[0]) for s in divisors(coeffs[-1])
+               for sg in (1, -1))
+
+
+class TestIrreducibilityProof:
+    """QAlphaContext proves alpha's polynomial irreducible modulo a prime
+    below 50 (distinct-degree test, then Gauss's lemma), or refuses it."""
+
+    @pytest.mark.parametrize("text, prime", [
+        ("alg:-1,2,1@[2/5,1/2]", 3), ("alg:-1,1,2,2@[2/5,1/2]", 3),
+        ("alg:-2,4,1@[2/5,1/2]", 7), ("alg:1,-3,1@[1/3,1/2]", 2),
+        ("alg:1,-5,5@[0,1/2]", 2), ("alg:-1,1,1@[1/2,1]", 2),
+        ("alg:-1,2,2@[1/3,1/2]", 5)])
+    def test_every_base_here_is_proven(self, text, prime):
+        P = parse_real(text).coeffs
+        assert X._proven_irreducible(P)
+        assert [p for p in X._PROOF_PRIMES
+                if P[-1] % p and X._irreducible_mod(P, p)][0] == prime
+        QAlphaContext(parse_real(text))
+
+    # REDUCIBLE and (x - 1)(x - 2) are the reducible-base tests' cases
+    @pytest.mark.parametrize("text", [
+        "alg:-1,0,1@[1/2,3/2]",         # x^2 - 1
+        "alg:1,0,-10,0,1@[3/10,1/3]"])  # irreducible, split mod every p
+    def test_unproven_bases_are_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(X.UnsupportedBase, match="irreducible"):
+            QAlphaContext(parse_real(text))
+        assert time.perf_counter() - start < 1
+
+    def test_proof_against_rational_roots(self):
+        # in degrees 2 and 3 a polynomial is reducible exactly when it has
+        # a rational root, so a proof must never meet one; and here every
+        # root-free one is proven (an irreducible quadratic or cubic stays
+        # irreducible modulo a positive density of primes, by Chebotarev)
+        rng = random.Random(2024)
+        for _ in range(400):
+            n = rng.choice((2, 3))
+            c = [rng.randint(-30, 30) for _ in range(n + 1)]
+            c[0] = c[0] or 1
+            c[-1] = c[-1] or 1
+            P = list(X.poly_normalize(c))
+            assert X._proven_irreducible(P) is not has_rational_root(P), P
+
+    def test_products_are_refused(self):
+        rng = random.Random(2025)
+        for _ in range(200):
+            a, b = ([rng.randint(-9, 9) for _ in range(rng.choice((2, 3)))]
+                    for _ in range(2))
+            a[-1] = a[-1] or 1
+            b[-1] = b[-1] or 1
+            P = list(X.poly_normalize(X.poly_mul(a, b)))
+            assert not X._proven_irreducible(P), (a, b)
 
 
 def seeded_elements(ctx, rng, count):
@@ -998,17 +1060,27 @@ class TestOneSignRoute:
         assert X.decimal_string(F(-1, 3)) == "-0.333333333333"
 
     def test_reducible_base_raises_and_never_signs(self):
-        ctx = QAlphaContext(parse_real(REDUCIBLE))
-        a = ctx.alpha_element
-        zero = a * a + 2 * a - 1  # 0 in value, not as a vector
-        assert not zero.is_zero()
-        for el in (zero, -zero, 5 * zero):
-            start = time.perf_counter()
-            with pytest.raises(X.UndecidedComparison):
-                el.sign()
-            assert time.perf_counter() - start < 1
-        with pytest.raises(X.UndecidedComparison):
-            reference_sign(zero)
-        # nonzero values of the ring still get their signs
-        assert (a - F(2, 5)).sign() == 1 == reference_sign(a - F(2, 5))
-        assert (zero - F(1, 10**30)).sign() == -1
+        # alpha^2 + 2 alpha - 1 would be 0 in value but not as a vector, a
+        # sign no filter decides; the base is refused before any sign
+        start = time.perf_counter()
+        with pytest.raises(X.UnsupportedBase, match="irreducible"):
+            QAlphaContext(parse_real(REDUCIBLE))
+        with pytest.raises(X.UnsupportedBase, match="irreducible"):
+            BaseSystem(parse_real(REDUCIBLE), TERNARY)
+        assert time.perf_counter() - start < 1
+
+    def test_sign_cap_still_raises(self, monkeypatch):
+        # p - q alpha for the Pell convergent p/q of sqrt(2) - 1 with q
+        # near 2^32 is about 2^-34: S is near 2^30 and E = q, so K = 64
+        # leaves it undecided and K = 128 decides it
+        ctx = QAlphaContext(parse_real("alg:-1,2,1@[2/5,1/2]"))
+        p, q = 0, 1
+        while q < 2**32:
+            p, q = q, 2 * q + p  # the convergents of [0; 2, 2, 2, ...]
+        state = (p, -q, 1)
+        want = reference_sign(QAlphaElement(ctx, state))
+        assert ctx.sign(state) == want and ctx.fallbacks == 1
+        monkeypatch.setattr(X, "SIGN_BITS_CAP", X.FILTER_BITS)
+        with pytest.raises(X.UndecidedComparison) as err:
+            ctx.sign(state)
+        assert "irreducible" not in str(err.value)

@@ -7,6 +7,7 @@ import pytest
 
 from cantorint import exactnum as X
 from cantorint import expansions as E
+from cantorint import graph as G
 from cantorint import thuemorse as T
 from cantorint import words as W
 from cantorint.expansions import (
@@ -27,6 +28,23 @@ A01 = Alphabet(0, 2)
 def cubic_base():
     return BaseSystem(X.AlgebraicReal([-1, 1, 2, 2], F(2, 5), F(1, 2)),
                       TERNARY)
+
+
+def to_fraction(el):
+    """The rational value of a Q(alpha) element with no alpha terms."""
+    x, *rest = el.coeffs
+    assert not any(rest)
+    return x
+
+
+def has_unique_infinite_path(auto) -> bool:
+    """Whether a closed automaton spells one infinite path: every live
+    state reachable from the initial one has one live successor."""
+    assert auto.complete
+    live = G.trim(auto.succ)
+    if auto.initial is None or not live[auto.initial]:
+        return False
+    return all(len(live[i]) == 1 for i in G.reachable(live, auto.initial))
 
 
 class TestGreedy:
@@ -83,7 +101,7 @@ class TestQuasiGreedy:
 
     def test_infimum_convention(self):
         sys = BaseSystem(F(2, 5), TERNARY)
-        lo = sys.low_tail().to_fraction()
+        lo = to_fraction(sys.low_tail())
         assert tuple(E.quasi_greedy_expansion(sys, lo, 5)) == (-1,) * 5
 
 
@@ -315,7 +333,7 @@ class TestUniqueness:
             if not auto.complete:
                 continue
             assert (res.status is UniqStatus.UNIQUE) == \
-                auto.has_unique_infinite_path()
+                has_unique_infinite_path(auto)
 
 
 def reference_is_unique_expansion(sys, seq, depth_cap=None):
@@ -467,7 +485,7 @@ class TestAutomaton:
         outs = {i: sorted(auto.succ[i]) for i in range(6)}
         degrees = sorted(len(v) for v in outs.values())
         assert degrees == [1, 1, 1, 1, 2, 2]
-        assert not auto.has_unique_infinite_path()
+        assert not has_unique_infinite_path(auto)
         # recorded before the automaton kept successor lists: states, edge
         # order, initial state and completeness
         assert auto.to_json_dict() == {
@@ -494,7 +512,7 @@ class TestAutomaton:
         auto = E.build_expansion_automaton(sys, t)
         assert len(auto.states) == 1
         assert auto.edges == [(0, 1, 0)]
-        assert auto.has_unique_infinite_path()
+        assert has_unique_infinite_path(auto)
 
     def test_outside_difference_set(self):
         sys = BaseSystem(F(2, 5), TERNARY)
@@ -627,7 +645,7 @@ class TestGammaSearch:
         assert ctx.state(F(1, 5)) not in search.dead | search.live
         assert search.dead
         for s in search.dead:
-            v = X.QAlphaElement(ctx, s).to_fraction()
+            v = to_fraction(X.QAlphaElement(ctx, s))
             assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
         search = E.GammaSearch(X.QAlphaContext(F(2, 5)))
         assert search.membership(F(0)).status is E.GammaStatus.IN
@@ -640,12 +658,12 @@ class TestSeqValue:
         seq = EPSeq((), (1, -1), TERNARY)
         # sum of (alpha - alpha^2)(1 + alpha^2 + ...) = alpha/(1+alpha)
         a = F(2, 5)
-        assert E.seq_value(sys, seq).to_fraction() == a / (1 + a)
+        assert to_fraction(E.seq_value(sys, seq)) == a / (1 + a)
 
     def test_finite_value(self):
         sys = BaseSystem(F(1, 2), TERNARY)
         w = FiniteWord((1, 0, -1), TERNARY)
-        assert E.seq_value(sys, w).to_fraction() == F(1, 2) - F(1, 8)
+        assert to_fraction(E.seq_value(sys, w)) == F(1, 2) - F(1, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,12 @@ class TestDensities:
             assert F(w.zeros(), len(w)) == T.dw(n)
 
     def test_zero_count_recursion(self):
-        assert T.zero_count_recursion_check(2)
-        assert T.zero_count_recursion_check(3)
-        assert T.zero_count_recursion_check(10)
+        # zeros(w_n) = 2 zeros(w_(n-1)) - 1 for even n, + 1 for odd n, by
+        # direct counts of lambda_i = 0
+        def zeros(n):
+            return sum(1 for i in range(1, 2**n + 1) if T.lam(i) == 0)
+        for n in (2, 3, 10):
+            assert zeros(n) == 2 * zeros(n - 1) + (-1 if n % 2 == 0 else 1)
 
     def test_density_limit(self):
         # |density of lambda over 2^n digits - 1/3| = 2^-n / 3 exactly
