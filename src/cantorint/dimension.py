@@ -20,6 +20,12 @@ Routes implemented:
   Liouville construction producing intersections of purely transcendental
   numbers.
 
+The frequency and Perron dimensions are logarithm quotients.  Each
+enclosure divides two Fraction intervals from :func:`exactnum.log_enclosure`
+exactly and rounds each end outward to a float once, so no libm result
+reaches it; the box-counting slope and a seed of the Liouville search are
+the only float estimates.
+
 The graph algorithms behind these routes (trimming to states on an
 infinite path, reachability, strongly connected components, Karp's
 maximum cycle mean) live in :mod:`cantorint.graph`.
@@ -74,39 +80,11 @@ class DimForm(Enum):
     PERRON = "perron"
 
 
-def _log_interval(lo: Fraction, hi: Fraction):
-    """Float interval containing [ln lo, ln hi], mildly outward-rounded."""
-    a = math.log(lo) if lo > 0 else -math.inf
-    b = math.log(hi)
-    for _ in range(4):
-        a = math.nextafter(a, -math.inf)
-        b = math.nextafter(b, math.inf)
-    return a, b
-
-
-def _neg_log_alpha_interval(alpha, width=Fraction(1, 10**20)):
-    alo, ahi = exactnum.enclosure(alpha, width)
-    la, lb = _log_interval(alo, ahi)
-    return (-lb, -la)  # positive for alpha < 1
-
-
-def _ratio_interval(num_lo, num_hi, den_lo, den_hi):
-    """[num]/[den] for positive denominator interval."""
-    cands = [num_lo / den_hi, num_lo / den_lo, num_hi / den_hi, num_hi / den_lo]
-    return min(cands), max(cands)
-
-
 @dataclass(frozen=True)
 class DimensionValue:
-    """An exact dimension expression together with a decimal rendering.
-
-    The decimal is the midpoint of ``(lo, hi)``, a float interval computed
-    from certified enclosures of the exact ingredients.  Its float steps
-    are not all outward-rounded: ``_log_interval`` widens libm's ``log``
-    by 4 ulps, and ``_ratio_interval`` rounds each quotient to nearest.
-    So ``(lo, hi)`` holds the dimension on the assumption that ``log`` is
-    within 1 ulp; the exact expression needs no such assumption.
-    """
+    """An exact dimension expression together with a decimal rendering,
+    the midpoint of the float interval ``(lo, hi)`` that holds the
+    dimension (built by :func:`_dimension_value`)."""
 
     form: DimForm
     alpha: object
@@ -133,6 +111,33 @@ class DimensionValue:
         return f"DimensionValue({self.exact_str()} ~ {self.decimal:.6f})"
 
 
+def _outward_quotient(a: Fraction, b: Fraction, up: bool) -> float:
+    """a/b >= 0, for b > 0, rounded up or down to a float: the quotient at
+    53 bits is ceiled or floored on ints, and ldexp of it is exact."""
+    n, d = a.numerator * b.denominator, a.denominator * b.numerator
+    k = n.bit_length() - d.bit_length() - 53  # n/d 2^-k in (2^52, 2^54)
+    n, d = (n << -k, d) if k < 0 else (n, d << k)
+    m = -(-n // d) if up else n // d
+    if m >> 53:  # 54 bits: halve, rounding the same way
+        m, k = (-(-m // 2) if up else m // 2), k + 1
+    return math.ldexp(m, k)
+
+
+_LN2 = exactnum.log_enclosure(2)
+
+
+def _dimension_value(form, alpha, num, **fields) -> DimensionValue:
+    """The value whose (lo, hi) holds num / (-ln alpha), for a Fraction
+    interval ``num`` >= 0: the two intervals divide exactly, and each end
+    is rounded outward to a float once."""
+    alo, ahi = exactnum.enclosure(alpha, Fraction(1, 10**20))
+    log_lo = exactnum.log_enclosure(alo)
+    log_hi = log_lo if ahi == alo else exactnum.log_enclosure(ahi)
+    lo = _outward_quotient(num[0], -log_lo[0], False)
+    hi = _outward_quotient(num[1], -log_hi[1], True)
+    return DimensionValue(form, alpha, lo, hi, **fields)
+
+
 def _check_dimension_domain(alpha):
     if compare(alpha, Fraction(1, 3)) is not Comparison.GREATER or \
             compare(alpha, Fraction(1, 2)) is not Comparison.LESS:
@@ -153,12 +158,9 @@ def dim_from_frequency(alpha, freq: Union[FreqReport, Fraction],
         f = Fraction(freq)
     if not 0 <= f <= 1:
         raise ValueError("zero frequency must lie in [0, 1]")
-    nlo, nhi = _neg_log_alpha_interval(alpha)
-    l2 = math.log(2)
-    lo, hi = _ratio_interval(float(f) * math.nextafter(l2, 0),
-                             float(f) * math.nextafter(l2, 2), nlo, nhi)
     note = "" if unique_certified else "frequency route without certified uniqueness"
-    return DimensionValue(DimForm.FREQUENCY, alpha, lo, hi, freq=f, note=note)
+    return _dimension_value(DimForm.FREQUENCY, alpha,
+                            (f * _LN2[0], f * _LN2[1]), freq=f, note=note)
 
 
 def full_dimension(alpha) -> DimensionValue:
@@ -527,11 +529,10 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     lam_lo, lam_hi = info.enclosure()
     if lam_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
-    lam_log = _log_interval(lam_lo, lam_hi)
-    nlo, nhi = _neg_log_alpha_interval(alpha)
-    lo, hi = _ratio_interval(max(lam_log[0], 0.0), max(lam_log[1], 0.0),
-                             nlo, nhi)
-    return DimensionValue(DimForm.PERRON, alpha, lo, hi, perron=info)
+    # lambda >= 1 on a trimmed graph, so its log is >= 0
+    num = (exactnum.log_enclosure(max(lam_lo, 1))[0],
+           exactnum.log_enclosure(lam_hi)[1])
+    return _dimension_value(DimForm.PERRON, alpha, num, perron=info)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1040,8 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     family; below it contains the interval spanned by the four-block
     subshift frequencies (:func:`thuemorse.find_smallest_sft_n`), and is
     all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  Above that, one
-    ``BaseSystem`` gives n* and the excluded band ((k+1)/(k+2), 1) from
+    ``BaseSystem`` and its one delta cache give n* or the subshift level,
+    and the excluded band ((k+1)/(k+2), 1) from
     :func:`expansions.forbidden_zero_run`.  ``depth_cap`` bounds every
     lexicographic comparison with delta.
     """
@@ -1073,7 +1075,7 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
             DSetKind.FINITE_LIST, alpha, full, proper_subset=True,
             values=values, nstar=ns, nstar_cap_hit=cap_hit)
     else:  # alpha below alpha_KL: interval regime
-        n = thuemorse.find_smallest_sft_n(alpha, depth_cap=depth_cap)
+        n = thuemorse._smallest_sft_n(expansions.delta_seq(sys), depth_cap)
         d_lo, d_hi = thuemorse.sft_blocks(n).density_interval
         interval = (dim_from_frequency(alpha, d_lo),
                     dim_from_frequency(alpha, d_hi))

@@ -28,8 +28,8 @@ isolates a root and yields the squarefree polynomial that defines it.
 Every polynomial is a primitive int list: rational coefficients are
 cleared where they enter, and one int pseudo-division builds both the
 Sturm chain and the squarefree part.  One int evaluator signs every
-polynomial at a rational, and one bisection refines every bracket,
-alpha_KL's too.
+polynomial at a rational, one bisection refines every bracket, alpha_KL's
+too, and ``log_enclosure`` encloses ln x by atanh series summed on ints.
 ``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
 fixed-point filter decides every sign and enclosure: an undecided sign
 doubles K from 64 bits up to a cap.  The one invariant it relies on is
@@ -445,6 +445,47 @@ def enclosure(x, width) -> tuple:
     if isinstance(x, (SeriesReal, EnclosedReal)):
         return x.enclosure(width)
     raise TypeError(f"not a RealNumber: {x!r}")
+
+
+_LOG_BITS = 128  # log_enclosure sums each atanh series on ints at 2^-128
+
+
+def _atanh_sum(a: int, b: int) -> tuple:
+    """(S, E) with 2^_LOG_BITS atanh(a/b) in [S, S + E], for 0 <= a/b <= 1/3.
+    Each power z^(2k+1), floored from the last, is under 1/(1 - z^2) <= 9/8
+    low, so each term, floored once more, is under 3 low; the tail after
+    the first power that floors to 0 is under (9/8)^2 < 2."""
+    a2, b2 = a * a, b * b
+    p, s, k = (a << _LOG_BITS) // b, 0, 1
+    while p:
+        s, p, k = s + p // k, p * a2 // b2, k + 2
+    return s, 3 * (k // 2) + 2
+
+
+_ATANH_THIRD = _atanh_sum(1, 3)  # ln 2 = 2 atanh(1/3)
+
+
+def log_enclosure(x) -> tuple:
+    """Fraction interval holding ln x, for a rational x > 0.  With x = 2^e m,
+    m in [2/3, 4/3] and z = (m - 1)/(m + 1), ln x = 2 (e atanh(1/3) +
+    atanh(z)) and |z| <= 1/5 (Brent and Zimmermann, Modern Computer
+    Arithmetic, 4.2); m and z stay on ints."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("log needs x > 0")
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    n, d = (n, d << e) if e >= 0 else (n << -e, d)
+    if 3 * n > 4 * d:
+        d, e = 2 * d, e + 1
+    elif 3 * n < 2 * d:
+        n, e = 2 * n, e - 1
+    s, err = _atanh_sum(abs(n - d), n + d)
+    s = s if n >= d else -s - err  # atanh(-z) = -atanh(z)
+    t, terr = _ATANH_THIRD
+    lo, hi = e * t + s + min(0, e * terr), e * t + s + err + max(0, e * terr)
+    scale = 1 << (_LOG_BITS - 1)  # ln x is twice the sums over 2^_LOG_BITS
+    return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def compare(a: RealNumber, b: RealNumber,

@@ -293,8 +293,13 @@ def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
     if exactnum.compare(alpha, alpha_kl_real(),
                         precision=Fraction(1, 2**64)) is not exactnum.Comparison.LESS:
         raise expansions.OutOfDomain("alpha must lie below alpha_KL")
+    return _smallest_sft_n(
+        expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY)), depth_cap)
 
-    delta = expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY))
+
+def _smallest_sft_n(delta, depth_cap: int) -> int:
+    """The level search of :func:`find_smallest_sft_n` against a given
+    delta, so that a caller with its own delta cache shares it."""
     for n in range(1, _SFT_N_CAP + 1):
         if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
             return n

@@ -209,10 +209,10 @@ SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
 GOLDEN = [
     (("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
       "--export", "ex51.json"),
-     "9f481b80305c731a9bdc1e3d10064eb6a94f24769ea47fc03b839b204e38af3b"),
+     "553f99da4841329a27cc206ec3fdfffd0517acb86b462d1149e602d2b4587b5a"),
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "ex52",
       "--export", "ex52.json"),
-     "f54908c2b3c65e4409487b6534b05b1e4434ae69a156b96c6406d58254b7ecbb"),
+     "c28dd9641073883cd24529242ef9d4512781c40c10117e3cc5e446040429b547"),
     (("boxcount", "--alpha", CUBIC, "--t", "sum-neg-alpha", "--depth", "12"),
      "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
@@ -234,9 +234,9 @@ GOLDEN = [
     (("delta", "--alpha", "rat:2/5", "--length", "40"),
      "63223fd60f0a304fcf48e37733170cad6d1a05c5b2345c6ac51a6ca89df33033"),
     (("dset", "--alpha", "akl"),
-     "f4e7c2a4a52791a7e608b8a75a6f6854e4b86a50beb3fb4286cd7f21e206abf0"),
+     "34f37ea833c42657adb3c684a430dfa99cb6fd17c402ac1b130cf73c33bd520b"),
     (("dset", "--alpha", "rat:21/50"),
-     "82a1c8d1513fad20cdb483bcf61609b622e0d1469b283ce44b691662b2cdbb48"),
+     "764c7fcdc2cb068fb86ed3a95199bf6672a4b4918630f7c5beb0f6d08dead5c4"),
     (("unique", "--alpha", CUBIC, "--t-seq", "(-+)"),
      "10cfc90fdc7b54f2672c9a7745ed9d070431f6bc5f36396108a5fdb3166b6c6f"),
     (("selfsimilar", "--alpha", "rat:9/25", "--t-seq", "(+-+-000)"),
@@ -246,9 +246,9 @@ GOLDEN = [
     (("liouville", "--pq", "3/8", "--k", "4"),
      "6ea31ebeae838cb07af0ae8cd7c8727b08dc040b5456ead2a8cc670869e7f75f"),
     (("dset", "--alpha", "rat:39/100"),
-     "baeeb2bd0319b1b2a6a0989fbdc6f8763613c4bf7dbb1be74bc8d69ceb03ce09"),
+     "6a841c45bc30968cf7beef13702ae813b645f8ef81a4d98e202850253ebdf6f2"),
     (("dset", "--alpha", "rat:19/50"),
-     "c7c75c60a5a0ef8edfad67542990626937f8734f135fdbf10764754c9602a7bc"),
+     "9d48ce47a37071666a0cff894b081fa6a19b058024992a9893bd9b038cd91204"),
     (("liouville", "--pq", "7/20", "--k", "3", "--free-rule", "1"),
      "1aa4f53b34ead9a6c626e817beb2109a328000a16fddecc58703893e85feb648"),
 ]

@@ -1,12 +1,15 @@
 import decimal
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cantorint import acceptance as A
 from cantorint import dimension as D
 from cantorint import exactnum as X
 from cantorint import expansions as E
@@ -15,6 +18,7 @@ from cantorint import thuemorse as T
 from cantorint import words as W
 from cantorint.dimension import (
     CountMatrix,
+    DimForm,
     DSetKind,
     SelfSimilarStatus,
     box_count_oracle,
@@ -97,6 +101,50 @@ class TestFrequencyFormula:
                 -ctx.ln(ctx.divide(alpha.numerator, alpha.denominator)))
             dv = dim_from_frequency(alpha, f)
             assert decimal.Decimal(dv.lo) <= ref <= decimal.Decimal(dv.hi)
+
+
+class TestPerronFormula:
+    """log(lambda)/(-log alpha) against 60-digit references, with lambda
+    known in closed form."""
+
+    CTX = decimal.Context(prec=60)
+
+    def neg_ln(self, alpha):
+        lo, hi = X.enclosure(alpha, F(1, 10**70))
+        mid = (lo + hi) / 2
+        return self.CTX.subtract(self.CTX.ln(mid.denominator),
+                                 self.CTX.ln(mid.numerator))
+
+    def assert_encloses(self, dv, ln_lambda, neg_ln_alpha):
+        ref = self.CTX.divide(ln_lambda, neg_ln_alpha)
+        assert decimal.Decimal(dv.lo) <= ref <= decimal.Decimal(dv.hi)
+        assert dv.hi - dv.lo <= 1e-11
+
+    def test_golden_four_block_matrix(self):
+        # the four-block subshift's matrix has the golden ratio as radius
+        ctx = self.CTX
+        ln_phi = ctx.ln(ctx.divide(1 + ctx.sqrt(5), 2))
+        g = D.IntersectionGraph(None, CountMatrix(T.SFT_MATRIX),
+                                list(range(4)))
+        rng = random.Random(11)
+        alphas = [F(2, 5), F(7, 20), X.AlgebraicReal([-1, 1, 2, 2], F(2, 5),
+                                                    F(1, 2))]
+        for _ in range(50):
+            q = rng.randint(7, 10**6)
+            alphas.append(F(rng.randint(q // 3 + 1, (q - 1) // 2), q))
+        for alpha in alphas:
+            self.assert_encloses(perron_dimension(g, alpha), ln_phi,
+                                 self.neg_ln(alpha))
+
+    def test_example52_cube_root_of_four(self):
+        # lambda^3 = 4 at alpha = sqrt(2) - 1, where -ln alpha = ln(1 + sqrt 2)
+        ctx = self.CTX
+        alpha = X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2))
+        sys = BaseSystem(alpha, TERNARY)
+        auto = E.build_expansion_automaton(sys, A.ex52_translation(sys))
+        dv = perron_dimension(build_intersection_graph(auto), alpha)
+        self.assert_encloses(dv, ctx.divide(ctx.ln(4), 3),
+                             ctx.ln(1 + ctx.sqrt(2)))
 
 
 class TestCharPoly:
@@ -1029,3 +1077,114 @@ class TestDSet:
     def test_domain(self):
         with pytest.raises(OutOfDomain):
             d_set(F(1, 4))
+
+    @pytest.mark.parametrize("alpha", [F(39, 100), F(394329, 1000000)])
+    def test_one_delta_cache(self, monkeypatch, alpha):
+        # the subshift level search reads the delta of d_set's BaseSystem,
+        # which also gives the excluded band
+        built = []
+
+        class Counted(E._DeltaCache):
+            def __init__(self, sys):
+                built.append(sys)
+                super().__init__(sys)
+
+        monkeypatch.setattr(E, "_DeltaCache", Counted)
+        ds = d_set(alpha)
+        assert ds.kind is DSetKind.CONTAINS_INTERVAL
+        assert ds.sft_n == (1 if alpha == F(39, 100) else 3)
+        assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the float recipe the dimension values had before exactnum.log_enclosure,
+# kept as a reference: each new enclosure lies inside the one it gives
+# ---------------------------------------------------------------------------
+
+REFERENCE = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                        / "reference.json").read_text())
+
+
+def _libm_log_interval(lo, hi):
+    """libm's log of [lo, hi], widened by 4 ulps."""
+    a = math.log(lo) if lo > 0 else -math.inf
+    b = math.log(hi)
+    for _ in range(4):
+        a, b = math.nextafter(a, -math.inf), math.nextafter(b, math.inf)
+    return a, b
+
+
+def float_recipe(dv):
+    """(lo, hi) as libm's widened logs and quotients rounded to nearest
+    gave it for the same exact ingredients."""
+    la, lb = _libm_log_interval(*X.enclosure(dv.alpha, F(1, 10**20)))
+    if dv.form is DimForm.FREQUENCY:
+        l2 = math.log(2)
+        num = (float(dv.freq) * math.nextafter(l2, 0),
+               float(dv.freq) * math.nextafter(l2, 2))
+    else:
+        a, b = _libm_log_interval(*dv.perron.enclosure())
+        num = (max(a, 0.0), max(b, 0.0))
+    quotients = [n / d for n in num for d in (-lb, -la)]
+    return min(quotients), max(quotients)
+
+
+@pytest.fixture
+def built_values(monkeypatch):
+    """Every DimensionValue the dimension module builds while in use."""
+    built, real = [], D.DimensionValue
+
+    def record(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(D, "DimensionValue", record)
+    return built
+
+
+def assert_inside_float_recipe(values):
+    assert values
+    for dv in values:
+        if dv.empty:
+            assert dv.lo == dv.hi == 0.0
+            continue
+        lo, hi = float_recipe(dv)
+        assert lo <= dv.lo <= dv.hi <= hi, dv
+
+
+def pool_translation(sys, text):
+    """The shift of an intersect pool entry, as the benchmark reads it."""
+    if text == "sum-neg-alpha":
+        return A.ex51_translation(sys)
+    if text == "ex52":
+        return A.ex52_translation(sys)
+    if text.startswith("word:"):
+        return E.seq_value(sys, W.parse_seq(text[5:]))
+    return sys.embed(F(text))
+
+
+class TestInsideFloatRecipe:
+    def test_intersect_pool(self, built_values):
+        pool = [e for v in REFERENCE["intersect"].values()
+                if isinstance(v, list) and v and isinstance(v[0], dict)
+                for e in v if e["complete"]]
+        for e in pool:
+            alpha = X.parse_real(e["base"])
+            sys = BaseSystem(alpha, TERNARY)
+            auto = E.build_expansion_automaton(
+                sys, pool_translation(sys, e["t"]))
+            perron_dimension(build_intersection_graph(auto), alpha)
+        assert len(built_values) == len(pool) == 517
+        assert_inside_float_recipe(built_values)
+
+    def test_verify_paper(self, built_values):
+        A.run_all(verbose=False)
+        assert_inside_float_recipe(built_values)
+
+    def test_spectrum_bases(self, built_values):
+        bases = REFERENCE["spectrum"]["bases"]
+        assert len(bases) == 24
+        for base in bases:
+            ds = d_set(X.parse_real(base))
+            ds.interval  # the full-interval kind builds its lower end here
+        assert_inside_float_recipe(built_values)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import random
@@ -1084,3 +1085,53 @@ class TestOneSignRoute:
         with pytest.raises(X.UndecidedComparison) as err:
             ctx.sign(state)
         assert "irreducible" not in str(err.value)
+
+
+LN_CTX = decimal.Context(prec=60)
+LN_TOL = F(1, 10**55)  # far above the reference's error, far below 2^-85
+
+
+def reference_ln(x: F) -> F:
+    """ln x at 60 digits, as ln p - ln q so that x itself is not rounded."""
+    p, q = (decimal.Decimal(v) for v in (x.numerator, x.denominator))
+    return F(LN_CTX.subtract(LN_CTX.ln(p), LN_CTX.ln(q)))
+
+
+class TestLogEnclosure:
+    def assert_encloses(self, x):
+        lo, hi = X.log_enclosure(x)
+        ref = reference_ln(F(x))
+        assert lo - LN_TOL <= ref <= hi + LN_TOL, x
+        assert 0 <= hi - lo <= F(1, 2**85), x
+
+    def test_seeded_rationals(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            self.assert_encloses(F(rng.randrange(1, 10**30),
+                                   rng.randrange(1, 10**30)))
+
+    def test_powers_of_two(self):
+        lo, hi = X.log_enclosure(1)
+        assert lo <= 0 <= hi
+        for k in range(1, 121):
+            self.assert_encloses(F(2**k))
+            self.assert_encloses(F(1, 2**k))
+
+    @pytest.mark.parametrize("x", [F(2, 3), F(4, 3)])
+    def test_reduction_edges_and_neighbours(self, x):
+        # m = 2/3 and 4/3 are where x = 2^e m changes e
+        for k in (1, 10, 40, 100):
+            for y in (x, x - F(1, 10**k), x + F(1, 10**k),
+                      x * (1 - F(1, 2**k)), x * (1 + F(1, 2**k))):
+                self.assert_encloses(y)
+
+    def test_alpha_endpoints(self):
+        # the endpoints the dimension values take logs of
+        for alpha in (alg_cubic(), T.alpha_kl_real()):
+            for end in X.enclosure(alpha, F(1, 10**20)):
+                self.assert_encloses(end)
+
+    @pytest.mark.parametrize("x", [0, F(-1, 3), -2])
+    def test_nonpositive_raises(self, x):
+        with pytest.raises(ValueError):
+            X.log_enclosure(x)

@@ -64,3 +64,143 @@ def test_every_private_top_level_name_is_referenced():
                if n.startswith("_") and not n.startswith("__")
                and n not in loaded]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+# libm calls whose results carry rounding that nothing bounds
+LIBM = {"log", "nextafter"}
+
+
+def _is_libm_call(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LIBM
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math")
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else \
+        f.attr if isinstance(f, ast.Attribute) else None
+
+
+def libm_flows(tree, sink="DimensionValue") -> list:
+    """Calls that hand a value derived from ``math.log`` or
+    ``math.nextafter`` to ``sink`` or to a function that calls it.
+
+    Within each function a name is tainted when something tainted is
+    assigned to it; a function whose return value is tainted taints its
+    calls.  Both sets grow to a fixed point.  Conservative: any tainted
+    argument of a call into a sink counts.
+    """
+    funcs = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    sinks, sources = {sink}, set()
+
+    def tainted(expr, names):
+        return any(_is_libm_call(n)
+                   or isinstance(n, ast.Name) and n.id in names
+                   or isinstance(n, ast.Call) and _called_name(n) in sources
+                   for n in ast.walk(expr))
+
+    def local_taint(fn):
+        names: set = set()
+        while True:
+            before = len(names)
+            for n in ast.walk(fn):
+                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)) \
+                        and n.value is not None and tainted(n.value, names):
+                    targets = n.targets if isinstance(n, ast.Assign) \
+                        else [n.target]
+                    names |= {m.id for t in targets for m in ast.walk(t)
+                              if isinstance(m, ast.Name)}
+            if len(names) == before:
+                return names
+
+    while True:
+        before = len(sinks), len(sources)
+        for fn in funcs:
+            calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+            if any(_called_name(c) in sinks for c in calls):
+                sinks.add(fn.name)
+            names = local_taint(fn)
+            if any(isinstance(n, ast.Return) and n.value is not None
+                   and tainted(n.value, names) for n in ast.walk(fn)):
+                sources.add(fn.name)
+        if (len(sinks), len(sources)) == before:
+            break
+    flows = []
+    for fn in funcs:
+        names = local_taint(fn)
+        for c in ast.walk(fn):
+            if isinstance(c, ast.Call) and _called_name(c) in sinks \
+                    and any(tainted(a, names) for a in
+                            c.args + [k.value for k in c.keywords]):
+                flows.append(f"{fn.name}:{c.lineno}")
+    return flows
+
+
+def test_no_libm_result_reaches_a_dimension_value():
+    # the float estimates (box_count_oracle's slope, _liouville_min_next's
+    # seed) may use libm; every printed enclosure comes from
+    # exactnum.log_enclosure, rounded outward once
+    tree = TREES["dimension.py"]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and n.module == "math"]
+    assert libm_flows(tree) == []
+
+
+# the float recipe the dimension values had before exactnum.log_enclosure
+LIBM_RECIPE = '''
+def _log_interval(lo, hi):
+    a = math.log(lo) if lo > 0 else -math.inf
+    b = math.log(hi)
+    for _ in range(4):
+        a = math.nextafter(a, -math.inf)
+        b = math.nextafter(b, math.inf)
+    return a, b
+
+def _neg_log_alpha_interval(alpha):
+    alo, ahi = exactnum.enclosure(alpha, Fraction(1, 10**20))
+    la, lb = _log_interval(alo, ahi)
+    return (-lb, -la)
+
+def _ratio_interval(num_lo, num_hi, den_lo, den_hi):
+    cands = [num_lo / den_hi, num_lo / den_lo, num_hi / den_hi, num_hi / den_lo]
+    return min(cands), max(cands)
+
+def dim_from_frequency(alpha, f):
+    nlo, nhi = _neg_log_alpha_interval(alpha)
+    l2 = math.log(2)
+    lo, hi = _ratio_interval(float(f) * math.nextafter(l2, 0),
+                             float(f) * math.nextafter(l2, 2), nlo, nhi)
+    return DimensionValue(DimForm.FREQUENCY, alpha, lo, hi, freq=f)
+
+def full_dimension(alpha):
+    return dim_from_frequency(alpha, Fraction(1))
+
+def perron_dimension(g, alpha):
+    lam_lo, lam_hi = g.count_matrix.perron().enclosure()
+    lam_log = _log_interval(lam_lo, lam_hi)
+    nlo, nhi = _neg_log_alpha_interval(alpha)
+    lo, hi = _ratio_interval(max(lam_log[0], 0.0), max(lam_log[1], 0.0),
+                             nlo, nhi)
+    return DimensionValue(DimForm.PERRON, alpha, lo, hi)
+
+def box_slope(xs):
+    return [math.log(x) for x in xs]
+'''
+
+
+def test_libm_flow_check_sees_the_float_recipe():
+    flows = libm_flows(ast.parse(LIBM_RECIPE))
+    assert {f.split(":")[0] for f in flows} == \
+        {"dim_from_frequency", "perron_dimension"}
+    # a libm value handed to a function that builds the value also counts
+    wrapped = LIBM_RECIPE.replace(
+        "    return DimensionValue(DimForm.PERRON, alpha, lo, hi)",
+        "    return _dimension_value(DimForm.PERRON, alpha, (lo, hi))\n\n"
+        "def _dimension_value(form, alpha, num):\n"
+        "    return DimensionValue(form, alpha, num[0], num[1])")
+    assert "perron_dimension" in \
+        {f.split(":")[0] for f in libm_flows(ast.parse(wrapped))}
