@@ -12,7 +12,7 @@ Run:  python demos/liouville_construction.py
 
 from fractions import Fraction as F
 
-from cantorint import BaseSystem, TERNARY, is_unique_expansion
+from cantorint import TERNARY, BaseSystem, UniqStatus, is_unique_expansion
 from cantorint.dimension import liouville_witness
 
 pq = F(7, 20)
@@ -24,8 +24,13 @@ print("control sequence (t_i) starts:",
       " ".join(str(lw.t_seq.digit(i)) for i in range(1, 16)), "...")
 
 res = is_unique_expansion(BaseSystem(pq, TERNARY), lw.t_seq, depth_cap=256)
-print(f"uniqueness scan of (t_i): {res.status.value} "
-      f"(no violation through {res.shifts_checked} shifts)")
+if res.status is UniqStatus.UNIQUE:
+    how = ("certified: the largest paths of its grammar, and of the "
+           "mirrored grammar, lie below delta")
+else:
+    how = f"scan of {res.shifts_checked} shifts, compared to depth " \
+          f"{res.compare_cap}"
+print(f"uniqueness of (t_i): {res.status.value} ({how})")
 
 xl, xh = lw.x_enclosure
 print(f"\nx = value of the all-zeros free-digit choice ~ {float(xl):.12f}")

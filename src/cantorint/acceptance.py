@@ -368,7 +368,7 @@ def check_10b_liouville_in_range() -> AccResult:
     ok = _approximants_ok(lw)
     sys = BaseSystem(pq, TERNARY)
     uniq = expansions.is_unique_expansion(sys, lw.t_seq, depth_cap=256)
-    ok = ok and uniq.status is not UniqStatus.NOT_UNIQUE
+    ok = ok and uniq.status is UniqStatus.UNIQUE
     # the all-ones free rule must work as well
     lw1 = dimension.liouville_witness(pq, 2, free_digit_rule=1)
     ok = ok and lw1.nk[:2] == lw.nk[:2]

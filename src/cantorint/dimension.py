@@ -126,15 +126,20 @@ def _outward_quotient(a: Fraction, b: Fraction, up: bool) -> float:
 _LN2 = exactnum.log_enclosure(2)
 
 
+def _log_interval(lo: Fraction, hi: Fraction) -> tuple:
+    """ln over [lo, hi], lo > 0, from one log, as ln(1 + x) <= x."""
+    log_lo, log_hi = exactnum.log_enclosure(lo)
+    return log_lo, log_hi + (hi - lo) / lo
+
+
 def _dimension_value(form, alpha, num, **fields) -> DimensionValue:
     """The value whose (lo, hi) holds num / (-ln alpha), for a Fraction
     interval ``num`` >= 0: the two intervals divide exactly, and each end
     is rounded outward to a float once."""
-    alo, ahi = exactnum.enclosure(alpha, Fraction(1, 10**20))
-    log_lo = exactnum.log_enclosure(alo)
-    log_hi = log_lo if ahi == alo else exactnum.log_enclosure(ahi)
-    lo = _outward_quotient(num[0], -log_lo[0], False)
-    hi = _outward_quotient(num[1], -log_hi[1], True)
+    log_lo, log_hi = _log_interval(
+        *exactnum.enclosure(alpha, Fraction(1, 10**20)))
+    lo = _outward_quotient(num[0], -log_lo, False)
+    hi = _outward_quotient(num[1], -log_hi, True)
     return DimensionValue(form, alpha, lo, hi, **fields)
 
 
@@ -530,8 +535,7 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     if lam_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
     # lambda >= 1 on a trimmed graph, so its log is >= 0
-    num = (exactnum.log_enclosure(max(lam_lo, 1))[0],
-           exactnum.log_enclosure(lam_hi)[1])
+    num = _log_interval(max(lam_lo, 1), lam_hi)
     return _dimension_value(DimForm.PERRON, alpha, num, perron=info)
 
 
@@ -915,7 +919,9 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
             break
         blocks.grow()
     nk = blocks.nk[:]  # t_seq goes on extending the table
-    t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})")
+    # its grammar on A, B, C = 0, 1, 2: A -1-> B -(-1)-> C -1-> B, C -0-> A
+    t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})",
+                    [[(1, 1)], [(2, -1)], [(1, 1), (0, 0)]])
 
     x_digit = {1: 1, -1: 0, 0: int(free_digit_rule)}
 

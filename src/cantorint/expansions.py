@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Optional, Sequence, Union
 
-from . import exactnum, thuemorse, words
+from . import exactnum, graph, thuemorse, words
 from .exactnum import (
     AlgebraicReal,
     Comparison,
@@ -376,13 +376,28 @@ _DEFAULT_LAZY_SHIFTS = 512
 _ZERO_RUN_SCAN_CAP = 100_000  # delta digits forbidden_zero_run reads
 
 
+def parry_certified(succ: list, delta, depth_cap: int) -> bool:
+    """Parry's criterion (Parry 1960) on {-1,0,1}: whether the largest paths
+    of the digit graph ``succ`` and of its mirror, labels reflected, are
+    LESS than ``delta`` within ``depth_cap`` digits.  If so, and every tail
+    of a sequence is a path, then every tail of its reflection is a path
+    of the mirror, all lie below delta, and the uniqueness test passes at
+    every shift: the sequence, as every other the graph spells, is unique."""
+    total = delta.alphabet.low + delta.alphabet.high
+    mirror = [[(v, total - d) for v, d in out] for out in succ]
+    return all(words.lex_compare(EPSeq(*graph.max_path(g), delta.alphabet),
+                                 delta, depth_cap) is words.Lex.LESS
+               for g in (succ, mirror))
+
+
 def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
                         depth_cap: Optional[int] = None) -> UniquenessResult:
     """Lexicographic uniqueness test against the quasi-greedy expansion of 1.
 
     A sequence is the unique expansion of its value iff every tail after a
     prefix that is not all-high stays lex-< delta, and symmetrically for the
-    reflected sequence after prefixes that are not all-low.  One scan per
+    reflected sequence after prefixes that are not all-low.  A LazySeq whose
+    grammar :func:`parry_certified` passes is UNIQUE; otherwise one scan per
     shift compares the tail over {0..M}, then its reflection u -> M - u,
     with delta for at most ``compare_cap`` digits.  An EPSeq is decided
     exactly when delta is eventually periodic: the cap then passes
@@ -395,6 +410,9 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
+    if isinstance(seq, LazySeq) and seq.grammar is not None and \
+            parry_certified(seq.grammar, delta_seq(sys), compare_cap):
+        return UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
     exact = isinstance(seq, EPSeq) and ep_delta is not None
     if isinstance(seq, EPSeq):
         shifts = len(seq.pre) + len(seq.per)

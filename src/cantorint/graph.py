@@ -2,8 +2,8 @@
 
 A graph on the nodes 0..n-1 is a list ``succ`` in which ``succ[u]`` holds
 one ``(v, label)`` pair per edge u -> v; self-loops and parallel edges are
-allowed.  Labels are digits in the expansion automaton, multiplicities in
-a count matrix and 0/1 weights in the zero-frequency bound.
+allowed.  Labels are digits in the expansion automaton and ``max_path``,
+multiplicities in a count matrix and 0/1 weights in the zero-frequency bound.
 """
 
 from __future__ import annotations
@@ -87,6 +87,33 @@ def sccs(succ: list) -> list:
                         members.append(v)
             comps.append(sorted(members))
     return sorted(comps)
+
+
+def max_path(succ: list) -> tuple:
+    """Digits (pre, per), pre then per forever, of the lexicographically
+    largest infinite path of a digit-labelled graph whose every node has an
+    out-edge.  Moore's partition refinement ranks the nodes by the first k
+    digits of their largest paths: rank_(k+1)(u) ranks the largest
+    label * V + rank_k(v) over the edges u -> v.  Within V rounds no class
+    splits, and then the ranks order the paths themselves, ties and all.
+    Best edges from the top node, until a node repeats, spell the path."""
+    n = len(succ)
+    edges = [(u, v, d * n) for u, out in enumerate(succ) for v, d in out]
+    floor = min(dn for _, _, dn in edges) - 1
+    rank, classes, keys = [0] * n, 0, [0]
+    while len(keys) > classes:
+        classes, best = len(keys), [floor] * n
+        for u, v, dn in edges:
+            if dn + rank[v] > best[u]:
+                best[u] = dn + rank[v]
+        keys = sorted(set(best))
+        rank = [*map(dict(zip(keys, range(n))).__getitem__, best)]
+    seen, digits, u = {}, [], rank.index(classes - 1)
+    while u not in seen:
+        seen[u] = len(digits)
+        d, u = next((d, v) for v, d in succ[u] if d * n + rank[v] == best[u])
+        digits.append(d)
+    return tuple(digits[:seen[u]]), tuple(digits[seen[u]:])
 
 
 def max_cycle_mean(succ: list) -> Optional[Fraction]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import exactnum, graph
 from .words import (
@@ -20,8 +19,6 @@ from .words import (
     EPSeq,
     FiniteWord,
     LazySeq,
-    Lex,
-    lex_compare,
     reflect,
 )
 
@@ -234,33 +231,19 @@ def sft_blocks(n: int) -> SftBlocks:
     return SftBlocks(n, z, e, zb, eb, SFT_MATRIX, omega1, omega2, d1, d2)
 
 
-def sft_max_word(n: int) -> EPSeq:
-    """The lexicographically largest sequence of the level-n subshift.
-
-    It starts at some digit of some block and, at each block end, takes the
-    successor with the larger first digit: those are 0, -1, 0, +1 for zeta,
-    eta, zeta-bar, eta-bar, so two successors never tie.  Each start gives
-    an eventually periodic candidate; candidates are compared on prefixes of
-    length (longest preperiod) + lcm(periods), which decide equality.
-    """
+def _sft_graph(n: int) -> list:
+    """The level-n subshift: a node per block digit, labelling its edges."""
     blocks = [b.digits for b in sft_blocks(n).blocks]
-    succ = [[v for v, _ in out] for out in graph.successors(SFT_MATRIX)]
-    assert all(len({blocks[v][0] for v in out}) == len(out) for out in succ)
-    nxt = [max(out, key=lambda v: blocks[v][0]) for out in succ]
-    candidates = []
-    for b in range(len(blocks)):
-        chain = [b]
-        while nxt[chain[-1]] not in chain:
-            chain.append(nxt[chain[-1]])
-        k = chain.index(nxt[chain[-1]])
-        pre, per = (tuple(d for c in part for d in blocks[c])
-                    for part in (chain[:k], chain[k:]))
-        candidates += [((pre + per)[i:], per) for i in range(len(blocks[b]))]
-    bound = (max(len(pre) for pre, _ in candidates)
-             + lcm(*{len(per) for _, per in candidates}))
-    pre, per = max(candidates, key=lambda c: (
-        c[0] + c[1] * (bound // len(c[1]) + 1))[:bound])
-    return EPSeq(pre, per, TERNARY)
+    size = len(blocks[0])
+    return [[(b * size + i + 1, d)] if i + 1 < size else
+            [(c * size, d) for c, _ in out]
+            for b, out in enumerate(graph.successors(SFT_MATRIX))
+            for i, d in enumerate(blocks[b])]
+
+
+def sft_max_word(n: int) -> EPSeq:
+    """The lexicographically largest sequence of the level-n subshift."""
+    return EPSeq(*graph.max_path(_sft_graph(n)), TERNARY)
 
 
 class NotFoundUnderCap(Exception):
@@ -272,19 +255,12 @@ def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
     univoque set, or ``NotFoundUnderCap``.
 
     The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
-    certified when ``sft_max_word(n)`` is lex-< delta(alpha) within
-    ``depth_cap`` digits; an equal or undecided comparison skips the level.
-    This is Parry's criterion carried to {-1,0,1}: the subshift X lies in
-    the univoque set iff max X < delta.
-
-    * If max X < delta: X is shift-invariant, and closed under reflection
-      because ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar,
-      eta-bar.  So every tail of every element, and its reflection, is
-      below delta, and the uniqueness test passes.
-    * If m = max X >= delta, with m starting in block b: b has a
-      predecessor c, and c holds a digit other than +1.  The element of X
-      starting at that digit reaches m after a prefix not all +1, so it is
-      not a unique expansion.
+    certified when :func:`expansions.parry_certified` passes its digit
+    graph within ``depth_cap`` digits, else skipped.  ``SFT_MATRIX`` is
+    unchanged when zeta, eta swap with zeta-bar, eta-bar, so the mirror
+    adds nothing.  The criterion is sharp: if m = max X >= delta starts in
+    block b, a predecessor of b holds a digit other than +1, and the
+    element of X starting there reaches m after a prefix not all +1.
     """
     from . import expansions  # deferred: expansions depends on this module
 
@@ -300,8 +276,9 @@ def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
 def _smallest_sft_n(delta, depth_cap: int) -> int:
     """The level search of :func:`find_smallest_sft_n` against a given
     delta, so that a caller with its own delta cache shares it."""
+    from .expansions import parry_certified  # deferred, as above
     for n in range(1, _SFT_N_CAP + 1):
-        if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
+        if parry_certified(_sft_graph(n), delta, depth_cap):
             return n
     raise NotFoundUnderCap(
         f"no subshift level n <= {_SFT_N_CAP} certified at depth cap {depth_cap}")

@@ -170,11 +170,13 @@ class EPSeq:
 
 @dataclass
 class LazySeq:
-    """Infinite sequence given by a pure function of the (1-based) index."""
+    """Infinite sequence given by a pure function of the (1-based) index,
+    and a ``grammar`` if known: a digit graph with every tail as a path."""
 
     fn: Callable[[int], int]
     alphabet: Alphabet = TERNARY
     description: str = ""
+    grammar: Optional[list] = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def digit(self, i: int) -> int:
@@ -265,14 +267,16 @@ def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int = DEFAULT_DEPTH_CAP) -> L
 def _map_digits(s: SeqLike, f: Callable[[int], int], alphabet: Alphabet,
                 name: str) -> SeqLike:
     """s with f applied to every digit, over ``alphabet``; a lazy result
-    is described as ``name(description)``."""
+    is described as ``name(description)``, its grammar's labels mapped."""
     if isinstance(s, FiniteWord):
         return FiniteWord(tuple(map(f, s.digits)), alphabet)
     if isinstance(s, EPSeq):
         return EPSeq(tuple(map(f, s.pre)), tuple(map(f, s.per)), alphabet)
     if isinstance(s, LazySeq):
+        grammar = s.grammar and [[(v, f(d)) for v, d in out]
+                                 for out in s.grammar]
         return LazySeq(lambda i: f(s.digit(i)), alphabet,
-                       f"{name}({s.description})")
+                       f"{name}({s.description})", grammar)
     raise TypeError(f"not a sequence: {s!r}")
 
 

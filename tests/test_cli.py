@@ -147,6 +147,9 @@ class TestSubcommands:
         assert len(checks) == 13
         assert [c["number"] for c in checks if not c["passed"]] == ["10"]
         assert payload["result"]["all_passed"] is False
+        # the grammar of the control sequence certifies it at 7/20
+        assert checks[10]["number"] == "10b"
+        assert checks[10]["detail"].endswith("; uniqueness: unique")
 
     def test_verify_paper_text(self, capsys):
         code, out, _ = run(capsys, "verify-paper")

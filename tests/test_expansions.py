@@ -10,6 +10,7 @@ from cantorint import expansions as E
 from cantorint import graph as G
 from cantorint import thuemorse as T
 from cantorint import words as W
+from cantorint.dimension import liouville_witness
 from cantorint.expansions import (
     BaseSystem,
     OutOfDomain,
@@ -440,6 +441,65 @@ class TestUniquenessReference:
                 assert got == reference_is_unique_expansion(sys, seq, cap)
                 seen.add(got.status)
         assert {UniqStatus.NOT_UNIQUE, UniqStatus.UNDECIDED} <= seen
+
+
+class TestParryCertificate:
+    """parry_certified, and the grammar that certifies the control sequence
+    of the Liouville construction."""
+
+    @pytest.mark.parametrize("pq", [F(7, 20), F(19, 50), F(3, 8),
+                                    F(37, 100), F(39, 100)])
+    def test_control_sequence_unique(self, pq):
+        sys = BaseSystem(pq, TERNARY)
+        t = liouville_witness(pq, 1).t_seq
+        for seq in (t, W.reflect(t)):
+            for cap in (None, 256):
+                res = E.is_unique_expansion(sys, seq, cap)
+                assert res.status is UniqStatus.UNIQUE
+                assert res.shifts_checked == 0
+
+    def test_other_alphabet(self):
+        t = liouville_witness(F(7, 20), 1).t_seq
+        seq = W.substitute_alphabet(t, TERNARY, A012)
+        assert seq.grammar == [[(1, 2)], [(2, 0)], [(1, 2), (0, 1)]]
+        res = E.is_unique_expansion(BaseSystem(F(7, 20), A012), seq)
+        assert res.status is UniqStatus.UNIQUE
+
+    def test_two_fifths_keeps_the_scan(self):
+        # the certificate fails, and the scan finds the violation it found
+        # before the certificate existed
+        sys = BaseSystem(F(2, 5), TERNARY)
+        t = liouville_witness(F(2, 5), 1).t_seq
+        assert not E.parry_certified(t.grammar, E.delta_seq(sys), 4096)
+        for seq in (t, W.reflect(t)):
+            assert E.is_unique_expansion(sys, seq) == E.UniquenessResult(
+                UniqStatus.NOT_UNIQUE, (1, 5), 1, 4096)
+            assert E.is_unique_expansion(sys, seq, 256) == \
+                E.UniquenessResult(UniqStatus.NOT_UNIQUE, (1, 5), 1, 256)
+
+    def test_grammar_spells_the_sequence(self):
+        t = liouville_witness(F(7, 20), 3).t_seq
+        for seq in (t, W.reflect(t)):
+            nodes = set(range(len(seq.grammar)))
+            for i in range(1, 2001):
+                nodes = {v for u in nodes for v, d in seq.grammar[u]
+                         if d == seq.digit(i)}
+                assert nodes, i
+
+    def test_mirror_is_checked(self):
+        # (-1)^inf lies below every delta, its mirror 1^inf above
+        delta = E.delta_seq(BaseSystem(F(7, 20), TERNARY))
+        assert not E.parry_certified([[(0, -1)]], delta, 64)
+        assert E.parry_certified([[(0, 0)]], delta, 64)
+
+    def test_sft_level_matches_max_word(self):
+        # SFT_MATRIX is closed under reflection, so the mirror adds nothing
+        for alpha in (F(7, 20), F(39, 100), F(3943, 10000)):
+            delta = E.delta_seq(BaseSystem(alpha, TERNARY))
+            for n in range(1, 5):
+                assert E.parry_certified(T._sft_graph(n), delta, 4096) == (
+                    W.lex_compare(T.sft_max_word(n), delta, 4096)
+                    is W.Lex.LESS)
 
 
 class TestForbiddenZeroRun:

@@ -97,3 +97,34 @@ def test_karp_matches_exhaustive_cycle_means():
         means = [F(sum(labels), len(labels))
                  for _, labels in labelled_simple_cycles(succ)]
         assert graph.max_cycle_mean(succ) == (max(means) if means else None)
+
+
+def random_digit_graphs(count=1000, seed=23):
+    """Graphs of 1-8 nodes, each with 1-3 out-edges labelled from {-1,0,1},
+    so that edges of one node often tie on their label."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield [[(rng.randrange(n), rng.randint(-1, 1))
+                for _ in range(rng.randint(1, 3))] for _ in range(n)]
+
+
+def largest_word(succ, length):
+    """The largest length-digit word of any path, by the recurrence
+    best_k(u) = max over the edges u -> v of (d,) + best_(k-1)(v)."""
+    best = [()] * len(succ)
+    for _ in range(length):
+        best = [max((d,) + best[v] for v, d in out) for out in succ]
+    return max(best)
+
+
+def test_max_path_matches_largest_words():
+    ties = 0
+    for succ in random_digit_graphs():
+        pre, per = graph.max_path(succ)
+        n = 3 * len(succ)
+        assert per and len(pre) + len(per) <= len(succ)
+        assert (pre + per * n)[:n] == largest_word(succ, n)
+        ties += any(len({d for _, d in out}) < len(out) for out in succ)
+    assert ties > 500
+

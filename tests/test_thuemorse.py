@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -290,10 +291,22 @@ class TestSftMaxWord:
                                  4096) is W.Lex.GREATER
 
 
+    def test_levels_one_to_eight_pinned(self):
+        # the candidate search that graph.max_path replaced gave these words
+        words = [(w.pre, w.per) for w in map(T.sft_max_word, range(1, 9))]
+        assert hashlib.sha1(repr(words).encode()).hexdigest() == \
+            "c6256d9db72a133e91393ab9490b27ff20cf9f7a"
+        assert W.format_seq(T.sft_max_word(2)) == "(++-0+0+0-0-0)"
+
+
 class TestFindSmallestSftN:
     def test_values(self):
         assert T.find_smallest_sft_n(F(7, 20)) == 1
         assert T.find_smallest_sft_n(F(17, 50)) == 1
+
+    def test_level_five(self):
+        # 3.5e-19 below alpha_KL; no other test reaches a level above 3
+        assert T.find_smallest_sft_n(F(394329844702280891, 10**18)) == 5
 
     def test_matches_cycle_and_splice_reference(self):
         # equal, so never below the weaker certificate
