@@ -635,12 +635,15 @@ def box_count_oracle(alpha, t, depth: int,
 
     The witnesses of one call share one :class:`expansions.GammaSearch`,
     and p - t is carried down the walk exactly, as a state of the field's
-    :class:`exactnum.QAlphaContext`.  Sharing cannot change a row where a
-    fresh search certifies its verdict: the search keeps only certified
-    IN/OUT facts, never a value cut short by a cap.  A 0-child has its
-    parent's p, so it inherits an IN/OUT verdict and searches again only
-    after UNKNOWN.  Shifts with no exact form get the upper count and no
-    witnesses.
+    :class:`exactnum.QAlphaContext`.  For alpha >= 1/2 every p - t in
+    [0, u], u = alpha/(1 - alpha), is IN: u/alpha = u + 1 and u >= 1, so
+    one child of each such value stays in [0, u].  For alpha < 1/2 each
+    search follows one path: the two children lie 1 > u apart.  Sharing
+    cannot change a row where a fresh search certifies its verdict: the
+    search keeps only certified IN/OUT facts, never a path cut short by
+    its depth cap.  A 0-child has its parent's p, so it inherits an IN/OUT
+    verdict and searches again only after UNKNOWN.  Shifts with no exact
+    form get the upper count and no witnesses.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")

@@ -623,29 +623,31 @@ class GammaResult:
 
 
 class GammaSearch:
-    """Branch-and-prune membership test for the {0,1} Cantor set of one
-    base, with certified facts shared across queries.
+    """Membership test for the {0,1} Cantor set Gamma of one base, with
+    certified facts shared across queries.
 
-    OUT is certified by interval exclusion along every branch; IN when a
-    follower value repeats along a surviving path (the cycle pumps to an
-    infinite valid expansion) or reaches a value certified IN earlier, with
-    the digit prefix reaching it as witness.  Anything cut short by the
-    caps, which apply per query, is UNKNOWN.  ``dead`` keeps the values
-    searched fully with no cap hit (OUT) and ``live`` the values on a path
-    that reached a cycle or a live value (IN); a value cut short enters
-    neither, so sharing never changes a verdict a fresh search certifies.
-    Values are states of the field's :class:`exactnum.QAlphaContext`, as
-    QAlphaElements hold them, and the search steps and signs them through
-    the context itself.
+    Gamma is the set of x in [0, u], u = alpha/(1 - alpha), with an
+    endless path of children x/alpha - d, d in {0, 1}, in [0, u].  For
+    alpha >= 1/2, Gamma is all of [0, u]: u/alpha = u + 1 and u >= 1, so
+    x/alpha or x/alpha - 1 lies in [0, u] (Renyi 1957; Parry 1960).  For
+    alpha < 1/2 the two children lie 1 > u apart, so at most one is in
+    [0, u] and x has a single path to follow.  It is IN when a value
+    repeats (the cycle pumps to an infinite expansion) or reaches a value
+    certified IN earlier, with the digits walked as witness; OUT when it
+    leaves [0, u] or reaches a value certified OUT; UNKNOWN after
+    ``depth_cap`` steps.  ``dead`` keeps the values on OUT paths and
+    ``live`` those on IN paths; an UNKNOWN path enters neither, so sharing
+    never changes a verdict a fresh search certifies.  Values are states
+    of the field's :class:`exactnum.QAlphaContext`, as QAlphaElements hold
+    them, and the search steps and signs them through the context itself.
     """
 
-    def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096,
-                 node_cap: int = 200_000):
+    def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096):
         self.ctx = ctx
         self.depth_cap = depth_cap
-        self.node_cap = node_cap
         a = ctx.alpha_element
         self.bound = (a / (ctx.one - a)).state
+        self._whole = ctx.compare(a.state, ctx.state(Fraction(1, 2))) >= 0
         self._children = ctx.children(ctx.state(0), self.bound, (0, 1))
         self.dead: set = set()  # states
         self.live: set = set()
@@ -656,50 +658,28 @@ class GammaSearch:
         ctx, dead, live = self.ctx, self.dead, self.live
         if not isinstance(x, tuple):
             x = ctx.state(x)
-        if x in dead:
+        if x in dead or ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
             return GammaResult(GammaStatus.OUT)
-        if x in live:
-            return GammaResult(GammaStatus.IN, ())  # x itself is live
-        if ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
-            return GammaResult(GammaStatus.OUT)
-        children = self._children
-        frames = [[x, children(x), 0, False]]  # state, kids, next, tainted
-        on_path = {x}
-        nodes = 0
-        while frames:
-            top = frames[-1]
-            s, kids, k, taint = top
-            if k == len(kids):
-                frames.pop()
-                on_path.remove(s)
-                if not taint:
-                    dead.add(s)
-                elif frames:
-                    frames[-1][3] = True
-                else:
-                    return GammaResult(GammaStatus.UNKNOWN)
-                continue
-            top[2] = k + 1
-            child = kids[k][0]
-            if child in on_path or child in live:
-                live.update(on_path)
-                # the digits of each frame's last child taken spell the path
-                return GammaResult(GammaStatus.IN,
-                                   [f[1][f[2] - 1][1] for f in frames])
-            if child in dead:
-                continue
-            nodes += 1
-            if len(frames) >= self.depth_cap or nodes > self.node_cap:
-                top[3] = True
-                continue
-            frames.append([child, children(child), 0, False])
-            on_path.add(child)
-        return GammaResult(GammaStatus.OUT)
+        if x in live or self._whole:
+            return GammaResult(GammaStatus.IN, ())
+        path, digits = {x}, []  # the states and digits walked
+        while len(digits) < self.depth_cap:
+            kids = self._children(x)
+            if not kids or kids[0][0] in dead:
+                dead.update(path)
+                return GammaResult(GammaStatus.OUT)
+            x, d = kids[0]
+            digits.append(d)
+            if x in path or x in live:
+                live.update(path)
+                return GammaResult(GammaStatus.IN, digits)
+            path.add(x)
+        return GammaResult(GammaStatus.UNKNOWN)
 
 
-def gamma_membership(alpha, x, depth_cap: int = 4096,
-                     node_cap: int = 200_000) -> GammaResult:
+def gamma_membership(alpha, x, depth_cap: int = 4096) -> GammaResult:
     """Membership of x in the {0,1} Cantor set: one query on a fresh
-    :class:`GammaSearch`, so an IN witness is the prefix reaching a cycle."""
+    :class:`GammaSearch`, so an IN witness is the prefix reaching a cycle,
+    or empty for alpha >= 1/2."""
     ctx = x.ctx if isinstance(x, QAlphaElement) else QAlphaContext(alpha)
-    return GammaSearch(ctx, depth_cap, node_cap).membership(x)
+    return GammaSearch(ctx, depth_cap).membership(x)

@@ -731,6 +731,15 @@ class TestBoxCount:
         rep = box_count_oracle(alpha, t, 12)
         assert abs(rep.slope - dv.decimal) <= 0.08
 
+    def test_rows_from_one_half_are_certified(self):
+        # Gamma is all of [0, u] for alpha >= 1/2, so every kept cell whose
+        # p - t lies in [0, u] is IN at once
+        rep = box_count_oracle(F(3, 5), F(0), 8)
+        assert rep.rows == [(n, 2**n, 2**n) for n in range(1, 9)]
+        sys = BaseSystem(X.parse_real("alg:1,-5,5@[1/2,1]"), TERNARY)
+        rep = box_count_oracle(sys.alpha, A.ex51_translation(sys), 1)
+        assert rep.rows == [(1, 2, 2)]
+
     def test_depth_cap(self):
         with pytest.raises(D.DepthCapExceeded):
             box_count_oracle(F(2, 5), F(0), 25)
@@ -778,29 +787,30 @@ class TestBoxCount:
         # the lemma in box_count_oracle's docstring: below a kept node some
         # gamma extension overlaps the cylinder 8 levels further down, so
         # the deleted probe could never prune.  The walk here keeps the
-        # oracle's upper counts; the edge bases skip that comparison, since
-        # the oracle's witness searches on them run to the node cap
+        # oracle's upper counts; 499/1000 skips that comparison, since the
+        # oracle's witness searches there run their one path to the depth
+        # cap and take seconds
         cases = box_cases() + check7_cases() + touching_cases()
         nodes = 0
         for i, (alpha, t, depth) in enumerate(cases + edge_base_cases()):
             uppers, kept, misses = probe_at_kept_nodes(alpha, t, depth)
             assert misses == []
-            if i < len(cases):
+            if i < len(cases) or alpha != F(499, 1000):
                 assert uppers == [u for (_, _, u) in
                                   box_count_oracle(alpha, t, depth).rows]
             nodes += kept
         assert len(cases) == 63 and nodes > 45_000
 
-    def test_inherited_verdicts_under_tiny_node_cap(self, monkeypatch):
-        # a node cap of 2 leaves many verdicts UNKNOWN; a 0-child inherits
+    def test_inherited_verdicts_under_tiny_depth_cap(self, monkeypatch):
+        # a depth cap of 2 leaves many verdicts UNKNOWN; a 0-child inherits
         # only IN/OUT and searches again after UNKNOWN, so the rows equal
         # the walk that searches at every node, and the capped rows differ
         # from the uncapped ones on some cases
         statuses = []
 
         class Capped(E.GammaSearch):
-            def __init__(self, ctx, depth_cap=4096, node_cap=200_000):
-                super().__init__(ctx, depth_cap, node_cap=2)
+            def __init__(self, ctx, depth_cap=4096):
+                super().__init__(ctx, depth_cap=2)
 
             def membership(self, x):
                 res = super().membership(x)

@@ -693,6 +693,32 @@ class TestGammaSearch:
             seen.add(fresh.status)
         assert seen == {E.GammaStatus.IN, E.GammaStatus.OUT}
 
+    @pytest.mark.parametrize("base", ["rat:1/2", "rat:3/5",
+                                      "alg:-1,1,1@[1/2,1]",
+                                      "alg:1,-5,5@[1/2,1]"])
+    def test_whole_interval_from_one_half(self, base):
+        # for alpha >= 1/2, Gamma is all of [0, u]: u/alpha = u + 1 and
+        # u >= 1, so every value in [0, u] keeps a child in [0, u]
+        rng = random.Random(base)
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        ctx, u = sys.ctx, sys.tail_unit
+        inside = [sys.embed(0), u]
+        inside += [u * F(rng.randrange(1, 1000), 1000) for _ in range(20)]
+        outside = [-u * F(rng.randrange(1, 1000), 1000) for _ in range(5)]
+        outside += [u * F(rng.randrange(1001, 3000), 1000) for _ in range(5)]
+        kids = ctx.children(ctx.state(0), ctx.state(u), (0, 1))
+        for x in inside:
+            assert E.gamma_membership(sys.alpha, x).status \
+                is E.GammaStatus.IN
+            s = x.state
+            for _ in range(200):
+                step = kids(s)
+                assert step
+                s = rng.choice(step)[0]
+        for x in outside:
+            assert E.gamma_membership(sys.alpha, x).status \
+                is E.GammaStatus.OUT
+
     def test_memo_is_certified_only(self):
         # a value cut short by the cap is memoised neither way, and every
         # value memoised OUT is OUT for a fresh, deeper search
@@ -919,7 +945,7 @@ class TestFollowerClosures:
         t = E.seq_value(sys, FiniteWord(word, TERNARY))
         points = TestGammaSearch._points(sys, t, rng, count=60)
         points += [sys.embed(0), sys.tail_unit, sys.tail_unit * 2]
-        search = E.GammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
+        search = E.GammaSearch(sys.ctx, depth_cap=64)
         ref = ReferenceGammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
         for x in points:
             got, want = search.membership(x), ref.membership(x)
