@@ -150,11 +150,8 @@ def _cmd_tm(args):
         word = thuemorse.zeta(n)
     else:
         word = thuemorse.eta(n)
-    if word.alphabet == TERNARY:
-        text = format_seq(word)
-    else:
-        text = ",".join(str(d) for d in word)
-    return ({"what": args.what, "n": n}, {"word": text, "length": len(word)})
+    return ({"what": args.what, "n": n},
+            {"word": format_seq(word), "length": len(word)})
 
 
 def _cmd_alpha_kl(args):
@@ -164,8 +161,7 @@ def _cmd_alpha_kl(args):
                        f"AKL_WIDTH_MIN = {float(AKL_WIDTH_MIN):g}")
     lo, hi = thuemorse.alpha_kl_enclosure(width)
     return ({"width": args.width},
-            {"lo": f"rat:{lo.numerator}/{lo.denominator}",
-             "hi": f"rat:{hi.numerator}/{hi.denominator}",
+            {"lo": format_real(lo), "hi": format_real(hi),
              "decimal": repr(float((lo + hi) / 2))})
 
 
@@ -303,8 +299,7 @@ def _cmd_liouville(args):
     return ({"pq": args.pq, "k": args.k, "free_rule": args.free_rule},
             {"nk": lw.nk[:args.k + 1],
              "approximants": approx,
-             "x_enclosure": [f"rat:{lo.numerator}/{lo.denominator}",
-                             f"rat:{hi.numerator}/{hi.denominator}"],
+             "x_enclosure": [format_real(lo), format_real(hi)],
              "x_decimal": repr(float((lo + hi) / 2))})
 
 

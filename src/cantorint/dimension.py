@@ -882,7 +882,8 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
 
     * q_k respects the displayed denominator bound q^(m_k + 3),
     * |x - p_k/q_k| <= q_k^(-k), and
-    * p_k/q_k != x.
+    * p_k/q_k != x, as x's enclosure is narrower than the gap
+      |x - p_k/q_k| >= a^(m_(k+1) + 1) (1 - 2a) / (1 - a), a = p/q.
 
     Any failure raises ``VerificationFailed`` (it would be a bug, not an
     input problem).  One running sum of x's digits up to m_K gives every
@@ -946,8 +947,7 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
             raise VerificationFailed("denominator bound violated")
 
     # enclose x deep enough for all checks
-    deepest = m[K] + 63
-    x_lo, x_hi = x.enclosure(pq ** deepest)
+    x_lo, x_hi = x.enclosure(pq ** (m[K] + 63))
 
     for k in range(1, K + 1):
         approx = approximants[k - 1]
@@ -957,16 +957,7 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
             raise VerificationFailed(
                 f"|x - p_{k}/q_{k}| <= q_{k}^-{k} failed")
         if x_lo <= approx <= x_hi:
-            # refine until the approximant is excluded (x is irrational);
-            # the stored enclosure keeps the separating precision
-            w = pq ** deepest
-            for _ in range(64):
-                w /= 2**8
-                x_lo, x_hi = x.enclosure(w)
-                if not (x_lo <= approx <= x_hi):
-                    break
-            else:
-                raise VerificationFailed("could not separate x from p_k/q_k")
+            raise VerificationFailed(f"x's enclosure holds p_{k}/q_{k}")
 
     return LiouvilleWitness(pq, nk, approximants, (x_lo, x_hi), x, t_seq)
 

@@ -1,15 +1,14 @@
 """Exact and rigorously enclosed real arithmetic.
 
-Four number kinds are supported:
+Three number kinds are supported:
 
 * ``Fraction`` (aliased ``Rational``) -- exact rationals,
 * ``AlgebraicReal`` -- an integer polynomial together with a rational
   isolating interval containing exactly one of its real roots,
-* ``SeriesReal`` -- a lazily generated digit series ``sum d_i * r^i`` whose
-  value is only ever reported as a rational interval (partial sum plus a
-  geometric tail bound, both kept on ints),
 * ``EnclosedReal`` -- a number known only through its own nested
-  enclosures, such as the bisection brackets of alpha_KL.
+  enclosures, such as the bisection brackets of alpha_KL, or, as a
+  ``SeriesReal``, a lazy digit series ``sum d_i * r^i`` enclosed by a
+  partial sum plus a geometric tail bound, both kept on ints.
 
 Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` at the requested precision; a rational
@@ -348,8 +347,29 @@ class AlgebraicReal:
         raise TypeError("AlgebraicReal is not hashable; compare explicitly")
 
 
-class SeriesReal:
-    """Value of ``sum_{i>=1} d_i * ratio^i`` for a lazy digit stream.
+class EnclosedReal:
+    """A real known by ``enclose(width)``, nested rational enclosures each at
+    most ``width`` wide: a bisection's brackets on a monotone function with
+    signs certified at rational points, or a :class:`SeriesReal`'s sums."""
+
+    __slots__ = ("enclosure", "description")
+
+    def __init__(self, enclose: Callable[[Fraction], tuple],
+                 description: str = ""):
+        self.enclosure = enclose
+        self.description = description
+
+    def __float__(self):
+        lo, hi = self.enclosure(Fraction(1, 10**17))
+        return float((lo + hi) / 2)
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self.description}>"
+
+
+class SeriesReal(EnclosedReal):
+    """The ``EnclosedReal`` ``sum_{i>=1} d_i * ratio^i`` of a lazy digit
+    stream, described as ``series`` when no description is given.
 
     ``digits(i)`` must be a pure, total function of ``i >= 1`` with values in
     ``[digit_low, digit_high]``.  With ratio p/q, the first n terms sum to
@@ -359,11 +379,12 @@ class SeriesReal:
     (``terms``) that makes it at most w wide.
     """
 
-    __slots__ = ("digits", "ratio", "digit_low", "digit_high", "description",
-                 "terms", "_sum", "_pn", "_qn")
+    __slots__ = ("digits", "ratio", "digit_low", "digit_high", "terms",
+                 "_sum", "_pn", "_qn")
 
     def __init__(self, digits: Callable[[int], int], ratio, digit_low: int,
                  digit_high: int, description: str = ""):
+        super().__init__(self._sum_to, description or "series")
         self.digits = digits
         self.ratio = Fraction(ratio)
         if not 0 < self.ratio < 1:
@@ -372,12 +393,11 @@ class SeriesReal:
             raise ValueError("digit bounds out of order")
         self.digit_low = digit_low
         self.digit_high = digit_high
-        self.description = description
         self.terms = 0
         self._sum = 0  # S, the partial sum times q^n
         self._pn = self._qn = 1  # p^n, q^n
 
-    def enclosure(self, width: Fraction):
+    def _sum_to(self, width: Fraction):
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
@@ -399,36 +419,8 @@ class SeriesReal:
         return (Fraction(base + low * tail, den),
                 Fraction(base + high * tail, den))
 
-    def __float__(self):
-        lo, hi = self.enclosure(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
 
-    def __repr__(self):
-        name = self.description or "series"
-        return f"SeriesReal<{name}>"
-
-
-class EnclosedReal:
-    """A real given by ``enclose(width)``: nested rational enclosures, each
-    at most ``width`` wide, such as the brackets of a bisection on a
-    monotone function whose sign is certified at rational points."""
-
-    __slots__ = ("enclosure", "description")
-
-    def __init__(self, enclose: Callable[[Fraction], tuple],
-                 description: str = ""):
-        self.enclosure = enclose
-        self.description = description
-
-    def __float__(self):
-        lo, hi = self.enclosure(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
-
-    def __repr__(self):
-        return f"EnclosedReal<{self.description}>"
-
-
-RealNumber = Union[Fraction, AlgebraicReal, SeriesReal, EnclosedReal]
+RealNumber = Union[Fraction, AlgebraicReal, EnclosedReal]
 
 
 def enclosure(x, width) -> tuple:
@@ -442,7 +434,7 @@ def enclosure(x, width) -> tuple:
         return x.refine(width)
     if isinstance(x, QAlphaElement):
         return x.ctx.enclosure(x.state, width)
-    if isinstance(x, (SeriesReal, EnclosedReal)):
+    if isinstance(x, EnclosedReal):
         return x.enclosure(width)
     raise TypeError(f"not a RealNumber: {x!r}")
 
@@ -1102,7 +1094,7 @@ def format_real(x: RealNumber) -> str:
         lo, hi = x.interval()
         cs = ",".join(str(c) for c in x.coeffs)
         return f"alg:{cs}@[{lo},{hi}]"
-    if isinstance(x, (SeriesReal, EnclosedReal)):
+    if isinstance(x, EnclosedReal):
         return x.description or "series"
     raise TypeError(f"not a RealNumber: {x!r}")
 

@@ -123,6 +123,15 @@ class BaseSystem:
     def embed(self, x) -> QAlphaElement:
         return self._require_ctx().embed(x)
 
+    def _hull(self, el: QAlphaElement) -> Optional[tuple]:
+        """(low_tail, high_tail) if el lies between them, else None."""
+        lo, hi = self.low_tail(), self.high_tail()
+        # QAlphaElement.sign, not an ordering: perfbench traces exact signs
+        # through it, and on a query such as ex52 this check is the only one
+        if (el - lo).sign() >= 0 and (hi - el).sign() >= 0:
+            return lo, hi
+        return None
+
     def delta_cache(self) -> "_DeltaCache":
         if self._delta is None:
             self._delta = _DeltaCache(self)
@@ -160,7 +169,7 @@ class _DeltaCache:
             return
         ctx = sys.ctx
         # domain: alpha >= 1/(M+1) so that 1 is attainable
-        if (sys.M * sys.tail_unit - ctx.one).sign() < 0:
+        if compare(sys.alpha, Fraction(1, sys.M + 1)) is Comparison.LESS:
             raise OutOfDomain("quasi-greedy expansion of 1 needs "
                               "alpha >= 1/(M+1)")
         self._loop = _digit_loop(sys, ctx.one, strict=True)
@@ -172,7 +181,7 @@ class _DeltaCache:
         # it, so no two tails of delta are equal: delta is never eventually
         # periodic.  Only other bases look for a repeat, keyed as
         # _digit_loop yields them (N_k, or the state of the remainder).
-        self._aperiodic = ctx.degree == 1 and ctx.alpha.numerator >= 2
+        self._aperiodic = ctx.degree == 1 and -ctx.poly[0] >= 2
         self._seen = None if self._aperiodic else \
             {1 if ctx.degree == 1 else ctx.state(1): 0}
 
@@ -236,7 +245,7 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
     M = sys.M
     ctx = sys.ctx
     if ctx.degree == 1:
-        p, q = ctx.alpha.numerator, ctx.alpha.denominator
+        p, q = -ctx.poly[0], ctx.poly[1]  # alpha = p/q, rat: or alg:
         num, scale = y.state
         while True:
             scale *= p
@@ -258,10 +267,10 @@ def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
 def _shifted_attainable(sys: BaseSystem, x) -> QAlphaElement:
     """Map x into the {0..M} picture and check attainability."""
     el = sys.embed(x)
-    y = el - sys.low_tail()
-    if y.sign() < 0 or (sys.M * sys.tail_unit - y).sign() < 0:
+    hull = sys._hull(el)
+    if hull is None:
         raise OutOfRange("value outside the attainable interval")
-    return y
+    return el - hull[0]
 
 
 def _expansion(sys: BaseSystem, y: QAlphaElement, length: int,
@@ -561,14 +570,11 @@ def build_expansion_automaton(sys: BaseSystem, t,
     if state_cap < 1:
         raise ValueError(f"state cap must be at least 1, got {state_cap}")
     t_el = sys.embed(t)
-    lo = sys.low_tail()
-    hi = sys.high_tail()
-    # QAlphaElement.sign, not an ordering: perfbench traces exact signs
-    # through it, and on a query such as ex52 this check is the only one
-    if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
+    hull = sys._hull(t_el)
+    if hull is None:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
     ctx = sys.ctx
-    children = ctx.children(lo.state, hi.state,
+    children = ctx.children(hull[0].state, hull[1].state,
                             range(sys.alphabet.low, sys.alphabet.high + 1))
     first = t_el.state
     states = [first]

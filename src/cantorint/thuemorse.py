@@ -250,17 +250,17 @@ class NotFoundUnderCap(Exception):
     pass
 
 
-def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
+def find_smallest_sft_n(alpha) -> int:
     """Smallest n <= ``_SFT_N_CAP`` whose four-block subshift lies in the
     univoque set, or ``NotFoundUnderCap``.
 
     The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
-    certified when :func:`expansions.parry_certified` passes its digit
-    graph within ``depth_cap`` digits, else skipped.  ``SFT_MATRIX`` is
-    unchanged when zeta, eta swap with zeta-bar, eta-bar, so the mirror
-    adds nothing.  The criterion is sharp: if m = max X >= delta starts in
-    block b, a predecessor of b holds a digit other than +1, and the
-    element of X starting there reaches m after a prefix not all +1.
+    certified when :func:`expansions.parry_certified` passes its digit graph
+    within the uniqueness test's default compare cap, else skipped.
+    ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar, eta-bar,
+    so the mirror adds nothing.  The criterion is sharp: if m = max X >=
+    delta starts in block b, a predecessor of b holds a digit other than +1,
+    and the element of X starting there reaches m after a prefix not all +1.
     """
     from . import expansions  # deferred: expansions depends on this module
 
@@ -269,8 +269,8 @@ def find_smallest_sft_n(alpha, depth_cap: int = 4096) -> int:
     if exactnum.compare(alpha, alpha_kl_real(),
                         precision=Fraction(1, 2**64)) is not exactnum.Comparison.LESS:
         raise expansions.OutOfDomain("alpha must lie below alpha_KL")
-    return _smallest_sft_n(
-        expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY)), depth_cap)
+    delta = expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY))
+    return _smallest_sft_n(delta, expansions._DEFAULT_COMPARE_CAP)
 
 
 def _smallest_sft_n(delta, depth_cap: int) -> int:

@@ -171,20 +171,16 @@ class EPSeq:
 @dataclass
 class LazySeq:
     """Infinite sequence given by a pure function of the (1-based) index,
-    and a ``grammar`` if known: a digit graph with every tail as a path."""
+    and a ``grammar`` if known: a digit graph with every tail as a path.
+    ``digit`` calls ``fn`` and stores nothing; costly sources keep tables."""
 
     fn: Callable[[int], int]
     alphabet: Alphabet = TERNARY
     description: str = ""
     grammar: Optional[list] = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def digit(self, i: int) -> int:
-        d = self._cache.get(i)
-        if d is None:
-            d = self.fn(i)
-            self._cache[i] = d
-        return d
+        return self.fn(i)
 
     def prefix(self, n: int) -> FiniteWord:
         return FiniteWord(tuple(self.digit(i) for i in range(1, n + 1)),

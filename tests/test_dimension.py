@@ -1014,6 +1014,53 @@ class TestLiouville:
         with pytest.raises(OutOfDomain):
             liouville_witness(F(1, 2), 2)
 
+    @pytest.mark.parametrize("pq", [F(7, 20), F(2, 5), F(3, 8), F(49, 100),
+                                    F(499, 1000), F(2**40 - 1, 2**41)])
+    def test_one_enclosure_separates_every_approximant(self, pq):
+        # x and p_k/q_k have {0,1} digits that first differ at m_(k+1) or
+        # m_(k+1) + 1, so they lie at least gap(k) apart; the enclosure,
+        # at most pq^(m_(K+1) + 63) wide, keeps that gap from both its ends
+        def gap(lw, k):
+            return pq ** (lw.block_boundary(k + 1) + 1) * (1 - 2 * pq) \
+                / (1 - pq)
+
+        admitted = 0
+        for K in range(1, 6):
+            try:
+                witnesses = [liouville_witness(pq, K, free_digit_rule=rule)
+                             for rule in (0, 1)]
+            except D.DimensionError:
+                break
+            admitted = K
+            for lw in witnesses:
+                xl, xh = lw.x_enclosure
+                assert xh - xl <= pq ** (lw.block_boundary(K + 1) + 63)
+                for k, approx in enumerate(lw.approximants, 1):
+                    assert not (xl <= approx <= xh)
+                    assert min(abs(xl - approx), abs(xh - approx)) >= \
+                        gap(lw, k)
+        assert admitted >= 1
+
+    def test_enclosure_holding_an_approximant_fails(self, monkeypatch):
+        # p_k/q_k != x stays a checked clause: an enclosure stretched to
+        # hold p_1/q_1 still meets |x - p_1/q_1| <= 1/q_1, and must fail
+        approx = liouville_witness(F(2, 5), 1).approximants[0]
+
+        class Stretched(X.SeriesReal):
+            __slots__ = ()
+
+            def _sum_to(self, width):
+                lo, hi = super()._sum_to(width)
+                return min(lo, approx), max(hi, approx)
+
+        monkeypatch.setattr(X, "SeriesReal", Stretched)
+        with pytest.raises(D.VerificationFailed):
+            liouville_witness(F(2, 5), 1)
+
+    def test_over_two_to_the_62_stops_at_the_digit_bound(self):
+        with pytest.raises(D.DimensionError):
+            liouville_witness(F(2**63 - 1, 2**64), 1)
+
 
 class TestDSet:
     def test_finite_regime(self):

@@ -22,6 +22,7 @@ from cantorint.exactnum import (
     parse_real,
 )
 from cantorint import thuemorse as T
+from cantorint.dimension import liouville_witness
 from cantorint.expansions import BaseSystem
 from cantorint.words import TERNARY
 
@@ -737,6 +738,23 @@ class TestIntegerSeries:
         assert got == reference_series_enclosure(lambda i: 3, F(1, 10), 3,
                                                  3, widths)
         assert got[0] == (F(1, 3), F(1, 3))
+
+    def test_series_is_an_enclosed_real_with_its_strings(self):
+        reals = [SeriesReal(lambda i: 3, F(1, 10), 3, 3, "1/3"),
+                 SeriesReal(lambda i: 1 + T.lam(i), F(2, 5), 0, 2),
+                 liouville_witness(F(7, 20), 2).x,
+                 T.alpha_kl_real()]
+        assert all(isinstance(x, X.EnclosedReal) for x in reals)
+        # the strings the two classes printed before SeriesReal inherited
+        assert [(repr(x), float(x), X.format_real(x), X.decimal_string(x))
+                for x in reals] == [
+            ("SeriesReal<1/3>", 0.3333333333333333, "1/3", "0.333333333333"),
+            ("SeriesReal<series>", 1.019434003619609, "series",
+             "1.01943400362"),
+            ("SeriesReal<liouville-x(7/20)>", 0.3671011349997286,
+             "liouville-x(7/20)", "0.367101135"),
+            ("EnclosedReal<alpha_KL>", 0.3943298447022809, "alpha_KL",
+             "0.394329844702")]
 
 
 class TestStateArithmetic:

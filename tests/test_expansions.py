@@ -159,6 +159,34 @@ class TestDelta:
                 assert E.admissible_delta(lazy, depth_cap=128) \
                     is not Verdict.FALSE
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 5])
+    def test_domain_is_one_comparison(self, M):
+        # the reference is the sign that decided the domain before:
+        # alpha >= 1/(M+1) iff M alpha / (1 - alpha) >= 1
+        edge = F(1, M + 1)
+        bases = [edge, edge - F(1, 10**9), edge + F(1, 10**9),
+                 X.AlgebraicReal([-1, M + 1], 0, 1),  # alg:, equal to edge
+                 X.AlgebraicReal([-1, 2, 1], 0, 1)]  # sqrt(2) - 1, 0.414...
+        for alpha in bases:
+            sys = BaseSystem(alpha, Alphabet(0, M + 1))
+            outside = (M * sys.tail_unit - sys.ctx.one).sign() < 0
+            try:
+                sys.delta_cache()
+            except OutOfDomain:
+                assert outside, alpha
+            else:
+                assert not outside, alpha
+                assert E.delta(sys, 3).digits[0] >= 1
+
+    @pytest.mark.parametrize("sys", [BaseSystem(F(2, 5), TERNARY),
+                                     cubic_base()],
+                             ids=["2/5", "ex51"])
+    def test_reflected_delta_seq_spells_reflected_delta(self, sys):
+        want = tuple(-d for d in E.delta(sys, 2000).digits)
+        seq = W.reflect(E.delta_seq(sys))
+        assert seq.prefix(2000).digits == want
+        assert seq.prefix(2000).digits == want  # no stored digit to go stale
+
 
 def fraction_digits(alpha, M, y, length, strict):
     """Reference digit loop over {0..M} in plain Fractions: the largest d

@@ -323,8 +323,9 @@ class TestFindSmallestSftN:
 
     def test_undecided_levels_are_skipped(self):
         # both sequences start with +1, so one digit decides no level
+        delta = E.delta_seq(E.BaseSystem(F(7, 20), W.TERNARY))
         with pytest.raises(T.NotFoundUnderCap):
-            T.find_smallest_sft_n(F(7, 20), depth_cap=1)
+            T._smallest_sft_n(delta, 1)
 
     def test_near_alpha_kl(self):
         lo, _ = T.alpha_kl_enclosure(F(1, 10**20))
