@@ -52,7 +52,7 @@ from .expansions import (
     golden_threshold,
     is_unique_expansion,
 )
-from .words import TERNARY, Alphabet, EPSeq, FreqReport, LazySeq
+from .words import BINARY, TERNARY, Alphabet, EPSeq, FreqReport, LazySeq
 
 
 class DimensionError(Exception):
@@ -633,12 +633,12 @@ def box_count_oracle(alpha, t, depth: int,
     ahi^(m+1)/(1 - ahi)), and starts below I's upper end, as g_0 +
     pows[m+1][0] < p_0 + tails[n].
 
-    The witnesses of one call share one :class:`expansions.GammaSearch`,
-    and p - t is carried down the walk exactly, as a state of the field's
-    :class:`exactnum.QAlphaContext`.  For alpha >= 1/2 every p - t in
-    [0, u], u = alpha/(1 - alpha), is IN: u/alpha = u + 1 and u >= 1, so
-    one child of each such value stays in [0, u].  For alpha < 1/2 each
-    search follows one path: the two children lie 1 > u apart.  Sharing
+    The witnesses of one call share one :class:`expansions.GammaSearch` on
+    ``BaseSystem(alpha, BINARY)``, and p - t is carried down the walk
+    exactly, as a state of its field, whose ``state`` takes t and raises
+    ValueError on an element of another field.  For alpha >= 1/2 every p -
+    t in [0, u], u = alpha/(1 - alpha), is IN; below, each search follows
+    the one path of the base's children filter.  Sharing
     cannot change a row where a fresh search certifies its verdict: the
     search keeps only certified IN/OUT facts, never a path cut short by
     its depth cap.  A 0-child has its parent's p, so it inherits an IN/OUT
@@ -651,17 +651,15 @@ def box_count_oracle(alpha, t, depth: int,
         raise DepthCapExceeded(f"depth {depth} above configured max {max_depth}")
     alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth)
 
-    # exact side for witnesses
-    ctx = None
-    if isinstance(t, QAlphaElement):
-        ctx, t_exact = t.ctx, t
-    elif (isinstance(alpha, (Fraction, int, AlgebraicReal))
-          and isinstance(t, (int, Fraction))):
-        ctx = exactnum.QAlphaContext(alpha)
-        t_exact = ctx.embed(Fraction(t))
-    search = None
-    if ctx is not None:
-        search = expansions.GammaSearch(ctx, depth_cap=512)
+    # exact side for witnesses: t in Q(alpha), its field checked by state
+    search = x0 = None
+    if isinstance(t, QAlphaElement) or (
+            isinstance(alpha, (Fraction, int, AlgebraicReal))
+            and isinstance(t, (int, Fraction))):
+        search = expansions.GammaSearch(BaseSystem(alpha, BINARY),
+                                        depth_cap=512)
+        ctx = search.ctx
+        x0 = ctx.neg(ctx.state(t))
         a_pows = list(accumulate([ctx.alpha_element.state] * depth, ctx.mul,
                                  initial=ctx.one.state))
     IN, UNKNOWN = expansions.GammaStatus.IN, expansions.GammaStatus.UNKNOWN
@@ -692,8 +690,7 @@ def box_count_oracle(alpha, t, depth: int,
         walk(k + 1, (part[0] + p0, part[1] + p1), next_g,
              None if search is None else ctx.add(x, a_pows[k + 1]), None)
 
-    walk(0, (0, 0), [t_iv],
-         None if search is None else (-t_exact).state, None)
+    walk(0, (0, 0), [t_iv], x0, None)
 
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]

@@ -7,24 +7,15 @@ phrased internally over the shifted digits {0, ..., M}; statements for
 comparisons are certified, so every verdict below is exact unless it
 explicitly says UNDECIDED.
 
-The closures under s -> s/alpha - d (the digit loop of an algebraic base,
-the expansion automaton and the Gamma membership search) call the base's
-:class:`exactnum.QAlphaContext` directly and step on its states: an
-integer vector v over 1, alpha, ..., alpha^(n-1) over a denominator D >
-0, reduced by gcd(v, D).
-Every QAlphaElement holds such a state, so values pass between the
-closures and Q(alpha) arithmetic with no conversion.  The form is
-canonical, so equal values meet in dict and set lookups.  A step is a
-companion-matrix shift on ints, by 1/alpha = -(a_1 + a_2 alpha + ... +
-a_n alpha^(n-1)) / a_0.  A sign comes from a fixed-point filter: with
-ints B_i within 1 of alpha^i 2^K and B_0 = 2^K, S = sum v_i B_i is within
-E = sum_(i>=1) |v_i| of 2^K sum v_i alpha^i, so |S| > E proves that the
-value has the sign of S.  K starts at 64 bits; a sign left undecided
-doubles K and counts a fallback.  QAlphaContext proves alpha's
-polynomial irreducible when it is built, or raises UnsupportedBase; so
-the zero vector is the only exact 0, and every other vector has a
-nonzero value, which the doubling filter certifies.  A rational base p/q
-is degree 1, where E = 0 and the state (N, D) steps to (q N - d p D, p D).
+One fact serves the digit algorithms, delta and Gamma membership (Renyi
+1957; Parry 1960): with u = alpha/(1 - alpha), a value has an expansion
+over {0..M} iff it has an endless path of children y/alpha - d in [0, M
+u].  ``BaseSystem.children`` is that one filter, ``BaseSystem.whole``
+says whether all of [0, M u] has paths, and :func:`_follow` takes the
+first child (greedy) or the first nonzero one (quasi-greedy).  A path that
+ends proves that the value has no expansion.  Paths, the automaton and the
+Gamma search step on the canonical integer states of the base's
+:class:`exactnum.QAlphaContext`, which every QAlphaElement holds.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import exactnum, graph, thuemorse, words
 from .exactnum import (
@@ -123,6 +114,23 @@ class BaseSystem:
     def embed(self, x) -> QAlphaElement:
         return self._require_ctx().embed(x)
 
+    @cached_property
+    def whole(self) -> bool:
+        """Whether alpha >= 1/(M+1), so that every point y of [0, M u] has
+        an expansion over {0..M}: M u >= 1 and y/alpha <= M u + M, so a
+        child stays in [0, M u].  Below, the children lie 1 > M u apart."""
+        return compare(self.alpha, Fraction(1, self.M + 1)) \
+            is not Comparison.LESS
+
+    @cached_property
+    def children(self) -> Callable[[tuple], list]:
+        """The path filter: a state s -> the pairs (s/alpha - d, d), d from
+        M down to 0, kept in [0, M u].  A value with a child lies in [0, M
+        u] itself, as alpha (M u + M) = M u."""
+        ctx = self._require_ctx()
+        return ctx.children(ctx.state(0), (self.M * self.tail_unit).state,
+                            range(self.M, -1, -1))
+
     def _hull(self, el: QAlphaElement) -> Optional[tuple]:
         """(low_tail, high_tail) if el lies between them, else None."""
         lo, hi = self.low_tail(), self.high_tail()
@@ -168,11 +176,11 @@ class _DeltaCache:
             self._aperiodic, self._seen = True, None
             return
         ctx = sys.ctx
-        # domain: alpha >= 1/(M+1) so that 1 is attainable
-        if compare(sys.alpha, Fraction(1, sys.M + 1)) is Comparison.LESS:
+        # domain: 1 lies in [0, M u], and has a path, iff sys.whole
+        if not sys.whole:
             raise OutOfDomain("quasi-greedy expansion of 1 needs "
                               "alpha >= 1/(M+1)")
-        self._loop = _digit_loop(sys, ctx.one, strict=True)
+        self._loop = _digit_loop(sys, ctx.state(1), strict=True)
         # Rational alpha = p/q with p >= 2: by _digit_loop the remainder
         # after k digits is N_k / p^k with N_0 = 1, and N_(k+1) = q N_k - d
         # p^(k+1) is q N_k mod p.  As gcd(q, p) = 1, no N_k shares a factor
@@ -225,78 +233,78 @@ class _DeltaCache:
                      Alphabet(0, self.sys.M + 1))
 
 
-def _digit_loop(sys: BaseSystem, y: QAlphaElement, strict: bool):
-    """Greedy (``strict=False``) or quasi-greedy (``strict=True``) digits
-    over {0..M} of a remainder y of the attainable interval, endlessly.
-
-    Each step maps y to y/alpha - d for the largest d <= M that leaves it
-    >= 0 (greedy) or > 0 (quasi-greedy), and d = 0 if none does.  It yields
-    d with a hashable key of the new remainder.
-
-    For a rational base p/q in lowest terms the remainder after k digits is
-    N_k / (b p^k), with b the denominator of y, so integers do the work: d
-    is the largest with q N_k > d b p^(k+1) (>= for greedy), found by one
-    floor division, N_(k+1) = q N_k - d b p^(k+1), and the key is N_(k+1).
-    It pins the remainder only for p = 1, where the scale b p^k stays b.
-    Unlike ``QAlphaContext.step``, this loop takes no gcd per digit; it is
-    the faster path for degree 1.  Other bases step y's state, canonical
-    and so the key.
-    """
-    M = sys.M
-    ctx = sys.ctx
-    if ctx.degree == 1:
-        p, q = -ctx.poly[0], ctx.poly[1]  # alpha = p/q, rat: or alg:
-        num, scale = y.state
-        while True:
-            scale *= p
-            qn = q * num
-            d = max(0, min(M, (qn - 1 if strict else qn) // scale))
-            num = qn - d * scale
-            yield d, num
-    y = y.state
-    floor = 0 if strict else -1
+def _follow(sys: BaseSystem, s: tuple, strict: bool):
+    """The path of a state s through ``sys.children``, yielding (d, child):
+    the first child (greedy, ``strict=False``) or the first nonzero one
+    (quasi-greedy).  Where none exists the path ends, which proves that s
+    has no expansion over {0..M}, or none that is not eventually 0."""
+    children = sys.children
     while True:
-        for d in range(M, -1, -1):
-            child = ctx.step(y, d)
-            if d == 0 or ctx.sign(child) > floor:
-                break
-        y = child
-        yield d, y
+        kids = children(s)  # values ascending: only the first can be 0
+        if strict and kids and not any(kids[0][0][:-1]):
+            kids = kids[1:]
+        if not kids:
+            return
+        s, d = kids[0]
+        yield d, s
 
 
-def _shifted_attainable(sys: BaseSystem, x) -> QAlphaElement:
-    """Map x into the {0..M} picture and check attainability."""
-    el = sys.embed(x)
-    hull = sys._hull(el)
-    if hull is None:
-        raise OutOfRange("value outside the attainable interval")
-    return el - hull[0]
+def _digit_loop(sys: BaseSystem, y: tuple, strict: bool):
+    """Greedy (``strict=False``) or quasi-greedy (``strict=True``) digits
+    over {0..M} of a state y along its path, each with a hashable key of
+    the new remainder: its state from :func:`_follow`, or for a rational
+    base p/q an int.  There the remainder after k digits is N_k / (b p^k),
+    b the denominator of y: d is the largest, at most M, with q N_k > d b
+    p^(k+1) (>= for greedy), by one floor division and no gcd, and N_(k+1)
+    = q N_k - d b p^(k+1) is the key.  It pins the remainder only for p =
+    1, where the scale b p^k stays b.
+    """
+    ctx = sys.ctx
+    if ctx.degree > 1:
+        yield from _follow(sys, y, strict)
+        return
+    M, gap = sys.M, not sys.whole
+    p, q = -ctx.poly[0], ctx.poly[1]  # alpha = p/q, rat: or alg:
+    num, scale = y
+    if num < 0 or num * (q - p) > M * p * scale:  # y outside [0, M u]
+        return
+    while True:
+        scale *= p
+        qn = q * num
+        d = min(M, (qn - 1 if strict else qn) // scale)
+        num = qn - d * scale
+        # the path ends where the remainder leaves [0, M u]: d = M keeps it
+        # in, and d < M leaves it in [0, 1], inside unless gap
+        if d < 0 or gap and d < M and num * (q - p) > M * p * scale:
+            return
+        yield d, num
 
 
-def _expansion(sys: BaseSystem, y: QAlphaElement, length: int,
-               strict: bool) -> FiniteWord:
-    low = sys.alphabet.low
-    digits = islice(_digit_loop(sys, y, strict), length)
-    return FiniteWord([d + low for d, _ in digits], sys.alphabet)
+def _expansion(sys: BaseSystem, x, length: int, strict: bool) -> FiniteWord:
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    y = (sys.embed(x) - sys.low_tail()).state
+    if strict and not any(y[:-1]):  # the infimum's all-low convention
+        digits = [0] * length
+    else:
+        digits = [d for d, _ in islice(_digit_loop(sys, y, strict), length)]
+    if len(digits) < length:
+        raise OutOfRange("value outside the attainable set")
+    return FiniteWord([d + sys.alphabet.low for d in digits], sys.alphabet)
 
 
 def greedy_expansion(sys: BaseSystem, x, length: int) -> FiniteWord:
-    """First ``length`` digits of the lexicographically largest expansion."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    return _expansion(sys, _shifted_attainable(sys, x), length, strict=False)
+    """First ``length`` digits of the lexicographically largest expansion;
+    ``OutOfRange`` if x has none."""
+    return _expansion(sys, x, length, strict=False)
 
 
 def quasi_greedy_expansion(sys: BaseSystem, x, length: int) -> FiniteWord:
     """First ``length`` digits of the lexicographically largest *infinite*
-    expansion (never eventually minimal-digit).  At the attainable infimum
-    the convention is the all-low sequence."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    y = _shifted_attainable(sys, x)
-    if y.sign() == 0:
-        return FiniteWord([sys.alphabet.low] * length, sys.alphabet)
-    return _expansion(sys, y, length, strict=True)
+    expansion (never eventually minimal-digit); ``OutOfRange`` if x has
+    none.  At the attainable infimum the convention is the all-low
+    sequence."""
+    return _expansion(sys, x, length, strict=True)
 
 
 def delta(sys: BaseSystem, length: int) -> FiniteWord:
@@ -632,60 +640,55 @@ class GammaSearch:
     """Membership test for the {0,1} Cantor set Gamma of one base, with
     certified facts shared across queries.
 
-    Gamma is the set of x in [0, u], u = alpha/(1 - alpha), with an
-    endless path of children x/alpha - d, d in {0, 1}, in [0, u].  For
-    alpha >= 1/2, Gamma is all of [0, u]: u/alpha = u + 1 and u >= 1, so
-    x/alpha or x/alpha - 1 lies in [0, u] (Renyi 1957; Parry 1960).  For
-    alpha < 1/2 the two children lie 1 > u apart, so at most one is in
-    [0, u] and x has a single path to follow.  It is IN when a value
-    repeats (the cycle pumps to an infinite expansion) or reaches a value
-    certified IN earlier, with the digits walked as witness; OUT when it
-    leaves [0, u] or reaches a value certified OUT; UNKNOWN after
-    ``depth_cap`` steps.  ``dead`` keeps the values on OUT paths and
-    ``live`` those on IN paths; an UNKNOWN path enters neither, so sharing
-    never changes a verdict a fresh search certifies.  Values are states
-    of the field's :class:`exactnum.QAlphaContext`, as QAlphaElements hold
-    them, and the search steps and signs them through the context itself.
+    ``sys`` is the base over {0,1}, and Gamma the values with an endless
+    path of ``sys.children``: all of [0, u], u = ``sys.tail_unit``, when
+    ``sys.whole``, else those whose one path, by :func:`_follow`, goes on.
+    It is IN when a value repeats (the cycle pumps to an infinite
+    expansion) or is certified IN earlier, with the digits walked as
+    witness; OUT when it ends or reaches a value certified OUT; UNKNOWN
+    after ``depth_cap`` steps.  ``dead`` and ``live`` keep the states on
+    OUT and IN paths; an UNKNOWN path enters neither, so sharing never
+    changes a verdict a fresh search certifies.
     """
 
-    def __init__(self, ctx: QAlphaContext, depth_cap: int = 4096):
-        self.ctx = ctx
+    def __init__(self, sys: BaseSystem, depth_cap: int = 4096):
+        if sys.alphabet != BINARY:
+            raise ValueError("Gamma is the set of expansions over {0,1}")
+        self.sys = sys
+        self.ctx = sys._require_ctx()
         self.depth_cap = depth_cap
-        a = ctx.alpha_element
-        self.bound = (a / (ctx.one - a)).state
-        self._whole = ctx.compare(a.state, ctx.state(Fraction(1, 2))) >= 0
-        self._children = ctx.children(ctx.state(0), self.bound, (0, 1))
         self.dead: set = set()  # states
         self.live: set = set()
 
     def membership(self, x) -> GammaResult:
-        """Verdict on x: a :class:`QAlphaElement`, a rational, or a
-        state."""
-        ctx, dead, live = self.ctx, self.dead, self.live
+        """Verdict on x: a :class:`QAlphaElement` of the field, a rational,
+        or a state."""
+        sys, dead, live = self.sys, self.dead, self.live
         if not isinstance(x, tuple):
-            x = ctx.state(x)
-        if x in dead or ctx.sign(x) < 0 or ctx.compare(self.bound, x) < 0:
-            return GammaResult(GammaStatus.OUT)
-        if x in live or self._whole:
+            x = self.ctx.state(x)
+        # when whole, Gamma is all of [0, u]: the values with a child
+        if x in live or (sys.whole and sys.children(x)):
             return GammaResult(GammaStatus.IN, ())
+        if x in dead or sys.whole:
+            return GammaResult(GammaStatus.OUT)
         path, digits = {x}, []  # the states and digits walked
-        while len(digits) < self.depth_cap:
-            kids = self._children(x)
-            if not kids or kids[0][0] in dead:
-                dead.update(path)
-                return GammaResult(GammaStatus.OUT)
-            x, d = kids[0]
+        for d, x in _follow(sys, x, False):
+            if x in dead:
+                break
             digits.append(d)
             if x in path or x in live:
                 live.update(path)
                 return GammaResult(GammaStatus.IN, digits)
+            if len(digits) >= self.depth_cap:
+                return GammaResult(GammaStatus.UNKNOWN)
             path.add(x)
-        return GammaResult(GammaStatus.UNKNOWN)
+        dead.update(path)
+        return GammaResult(GammaStatus.OUT)
 
 
 def gamma_membership(alpha, x, depth_cap: int = 4096) -> GammaResult:
     """Membership of x in the {0,1} Cantor set: one query on a fresh
     :class:`GammaSearch`, so an IN witness is the prefix reaching a cycle,
-    or empty for alpha >= 1/2."""
-    ctx = x.ctx if isinstance(x, QAlphaElement) else QAlphaContext(alpha)
-    return GammaSearch(ctx, depth_cap).membership(x)
+    or empty for alpha >= 1/2.  An element of another field raises
+    ValueError."""
+    return GammaSearch(BaseSystem(alpha, BINARY), depth_cap).membership(x)

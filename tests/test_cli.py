@@ -345,6 +345,13 @@ class TestErrors:
           "--length", "4"), "ALPHABET_MAX = 64"),
         (("expand", "--alpha", "rat:2/5", "--x", "1/3", "--alphabet", "0:65"),
          "--alphabet size 65 is over the bound ALPHABET_MAX = 64"),
+        # 1/5 lies in the gap (1/6, 1/3) of the {0,1} Cantor set at 1/3
+        (("expand", "--alpha", "rat:1/3", "--x", "rat:1/5", "--alphabet",
+          "0:2", "--length", "12"), "value outside the attainable set"),
+        # at 2/5, 2/5 has only the expansion 1 0 0 ..., so no quasi-greedy
+        (("expand", "--alpha", "rat:2/5", "--x", "rat:2/5", "--alphabet",
+          "0:2", "--algorithm", "quasi-greedy", "--length", "8"),
+         "value outside the attainable set"),
     ])
     def test_size_bounds_fail_fast(self, capsys, argv, bound):
         start = time.perf_counter()

@@ -519,7 +519,7 @@ def reference_box_rows(alpha, t, depth):
         t_exact = ctx.embed(F(t))
     search = None
     if ctx is not None:
-        search = E.GammaSearch(ctx, depth_cap=512)
+        search = E.GammaSearch(BaseSystem(ctx.alpha, W.BINARY), depth_cap=512)
         a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
@@ -766,6 +766,11 @@ class TestBoxCount:
             (10, 155, 209), (11, 264, 355), (12, 447, 601)]
         assert abs(rep.slope - 0.6436137580344715) <= 1e-12
 
+
+    def test_shift_from_another_field_is_refused(self):
+        t = X.QAlphaContext(F(3, 5)).embed(F(1, 7))
+        with pytest.raises(ValueError, match="different Q"):
+            box_count_oracle(F(2, 5), t, 4)
 
     def test_grid_matches_float_walk(self):
         # the exact grid keeps every row and slope of the float walk

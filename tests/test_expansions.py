@@ -74,6 +74,24 @@ class TestGreedy:
         with pytest.raises(OutOfRange):
             E.greedy_expansion(sys, F(3, 2), 4)
 
+    @pytest.mark.parametrize("base,alphabet,gap", [
+        ("rat:1/3", A01, F(1, 5)),   # between [0, 1/6] and [1/3, 1/2]
+        ("rat:1/4", A012, F(1, 5)),  # between [0, 1/6] and [1/4, 5/12]
+        ("alg:-1,2,1@[2/5,1/2]", A01, F(1, 3)),   # sqrt(2) - 1
+        ("alg:-1,2,2@[1/3,1/2]", A01, F(1, 4))])  # (sqrt(3) - 1) / 2
+    def test_gap_values_are_refused(self, base, alphabet, gap):
+        # below 1/(M+1) the set is a Cantor set: a value in a gap between
+        # the first cylinders [d alpha, d alpha + alpha M u] has no child,
+        # and alpha (M + gap) has one child, the gap value, and then none
+        sys = BaseSystem(X.parse_real(base), alphabet)
+        assert not sys.whole
+        a = sys.ctx.alpha_element
+        for x in (sys.embed(gap), a * (sys.M + sys.embed(gap))):
+            for fn in (E.greedy_expansion, E.quasi_greedy_expansion):
+                with pytest.raises(OutOfRange,
+                                   match="value outside the attainable set"):
+                    fn(sys, x, 12)
+
     def test_greedy_dominates_quasi(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -712,7 +730,7 @@ class TestGammaSearch:
             sys = BaseSystem(F(base), TERNARY)
             word = [rng.choice((-1, 0, 1)) for _ in range(4)]
             t = E.seq_value(sys, FiniteWord(word, TERNARY))
-        search = E.GammaSearch(sys.ctx, depth_cap=512)
+        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY), depth_cap=512)
         seen = set()
         for x in self._points(sys, t, rng):
             fresh = E.gamma_membership(sys.alpha, x, depth_cap=512)
@@ -747,10 +765,20 @@ class TestGammaSearch:
             assert E.gamma_membership(sys.alpha, x).status \
                 is E.GammaStatus.OUT
 
+    def test_element_of_another_field_is_refused(self):
+        # 1/7 embedded at base 3/5 is no value of Q(2/5)'s elements
+        x = X.QAlphaContext(F(3, 5)).embed(F(1, 7))
+        with pytest.raises(ValueError, match="different Q"):
+            E.gamma_membership(F(2, 5), x)
+        assert E.gamma_membership(F(2, 5), F(1, 7)).status \
+            is E.GammaStatus.OUT
+        with pytest.raises(ValueError, match="over {0,1}"):
+            E.GammaSearch(BaseSystem(F(2, 5), TERNARY))
+
     def test_memo_is_certified_only(self):
         # a value cut short by the cap is memoised neither way, and every
         # value memoised OUT is OUT for a fresh, deeper search
-        search = E.GammaSearch(X.QAlphaContext(F(2, 5)), depth_cap=8)
+        search = E.GammaSearch(BaseSystem(F(2, 5), BINARY), depth_cap=8)
         for x in (F(1, 5), F(1, 7), F(1, 11), F(1, 5)):
             expect = E.GammaStatus.UNKNOWN if x == F(1, 5) else \
                 E.GammaStatus.OUT
@@ -761,7 +789,7 @@ class TestGammaSearch:
         for s in search.dead:
             v = to_fraction(X.QAlphaElement(ctx, s))
             assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
-        search = E.GammaSearch(X.QAlphaContext(F(2, 5)))
+        search = E.GammaSearch(BaseSystem(F(2, 5), BINARY))
         assert search.membership(F(0)).status is E.GammaStatus.IN
         assert search.live and search.membership(F(0)).witness.digits == ()
 
@@ -919,19 +947,30 @@ def reference_rational_digits(sys, y, strict):
 
 class TestRationalDigitLoop:
     def test_floor_division_matches_digit_by_digit(self):
+        # values in the set: 0, M u and seeded finite words over {0..M}.
+        # There the largest d with a child >= 0 (> 0) is the largest with a
+        # child in [0, M u], so the clamping reference agrees.  0 has no
+        # quasi-greedy expansion, and below 1/(M+1) a finite word is the one
+        # expansion of its value, so the quasi-greedy path ends
         rng = random.Random(64)
         for size in range(2, 65):
             sys = BaseSystem(F(rng.randrange(1, 50), 50),
                              Alphabet(0, size))
-            top = sys.M * sys.tail_unit
-            xs = [sys.ctx.zero, top, sys.ctx.one]
-            xs += [top * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
-            for x in xs:
+            ctx = sys.ctx
+            xs = [(ctx.zero, True), (sys.M * sys.tail_unit, False)]
+            xs += [(ctx.element([0] + [rng.randrange(size)
+                                       for _ in range(rng.randint(1, 12))]),
+                    True) for _ in range(3)]
+            for x, finite in xs:
                 for strict in (False, True):
-                    got = islice(E._digit_loop(sys, x, strict), 80)
+                    got = list(islice(E._digit_loop(sys, x.state, strict),
+                                      80))
                     want = islice(reference_rational_digits(sys, x, strict),
-                                  80)
-                    assert list(got) == list(want)
+                                  len(got))
+                    assert got == list(want)
+                    ends = strict and finite and \
+                        (x.is_zero() or not sys.whole)
+                    assert (len(got) < 80) == ends
 
 
 def closure_cases():
@@ -973,7 +1012,7 @@ class TestFollowerClosures:
         t = E.seq_value(sys, FiniteWord(word, TERNARY))
         points = TestGammaSearch._points(sys, t, rng, count=60)
         points += [sys.embed(0), sys.tail_unit, sys.tail_unit * 2]
-        search = E.GammaSearch(sys.ctx, depth_cap=64)
+        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY), depth_cap=64)
         ref = ReferenceGammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
         for x in points:
             got, want = search.membership(x), ref.membership(x)
@@ -1030,17 +1069,28 @@ class TestFollowerClosures:
             assert (ep is None) == (repeat is None)
             if ep is not None:
                 assert (len(ep.pre), len(ep.per)) == repeat
-        # greedy and quasi-greedy digits of seeded values
+        # greedy and quasi-greedy digits of seeded values in the set: 0,
+        # M u, finite words over {0..M}, and points of [0, M u] where that
+        # interval is the set.  Below 1/(M+1) a finite word is the one
+        # expansion of its value, so it has no quasi-greedy one
         rng = random.Random(len(base) + alphabet.size)
         top = sys.M * sys.tail_unit
-        xs = [ctx.zero, top, ctx.alpha_element]
-        xs += [top * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
+        points = [top * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
+        finite = [ctx.alpha_element]
+        finite += [ctx.element([0] + [rng.randrange(sys.M + 1)
+                                      for _ in range(rng.randint(1, 8))])
+                   for _ in range(3)]
+        xs = [ctx.zero, top] + finite + (points if sys.whole else [])
         for x in xs:
             y = x + sys.low_tail()
             for strict, fn in ((False, E.greedy_expansion),
                                (True, E.quasi_greedy_expansion)):
                 if strict and x.is_zero():
                     continue  # the all-low convention, no digit loop
+                if strict and not sys.whole and x in finite:
+                    with pytest.raises(OutOfRange):
+                        fn(sys, y, 64)
+                    continue
                 ref, _ = reference_digits(sys, x, 64, strict)
                 assert list(fn(sys, y, 64)) == \
                     [d + alphabet.low for d in ref]
