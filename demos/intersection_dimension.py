@@ -26,8 +26,8 @@ from cantorint import (
 )
 
 
-def report(name, alpha, t, box_depth=10):
-    sys_a = BaseSystem(alpha, TERNARY)
+def report(name, sys_a, t, box_depth=10):
+    alpha = sys_a.alpha
     auto = build_expansion_automaton(sys_a, t)
     print(f"--- {name} ---")
     print(f"automaton: {len(auto.states)} states, complete={auto.complete}")
@@ -41,7 +41,7 @@ def report(name, alpha, t, box_depth=10):
     print(f"spectral radius ~ {float((lo + hi) / 2):.6f}"
           f"   dimension ~ {dv.decimal:.6f}")
     bound = freq_upper_bound_over_expansions(auto)
-    rhs = dim_from_frequency(alpha, bound, unique_certified=False)
+    rhs = dim_from_frequency(sys_a, bound, unique_certified=False)
     print(f"max cycle zero-frequency = {bound}; frequency-route bound "
           f"~ {rhs.decimal:.6f}")
     print("the dimension strictly exceeds the bound: no single expansion")
@@ -57,7 +57,7 @@ alpha1 = AlgebraicReal([-1, 1, 2, 2], F(2, 5), F(1, 2))
 sys1 = BaseSystem(alpha1, TERNARY)
 a1 = sys1.ctx.alpha_element
 t1 = -a1 / (sys1.ctx.one + a1)  # value of the alternating word (-1 1)^inf
-report("cubic reciprocal-Pisot base, t = sum (-alpha)^i", alpha1, t1)
+report("cubic reciprocal-Pisot base, t = sum (-alpha)^i", sys1, t1)
 
 # base: sqrt(2) - 1; t coded by free concatenations of 0(-1)(-1) and (-1)10
 alpha2 = AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2))
@@ -65,7 +65,7 @@ sys2 = BaseSystem(alpha2, TERNARY)
 a2 = sys2.ctx.alpha_element
 a2_cubed = a2 * a2 * a2
 t2 = a2 / (a2_cubed - sys2.ctx.one) + a2 * a2 / (sys2.ctx.one - a2_cubed)
-report("sqrt(2)-1 base, self-similar intersection", alpha2, t2)
+report("sqrt(2)-1 base, self-similar intersection", sys2, t2)
 
 print("in the second case the intersection is itself self-similar: four")
 print("similitudes of ratio alpha^3, so the dimension is exactly")

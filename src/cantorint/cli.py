@@ -198,7 +198,7 @@ def _cmd_dim(args):
                        "formula does not apply (use `cantor intersect`)")
     freq = words.zero_density(seq)
     dv = dimension.dim_from_frequency(
-        alpha, freq, unique_certified=uniq.status
+        sys_, freq, unique_certified=uniq.status
         is expansions.UniqStatus.UNIQUE)
     return ({"alpha": args.alpha, "t_seq": args.t_seq},
             {"zero_density": str(freq.lower), "uniqueness": uniq.status.value,
@@ -278,10 +278,11 @@ def _cmd_dense_targets(args):
     targets = [Fraction(x) for x in args.targets.split(",")]
     tol = Fraction(args.tol)
     seqs = dimension.dense_selfsimilar_targets(alpha, targets, tol)
+    sys_ = BaseSystem(alpha, TERNARY)  # one -ln alpha for every row
     rows = []
     for tg, sq in zip(targets, seqs):
         dens = words.zero_density(sq).value
-        dv = dimension.dim_from_frequency(alpha, dens)
+        dv = dimension.dim_from_frequency(sys_, dens)
         rows.append({"target": str(tg), "sequence": format_seq(sq),
                      "zero_density": str(dens),
                      "dimension": _dim_payload(dv)})

@@ -24,7 +24,8 @@ The frequency and Perron dimensions are logarithm quotients.  Each
 enclosure divides two Fraction intervals from :func:`exactnum.log_enclosure`
 exactly and rounds each end outward to a float once, so no libm result
 reaches it; the box-counting slope and a seed of the Liouville search are
-the only float estimates.
+the only float estimates.  Frequency values take a ``BaseSystem`` and
+divide by its cached -ln alpha, ``neg_log``.
 
 The graph algorithms behind these routes (trimming to states on an
 infinite path, reachability, strongly connected components, Karp's
@@ -126,51 +127,36 @@ def _outward_quotient(a: Fraction, b: Fraction, up: bool) -> float:
 _LN2 = exactnum.log_enclosure(2)
 
 
-def _log_interval(lo: Fraction, hi: Fraction) -> tuple:
-    """ln over [lo, hi], lo > 0, from one log, as ln(1 + x) <= x."""
-    log_lo, log_hi = exactnum.log_enclosure(lo)
-    return log_lo, log_hi + (hi - lo) / lo
-
-
-def _dimension_value(form, alpha, num, **fields) -> DimensionValue:
-    """The value whose (lo, hi) holds num / (-ln alpha), for a Fraction
-    interval ``num`` >= 0: the two intervals divide exactly, and each end
-    is rounded outward to a float once."""
-    log_lo, log_hi = _log_interval(
-        *exactnum.enclosure(alpha, Fraction(1, 10**20)))
-    lo = _outward_quotient(num[0], -log_lo, False)
-    hi = _outward_quotient(num[1], -log_hi, True)
+def _dimension_value(form, alpha, neg_log, num, **fields) -> DimensionValue:
+    """The value whose (lo, hi) holds num / (-ln alpha), for Fraction
+    intervals ``num`` >= 0 and ``neg_log`` > 0: the two intervals divide
+    exactly, and each end is rounded outward to a float once."""
+    lo = _outward_quotient(num[0], neg_log[1], False)
+    hi = _outward_quotient(num[1], neg_log[0], True)
     return DimensionValue(form, alpha, lo, hi, **fields)
 
 
-def _check_dimension_domain(alpha):
-    if compare(alpha, Fraction(1, 3)) is not Comparison.GREATER or \
-            compare(alpha, Fraction(1, 2)) is not Comparison.LESS:
-        raise OutOfDomain("dimension formulas need alpha in (1/3, 1/2)")
-
-
-def dim_from_frequency(alpha, freq: Union[FreqReport, Fraction],
+def dim_from_frequency(sys: BaseSystem, freq: Union[FreqReport, Fraction],
                        unique_certified: bool = True) -> DimensionValue:
-    """dim = log 2 / (-log alpha) * (lower zero density).
+    """dim = log 2 / (-log alpha) * (lower zero density) on the base of
+    ``sys``, from its cached ``dimension_domain`` and ``neg_log``.
 
     Valid for translations with a unique expansion; ``unique_certified``
     is the caller's statement to that effect and is recorded in the note.
     """
-    _check_dimension_domain(alpha)
-    if isinstance(freq, FreqReport):
-        f = freq.lower
-    else:
-        f = Fraction(freq)
+    if not sys.dimension_domain:
+        raise OutOfDomain("dimension formulas need alpha in (1/3, 1/2)")
+    f = freq.lower if isinstance(freq, FreqReport) else Fraction(freq)
     if not 0 <= f <= 1:
         raise ValueError("zero frequency must lie in [0, 1]")
     note = "" if unique_certified else "frequency route without certified uniqueness"
-    return _dimension_value(DimForm.FREQUENCY, alpha,
+    return _dimension_value(DimForm.FREQUENCY, sys.alpha, sys.neg_log,
                             (f * _LN2[0], f * _LN2[1]), freq=f, note=note)
 
 
-def full_dimension(alpha) -> DimensionValue:
+def full_dimension(sys: BaseSystem) -> DimensionValue:
     """dim of the whole {0,1} Cantor set: log 2 / (-log alpha)."""
-    return dim_from_frequency(alpha, Fraction(1))
+    return dim_from_frequency(sys, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +507,7 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     """dim = log(lambda) / (-log alpha) for the trimmed count matrix.
 
     An empty intersection yields dimension 0 flagged ``empty`` rather than
-    an error.
+    an error.  It derives -ln alpha as ``BaseSystem.neg_log`` does, once.
     """
     if g.empty or g.count_matrix.is_zero():
         return DimensionValue(DimForm.PERRON, alpha, 0.0, 0.0, empty=True,
@@ -535,8 +521,9 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     if lam_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
     # lambda >= 1 on a trimmed graph, so its log is >= 0
-    num = _log_interval(max(lam_lo, 1), lam_hi)
-    return _dimension_value(DimForm.PERRON, alpha, num, perron=info)
+    num = exactnum._log_interval(max(lam_lo, 1), lam_hi)
+    return _dimension_value(DimForm.PERRON, alpha, exactnum._neg_log(alpha),
+                            num, perron=info)
 
 
 # ---------------------------------------------------------------------------
@@ -984,19 +971,6 @@ class DSetDescription:
     excluded_band: Optional[tuple] = None  # frequency band (lo, hi)
     note: str = ""
 
-    @property
-    def interval(self) -> Optional[tuple]:
-        """The certified interval for the interval-shaped kinds: all of
-        [0, full] when the spectrum is the full interval, otherwise the
-        frequency interval of the level-``sft_n`` four-block subshift.  That
-        level is certified by comparing the subshift's largest sequence with
-        delta (see :func:`thuemorse.find_smallest_sft_n`)."""
-        if self.kind is DSetKind.FULL_INTERVAL:
-            return (dim_from_frequency(self.alpha, Fraction(0)), self.full)
-        if self.kind is DSetKind.CONTAINS_INTERVAL:
-            return self.sft_interval
-        return None
-
 
 def tm_block_word(n: int) -> EPSeq:
     """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
@@ -1036,18 +1010,18 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     frequencies up to n* (:func:`n_star`); at alpha_KL it is the countable
     family; below it contains the interval spanned by the four-block
     subshift frequencies (:func:`thuemorse.find_smallest_sft_n`), and is
-    all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  Above that, one
-    ``BaseSystem`` and its one delta cache give n* or the subshift level,
-    and the excluded band ((k+1)/(k+2), 1) from
+    all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  One ``BaseSystem``,
+    alpha_KL's too, gives every value and n* or the subshift level, and
+    the excluded band ((k+1)/(k+2), 1) from
     :func:`expansions.forbidden_zero_run`.  ``depth_cap`` bounds every
     lexicographic comparison with delta.
     """
-    _check_dimension_domain(alpha)
-    full = full_dimension(alpha)
+    sys = BaseSystem(alpha, TERNARY)
+    full = full_dimension(sys)
 
     if thuemorse.is_alpha_kl(alpha):
-        values = [dim_from_frequency(alpha, Fraction(0)),
-                  dim_from_frequency(alpha, Fraction(1, 3)),
+        values = [dim_from_frequency(sys, Fraction(0)),
+                  dim_from_frequency(sys, Fraction(1, 3)),
                   full]
         return DSetDescription(
             DSetKind.COUNTABLE_FAMILY, alpha, full, proper_subset=True,
@@ -1061,21 +1035,17 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
         raise exactnum.UndecidedComparison(
             "position of alpha relative to alpha_KL undecided")
 
-    sys = BaseSystem(alpha, TERNARY)
     if pos is Comparison.GREATER:
         ns, cap_hit = n_star(sys, depth_cap)
-        values = [dim_from_frequency(alpha, Fraction(0))]
-        values += [dim_from_frequency(alpha, thuemorse.dw(n))
-                   for n in range(1, ns + 1)]
-        values.append(full)
+        freqs = [Fraction(0), *map(thuemorse.dw, range(1, ns + 1))]
+        values = [dim_from_frequency(sys, f) for f in freqs] + [full]
         ds = DSetDescription(
             DSetKind.FINITE_LIST, alpha, full, proper_subset=True,
             values=values, nstar=ns, nstar_cap_hit=cap_hit)
     else:  # alpha below alpha_KL: interval regime
         n = thuemorse._smallest_sft_n(expansions.delta_seq(sys), depth_cap)
-        d_lo, d_hi = thuemorse.sft_blocks(n).density_interval
-        interval = (dim_from_frequency(alpha, d_lo),
-                    dim_from_frequency(alpha, d_hi))
+        interval = tuple(dim_from_frequency(sys, d)
+                         for d in thuemorse.sft_blocks(n).density_interval)
         if compare(alpha, golden_threshold()) in (Comparison.LESS,
                                                   Comparison.EQUAL):
             return DSetDescription(

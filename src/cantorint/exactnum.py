@@ -480,6 +480,19 @@ def log_enclosure(x) -> tuple:
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
+def _log_interval(lo: Fraction, hi: Fraction) -> tuple:
+    """ln over [lo, hi], lo > 0, from one log, as ln(1 + x) <= x."""
+    log_lo, log_hi = log_enclosure(lo)
+    return log_lo, log_hi + (hi - lo) / lo
+
+
+def _neg_log(alpha) -> tuple:
+    """Fraction interval holding -ln alpha, for a real alpha > 0, from one
+    enclosure of alpha 10^-20 wide; ``BaseSystem.neg_log`` caches it."""
+    log_lo, log_hi = _log_interval(*enclosure(alpha, Fraction(1, 10**20)))
+    return -log_hi, -log_lo
+
+
 def compare(a: RealNumber, b: RealNumber,
             precision: Fraction = DEFAULT_PRECISION) -> Comparison:
     """Certified three-way comparison, or UNDECIDED below ``precision``.

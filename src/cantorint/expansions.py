@@ -69,7 +69,8 @@ class BaseSystem:
     For rational or algebraic alpha the system carries a Q(alpha) context in
     which remainders, follower values and automaton states live exactly.
     The alpha_KL constant is admitted as a base only for the operations that
-    can run off its known quasi-greedy expansion of 1.
+    can run off its known quasi-greedy expansion of 1, and for
+    ``neg_log`` and ``dimension_domain``; facts of the base are cached.
     """
 
     def __init__(self, alpha, alphabet: Alphabet = TERNARY):
@@ -121,6 +122,18 @@ class BaseSystem:
         child stays in [0, M u].  Below, the children lie 1 > M u apart."""
         return compare(self.alpha, Fraction(1, self.M + 1)) \
             is not Comparison.LESS
+
+    @cached_property
+    def dimension_domain(self) -> bool:
+        """Whether 1/3 < alpha < 1/2, where the dimension formulas hold."""
+        return compare(self.alpha, Fraction(1, 3)) is Comparison.GREATER \
+            and compare(self.alpha, Fraction(1, 2)) is Comparison.LESS
+
+    @cached_property
+    def neg_log(self) -> tuple:
+        """-ln alpha as a Fraction interval (lo, hi), from one log: every
+        dimension value on this base divides by it."""
+        return exactnum._neg_log(self.alpha)
 
     @cached_property
     def children(self) -> Callable[[tuple], list]:

@@ -19,6 +19,8 @@ from .words import (
     EPSeq,
     FiniteWord,
     LazySeq,
+    Lex,
+    lex_compare,
     reflect,
 )
 
@@ -255,8 +257,9 @@ def find_smallest_sft_n(alpha) -> int:
     univoque set, or ``NotFoundUnderCap``.
 
     The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
-    certified when :func:`expansions.parry_certified` passes its digit graph
-    within the uniqueness test's default compare cap, else skipped.
+    certified when its largest sequence, :func:`sft_max_word`, is LESS
+    than delta within the uniqueness test's default compare cap, else
+    skipped (Parry's criterion, as in :func:`expansions.parry_certified`).
     ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar, eta-bar,
     so the mirror adds nothing.  The criterion is sharp: if m = max X >=
     delta starts in block b, a predecessor of b holds a digit other than +1,
@@ -276,9 +279,8 @@ def find_smallest_sft_n(alpha) -> int:
 def _smallest_sft_n(delta, depth_cap: int) -> int:
     """The level search of :func:`find_smallest_sft_n` against a given
     delta, so that a caller with its own delta cache shares it."""
-    from .expansions import parry_certified  # deferred, as above
     for n in range(1, _SFT_N_CAP + 1):
-        if parry_certified(_sft_graph(n), delta, depth_cap):
+        if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
             return n
     raise NotFoundUnderCap(
         f"no subshift level n <= {_SFT_N_CAP} certified at depth cap {depth_cap}")

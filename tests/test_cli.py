@@ -254,6 +254,13 @@ GOLDEN = [
      "9d48ce47a37071666a0cff894b081fa6a19b058024992a9893bd9b038cd91204"),
     (("liouville", "--pq", "7/20", "--k", "3", "--free-rule", "1"),
      "1aa4f53b34ead9a6c626e817beb2109a328000a16fddecc58703893e85feb648"),
+    (("dim", "--alpha", "rat:19/50", "--t-seq", "(+-000)"),
+     "905288c4c6b6b0256917bb1ea5064e178a7d1ddd2cfaa01919630d3215731dd2"),
+    (("dim", "--alpha", CUBIC, "--t-seq", "(0)"),
+     "a03d55da23a8302e3525eb9197e9f90b640936df18bfe774f474425dacf93c9c"),
+    (("dense-targets", "--alpha", "rat:19/50", "--targets", "0,1/3,1",
+      "--tol", "1/100"),
+     "17561028df8a4cfe0e2aec0fcaed8df778f10e25e741750b918500d8d2c05f78"),
 ]
 
 
@@ -286,6 +293,20 @@ class TestErrors:
                              "--alpha", "alg:-1,1,2,2@[2/5,1/2]",
                              "--t-seq", "(-+)")
         assert code == 1
+
+    @pytest.mark.parametrize("alpha, status", [
+        # d_set builds its BaseSystem first, which refuses these bases
+        # before any dimension formula is tried
+        ("rat:3/2", "error: base must lie strictly between 0 and 1"),
+        ("rat:0", "error: base must lie strictly between 0 and 1"),
+        ("alg:1,0,-10,0,1@[3/10,1/3]",
+         "error: alpha's polynomial is not proven irreducible over Q"),
+        ("rat:1/4", "error: dimension formulas need alpha in (1/3, 1/2)"),
+    ])
+    def test_dset_domain_errors(self, capsys, alpha, status):
+        code, payload = run_json(capsys, "dset", "--alpha", alpha)
+        assert code == 1 and payload["result"] is None
+        assert payload["status"].startswith(status)
 
     def test_bad_number_format(self, capsys):
         code, out, err = run(capsys, "alpha-kl", "--width", "zero")

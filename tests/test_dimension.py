@@ -59,29 +59,30 @@ def ex51_setup():
 
 class TestFrequencyFormula:
     def test_one_third_at_37_100(self):
-        dv = dim_from_frequency(F(37, 100), F(1, 3))
+        dv = dim_from_frequency(BaseSystem(F(37, 100), TERNARY), F(1, 3))
         want = math.log(2) / (-math.log(0.37)) / 3
         assert abs(dv.decimal - want) <= 1e-12
         assert 0.23 < dv.decimal < 0.234
 
     def test_zero_frequency(self):
-        dv = dim_from_frequency(F(2, 5), F(0))
+        dv = dim_from_frequency(BaseSystem(F(2, 5), TERNARY), F(0))
         assert dv.decimal == 0.0
 
     def test_full_dimension(self):
-        dv = dim_from_frequency(F(2, 5), F(1))
+        sys = BaseSystem(F(2, 5), TERNARY)
+        dv = dim_from_frequency(sys, F(1))
         want = math.log(2) / (-math.log(0.4))
         assert abs(dv.decimal - want) <= 1e-12
-        assert full_dimension(F(2, 5)).decimal == dv.decimal
+        assert full_dimension(sys).decimal == dv.decimal
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):
-            dim_from_frequency(F(1, 4), F(1, 2))
+            dim_from_frequency(BaseSystem(F(1, 4), TERNARY), F(1, 2))
         with pytest.raises(OutOfDomain):
-            dim_from_frequency(F(1, 2), F(1, 2))
+            dim_from_frequency(BaseSystem(F(1, 2), TERNARY), F(1, 2))
 
     def test_decimal_inside_enclosure(self):
-        dv = dim_from_frequency(F(19, 50), F(1, 3))
+        dv = dim_from_frequency(BaseSystem(F(19, 50), TERNARY), F(1, 3))
         assert dv.lo <= dv.decimal <= dv.hi
 
     def test_encloses_decimal_reference(self):
@@ -99,8 +100,39 @@ class TestFrequencyFormula:
             ref = ctx.divide(
                 ctx.multiply(ctx.divide(f.numerator, f.denominator), ln2),
                 -ctx.ln(ctx.divide(alpha.numerator, alpha.denominator)))
-            dv = dim_from_frequency(alpha, f)
+            dv = dim_from_frequency(BaseSystem(alpha, TERNARY), f)
             assert decimal.Decimal(dv.lo) <= ref <= decimal.Decimal(dv.hi)
+
+
+def reference_log_interval(lo, hi):
+    """ln over [lo, hi] as the dimension values took it before -ln alpha
+    was cached on the BaseSystem: one log, as ln(1 + x) <= x."""
+    log_lo, log_hi = X.log_enclosure(lo)
+    return log_lo, log_hi + (hi - lo) / lo
+
+
+class TestBaseDimensionFacts:
+    @pytest.mark.parametrize("base", [
+        "rat:2/5", "rat:21/50", "rat:19/50", "rat:1/10", "rat:9/10",
+        "alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]", "akl"])
+    def test_neg_log_matches_reference(self, base):
+        alpha = X.parse_real(base)
+        sys = BaseSystem(alpha, TERNARY)
+        a, b = reference_log_interval(*X.enclosure(alpha, F(1, 10**20)))
+        assert sys.neg_log == (-b, -a)
+        assert sys.neg_log is sys.neg_log  # derived once
+
+    @pytest.mark.parametrize("base, inside", [
+        ("rat:1/3", False), ("rat:1/2", False), ("rat:1/4", False),
+        ("rat:3/4", False), ("rat:1001/3000", True), ("rat:499/1000", True),
+        ("alg:-1,1,2,2@[2/5,1/2]", True), ("alg:1,-5,5@[1/2,1]", False),
+        ("akl", True)])
+    def test_dimension_domain(self, base, inside):
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        assert sys.dimension_domain is inside
+        if not inside:
+            with pytest.raises(OutOfDomain):
+                dim_from_frequency(sys, F(1, 2))
 
 
 class TestPerronFormula:
@@ -437,7 +469,7 @@ class TestIntersectionGraph:
         g = build_intersection_graph(auto)
         assert g.count_matrix.entries == ((2,),)
         dv = perron_dimension(g, F(2, 5))
-        assert abs(dv.decimal - full_dimension(F(2, 5)).decimal) < 1e-12
+        assert abs(dv.decimal - full_dimension(sys).decimal) < 1e-12
 
     def test_incomplete_rejected(self):
         sys = BaseSystem(F(21, 50), TERNARY)
@@ -475,7 +507,7 @@ class TestFrequencyBound:
         g = build_intersection_graph(auto)
         dv = perron_dimension(g, sys.alpha)
         bound = freq_upper_bound_over_expansions(auto)
-        rhs = dim_from_frequency(sys.alpha, bound, unique_certified=False)
+        rhs = dim_from_frequency(sys, bound, unique_certified=False)
         assert rhs.hi < dv.lo
 
 
@@ -684,7 +716,8 @@ class TestBoxCount:
     def test_identity_translation(self):
         rep = box_count_oracle(F(2, 5), F(0), 8)
         assert all(l == 2**n and u == 2**n for (n, l, u) in rep.rows)
-        assert abs(rep.slope - full_dimension(F(2, 5)).decimal) < 1e-6
+        full = full_dimension(BaseSystem(F(2, 5), TERNARY)).decimal
+        assert abs(rep.slope - full) < 1e-6
 
     def test_outside(self):
         rep = box_count_oracle(F(2, 5), F(5, 3), 6)
@@ -1082,7 +1115,7 @@ class TestDSet:
         assert not ds.proper_subset
         assert ds.sft_n == 1
         lo, hi = ds.sft_interval
-        full = full_dimension(F(19, 50)).decimal
+        full = full_dimension(BaseSystem(F(19, 50), TERNARY)).decimal
         assert abs(lo.decimal - full / 3) < 1e-9
         assert abs(hi.decimal - full / 2) < 1e-9
 
@@ -1091,13 +1124,6 @@ class TestDSet:
         ds = d_set(F(96, 250))  # 0.384
         assert ds.kind is DSetKind.CONTAINS_INTERVAL
         assert ds.proper_subset and ds.sft_n == 1
-        assert ds.interval == ds.sft_interval
-
-    def test_interval_property_full_kind(self):
-        ds = d_set(F(19, 50))
-        lo, hi = ds.interval
-        assert lo.decimal == 0.0 and hi.decimal == ds.full.decimal
-        assert d_set(F(21, 50)).interval is None
 
     def test_alpha_kl_regime(self):
         ds = d_set(T.alpha_kl_real())
@@ -1137,8 +1163,27 @@ class TestDSet:
                         pytest.approx(full / 4), pytest.approx(full)]
 
     def test_domain(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(OutOfDomain, match=r"alpha in \(1/3, 1/2\)"):
             d_set(F(1, 4))
+        # the one BaseSystem refuses a base outside (0, 1) first
+        for alpha in (F(0), F(3, 2)):
+            with pytest.raises(OutOfDomain, match="strictly between 0 and 1"):
+                d_set(alpha)
+
+    @pytest.mark.parametrize("base", ["rat:21/50", "rat:19/50", "rat:39/100",
+                                      "alg:-1,1,2,2@[2/5,1/2]", "akl"])
+    def test_one_log_per_call(self, monkeypatch, base):
+        # every value of one call divides by the one cached -ln alpha
+        calls = []
+        real = X.log_enclosure
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(X, "log_enclosure", counted)
+        d_set(X.parse_real(base))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("alpha", [F(39, 100), F(394329, 1000000)])
     def test_one_delta_cache(self, monkeypatch, alpha):
@@ -1247,6 +1292,5 @@ class TestInsideFloatRecipe:
         bases = REFERENCE["spectrum"]["bases"]
         assert len(bases) == 24
         for base in bases:
-            ds = d_set(X.parse_real(base))
-            ds.interval  # the full-interval kind builds its lower end here
+            d_set(X.parse_real(base))
         assert_inside_float_recipe(built_values)

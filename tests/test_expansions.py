@@ -542,7 +542,7 @@ class TestParryCertificate:
         # SFT_MATRIX is closed under reflection, so the mirror adds nothing
         for alpha in (F(7, 20), F(39, 100), F(3943, 10000)):
             delta = E.delta_seq(BaseSystem(alpha, TERNARY))
-            for n in range(1, 5):
+            for n in range(1, 9):
                 assert E.parry_certified(T._sft_graph(n), delta, 4096) == (
                     W.lex_compare(T.sft_max_word(n), delta, 4096)
                     is W.Lex.LESS)
