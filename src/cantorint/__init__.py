@@ -83,6 +83,7 @@ from .dimension import (  # noqa: F401
     build_intersection_graph,
     d_set,
     dense_selfsimilar_targets,
+    dense_words,
     dim_from_frequency,
     freq_upper_bound_over_expansions,
     full_dimension,

@@ -44,13 +44,13 @@ from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from . import exactnum, expansions, graph, thuemorse, words
-from .exactnum import AlgebraicReal, Comparison, QAlphaElement, compare
+from .exactnum import AlgebraicReal, QAlphaElement
 from .expansions import (
     BaseSystem,
+    DSetKind,
     ExpansionAutomaton,
     OutOfDomain,
     UniqStatus,
-    golden_threshold,
     is_unique_expansion,
 )
 from .words import BINARY, TERNARY, Alphabet, EPSeq, FreqReport, LazySeq
@@ -750,20 +750,23 @@ def _family_counts(a: Fraction, tol: Fraction,
 
 
 def dense_selfsimilar_targets(alpha, targets: Sequence, tol) -> list:
+    """:func:`dense_words` on alpha's own ``BaseSystem``."""
+    return dense_words(BaseSystem(alpha, TERNARY), targets, tol)
+
+
+def dense_words(sys: BaseSystem, targets: Sequence, tol) -> list:
     """Periodic words ((1 -1)^a 0^b)^inf realising each target zero density
     within ``tol``, each passing both the uniqueness test and the
-    self-similarity criterion.  Only valid up to the threshold base.  The
-    word for a target near 1 has about 2/tol zeros; a ``DimensionError``
-    stops before building one longer than ``FAMILY_WORD_MAX`` digits."""
+    self-similarity criterion.  Only valid in the full-interval regime,
+    alpha in (1/3, (3-sqrt(5))/2].  The word for a target near 1 has about
+    2/tol zeros; a ``DimensionError`` stops before building one longer than
+    ``FAMILY_WORD_MAX`` digits."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if compare(alpha, golden_threshold()) is Comparison.GREATER:
+    if sys.regime is not DSetKind.FULL_INTERVAL:
         raise OutOfDomain("dense self-similar family needs "
-                          "alpha <= (3-sqrt(5))/2")
-    if compare(alpha, Fraction(1, 3)) is not Comparison.GREATER:
-        raise OutOfDomain("alpha must exceed 1/3")
-    sys = BaseSystem(alpha, TERNARY)
+                          "alpha in (1/3, (3-sqrt(5))/2]")
     out = []
     n2_cap = int(4 / tol) + 4
     for target in targets:
@@ -884,8 +887,7 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
     pq = Fraction(pq)
     if K < 1:
         raise ValueError("K must be at least 1")
-    if compare(pq, Fraction(1, 3)) is not Comparison.GREATER or \
-            compare(pq, Fraction(1, 2)) is not Comparison.LESS:
+    if not Fraction(1, 3) < pq < Fraction(1, 2):
         # below the threshold base (3-sqrt(5))/2 uniqueness of (t_i) is
         # automatic; above it the separating zeros are single so the
         # uniqueness test still passes, and every inequality is re-verified
@@ -950,13 +952,6 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
 # the dimension spectrum D_alpha
 # ---------------------------------------------------------------------------
 
-class DSetKind(Enum):
-    FINITE_LIST = "finite-list"
-    COUNTABLE_FAMILY = "countable-family"
-    CONTAINS_INTERVAL = "contains-interval"
-    FULL_INTERVAL = "full-interval"
-
-
 @dataclass
 class DSetDescription:
     kind: DSetKind
@@ -1004,58 +999,41 @@ def n_star(sys: BaseSystem, depth_cap: int = 4096) -> tuple:
 
 
 def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
-    """Describe D_alpha per the trichotomy around alpha_KL.
+    """Describe D_alpha in the regime its ``BaseSystem.regime`` names.
 
     Above alpha_KL the set is the finite list {0, full} plus the block-word
     frequencies up to n* (:func:`n_star`); at alpha_KL it is the countable
     family; below it contains the interval spanned by the four-block
     subshift frequencies (:func:`thuemorse.find_smallest_sft_n`), and is
     all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  One ``BaseSystem``,
-    alpha_KL's too, gives every value and n* or the subshift level, and
-    the excluded band ((k+1)/(k+2), 1) from
+    alpha_KL's too, gives the regime, every value and n* or the subshift
+    level, and the excluded band ((k+1)/(k+2), 1) from
     :func:`expansions.forbidden_zero_run`.  ``depth_cap`` bounds every
     lexicographic comparison with delta.
     """
     sys = BaseSystem(alpha, TERNARY)
-    full = full_dimension(sys)
-
-    if thuemorse.is_alpha_kl(alpha):
-        values = [dim_from_frequency(sys, Fraction(0)),
-                  dim_from_frequency(sys, Fraction(1, 3)),
-                  full]
-        return DSetDescription(
-            DSetKind.COUNTABLE_FAMILY, alpha, full, proper_subset=True,
-            values=values,
-            note=("countable family: {0, full, full/3} together with "
-                  "full * d(w_n) for every n >= 1"))
-
-    pos = compare(alpha, thuemorse.alpha_kl_real(),
-                  precision=Fraction(1, 2**96))
-    if pos is Comparison.UNDECIDED:
-        raise exactnum.UndecidedComparison(
-            "position of alpha relative to alpha_KL undecided")
-
-    if pos is Comparison.GREATER:
-        ns, cap_hit = n_star(sys, depth_cap)
-        freqs = [Fraction(0), *map(thuemorse.dw, range(1, ns + 1))]
-        values = [dim_from_frequency(sys, f) for f in freqs] + [full]
-        ds = DSetDescription(
-            DSetKind.FINITE_LIST, alpha, full, proper_subset=True,
-            values=values, nstar=ns, nstar_cap_hit=cap_hit)
+    full = full_dimension(sys)  # refuses alpha outside (1/3, 1/2)
+    kind = sys.regime
+    ds = DSetDescription(kind, alpha, full,
+                         proper_subset=kind is not DSetKind.FULL_INTERVAL)
+    if kind is DSetKind.COUNTABLE_FAMILY:
+        ds.values = [dim_from_frequency(sys, Fraction(0)),
+                     dim_from_frequency(sys, Fraction(1, 3)), full]
+        ds.note = ("countable family: {0, full, full/3} together with "
+                   "full * d(w_n) for every n >= 1")
+        return ds
+    if kind is DSetKind.FINITE_LIST:
+        ds.nstar, ds.nstar_cap_hit = n_star(sys, depth_cap)
+        freqs = [Fraction(0), *map(thuemorse.dw, range(1, ds.nstar + 1))]
+        ds.values = [dim_from_frequency(sys, f) for f in freqs] + [full]
     else:  # alpha below alpha_KL: interval regime
         n = thuemorse._smallest_sft_n(expansions.delta_seq(sys), depth_cap)
-        interval = tuple(dim_from_frequency(sys, d)
-                         for d in thuemorse.sft_blocks(n).density_interval)
-        if compare(alpha, golden_threshold()) in (Comparison.LESS,
-                                                  Comparison.EQUAL):
-            return DSetDescription(
-                DSetKind.FULL_INTERVAL, alpha, full, proper_subset=False,
-                sft_n=n, sft_interval=interval,
-                note="D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]")
-        ds = DSetDescription(
-            DSetKind.CONTAINS_INTERVAL, alpha, full, proper_subset=True,
-            sft_n=n, sft_interval=interval)
+        bounds = thuemorse.sft_blocks(n).density_interval
+        ds.sft_n = n
+        ds.sft_interval = tuple(dim_from_frequency(sys, d) for d in bounds)
+        if kind is DSetKind.FULL_INTERVAL:
+            ds.note = "D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]"
+            return ds
     k = expansions.forbidden_zero_run(sys)
     ds.excluded_band = (Fraction(k + 1, k + 2), Fraction(1))
     return ds
-

@@ -11,14 +11,14 @@ Three number kinds are supported:
   partial sum plus a geometric tail bound, both kept on ints.
 
 Comparisons between any two of these either return a certified sign or an
-explicit ``Comparison.UNDECIDED`` at the requested precision; a rational
-against an algebraic number takes one polynomial sign and never narrows
-the ``AlgebraicReal``.  ``parse_real`` reads them as text.  The module
-also provides arithmetic in the number field Q(alpha) for alpha rational or
-algebraic, which backs every exact test in the expansion algorithms.
-Q(alpha) is one object, ``QAlphaContext``, and has one representation:
-a state, an integer vector over 1, alpha, ..., alpha^(n-1) with a
-denominator.  A ``QAlphaElement`` is a handle on one state, and the
+explicit ``Comparison.UNDECIDED`` below ``DEFAULT_PRECISION`` = 2^-128, the
+one cutoff; a rational against an algebraic number takes one polynomial
+sign and never narrows the ``AlgebraicReal``.  ``parse_real`` reads them as
+text.  The module also provides arithmetic in the number field Q(alpha) for
+alpha rational or algebraic, which backs every exact test in the expansion
+algorithms.  Q(alpha) is one object, ``QAlphaContext``, and has one
+representation: a state, an integer vector over 1, alpha, ..., alpha^(n-1)
+with a denominator.  A ``QAlphaElement`` is a handle on one state, and the
 follower-value closures s -> s/alpha - d step on the states themselves.
 
 Each exact fact has one routine: ``enclosure`` encloses every number kind
@@ -493,9 +493,8 @@ def _neg_log(alpha) -> tuple:
     return -log_hi, -log_lo
 
 
-def compare(a: RealNumber, b: RealNumber,
-            precision: Fraction = DEFAULT_PRECISION) -> Comparison:
-    """Certified three-way comparison, or UNDECIDED below ``precision``.
+def compare(a: RealNumber, b: RealNumber) -> Comparison:
+    """Certified three-way comparison, UNDECIDED below ``DEFAULT_PRECISION``.
 
     LESS/EQUAL/GREATER are always correct.  EQUAL is only produced when it
     can be proved: identical rationals, or two algebraic reals sharing a
@@ -503,9 +502,6 @@ def compare(a: RealNumber, b: RealNumber,
     containing a single root.  Rational-vs-rational and rational-vs-algebraic
     are always decided.
     """
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
     if a is b:
         return Comparison.EQUAL
     if isinstance(a, int):
@@ -529,7 +525,7 @@ def compare(a: RealNumber, b: RealNumber,
                     return Comparison.EQUAL
         # fall through to interval separation
 
-    return _compare_by_enclosure(a, b, precision)
+    return _compare_by_enclosure(a, b)
 
 
 def _rat_minus_alg_sign(q: Fraction, x: AlgebraicReal) -> int:
@@ -550,7 +546,7 @@ def _rat_minus_alg_sign(q: Fraction, x: AlgebraicReal) -> int:
     return -1 if (v > 0) == (_value_at(x.coeffs, lo) > 0) else 1
 
 
-def _compare_by_enclosure(a, b, precision) -> Comparison:
+def _compare_by_enclosure(a, b) -> Comparison:
     """Separate a and b by enclosures 1/16, 1/256, ... wide.  An
     ``AlgebraicReal`` is narrowed in a copy, so neither argument changes."""
     a, b = (copy(x) if isinstance(x, AlgebraicReal) else x for x in (a, b))
@@ -562,7 +558,7 @@ def _compare_by_enclosure(a, b, precision) -> Comparison:
             return Comparison.LESS
         if bhi < alo:
             return Comparison.GREATER
-        if width <= precision / 4:
+        if width <= DEFAULT_PRECISION / 4:
             return Comparison.UNDECIDED
         width = width / 16
 

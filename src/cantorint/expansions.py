@@ -63,6 +63,23 @@ def golden_threshold() -> AlgebraicReal:
     return AlgebraicReal([1, -3, 1], Fraction(1, 3), Fraction(1, 2))
 
 
+class DSetKind(Enum):
+    """The regime of D_alpha that ``BaseSystem.regime`` names."""
+    FINITE_LIST = "finite-list"
+    COUNTABLE_FAMILY = "countable-family"
+    CONTAINS_INTERVAL = "contains-interval"
+    FULL_INTERVAL = "full-interval"
+
+
+def _side(alpha, bound, name: str) -> Comparison:
+    """compare(alpha, bound), or ``UndecidedComparison`` if too close."""
+    pos = compare(alpha, bound)
+    if pos is Comparison.UNDECIDED:
+        raise exactnum.UndecidedComparison(
+            f"position of alpha relative to {name} undecided")
+    return pos
+
+
 class BaseSystem:
     """A base alpha in (0,1) together with a digit alphabet.
 
@@ -70,7 +87,8 @@ class BaseSystem:
     which remainders, follower values and automaton states live exactly.
     The alpha_KL constant is admitted as a base only for the operations that
     can run off its known quasi-greedy expansion of 1, and for
-    ``neg_log`` and ``dimension_domain``; facts of the base are cached.
+    ``neg_log``, ``dimension_domain``, ``past_threshold`` and ``regime``,
+    all cached.
     """
 
     def __init__(self, alpha, alphabet: Alphabet = TERNARY):
@@ -128,6 +146,28 @@ class BaseSystem:
         """Whether 1/3 < alpha < 1/2, where the dimension formulas hold."""
         return compare(self.alpha, Fraction(1, 3)) is Comparison.GREATER \
             and compare(self.alpha, Fraction(1, 2)) is Comparison.LESS
+
+    @cached_property
+    def past_threshold(self) -> bool:
+        """Whether alpha > (3-sqrt(5))/2, past which delta(alpha) is no
+        longer 1 0^infinity and a zero run is forbidden."""
+        return _side(self.alpha, golden_threshold(),
+                     "(3-sqrt(5))/2") is Comparison.GREATER
+
+    @cached_property
+    def regime(self) -> Optional[DSetKind]:
+        """The regime of D_alpha, or None outside (1/3, 1/2): all of [0,
+        full] up to (3-sqrt(5))/2, an interval inside below alpha_KL,
+        countable at alpha_KL and finite above it."""
+        if not self.dimension_domain:
+            return None
+        if thuemorse.is_alpha_kl(self.alpha):
+            return DSetKind.COUNTABLE_FAMILY
+        if not self.past_threshold:
+            return DSetKind.FULL_INTERVAL
+        return DSetKind.FINITE_LIST if _side(
+            self.alpha, thuemorse.alpha_kl_real(), "alpha_KL") \
+            is Comparison.GREATER else DSetKind.CONTAINS_INTERVAL
 
     @cached_property
     def neg_log(self) -> tuple:
@@ -486,18 +526,17 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
 def forbidden_zero_run(sys: BaseSystem) -> int:
     """The k >= 0 with delta(alpha) = 1 0^k (-1) ... over {-1,0,1}.
 
-    Only defined for alpha strictly between (3-sqrt(5))/2 and 1/2; at or
-    below the threshold delta is 1 0^infinity and no finite k exists.  As a
-    consequence no member of the univoque set contains 1 0^(k+1) (or its
-    reflection) infinitely often.  ``IterationLimit`` when no -1 shows
+    Only defined for alpha in ((3-sqrt(5))/2, 1/2), as the system's
+    ``dimension_domain`` and ``past_threshold`` say; at or below the
+    threshold delta is 1 0^infinity and no finite k exists.  Hence no
+    member of the univoque set has 1 0^(k+1) (or its reflection) infinitely
+    often.  ``IterationLimit`` when no -1 shows
     among the first ``_ZERO_RUN_SCAN_CAP`` digits.
     """
     if sys.alphabet != TERNARY:
         raise OutOfDomain("forbidden zero run is stated over {-1,0,1}")
-    if compare(sys.alpha, golden_threshold()) is not Comparison.GREATER:
-        raise OutOfDomain("alpha must exceed (3-sqrt(5))/2")
-    if compare(sys.alpha, Fraction(1, 2)) is not Comparison.LESS:
-        raise OutOfDomain("alpha must be below 1/2")
+    if not (sys.dimension_domain and sys.past_threshold):
+        raise OutOfDomain("alpha must lie in ((3-sqrt(5))/2, 1/2)")
     dcache = sys.delta_cache()
     if dcache.digit(1) != 2:
         raise OutOfDomain("expected delta to start with the top digit")

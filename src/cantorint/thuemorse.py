@@ -256,8 +256,8 @@ def find_smallest_sft_n(alpha) -> int:
     """Smallest n <= ``_SFT_N_CAP`` whose four-block subshift lies in the
     univoque set, or ``NotFoundUnderCap``.
 
-    The base must verifiably satisfy 1/3 < alpha < alpha_KL.  Level n is
-    certified when its largest sequence, :func:`sft_max_word`, is LESS
+    The base must lie in (1/3, alpha_KL), read off its ``regime``.  Level n
+    is certified when its largest sequence, :func:`sft_max_word`, is LESS
     than delta within the uniqueness test's default compare cap, else
     skipped (Parry's criterion, as in :func:`expansions.parry_certified`).
     ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar, eta-bar,
@@ -267,13 +267,12 @@ def find_smallest_sft_n(alpha) -> int:
     """
     from . import expansions  # deferred: expansions depends on this module
 
-    if exactnum.compare(alpha, Fraction(1, 3)) is not exactnum.Comparison.GREATER:
-        raise expansions.OutOfDomain("alpha must exceed 1/3")
-    if exactnum.compare(alpha, alpha_kl_real(),
-                        precision=Fraction(1, 2**64)) is not exactnum.Comparison.LESS:
-        raise expansions.OutOfDomain("alpha must lie below alpha_KL")
-    delta = expansions.delta_seq(expansions.BaseSystem(alpha, TERNARY))
-    return _smallest_sft_n(delta, expansions._DEFAULT_COMPARE_CAP)
+    sys = expansions.BaseSystem(alpha, TERNARY)
+    if sys.regime not in (expansions.DSetKind.FULL_INTERVAL,
+                          expansions.DSetKind.CONTAINS_INTERVAL):
+        raise expansions.OutOfDomain("alpha must lie in (1/3, alpha_KL)")
+    return _smallest_sft_n(expansions.delta_seq(sys),
+                           expansions._DEFAULT_COMPARE_CAP)
 
 
 def _smallest_sft_n(delta, depth_cap: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorint import thuemorse
+from cantorint import expansions, thuemorse
 from cantorint.cli import main
 
 
@@ -184,6 +184,21 @@ class TestSubcommands:
         assert code == 0
         assert len(payload["result"]["rows"]) == 3
 
+    def test_dense_targets_builds_one_system(self, capsys, monkeypatch):
+        # the words and every row's dimension share one BaseSystem
+        built = []
+        real = expansions.BaseSystem.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(expansions.BaseSystem, "__init__", counted)
+        code, payload = run_json(capsys, "dense-targets",
+                                 "--alpha", "rat:19/50", "--targets", "0,1")
+        assert code == 0 and len(payload["result"]["rows"]) == 2
+        assert len(built) == 1
+
     def test_liouville(self, capsys):
         code, payload = run_json(capsys, "liouville", "--pq", "2/5",
                                  "--k", "2")
@@ -302,11 +317,37 @@ class TestErrors:
         ("alg:1,0,-10,0,1@[3/10,1/3]",
          "error: alpha's polynomial is not proven irreducible over Q"),
         ("rat:1/4", "error: dimension formulas need alpha in (1/3, 1/2)"),
+        ("rat:1/2", "error: dimension formulas need alpha in (1/3, 1/2)"),
     ])
     def test_dset_domain_errors(self, capsys, alpha, status):
         code, payload = run_json(capsys, "dset", "--alpha", alpha)
         assert code == 1 and payload["result"] is None
         assert payload["status"].startswith(status)
+
+    def test_dset_refuses_base_at_threshold_undecided(self, capsys):
+        # the root of 2^140 (x^2 - 3x + 1) + 1 lies about 2^-141 above
+        # (3-sqrt(5))/2, inside the comparison cutoff: D_alpha is not
+        # [0, full] there, so no full interval may be printed
+        n = 2**140
+        code, payload = run_json(capsys, "dset", "--alpha",
+                                 f"alg:{n + 1},{-3 * n},{n}@[1/3,1/2]")
+        assert code == 1 and payload["result"] is None
+        assert payload["status"] == ("error: position of alpha relative to "
+                                     "(3-sqrt(5))/2 undecided")
+
+    @pytest.mark.parametrize("alpha, status", [
+        # one text for every base outside the full-interval regime
+        ("rat:2/5", "error: dense self-similar family needs "
+                    "alpha in (1/3, (3-sqrt(5))/2]"),
+        ("rat:1/3", "error: dense self-similar family needs "
+                    "alpha in (1/3, (3-sqrt(5))/2]"),
+        ("rat:3/2", "error: base must lie strictly between 0 and 1"),
+    ])
+    def test_dense_targets_domain_errors(self, capsys, alpha, status):
+        code, payload = run_json(capsys, "dense-targets", "--alpha", alpha,
+                                 "--targets", "0,1")
+        assert code == 1 and payload["result"] is None
+        assert payload["status"] == status
 
     def test_bad_number_format(self, capsys):
         code, out, err = run(capsys, "alpha-kl", "--width", "zero")

@@ -135,6 +135,95 @@ class TestBaseDimensionFacts:
                 dim_from_frequency(sys, F(1, 2))
 
 
+def reference_regime(alpha):
+    """The regime as the comparison chains decided it before
+    ``BaseSystem.regime``: the domain test of the dimension formulas, then
+    d_set's chain, alpha_KL before the threshold."""
+    if X.compare(alpha, F(1, 3)) is not X.Comparison.GREATER or \
+            X.compare(alpha, F(1, 2)) is not X.Comparison.LESS:
+        return None
+    if T.is_alpha_kl(alpha):
+        return DSetKind.COUNTABLE_FAMILY
+    pos = X.compare(alpha, T.alpha_kl_real())
+    assert pos is not X.Comparison.UNDECIDED
+    if pos is X.Comparison.GREATER:
+        return DSetKind.FINITE_LIST
+    if X.compare(alpha, E.golden_threshold()) in (X.Comparison.LESS,
+                                                  X.Comparison.EQUAL):
+        return DSetKind.FULL_INTERVAL
+    return DSetKind.CONTAINS_INTERVAL
+
+
+class TestRegime:
+    BASES = [
+        ("rat:1/3", None), ("rat:1/2", None),
+        ("golden", DSetKind.FULL_INTERVAL),  # EQUAL to the threshold
+        ("rat:19/50", DSetKind.FULL_INTERVAL),
+        ("rat:96/250", DSetKind.CONTAINS_INTERVAL),
+        ("rat:39/100", DSetKind.CONTAINS_INTERVAL),
+        ("rat:394329/1000000", DSetKind.CONTAINS_INTERVAL),
+        # 3.5e-19 below alpha_KL, the nearest base the tests and CI use
+        ("rat:394329844702280891/1000000000000000000",
+         DSetKind.CONTAINS_INTERVAL),
+        ("akl", DSetKind.COUNTABLE_FAMILY),
+        ("rat:3944/10000", DSetKind.FINITE_LIST),
+        ("rat:21/50", DSetKind.FINITE_LIST),
+        ("alg:-1,1,2,2@[2/5,1/2]", DSetKind.FINITE_LIST),
+        ("alg:-1,2,1@[2/5,1/2]", DSetKind.FINITE_LIST)]
+
+    @staticmethod
+    def base(name):
+        return E.golden_threshold() if name == "golden" else \
+            X.parse_real(name)
+
+    @pytest.mark.parametrize("name, kind", BASES)
+    def test_matches_reference(self, name, kind):
+        sys = BaseSystem(self.base(name), TERNARY)
+        assert sys.regime is kind
+        assert reference_regime(self.base(name)) is kind
+
+    def test_derived_once(self, monkeypatch):
+        sys = BaseSystem(F(39, 100), TERNARY)
+        assert sys.regime is DSetKind.CONTAINS_INTERVAL
+        assert {"regime", "past_threshold"} <= set(vars(sys))
+        monkeypatch.setattr(E, "compare", None)  # a second derivation fails
+        assert sys.regime is DSetKind.CONTAINS_INTERVAL and sys.past_threshold
+
+    def test_dset_reads_regime(self):
+        for name, kind in self.BASES:
+            if kind is not None:
+                assert d_set(self.base(name)).kind is kind
+
+    def test_undecided_against_alpha_kl(self):
+        # a second number with alpha_KL's own enclosures never separates
+        twin = X.EnclosedReal(T.alpha_kl_enclosure, "twin")
+        with pytest.raises(X.UndecidedComparison,
+                           match="relative to alpha_KL undecided"):
+            BaseSystem(twin, TERNARY).regime
+        with pytest.raises(X.UndecidedComparison):
+            d_set(twin)
+
+    def test_undecided_against_threshold(self):
+        # a base the threshold's own enclosures never separate from it has
+        # no certified regime: it is refused, not taken as the full interval
+        gold = E.golden_threshold()
+        twin = X.EnclosedReal(lambda w: X.enclosure(gold, w), "twin")
+        sys = BaseSystem(twin, TERNARY)
+        assert sys.dimension_domain
+        text = r"relative to \(3-sqrt\(5\)\)/2 undecided"
+        for ask in (lambda: sys.regime, lambda: E.forbidden_zero_run(sys),
+                    lambda: d_set(twin)):
+            with pytest.raises(X.UndecidedComparison, match=text):
+                ask()
+
+    def test_dsetkind_shared(self):
+        import cantorint
+        assert D.DSetKind is E.DSetKind is cantorint.DSetKind
+        assert [k.value for k in DSetKind] == [
+            "finite-list", "countable-family", "contains-interval",
+            "full-interval"]
+
+
 class TestPerronFormula:
     """log(lambda)/(-log alpha) against 60-digit references, with lambda
     known in closed form."""
@@ -971,8 +1060,26 @@ class TestDenseTargets:
         assert W.zero_density(sq).value >= F(99, 100)
 
     def test_domain(self):
-        with pytest.raises(OutOfDomain):
-            dense_selfsimilar_targets(F(2, 5), [F(1, 2)], F(1, 100))
+        text = (r"^dense self-similar family needs "
+                r"alpha in \(1/3, \(3-sqrt\(5\)\)/2\]$")
+        for base in ("rat:2/5", "rat:1/3", "rat:1/4", "rat:1/2",
+                     "rat:39/100", "akl"):
+            with pytest.raises(OutOfDomain, match=text):
+                dense_selfsimilar_targets(X.parse_real(base), [F(1, 2)],
+                                          F(1, 100))
+
+    def test_threshold_base_admitted(self):
+        (sq,) = dense_selfsimilar_targets(E.golden_threshold(), [F(1, 2)],
+                                          F(1, 100))
+        assert abs(W.zero_density(sq).value - F(1, 2)) <= F(1, 100)
+
+    def test_words_on_a_held_system(self):
+        import cantorint
+        sys = BaseSystem(F(9, 25), TERNARY)
+        targets = [F(j, 10) for j in range(11)]
+        assert cantorint.dense_words is D.dense_words
+        assert D.dense_words(sys, targets, F(1, 100)) == \
+            dense_selfsimilar_targets(F(9, 25), targets, F(1, 100))
 
     @pytest.mark.parametrize("tol", [F(1, 100), F(1, 37)])
     def test_integer_search_matches_fraction_loop(self, tol):
@@ -1184,6 +1291,33 @@ class TestDSet:
         monkeypatch.setattr(X, "log_enclosure", counted)
         d_set(X.parse_real(base))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("base", [
+        "rat:21/50", "rat:3944/10000", "rat:19/50", "rat:39/100",
+        "rat:96/250", "alg:-1,1,2,2@[2/5,1/2]", "akl"])
+    def test_one_regime_decision_per_call(self, monkeypatch, base):
+        # one call builds at most one threshold and compares alpha with
+        # alpha_KL at most once, wherever the module asking for it
+        alpha, akl = X.parse_real(base), T.alpha_kl_real()
+        built, against_akl = [], []
+        real_golden, real_compare = E.golden_threshold, X.compare
+
+        def golden():
+            built.append(1)
+            return real_golden()
+
+        def compare(a, b, *args, **kwargs):
+            if {id(a), id(b)} == {id(alpha), id(akl)}:
+                against_akl.append((a, b))
+            return real_compare(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(E, "golden_threshold", golden)
+        for mod in (X, E, D, T, A):
+            if getattr(mod, "compare", None) is real_compare:
+                monkeypatch.setattr(mod, "compare", compare)
+        d_set(alpha)
+        assert len(built) <= 1
+        assert len(against_akl) <= 1
 
     @pytest.mark.parametrize("alpha", [F(39, 100), F(394329, 1000000)])
     def test_one_delta_cache(self, monkeypatch, alpha):

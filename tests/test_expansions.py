@@ -557,10 +557,26 @@ class TestForbiddenZeroRun:
         assert E.forbidden_zero_run(BaseSystem(F(77, 200), TERNARY)) == 3
 
     def test_endpoint_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            E.forbidden_zero_run(BaseSystem(golden_threshold(), TERNARY))
-        with pytest.raises(OutOfDomain):
-            E.forbidden_zero_run(BaseSystem(F(9, 25), TERNARY))
+        text = r"^alpha must lie in \(\(3-sqrt\(5\)\)/2, 1/2\)$"
+        for alpha in (golden_threshold(), F(9, 25), F(1, 3), F(1, 2),
+                      F(3, 5), F(1, 10)):
+            with pytest.raises(OutOfDomain, match=text):
+                E.forbidden_zero_run(BaseSystem(alpha, TERNARY))
+
+    def test_no_alpha_kl_comparison(self, monkeypatch):
+        # the run needs alpha past the threshold and below 1/2, nothing of
+        # alpha_KL
+        def unused():
+            raise AssertionError("alpha_KL built")
+
+        monkeypatch.setattr(T, "alpha_kl_real", unused)
+        assert E.forbidden_zero_run(BaseSystem(F(77, 200), TERNARY)) == 3
+        assert E.forbidden_zero_run(BaseSystem(F(9, 20), TERNARY)) == 0
+
+    def test_alpha_kl_admitted(self):
+        # alpha_KL lies past the threshold: its delta is 1 0 (-1) ...
+        assert E.forbidden_zero_run(BaseSystem(T.alpha_kl_real(),
+                                               TERNARY)) == 1
 
     def test_delta_prefix_shape(self):
         sys = BaseSystem(F(77, 200), TERNARY)

@@ -333,7 +333,10 @@ class TestFindSmallestSftN:
 
     def test_out_of_domain(self):
         from cantorint.expansions import OutOfDomain
-        with pytest.raises(OutOfDomain):
-            T.find_smallest_sft_n(F(1, 3))
-        with pytest.raises(OutOfDomain):
-            T.find_smallest_sft_n(F(42, 100))  # above alpha_KL
+        text = r"^alpha must lie in \(1/3, alpha_KL\)$"
+        for alpha in (F(1, 3), F(1, 4), F(42, 100),  # the last above alpha_KL
+                      F(1, 2), T.alpha_kl_real()):
+            with pytest.raises(OutOfDomain, match=text):
+                T.find_smallest_sft_n(alpha)
+        with pytest.raises(OutOfDomain, match="strictly between 0 and 1"):
+            T.find_smallest_sft_n(F(3, 2))
