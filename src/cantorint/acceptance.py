@@ -24,9 +24,9 @@ from itertools import permutations
 from operator import sub
 
 from . import dimension, exactnum, expansions, thuemorse, words
-from .dimension import tm_block_word
 from .exactnum import AlgebraicReal
 from .expansions import BaseSystem, UniqStatus
+from .thuemorse import tm_block_word
 from .words import TERNARY, EPSeq
 
 

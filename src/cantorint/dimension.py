@@ -53,6 +53,7 @@ from .expansions import (
     UniqStatus,
     is_unique_expansion,
 )
+from .thuemorse import tm_block_word
 from .words import BINARY, TERNARY, Alphabet, EPSeq, FreqReport, LazySeq
 
 
@@ -466,16 +467,6 @@ def _shifted_solve(adj: list, pattern: tuple, sigma: float, v: list):
 # intersection graph from an expansion automaton
 # ---------------------------------------------------------------------------
 
-def _edge_label_count(digit: int) -> int:
-    """Number of admissible {0,1} digits over a difference digit:
-    #({0,1} intersect ({0,1}+d))."""
-    if digit == 0:
-        return 2
-    if abs(digit) == 1:
-        return 1
-    return 0
-
-
 @dataclass
 class IntersectionGraph:
     automaton: ExpansionAutomaton
@@ -486,7 +477,11 @@ class IntersectionGraph:
 
 def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
     """Relabel automaton edges by admissible {0,1} digit counts and trim to
-    states that are reachable and lie on infinite paths."""
+    states that are reachable and lie on infinite paths.  A difference
+    digit d in {-1,0,1} has #({0,1} intersect ({0,1}+d)) = 2 - |d| such
+    counts; any other alphabet is ``OutOfDomain``."""
+    if auto.alphabet != TERNARY:
+        raise OutOfDomain("intersection graph needs an automaton over {-1,0,1}")
     if not auto.complete:
         raise IncompleteAutomaton("intersection graph needs a closed automaton")
     live = graph.trim(auto.succ)
@@ -498,8 +493,8 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
     for f in keep:
         row: dict = {}
         for (t, d) in live[f]:
-            row[pos[t]] = row.get(pos[t], 0) + _edge_label_count(d)
-        succ.append(sorted((j, a) for j, a in row.items() if a))
+            row[pos[t]] = row.get(pos[t], 0) + 2 - abs(d)
+        succ.append(sorted(row.items()))
     return IntersectionGraph(auto, CountMatrix.from_successors(succ), keep)
 
 
@@ -537,6 +532,8 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
     it bounds the supremum of frequency-route dimensions over all expansions
     of t (divide-and-multiply by log2/(-log alpha) as needed).
     """
+    if auto.alphabet != TERNARY:
+        raise OutOfDomain("frequency bound needs an automaton over {-1,0,1}")
     if not auto.complete:
         raise IncompleteAutomaton("frequency bound needs a closed automaton")
     # every node on a cycle starts an infinite path: no trimming needed
@@ -967,15 +964,6 @@ class DSetDescription:
     note: str = ""
 
 
-def tm_block_word(n: int) -> EPSeq:
-    """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
-    joins the two lists of one :func:`thuemorse._lambda_pair` doubling."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    pos, neg = thuemorse._lambda_pair(2**n)
-    return EPSeq((), pos + neg, TERNARY)
-
-
 _NSTAR_CAP = 12  # highest block-word level n_star tests
 
 
@@ -1004,12 +992,12 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     Above alpha_KL the set is the finite list {0, full} plus the block-word
     frequencies up to n* (:func:`n_star`); at alpha_KL it is the countable
     family; below it contains the interval spanned by the four-block
-    subshift frequencies (:func:`thuemorse.find_smallest_sft_n`), and is
-    all of [0, full] exactly on (1/3, (3-sqrt(5))/2].  One ``BaseSystem``,
-    alpha_KL's too, gives the regime, every value and n* or the subshift
-    level, and the excluded band ((k+1)/(k+2), 1) from
-    :func:`expansions.forbidden_zero_run`.  ``depth_cap`` bounds every
-    lexicographic comparison with delta.
+    subshift frequencies at the level :func:`thuemorse.find_smallest_sft_n`
+    finds against this base's delta, and is all of [0, full] exactly on
+    (1/3, (3-sqrt(5))/2].  One ``BaseSystem``, alpha_KL's too, gives the
+    regime, every value and n* or the subshift level, and the excluded
+    band ((k+1)/(k+2), 1) from :func:`expansions.forbidden_zero_run`.
+    ``depth_cap`` bounds every lexicographic comparison with delta.
     """
     sys = BaseSystem(alpha, TERNARY)
     full = full_dimension(sys)  # refuses alpha outside (1/3, 1/2)
@@ -1027,7 +1015,7 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
         freqs = [Fraction(0), *map(thuemorse.dw, range(1, ds.nstar + 1))]
         ds.values = [dim_from_frequency(sys, f) for f in freqs] + [full]
     else:  # alpha below alpha_KL: interval regime
-        n = thuemorse._smallest_sft_n(expansions.delta_seq(sys), depth_cap)
+        n = thuemorse.find_smallest_sft_n(expansions.delta_seq(sys), depth_cap)
         bounds = thuemorse.sft_blocks(n).density_interval
         ds.sft_n = n
         ds.sft_interval = tuple(dim_from_frequency(sys, d) for d in bounds)

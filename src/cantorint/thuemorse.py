@@ -1,10 +1,13 @@
 """The Thue-Morse sequence, its difference sequence, and derived data.
 
 Provides the generators tau (binary) and lambda = (tau_i - tau_{i-1})
-over {-1,0,1}, the doubling block words built from lambda prefixes, exact
+over {-1,0,1}, the doubling words built from lambda prefixes (w_n, zeta_n,
+eta_n and the periodic block word (w_n reflect(w_n))^inf), exact
 zero-density formulas, the base constant alpha_KL solving
 ``sum (1+lambda_i) alpha^i = 1`` inside (1/3, 1/2), and the four-block
-subshift machinery used for the interval-of-dimensions regime.
+subshift of the interval-of-dimensions regime with its level search
+against a base's delta.  It builds on :mod:`exactnum`, :mod:`words` and
+:mod:`graph` only; the layers above pass it their delta.
 """
 
 from __future__ import annotations
@@ -90,6 +93,15 @@ def w_word(n: int) -> FiniteWord:
     if n < 1:
         raise ValueError("n must be at least 1")
     return FiniteWord(_lambda_pair(2**n)[0], TERNARY)
+
+
+def tm_block_word(n: int) -> EPSeq:
+    """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
+    joins the two lists of one :func:`_lambda_pair` doubling."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    pos, neg = _lambda_pair(2**n)
+    return EPSeq((), pos + neg, TERNARY)
 
 
 def zeta(n: int) -> FiniteWord:
@@ -252,32 +264,19 @@ class NotFoundUnderCap(Exception):
     pass
 
 
-def find_smallest_sft_n(alpha) -> int:
+def find_smallest_sft_n(delta, depth_cap: int) -> int:
     """Smallest n <= ``_SFT_N_CAP`` whose four-block subshift lies in the
-    univoque set, or ``NotFoundUnderCap``.
+    univoque set of the base with quasi-greedy sequence ``delta``, or
+    ``NotFoundUnderCap``, as at every base above alpha_KL.
 
-    The base must lie in (1/3, alpha_KL), read off its ``regime``.  Level n
-    is certified when its largest sequence, :func:`sft_max_word`, is LESS
-    than delta within the uniqueness test's default compare cap, else
-    skipped (Parry's criterion, as in :func:`expansions.parry_certified`).
-    ``SFT_MATRIX`` is unchanged when zeta, eta swap with zeta-bar, eta-bar,
-    so the mirror adds nothing.  The criterion is sharp: if m = max X >=
-    delta starts in block b, a predecessor of b holds a digit other than +1,
-    and the element of X starting there reaches m after a prefix not all +1.
+    Level n is certified when its largest sequence, :func:`sft_max_word`,
+    is LESS than delta within ``depth_cap`` digits, else skipped (Parry's
+    criterion).  ``SFT_MATRIX`` is unchanged when zeta, eta swap with
+    zeta-bar, eta-bar, so the mirror adds nothing.  The criterion is sharp:
+    if m = max X >= delta starts in block b, a predecessor of b holds a
+    digit other than +1, and the element of X starting there reaches m
+    after a prefix not all +1.
     """
-    from . import expansions  # deferred: expansions depends on this module
-
-    sys = expansions.BaseSystem(alpha, TERNARY)
-    if sys.regime not in (expansions.DSetKind.FULL_INTERVAL,
-                          expansions.DSetKind.CONTAINS_INTERVAL):
-        raise expansions.OutOfDomain("alpha must lie in (1/3, alpha_KL)")
-    return _smallest_sft_n(expansions.delta_seq(sys),
-                           expansions._DEFAULT_COMPARE_CAP)
-
-
-def _smallest_sft_n(delta, depth_cap: int) -> int:
-    """The level search of :func:`find_smallest_sft_n` against a given
-    delta, so that a caller with its own delta cache shares it."""
     for n in range(1, _SFT_N_CAP + 1):
         if lex_compare(sft_max_word(n), delta, depth_cap) is Lex.LESS:
             return n

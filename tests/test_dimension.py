@@ -575,6 +575,22 @@ class TestIntersectionGraph:
         assert dv.empty and dv.decimal == 0.0
 
 
+    # sqrt(2) - 1: over {0,1} the graph was empty (dimension 0), over
+    # {0,1,2} perron_dimension raised VerificationFailed, and over {-2..2}
+    # the cycle bound read 3/4 where the ternary one is 1/2
+    @pytest.mark.parametrize("alphabet, t", [
+        (W.Alphabet(0, 2), F(1, 5)), (W.Alphabet(0, 3), F(1, 5)),
+        (W.Alphabet(-2, 5), F(1, 3))])
+    def test_other_alphabets_refused(self, alphabet, t):
+        sys = BaseSystem(X.parse_real("alg:-1,2,1@[2/5,1/2]"), alphabet)
+        auto = E.build_expansion_automaton(sys, t)
+        assert auto.complete
+        with pytest.raises(OutOfDomain, match=r"over \{-1,0,1\}$"):
+            build_intersection_graph(auto)
+        with pytest.raises(OutOfDomain, match=r"over \{-1,0,1\}$"):
+            freq_upper_bound_over_expansions(auto)
+
+
 class TestFrequencyBound:
     def test_example51(self):
         sys, auto = ex51_setup()
@@ -1318,6 +1334,21 @@ class TestDSet:
         d_set(alpha)
         assert len(built) <= 1
         assert len(against_akl) <= 1
+
+    @pytest.mark.parametrize("alpha, calls", [
+        (F(39, 100), 1), (F(19, 50), 1), (F(21, 50), 0)])
+    def test_level_search_called_by_name(self, monkeypatch, alpha, calls):
+        # the interval regime reaches the level search through its public
+        # name, the one the per-layer trace times
+        seen, real = [], T.find_smallest_sft_n
+
+        def counted(delta, depth_cap):
+            seen.append(depth_cap)
+            return real(delta, depth_cap)
+
+        monkeypatch.setattr(T, "find_smallest_sft_n", counted)
+        d_set(alpha)
+        assert seen == [4096] * calls
 
     @pytest.mark.parametrize("alpha", [F(39, 100), F(394329, 1000000)])
     def test_one_delta_cache(self, monkeypatch, alpha):

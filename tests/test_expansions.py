@@ -338,7 +338,7 @@ class TestUniqueness:
     def test_block_words_at_critical_base(self):
         # at alpha_KL every doubling-word level is univoque; the yardstick
         # sequence is generated exactly there, so the verdicts are certified
-        from cantorint.dimension import tm_block_word
+        from cantorint.thuemorse import tm_block_word
         sys = BaseSystem(T.alpha_kl_real(), TERNARY)
         for n in range(1, 5):
             res = E.is_unique_expansion(sys, tm_block_word(n))
@@ -444,7 +444,7 @@ UNIQUENESS_BASES = ("rat:9/25", "rat:39/100", "rat:3943/10000",
 
 
 def uniqueness_words(rng, count=60):
-    from cantorint.dimension import tm_block_word
+    from cantorint.thuemorse import tm_block_word
     seqs = [tm_block_word(n) for n in range(1, 7)]
     for _ in range(count):
         pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4))]
@@ -469,7 +469,7 @@ class TestUniquenessReference:
         assert UniqStatus.NOT_UNIQUE in seen and len(seen) >= 2
 
     def test_alpha_kl_lazy_inputs_match_reference(self):
-        from cantorint.dimension import tm_block_word
+        from cantorint.thuemorse import tm_block_word
         sys = BaseSystem(T.alpha_kl_real(), TERNARY)
         rng = random.Random(77)
         lazies = [T.lambda_seq(),

@@ -1,7 +1,8 @@
 """Static checks over the package source, with the standard library's ast:
 no module-level import that its module never uses, and no private
 top-level name that nothing in the package references.  Both catch code
-left behind when a second copy of something is deleted."""
+left behind when a second copy of something is deleted.  No module
+imports one from a layer above its own, deferred imports included."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,56 @@ def test_every_private_top_level_name_is_referenced():
                if n.startswith("_") and not n.startswith("__")
                and n not in loaded]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+# the layers, lowest first; a module imports only from its own layer or
+# lower ones
+LAYERS = (("exactnum",), ("words", "graph"), ("thuemorse",), ("expansions",),
+          ("dimension",), ("acceptance",), ("cli",))
+RANK = {mod: rank for rank, layer in enumerate(LAYERS) for mod in layer}
+# parse_real("akl") returns thuemorse's alpha_KL, and the benchmark parses
+# its bases through exactnum.parse_real
+UPWARD_ALLOWED = {("exactnum", "parse_real", "thuemorse")}
+
+
+def package_imports(tree, scope=None):
+    """(innermost enclosing def or None, package module) for every
+    relative import in the tree, at module level or deferred."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from package_imports(node, node.name)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield scope, node.module.split(".")[0]
+            else:
+                yield from ((scope, a.name) for a in node.names)
+        yield from package_imports(node, scope)
+
+
+def test_every_module_has_a_layer():
+    assert set(RANK) == {name[:-3] for name in TREES} - {"__init__"}
+
+
+@pytest.mark.parametrize("mod", sorted(RANK))
+def test_no_import_from_a_layer_above(mod):
+    upward = [(scope, target) for scope, target
+              in package_imports(TREES[f"{mod}.py"])
+              if RANK[target] > RANK[mod]
+              and (mod, scope, target) not in UPWARD_ALLOWED]
+    assert not upward, f"{mod} imports from a layer above it: {upward}"
+
+
+def test_layer_check_sees_deferred_imports():
+    tree = ast.parse("from . import exactnum\n"
+                     "class A:\n"
+                     "    def f(self):\n"
+                     "        if True:\n"
+                     "            from .dimension import d_set\n"
+                     "def g():\n"
+                     "    from . import words as w, graph\n")
+    assert list(package_imports(tree)) == [
+        (None, "exactnum"), ("f", "dimension"), ("g", "words"), ("g", "graph")]
 
 
 # libm calls whose results carry rounding that nothing bounds

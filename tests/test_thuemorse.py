@@ -73,13 +73,17 @@ class TestDoublingKernel:
                     assert T.lambda_prefix(n).digits == self.LAMBDA[:n]
 
     def test_block_word_period_is_w_then_its_negation(self):
-        from cantorint.dimension import tm_block_word
         for n in range(1, 14):
             w = self.LAMBDA[:2**n]
-            s = tm_block_word(n)
+            s = T.tm_block_word(n)
             assert s.pre == () and s.per == w + tuple(-d for d in w)
         with pytest.raises(ValueError):
-            tm_block_word(0)
+            T.tm_block_word(0)
+
+    def test_block_word_keeps_its_dimension_name(self):
+        # n_star reads this name, as do callers of the dimension namespace
+        from cantorint import dimension
+        assert dimension.tm_block_word is T.tm_block_word
 
     def test_w_zeta_eta_definitions(self):
         for n in range(1, 14):
@@ -286,7 +290,7 @@ class TestSftMaxWord:
 
     def test_above_lambda_at_alpha_kl(self):
         # delta(alpha_KL) = lambda: no level certifies the critical base
-        for n in range(1, 7):
+        for n in range(1, T._SFT_N_CAP + 1):
             assert W.lex_compare(T.sft_max_word(n), T.lambda_seq(),
                                  4096) is W.Lex.GREATER
 
@@ -299,14 +303,20 @@ class TestSftMaxWord:
         assert W.format_seq(T.sft_max_word(2)) == "(++-0+0+0-0-0)"
 
 
+def smallest_sft_n(alpha):
+    """The level search against alpha's delta at the default depth cap."""
+    delta = E.delta_seq(E.BaseSystem(alpha, W.TERNARY))
+    return T.find_smallest_sft_n(delta, 4096)
+
+
 class TestFindSmallestSftN:
     def test_values(self):
-        assert T.find_smallest_sft_n(F(7, 20)) == 1
-        assert T.find_smallest_sft_n(F(17, 50)) == 1
+        assert smallest_sft_n(F(7, 20)) == 1
+        assert smallest_sft_n(F(17, 50)) == 1
 
     def test_level_five(self):
         # 3.5e-19 below alpha_KL; no other test reaches a level above 3
-        assert T.find_smallest_sft_n(F(394329844702280891, 10**18)) == 5
+        assert smallest_sft_n(F(394329844702280891, 10**18)) == 5
 
     def test_matches_cycle_and_splice_reference(self):
         # equal, so never below the weaker certificate
@@ -319,24 +329,21 @@ class TestFindSmallestSftN:
             # just below alpha_KL, where the level rises to 3
             bases.append(lo - F(rng.randint(1, 10**6), 10**rng.randint(8, 18)))
         for alpha in bases:
-            assert T.find_smallest_sft_n(alpha) == cycle_and_splice_n(alpha)
+            assert smallest_sft_n(alpha) == cycle_and_splice_n(alpha)
 
     def test_undecided_levels_are_skipped(self):
         # both sequences start with +1, so one digit decides no level
         delta = E.delta_seq(E.BaseSystem(F(7, 20), W.TERNARY))
         with pytest.raises(T.NotFoundUnderCap):
-            T._smallest_sft_n(delta, 1)
+            T.find_smallest_sft_n(delta, 1)
 
     def test_near_alpha_kl(self):
         lo, _ = T.alpha_kl_enclosure(F(1, 10**20))
-        assert T.find_smallest_sft_n(lo - F(1, 2 * 10**12)) == 3
+        assert smallest_sft_n(lo - F(1, 2 * 10**12)) == 3
 
-    def test_out_of_domain(self):
-        from cantorint.expansions import OutOfDomain
-        text = r"^alpha must lie in \(1/3, alpha_KL\)$"
-        for alpha in (F(1, 3), F(1, 4), F(42, 100),  # the last above alpha_KL
-                      F(1, 2), T.alpha_kl_real()):
-            with pytest.raises(OutOfDomain, match=text):
-                T.find_smallest_sft_n(alpha)
-        with pytest.raises(OutOfDomain, match="strictly between 0 and 1"):
-            T.find_smallest_sft_n(F(3, 2))
+    def test_no_level_above_alpha_kl(self):
+        # delta lies below lambda there, and every level's largest
+        # sequence lies above lambda (TestSftMaxWord)
+        for alpha in (F(21, 50), F(9, 20), F(1, 2)):
+            with pytest.raises(T.NotFoundUnderCap, match="no subshift level"):
+                smallest_sft_n(alpha)
