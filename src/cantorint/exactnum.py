@@ -27,8 +27,10 @@ isolates a root and yields the squarefree polynomial that defines it.
 Every polynomial is a primitive int list: rational coefficients are
 cleared where they enter, and one int pseudo-division builds both the
 Sturm chain and the squarefree part.  One int evaluator signs every
-polynomial at a rational, one bisection refines every bracket, alpha_KL's
-too, and ``log_enclosure`` encloses ln x by atanh series summed on ints.
+polynomial at a rational, and ``log_enclosure`` encloses ln x by atanh
+series summed on ints.  One bisection defines every bracket, alpha_KL's
+too: halving gives it, and a polynomial root reaches it at once through a
+Newton estimate's cell, checked by two signs.
 ``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
 fixed-point filter decides every sign and enclosure: an undecided sign
 doubles K from 64 bits up to a cap.  The one invariant it relies on is
@@ -53,6 +55,8 @@ Rational = Fraction
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
+_NEWTON_STEPS = 64  # the most steps _newton takes
+_NEWTON_GUARD = 16  # bits its estimate carries below _bisect's grid
 _DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
 
 
@@ -169,6 +173,29 @@ def _scaled_value(coeffs, N: int, M: int) -> int:
     return acc
 
 
+def _newton(coeffs, a: int, b: int, M: int) -> int:
+    """An unchecked N in [a, b] with N/M near the root of p in [a/M, b/M]:
+    Newton's method on ints at the one denominator M, where a step N/M -
+    p/p' is (N - A/B)/M for A = M^n p(N/M) and B = M^(n-1) p'(N/M), until
+    a step moves N by at most 1.  A step that leaves the bracket the signs
+    keep, or fails to halve the step before it, halves the bracket instead
+    (rtsafe, Press et al., Numerical Recipes 9.4)."""
+    dp = poly_derivative(coeffs)
+    up, x, last = _scaled_value(coeffs, a, M) > 0, (a + b) // 2, b - a
+    for _ in range(_NEWTON_STEPS):
+        A, B = _scaled_value(coeffs, x, M), _scaled_value(dp, x, M)
+        a, b = (x, b) if (A > 0) == up else (a, x)
+        step = A // B if B else b - a
+        if a <= x - step <= b and 2 * abs(step) <= last:
+            x -= step
+            if -1 <= step <= 1:
+                break
+        else:
+            step, x = (b - a) // 2, (a + b) // 2
+        last = abs(step)
+    return x
+
+
 def _value_at(coeffs, x) -> int:
     """An int with the sign of p(x) for a rational x."""
     return _scaled_value(coeffs, x.numerator, x.denominator)
@@ -248,28 +275,44 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     return AlgebraicReal(squarefree, lo, hi)
 
 
-def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None):
+def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
+            poly=None):
     """Halve a bracket [lo, hi] on the one sign change of f until it is at
     most ``width`` wide; a point where f is 0 collapses it onto the point.
 
     ``value(N, M)`` is an int with the sign of f(N/M), M > 0, and ``up``
     whether f > 0 at lo (None evaluates it).  Every midpoint lies on the
     grid lo + (hi - lo) j / 2^s: with lo = P/Q and hi - lo = R/Q it is
-    (P 2^s + R j) / (Q 2^s), so the halvings run on ints.
+    (P 2^s + R j) / (Q 2^s), so the halvings run on ints.  The last level
+    s is known at once, and an s over ``_BISECTION_CAP`` raises.  For f the
+    int polynomial ``poly``, its one zero in (lo, hi), a Newton estimate
+    names the level-s cell, and opposite signs at its ends, or a 0 at an
+    inner end, give the halvings' bracket; they run only should that fail.
     """
     if hi - lo <= width:
         return (lo, hi)
     Q = lcm(lo.denominator, hi.denominator)
     P = lo.numerator * (Q // lo.denominator)
     R = hi.numerator * (Q // hi.denominator) - P
+    s = (-(-R * width.denominator // (width.numerator * Q)) - 1).bit_length()
+    if s > _BISECTION_CAP:
+        raise IterationLimit("bisection exceeded cap")
+    if poly is not None:
+        G = s + _NEWTON_GUARD
+        N = _newton(poly, P << G, (P + R) << G, Q << G)
+        j = ((N >> _NEWTON_GUARD) - (P << s)) // R
+        if 0 <= j < 1 << s:
+            N, M = (P << s) + R * j, Q << s
+            a, b = value(N, M), value(N + R, M)
+            if a == 0 < j or b == 0 and j + 1 < 1 << s:
+                g = Fraction(N if a == 0 < j else N + R, M)
+                return (g, g)
+            if a and b and (a > 0) != (b > 0):
+                return (Fraction(N, M), Fraction(N + R, M))
     if up is None:
         up = value(P, Q) > 0
-    j = s = 0
-    scale = 1  # 2^s
-    while R * width.denominator > width.numerator * Q * scale:
-        s += 1
-        if s > _BISECTION_CAP:
-            raise IterationLimit("bisection exceeded cap")
+    j, scale = 0, 1  # 2^level
+    for _ in range(s):
         j *= 2
         scale *= 2
         N = P * scale + R * (j + 1)
@@ -287,9 +330,9 @@ class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
     The interval must contain exactly one real root of the polynomial
-    (verified with a Sturm chain at construction).  Refinement bisects the
-    interval using exact sign evaluations; the cached interval only ever
-    shrinks, so the denoted root never changes.
+    (verified with a Sturm chain at construction).  Refinement takes the
+    bisection bracket, reached through a checked Newton cell; the cached
+    interval only ever shrinks, so the denoted root never changes.
     """
 
     __slots__ = ("coeffs", "_lo", "_hi")
@@ -323,12 +366,14 @@ class AlgebraicReal:
         return (self._lo, self._hi)
 
     def refine(self, width: Fraction):
-        """Shrink the isolating interval to the requested width."""
+        """Shrink the isolating interval to the requested width, through
+        ``_bisect``'s checked Newton cell."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        self._lo, self._hi = _bisect(partial(_scaled_value, self.coeffs),
-                                     self._lo, self._hi, width)
+        c = self.coeffs
+        self._lo, self._hi = _bisect(partial(_scaled_value, c), self._lo,
+                                     self._hi, width, poly=c)
         return (self._lo, self._hi)
 
     def __float__(self):
@@ -673,7 +718,7 @@ class QAlphaContext:
 
     Each B_i rounds the midpoint of an enclosure of alpha^i 2^K at most 1
     wide, so it is within 1/2 + 1/2 of alpha^i 2^K.  The enclosures are
-    the powers of alpha's isolating interval, halved without storing the
+    the powers of alpha's isolating interval, refined without storing the
     result; they are computed at the first sign that needs them, once per
     K.
     """
@@ -844,7 +889,7 @@ class QAlphaContext:
             width = Fraction(1, one << 4)
             while True:
                 lo, hi = _bisect(partial(_scaled_value, alpha.coeffs),
-                                 *alpha.interval(), width)
+                                 *alpha.interval(), width, poly=alpha.coeffs)
                 if lo >= 0 or hi <= 0:  # alpha^i is then monotone on [lo, hi]
                     pows = [(lo**i, hi**i) for i in range(1, self.degree)]
                     if all(abs(h - l) * one <= 1 for l, h in pows):

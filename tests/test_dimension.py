@@ -616,6 +616,40 @@ class TestFrequencyBound:
         assert rhs.hi < dv.lo
 
 
+class TestPerronMeetsFrequency:
+    """Two certified routes to dim(Gamma ∩ (Gamma + t)) on one input: for t
+    with a unique, eventually periodic expansion of zero frequency f, the
+    frequency formula f log 2 / (-log alpha) and the intersection graph's
+    log lambda / (-log alpha) must have overlapping enclosures, and the
+    graph's one infinite path must spell the expansion."""
+
+    @pytest.mark.parametrize("base", ["alg:-1,2,1@[2/5,1/2]",
+                                      "alg:-1,1,2,2@[2/5,1/2]",
+                                      "alg:-1,2,2@[1/3,2/5]"])
+    def test_enclosures_overlap(self, base):
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        rng = random.Random(base)
+        kept = 0
+        for _ in range(400):
+            pre, per = rng.randrange(4), rng.randrange(1, 7)
+            seq = EPSeq([rng.choice((-1, 0, 1)) for _ in range(pre)],
+                        [rng.choice((-1, 0, 1)) for _ in range(per)])
+            uniq = E.is_unique_expansion(sys, seq).status
+            if uniq is not E.UniqStatus.UNIQUE:
+                continue
+            auto = E.build_expansion_automaton(sys, E.seq_value(sys, seq))
+            assert auto.complete
+            live, state = G.trim(auto.succ), auto.initial
+            for d in seq.pre + seq.per * 2:
+                [(state, digit)] = live[state]
+                assert digit == d
+            dv = perron_dimension(build_intersection_graph(auto), sys.alpha)
+            fv = dim_from_frequency(sys, W.zero_density(seq))
+            assert dv.lo <= fv.hi and fv.lo <= dv.hi, seq
+            kept += 1
+        assert kept >= 40
+
+
 # The float walk box_count_oracle had before the exact integer grid: the
 # same walk on float intervals, rounded outward by nextafter at each step.
 

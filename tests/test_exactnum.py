@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from copy import copy
 from fractions import Fraction as F
 from functools import partial
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from cantorint.exactnum import (
     parse_real,
 )
 from cantorint import thuemorse as T
-from cantorint.dimension import liouville_witness
+from cantorint.dimension import char_poly, liouville_witness
 from cantorint.expansions import BaseSystem
 from cantorint.words import TERNARY
 
@@ -486,6 +487,167 @@ class TestIntegerBisection:
                 assert x.refine(width) == want
         assert AlgebraicReal((-1, 2), F(0), F(1)).refine(F(1, 4)) == \
             (F(1, 2), F(1, 2))
+
+    def test_cap_raises_before_any_sign(self):
+        def value(N, M):
+            raise AssertionError("a sign was taken")
+        width = F(1, 2**100_001)
+        with pytest.raises(X.IterationLimit):
+            X._bisect(value, F(0), F(1), width)
+        with pytest.raises(X.IterationLimit):
+            X._bisect(value, F(0), F(1), width, poly=(-1, 2))
+
+    def test_cap_raises_before_any_series_sign(self, monkeypatch):
+        def series_sign_at(a):
+            raise AssertionError("a series sign was taken")
+        monkeypatch.setattr(T, "series_sign_at", series_sign_at)
+        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+        monkeypatch.setattr(T, "_AKL_CHECKED", [True])
+        with pytest.raises(X.IterationLimit):
+            T.alpha_kl_enclosure(F(1, 2**100_004))  # s = 100 002
+
+
+NEWTON_WIDTHS = (F(1, 10**12), F(1, 10**20), F(1, 2**68), F(1, 2**80))
+
+
+def plain_halving(coeffs, lo, hi, width):
+    """``_bisect`` with no Newton estimate: the bracket the estimate must
+    reach."""
+    return X._bisect(partial(X._scaled_value, coeffs), lo, hi, width)
+
+
+def newton_bracket(coeffs, lo, hi, width, calls=None):
+    """``_bisect`` on the Newton route, counting its signs in ``calls``."""
+    calls = [] if calls is None else calls
+
+    def value(N, M):
+        calls.append((N, M))
+        return X._scaled_value(coeffs, N, M)
+    return X._bisect(value, lo, hi, width, poly=coeffs)
+
+
+def random_count_matrix(rng, n):
+    """Successor lists of a random n-row count matrix with the intersection
+    graph's weights 1 and 2, every row with an edge."""
+    return [sorted({rng.randrange(n): rng.choice((1, 2))
+                    for _ in range(rng.randrange(1, 4))}.items())
+            for _ in range(n)]
+
+
+def perron_root(succ):
+    """The isolated largest root of the characteristic polynomial, as
+    ``CountMatrix.perron`` isolates it."""
+    cp = char_poly(succ)
+    k = next(i for i, c in enumerate(cp) if c)
+    hi = F(max(sum(a for _, a in out) for out in succ) + 1)
+    return X.isolate_largest_root(cp[k:], F(0), hi)
+
+
+class TestNewtonCell:
+    """The Newton route of ``_bisect`` against its plain halving."""
+
+    def assert_same(self, x, widths):
+        """The same bracket, from the two signs at the named cell's ends."""
+        for width in widths:
+            want = plain_halving(x.coeffs, *x.interval(), width)
+            calls = []
+            assert newton_bracket(x.coeffs, *x.interval(), width,
+                                  calls) == want
+            assert len(calls) <= 2
+            assert copy(x).refine(width) == want
+
+    def test_kernel_bases(self):
+        for b in KERNEL_BASES:
+            self.assert_same(parse_real(b), NEWTON_WIDTHS + (F(1, 2**2052),))
+
+    def test_seeded_polynomials_to_degree_24(self):
+        rng = random.Random(31)
+        done = 0
+        while done < 60:
+            n = rng.randrange(1, 25)
+            coeffs = [rng.randrange(-20, 21) for _ in range(n)] + \
+                [rng.randrange(1, 20)]
+            bound = F(sum(map(abs, coeffs)), coeffs[-1]) + 1
+            try:
+                x = X.isolate_largest_root(coeffs, -bound, bound)
+            except X.NonIsolatingInterval:
+                continue  # no real root
+            self.assert_same(x, NEWTON_WIDTHS)
+            if done % 10 == 0 and x.degree <= 8:  # halving to 2^-2052 is
+                self.assert_same(x, (F(1, 2**2052),))  # slow at degree 24
+            done += 1
+
+    def test_pool_sized_count_matrices(self):
+        rng = random.Random(32)
+        for n in list(range(1, 25)) * 2:
+            self.assert_same(perron_root(random_count_matrix(rng, n)),
+                             NEWTON_WIDTHS)
+
+    def test_integer_perron_roots_collapse(self):
+        # all ones has lambda = 2, a row of weight 3 into it lifts hi to 4
+        for succ, g in (([[(0, 1), (1, 1)], [(0, 1), (1, 1)], [(0, 3)]], 2),
+                        ([[(0, 2), (1, 1)], [(0, 2), (1, 1)]], 3)):
+            x = perron_root(succ)
+            assert x.interval() == (F(0), F(4))
+            for width in NEWTON_WIDTHS + (F(1, 2**2052),):
+                calls = []
+                want = plain_halving(x.coeffs, F(0), F(4), width)
+                assert want == (g, g)
+                assert newton_bracket(x.coeffs, F(0), F(4), width,
+                                      calls) == want
+                assert len(calls) <= 2  # the cell's ends, no halving
+
+    def test_first_and_last_cells(self):
+        for width in NEWTON_WIDTHS + (F(1, 2**2052),):
+            s = (1 / width).__ceil__().bit_length()  # 2^-s <= width
+            for root in (F(1, 3 << s), 1 - F(1, 3 << s), F(1, 5 << s)):
+                x = AlgebraicReal((-root.numerator, root.denominator),
+                                  F(0), F(1))
+                want = plain_halving(x.coeffs, F(0), F(1), width)
+                assert want[0] == 0 or want[1] == 1
+                assert newton_bracket(x.coeffs, F(0), F(1), width) == want
+
+    def test_fixed_point_tables_match_halving(self):
+        for b in KERNEL_BASES:
+            alpha = parse_real(b)
+            ctx = QAlphaContext(alpha)
+            for K in (64, 128, 256, 512, 1024, 2048):
+                one, width = 1 << K, F(1, 1 << (K + 4))
+                while True:  # _fixed_point's loop on plain halving
+                    lo, hi = plain_halving(alpha.coeffs, *alpha.interval(),
+                                           width)
+                    pows = [(lo**i, hi**i) for i in range(1, ctx.degree)]
+                    if all(abs(h - l) * one <= 1 for l, h in pows):
+                        break
+                    width /= 16
+                want = (one, *(round((l + h) * one / 2) for l, h in pows))
+                assert ctx._fixed_point(K) == want
+
+    def test_fallbacks_give_the_halving_bracket(self, monkeypatch):
+        # (3x - 1)^3: Newton gains only a third of the distance to a triple
+        # root a step, so 64 steps leave the estimate short of 2^-84, its
+        # check fails and the halvings run
+        x = AlgebraicReal((-1, 9, -27, 27), F(0), F(1))
+        width = F(1, 2**68)
+        calls = []
+        want = plain_halving(x.coeffs, F(0), F(1), width)
+        assert newton_bracket(x.coeffs, F(0), F(1), width, calls) == want
+        assert len(calls) == 2 + 1 + 68  # the check, the sign at lo, 68
+        # halvings; an estimate a cell or two off fails its check too, and
+        # one outside [lo, hi] is not checked
+        x = parse_real(KERNEL_BASES[0])
+        lo, hi = x.interval()
+        newton = X._newton
+        for estimate, checked in (
+                (lambda c, a, b, M: newton(c, a, b, M)
+                 + (M * width).__ceil__(), 2),
+                (lambda c, a, b, M: -M, 0)):
+            monkeypatch.setattr(X, "_newton", estimate)
+            calls = []
+            want = plain_halving(x.coeffs, lo, hi, width)
+            assert newton_bracket(x.coeffs, lo, hi, width, calls) == want
+            s = len(calls) - checked - 1  # then the sign at lo, s halvings
+            assert (hi - lo) / 2**s <= width < (hi - lo) / 2**(s - 1)
 
 
 # The Fraction loops that the integer Sturm evaluation and the integer
