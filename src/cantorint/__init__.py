@@ -55,12 +55,10 @@ from .expansions import (  # noqa: F401
     ExpansionAutomaton,
     GammaStatus,
     UniqStatus,
-    admissible_delta,
     build_expansion_automaton,
     delta,
     delta_seq,
     forbidden_zero_run,
-    gamma_membership,
     golden_threshold,
     greedy_expansion,
     is_unique_expansion,

@@ -44,7 +44,7 @@ from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from . import exactnum, expansions, graph, thuemorse, words
-from .exactnum import AlgebraicReal, QAlphaElement
+from .exactnum import AlgebraicReal
 from .expansions import (
     BaseSystem,
     DSetKind,
@@ -258,9 +258,6 @@ class CountMatrix:
 
     def row_sums(self):
         return [sum(a for _, a in out) for out in self.succ]
-
-    def is_zero(self) -> bool:
-        return not any(self.succ)
 
     def power_estimate(self, root=None) -> list:
         """Float Perron vectors: ``(rows, v)`` for each strongly connected
@@ -502,9 +499,10 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     """dim = log(lambda) / (-log alpha) for the trimmed count matrix.
 
     An empty intersection yields dimension 0 flagged ``empty`` rather than
-    an error.  It derives -ln alpha as ``BaseSystem.neg_log`` does, once.
+    an error; any other graph is trimmed, so no row is zero.  It derives
+    -ln alpha as ``BaseSystem.neg_log`` does, once.
     """
-    if g.empty or g.count_matrix.is_zero():
+    if g.empty:
         return DimensionValue(DimForm.PERRON, alpha, 0.0, 0.0, empty=True,
                               note="empty intersection")
     info = g.count_matrix.perron()
@@ -619,39 +617,32 @@ def box_count_oracle(alpha, t, depth: int,
 
     The witnesses of one call share one :class:`expansions.GammaSearch` on
     ``BaseSystem(alpha, BINARY)``, and p - t is carried down the walk
-    exactly, as a state of its field, whose ``state`` takes t and raises
-    ValueError on an element of another field.  For alpha >= 1/2 every p -
-    t in [0, u], u = alpha/(1 - alpha), is IN; below, each search follows
-    the one path of the base's children filter.  Sharing
-    cannot change a row where a fresh search certifies its verdict: the
-    search keeps only certified IN/OUT facts, never a path cut short by
-    its depth cap.  A 0-child has its parent's p, so it inherits an IN/OUT
-    verdict and searches again only after UNKNOWN.  Shifts with no exact
-    form get the upper count and no witnesses.
+    exactly, as a state of its field.  So alpha must be rational or
+    algebraic, else ``UnsupportedBase``, and t a rational or an element of
+    alpha's field, else ValueError.  For alpha >= 1/2 every p - t in [0,
+    u], u = alpha/(1 - alpha), is IN; below, each search follows the one
+    path of the base's children filter.  Sharing cannot change a row
+    where a fresh search certifies its verdict: the search keeps only
+    certified IN/OUT facts, never a path cut short by its depth cap.  A
+    0-child has its parent's p, so it inherits an IN/OUT verdict and
+    searches again only after UNKNOWN.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > max_depth:
         raise DepthCapExceeded(f"depth {depth} above configured max {max_depth}")
     alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth)
-
-    # exact side for witnesses: t in Q(alpha), its field checked by state
-    search = x0 = None
-    if isinstance(t, QAlphaElement) or (
-            isinstance(alpha, (Fraction, int, AlgebraicReal))
-            and isinstance(t, (int, Fraction))):
-        search = expansions.GammaSearch(BaseSystem(alpha, BINARY),
-                                        depth_cap=512)
-        ctx = search.ctx
-        x0 = ctx.neg(ctx.state(t))
-        a_pows = list(accumulate([ctx.alpha_element.state] * depth, ctx.mul,
-                                 initial=ctx.one.state))
+    search = expansions.GammaSearch(BaseSystem(alpha, BINARY))
+    ctx = search.ctx
+    x0 = ctx.neg(ctx.state(t))
+    a_pows = list(accumulate([ctx.alpha_element.state] * depth, ctx.mul,
+                             initial=ctx.one.state))
     IN, UNKNOWN = expansions.GammaStatus.IN, expansions.GammaStatus.UNKNOWN
 
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
 
-    # x = prefix value - t, a state, or None; verdict = x's GammaStatus
+    # x = prefix value - t, a state; verdict = x's GammaStatus
     def walk(k, part, gammas, x, verdict):
         tail_hi = tails[k]
         lo, hi = part[0], part[1] + tail_hi
@@ -662,17 +653,16 @@ def box_count_oracle(alpha, t, depth: int,
             return
         if k > 0:
             uppers[k] += 1
-            if search is not None:
-                if verdict is None or verdict is UNKNOWN:
-                    verdict = search.membership(x).status
-                lowers[k] += verdict is IN
+            if verdict is None or verdict is UNKNOWN:
+                verdict = search.membership(x).status
+            lowers[k] += verdict is IN
         if k == depth:
             return
         p0, p1 = pows[k + 1]
         next_g = [h for g in kept for h in (g, (g[0] + p0, g[1] + p1))]
         walk(k + 1, part, next_g, x, verdict)
         walk(k + 1, (part[0] + p0, part[1] + p1), next_g,
-             None if search is None else ctx.add(x, a_pows[k + 1]), None)
+             ctx.add(x, a_pows[k + 1]), None)
 
     walk(0, (0, 0), [t_iv], x0, None)
 

@@ -785,7 +785,8 @@ class QAlphaContext:
         """The state of a rational, or of a :class:`QAlphaElement` of this
         field: its context is this one, or one on the same alpha.  Two
         roots of one polynomial share a key, so only then are the roots
-        compared.  An element of another field raises ValueError."""
+        compared.  An element of another field, or any other number,
+        raises ValueError."""
         if isinstance(x, QAlphaElement):
             other = x.ctx
             if other is not self and (other.key != self.key or (
@@ -793,7 +794,12 @@ class QAlphaContext:
                     is not Comparison.EQUAL)):
                 raise ValueError("elements from different Q(alpha) contexts")
             return x.state
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except TypeError:
+            raise ValueError(f"{x!r} has no state in Q(alpha): only a "
+                             "rational or an element of the field has one") \
+                from None
         return (x.numerator, *(0,) * (self.degree - 1), x.denominator)
 
     def reduce(self, u, D: int) -> tuple:
@@ -824,12 +830,6 @@ class QAlphaContext:
         w = [c * s[i + 1] - v0 * r[i] for i in range(n - 1)]
         w.append(-v0 * r[n - 1])
         return w, c * s[n]
-
-    def step(self, s, d: int) -> tuple:
-        """The state of s/alpha - d."""
-        w, D = self._shift(s)
-        w[0] -= d * D
-        return _reduced(w, D)
 
     def add(self, a, b) -> tuple:
         n = self.degree

@@ -391,37 +391,6 @@ def try_ep_form(sys: BaseSystem, depth_cap: int = 2048) -> Optional[EPSeq]:
     return words.substitute_alphabet(ep, Alphabet(0, sys.M + 1), sys.alphabet)
 
 
-class Verdict(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNDECIDED = "undecided-at-depth"
-
-
-def admissible_delta(seq: Union[EPSeq, LazySeq],
-                     depth_cap: int = 1024) -> Verdict:
-    """Whether every shift of ``seq`` is lex-<= the sequence itself.
-
-    Exact for EPSeq (finitely many distinct shifts); depth-capped for lazy
-    sequences, where TRUE cannot be certified and the best positive answer
-    is UNDECIDED (no violation found).
-    """
-    if isinstance(seq, EPSeq) and seq.per == (seq.alphabet.low,):
-        raise OutOfDomain("sequence is eventually minimal-digit; a "
-                          "quasi-greedy expansion of 1 never is")
-    if isinstance(seq, EPSeq):
-        for k in range(1, len(seq.pre) + len(seq.per) + 1):
-            if words.lex_compare(seq.shift(k), seq) is words.Lex.GREATER:
-                return Verdict.FALSE
-        return Verdict.TRUE
-    for k in range(1, depth_cap + 1):
-        shifted = LazySeq(lambda i, _k=k: seq.digit(i + _k), seq.alphabet)
-        if words.lex_compare(shifted, seq, depth_cap=depth_cap) is words.Lex.GREATER:
-            return Verdict.FALSE
-    # a lazy sequence has infinitely many shifts; no violation found is the
-    # strongest positive statement available
-    return Verdict.UNDECIDED
-
-
 class UniqStatus(Enum):
     UNIQUE = "unique"
     NOT_UNIQUE = "not-unique"
@@ -444,6 +413,7 @@ class UniquenessResult:
 _DEFAULT_COMPARE_CAP = 4096
 _DEFAULT_LAZY_SHIFTS = 512
 _ZERO_RUN_SCAN_CAP = 100_000  # delta digits forbidden_zero_run reads
+_GAMMA_DEPTH_CAP = 512  # steps of one GammaSearch.membership path
 
 
 def parry_certified(succ: list, delta, depth_cap: int) -> bool:
@@ -690,7 +660,8 @@ class GammaResult:
 
 class GammaSearch:
     """Membership test for the {0,1} Cantor set Gamma of one base, with
-    certified facts shared across queries.
+    certified facts shared across queries: the lower rows of
+    :func:`dimension.box_count_oracle`, which builds one per call.
 
     ``sys`` is the base over {0,1}, and Gamma the values with an endless
     path of ``sys.children``: all of [0, u], u = ``sys.tail_unit``, when
@@ -698,26 +669,22 @@ class GammaSearch:
     It is IN when a value repeats (the cycle pumps to an infinite
     expansion) or is certified IN earlier, with the digits walked as
     witness; OUT when it ends or reaches a value certified OUT; UNKNOWN
-    after ``depth_cap`` steps.  ``dead`` and ``live`` keep the states on
-    OUT and IN paths; an UNKNOWN path enters neither, so sharing never
-    changes a verdict a fresh search certifies.
+    after ``_GAMMA_DEPTH_CAP`` steps.  ``dead`` and ``live`` keep the
+    states on OUT and IN paths; an UNKNOWN path enters neither, so sharing
+    never changes a verdict a fresh search certifies.
     """
 
-    def __init__(self, sys: BaseSystem, depth_cap: int = 4096):
+    def __init__(self, sys: BaseSystem):
         if sys.alphabet != BINARY:
             raise ValueError("Gamma is the set of expansions over {0,1}")
         self.sys = sys
         self.ctx = sys._require_ctx()
-        self.depth_cap = depth_cap
         self.dead: set = set()  # states
         self.live: set = set()
 
-    def membership(self, x) -> GammaResult:
-        """Verdict on x: a :class:`QAlphaElement` of the field, a rational,
-        or a state."""
+    def membership(self, x: tuple) -> GammaResult:
+        """Verdict on the value of x, a state of ``ctx``."""
         sys, dead, live = self.sys, self.dead, self.live
-        if not isinstance(x, tuple):
-            x = self.ctx.state(x)
         # when whole, Gamma is all of [0, u]: the values with a child
         if x in live or (sys.whole and sys.children(x)):
             return GammaResult(GammaStatus.IN, ())
@@ -731,16 +698,8 @@ class GammaSearch:
             if x in path or x in live:
                 live.update(path)
                 return GammaResult(GammaStatus.IN, digits)
-            if len(digits) >= self.depth_cap:
+            if len(digits) >= _GAMMA_DEPTH_CAP:
                 return GammaResult(GammaStatus.UNKNOWN)
             path.add(x)
         dead.update(path)
         return GammaResult(GammaStatus.OUT)
-
-
-def gamma_membership(alpha, x, depth_cap: int = 4096) -> GammaResult:
-    """Membership of x in the {0,1} Cantor set: one query on a fresh
-    :class:`GammaSearch`, so an IN witness is the prefix reaching a cycle,
-    or empty for alpha >= 1/2.  An element of another field raises
-    ValueError."""
-    return GammaSearch(BaseSystem(alpha, BINARY), depth_cap).membership(x)

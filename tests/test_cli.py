@@ -434,6 +434,15 @@ class TestErrors:
         assert code == 1 and payload["result"] is None
         assert "needs exact Q(alpha) arithmetic" in payload["status"]
 
+    @pytest.mark.parametrize("x", ["akl", "alg:-1,2,1@[2/5,1/2]"])
+    def test_expand_refuses_x_outside_the_field(self, capsys, x):
+        # an irrational x has no exact state in Q(2/5)
+        code, payload = run_json(capsys, "expand", "--alpha", "rat:2/5",
+                                 "--x", x)
+        assert code == 1 and payload["result"] is None
+        assert payload["status"].startswith("error: ")
+        assert "has no state in Q(alpha)" in payload["status"]
+
     @pytest.mark.parametrize("alpha", [
         "alg:3,-7,-1,1@[2/5,1/2]",      # (x^2 + 2x - 1)(x - 3)
         "alg:1,0,-10,0,1@[3/10,1/3]"])  # irreducible, split mod every p

@@ -54,7 +54,8 @@ def draw(rng):
     pick = rng.choice
     if cmd == "expand":
         opts = {"alpha": pick(BASES),
-                "x": pick(["1/3", "0", "1", "-1/2", "7/5", "rat:2/7"]),
+                "x": pick(["1/3", "0", "1", "-1/2", "7/5", "rat:2/7", "akl",
+                           "alg:-1,2,1@[2/5,1/2]"]),
                 "length": pick(["0", "1", "8", "40", "5000", "5001"]),
                 "algorithm": pick(["greedy", "quasi-greedy"]),
                 "alphabet": pick(ALPHABETS)}

@@ -514,7 +514,7 @@ class TestCountMatrix:
         assert cm.entries == m and cm.n == 3
         assert cm.row_sums() == [2, 4, 0]
         assert CountMatrix.from_successors(cm.succ).entries == m
-        assert CountMatrix([]).entries == () and CountMatrix([]).is_zero()
+        assert CountMatrix([]).entries == () and CountMatrix([]).succ == []
 
     def test_rejects_non_square_and_negative(self):
         with pytest.raises(ValueError):
@@ -533,6 +533,8 @@ class TestCountMatrix:
             cm = g.count_matrix
             assert cm.succ == G.successors(cm.entries)
             assert cm.row_sums() == [sum(r) for r in cm.entries]
+            # trimmed: no zero row, so perron_dimension tests g.empty alone
+            assert not g.empty and min(cm.row_sums()) >= 1
 
 
 class TestIntersectionGraph:
@@ -682,16 +684,13 @@ def reference_box_rows(alpha, t, depth):
     for _ in range(depth + buf):
         pows.append(_ref_iv_mul(pows[-1], a_iv))
     tails = [_ref_iv_mul(p, u_iv)[1] for p in pows]
-    ctx = None
     if isinstance(t, X.QAlphaElement):
         ctx, t_exact = t.ctx, t
-    elif isinstance(t, (int, F)):
+    else:
         ctx = X.QAlphaContext(alpha)
         t_exact = ctx.embed(F(t))
-    search = None
-    if ctx is not None:
-        search = E.GammaSearch(BaseSystem(ctx.alpha, W.BINARY), depth_cap=512)
-        a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
+    search = E.GammaSearch(BaseSystem(ctx.alpha, W.BINARY))
+    a_pows = [ctx.element([0] * k + [1]).state for k in range(depth + 1)]
     uppers = [0] * (depth + 1)
     lowers = [0] * (depth + 1)
 
@@ -721,18 +720,15 @@ def reference_box_rows(alpha, t, depth):
             return
         if k > 0:
             uppers[k] += 1
-            if search is not None and search.membership(x).status is \
-                    E.GammaStatus.IN:
-                lowers[k] += 1
+            lowers[k] += search.membership(x).status is E.GammaStatus.IN
         if k == depth:
             return
         pw = pows[k + 1]
         next_g = [h for g in kept for h in (g, _ref_iv_add(g, pw))]
         walk(k + 1, part, next_g, x)
-        walk(k + 1, _ref_iv_add(part, pw), next_g,
-             None if search is None else ctx.add(x, a_pows[k + 1]))
+        walk(k + 1, _ref_iv_add(part, pw), next_g, ctx.add(x, a_pows[k + 1]))
 
-    walk(0, (0.0, 0.0), [t_iv], None if search is None else (-t_exact).state)
+    walk(0, (0.0, 0.0), [t_iv], (-t_exact).state)
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     half = [(n, u) for (n, _, u) in rows if u > 0]
     half = half[len(half) // 2:]
@@ -944,6 +940,17 @@ class TestBoxCount:
         with pytest.raises(ValueError, match="different Q"):
             box_count_oracle(F(2, 5), t, 4)
 
+    @pytest.mark.parametrize("t", ["akl", "alg:-1,2,1@[2/5,1/2]"])
+    def test_shift_outside_the_field_is_refused(self, t):
+        # no witness search can take an irrational shift at a rational
+        # base, so the call is refused rather than left without lower rows
+        with pytest.raises(ValueError, match="no state in Q"):
+            box_count_oracle(F(2, 5), X.parse_real(t), 4)
+
+    def test_base_without_a_field_is_refused(self):
+        with pytest.raises(X.UnsupportedBase):
+            box_count_oracle(T.alpha_kl_real(), F(0), 4)
+
     def test_grid_matches_float_walk(self):
         # the exact grid keeps every row and slope of the float walk
         cases = box_cases()
@@ -986,9 +993,6 @@ class TestBoxCount:
         statuses = []
 
         class Capped(E.GammaSearch):
-            def __init__(self, ctx, depth_cap=4096):
-                super().__init__(ctx, depth_cap=2)
-
             def membership(self, x):
                 res = super().membership(x)
                 statuses.append(res.status)
@@ -996,6 +1000,7 @@ class TestBoxCount:
 
         cases = check7_cases() + box_cases()
         uncapped = [box_count_oracle(*c).rows for c in cases]
+        monkeypatch.setattr(E, "_GAMMA_DEPTH_CAP", 2)
         monkeypatch.setattr(E, "GammaSearch", Capped)
         calls = ref_calls = changed = 0
         for case, rows in zip(cases, uncapped):

@@ -931,14 +931,15 @@ class TestStateArithmetic:
             return ctx.element([F(rng.randrange(-50, 51), rng.randrange(1, 13))
                                 for _ in range(ctx.degree)])
 
+        # the step s -> s/alpha - d, every child kept
+        wide = k.children(k.state(-10**9), k.state(10**9), range(-2, 3))
         for _ in range(40):
             x, y = rand_el(), rand_el()
             s, r = k.state(x), k.state(y)
             assert QAlphaElement(k, s) == x
             assert s[-1] > 0 and math.gcd(*s) == 1
             assert k.state(QAlphaElement(k, s)) == s
-            d = rng.randrange(-2, 3)
-            assert QAlphaElement(k, k.step(s, d)) == x * inv - d
+            assert wide(s) == [(k.state(x * inv - d), d) for d in range(-2, 3)]
             assert QAlphaElement(k, k.add(s, r)) == x + y
             assert k.sign(s) == reference_sign(x)
             assert k.compare(s, r) == reference_sign(x - y)
@@ -948,6 +949,11 @@ class TestStateArithmetic:
                             if reference_sign(x * inv - d - lo) >= 0
                             and reference_sign(hi - (x * inv - d)) >= 0]
         assert k.fallbacks == 0
+
+    @pytest.mark.parametrize("text", ["akl", "alg:-1,2,1@[2/5,1/2]"])
+    def test_state_of_a_number_outside_the_field_is_refused(self, text):
+        with pytest.raises(ValueError, match="no state in Q"):
+            QAlphaContext(F(2, 5)).state(parse_real(text))
 
     @pytest.mark.parametrize("text", KERNEL_BASES)
     def test_margin_is_strict(self, text):
@@ -1009,15 +1015,17 @@ class TestIntegerField:
                ctx.embed(F(-3, 7))]
         els += [ctx.element(rand_vec(n)) for _ in range(30)]
         inv_alpha = reference_inverse(ctx, ctx.alpha_element.coeffs)
+        wide = ctx.children(ctx.state(-10**12), ctx.state(10**12), (-1, 0, 2))
         for x in els:
             s = x.state
             assert s[-1] > 0 and math.gcd(*s) == 1
             assert ctx.state(x) is s
-            for d in (-1, 0, 2):
+            kids = wide(s)
+            assert [d for _, d in kids] == [-1, 0, 2]
+            for child, d in kids:
                 want = list(reference_mul(ctx, x.coeffs, inv_alpha))
                 want[0] -= d
-                assert QAlphaElement(ctx, ctx.step(s, d)).coeffs == \
-                    tuple(want)
+                assert QAlphaElement(ctx, child).coeffs == tuple(want)
             y = rng.choice(els)
             assert (x * y).coeffs == reference_mul(ctx, x.coeffs, y.coeffs)
             assert (x * 3).coeffs == tuple(3 * c for c in x.coeffs)

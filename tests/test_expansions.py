@@ -16,7 +16,6 @@ from cantorint.expansions import (
     OutOfDomain,
     OutOfRange,
     UniqStatus,
-    Verdict,
     golden_threshold,
 )
 from cantorint.words import (BINARY, TERNARY, Alphabet, EPSeq, FiniteWord,
@@ -36,6 +35,29 @@ def to_fraction(el):
     x, *rest = el.coeffs
     assert not any(rest)
     return x
+
+
+def reference_admissible_delta(seq, depth_cap=1024):
+    """Whether every shift of ``seq`` is lex-<= the sequence itself, shift
+    by shift: True or False for an EPSeq, whose distinct shifts are
+    finitely many; False or None (no violation among the first
+    ``depth_cap`` shifts) for a LazySeq.  Parry's admissibility of delta,
+    the condition that ``is_unique_expansion`` compares tails against."""
+    if isinstance(seq, EPSeq):
+        return all(W.lex_compare(seq.shift(k), seq) is not W.Lex.GREATER
+                   for k in range(1, len(seq.pre) + len(seq.per) + 1))
+    for k in range(1, depth_cap + 1):
+        shifted = LazySeq(lambda i, _k=k: seq.digit(i + _k), seq.alphabet)
+        if W.lex_compare(shifted, seq, depth_cap) is W.Lex.GREATER:
+            return False
+    return None
+
+
+def fresh_membership(alpha, x):
+    """The verdict on x, a rational or a Q(alpha) element, of a fresh
+    GammaSearch: one query, no facts shared with another."""
+    search = E.GammaSearch(BaseSystem(alpha, BINARY))
+    return search.membership(search.ctx.state(x))
 
 
 def has_unique_infinite_path(auto) -> bool:
@@ -171,11 +193,11 @@ class TestDelta:
             sys = BaseSystem(a, A012)
             ep = E.try_ep_form(sys, depth_cap=512)
             if ep is not None:
-                assert E.admissible_delta(ep) is Verdict.TRUE
+                assert reference_admissible_delta(ep) is True
             else:
                 lazy = LazySeq(lambda i, c=sys.delta_cache(): c.digit(i), A012)
-                assert E.admissible_delta(lazy, depth_cap=128) \
-                    is not Verdict.FALSE
+                assert reference_admissible_delta(lazy, depth_cap=128) \
+                    is not False
 
     @pytest.mark.parametrize("M", [1, 2, 3, 5])
     def test_domain_is_one_comparison(self, M):
@@ -300,14 +322,14 @@ class TestIntegerKernel:
 
 class TestAdmissible:
     def test_threshold_sequence(self):
-        assert E.admissible_delta(EPSeq((2,), (1,), A012)) is Verdict.TRUE
+        assert reference_admissible_delta(EPSeq((2,), (1,), A012)) is True
 
     def test_rotated_fails(self):
-        assert E.admissible_delta(EPSeq((), (1, 2), A012)) is Verdict.FALSE
+        assert reference_admissible_delta(EPSeq((), (1, 2), A012)) is False
 
     def test_lambda_image_no_violation(self):
         seq = LazySeq(lambda i: 1 + T.lam(i), A012, "1+lambda")
-        assert E.admissible_delta(seq, depth_cap=256) is not Verdict.FALSE
+        assert reference_admissible_delta(seq, depth_cap=256) is not False
 
 
 class TestUniqueness:
@@ -677,42 +699,45 @@ class TestAutomaton:
 
 
 class TestGammaMembership:
+    """Single queries, each on a fresh GammaSearch."""
+
     def test_zero(self):
-        res = E.gamma_membership(F(2, 5), F(0))
+        res = fresh_membership(F(2, 5), F(0))
         assert res.status is E.GammaStatus.IN
 
     def test_max_point(self):
         u = F(2, 5) / (1 - F(2, 5))
-        res = E.gamma_membership(F(2, 5), u)
+        res = fresh_membership(F(2, 5), u)
         assert res.status is E.GammaStatus.IN
         assert tuple(res.witness) == (1,)
 
     def test_witness_is_a_binary_word_built_once(self):
         u = F(2, 5) / (1 - F(2, 5))
-        res = E.gamma_membership(F(2, 5), u)
+        res = fresh_membership(F(2, 5), u)
         w = res.witness
         assert isinstance(w, FiniteWord) and w.alphabet == BINARY
         assert res.witness is w
-        assert E.gamma_membership(F(2, 5), u * 3 / 2).witness is None
+        assert fresh_membership(F(2, 5), u * 3 / 2).witness is None
 
     def test_beyond_max(self):
         u = F(2, 5) / (1 - F(2, 5))
-        assert E.gamma_membership(F(2, 5), u * 3 / 2).status \
+        assert fresh_membership(F(2, 5), u * 3 / 2).status \
             is E.GammaStatus.OUT
 
-    def test_gap_point(self):
+    def test_gap_point(self, monkeypatch):
         # 1/2 * u falls in the central gap for alpha < 1/2... only when the
         # pieces separate; at alpha = 2/5 the set is Cantor with gaps:
         # alpha + alpha^2 u < u/2 < u - same margin, so 1/2 u is outside
+        monkeypatch.setattr(E, "_GAMMA_DEPTH_CAP", 64)
         u = F(2, 5) / (1 - F(2, 5))
-        res = E.gamma_membership(F(2, 5), u / 2, depth_cap=64)
+        res = fresh_membership(F(2, 5), u / 2)
         assert res.status is E.GammaStatus.OUT
 
-    def test_unknown_at_depth(self):
-        # an irrational-ish rational deep inside needs more depth than 2
-        res = E.gamma_membership(F(2, 5), F(1, 7), depth_cap=3)
-        assert res.status in (E.GammaStatus.OUT, E.GammaStatus.UNKNOWN,
-                              E.GammaStatus.IN)
+    def test_unknown_at_depth(self, monkeypatch):
+        # a rational whose path runs past a cap of 3 steps is UNKNOWN
+        monkeypatch.setattr(E, "_GAMMA_DEPTH_CAP", 3)
+        res = fresh_membership(F(2, 5), F(1, 5))
+        assert res.status is E.GammaStatus.UNKNOWN
 
 
 class TestGammaSearch:
@@ -746,12 +771,12 @@ class TestGammaSearch:
             sys = BaseSystem(F(base), TERNARY)
             word = [rng.choice((-1, 0, 1)) for _ in range(4)]
             t = E.seq_value(sys, FiniteWord(word, TERNARY))
-        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY), depth_cap=512)
+        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY))
         seen = set()
         for x in self._points(sys, t, rng):
-            fresh = E.gamma_membership(sys.alpha, x, depth_cap=512)
+            fresh = fresh_membership(sys.alpha, x)
             assert fresh.status is not E.GammaStatus.UNKNOWN
-            assert search.membership(x).status is fresh.status
+            assert search.membership(x.state).status is fresh.status
             seen.add(fresh.status)
         assert seen == {E.GammaStatus.IN, E.GammaStatus.OUT}
 
@@ -770,7 +795,7 @@ class TestGammaSearch:
         outside += [u * F(rng.randrange(1001, 3000), 1000) for _ in range(5)]
         kids = ctx.children(ctx.state(0), ctx.state(u), (0, 1))
         for x in inside:
-            assert E.gamma_membership(sys.alpha, x).status \
+            assert fresh_membership(sys.alpha, x).status \
                 is E.GammaStatus.IN
             s = x.state
             for _ in range(200):
@@ -778,36 +803,39 @@ class TestGammaSearch:
                 assert step
                 s = rng.choice(step)[0]
         for x in outside:
-            assert E.gamma_membership(sys.alpha, x).status \
+            assert fresh_membership(sys.alpha, x).status \
                 is E.GammaStatus.OUT
 
     def test_element_of_another_field_is_refused(self):
         # 1/7 embedded at base 3/5 is no value of Q(2/5)'s elements
         x = X.QAlphaContext(F(3, 5)).embed(F(1, 7))
         with pytest.raises(ValueError, match="different Q"):
-            E.gamma_membership(F(2, 5), x)
-        assert E.gamma_membership(F(2, 5), F(1, 7)).status \
+            fresh_membership(F(2, 5), x)
+        assert fresh_membership(F(2, 5), F(1, 7)).status \
             is E.GammaStatus.OUT
         with pytest.raises(ValueError, match="over {0,1}"):
             E.GammaSearch(BaseSystem(F(2, 5), TERNARY))
 
-    def test_memo_is_certified_only(self):
+    def test_memo_is_certified_only(self, monkeypatch):
         # a value cut short by the cap is memoised neither way, and every
         # value memoised OUT is OUT for a fresh, deeper search
-        search = E.GammaSearch(BaseSystem(F(2, 5), BINARY), depth_cap=8)
+        monkeypatch.setattr(E, "_GAMMA_DEPTH_CAP", 8)
+        search = E.GammaSearch(BaseSystem(F(2, 5), BINARY))
+        ctx = search.ctx
         for x in (F(1, 5), F(1, 7), F(1, 11), F(1, 5)):
             expect = E.GammaStatus.UNKNOWN if x == F(1, 5) else \
                 E.GammaStatus.OUT
-            assert search.membership(x).status is expect
-        ctx = search.ctx
+            assert search.membership(ctx.state(x)).status is expect
         assert ctx.state(F(1, 5)) not in search.dead | search.live
         assert search.dead
+        monkeypatch.undo()
         for s in search.dead:
             v = to_fraction(X.QAlphaElement(ctx, s))
-            assert E.gamma_membership(F(2, 5), v).status is E.GammaStatus.OUT
+            assert fresh_membership(F(2, 5), v).status is E.GammaStatus.OUT
         search = E.GammaSearch(BaseSystem(F(2, 5), BINARY))
-        assert search.membership(F(0)).status is E.GammaStatus.IN
-        assert search.live and search.membership(F(0)).witness.digits == ()
+        zero = search.ctx.state(F(0))
+        assert search.membership(zero).status is E.GammaStatus.IN
+        assert search.live and search.membership(zero).witness.digits == ()
 
 
 class TestSeqValue:
@@ -1021,17 +1049,18 @@ class TestFollowerClosures:
             assert auto.complete == ref.complete
 
     @pytest.mark.parametrize("base,seed", closure_cases())
-    def test_shared_search_matches_reference(self, base, seed):
+    def test_shared_search_matches_reference(self, base, seed, monkeypatch):
         rng = random.Random(seed)
         sys = BaseSystem(X.parse_real(base), TERNARY)
         word = [rng.choice((-1, 0, 1)) for _ in range(4)]
         t = E.seq_value(sys, FiniteWord(word, TERNARY))
         points = TestGammaSearch._points(sys, t, rng, count=60)
         points += [sys.embed(0), sys.tail_unit, sys.tail_unit * 2]
-        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY), depth_cap=64)
+        monkeypatch.setattr(E, "_GAMMA_DEPTH_CAP", 64)
+        search = E.GammaSearch(BaseSystem(sys.alpha, BINARY))
         ref = ReferenceGammaSearch(sys.ctx, depth_cap=64, node_cap=2000)
         for x in points:
-            got, want = search.membership(x), ref.membership(x)
+            got, want = search.membership(x.state), ref.membership(x)
             assert got.status is want.status
             assert got.witness == want.witness
 

@@ -1,17 +1,22 @@
 """Static checks over the package source, with the standard library's ast:
-no module-level import that its module never uses, and no private
-top-level name that nothing in the package references.  Both catch code
-left behind when a second copy of something is deleted.  No module
-imports one from a layer above its own, deferred imports included."""
+no module-level import that its module never uses, no private top-level
+name that nothing in the package references, and no public top-level
+function or class that only the tests call.  All three catch code left
+behind when a second copy of something is deleted.  No module imports one
+from a layer above its own, deferred imports included."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorint"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantorint"
 TREES = {p.name: ast.parse(p.read_text(), str(p))
          for p in sorted(SRC.glob("*.py"))}
+# the package's callers other than the tests
+CALLERS = [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "demos")
+           for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def loaded_names(tree) -> set:
@@ -65,6 +70,36 @@ def test_every_private_top_level_name_is_referenced():
                if n.startswith("_") and not n.startswith("__")
                and n not in loaded]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def unreferenced_public_names(trees, callers) -> list:
+    """Public top-level functions and classes of ``trees`` that no code
+    outside their own definition reads: neither another part of the
+    package, bar the re-exports of ``__init__.py``, nor ``callers``."""
+    parts = [(name, node, loaded_names(node)) for name, tree in trees.items()
+             if name != "__init__.py" for node in tree.body]
+    read_by_callers = set().union(*map(loaded_names, callers))
+    return [f"{name}:{node.name}" for name, node, _ in parts
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in read_by_callers
+            and not any(node.name in read for _, other, read in parts
+                        if other is not node)]
+
+
+def test_every_public_top_level_name_has_a_caller():
+    orphans = unreferenced_public_names(TREES, CALLERS)
+    assert not orphans, f"only the tests call {orphans}"
+
+
+def test_public_name_check_skips_own_body_and_reexports():
+    trees = {"__init__.py": ast.parse("from .m import lone, used, Used\n"),
+             "m.py": ast.parse("def lone(n):\n    return lone(n - 1)\n"
+                               "def used():\n    pass\n"
+                               "class Used:\n    pass\n"
+                               "def caller():\n    return used()\n")}
+    assert unreferenced_public_names(trees, [ast.parse("m.Used()")]) == \
+        ["m.py:lone", "m.py:caller"]
 
 
 # the layers, lowest first; a module imports only from its own layer or
