@@ -170,20 +170,28 @@ def char_poly(succ: list) -> list:
     exactly by the Faddeev-LeVerrier recurrence.
 
     For an integer matrix every M_k and c_k is integral, so the recurrence
-    runs on Python ints; a trace not divisible by k would be a bug.
+    runs on Python ints; a trace not divisible by k would be a bug.  Row i
+    of A M is sum_l A[i][l] M[l], built straight from row i's successors:
+    one copies or scales a row, and two make one fused comprehension.
     """
     n = len(succ)
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     cs = []
     for k in range(1, n + 1):
-        # M <- A * M, row i of A*M being sum_l A[i][l] * M[l]
-        AM = []
-        for i in range(n):
-            acc = [0] * n
-            for l, a in succ[i]:
-                acc = [x + a * y for x, y in zip(acc, M[l])]
-            AM.append(acc)
-        tr = sum(AM[i][i] for i in range(n))
+        AM, tr = [], 0
+        for i, out in enumerate(succ):
+            if len(out) == 1:
+                (l, a), = out
+                row = M[l][:] if a == 1 else [a * y for y in M[l]]
+            elif len(out) == 2:
+                (l, a), (m, b) = out
+                row = [a * x + b * y for x, y in zip(M[l], M[m])]
+            else:
+                row = [0] * n
+                for l, a in out:
+                    row = [x + a * y for x, y in zip(row, M[l])]
+            tr += row[i]
+            AM.append(row)
         if tr % k != 0:
             raise VerificationFailed("characteristic polynomial not integral")
         c = -tr // k
@@ -279,18 +287,25 @@ class CountMatrix:
         Each float vector is scaled exactly to positive integers by a power
         of two, v.  For an irreducible A_c and any positive v the radius of
         A_c lies between the least and the largest (A_c v)_i / v_i, the row
-        sums of D^-1 A_c D with D = diag(v); one exact integer mat-vec over
-        the successor lists gives them.  The radius of A is the largest
-        component radius, so it lies in [max_c lo_c, max_c hi_c].
+        sums of D^-1 A_c D with D = diag(v), picked by cross-multiplication
+        after one exact integer mat-vec over the successor lists.  The
+        radius of A is the largest component radius: [max_c lo_c, max_c
+        hi_c] holds it.
         """
         lo = hi = Fraction(0)
         for rows, v in vectors:
             ratios = [float(x).as_integer_ratio() for x in v]
             den = max(q for _, q in ratios)
             w = dict(zip(rows, (p * (den // q) for p, q in ratios)))
-            sums = [Fraction(sum(a * w[j] for j, a in self.succ[i] if j in w),
-                             w[i]) for i in rows]
-            lo, hi = max(lo, min(sums)), max(hi, max(sums))
+            (s0, w0), *rest = [(sum(a * w[j] for j, a in self.succ[i]
+                                    if j in w), w[i]) for i in rows]
+            s1, w1 = s0, w0
+            for s, x in rest:  # least and largest s / x, on ints
+                if s * w0 < s0 * x:
+                    s0, w0 = s, x
+                elif s * w1 > s1 * x:
+                    s1, w1 = s, x
+            lo, hi = max(lo, Fraction(s0, w0)), max(hi, Fraction(s1, w1))
         return lo, hi
 
     def perron(self) -> PerronInfo:

@@ -221,30 +221,33 @@ def sturm_chain(coeffs):
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = [v > 0 for v in (_value_at(p, x) for p in chain) if v]
+def _sign_variations(chain, N: int, M: int) -> int:
+    """Sign variations of the chain at N/M, M > 0."""
+    signs = [v > 0 for v in (_scaled_value(p, N, M) for p in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_root_count(coeffs, lo: Fraction, hi: Fraction, chain=None) -> int:
+def sturm_root_count(coeffs, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
     if hi <= lo:
         return 0
-    if chain is None:
-        chain = sturm_chain(coeffs)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    chain = sturm_chain(coeffs)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     """Isolate the largest real root of ``coeffs`` inside (lo, hi].
 
-    The polynomial p need not be squarefree.  Its one Sturm chain serves
-    twice.  Sturm's theorem counts the distinct roots of any p in (a, b]
-    when neither end is a root, so the bisection runs on the chain.  The
-    chain's last member is g = gcd(p, p'), so p / g, which has the same
-    roots, all simple, defines the returned ``AlgebraicReal``.  It is the
-    pseudo-quotient of p by g, p / g times a positive int, which
-    ``AlgebraicReal`` reduces to the primitive p / g (Gauss's lemma).
+    The polynomial p need not be squarefree.  One Sturm chain serves: it
+    counts the distinct roots of p in (a, b] when neither end is a root
+    (Sturm's theorem), and its last member is g = gcd(p, p'), so p / g,
+    with the same roots, all simple, defines the returned
+    ``AlgebraicReal``: the pseudo-quotient of p by g, made primitive
+    (Gauss's lemma).  The chain's count of one root holds for p / g, so
+    only its signs at the ends are checked, nonzero and opposite.  The
+    bracket (a/M, b/M) is split on ints at (a + b)/(2 M), or at
+    (a + 2 b)/(3 M) if that is a root of p; its ends' variations are kept.
 
     Raises ``NonIsolatingInterval`` if the interval holds no root.  The
     endpoints must not themselves be roots.
@@ -254,25 +257,32 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     p = chain[0]  # coeffs as ints
     if _value_at(p, lo) == 0 or _value_at(p, hi) == 0:
         raise NonIsolatingInterval("endpoint is a root; shift the interval")
-    total = sturm_root_count(coeffs, lo, hi, chain)
+    M = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (M // lo.denominator)
+    b = hi.numerator * (M // hi.denominator)
+    va, vb = _sign_variations(chain, a, M), _sign_variations(chain, b, M)
+    total = va - vb if lo < hi else 0
     if total == 0:
         raise NonIsolatingInterval("no real root in the given interval")
     while total > 1:
-        mid = (lo + hi) / 2
-        if _value_at(p, mid) == 0:
+        m, k = a + b, 2
+        if _scaled_value(p, m, 2 * M) == 0:
             # nudge the split point off the root
-            mid = (lo + 2 * hi) / 3
-            if _value_at(p, mid) == 0:
+            m, k = a + 2 * b, 3
+            if _scaled_value(p, m, 3 * M) == 0:
                 raise NonIsolatingInterval("could not separate roots")
-        upper = sturm_root_count(coeffs, mid, hi, chain)
-        if upper >= 1:
-            lo = mid
-            total = upper
+        a, b, M = k * a, k * b, k * M
+        vm = _sign_variations(chain, m, M)
+        if vm > vb:
+            a, va, total = m, vm, vm - vb
         else:
-            hi = mid
-            total = sturm_root_count(coeffs, lo, hi, chain)
-    squarefree, _ = poly_pseudo_divmod(p, chain[-1])
-    return AlgebraicReal(squarefree, lo, hi)
+            b, vb, total = m, vm, va - vm
+    x = AlgebraicReal.__new__(AlgebraicReal)
+    x.coeffs = q = poly_normalize(poly_pseudo_divmod(p, chain[-1])[0])
+    if _scaled_value(q, a, M) * _scaled_value(q, b, M) >= 0:
+        raise NonIsolatingInterval("the squarefree part does not change sign")
+    x._lo, x._hi = Fraction(a, M), Fraction(b, M)
+    return x
 
 
 def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
@@ -330,9 +340,11 @@ class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
     The interval must contain exactly one real root of the polynomial
-    (verified with a Sturm chain at construction).  Refinement takes the
-    bisection bracket, reached through a checked Newton cell; the cached
-    interval only ever shrinks, so the denoted root never changes.
+    (verified with a Sturm chain at construction, or, for
+    ``isolate_largest_root``, by the chain it isolated the root on).
+    Refinement takes the bisection bracket, reached through a checked
+    Newton cell; the cached interval only ever shrinks, so the denoted root
+    never changes.
     """
 
     __slots__ = ("coeffs", "_lo", "_hi")
@@ -618,8 +630,15 @@ _PROOF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _rem_mod(a, b, p: int) -> list:
-    """a mod b in F_p[x] up to a unit factor, b's lead a unit mod p."""
-    return poly_trim([c % p for c in poly_pseudo_divmod(a, b)[1]])
+    """a mod b in F_p[x], b's lead a unit mod p: long division by the monic
+    b / lead, each quotient term taken mod p, so the ints stay small."""
+    inv, n, r = pow(b[-1], -1, p), len(b) - 1, [c % p for c in a]
+    for k in range(len(r) - 1, n - 1, -1):
+        t = r[k] * inv % p
+        if t:
+            for i in range(n):
+                r[k - n + i] -= t * b[i]
+    return poly_trim([c % p for c in r[:n]])
 
 
 def _irreducible_mod(P, p: int) -> bool:

@@ -119,10 +119,14 @@ class BaseSystem:
     # frequently used exact quantities
     @cached_property
     def tail_unit(self) -> QAlphaElement:
-        """alpha / (1 - alpha): the value of the all-ones tail."""
+        """alpha / (1 - alpha): the value of the all-ones tail, which is
+        alpha Q(alpha) / P(1) for alpha's polynomial P = sum a_i x^i and
+        P(x) - P(1) = (x - 1) Q(x), Q = sum_k (a_(k+1) + ... + a_n) x^k."""
         ctx = self._require_ctx()
-        a = ctx.alpha_element
-        return a / (ctx.one - a)
+        a = ctx.poly
+        sg = 1 if sum(a) > 0 else -1  # P(1) != 0: 1 is no root of P
+        return QAlphaElement(ctx, ctx.reduce(
+            [0] + [sg * sum(a[k:]) for k in range(1, len(a))], sg * sum(a)))
 
     def low_tail(self) -> QAlphaElement:
         return self.alphabet.low * self.tail_unit

@@ -506,6 +506,120 @@ class TestPerron:
         assert glo * glo - glo - 1 <= 0 <= ghi * ghi - ghi - 1
 
 
+def reference_char_poly(succ):
+    """char_poly as it added into a fresh zero row once per nonzero."""
+    n = len(succ)
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cs = []
+    for k in range(1, n + 1):
+        AM = []
+        for i in range(n):
+            acc = [0] * n
+            for l, a in succ[i]:
+                acc = [x + a * y for x, y in zip(acc, M[l])]
+            AM.append(acc)
+        tr = sum(AM[i][i] for i in range(n))
+        assert tr % k == 0
+        c = -tr // k
+        cs.append(c)
+        for i in range(n):
+            AM[i][i] += c
+        M = AM
+    return list(reversed(cs)) + [1]
+
+
+def reference_rowsum_enclosure(cm, vectors):
+    """rowsum_enclosure as it built one Fraction per row."""
+    lo = hi = F(0)
+    for rows, v in vectors:
+        ratios = [float(x).as_integer_ratio() for x in v]
+        den = max(q for _, q in ratios)
+        w = dict(zip(rows, (p * (den // q) for p, q in ratios)))
+        sums = [F(sum(a * w[j] for j, a in cm.succ[i] if j in w), w[i])
+                for i in rows]
+        lo, hi = max(lo, min(sums)), max(hi, max(sums))
+    return lo, hi
+
+
+def sqrt2_24_rows():
+    """The 24-row count matrix of sqrt(2) - 1 at t = -7/10, CHARPOLY_MAX_DIM
+    rows, whose squarefree char poly is x^24 - 106 x^12 + 9."""
+    sys = BaseSystem(X.parse_real("alg:-1,2,1@[2/5,1/2]"), TERNARY)
+    auto = E.build_expansion_automaton(sys, sys.embed(F(-7, 10)))
+    cm = build_intersection_graph(auto).count_matrix
+    assert cm.n == D.CHARPOLY_MAX_DIM
+    return cm
+
+
+def seeded_successors(rng, n):
+    """Successor lists with empty rows, self-loops, weights 1 to 3, one to
+    three successors per row, and a dense row now and then."""
+    succ = []
+    for i in range(n):
+        kind = rng.randrange(8)
+        if kind == 0:
+            cols = []
+        elif kind == 1:
+            cols = list(range(n))
+        else:
+            cols = rng.sample(range(n), min(n, rng.randrange(1, 4)))
+            if kind == 2:
+                cols.append(i)
+        succ.append(sorted({j: rng.randrange(1, 4) for j in cols}.items()))
+    return succ
+
+
+class TestSparseCharPoly:
+    def test_matches_dense_loop(self):
+        rng = random.Random(2417)
+        cases = [seeded_successors(rng, n) for n in range(25)
+                 for _ in range(6)]
+        cases.append(sqrt2_24_rows().succ)
+        for succ in cases:
+            assert char_poly(succ) == reference_char_poly(succ)
+        want = [9] + [0] * 11 + [-106] + [0] * 11 + [1]
+        assert sqrt2_24_rows().perron().algebraic.coeffs == tuple(want)
+
+    def test_integrality_guard_stays(self):
+        # a non-integer entry makes a trace that k does not divide
+        with pytest.raises(D.VerificationFailed, match="integral"):
+            char_poly([[(1, 1)], [(0, F(1, 2))]])
+
+
+class TestOneChainPerron:
+    @pytest.mark.parametrize("make", [
+        lambda: build_intersection_graph(ex51_setup()[1]).count_matrix,
+        sqrt2_24_rows], ids=["ex51", "sqrt2-24"])
+    def test_one_sturm_chain_per_root(self, make, monkeypatch):
+        cm = make()
+        assert cm.n in (6, 24)
+        calls = []
+        chain = X.sturm_chain
+        monkeypatch.setattr(X, "sturm_chain",
+                            lambda p: calls.append(p) or chain(p))
+        info = cm.perron()
+        assert info.algebraic is not None and len(calls) == 1
+
+    def test_rowsum_enclosure_matches_fraction_per_row(self):
+        rng = random.Random(1913)
+        cms = [sqrt2_24_rows(), CountMatrix(T.SFT_MATRIX),
+               build_intersection_graph(ex51_setup()[1]).count_matrix]
+        for k in range(40):
+            n = rng.randrange(1, 40)
+            cms.append(CountMatrix(TestPerron.random_matrix(
+                rng, n, irreducible=k % 2 == 0)))
+        for cm in cms:
+            vectors = cm.power_estimate()
+            assert cm.rowsum_enclosure(vectors) == \
+                reference_rowsum_enclosure(cm, vectors)
+            # coarse positive vectors, so that ties and wide quotients occur
+            coarse = [(rows, [float(rng.randrange(1, 4)) for _ in rows])
+                      for rows, _ in vectors]
+            got = cm.rowsum_enclosure(coarse)
+            assert got == reference_rowsum_enclosure(cm, coarse)
+            assert all(type(x) is F for x in got)
+
+
 class TestCountMatrix:
     def test_successor_lists_and_entries(self):
         m = ((0, 2, 0), (1, 0, 3), (0, 0, 0))

@@ -767,7 +767,8 @@ class TestIntegerSturm:
             points = [F(rng.randrange(-60, 61), rng.randrange(1, 9))
                       for _ in range(12)] + [F(1), F(3), F(1, 2)]
             for x in points:
-                assert X._sign_variations(chain, x) == \
+                assert X._sign_variations(chain, x.numerator,
+                                          x.denominator) == \
                     reference_sign_variations(p, x)
             for a, b in zip(points, points[1:]):
                 lo, hi = min(a, b), max(a, b)
@@ -872,6 +873,104 @@ class TestPseudoDivision:
             assert rem == [] and X.poly_normalize(quot) == want
             scaled += abs(chain[-1][-1]) > 1 and len(quot) > 1
         assert scaled >= 10  # q is scaled in more than one step
+
+
+# isolate_largest_root as it bisected on Fraction midpoints, with the
+# AlgebraicReal constructor's own Sturm check on the squarefree part
+
+def fraction_isolate(coeffs, lo, hi):
+    def count(a, b):  # roots in (a, b], a < b, on the one chain
+        return (X._sign_variations(chain, a.numerator, a.denominator)
+                - X._sign_variations(chain, b.numerator, b.denominator))
+
+    lo, hi = F(lo), F(hi)
+    chain = X.sturm_chain(coeffs)
+    p = chain[0]
+    if X._value_at(p, lo) == 0 or X._value_at(p, hi) == 0:
+        raise X.NonIsolatingInterval("endpoint is a root")
+    total = count(lo, hi) if lo < hi else 0
+    if total == 0:
+        raise X.NonIsolatingInterval("no root")
+    while total > 1:
+        mid = (lo + hi) / 2
+        if X._value_at(p, mid) == 0:
+            mid = (lo + 2 * hi) / 3
+            if X._value_at(p, mid) == 0:
+                raise X.NonIsolatingInterval("could not separate roots")
+        upper = count(mid, hi)
+        if upper >= 1:
+            lo, total = mid, upper
+        else:
+            hi = mid
+            total = count(lo, hi)
+    return AlgebraicReal(X.poly_pseudo_divmod(p, chain[-1])[0], lo, hi)
+
+
+def isolation_cases():
+    """The Sturm tests' polynomials, repeated roots among them, on seeded
+    intervals, and the nudged split."""
+    rng, polys = TestIntegerSturm().seeded_polys()
+    cases = [(NUDGED, F(0), F(6)), (NUDGED, F(0), F(10)),
+             (NUDGED, F(1, 3), F(7, 3))]
+    for p in polys + sparse_polys(rng, 30):
+        for _ in range(4):
+            cases.append((p, F(rng.randrange(-80, 0), rng.randrange(1, 7)),
+                          F(rng.randrange(1, 80), rng.randrange(1, 7))))
+    return cases
+
+
+class TestOneChainIsolation:
+    """isolate_largest_root bisects on ints and builds one Sturm chain."""
+
+    def test_matches_fraction_bisection(self):
+        isolated = repeated = 0
+        for p, lo, hi in isolation_cases():
+            try:
+                want = fraction_isolate(p, lo, hi)
+            except X.NonIsolatingInterval:
+                with pytest.raises(X.NonIsolatingInterval):
+                    X.isolate_largest_root(p, lo, hi)
+                continue
+            got = X.isolate_largest_root(p, lo, hi)
+            assert got.coeffs == want.coeffs
+            assert got.interval() == want.interval()
+            assert all(type(e) is F for e in got.interval())
+            isolated += 1
+            repeated += len(X.sturm_chain(p)[-1]) > 1
+        assert isolated >= 150 and repeated >= 50
+
+    def test_equals_public_constructor(self):
+        for p, lo, hi in isolation_cases():
+            try:
+                got = X.isolate_largest_root(p, lo, hi)
+            except X.NonIsolatingInterval:
+                continue
+            squarefree = X.poly_pseudo_divmod(p, X.sturm_chain(p)[-1])[0]
+            want = AlgebraicReal(squarefree, *got.interval())
+            assert (got.coeffs, got.interval()) == \
+                (want.coeffs, want.interval())
+            assert got.refine(F(1, 10**30)) == want.refine(F(1, 10**30))
+
+    def test_one_chain_per_root(self, monkeypatch):
+        calls = []
+        chain = X.sturm_chain
+        monkeypatch.setattr(X, "sturm_chain",
+                            lambda p: calls.append(p) or chain(p))
+        X.isolate_largest_root(NUDGED, F(0), F(6))
+        assert calls == [NUDGED]
+
+    def test_end_signs_of_the_squarefree_part_are_checked(self,
+                                                           monkeypatch):
+        # a squared quotient keeps the chain's count but not the sign
+        # change; the check at the ends must refuse it
+        divmod_ = X.poly_pseudo_divmod
+
+        def squared(a, b):
+            q, r = divmod_(a, b)
+            return X.poly_mul(q, q), r
+        monkeypatch.setattr(X, "poly_pseudo_divmod", squared)
+        with pytest.raises(X.NonIsolatingInterval, match="sign"):
+            X.isolate_largest_root(SQRT2_MINUS_1, F(0), F(1))
 
 
 class TestIntegerSeries:
@@ -1165,6 +1264,44 @@ class TestIrreducibilityProof:
             b[-1] = b[-1] or 1
             P = list(X.poly_normalize(X.poly_mul(a, b)))
             assert not X._proven_irreducible(P), (a, b)
+
+
+def reference_rem_mod(a, b, p):
+    """_rem_mod as it was: an int pseudo-division, then mod p."""
+    return X.poly_trim([c % p for c in X.poly_pseudo_divmod(a, b)[1]])
+
+
+class TestResidueRemainder:
+    """_rem_mod divides in F_p[x] by the monic divisor."""
+
+    def test_matches_pseudo_division_up_to_a_unit(self):
+        rng = random.Random(4099)
+        for _ in range(600):
+            p = rng.choice(X._PROOF_PRIMES)
+            b = [rng.randrange(-60, 61) for _ in range(rng.randrange(0, 6))]
+            b.append(rng.choice([c for c in range(-60, 61) if c % p]))
+            a = [rng.randrange(-99, 100) for _ in range(rng.randrange(0, 12))]
+            got, want = X._rem_mod(a, b, p), reference_rem_mod(a, b, p)
+            assert len(got) < len(b)
+            assert all(0 <= c < p for c in got)
+            units = {u for u in range(1, p)
+                     if [u * c % p for c in want] == got}
+            assert units if got else not want
+
+    def test_irreducibility_verdicts_unchanged(self, monkeypatch):
+        rng = random.Random(4100)
+        polys = [[1, 0, -10, 0, 1], [3, -7, -1, 1]]
+        for _ in range(300):
+            c = [rng.randint(-20, 20) for _ in range(rng.choice((3, 4, 5)))]
+            c[0], c[-1] = c[0] or 1, c[-1] or 1
+            polys.append(list(X.poly_normalize(c)))
+        got = [X._proven_irreducible(P) for P in polys]
+        monkeypatch.setattr(X, "_rem_mod", reference_rem_mod)
+        assert got == [X._proven_irreducible(P) for P in polys]
+        # x^4 - 10 x^2 + 1 splits mod every prime; (x^2 + 2x - 1)(x - 3)
+        # is reducible
+        assert got[:2] == [False, False]
+        assert 100 <= sum(got) < len(got)
 
 
 def seeded_elements(ctx, rng, count):

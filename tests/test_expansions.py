@@ -865,6 +865,27 @@ SQRT6_MINUS_2 = "alg:-2,4,1@[2/5,1/2]"  # 1/alpha is no algebraic integer
 KERNEL_BASES = SHIPPED_ALGEBRAIC + (SQRT6_MINUS_2,)
 
 
+def reference_tail_unit(sys):
+    """tail_unit as it divided in Q(alpha): alpha / (1 - alpha)."""
+    a = sys.ctx.alpha_element
+    return a / (sys.ctx.one - a)
+
+
+class TestTailUnit:
+    """tail_unit = alpha Q(alpha) / P(1), by synthetic division."""
+
+    @pytest.mark.parametrize("base", KERNEL_BASES + (
+        "rat:2/5", "rat:19/50", "rat:1/2", "rat:3/5"))
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY],
+                             ids=["01", "-101"])
+    def test_state_matches_field_division(self, base, alphabet):
+        sys = BaseSystem(X.parse_real(base), alphabet)
+        u = sys.tail_unit
+        assert u.ctx is sys.ctx
+        assert u.state == reference_tail_unit(sys).state
+        assert u * (1 - sys.ctx.alpha_element) == sys.ctx.alpha_element
+
+
 def reference_automaton(sys, t, state_cap):
     """build_expansion_automaton as it stepped in Q(alpha)."""
     t_el = sys.embed(t)
