@@ -41,7 +41,7 @@ def report(name, sys_a, t, box_depth=10):
     print(f"spectral radius ~ {float((lo + hi) / 2):.6f}"
           f"   dimension ~ {dv.decimal:.6f}")
     bound = freq_upper_bound_over_expansions(auto)
-    rhs = dim_from_frequency(sys_a, bound, unique_certified=False)
+    rhs = dim_from_frequency(sys_a, bound)
     print(f"max cycle zero-frequency = {bound}; frequency-route bound "
           f"~ {rhs.decimal:.6f}")
     print("the dimension strictly exceeds the bound: no single expansion")

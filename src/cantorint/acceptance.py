@@ -176,7 +176,7 @@ def check_05_example_51() -> AccResult:
     lam_lo, lam_hi = info.enclosure(Fraction(1, 10**10))
     dv = dimension.perron_dimension(g, alpha)
     bound = dimension.freq_upper_bound_over_expansions(auto)
-    rhs = dimension.dim_from_frequency(sys, bound, unique_certified=False)
+    rhs = dimension.dim_from_frequency(sys, bound)
     checks = {
         "six states, complete": len(auto.states) == 6 and auto.complete,
         "matrix matches up to state order": _permutation_equivalent(
@@ -217,7 +217,7 @@ def check_06_example_52() -> AccResult:
     dv = dimension.perron_dimension(g, alpha)
     independent = math.log(4) / (-3 * math.log(math.sqrt(2) - 1))
     bound = dimension.freq_upper_bound_over_expansions(auto)
-    rhs = dimension.dim_from_frequency(sys, bound, unique_certified=False)
+    rhs = dimension.dim_from_frequency(sys, bound)
     checks = {
         "paths spell the two blocks": lang_ok,
         "path count 2^k at length 3k": count_ok,

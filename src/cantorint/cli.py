@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, exactnum, expansions, thuemorse, words
+from .dimension import BOX_DEPTH_MAX
 from .exactnum import QAlphaElement, decimal_string, format_real, parse_real
 from .expansions import BaseSystem
 from .words import TERNARY, Alphabet, EPSeq, FiniteWord, format_seq, parse_seq
@@ -36,7 +37,6 @@ STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3
 # at each step; expand --length 5000 on a cubic base takes 0.26 s at 0:64
 # (CLI, best of 3, 2-core Xeon); a rational base takes one floor division
 ALPHABET_MAX = 64
-BOX_DEPTH_MAX = 20  # boxcount: 2/5 with t = 0 keeps all 2^20 cells in 16 s
 
 
 def _check_bound(flag: str, value: int, bound: int, name: str):
@@ -197,9 +197,7 @@ def _cmd_dim(args):
         raise CliError("sequence is not a unique expansion; the frequency "
                        "formula does not apply (use `cantor intersect`)")
     freq = words.zero_density(seq)
-    dv = dimension.dim_from_frequency(
-        sys_, freq, unique_certified=uniq.status
-        is expansions.UniqStatus.UNIQUE)
+    dv = dimension.dim_from_frequency(sys_, freq)
     return ({"alpha": args.alpha, "t_seq": args.t_seq},
             {"zero_density": str(freq.lower), "uniqueness": uniq.status.value,
              "dimension": _dim_payload(dv)})
@@ -241,12 +239,14 @@ def _cmd_intersect(args):
 
 
 def _cmd_boxcount(args):
+    # CANTOR_DEPTH_CAP can lower the bound, not raise it
     _check_bound("--depth", args.depth, BOX_DEPTH_MAX, "BOX_DEPTH_MAX")
+    _check_bound("--depth", args.depth, _depth_cap(BOX_DEPTH_MAX),
+                 "CANTOR_DEPTH_CAP")
     alpha = _parse_alpha(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
-    rep = dimension.box_count_oracle(alpha, t, args.depth,
-                                     max_depth=_depth_cap(BOX_DEPTH_MAX))
+    rep = dimension.box_count_oracle(alpha, t, args.depth)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,lower,upper\n")

@@ -89,13 +89,11 @@ class DimensionValue:
     dimension (built by :func:`_dimension_value`)."""
 
     form: DimForm
-    alpha: object
     lo: float
     hi: float
     freq: Optional[Fraction] = None
     perron: Optional["PerronInfo"] = None
     empty: bool = False
-    note: str = ""
 
     @property
     def decimal(self) -> float:
@@ -128,31 +126,27 @@ def _outward_quotient(a: Fraction, b: Fraction, up: bool) -> float:
 _LN2 = exactnum.log_enclosure(2)
 
 
-def _dimension_value(form, alpha, neg_log, num, **fields) -> DimensionValue:
+def _dimension_value(form, neg_log, num, **fields) -> DimensionValue:
     """The value whose (lo, hi) holds num / (-ln alpha), for Fraction
     intervals ``num`` >= 0 and ``neg_log`` > 0: the two intervals divide
     exactly, and each end is rounded outward to a float once."""
     lo = _outward_quotient(num[0], neg_log[1], False)
     hi = _outward_quotient(num[1], neg_log[0], True)
-    return DimensionValue(form, alpha, lo, hi, **fields)
+    return DimensionValue(form, lo, hi, **fields)
 
 
-def dim_from_frequency(sys: BaseSystem, freq: Union[FreqReport, Fraction],
-                       unique_certified: bool = True) -> DimensionValue:
-    """dim = log 2 / (-log alpha) * (lower zero density) on the base of
-    ``sys``, from its cached ``dimension_domain`` and ``neg_log``.
-
-    Valid for translations with a unique expansion; ``unique_certified``
-    is the caller's statement to that effect and is recorded in the note.
-    """
+def dim_from_frequency(sys: BaseSystem,
+                       freq: Union[FreqReport, Fraction]) -> DimensionValue:
+    """dim = log 2 / (-log alpha) * (zero density) on the base of ``sys``,
+    from its cached ``dimension_domain`` and ``neg_log``: the dimension of
+    the intersection for a translation with a unique expansion."""
     if not sys.dimension_domain:
         raise OutOfDomain("dimension formulas need alpha in (1/3, 1/2)")
     f = freq.lower if isinstance(freq, FreqReport) else Fraction(freq)
     if not 0 <= f <= 1:
         raise ValueError("zero frequency must lie in [0, 1]")
-    note = "" if unique_certified else "frequency route without certified uniqueness"
-    return _dimension_value(DimForm.FREQUENCY, sys.alpha, sys.neg_log,
-                            (f * _LN2[0], f * _LN2[1]), freq=f, note=note)
+    return _dimension_value(DimForm.FREQUENCY, sys.neg_log,
+                            (f * _LN2[0], f * _LN2[1]), freq=f)
 
 
 def full_dimension(sys: BaseSystem) -> DimensionValue:
@@ -481,9 +475,7 @@ def _shifted_solve(adj: list, pattern: tuple, sigma: float, v: list):
 
 @dataclass
 class IntersectionGraph:
-    automaton: ExpansionAutomaton
     count_matrix: CountMatrix
-    state_map: list  # graph row -> automaton state index
     empty: bool = False
 
 
@@ -498,7 +490,7 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
         raise IncompleteAutomaton("intersection graph needs a closed automaton")
     live = graph.trim(auto.succ)
     if auto.initial is None or not live[auto.initial]:
-        return IntersectionGraph(auto, CountMatrix([]), [], empty=True)
+        return IntersectionGraph(CountMatrix([]), empty=True)
     keep = graph.reachable(live, auto.initial)
     pos = {i: r for r, i in enumerate(keep)}
     succ = []
@@ -507,7 +499,7 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
         for (t, d) in live[f]:
             row[pos[t]] = row.get(pos[t], 0) + 2 - abs(d)
         succ.append(sorted(row.items()))
-    return IntersectionGraph(auto, CountMatrix.from_successors(succ), keep)
+    return IntersectionGraph(CountMatrix.from_successors(succ))
 
 
 def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
@@ -518,20 +510,19 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     -ln alpha as ``BaseSystem.neg_log`` does, once.
     """
     if g.empty:
-        return DimensionValue(DimForm.PERRON, alpha, 0.0, 0.0, empty=True,
-                              note="empty intersection")
+        return DimensionValue(DimForm.PERRON, 0.0, 0.0, empty=True)
     info = g.count_matrix.perron()
     if max(g.count_matrix.row_sums()) == 1:
         # every trimmed state has out-degree exactly one label: a single
         # path, spectral radius exactly 1, dimension exactly 0
-        return DimensionValue(DimForm.PERRON, alpha, 0.0, 0.0, perron=info)
+        return DimensionValue(DimForm.PERRON, 0.0, 0.0, perron=info)
     lam_lo, lam_hi = info.enclosure()
     if lam_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
     # lambda >= 1 on a trimmed graph, so its log is >= 0
     num = exactnum._log_interval(max(lam_lo, 1), lam_hi)
-    return _dimension_value(DimForm.PERRON, alpha, exactnum._neg_log(alpha),
-                            num, perron=info)
+    return _dimension_value(DimForm.PERRON, exactnum._neg_log(alpha), num,
+                            perron=info)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +552,7 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
 
 _BOX_BITS = 64  # the walk's intervals are ints times 2^-64
 _BOX_WIDTH = Fraction(1, 2**80)  # of the enclosures of alpha and t
+BOX_DEPTH_MAX = 20  # 2/5 with t = 0 keeps all 2^20 cells in 16 s
 
 
 def _lsq_slope(xs: list, ys: list) -> float:
@@ -606,12 +598,9 @@ def _box_grid(alpha, t, levels: int) -> tuple:
 class BoxCountReport:
     rows: list  # (n, lower_count, upper_count)
     slope: float
-    alpha: object
-    t: object
 
 
-def box_count_oracle(alpha, t, depth: int,
-                     max_depth: int = 20) -> BoxCountReport:
+def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
     """Count {0,1} prefixes whose cylinder can meet the intersection.
 
     An upper count keeps every depth-n prefix whose cylinder hull I =
@@ -640,12 +629,14 @@ def box_count_oracle(alpha, t, depth: int,
     where a fresh search certifies its verdict: the search keeps only
     certified IN/OUT facts, never a path cut short by its depth cap.  A
     0-child has its parent's p, so it inherits an IN/OUT verdict and
-    searches again only after UNKNOWN.
+    searches again only after UNKNOWN.  A depth over ``BOX_DEPTH_MAX``
+    raises ``DepthCapExceeded``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if depth > max_depth:
-        raise DepthCapExceeded(f"depth {depth} above configured max {max_depth}")
+    if depth > BOX_DEPTH_MAX:
+        raise DepthCapExceeded(
+            f"depth {depth} is over the bound BOX_DEPTH_MAX = {BOX_DEPTH_MAX}")
     alo, ahi, t_iv, pows, tails = _box_grid(alpha, t, depth)
     search = expansions.GammaSearch(BaseSystem(alpha, BINARY))
     ctx = search.ctx
@@ -669,7 +660,7 @@ def box_count_oracle(alpha, t, depth: int,
         if k > 0:
             uppers[k] += 1
             if verdict is None or verdict is UNKNOWN:
-                verdict = search.membership(x).status
+                verdict = search.membership(x)
             lowers[k] += verdict is IN
         if k == depth:
             return
@@ -690,7 +681,7 @@ def box_count_oracle(alpha, t, depth: int,
                            [math.log(u) for (_, u) in half])
     else:
         slope = 0.0
-    return BoxCountReport(rows, slope, alpha, t)
+    return BoxCountReport(rows, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +948,6 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
 @dataclass
 class DSetDescription:
     kind: DSetKind
-    alpha: object
     full: DimensionValue
     proper_subset: bool
     values: list = field(default_factory=list)
@@ -1007,7 +997,7 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     sys = BaseSystem(alpha, TERNARY)
     full = full_dimension(sys)  # refuses alpha outside (1/3, 1/2)
     kind = sys.regime
-    ds = DSetDescription(kind, alpha, full,
+    ds = DSetDescription(kind, full,
                          proper_subset=kind is not DSetKind.FULL_INTERVAL)
     if kind is DSetKind.COUNTABLE_FAMILY:
         ds.values = [dim_from_frequency(sys, Fraction(0)),

@@ -699,11 +699,11 @@ class QAlphaContext:
     alpha, standing for sum v_i alpha^i / D, with D > 0 and gcd(v_0, ...,
     v_(n-1), D) = 1.  The form is canonical: equal values have equal
     tuples, so states are dict keys.  Every :class:`QAlphaElement` holds
-    one.  ``element``, ``embed``, ``zero``, ``one`` and ``alpha_element``
-    build elements; ``state``, ``reduce``, ``step``, ``add``, ``neg``,
-    ``mul``, ``inverse``, ``sign``, ``compare``, ``enclosure`` and
-    ``children`` work on the states themselves, which is what the closures
-    under s -> s/alpha - d step on.  A rational alpha has degree 1, where a
+    one.  ``element``, ``embed``, ``one`` and ``alpha_element`` build
+    elements; ``state``, ``reduce``, ``add``, ``neg``, ``mul``,
+    ``inverse``, ``sign``, ``compare``, ``enclosure`` and ``children``
+    work on the states themselves, which is what the closures under s ->
+    s/alpha - d step on.  A rational alpha has degree 1, where a
     state is a plain rational (N, D).
 
     Step.  Let a_0 + a_1 x + ... + a_n x^n be the primitive integer
@@ -784,10 +784,6 @@ class QAlphaContext:
         return QAlphaElement(self, self.state(value))
 
     @property
-    def zero(self):
-        return self.embed(0)
-
-    @property
     def one(self):
         return self.embed(1)
 
@@ -801,11 +797,11 @@ class QAlphaContext:
     # -- states --------------------------------------------------------------
 
     def state(self, x) -> tuple:
-        """The state of a rational, or of a :class:`QAlphaElement` of this
-        field: its context is this one, or one on the same alpha.  Two
-        roots of one polynomial share a key, so only then are the roots
-        compared.  An element of another field, or any other number,
-        raises ValueError."""
+        """The state of a rational, of alpha as an :class:`AlgebraicReal`,
+        or of a :class:`QAlphaElement` of this field: its context is this
+        one, or one on the same alpha.  Two roots of one polynomial share a
+        key, so only then are the roots compared.  Any other number,
+        another root of alpha's polynomial too, raises ValueError."""
         if isinstance(x, QAlphaElement):
             other = x.ctx
             if other is not self and (other.key != self.key or (
@@ -813,6 +809,11 @@ class QAlphaContext:
                     is not Comparison.EQUAL)):
                 raise ValueError("elements from different Q(alpha) contexts")
             return x.state
+        if isinstance(x, AlgebraicReal) and self.key == ("alg", x.coeffs):
+            if compare(x, self.alpha) is Comparison.EQUAL:
+                return self.reduce([0, 1], 1)
+            raise ValueError(f"{x!r} is not alpha: of the roots of its "
+                             "polynomial only alpha has a state")
         try:
             x = Fraction(x)
         except TypeError:
@@ -1098,9 +1099,6 @@ class QAlphaElement:
         if o is None:
             return NotImplemented
         return o / self
-
-    def is_zero(self) -> bool:
-        return not any(self.state[:-1])
 
     def sign(self) -> int:
         return self.ctx.sign(self.state)

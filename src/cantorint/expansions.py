@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from . import exactnum, graph, thuemorse, words
 from .exactnum import (
@@ -408,11 +408,6 @@ class UniquenessResult:
     shifts_checked: int = 0
     compare_cap: int = 0
 
-    @property
-    def passed(self) -> bool:
-        """No violation found (certified for UNIQUE, best-effort otherwise)."""
-        return self.status is not UniqStatus.NOT_UNIQUE
-
 
 _DEFAULT_COMPARE_CAP = 4096
 _DEFAULT_LAZY_SHIFTS = 512
@@ -649,19 +644,6 @@ class GammaStatus(Enum):
     UNKNOWN = "unknown-at-depth"
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    """A verdict and, for IN, the digits of its witness; ``witness``
-    builds their word when first read, as the box walk reads only
-    ``status``."""
-    status: GammaStatus
-    digits: Optional[Sequence[int]] = None
-
-    @cached_property
-    def witness(self) -> Optional[FiniteWord]:
-        return None if self.digits is None else FiniteWord(self.digits, BINARY)
-
-
 class GammaSearch:
     """Membership test for the {0,1} Cantor set Gamma of one base, with
     certified facts shared across queries: the lower rows of
@@ -671,11 +653,11 @@ class GammaSearch:
     path of ``sys.children``: all of [0, u], u = ``sys.tail_unit``, when
     ``sys.whole``, else those whose one path, by :func:`_follow`, goes on.
     It is IN when a value repeats (the cycle pumps to an infinite
-    expansion) or is certified IN earlier, with the digits walked as
-    witness; OUT when it ends or reaches a value certified OUT; UNKNOWN
-    after ``_GAMMA_DEPTH_CAP`` steps.  ``dead`` and ``live`` keep the
-    states on OUT and IN paths; an UNKNOWN path enters neither, so sharing
-    never changes a verdict a fresh search certifies.
+    expansion) or is certified IN earlier; OUT when it ends or reaches a
+    value certified OUT; UNKNOWN after ``_GAMMA_DEPTH_CAP`` steps.
+    ``dead`` and ``live`` keep the states on OUT and IN paths; an UNKNOWN
+    path enters neither, so sharing never changes a verdict a fresh search
+    certifies.
     """
 
     def __init__(self, sys: BaseSystem):
@@ -686,24 +668,23 @@ class GammaSearch:
         self.dead: set = set()  # states
         self.live: set = set()
 
-    def membership(self, x: tuple) -> GammaResult:
+    def membership(self, x: tuple) -> GammaStatus:
         """Verdict on the value of x, a state of ``ctx``."""
         sys, dead, live = self.sys, self.dead, self.live
         # when whole, Gamma is all of [0, u]: the values with a child
         if x in live or (sys.whole and sys.children(x)):
-            return GammaResult(GammaStatus.IN, ())
+            return GammaStatus.IN
         if x in dead or sys.whole:
-            return GammaResult(GammaStatus.OUT)
-        path, digits = {x}, []  # the states and digits walked
-        for d, x in _follow(sys, x, False):
+            return GammaStatus.OUT
+        path = {x}  # the distinct states walked: one per step taken
+        for _, x in _follow(sys, x, False):
             if x in dead:
                 break
-            digits.append(d)
             if x in path or x in live:
                 live.update(path)
-                return GammaResult(GammaStatus.IN, digits)
-            if len(digits) >= _GAMMA_DEPTH_CAP:
-                return GammaResult(GammaStatus.UNKNOWN)
+                return GammaStatus.IN
+            if len(path) >= _GAMMA_DEPTH_CAP:
+                return GammaStatus.UNKNOWN
             path.add(x)
         dead.update(path)
-        return GammaResult(GammaStatus.OUT)
+        return GammaStatus.OUT

@@ -144,17 +144,6 @@ class EPSeq:
             return self.pre[i - 1]
         return self.per[(i - 1 - len(self.pre)) % len(self.per)]
 
-    def shift(self, n: int) -> "EPSeq":
-        """Drop the first n digits."""
-        if n <= len(self.pre):
-            return EPSeq(self.pre[n:], self.per, self.alphabet)
-        k = (n - len(self.pre)) % len(self.per)
-        return EPSeq((), self.per[k:] + self.per[:k], self.alphabet)
-
-    def prefix(self, n: int) -> FiniteWord:
-        return FiniteWord(tuple(self.digit(i) for i in range(1, n + 1)),
-                          self.alphabet)
-
     def __eq__(self, other):
         if not isinstance(other, EPSeq):
             return NotImplemented
@@ -182,10 +171,6 @@ class LazySeq:
     def digit(self, i: int) -> int:
         return self.fn(i)
 
-    def prefix(self, n: int) -> FiniteWord:
-        return FiniteWord(tuple(self.digit(i) for i in range(1, n + 1)),
-                          self.alphabet)
-
     def __repr__(self):
         return f"LazySeq<{self.description or 'anonymous'}>"
 
@@ -195,18 +180,10 @@ SeqLike = Union[FiniteWord, EPSeq, LazySeq]
 
 @dataclass(frozen=True)
 class FreqReport:
-    """Lower/upper zero density with exactness status."""
+    """A zero density: exact, or the estimate a prefix gives."""
 
     lower: Fraction
-    upper: Fraction
     exact: bool
-    prefix_used: Optional[int] = None
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise WordsError("lower density above upper density")
-        if self.exact and self.lower != self.upper:
-            raise WordsError("exact report must have lower == upper")
 
     @property
     def value(self) -> Fraction:
@@ -222,15 +199,12 @@ class Lex(Enum):
     UNDECIDED_AT_DEPTH = "undecided-at-depth"
 
 
-DEFAULT_DEPTH_CAP = 10**6
-
-
 def _ep_equality_bound(a: EPSeq, b: EPSeq) -> int:
     """Depth after which two EPSeq that agree must agree forever."""
     return max(len(a.pre), len(b.pre)) + lcm(len(a.per), len(b.per))
 
 
-def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int = DEFAULT_DEPTH_CAP) -> Lex:
+def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int) -> Lex:
     """First-differing-digit comparison.
 
     EPSeq-vs-EPSeq is decided exactly.  Comparisons involving a LazySeq scan
@@ -288,11 +262,11 @@ def zero_density(s: Union[FiniteWord, EPSeq]) -> FreqReport:
         if len(s) == 0:
             raise WordsError("empty word has no density")
         d = Fraction(s.zeros(), len(s))
-        return FreqReport(d, d, exact=True)
+        return FreqReport(d, exact=True)
     if isinstance(s, EPSeq):
         zeros = sum(1 for x in s.per if x == 0)
         d = Fraction(zeros, len(s.per))
-        return FreqReport(d, d, exact=True)
+        return FreqReport(d, exact=True)
     raise TypeError("zero_density needs a FiniteWord or EPSeq; "
                     "use zero_density_prefix for lazy sequences")
 
@@ -303,7 +277,7 @@ def zero_density_prefix(s: SeqLike, n: int) -> FreqReport:
         raise ValueError("prefix length must be at least 1")
     zeros = sum(1 for i in range(1, n + 1) if s.digit(i) == 0)
     d = Fraction(zeros, n)
-    return FreqReport(d, d, exact=False, prefix_used=n)
+    return FreqReport(d, exact=False)
 
 
 def substitute_alphabet(s: SeqLike, frm: Alphabet, to: Alphabet) -> SeqLike:

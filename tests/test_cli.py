@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cantorint import expansions, thuemorse
-from cantorint.cli import main
+from cantorint import dimension, expansions, thuemorse
+from cantorint.cli import BOX_DEPTH_MAX, main
+from cantorint.exactnum import parse_real
+from cantorint.words import TERNARY, format_seq
 
 
 def run(capsys, *argv):
@@ -95,6 +97,22 @@ class TestSubcommands:
                                  "--alphabet", "0:3")
         assert code == 0
         assert payload["result"]["digits"] == "2,0,1"
+
+    @pytest.mark.parametrize("alpha", ["alg:-1,2,1@[2/5,1/2]",
+                                       "alg:-1,1,2,2@[2/5,1/2]"],
+                             ids=["sqrt2-1", "ex51"])
+    @pytest.mark.parametrize("algorithm", ["greedy", "quasi-greedy"])
+    def test_expand_alpha_itself(self, capsys, alpha, algorithm):
+        # x = alpha in alpha's own text has alpha's state
+        code, payload = run_json(capsys, "expand", "--alpha", alpha,
+                                 "--x", alpha, "--algorithm", algorithm,
+                                 "--length", "40")
+        assert code == 0
+        sys_ = expansions.BaseSystem(parse_real(alpha), TERNARY)
+        fn = expansions.greedy_expansion if algorithm == "greedy" \
+            else expansions.quasi_greedy_expansion
+        assert payload["result"]["digits"] == \
+            format_seq(fn(sys_, sys_.ctx.alpha_element, 40))
 
     def test_delta(self, capsys):
         code, payload = run_json(capsys, "delta",
@@ -463,6 +481,27 @@ class TestErrors:
         assert time.perf_counter() - start < 1
         assert code == 1 and payload["result"] is None
         assert "--depth 30 is over the bound BOX_DEPTH_MAX = 20" in \
+            payload["status"]
+
+    def test_expand_refuses_another_root_of_alphas_polynomial(self, capsys):
+        # -sqrt(2) - 1 lies in Q(sqrt(2) - 1), but only alpha itself is
+        # taken as an algebraic x, and the message says so
+        code, payload = run_json(capsys, "expand",
+                                 "--alpha", "alg:-1,2,1@[2/5,1/2]",
+                                 "--x", "alg:-1,2,1@[-3,-2]")
+        assert code == 1 and payload["result"] is None
+        assert "is not alpha" in payload["status"]
+        assert "no state in Q(alpha)" not in payload["status"]
+
+    def test_depth_cap_env_lowers_the_bound(self, capsys, monkeypatch):
+        # the CLI checks --depth against the oracle's own bound, and the
+        # env var lowers it before any cell is walked
+        assert BOX_DEPTH_MAX is dimension.BOX_DEPTH_MAX == 20
+        monkeypatch.setenv("CANTOR_DEPTH_CAP", "12")
+        code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
+                                 "--t", "rat:0", "--depth", "14")
+        assert code == 1 and payload["result"] is None
+        assert "--depth 14 is over the bound CANTOR_DEPTH_CAP = 12" in \
             payload["status"]
 
     def test_depth_cap_env(self, capsys, monkeypatch):

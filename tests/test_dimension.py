@@ -245,8 +245,7 @@ class TestPerronFormula:
         # the four-block subshift's matrix has the golden ratio as radius
         ctx = self.CTX
         ln_phi = ctx.ln(ctx.divide(1 + ctx.sqrt(5), 2))
-        g = D.IntersectionGraph(None, CountMatrix(T.SFT_MATRIX),
-                                list(range(4)))
+        g = D.IntersectionGraph(CountMatrix(T.SFT_MATRIX))
         rng = random.Random(11)
         alphas = [F(2, 5), F(7, 20), X.AlgebraicReal([-1, 1, 2, 2], F(2, 5),
                                                     F(1, 2))]
@@ -392,7 +391,6 @@ class TestPerron:
         assert hashlib.sha1(repr(cm.entries).encode()).hexdigest() == \
             "1cec84dff9c16a06dc79dbdd61ae797ab149da6b"
         assert cm.succ == G.successors(cm.entries)
-        assert g.state_map == list(range(712))
         info = cm.perron()
         lo, hi = info.rowsum_bracket
         # plain float arithmetic in a fixed order: the same bracket on every
@@ -728,7 +726,7 @@ class TestFrequencyBound:
         g = build_intersection_graph(auto)
         dv = perron_dimension(g, sys.alpha)
         bound = freq_upper_bound_over_expansions(auto)
-        rhs = dim_from_frequency(sys, bound, unique_certified=False)
+        rhs = dim_from_frequency(sys, bound)
         assert rhs.hi < dv.lo
 
 
@@ -834,7 +832,7 @@ def reference_box_rows(alpha, t, depth):
             return
         if k > 0:
             uppers[k] += 1
-            lowers[k] += search.membership(x).status is E.GammaStatus.IN
+            lowers[k] += search.membership(x) is E.GammaStatus.IN
         if k == depth:
             return
         pw = pows[k + 1]
@@ -1109,7 +1107,7 @@ class TestBoxCount:
         class Capped(E.GammaSearch):
             def membership(self, x):
                 res = super().membership(x)
-                statuses.append(res.status)
+                statuses.append(res)
                 return res
 
         cases = check7_cases() + box_cases()
@@ -1141,7 +1139,7 @@ class TestBoxCount:
                 if x in self.asked:
                     return super().membership(x)
                 self.asked.add(x)
-                return E.GammaResult(E.GammaStatus.UNKNOWN)
+                return E.GammaStatus.UNKNOWN
 
         monkeypatch.setattr(E, "GammaSearch", AskTwice)
         witnessed = 0
@@ -1539,10 +1537,10 @@ def _libm_log_interval(lo, hi):
     return a, b
 
 
-def float_recipe(dv):
+def float_recipe(dv, alpha):
     """(lo, hi) as libm's widened logs and quotients rounded to nearest
     gave it for the same exact ingredients."""
-    la, lb = _libm_log_interval(*X.enclosure(dv.alpha, F(1, 10**20)))
+    la, lb = _libm_log_interval(*X.enclosure(alpha, F(1, 10**20)))
     if dv.form is DimForm.FREQUENCY:
         l2 = math.log(2)
         num = (float(dv.freq) * math.nextafter(l2, 0),
@@ -1556,24 +1554,40 @@ def float_recipe(dv):
 
 @pytest.fixture
 def built_values(monkeypatch):
-    """Every DimensionValue the dimension module builds while in use."""
-    built, real = [], D.DimensionValue
+    """Every DimensionValue the dimension module builds while in use, with
+    the base whose -ln alpha its enclosure divides by, or None for a value
+    built as 0 directly."""
+    built, bases = [], {}
+    real, real_value, real_neg_log = \
+        D.DimensionValue, D._dimension_value, X._neg_log
 
     def record(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
+        built.append((real(*args, **kwargs), None))
+        return built[-1][0]
+
+    def record_neg_log(alpha):
+        out = real_neg_log(alpha)
+        bases[out] = alpha
+        return out
+
+    def dimension_value(form, neg_log, num, **fields):
+        dv = real_value(form, neg_log, num, **fields)
+        built[-1] = (dv, bases[neg_log])
+        return dv
 
     monkeypatch.setattr(D, "DimensionValue", record)
+    monkeypatch.setattr(D, "_dimension_value", dimension_value)
+    monkeypatch.setattr(X, "_neg_log", record_neg_log)
     return built
 
 
 def assert_inside_float_recipe(values):
     assert values
-    for dv in values:
-        if dv.empty:
+    for dv, alpha in values:
+        if alpha is None:  # the empty set, or lambda = 1
             assert dv.lo == dv.hi == 0.0
             continue
-        lo, hi = float_recipe(dv)
+        lo, hi = float_recipe(dv, alpha)
         assert lo <= dv.lo <= dv.hi <= hi, dv
 
 

@@ -1,11 +1,13 @@
 """Static checks over the package source, with the standard library's ast:
 no module-level import that its module never uses, no private top-level
-name that nothing in the package references, and no public top-level
-function or class that only the tests call.  All three catch code left
-behind when a second copy of something is deleted.  No module imports one
-from a layer above its own, deferred imports included."""
+name that nothing in the package references, no public top-level function
+or class that only the tests call, and no public class member that only
+the tests read.  All four catch code left behind when a second copy of
+something is deleted, or state that is written and never read.  No module
+imports one from a layer above its own, deferred imports included."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,69 @@ def test_public_name_check_skips_own_body_and_reexports():
                                "def caller():\n    return used()\n")}
     assert unreferenced_public_names(trees, [ast.parse("m.Used()")]) == \
         ["m.py:lone", "m.py:caller"]
+
+
+def attribute_reads(tree) -> Counter:
+    """How often the tree reads each name as an attribute."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unread_public_members(trees, callers) -> list:
+    """Methods, properties and annotated fields of the public top-level
+    classes of ``trees`` that nothing reads as an attribute outside the
+    member's own definition: neither the package nor ``callers``.
+
+    Like the checks above it matches by name, so it cannot see a
+    write-only field that shares its name with a member that is read,
+    such as a field ``alpha`` beside the many ``sys.alpha`` reads."""
+    reads = sum(map(attribute_reads, [*trees.values(), *callers]), Counter())
+    unread = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    member = node.name
+                elif isinstance(node, ast.AnnAssign) and \
+                        isinstance(node.target, ast.Name):
+                    member = node.target.id
+                else:
+                    continue
+                if not member.startswith("_") and \
+                        reads[member] == attribute_reads(node)[member]:
+                    unread.append(f"{name}:{cls.name}.{member}")
+    return unread
+
+
+def test_every_public_member_has_a_reader():
+    orphans = unread_public_members(TREES, CALLERS)
+    assert not orphans, f"only the tests read {orphans}"
+
+
+def test_public_member_check_skips_own_body_and_writes():
+    trees = {"m.py": ast.parse(
+        "class A:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "    _private: int\n"
+        "    def lone(self):\n"
+        "        return self.lone()\n"
+        "    def used(self):\n"
+        "        return self.read\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        return 1\n"
+        "class _Hidden:\n"
+        "    def orphan(self):\n"
+        "        pass\n"
+        "def f(a):\n"
+        "    a.unread = 1\n"
+        "    return a.used()\n")}
+    assert unread_public_members(trees, [ast.parse("x.prop")]) == \
+        ["m.py:A.unread", "m.py:A.lone"]
 
 
 # the layers, lowest first; a module imports only from its own layer or

@@ -271,8 +271,8 @@ class TestSftMaxWord:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, n):
         length = 8 * 2**n
-        assert T.sft_max_word(n).prefix(length).digits == \
-            brute_max_prefix(n, length)
+        assert tuple(map(T.sft_max_word(n).digit, range(1, length + 1))) \
+            == brute_max_prefix(n, length)
 
     def test_matrix_closed_under_reflection(self):
         swap = (2, 3, 0, 1)  # zeta <-> zeta-bar, eta <-> eta-bar
@@ -284,9 +284,10 @@ class TestSftMaxWord:
         top = T.sft_max_word(1)
         b = T.sft_blocks(1)
         for omega in (b.omega1, b.omega2):
-            s = W.EPSeq((), omega.digits)
-            for k in range(len(omega)):
-                assert W.lex_compare(s.shift(k), top) is not W.Lex.GREATER
+            d = omega.digits
+            for k in range(len(d)):  # the shifts of (omega)^inf
+                s = W.EPSeq((), d[k:] + d[:k])
+                assert W.lex_compare(s, top, 4096) is not W.Lex.GREATER
 
     def test_above_lambda_at_alpha_kl(self):
         # delta(alpha_KL) = lambda: no level certifies the critical base
