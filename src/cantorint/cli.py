@@ -102,8 +102,8 @@ def _cmd_expand(args):
     fn = expansions.greedy_expansion if args.algorithm == "greedy" \
         else expansions.quasi_greedy_expansion
     word = fn(sys_, x, args.length)
-    return ({"alpha": args.alpha, "x": args.x, "algorithm": args.algorithm,
-             "alphabet": args.alphabet, "length": args.length},
+    return ({"alpha": args.alpha, "x": args.x, "length": args.length,
+             "algorithm": args.algorithm, "alphabet": args.alphabet},
             {"digits": format_seq(word)})
 
 
@@ -114,8 +114,8 @@ def _cmd_delta(args):
     sys_ = BaseSystem(alpha, alphabet)
     word = expansions.delta(sys_, args.length)
     ep = expansions.try_ep_form(sys_, depth_cap=_depth_cap(2048))
-    return ({"alpha": args.alpha, "alphabet": args.alphabet,
-             "length": args.length},
+    return ({"alpha": args.alpha, "length": args.length,
+             "alphabet": args.alphabet},
             {"prefix": format_seq(word),
              "eventually_periodic": format_seq(ep) if ep else None})
 

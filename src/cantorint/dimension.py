@@ -139,10 +139,11 @@ def dim_from_frequency(sys: BaseSystem,
                        freq: Union[FreqReport, Fraction]) -> DimensionValue:
     """dim = log 2 / (-log alpha) * (zero density) on the base of ``sys``,
     from its cached ``dimension_domain`` and ``neg_log``: the dimension of
-    the intersection for a translation with a unique expansion."""
+    the intersection for a translation with a unique expansion.  A
+    ``FreqReport`` must be exact: an estimate raises ``WordsError``."""
     if not sys.dimension_domain:
         raise OutOfDomain("dimension formulas need alpha in (1/3, 1/2)")
-    f = freq.lower if isinstance(freq, FreqReport) else Fraction(freq)
+    f = freq.value if isinstance(freq, FreqReport) else Fraction(freq)
     if not 0 <= f <= 1:
         raise ValueError("zero frequency must lie in [0, 1]")
     return _dimension_value(DimForm.FREQUENCY, sys.neg_log,

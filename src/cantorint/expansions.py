@@ -209,7 +209,8 @@ class BaseSystem:
 class _DeltaCache:
     """Digits of the quasi-greedy expansion of 1 over {0..M}, grown on
     demand from one digit source (``_digit_loop``, or 1 + lambda_i for
-    alpha_KL), with its eventually periodic form ``ep`` once one is known.
+    alpha_KL), and its eventually periodic form ``ep``, one EPSeq built
+    when a remainder repeats.
 
     ``ep`` stays None, and nothing is searched, where delta is proved never
     eventually periodic: for a rational base p/q with p >= 2 (below), and
@@ -221,7 +222,7 @@ class _DeltaCache:
     def __init__(self, sys: BaseSystem):
         self.sys = sys
         self.digits: list[int] = []
-        self.ep: Optional[tuple[int, int]] = None  # (preperiod, period)
+        self.ep: Optional[EPSeq] = None
         if sys.ctx is None:
             if not thuemorse.is_alpha_kl(sys.alpha):
                 raise UnsupportedBase(
@@ -258,17 +259,16 @@ class _DeltaCache:
         digits = self.digits
         while len(digits) < n:
             if self.ep is not None:
-                pre, per = self.ep
-                i = len(digits)
-                digits.append(digits[pre + (i - pre) % per])
+                digits.append(self.ep.digit(len(digits) + 1))
                 continue
             d, key = next(self._loop)
             digits.append(d)
             if self._seen is None:
                 continue
             seen_at = self._seen.get(key)
-            if seen_at is not None:
-                self.ep = (seen_at, len(digits) - seen_at)
+            if seen_at is not None:  # digits[seen_at:] is a period
+                self.ep = EPSeq(digits[:seen_at], digits[seen_at:],
+                                Alphabet(0, self.sys.M + 1))
                 self._seen = self._loop = None
             else:
                 self._seen[key] = len(digits)
@@ -282,12 +282,7 @@ class _DeltaCache:
         while self.ep is None and len(self.digits) < depth_cap:
             self.extend(min(depth_cap, len(self.digits) + step))
             step *= 2
-        if self.ep is None:
-            return None
-        pre, per = self.ep
-        self.extend(pre + per)
-        return EPSeq(self.digits[:pre], self.digits[pre:pre + per],
-                     Alphabet(0, self.sys.M + 1))
+        return self.ep
 
 
 def _follow(sys: BaseSystem, s: tuple, strict: bool):
@@ -436,9 +431,11 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     A sequence is the unique expansion of its value iff every tail after a
     prefix that is not all-high stays lex-< delta, and symmetrically for the
     reflected sequence after prefixes that are not all-low.  A LazySeq whose
-    grammar :func:`parry_certified` passes is UNIQUE; otherwise one scan per
-    shift compares the tail over {0..M}, then its reflection u -> M - u,
-    with delta for at most ``compare_cap`` digits.  An EPSeq is decided
+    grammar :func:`parry_certified` passes is UNIQUE; otherwise each shift
+    reads the tail's first digit f over {0..M} once, sets the prefix flags
+    from it, and compares f, then its reflection M - f, with delta's first
+    digit; only a tie reads on, comparing with delta for at most
+    ``compare_cap`` digits (a cap under 1 compares none).  An EPSeq is decided
     exactly when delta is eventually periodic: the cap then passes
     ``words._ep_equality_bound``, so a tail that reaches it equals delta.
     Otherwise a tail reaching the cap, or a LazySeq, leaves it UNDECIDED.
@@ -461,31 +458,32 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     else:
         shifts = depth_cap if depth_cap is not None else _DEFAULT_LAZY_SHIFTS
 
+    if compare_cap < 1:  # every tail ties delta up to the cap
+        return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)
+    get, dget, d1 = seq.digit, dcache.digit, dcache.digit(1)
     all_high = all_low = True
     undecided = False
     for n in range(shifts + 1):
-        # u = offset + sign * digit over {0..M}: the tail, then its reflection
-        for offset, sign, exempt in ((-low, 1, all_high),
-                                     (M + low, -1, all_low)):
-            if exempt:
+        f = get(n + 1) - low
+        # the tail, then its reflection: u_j = offset + sign * digit n + j
+        for u, exempt, offset, sign in ((f, all_high, -low, 1),
+                                        (M - f, all_low, M + low, -1)):
+            if exempt or u < d1:
                 continue
-            for j in range(1, compare_cap + 1):
-                u = offset + sign * seq.digit(n + j)
-                dj = dcache.digit(j)
-                if u != dj:
-                    break
-            else:  # equal to delta up to the cap
+            j, dj = 1, d1
+            while u == dj and j < compare_cap:  # a tie: read on
+                j += 1
+                u, dj = offset + sign * get(n + j), dget(j)
+            if u > dj:
+                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
+                                        n, compare_cap)
+            if u == dj:  # equal to delta up to the cap
                 if exact:
                     return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
                                             n, compare_cap)
                 undecided = True
-                continue
-            if u > dj:
-                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
-                                        n, compare_cap)
-        d_next = seq.digit(n + 1) - low
-        all_high = all_high and d_next == M
-        all_low = all_low and d_next == 0
+        all_high = all_high and f == M
+        all_low = all_low and f == 0
 
     if isinstance(seq, LazySeq) or undecided:
         return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)

@@ -104,7 +104,9 @@ class EPSeq:
     equality coincide with sequence equality.  The d with ``per ==
     per[:d] * (n // d)``, n = len(per), are the multiples of the root's
     length r that divide n, so stripping each prime factor q of n from
-    d = n while d // q is one of them leaves d = r.
+    d = n while d // q is one of them leaves d = r.  One pass checks the
+    digits of ``pre + per``; a digit bijection keeps the form canonical,
+    so ``_map_digits`` builds its image through ``_canonical``.
     """
 
     __slots__ = ("pre", "per", "alphabet")
@@ -114,8 +116,7 @@ class EPSeq:
         per = tuple(per)
         if not per:
             raise WordsError("period must be nonempty")
-        _check_digits(pre, alphabet)
-        _check_digits(per, alphabet)
+        _check_digits(pre + per, alphabet)
         # primitive period
         n = m = d = len(per)
         q = 2
@@ -134,9 +135,15 @@ class EPSeq:
         while pre and pre[-1] == per[-1]:
             per = per[-1:] + per[:-1]
             pre.pop()
-        self.pre = tuple(pre)
-        self.per = per
-        self.alphabet = alphabet
+        self.pre, self.per, self.alphabet = tuple(pre), per, alphabet
+
+    @classmethod
+    def _canonical(cls, pre: tuple, per: tuple, alphabet: Alphabet):
+        """A canonical ``pre`` and ``per`` as they are, digits checked."""
+        _check_digits(pre + per, alphabet)
+        s = object.__new__(cls)
+        s.pre, s.per, s.alphabet = pre, per, alphabet
+        return s
 
     def digit(self, i: int) -> int:
         """1-indexed digit access."""
@@ -237,11 +244,15 @@ def lex_compare(a: SeqLike, b: SeqLike, depth_cap: int) -> Lex:
 def _map_digits(s: SeqLike, f: Callable[[int], int], alphabet: Alphabet,
                 name: str) -> SeqLike:
     """s with f applied to every digit, over ``alphabet``; a lazy result
-    is described as ``name(description)``, its grammar's labels mapped."""
+    is described as ``name(description)``, its grammar's labels mapped.
+    f is a bijection from s's alphabet onto ``alphabet``, so it keeps an
+    EPSeq's primitive period primitive and its minimal preperiod minimal:
+    the image is canonical as it stands."""
     if isinstance(s, FiniteWord):
         return FiniteWord(tuple(map(f, s.digits)), alphabet)
     if isinstance(s, EPSeq):
-        return EPSeq(tuple(map(f, s.pre)), tuple(map(f, s.per)), alphabet)
+        return EPSeq._canonical(tuple(map(f, s.pre)), tuple(map(f, s.per)),
+                                alphabet)
     if isinstance(s, LazySeq):
         grammar = s.grammar and [[(v, f(d)) for v, d in out]
                                  for out in s.grammar]
@@ -331,13 +342,13 @@ def parse_seq(text: str, alphabet: Alphabet = TERNARY) -> Union[FiniteWord, EPSe
         m = _TERNARY_RE.match(text)
         if not m:
             raise WordsError(f"cannot parse ternary sequence {text!r}")
-        pre = tuple(_CHAR_TO_DIGIT[c] for c in m.group("pre"))
+        pre = tuple(map(_CHAR_TO_DIGIT.__getitem__, m.group("pre")))
         per = m.group("per")
         if per is None:
             if not pre:
                 raise WordsError("empty sequence")
             return FiniteWord(pre, alphabet)
-        return EPSeq(pre, tuple(_CHAR_TO_DIGIT[c] for c in per), alphabet)
+        return EPSeq(pre, map(_CHAR_TO_DIGIT.__getitem__, per), alphabet)
     # comma-separated integer format
     m = re.match(r"^(?P<pre>[^()]*)(\((?P<per>[^()]+)\))?$", text)
     if not m:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cantorint import dimension, expansions, thuemorse
-from cantorint.cli import BOX_DEPTH_MAX, main
+from cantorint.cli import BOX_DEPTH_MAX, _HANDLERS, _build_parser, main
 from cantorint.exactnum import parse_real
 from cantorint.words import TERNARY, format_seq
 
@@ -253,22 +253,22 @@ GOLDEN = [
      "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "greedy"),
-     "0331753a65242cca7983a848e560cf91bd3969641ab71ad3a42f0923b3a6e4d6"),
+     "8dbc22722076dbd7af930819a8f761926776e506d3d6b5788652a669892fc78f"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "quasi-greedy"),
-     "357eb80033e202a88d4fc07e8298c4ecceba65e39de85091b2a2bcfe7ba8fb31"),
+     "67fcb7ca75cbf28a858483ac1d1b5519519fd796866b350715deedcff57cc154"),
     (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "greedy"),
-     "5d4abf6afdca0adb718192e34be57bd0c450668d526e55858c352cdce2d1be56"),
+     "4785c553565c180d679d00e3746e4d08207c0bc0806f4a09d410c375fc1a51d0"),
     (("expand", "--alpha", SQRT2_MINUS_1, "--x", "rat:1/3", "--length", "40",
       "--algorithm", "quasi-greedy"),
-     "f6149d2fdab23e0b696d7f69a1f79c86bad8b255c16fd4bf010014d53d3de2f4"),
+     "f4e53ab6fb16dd4da28f9a4fec64f6f01adff596948dd3bb983bd641866028a0"),
     (("delta", "--alpha", CUBIC, "--length", "40"),
-     "5a980b3d8b88374339aa5f15110be67ca18c934b73c1f968897e5608d91760ba"),
+     "bd6ccc2965a0b721747171420ac43d94b411f3bb3c5308aab6693dbdfcf55ecb"),
     (("delta", "--alpha", SQRT2_MINUS_1, "--length", "40"),
-     "00f8002a5f7e2a700a83129d7b745e81296c7041700b07dcda10113b84f5e7f8"),
+     "e8ef67f63a2f060c695ab1718398281bcedc69193d1079b496e427a83a2e88c3"),
     (("delta", "--alpha", "rat:2/5", "--length", "40"),
-     "63223fd60f0a304fcf48e37733170cad6d1a05c5b2345c6ac51a6ca89df33033"),
+     "c5421443e0e56a6aaf41a6890d830bb91d6162f06b18bb97222467f1ab95a96c"),
     (("dset", "--alpha", "akl"),
      "34f37ea833c42657adb3c684a430dfa99cb6fd17c402ac1b130cf73c33bd520b"),
     (("dset", "--alpha", "rat:21/50"),
@@ -568,6 +568,29 @@ class TestStartup:
         assert "numpy" not in loaded
         # the probe sees the modules that these calls do load
         assert {"cantorint.dimension", "cantorint.acceptance"} <= loaded
+
+
+class TestEnvelopeOrder:
+    def test_success_inputs_in_parser_order(self, capsys, monkeypatch,
+                                            tmp_path):
+        """A success envelope lists its inputs in the order of vars(args),
+        the error envelope's order, so one argv prints one layout."""
+        monkeypatch.chdir(tmp_path)
+        parser = _build_parser()
+        firsts = {}
+        for argv in SUBCOMMANDS:
+            firsts.setdefault(argv[0], argv)
+        assert set(firsts) == set(_HANDLERS)
+        out_of_order = []
+        for name, argv in firsts.items():
+            _, payload = run_json(capsys, *argv)
+            assert payload["status"] == "ok"
+            order = [k for k in vars(parser.parse_args(["--json", *argv]))
+                     if k not in ("command", "json")]
+            keys = list(payload["inputs"])
+            if keys != sorted(keys, key=order.index):
+                out_of_order.append(name)
+        assert out_of_order == []
 
 
 class TestReproducible:

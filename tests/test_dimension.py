@@ -81,6 +81,18 @@ class TestFrequencyFormula:
         with pytest.raises(OutOfDomain):
             dim_from_frequency(BaseSystem(F(1, 2), TERNARY), F(1, 2))
 
+    def test_refuses_an_estimate(self):
+        # a prefix's zero proportion is no density, so it gets no enclosure
+        sys = BaseSystem(F(2, 5), TERNARY)
+        with pytest.raises(W.WordsError, match="only an estimate"):
+            dim_from_frequency(sys, W.zero_density_prefix(T.lambda_seq(),
+                                                          1000))
+        exact = W.zero_density(EPSeq((1,), (0, 1, -1), TERNARY))
+        got, want = dim_from_frequency(sys, exact), \
+            dim_from_frequency(sys, F(1, 3))
+        assert (got.lo, got.hi, got.decimal) == (want.lo, want.hi,
+                                                 want.decimal)
+
     def test_decimal_inside_enclosure(self):
         dv = dim_from_frequency(BaseSystem(F(19, 50), TERNARY), F(1, 3))
         assert dv.lo <= dv.decimal <= dv.hi

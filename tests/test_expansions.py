@@ -427,11 +427,15 @@ class TestUniqueness:
 def reference_is_unique_expansion(sys, seq, depth_cap=None):
     """is_unique_expansion as it scanned each tail and each reflected tail
     in two copied blocks, through a closure reporting 'ok', 'violation',
-    'equal' or 'cap'."""
+    'equal' or 'cap'; a LazySeq whose grammar passes Parry's criterion is
+    UNIQUE with no scan."""
     M, low = sys.M, sys.alphabet.low
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
     compare_cap = depth_cap if depth_cap is not None else 4096
+    if isinstance(seq, LazySeq) and seq.grammar is not None and \
+            E.parry_certified(seq.grammar, E.delta_seq(sys), compare_cap):
+        return E.UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
     if isinstance(seq, EPSeq):
         shifts = len(seq.pre) + len(seq.per)
         if ep_delta is not None:
@@ -484,9 +488,38 @@ UNIQUENESS_BASES = ("rat:9/25", "rat:39/100", "rat:3943/10000",
                     "alg:-1,1,2,2@[2/5,1/2]")
 
 
+SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
+EX51 = "alg:-1,1,2,2@[2/5,1/2]"
+
+
+def tie_words():
+    """Words with tails that tie delta past the first digit: (+-) is delta
+    at sqrt(2) - 1, (+-0-0) is delta at ex51, and the rest spell the first
+    50 digits of delta at 2/5."""
+    d50 = E.delta(BaseSystem(F(2, 5), TERNARY), 50).digits
+    return [W.parse_seq("(+-)"), W.parse_seq("(+-0-0)"),
+            W.parse_seq("0(+-0-0)"), EPSeq((0, *d50), (0,), TERNARY),
+            EPSeq((), d50, TERNARY)]
+
+
+def tie_lazies():
+    """The tie words and their reflections as LazySeqs, without a grammar
+    and with one: the chain through the preperiod into the period's
+    cycle, which has every tail as a path."""
+    out = []
+    for s in tie_words():
+        digits = s.pre + s.per
+        grammar = [[(i + 1 if i + 1 < len(digits) else len(s.pre), d)]
+                   for i, d in enumerate(digits)]
+        for g in (None, grammar):
+            lazy = LazySeq(s.digit, TERNARY, W.format_seq(s), g)
+            out += [lazy, W.reflect(lazy)]
+    return out
+
+
 def uniqueness_words(rng, count=60):
     from cantorint.thuemorse import tm_block_word
-    seqs = [tm_block_word(n) for n in range(1, 7)]
+    seqs = [tm_block_word(n) for n in range(1, 7)] + tie_words()
     for _ in range(count):
         pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4))]
         per = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 9))]
@@ -508,6 +541,36 @@ class TestUniquenessReference:
                 assert got == reference_is_unique_expansion(sys, seq, cap)
                 seen.add(got.status)
         assert UniqStatus.NOT_UNIQUE in seen and len(seen) >= 2
+
+    @pytest.mark.parametrize("base", UNIQUENESS_BASES)
+    def test_tie_lazies_match_reference(self, base):
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        for seq in tie_lazies():
+            for cap in (3, 40):
+                assert E.is_unique_expansion(sys, seq, cap) == \
+                    reference_is_unique_expansion(sys, seq, cap)
+
+    @pytest.mark.parametrize("base, text, violation", [
+        (SQRT2_MINUS_1, "(+-)", (1, None)), (EX51, "(+-0-0)", (1, 3)),
+        (EX51, "0(+-0-0)", (1, None)), ("rat:3/5", "000+-(0)", (1, 4))])
+    def test_tails_that_tie_delta(self, base, text, violation):
+        # after one digit a tail equals delta, or ties delta's first digit
+        # and passes its second, at every cap.  At 3/5, delta = 00--...,
+        # so a tail and its reflection both tie its first digit: the tail
+        # passes delta at position 4, its reflection at 5, and the tail is
+        # scanned first
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        for cap in (None, 3, 40):
+            res = E.is_unique_expansion(sys, W.parse_seq(text), cap)
+            assert (res.status, res.violation) == (UniqStatus.NOT_UNIQUE,
+                                                   violation)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_compares_no_digit(self, cap):
+        sys = BaseSystem(F(2, 5), TERNARY)
+        for seq in tie_words()[:3] + tie_lazies()[:2]:
+            assert E.is_unique_expansion(sys, seq, cap) == \
+                reference_is_unique_expansion(sys, seq, cap)
 
     def test_alpha_kl_lazy_inputs_match_reference(self):
         from cantorint.thuemorse import tm_block_word

@@ -121,6 +121,12 @@ class TestDigitCheck:
         with pytest.raises(W.WordsError) as err:
             EPSeq((1, 0), (0, -2, 2), BINARY)
         assert str(err.value) == "digit -2 outside alphabet [0, 1]"
+        # pre + per is checked in one pass: pre's bad digit comes first
+        for pre, per, bad in [((0, 2), (1,), 2), ((0,), (1, -2), -2),
+                              ((5,), (7,), 5), ((), (1, 3, -4), 3)]:
+            with pytest.raises(W.WordsError) as err:
+                EPSeq(pre, per, TERNARY)
+            assert str(err.value) == f"digit {bad} outside alphabet [-1, 1]"
 
     def test_bounds_and_empty_accepted(self):
         assert FiniteWord((), TERNARY).digits == ()
@@ -222,6 +228,44 @@ class TestReflect:
             r = lex_compare(a, b, CAP)
             rr = lex_compare(reflect(b), reflect(a), CAP)
             assert r is rr
+
+
+class TestCanonicalMaps:
+    """reflect and substitute_alphabet map a canonical EPSeq digit by digit
+    with no second search: the image must be the EPSeq built afresh."""
+
+    # each construction rotated or shortened the period
+    SHAPED = [((1, 0), (1, 0, 1, 0)), ((0, 1, -1), (1, -1)),
+              ((-1, 0), (0, -1, 0, -1)), ((), (1, 1, 1)), ((1, 1), (0, 1)),
+              ((0,), (-1, 0) * 6)]
+
+    MAPS = [
+        (TERNARY, reflect, TERNARY, lambda d: -d),
+        (TERNARY, lambda s: substitute_alphabet(s, TERNARY, Alphabet(0, 3)),
+         Alphabet(0, 3), lambda d: d + 1),
+        (Alphabet(2, 4), reflect, Alphabet(2, 4), lambda d: 7 - d),
+        (BINARY, lambda s: substitute_alphabet(s, BINARY, Alphabet(5, 2)),
+         Alphabet(5, 2), lambda d: d + 5),
+    ]
+
+    def test_shaped_words_were_reshaped(self):
+        for pre, per in self.SHAPED:
+            s = EPSeq(pre, per, TERNARY)
+            assert (s.pre, s.per) != (pre, per)
+
+    @pytest.mark.parametrize("k", range(len(MAPS)))
+    def test_image_equals_fresh_construction(self, k):
+        frm, fn, to, f = self.MAPS[k]
+        rng = random.Random(31 + k)
+        seqs = [rand_epseq(rng, frm, max_per=8) for _ in range(300)]
+        if frm == TERNARY:
+            seqs += [EPSeq(pre, per, TERNARY) for pre, per in self.SHAPED]
+        for s in seqs:
+            got = fn(s)
+            fresh = EPSeq(tuple(map(f, s.pre)), tuple(map(f, s.per)), to)
+            assert got == fresh and hash(got) == hash(fresh)
+            assert (got.pre, got.per, got.alphabet) == \
+                (fresh.pre, fresh.per, fresh.alphabet)
 
 
 class TestZeroDensity:
