@@ -7,13 +7,15 @@ Routes implemented:
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
   alpha).  The spectral radius is certified by a Collatz-Wielandt bracket:
-  split the matrix into strongly connected components, take a float Perron
-  vector v of each from Noda's shift-and-invert iteration on its successor
-  lists, and bound the radius by the least and largest (Av)_i/v_i from one
-  exact integer mat-vec.  The vectors are plain Python floats, so the
-  bracket is the same on every machine.  For at most 24 rows the
-  characteristic polynomial also pins the radius down exactly, and its
-  root seeds the iteration,
+  the least and largest (Av)_i/v_i of a positive int vector v, from one
+  exact integer mat-vec.  For at most 24 rows the characteristic
+  polynomial pins the radius down exactly, and v is the adjugate column
+  adj(sigma I - A) e_0 at the upper end sigma of the root's cell, on ints.
+  Past 24 rows, or where that column has a zero, the matrix splits into
+  strongly connected components and each takes a float Perron vector from
+  Noda's shift-and-invert iteration on its successor lists, scaled exactly
+  to ints; the floats are plain Python ones, so the bracket is the same
+  on every machine,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -263,9 +265,10 @@ class CountMatrix:
         return [sum(a for _, a in out) for out in self.succ]
 
     def power_estimate(self, root=None) -> list:
-        """Float Perron vectors: ``(rows, v)`` for each strongly connected
-        component that carries a cycle, from Noda's iteration
-        (:func:`_noda_vector`) on its successor lists; an estimate only.
+        """Positive int Perron vectors: ``(rows, v)`` for each strongly
+        connected component that carries a cycle, from Noda's iteration
+        (:func:`_noda_vector`) on its successor lists, each float vector
+        scaled exactly to ints by one power of two; an estimate only.
         ``root`` is an isolating ``(lo, hi)`` of the radius, when known."""
         out = []
         for rows in graph.sccs(self.succ):
@@ -273,25 +276,27 @@ class CountMatrix:
             adj = [[(local[j], a) for j, a in self.succ[r] if j in local]
                    for r in rows]
             if any(adj):  # else a transient state with no self-loop
-                out.append((rows, _noda_vector(adj, root)))
+                ratios = [x.as_integer_ratio()
+                          for x in _noda_vector(adj, root)]
+                den = max(q for _, q in ratios)
+                out.append((rows, [p * (den // q) for p, q in ratios]))
         return out
 
     def rowsum_enclosure(self, vectors: list) -> tuple:
         """Certified bracket on the spectral radius (Collatz-Wielandt).
 
-        Each float vector is scaled exactly to positive integers by a power
-        of two, v.  For an irreducible A_c and any positive v the radius of
-        A_c lies between the least and the largest (A_c v)_i / v_i, the row
-        sums of D^-1 A_c D with D = diag(v), picked by cross-multiplication
-        after one exact integer mat-vec over the successor lists.  The
-        radius of A is the largest component radius: [max_c lo_c, max_c
-        hi_c] holds it.
+        Each ``(rows, v)`` pairs rows of A with a positive int vector v on
+        them.  For any nonnegative A_c, here the rows' submatrix, and any
+        positive v, the radius of A_c lies between the least and the
+        largest (A_c v)_i / v_i, the row sums of D^-1 A_c D with D =
+        diag(v), picked by cross-multiplication after one exact integer
+        mat-vec over the successor lists.  The radius of A is the largest
+        component radius: [max_c lo_c, max_c hi_c] holds it, for
+        components that cover every cycle, or for all rows as one.
         """
         lo = hi = Fraction(0)
         for rows, v in vectors:
-            ratios = [float(x).as_integer_ratio() for x in v]
-            den = max(q for _, q in ratios)
-            w = dict(zip(rows, (p * (den // q) for p, q in ratios)))
+            w = dict(zip(rows, v))
             (s0, w0), *rest = [(sum(a * w[j] for j, a in self.succ[i]
                                     if j in w), w[i]) for i in rows]
             s1, w1 = s0, w0
@@ -307,12 +312,18 @@ class CountMatrix:
         """Certified bracket and (for at most ``CHARPOLY_MAX_DIM`` rows
         with a cycle) the exact algebraic form of the spectral radius.
 
-        The characteristic-polynomial root comes first, so that Noda's
-        iteration can start its shifts just above it.
+        The characteristic-polynomial root comes first.  Its 10^-12 cell's
+        upper end sigma gives the column adj(sigma I - A) e_0
+        (:func:`_adjugate_column`), a shift-and-invert step from e_0 taken
+        exactly: if it is positive and its bracket is at most
+        ``ADJUGATE_TOL`` hi wide, that is the bracket.  Otherwise, as for
+        a reducible A whose column has zeros and for larger matrices,
+        Noda's iteration gives one vector per component, starting its
+        shifts just above the root when there is one.
         """
         if self._perron is not None:
             return self._perron
-        algebraic = cp = root = None
+        algebraic = cp = root = bracket = None
         if self.n <= CHARPOLY_MAX_DIM:
             cp = char_poly(self.succ)
             k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
@@ -323,7 +334,13 @@ class CountMatrix:
                 algebraic = exactnum.isolate_largest_root(cp[k:],
                                                           Fraction(0), hi)
                 root = algebraic.refine(Fraction(1, 10**12))
-        bracket = self.rowsum_enclosure(self.power_estimate(root))
+                v = _adjugate_column(self.succ, cp, root[1])
+                if min(v) > 0:
+                    bracket = self.rowsum_enclosure([(range(self.n), v)])
+                    if bracket[1] - bracket[0] > ADJUGATE_TOL * bracket[1]:
+                        bracket = None
+        if bracket is None:
+            bracket = self.rowsum_enclosure(self.power_estimate(root))
         if root is not None and (root[1] < bracket[0] or root[0] > bracket[1]):
             raise VerificationFailed(
                 "characteristic-polynomial root disagrees with the "
@@ -332,6 +349,43 @@ class CountMatrix:
         return self._perron
 
 
+def _adjugate_column(succ: list, cp: list, sigma: Fraction) -> list:
+    """Q^(n-1) adj(sigma I - A) e_0 for sigma = P/Q, an int vector, given
+    A's successor lists and its characteristic polynomial ``cp`` (low
+    degree first, from :func:`char_poly`).
+
+    adj(x I - A) = sum_k x^(n-1-k) B_k with B_0 = I and B_k = A B_(k-1) +
+    c_k I, the Faddeev-LeVerrier matrices, where c_k is the coefficient of
+    x^(n-k).  Their first columns m_k = A m_(k-1) + c_k e_0 take one sparse
+    mat-vec each, its rows built as in :func:`char_poly`, and Horner's rule
+    in P and Q sums them.  For sigma above the radius, adj(sigma I - A) =
+    det(sigma I - A) (sigma I - A)^-1 is nonnegative, and near a simple
+    radius its columns lie near the Perron vector; there entry i is
+    positive exactly when row i reaches row 0.
+    """
+    n = len(succ)
+    P, Q = sigma.numerator, sigma.denominator
+    m = [1] + [0] * (n - 1)
+    v, scale = m, 1
+    for c in cp[-2:0:-1]:  # c_1 .. c_(n-1)
+        row = []
+        for out in succ:
+            if len(out) == 1:
+                (j, a), = out
+                row.append(m[j] if a == 1 else a * m[j])
+            elif len(out) == 2:
+                (j, a), (k, b) = out
+                row.append(a * m[j] + b * m[k])
+            else:
+                row.append(sum([a * m[j] for j, a in out]))
+        m = row
+        m[0] += c
+        scale *= Q
+        v = [P * x + scale * y for x, y in zip(v, m)]
+    return v
+
+
+ADJUGATE_TOL = 1e-9     # perron() takes an adjugate bracket hi - lo <= it * hi
 NODA_TOL = 1e-13        # a component stops once hi - lo <= NODA_TOL * hi
 NODA_SHIFT = 1e-3       # sigma exceeds hi by this share of hi - lo,
 NODA_SHIFT_MIN = 1e-12  # and by at least this much

@@ -47,7 +47,7 @@ from copy import copy
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import ge, gt, le, lt, mul
 from typing import Callable, Union
 
@@ -173,15 +173,44 @@ def _scaled_value(coeffs, N: int, M: int) -> int:
     return acc
 
 
+def _float_start(coeffs, a: int, b: int, M: int) -> int:
+    """A grid point N in [a, b] near the root of p in [a/M, b/M]: Newton's
+    method in floats from the midpoint, p and p' by one Horner pass, until
+    a step fails to shrink, put on the grid exactly by
+    ``as_integer_ratio``.  The midpoint (a + b) // 2 instead when a
+    coefficient or the estimate is past float range, p' is 0, or the
+    estimate leaves [a, b]."""
+    mid = (a + b) // 2
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+        x, last = mid / M, inf
+        for _ in range(_NEWTON_STEPS):
+            f = d = 0.0
+            for c in cs:
+                d = d * x + f
+                f = f * x + c
+            step = f / d
+            if not abs(step) < last:  # rounding dominates, or not finite
+                break
+            x, last = x - step, abs(step)
+        p, q = x.as_integer_ratio()
+    except (OverflowError, ZeroDivisionError):
+        return mid
+    N = p * M // q
+    return N if a <= N <= b else mid
+
+
 def _newton(coeffs, a: int, b: int, M: int) -> int:
     """An unchecked N in [a, b] with N/M near the root of p in [a/M, b/M]:
-    Newton's method on ints at the one denominator M, where a step N/M -
-    p/p' is (N - A/B)/M for A = M^n p(N/M) and B = M^(n-1) p'(N/M), until
-    a step moves N by at most 1.  A step that leaves the bracket the signs
-    keep, or fails to halve the step before it, halves the bracket instead
-    (rtsafe, Press et al., Numerical Recipes 9.4)."""
+    Newton's method on ints at the one denominator M, from a float
+    estimate (:func:`_float_start`), where a step N/M - p/p' is (N -
+    A/B)/M for A = M^n p(N/M) and B = M^(n-1) p'(N/M), until a step moves
+    N by at most 1.  A step that leaves the bracket the signs keep, or
+    fails to halve the step before it, halves the bracket instead (rtsafe,
+    Press et al., Numerical Recipes 9.4)."""
     dp = poly_derivative(coeffs)
-    up, x, last = _scaled_value(coeffs, a, M) > 0, (a + b) // 2, b - a
+    up, last = _scaled_value(coeffs, a, M) > 0, b - a
+    x = _float_start(coeffs, a, b, M)
     for _ in range(_NEWTON_STEPS):
         A, B = _scaled_value(coeffs, x, M), _scaled_value(dp, x, M)
         a, b = (x, b) if (A > 0) == up else (a, x)
@@ -246,8 +275,9 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     ``AlgebraicReal``: the pseudo-quotient of p by g, made primitive
     (Gauss's lemma).  The chain's count of one root holds for p / g, so
     only its signs at the ends are checked, nonzero and opposite.  The
-    bracket (a/M, b/M) is split on ints at (a + b)/(2 M), or at
-    (a + 2 b)/(3 M) if that is a root of p; its ends' variations are kept.
+    bracket (a/M, b/M) is split on ints at the first of (a + b)/(2 M),
+    (a + 2 b)/(3 M), (a + 3 b)/(4 M), ... that is not a root of p, distinct
+    points of which at most deg p are roots; its ends' variations are kept.
 
     Raises ``NonIsolatingInterval`` if the interval holds no root.  The
     endpoints must not themselves be roots.
@@ -265,12 +295,10 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     if total == 0:
         raise NonIsolatingInterval("no real root in the given interval")
     while total > 1:
-        m, k = a + b, 2
-        if _scaled_value(p, m, 2 * M) == 0:
-            # nudge the split point off the root
-            m, k = a + 2 * b, 3
-            if _scaled_value(p, m, 3 * M) == 0:
-                raise NonIsolatingInterval("could not separate roots")
+        k = 2  # the split point (a + (k - 1) b)/(k M) must be no root
+        while _scaled_value(p, a + (k - 1) * b, k * M) == 0:
+            k += 1
+        m = a + (k - 1) * b
         a, b, M = k * a, k * b, k * M
         vm = _sign_variations(chain, m, M)
         if vm > vb:

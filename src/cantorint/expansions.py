@@ -430,12 +430,13 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
 
     A sequence is the unique expansion of its value iff every tail after a
     prefix that is not all-high stays lex-< delta, and symmetrically for the
-    reflected sequence after prefixes that are not all-low.  A LazySeq whose
+    reflected sequence after prefixes that are not all-low.  A cap under 1
+    compares no digit and leaves any sequence UNDECIDED.  A LazySeq whose
     grammar :func:`parry_certified` passes is UNIQUE; otherwise each shift
     reads the tail's first digit f over {0..M} once, sets the prefix flags
     from it, and compares f, then its reflection M - f, with delta's first
     digit; only a tie reads on, comparing with delta for at most
-    ``compare_cap`` digits (a cap under 1 compares none).  An EPSeq is decided
+    ``compare_cap`` digits.  An EPSeq is decided
     exactly when delta is eventually periodic: the cap then passes
     ``words._ep_equality_bound``, so a tail that reaches it equals delta.
     Otherwise a tail reaching the cap, or a LazySeq, leaves it UNDECIDED.
@@ -446,9 +447,6 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
-    if isinstance(seq, LazySeq) and seq.grammar is not None and \
-            parry_certified(seq.grammar, delta_seq(sys), compare_cap):
-        return UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
     exact = isinstance(seq, EPSeq) and ep_delta is not None
     if isinstance(seq, EPSeq):
         shifts = len(seq.pre) + len(seq.per)
@@ -460,6 +458,9 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
 
     if compare_cap < 1:  # every tail ties delta up to the cap
         return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)
+    if isinstance(seq, LazySeq) and seq.grammar is not None and \
+            parry_certified(seq.grammar, delta_seq(sys), compare_cap):
+        return UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
     get, dget, d1 = seq.digit, dcache.digit, dcache.digit(1)
     all_high = all_low = True
     undecided = False

@@ -119,8 +119,10 @@ def max_path(succ: list) -> tuple:
 def max_cycle_mean(succ: list) -> Optional[Fraction]:
     """Largest mean label over the cycles of a graph with integer labels,
     or None if it has no cycle: Karp's algorithm on each strongly connected
-    component, from its least member."""
-    best = None
+    component, from its least member.  Candidate means stay int pairs
+    (sum, length), compared by cross-multiplication, and the largest
+    becomes one Fraction at the end."""
+    best = None  # (p, q): the mean p/q, q > 0
     for members in sccs(succ):
         n = len(members)
         pos = {u: i for i, u in enumerate(members)}
@@ -137,8 +139,12 @@ def max_cycle_mean(succ: list) -> Optional[Fraction]:
             d.append(row)
         for v in range(n):
             if d[n][v] is not None:
-                mean = min(Fraction(d[n][v] - d[k][v], n - k)
-                           for k in range(n) if d[k][v] is not None)
-                best = mean if best is None else max(best, mean)
-    return best
+                (p, q), *rest = [(d[n][v] - d[k][v], n - k) for k in range(n)
+                                 if d[k][v] is not None]
+                for a, b in rest:  # the least (d_n - d_k) / (n - k)
+                    if a * q < p * b:
+                        p, q = a, b
+                if best is None or p * best[1] > best[0] * q:
+                    best = p, q
+    return None if best is None else Fraction(*best)
 

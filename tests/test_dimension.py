@@ -298,6 +298,19 @@ class TestCharPoly:
                            rtol=1e-9, atol=1e-6)
 
 
+def record_noda(monkeypatch):
+    """The count matrices whose ``perron()`` reaches Noda's iteration, in
+    call order."""
+    noda = []
+    estimate = CountMatrix.power_estimate
+
+    def recorded(self, root=None):
+        noda.append(self)
+        return estimate(self, root)
+    monkeypatch.setattr(CountMatrix, "power_estimate", recorded)
+    return noda
+
+
 class TestPerron:
     def test_single_entry_two(self):
         cm = CountMatrix([[2]])
@@ -475,18 +488,88 @@ class TestPerron:
 
     def test_bracket_without_iteration_holds_root(self, monkeypatch):
         # a fill cap too small for any factorisation leaves v = 1, the
-        # row sums: a wider bracket, but still certified
+        # row sums, on the matrices that reach Noda's iteration because
+        # their adjugate column has a zero: a wider bracket, but still
+        # certified
         monkeypatch.setattr(D, "NODA_FILL_CAP", 0)
+        noda = record_noda(monkeypatch)
         rng = random.Random(1962)
         for k in range(60):
             n = rng.randrange(1, 25)
             m = self.random_matrix(rng, n, irreducible=k % 2 == 0)
-            info = CountMatrix(m).perron()  # raises if the two disagree
+            cm = CountMatrix(m)
+            info = cm.perron()  # raises if the two disagree
             lo, hi = info.algebraic.interval()
             blo, bhi = info.rowsum_bracket
             assert blo <= hi and lo <= bhi
-            # v = 1 throughout: the quotients are integer row sums
-            assert blo.denominator == bhi.denominator == 1
+            if cm in noda:  # v = 1 throughout: integer row sums
+                assert blo.denominator == bhi.denominator == 1
+        assert len(noda) == 19  # of the 30 reducible matrices
+
+    def test_adjugate_bracket_holds_root(self, monkeypatch):
+        # whenever the adjugate column's bracket is taken it holds the
+        # root, as two exact signs inside the root's cell say, and is at
+        # most ADJUGATE_TOL hi wide; every irreducible matrix takes it
+        noda = record_noda(monkeypatch)
+        rng = random.Random(1998)
+        taken = 0
+        for k in range(200):
+            irreducible = k % 2 == 0
+            m = self.random_matrix(rng, rng.randrange(1, 25), irreducible)
+            cm = CountMatrix(m)
+            info = cm.perron()
+            if cm in noda:
+                assert not irreducible
+                continue
+            taken += 1
+            lo, hi = info.algebraic.refine(F(1, 10**12))
+            blo, bhi = info.rowsum_bracket
+            a, b = max(lo, blo), min(hi, bhi)
+            assert 0 < a <= b
+            # the one root in the cell lies in [a, b]
+            assert X._value_at(info.algebraic.coeffs, a) * \
+                X._value_at(info.algebraic.coeffs, b) <= 0
+            assert bhi - blo <= F(D.ADJUGATE_TOL) * bhi
+        assert taken > 100
+
+    @pytest.mark.parametrize("mutation", ["sigma", "coefficient"])
+    def test_adjugate_mutations_are_caught(self, monkeypatch, mutation):
+        # a sigma 10^-6 off either way, or one wrong c_k, must send the
+        # matrix to Noda's iteration or raise: never give a bracket
+        # silently
+        column = D._adjugate_column
+        rng = random.Random(2006)
+        cases = [self.random_matrix(rng, rng.randrange(2, 25), True)
+                 for _ in range(40)]
+        cases.append(sqrt2_24_rows().entries)
+        cases.append(build_intersection_graph(ex51_setup()[1])
+                     .count_matrix.entries)
+        for k, m in enumerate(cases):
+            if mutation == "sigma":
+                def wrong(succ, cp, sigma, k=k):
+                    return column(succ, cp,
+                                  sigma + (-1)**k * F(1, 10**6))
+            else:
+                def wrong(succ, cp, sigma, k=k):
+                    cp = list(cp)
+                    cp[1 + k % (len(cp) - 2)] += 1  # one of c_1 .. c_(n-1)
+                    return column(succ, cp, sigma)
+            monkeypatch.setattr(D, "_adjugate_column", wrong)
+            noda = record_noda(monkeypatch)
+            cm = CountMatrix(m)
+            try:
+                cm.perron()
+            except D.VerificationFailed:
+                continue
+            assert noda == [cm]
+
+    def test_integer_eigenvalues_at_both_split_points(self):
+        # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
+        # midpoint 3 and the nudged point 4 are both roots
+        info = CountMatrix([[4, 1], [0, 3]]).perron()
+        assert info.algebraic.coeffs == (12, -7, 1)
+        lo, hi = info.enclosure()
+        assert lo < 4 < hi and info.rowsum_bracket == (4, 4)
 
     def test_acyclic_matrix_gets_no_char_poly(self):
         # nilpotent: radius 0, and neither a char poly nor a root
@@ -542,9 +625,7 @@ def reference_rowsum_enclosure(cm, vectors):
     """rowsum_enclosure as it built one Fraction per row."""
     lo = hi = F(0)
     for rows, v in vectors:
-        ratios = [float(x).as_integer_ratio() for x in v]
-        den = max(q for _, q in ratios)
-        w = dict(zip(rows, (p * (den // q) for p, q in ratios)))
+        w = dict(zip(rows, v))
         sums = [F(sum(a * w[j] for j, a in cm.succ[i] if j in w), w[i])
                 for i in rows]
         lo, hi = max(lo, min(sums)), max(hi, max(sums))
@@ -620,10 +701,12 @@ class TestOneChainPerron:
                 rng, n, irreducible=k % 2 == 0)))
         for cm in cms:
             vectors = cm.power_estimate()
+            assert all(type(x) is int and x > 0 for _, v in vectors
+                       for x in v)
             assert cm.rowsum_enclosure(vectors) == \
                 reference_rowsum_enclosure(cm, vectors)
             # coarse positive vectors, so that ties and wide quotients occur
-            coarse = [(rows, [float(rng.randrange(1, 4)) for _ in rows])
+            coarse = [(rows, [rng.randrange(1, 4) for _ in rows])
                       for rows, _ in vectors]
             got = cm.rowsum_enclosure(coarse)
             assert got == reference_rowsum_enclosure(cm, coarse)
@@ -1614,18 +1697,23 @@ def pool_translation(sys, text):
     return sys.embed(F(text))
 
 
+def pool_automata():
+    """(alpha, automaton) for every closed automaton of the intersect pool."""
+    pool = [e for v in REFERENCE["intersect"].values()
+            if isinstance(v, list) and v and isinstance(v[0], dict)
+            for e in v if e["complete"]]
+    for e in pool:
+        alpha = X.parse_real(e["base"])
+        sys = BaseSystem(alpha, TERNARY)
+        yield alpha, E.build_expansion_automaton(
+            sys, pool_translation(sys, e["t"]))
+
+
 class TestInsideFloatRecipe:
     def test_intersect_pool(self, built_values):
-        pool = [e for v in REFERENCE["intersect"].values()
-                if isinstance(v, list) and v and isinstance(v[0], dict)
-                for e in v if e["complete"]]
-        for e in pool:
-            alpha = X.parse_real(e["base"])
-            sys = BaseSystem(alpha, TERNARY)
-            auto = E.build_expansion_automaton(
-                sys, pool_translation(sys, e["t"]))
+        for alpha, auto in pool_automata():
             perron_dimension(build_intersection_graph(auto), alpha)
-        assert len(built_values) == len(pool) == 517
+        assert len(built_values) == 517
         assert_inside_float_recipe(built_values)
 
     def test_verify_paper(self, built_values):
@@ -1638,3 +1726,58 @@ class TestInsideFloatRecipe:
         for base in bases:
             d_set(X.parse_real(base))
         assert_inside_float_recipe(built_values)
+
+
+# ---------------------------------------------------------------------------
+# Karp's maximum cycle mean as it compared Fractions, kept as the reference
+# for the int-pair comparisons of graph.max_cycle_mean
+# ---------------------------------------------------------------------------
+
+def reference_max_cycle_mean(succ):
+    best = None
+    for members in G.sccs(succ):
+        n = len(members)
+        pos = {u: i for i, u in enumerate(members)}
+        edges = [(pos[u], pos[v], w) for u in members for v, w in succ[u]
+                 if v in pos]
+        d = [[0] + [None] * (n - 1)]
+        for _ in range(n):
+            prev, row = d[-1], [None] * n
+            for u, v, w in edges:
+                if prev[u] is not None and (row[v] is None
+                                            or prev[u] + w > row[v]):
+                    row[v] = prev[u] + w
+            d.append(row)
+        for v in range(n):
+            if d[n][v] is not None:
+                mean = min(F(d[n][v] - d[k][v], n - k)
+                           for k in range(n) if d[k][v] is not None)
+                best = mean if best is None else max(best, mean)
+    return best
+
+
+class TestKarpOnIntPairs:
+    def test_seeded_graphs_match_reference(self):
+        rng = random.Random(1978)
+        cyclic = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            succ = [[(rng.randrange(n), rng.randint(-3, 4))
+                     for _ in range(rng.randrange(4))] for _ in range(n)]
+            want = reference_max_cycle_mean(succ)
+            got = G.max_cycle_mean(succ)
+            assert got == want and type(got) is type(want)
+            cyclic += want is not None
+        assert cyclic > 200
+
+    def test_pool_automata_match_reference(self):
+        # the zero-indicator graph the frequency bound reads, and the
+        # intersection graph's count matrix
+        count = 0
+        for _, auto in pool_automata():
+            zeros = [[(t, int(d == 0)) for t, d in out] for out in auto.succ]
+            succ = build_intersection_graph(auto).count_matrix.succ
+            for g in (zeros, succ):
+                assert G.max_cycle_mean(g) == reference_max_cycle_mean(g)
+            count += 1
+        assert count == 517

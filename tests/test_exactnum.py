@@ -633,6 +633,47 @@ class TestNewtonCell:
                 want = (one, *(round((l + h) * one / 2) for l, h in pows))
                 assert ctx._fixed_point(K) == want
 
+    @staticmethod
+    def record_starts(monkeypatch):
+        """(bits of M, whether the float estimate was taken) per call of
+        ``_float_start``."""
+        starts, start = [], X._float_start
+
+        def recorded(coeffs, a, b, M):
+            N = start(coeffs, a, b, M)
+            starts.append((M.bit_length(), N != (a + b) // 2))
+            return N
+        monkeypatch.setattr(X, "_float_start", recorded)
+        return starts
+
+    def test_float_start_on_the_widest_grid(self, monkeypatch):
+        # the K = 2048 table's width 2^-2052 puts M past 2^2052: the ends
+        # still divide to floats, the estimate is taken, and the cell is
+        # the halving's; so it is from a bracket already narrower than a
+        # float's resolution, where the estimate may miss [a, b]
+        starts = self.record_starts(monkeypatch)
+        for b in KERNEL_BASES:
+            self.assert_same(parse_real(b), (F(1, 2**2052),))
+        assert len(starts) == 2 * len(KERNEL_BASES)  # and in copy().refine
+        assert all(bits > 2052 and taken for bits, taken in starts)
+        for b in KERNEL_BASES:
+            x = parse_real(b)
+            x.refine(F(1, 2**1028))
+            self.assert_same(x, (F(1, 2**2052),))
+
+    def test_midpoint_starts_give_the_halving_cell(self, monkeypatch):
+        # float() of a coefficient, or of the bracket's ends, overflows,
+        # or p' is 0 at the midpoint: the integer steps start from the
+        # midpoint, and the cell is the halving's
+        starts = self.record_starts(monkeypatch)
+        big = 10**309  # over the largest float, about 1.8e308
+        for coeffs, lo, hi in (((-(2 * big + 1), 0, big), F(1), F(2)),
+                               ((-2 * big**2, 0, 1), F(big), F(2 * big)),
+                               ((-1, -3, 0, 1), F(0), F(2))):
+            x = AlgebraicReal(coeffs, lo, hi)
+            self.assert_same(x, NEWTON_WIDTHS)
+        assert starts and not any(taken for _, taken in starts)
+
     def test_fallbacks_give_the_halving_bracket(self, monkeypatch):
         # (3x - 1)^3: Newton gains only a third of the distance to a triple
         # root a step, so 64 steps leave the estimate short of 2^-84, its
@@ -701,11 +742,10 @@ def reference_isolate(coeffs, lo, hi):
     if total == 0:
         raise X.NonIsolatingInterval("no root")
     while total > 1:
-        mid = (lo + hi) / 2
-        if frac_eval(coeffs, mid) == 0:
-            mid = (lo + 2 * hi) / 3
-            if frac_eval(coeffs, mid) == 0:
-                raise X.NonIsolatingInterval("could not separate roots")
+        k = 2  # the first of (lo + (k - 1) hi) / k that is no root
+        while frac_eval(coeffs, (lo + (k - 1) * hi) / k) == 0:
+            k += 1
+        mid = (lo + (k - 1) * hi) / k
         upper = count(mid, hi)
         if upper >= 1:
             lo, total = mid, upper
@@ -752,12 +792,15 @@ def poly_from_roots(roots, quadratics=()):
 # (x - 1)^2 (x - 3) (x^2 - 2): on (0, 6] the first midpoint 3 is a root,
 # which forces the nudge to (lo + 2 hi) / 3
 NUDGED = poly_from_roots([1, 1, 3], [[-2, 0, 1]])
+# (x - 1) (x - 3) (x - 4) (x^2 - 2): on (0, 6] both 3 and 4 are roots, so
+# the split goes on to (lo + 3 hi) / 4
+NUDGED_TWICE = poly_from_roots([1, 3, 4], [[-2, 0, 1]])
 
 
 class TestIntegerSturm:
     def seeded_polys(self):
         rng = random.Random(53)
-        polys = [NUDGED, poly_from_roots([2, 2, 2, -1, -1]),
+        polys = [NUDGED, NUDGED_TWICE, poly_from_roots([2, 2, 2, -1, -1]),
                  poly_from_roots([F(1, 2), F(1, 2), 3], [[1, 0, 1]])]
         for _ in range(30):
             roots = [F(rng.randrange(-12, 13), rng.randrange(1, 4))
@@ -788,7 +831,8 @@ class TestIntegerSturm:
 
     def test_isolation_matches_fraction_bisection(self):
         rng, polys = self.seeded_polys()
-        cases = [(NUDGED, F(0), F(6)), (NUDGED, F(0), F(10))]
+        cases = [(NUDGED, F(0), F(6)), (NUDGED, F(0), F(10)),
+                 (NUDGED_TWICE, F(0), F(6))]
         for p in polys:
             for _ in range(4):
                 lo = F(rng.randrange(-80, 0), rng.randrange(1, 7))
@@ -809,6 +853,9 @@ class TestIntegerSturm:
         # the nudged split: 3 is a root, so (0 + 2 * 6) / 3 = 4 splits
         assert X.isolate_largest_root(NUDGED, F(0), F(6)).interval() == \
             (F(2), F(4))
+        # 3 and 4 are roots, so (0 + 3 * 6) / 4 = 9/2 splits first
+        assert X.isolate_largest_root(NUDGED_TWICE, F(0), F(6)) \
+            .interval() == (F(27, 8), F(9, 2))
 
 
 def sparse_polys(rng, count):
@@ -902,11 +949,10 @@ def fraction_isolate(coeffs, lo, hi):
     if total == 0:
         raise X.NonIsolatingInterval("no root")
     while total > 1:
-        mid = (lo + hi) / 2
-        if X._value_at(p, mid) == 0:
-            mid = (lo + 2 * hi) / 3
-            if X._value_at(p, mid) == 0:
-                raise X.NonIsolatingInterval("could not separate roots")
+        k = 2  # the first of (lo + (k - 1) hi) / k that is no root
+        while X._value_at(p, (lo + (k - 1) * hi) / k) == 0:
+            k += 1
+        mid = (lo + (k - 1) * hi) / k
         upper = count(mid, hi)
         if upper >= 1:
             lo, total = mid, upper
@@ -921,7 +967,7 @@ def isolation_cases():
     intervals, and the nudged split."""
     rng, polys = TestIntegerSturm().seeded_polys()
     cases = [(NUDGED, F(0), F(6)), (NUDGED, F(0), F(10)),
-             (NUDGED, F(1, 3), F(7, 3))]
+             (NUDGED, F(1, 3), F(7, 3)), (NUDGED_TWICE, F(0), F(6))]
     for p in polys + sparse_polys(rng, 30):
         for _ in range(4):
             cases.append((p, F(rng.randrange(-80, 0), rng.randrange(1, 7)),

@@ -572,6 +572,19 @@ class TestUniquenessReference:
             assert E.is_unique_expansion(sys, seq, cap) == \
                 reference_is_unique_expansion(sys, seq, cap)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_with_a_grammar(self, cap):
+        # a grammar changes nothing under a cap of 0: no Parry comparison
+        # runs either, so the answer is the grammar-less one
+        sys = BaseSystem(F(2, 5), TERNARY)
+        lazies = tie_lazies()
+        for plain, ruled in zip(lazies[:2], lazies[2:4]):
+            assert plain.grammar is None and ruled.grammar is not None
+            got = E.is_unique_expansion(sys, ruled, cap)
+            assert got == E.is_unique_expansion(sys, plain, cap)
+            assert got.status is UniqStatus.UNDECIDED
+            assert got.compare_cap == cap
+
     def test_alpha_kl_lazy_inputs_match_reference(self):
         from cantorint.thuemorse import tm_block_word
         sys = BaseSystem(T.alpha_kl_real(), TERNARY)

@@ -1,8 +1,9 @@
 """Every certified number and the test that sets it against a second,
 independent route.  A number with no line here has one route only.
 
-- The Perron root's Collatz-Wielandt bracket vs the characteristic
-  polynomial's root:
+- The Perron root's Collatz-Wielandt bracket, its vector the adjugate
+  column adj(sigma I - A) e_0 or, where that column has a zero, Noda's
+  iteration, vs the characteristic polynomial's root:
   test_dimension.py::TestPerron::test_random_matrices_two_routes_agree
 - ``log_enclosure`` vs ln by the standard library's ``decimal``:
   test_exactnum.py::TestLogEnclosure::test_seeded_rationals
