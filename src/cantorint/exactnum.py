@@ -173,31 +173,36 @@ def _scaled_value(coeffs, N: int, M: int) -> int:
     return acc
 
 
-def _float_start(coeffs, a: int, b: int, M: int) -> int:
-    """A grid point N in [a, b] near the root of p in [a/M, b/M]: Newton's
-    method in floats from the midpoint, p and p' by one Horner pass, until
-    a step fails to shrink, put on the grid exactly by
-    ``as_integer_ratio``.  The midpoint (a + b) // 2 instead when a
-    coefficient or the estimate is past float range, p' is 0, or the
-    estimate leaves [a, b]."""
+def _float_start(coeffs, a: int, b: int, M: int, up: bool) -> int:
+    """A grid point N in [a, b] near the root of p in [a/M, b/M], where
+    ``up`` is whether p > 0 at a/M: Newton's method in floats from the
+    midpoint, p and p' by one Horner pass, until a step fails to shrink,
+    put on the grid exactly by ``as_integer_ratio``.  Each value's sign
+    narrows the float bracket, and a step that would leave it halves it
+    instead (rtsafe, as in :func:`_newton`).  The midpoint (a + b) // 2
+    instead when a coefficient or an end is past float range."""
     mid = (a + b) // 2
     try:
         cs = [float(c) for c in reversed(coeffs)]
+        lo, hi = a / M, b / M
         x, last = mid / M, inf
-        for _ in range(_NEWTON_STEPS):
-            f = d = 0.0
-            for c in cs:
-                d = d * x + f
-                f = f * x + c
-            step = f / d
-            if not abs(step) < last:  # rounding dominates, or not finite
+    except OverflowError:
+        return mid
+    for _ in range(_NEWTON_STEPS):
+        f = d = 0.0
+        for c in cs:
+            d = d * x + f
+            f = f * x + c
+        lo, hi = (x, hi) if (f > 0) == up else (lo, x)
+        step = f / d if d else inf
+        if lo <= x - step <= hi:
+            if not abs(step) < last:  # rounding dominates
                 break
             x, last = x - step, abs(step)
-        p, q = x.as_integer_ratio()
-    except (OverflowError, ZeroDivisionError):
-        return mid
-    N = p * M // q
-    return N if a <= N <= b else mid
+        else:
+            x, last = lo / 2 + hi / 2, inf  # no overflow near float's top
+    p, q = x.as_integer_ratio()
+    return min(max(p * M // q, a), b)
 
 
 def _newton(coeffs, a: int, b: int, M: int) -> int:
@@ -210,7 +215,7 @@ def _newton(coeffs, a: int, b: int, M: int) -> int:
     Press et al., Numerical Recipes 9.4)."""
     dp = poly_derivative(coeffs)
     up, last = _scaled_value(coeffs, a, M) > 0, b - a
-    x = _float_start(coeffs, a, b, M)
+    x = _float_start(coeffs, a, b, M, up)
     for _ in range(_NEWTON_STEPS):
         A, B = _scaled_value(coeffs, x, M), _scaled_value(dp, x, M)
         a, b = (x, b) if (A > 0) == up else (a, x)

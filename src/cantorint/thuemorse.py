@@ -55,33 +55,35 @@ def _tau_bytes(n: int) -> bytes:
 
 
 def tau_prefix(n: int) -> FiniteWord:
-    """First n digits tau_0 ... tau_{n-1}."""
+    """First n digits tau_0 ... tau_{n-1}, the bytes of :func:`_tau_bytes`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(tuple(_tau_bytes(n)), BINARY)
+    return FiniteWord(_tau_bytes(n), BINARY)
+
+
+# signed digits as bytes: 0x01 = 1, 0x00 = 0, 0xff = -1; d -> -d
+_REFLECT = bytes.maketrans(b"\x01\x00\xff", b"\xff\x00\x01")
 
 
 def _lambda_pair(n: int) -> tuple:
-    """The lists (w, reflect(w)) of w = lambda_1 ... lambda_(2^k), 2^k the
-    least power of 2 >= n, built by doubling: w_(k+1) is w_k reflect(w_k)
-    with its last digit raised by one, and its reflection is reflect(w_k)
-    w_k with its last digit lowered by one."""
-    pos, neg = [1], [-1]
-    while len(pos) < n:
-        pos, neg = pos + neg, neg + pos
-        pos[-1] += 1
-        neg[-1] -= 1
-    return pos, neg
+    """The signed-digit strings (w, reflect(w)) of w = lambda_1 ...
+    lambda_(2^k), 2^k the least power of 2 >= n, built by doubling: w_(k+1)
+    is w_k reflect(w_k) with its last digit raised by one.  A level is one
+    ``translate`` and one append on a ``bytearray``, and the reflection is
+    one more ``translate``."""
+    w = bytearray(b"\x01")
+    while len(w) < n:
+        w += w.translate(_REFLECT)
+        w[-1] = (w[-1] + 1) & 0xFF  # -1 + 1 = 0 wraps from 0xff
+    return w, w.translate(_REFLECT)
 
 
 def lambda_prefix(n: int) -> FiniteWord:
-    """lambda_1 ... lambda_n over {-1,0,1}: the first n digits of the
-    doubling word of :func:`_lambda_pair`."""
+    """lambda_1 ... lambda_n over {-1,0,1}: the first n signed digits of
+    the doubling word of :func:`_lambda_pair`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    pos = _lambda_pair(n)[0]
-    del pos[n:]
-    return FiniteWord(pos, TERNARY)
+    return FiniteWord(_lambda_pair(n)[0][:n], TERNARY)
 
 
 def lambda_seq() -> LazySeq:
@@ -97,25 +99,25 @@ def w_word(n: int) -> FiniteWord:
 
 def tm_block_word(n: int) -> EPSeq:
     """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
-    joins the two lists of one :func:`_lambda_pair` doubling."""
+    joins the two signed-digit strings of one :func:`_lambda_pair`."""
     if n < 1:
         raise ValueError("n must be at least 1")
     pos, neg = _lambda_pair(2**n)
-    return EPSeq((), pos + neg, TERNARY)
+    return EPSeq(b"", pos + neg, TERNARY)
 
 
 def zeta(n: int) -> FiniteWord:
     """zeta_n = 0 lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((0, *_lambda_pair(2**n)[0][:-1]), TERNARY)
+    return FiniteWord(b"\x00" + _lambda_pair(2**n)[0][:-1], TERNARY)
 
 
 def eta(n: int) -> FiniteWord:
     """eta_n = (-1) lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord((-1, *_lambda_pair(2**n)[0][:-1]), TERNARY)
+    return FiniteWord(b"\xff" + _lambda_pair(2**n)[0][:-1], TERNARY)
 
 
 def dw(n: int) -> Fraction:

@@ -65,14 +65,34 @@ def _check_digits(digits, alphabet):
                              f"[{alphabet.low}, {alphabet.high}]")
 
 
+def _signed_digits(b, alphabet) -> tuple:
+    """The digits of a bytes or bytearray string of signed digits (0xff is
+    -1), checked by one ``translate`` that deletes every byte of
+    ``alphabet``; a byte left over raises :func:`_check_digits`'s error,
+    naming the first digit outside."""
+    digits = tuple(memoryview(b).cast("b"))
+    allowed = bytes(d & 0xFF for d in range(max(alphabet.low, -128),
+                                            min(alphabet.high, 127) + 1))
+    if b.translate(None, allowed):
+        _check_digits(digits, alphabet)
+    return digits
+
+
 @dataclass(frozen=True)
 class FiniteWord:
+    """A finite word, its digits a tuple.  ``digits`` may be any iterable
+    of ints, or a bytes or bytearray string of signed digits."""
+
     digits: tuple
     alphabet: Alphabet = TERNARY
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        _check_digits(self.digits, self.alphabet)
+        if isinstance(self.digits, (bytes, bytearray)):
+            digits = _signed_digits(self.digits, self.alphabet)
+        else:
+            digits = tuple(self.digits)
+            _check_digits(digits, self.alphabet)
+        object.__setattr__(self, "digits", digits)
 
     def __len__(self):
         return len(self.digits)
@@ -106,17 +126,24 @@ class EPSeq:
     length r that divide n, so stripping each prime factor q of n from
     d = n while d // q is one of them leaves d = r.  One pass checks the
     digits of ``pre + per``; a digit bijection keeps the form canonical,
-    so ``_map_digits`` builds its image through ``_canonical``.
+    so ``_map_digits`` builds its image through ``_canonical``.  ``pre``
+    and ``per`` are iterables of ints, or both bytes or bytearray strings
+    of signed digits, checked as one string.
     """
 
     __slots__ = ("pre", "per", "alphabet")
 
     def __init__(self, pre, per, alphabet: Alphabet = TERNARY):
-        pre = tuple(pre)
-        per = tuple(per)
+        if isinstance(per, (bytes, bytearray)):  # signed digits, as is pre
+            k = len(pre)
+            digits = _signed_digits(pre + per, alphabet)
+            pre, per = digits[:k], digits[k:]
+        else:
+            pre, per = tuple(pre), tuple(per)
+            if per:  # an empty period is refused before any digit
+                _check_digits(pre + per, alphabet)
         if not per:
             raise WordsError("period must be nonempty")
-        _check_digits(pre + per, alphabet)
         # primitive period
         n = m = d = len(per)
         q = 2
@@ -370,12 +397,13 @@ def parse_seq(text: str, alphabet: Alphabet = TERNARY) -> Union[FiniteWord, EPSe
 
 def format_seq(s: Union[FiniteWord, EPSeq]) -> str:
     if s.alphabet == TERNARY:
+        char = _DIGIT_TO_CHAR.__getitem__
         if isinstance(s, FiniteWord):
-            return "".join(_DIGIT_TO_CHAR[d] for d in s.digits)
-        return ("".join(_DIGIT_TO_CHAR[d] for d in s.pre)
-                + "(" + "".join(_DIGIT_TO_CHAR[d] for d in s.per) + ")")
+            return "".join(map(char, s.digits))
+        return ("".join(map(char, s.pre))
+                + "(" + "".join(map(char, s.per)) + ")")
     if isinstance(s, FiniteWord):
-        return ",".join(str(d) for d in s.digits)
-    pre = ",".join(str(d) for d in s.pre)
-    per = ",".join(str(d) for d in s.per)
+        return ",".join(map(str, s.digits))
+    pre = ",".join(map(str, s.pre))
+    per = ",".join(map(str, s.per))
     return f"{pre}({per})" if pre else f"({per})"

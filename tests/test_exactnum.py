@@ -593,6 +593,36 @@ class TestNewtonCell:
             self.assert_same(perron_root(random_count_matrix(rng, n)),
                              NEWTON_WIDTHS)
 
+    def test_pool_sized_count_matrices_take_few_integer_steps(
+            self, monkeypatch):
+        # one sign at the lower end, then at most three integer steps of
+        # two values each, at every width; from the midpoint, six of these
+        # roots (degrees 14-19) take 8 to 11
+        steps, inside = [], []  # values per _newton call; in one
+        scaled, newton = X._scaled_value, X._newton
+
+        def counted(*args):
+            if inside:
+                steps[-1] += 1
+            return scaled(*args)
+
+        def counting(*args):
+            steps.append(0)
+            inside.append(True)
+            try:
+                return newton(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(X, "_scaled_value", counted)
+        monkeypatch.setattr(X, "_newton", counting)
+        rng = random.Random(32)
+        for n in list(range(1, 25)) * 2:
+            x = perron_root(random_count_matrix(rng, n))
+            for width in NEWTON_WIDTHS:
+                copy(x).refine(width)
+        assert len(steps) == 48 * len(NEWTON_WIDTHS)
+        assert max(steps) <= 1 + 2 * 3
+
     def test_integer_perron_roots_collapse(self):
         # all ones has lambda = 2, a row of weight 3 into it lifts hi to 4
         for succ, g in (([[(0, 1), (1, 1)], [(0, 1), (1, 1)], [(0, 3)]], 2),
@@ -639,8 +669,8 @@ class TestNewtonCell:
         ``_float_start``."""
         starts, start = [], X._float_start
 
-        def recorded(coeffs, a, b, M):
-            N = start(coeffs, a, b, M)
+        def recorded(coeffs, a, b, M, up):
+            N = start(coeffs, a, b, M, up)
             starts.append((M.bit_length(), N != (a + b) // 2))
             return N
         monkeypatch.setattr(X, "_float_start", recorded)
@@ -662,17 +692,25 @@ class TestNewtonCell:
             self.assert_same(x, (F(1, 2**2052),))
 
     def test_midpoint_starts_give_the_halving_cell(self, monkeypatch):
-        # float() of a coefficient, or of the bracket's ends, overflows,
-        # or p' is 0 at the midpoint: the integer steps start from the
-        # midpoint, and the cell is the halving's
+        # float() of a coefficient, or of the bracket's ends, overflows:
+        # the integer steps start from the midpoint, and the cell is the
+        # halving's
         starts = self.record_starts(monkeypatch)
         big = 10**309  # over the largest float, about 1.8e308
         for coeffs, lo, hi in (((-(2 * big + 1), 0, big), F(1), F(2)),
-                               ((-2 * big**2, 0, 1), F(big), F(2 * big)),
-                               ((-1, -3, 0, 1), F(0), F(2))):
+                               ((-2 * big**2, 0, 1), F(big), F(2 * big))):
             x = AlgebraicReal(coeffs, lo, hi)
             self.assert_same(x, NEWTON_WIDTHS)
         assert starts and not any(taken for _, taken in starts)
+
+    def test_zero_derivative_halves_the_float_bracket(self, monkeypatch):
+        # x^3 - 3x - 1 has p' = 0 at the midpoint 1 of [0, 2]: the float
+        # steps halve the bracket there and go on, and the estimate,
+        # not the midpoint, starts the integer steps
+        starts = self.record_starts(monkeypatch)
+        self.assert_same(AlgebraicReal((-1, -3, 0, 1), F(0), F(2)),
+                         NEWTON_WIDTHS)
+        assert starts and all(taken for _, taken in starts)
 
     def test_fallbacks_give_the_halving_bracket(self, monkeypatch):
         # (3x - 1)^3: Newton gains only a third of the distance to a triple

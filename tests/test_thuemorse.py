@@ -72,8 +72,15 @@ class TestDoublingKernel:
                 if n >= 1:
                     assert T.lambda_prefix(n).digits == self.LAMBDA[:n]
 
+    def test_tau_prefix_against_the_generator(self):
+        tau = tuple(map(T.tau, range(2**16 + 1)))
+        for n in {*range(1, 301),
+                  *(2**k + e for k in range(1, 17) for e in (-1, 0, 1))}:
+            word = T.tau_prefix(n)
+            assert word.digits == tau[:n] and word.alphabet == W.BINARY
+
     def test_block_word_period_is_w_then_its_negation(self):
-        for n in range(1, 14):
+        for n in range(1, 17):
             w = self.LAMBDA[:2**n]
             s = T.tm_block_word(n)
             assert s.pre == () and s.per == w + tuple(-d for d in w)
@@ -86,7 +93,7 @@ class TestDoublingKernel:
         assert dimension.tm_block_word is T.tm_block_word
 
     def test_w_zeta_eta_definitions(self):
-        for n in range(1, 14):
+        for n in range(1, 17):
             w = self.LAMBDA[:2**n]
             assert T.w_word(n).digits == w
             assert T.zeta(n).digits == (0,) + w[:-1]

@@ -134,6 +134,61 @@ class TestDigitCheck:
         assert EPSeq((), (0, 1), BINARY).per == (0, 1)
 
 
+def signed_bytes(digits):
+    """Digits in -128..127 as a bytes string of signed digits."""
+    return bytes(d & 0xFF for d in digits)
+
+
+class TestSignedDigitStrings:
+    """Words built from bytes or bytearray strings of signed digits."""
+
+    def test_equal_to_the_tuple_built_word(self):
+        rng = random.Random(39)
+        for alphabet in (TERNARY, BINARY, Alphabet(-3, 7)):
+            for _ in range(200):
+                s = rand_epseq(rng, alphabet, max_pre=5, max_per=9)
+                pre, per = s.pre, s.per
+                if rng.random() < 0.5:  # not canonical as given
+                    pre, per = pre + per[:1], (per[1:] + per[:1]) * 2
+                for kind in (bytes, bytearray):
+                    t = EPSeq(kind(signed_bytes(pre)), kind(signed_bytes(per)),
+                              alphabet)
+                    assert t == EPSeq(pre, per, alphabet) == s
+                    assert hash(t) == hash(s)
+                    assert type(t.pre) is type(t.per) is tuple
+                    w = FiniteWord(kind(signed_bytes(pre + per)), alphabet)
+                    assert w == FiniteWord(pre + per, alphabet)
+                    assert hash(w) == hash(FiniteWord(pre + per, alphabet))
+                    assert type(w.digits) is tuple
+        assert FiniteWord(b"", TERNARY).digits == ()
+
+    @pytest.mark.parametrize("byte, alphabet", [(0x02, TERNARY),
+                                                (0xFE, TERNARY),
+                                                (0x80, TERNARY),
+                                                (0xFF, BINARY)])
+    def test_stray_byte_raises_the_tuple_message(self, byte, alphabet):
+        d = byte - 256 if byte > 127 else byte
+        for make in (lambda x: FiniteWord(x, alphabet),
+                     lambda x: EPSeq(x[:2], x[2:], alphabet)):
+            with pytest.raises(W.WordsError) as want:
+                make((0, 1, d, 1, d, 0))
+            with pytest.raises(W.WordsError) as got:
+                make(bytes((0, 1, byte, 1, byte, 0)))
+            assert str(got.value) == str(want.value) == \
+                f"digit {d} outside alphabet [{alphabet.low}, {alphabet.high}]"
+
+    def test_first_stray_byte_named(self):
+        with pytest.raises(W.WordsError) as err:
+            FiniteWord(b"\x00\xfe\x02", TERNARY)
+        assert str(err.value) == "digit -2 outside alphabet [-1, 1]"
+        with pytest.raises(W.WordsError) as err:
+            EPSeq(b"\x01\x05", b"\x00\xfe", TERNARY)
+        assert str(err.value) == "digit 5 outside alphabet [-1, 1]"
+        with pytest.raises(W.WordsError) as err:  # no byte is a digit
+            FiniteWord(b"\x00", Alphabet(200, 3))
+        assert str(err.value) == "digit 0 outside alphabet [200, 202]"
+
+
 class TestLexCompare:
     def test_first_digit_decides(self):
         a = EPSeq((-1,), (0,), TERNARY)
