@@ -6,16 +6,15 @@ Routes implemented:
   for translations with a unique expansion,
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
-  alpha).  The spectral radius is certified by a Collatz-Wielandt bracket:
-  the least and largest (Av)_i/v_i of a positive int vector v, from one
-  exact integer mat-vec.  For at most 24 rows the characteristic
-  polynomial pins the radius down exactly, and v is the adjugate column
-  adj(sigma I - A) e_0 at the upper end sigma of the root's cell, on ints.
-  Past 24 rows, or where that column has a zero, the matrix splits into
-  strongly connected components and each takes a float Perron vector from
-  Noda's shift-and-invert iteration on its successor lists, scaled exactly
-  to ints; the floats are plain Python ones, so the bracket is the same
-  on every machine,
+  alpha).  Each matrix takes one certificate of its spectral radius.  Up
+  to 24 rows with a cycle it is the largest real root of the exact
+  characteristic polynomial: by Perron-Frobenius the radius is an
+  eigenvalue and bounds every real one.  Past 24 rows it is a
+  Collatz-Wielandt bracket, the least and largest (Av)_i/v_i per strongly
+  connected component from one exact integer mat-vec, for a float Perron
+  vector v from Noda's shift-and-invert iteration scaled exactly to ints;
+  the floats are plain Python ones, so the bracket is the same on every
+  machine,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -201,13 +201,19 @@ def char_poly(succ: list) -> list:
 
 @dataclass
 class PerronInfo:
-    """Spectral radius data for a nonnegative integer matrix."""
+    """The spectral radius of a nonnegative integer matrix by one
+    certificate, the other field None: ``algebraic``, the largest real root
+    of the characteristic polynomial ``char``, up to ``CHARPOLY_MAX_DIM``
+    rows with a cycle; else ``rowsum_bracket``, a Collatz-Wielandt bracket."""
 
     algebraic: Optional[AlgebraicReal]
-    rowsum_bracket: tuple  # (Fraction lo, Fraction hi), certified
+    rowsum_bracket: Optional[tuple]  # (Fraction lo, Fraction hi)
     char: Optional[list] = None
 
     def enclosure(self, width=Fraction(1, 10**12)):
+        """(lo, hi) holding the radius: the root narrowed to ``width``, or,
+        past ``CHARPOLY_MAX_DIM`` rows and for a nilpotent matrix, the
+        bracket as it stands, whatever the width."""
         if self.algebraic is not None:
             return self.algebraic.refine(width)
         return self.rowsum_bracket
@@ -220,7 +226,7 @@ class PerronInfo:
         return f"in [{lo}, {hi}]"
 
 
-CHARPOLY_MAX_DIM = 24  # larger matrices get the bracket alone
+CHARPOLY_MAX_DIM = 24  # larger matrices get the bracket instead of the root
 
 
 class CountMatrix:
@@ -234,7 +240,10 @@ class CountMatrix:
     """
 
     def __init__(self, entries):
-        rows = [[int(x) for x in row] for row in entries]
+        try:  # an int, a numpy int; never a float, Fraction or str
+            rows = [[operator.index(x) for x in row] for row in entries]
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
         for row in rows:
             if len(row) != len(rows):
                 raise ValueError("matrix must be square")
@@ -264,20 +273,18 @@ class CountMatrix:
     def row_sums(self):
         return [sum(a for _, a in out) for out in self.succ]
 
-    def power_estimate(self, root=None) -> list:
+    def power_estimate(self) -> list:
         """Positive int Perron vectors: ``(rows, v)`` for each strongly
         connected component that carries a cycle, from Noda's iteration
         (:func:`_noda_vector`) on its successor lists, each float vector
-        scaled exactly to ints by one power of two; an estimate only.
-        ``root`` is an isolating ``(lo, hi)`` of the radius, when known."""
+        scaled exactly to ints by one power of two; an estimate only."""
         out = []
         for rows in graph.sccs(self.succ):
             local = {r: k for k, r in enumerate(rows)}
             adj = [[(local[j], a) for j, a in self.succ[r] if j in local]
                    for r in rows]
             if any(adj):  # else a transient state with no self-loop
-                ratios = [x.as_integer_ratio()
-                          for x in _noda_vector(adj, root)]
+                ratios = [x.as_integer_ratio() for x in _noda_vector(adj)]
                 den = max(q for _, q in ratios)
                 out.append((rows, [p * (den // q) for p, q in ratios]))
         return out
@@ -309,21 +316,19 @@ class CountMatrix:
         return lo, hi
 
     def perron(self) -> PerronInfo:
-        """Certified bracket and (for at most ``CHARPOLY_MAX_DIM`` rows
-        with a cycle) the exact algebraic form of the spectral radius.
+        """The spectral radius, by one certificate (see :class:`PerronInfo`).
 
-        The characteristic-polynomial root comes first.  Its 10^-12 cell's
-        upper end sigma gives the column adj(sigma I - A) e_0
-        (:func:`_adjugate_column`), a shift-and-invert step from e_0 taken
-        exactly: if it is positive and its bracket is at most
-        ``ADJUGATE_TOL`` hi wide, that is the bracket.  Otherwise, as for
-        a reducible A whose column has zeros and for larger matrices,
-        Noda's iteration gives one vector per component, starting its
-        shifts just above the root when there is one.
+        For at most ``CHARPOLY_MAX_DIM`` rows with a cycle, the largest real
+        root of the characteristic polynomial in (0, max row sum + 1] is
+        the radius rho by Perron-Frobenius: rho is an eigenvalue, and every
+        real eigenvalue r has |r| <= rho.  :func:`char_poly` and one Sturm
+        chain make it exact; it is narrowed to 10^-12 here, so every later
+        enclosure starts from that cell.  Past the limit, or for a
+        nilpotent matrix, it is the bracket of Noda's vectors.
         """
         if self._perron is not None:
             return self._perron
-        algebraic = cp = root = bracket = None
+        algebraic = cp = bracket = None
         if self.n <= CHARPOLY_MAX_DIM:
             cp = char_poly(self.succ)
             k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
@@ -333,59 +338,13 @@ class CountMatrix:
                 hi = Fraction(max(self.row_sums()) + 1)
                 algebraic = exactnum.isolate_largest_root(cp[k:],
                                                           Fraction(0), hi)
-                root = algebraic.refine(Fraction(1, 10**12))
-                v = _adjugate_column(self.succ, cp, root[1])
-                if min(v) > 0:
-                    bracket = self.rowsum_enclosure([(range(self.n), v)])
-                    if bracket[1] - bracket[0] > ADJUGATE_TOL * bracket[1]:
-                        bracket = None
-        if bracket is None:
-            bracket = self.rowsum_enclosure(self.power_estimate(root))
-        if root is not None and (root[1] < bracket[0] or root[0] > bracket[1]):
-            raise VerificationFailed(
-                "characteristic-polynomial root disagrees with the "
-                "Collatz-Wielandt bracket")
+                algebraic.refine(Fraction(1, 10**12))
+        if algebraic is None:
+            bracket = self.rowsum_enclosure(self.power_estimate())
         self._perron = PerronInfo(algebraic, bracket, cp)
         return self._perron
 
 
-def _adjugate_column(succ: list, cp: list, sigma: Fraction) -> list:
-    """Q^(n-1) adj(sigma I - A) e_0 for sigma = P/Q, an int vector, given
-    A's successor lists and its characteristic polynomial ``cp`` (low
-    degree first, from :func:`char_poly`).
-
-    adj(x I - A) = sum_k x^(n-1-k) B_k with B_0 = I and B_k = A B_(k-1) +
-    c_k I, the Faddeev-LeVerrier matrices, where c_k is the coefficient of
-    x^(n-k).  Their first columns m_k = A m_(k-1) + c_k e_0 take one sparse
-    mat-vec each, its rows built as in :func:`char_poly`, and Horner's rule
-    in P and Q sums them.  For sigma above the radius, adj(sigma I - A) =
-    det(sigma I - A) (sigma I - A)^-1 is nonnegative, and near a simple
-    radius its columns lie near the Perron vector; there entry i is
-    positive exactly when row i reaches row 0.
-    """
-    n = len(succ)
-    P, Q = sigma.numerator, sigma.denominator
-    m = [1] + [0] * (n - 1)
-    v, scale = m, 1
-    for c in cp[-2:0:-1]:  # c_1 .. c_(n-1)
-        row = []
-        for out in succ:
-            if len(out) == 1:
-                (j, a), = out
-                row.append(m[j] if a == 1 else a * m[j])
-            elif len(out) == 2:
-                (j, a), (k, b) = out
-                row.append(a * m[j] + b * m[k])
-            else:
-                row.append(sum([a * m[j] for j, a in out]))
-        m = row
-        m[0] += c
-        scale *= Q
-        v = [P * x + scale * y for x, y in zip(v, m)]
-    return v
-
-
-ADJUGATE_TOL = 1e-9     # perron() takes an adjugate bracket hi - lo <= it * hi
 NODA_TOL = 1e-13        # a component stops once hi - lo <= NODA_TOL * hi
 NODA_SHIFT = 1e-3       # sigma exceeds hi by this share of hi - lo,
 NODA_SHIFT_MIN = 1e-12  # and by at least this much
@@ -405,37 +364,33 @@ def _quotient_range(adj: list, v: list) -> tuple:
     return min(q), max(q)
 
 
-def _noda_vector(adj: list, root=None) -> list:
+def _noda_vector(adj: list) -> list:
     """Positive float Perron vector of the irreducible matrix A with
     successor lists ``adj``, by Noda's shift-and-invert iteration (Noda
-    1971, Numer. Math. 17).
+    1971, Numer. Math. 17), for the bracket of a matrix past
+    ``CHARPOLY_MAX_DIM`` rows.
 
     From v = 1, with lo and hi the least and largest (Av)_i / v_i, each
     step solves (sigma I - A) y = v for sigma = hi + max(NODA_SHIFT_MIN,
     NODA_SHIFT (hi - lo)) and takes v = |y| / max |y|, until hi - lo <=
     NODA_TOL hi.  Since (Ay)_i / y_i = sigma - v_i / y_i, the new hi is
-    below sigma.  Given ``root``, the first sigma is just above its upper
-    end, and the iteration stops once hi falls below its lower end: the
-    component can no longer move the bracket.  It also stops, keeping
-    the last positive v, when the factors would hold more than
-    NODA_FILL_CAP times the entries of sigma I - A, when a solve fails
-    (see :func:`_shifted_solve`), when a new v has an entry 0, or when a
-    step does not narrow hi - lo, as once rounding dominates.  The
-    bracket needs no convergence: any positive v certifies one.
+    below sigma.  It stops early, keeping the last positive v, when the
+    factors would hold more than NODA_FILL_CAP times the entries of
+    sigma I - A, when a solve fails (see :func:`_shifted_solve`), when a
+    new v has an entry 0, or when a step does not narrow hi - lo, as once
+    rounding dominates.  The bracket needs no convergence: any positive v
+    certifies one.
     """
     v = [1.0] * len(adj)
     lo, hi = _quotient_range(adj, v)
-    root_lo = float(root[0]) if root is not None else -math.inf
-    sigma = float(root[1]) + NODA_SHIFT_MIN if root is not None else None
     pattern = None
-    while hi - lo > NODA_TOL * hi and hi >= root_lo:
+    while hi - lo > NODA_TOL * hi:
         if pattern is None:
             pattern = _elimination_pattern(
                 adj, NODA_FILL_CAP * (len(adj) + sum(map(len, adj))))
             if pattern is None:
                 break
-        if sigma is None:
-            sigma = hi + max(NODA_SHIFT_MIN, NODA_SHIFT * (hi - lo))
+        sigma = hi + max(NODA_SHIFT_MIN, NODA_SHIFT * (hi - lo))
         y = _shifted_solve(adj, pattern, sigma, v)
         if y is None:
             break
@@ -444,7 +399,7 @@ def _noda_vector(adj: list, root=None) -> list:
         if not all(x > 0 for x in w):
             break
         width = hi - lo
-        v, sigma = w, None
+        v = w
         lo, hi = _quotient_range(adj, v)
         if hi - lo >= width:
             break

@@ -294,9 +294,8 @@ GOLDEN = [
     (("dense-targets", "--alpha", "rat:19/50", "--targets", "0,1/3,1",
       "--tol", "1/100"),
      "17561028df8a4cfe0e2aec0fcaed8df778f10e25e741750b918500d8d2c05f78"),
-    # the char-poly route's largest input, 24 rows, whose bracket comes
-    # from the adjugate column; and a reducible 7-row matrix, whose column
-    # has zeros, so its bracket comes from Noda's iteration
+    # the char-poly route's largest input, 24 rows; and a reducible 7-row
+    # matrix: both certified by the char-poly root alone
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "rat:-7/10"),
      "a207e23f1927709a6059328a915ecf6e5218a8c5db39e3eab5c90a13aa173679"),
     (("intersect", "--alpha", "alg:-1,2,2@[1/3,1/2]", "--t", "rat:5/12"),

@@ -304,9 +304,9 @@ def record_noda(monkeypatch):
     noda = []
     estimate = CountMatrix.power_estimate
 
-    def recorded(self, root=None):
+    def recorded(self):
         noda.append(self)
-        return estimate(self, root)
+        return estimate(self)
     monkeypatch.setattr(CountMatrix, "power_estimate", recorded)
     return noda
 
@@ -317,14 +317,14 @@ class TestPerron:
         info = cm.perron()
         lo, hi = info.enclosure()
         assert lo <= 2 <= hi
-        assert sum(info.rowsum_bracket) / 2 == pytest.approx(2.0)
+        assert info.rowsum_bracket is None  # the root is the one certificate
+        assert cm.rowsum_enclosure(cm.power_estimate()) == (2, 2)
 
     def test_rowsum_bracket_contains_true_value(self):
         cm = CountMatrix(T.SFT_MATRIX)
-        info = cm.perron()
+        lo, hi = cm.rowsum_enclosure(cm.power_estimate())
         phi = (1 + math.sqrt(5)) / 2
-        assert float(info.rowsum_bracket[0]) <= phi <= \
-            float(info.rowsum_bracket[1])
+        assert float(lo) <= phi <= float(hi)
 
     def test_periodic_matrix(self):
         # two 3-cycles of weight 2 sharing a state: lambda^3 = 4
@@ -382,24 +382,6 @@ class TestPerron:
             assert got.coeffs == want.coeffs
             assert got.refine(F(1, 10**12)) == want.refine(F(1, 10**12))
         assert repeated >= 10
-
-    def test_random_matrices_two_routes_agree(self):
-        # characteristic-polynomial root vs row-sum bracket vs float power
-        # iteration on random nonnegative matrices with no dead rows
-        import random as _r
-        rng = _r.Random(55)
-        for _ in range(30):
-            n = rng.randrange(2, 6)
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                m[i][rng.randrange(n)] = rng.randrange(1, 3)
-                for _e in range(rng.randrange(0, n)):
-                    m[i][rng.randrange(n)] += rng.randrange(0, 3)
-            info = CountMatrix(m).perron()
-            lo, hi = info.enclosure(F(1, 10**9))
-            blo, bhi = info.rowsum_bracket
-            assert blo <= hi and lo <= bhi  # the certified routes overlap
-            assert blo <= sum(info.rowsum_bracket) / 2 <= bhi
 
     def test_712_state_matrix(self):
         # sqrt(2)-1 with t = 1/211: one 712-row component, past the
@@ -486,90 +468,75 @@ class TestPerron:
             assert lo - 1e-9 <= rho <= hi + 1e-9
             assert hi - lo <= F(1, 10**12) * hi  # no fill cap hit here
 
+    @staticmethod
+    def second_route_cases():
+        """Count matrices of 1 to 24 rows: seeded irreducible and reducible
+        ones of every size, random ones of 2 to 5 rows with no dead rows,
+        the four-block subshift, ex51, ex52, the 24-row sqrt(2) - 1 matrix
+        and the 7 reducible rows of (sqrt(3) - 1)/2 at t = 5/12."""
+        rng = random.Random(2024)
+        cases = [CountMatrix(TestPerron.random_matrix(rng, n, irreducible))
+                 for n in range(1, 25) for irreducible in (True, False)
+                 for _ in range(2)]
+        rng = random.Random(55)
+        for _ in range(30):
+            n = rng.randrange(2, 6)
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][rng.randrange(n)] = rng.randrange(1, 3)
+                for _e in range(rng.randrange(0, n)):
+                    m[i][rng.randrange(n)] += rng.randrange(0, 3)
+            cases.append(CountMatrix(m))
+        cases.append(CountMatrix(T.SFT_MATRIX))
+        cases.append(build_intersection_graph(ex51_setup()[1]).count_matrix)
+        sys = BaseSystem(X.parse_real("alg:-1,2,1@[2/5,1/2]"), TERNARY)
+        auto = E.build_expansion_automaton(sys, A.ex52_translation(sys))
+        cases.append(build_intersection_graph(auto).count_matrix)
+        cases.append(sqrt2_24_rows())
+        sys = BaseSystem(X.parse_real("alg:-1,2,2@[1/3,1/2]"), TERNARY)
+        auto = E.build_expansion_automaton(sys, sys.embed(F(5, 12)))
+        cases.append(build_intersection_graph(auto).count_matrix)
+        assert cases[-1].n == 7 and len(G.sccs(cases[-1].succ)) > 1
+        return cases
+
+    def test_root_against_second_route(self, monkeypatch):
+        # the char-poly root, the one certificate up to 24 rows, lies in
+        # the Collatz-Wielandt bracket of Noda's vectors: the root's one
+        # sign change in its 10^-12 cell falls where the two meet
+        noda = record_noda(monkeypatch)
+        for cm in self.second_route_cases():
+            info = cm.perron()
+            assert noda == [] and info.rowsum_bracket is None
+            lo, hi = info.enclosure(F(1, 10**12))
+            blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
+            noda.clear()
+            a, b = max(lo, blo), min(hi, bhi)
+            assert 0 < a <= b
+            assert X._value_at(info.algebraic.coeffs, a) * \
+                X._value_at(info.algebraic.coeffs, b) <= 0
+
     def test_bracket_without_iteration_holds_root(self, monkeypatch):
         # a fill cap too small for any factorisation leaves v = 1, the
-        # row sums, on the matrices that reach Noda's iteration because
-        # their adjugate column has a zero: a wider bracket, but still
-        # certified
+        # row sums: a wider bracket with integer ends, but still certified
         monkeypatch.setattr(D, "NODA_FILL_CAP", 0)
-        noda = record_noda(monkeypatch)
         rng = random.Random(1962)
         for k in range(60):
             n = rng.randrange(1, 25)
-            m = self.random_matrix(rng, n, irreducible=k % 2 == 0)
-            cm = CountMatrix(m)
-            info = cm.perron()  # raises if the two disagree
-            lo, hi = info.algebraic.interval()
-            blo, bhi = info.rowsum_bracket
+            cm = CountMatrix(self.random_matrix(rng, n, k % 2 == 0))
+            lo, hi = cm.perron().algebraic.interval()
+            blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
             assert blo <= hi and lo <= bhi
-            if cm in noda:  # v = 1 throughout: integer row sums
-                assert blo.denominator == bhi.denominator == 1
-        assert len(noda) == 19  # of the 30 reducible matrices
-
-    def test_adjugate_bracket_holds_root(self, monkeypatch):
-        # whenever the adjugate column's bracket is taken it holds the
-        # root, as two exact signs inside the root's cell say, and is at
-        # most ADJUGATE_TOL hi wide; every irreducible matrix takes it
-        noda = record_noda(monkeypatch)
-        rng = random.Random(1998)
-        taken = 0
-        for k in range(200):
-            irreducible = k % 2 == 0
-            m = self.random_matrix(rng, rng.randrange(1, 25), irreducible)
-            cm = CountMatrix(m)
-            info = cm.perron()
-            if cm in noda:
-                assert not irreducible
-                continue
-            taken += 1
-            lo, hi = info.algebraic.refine(F(1, 10**12))
-            blo, bhi = info.rowsum_bracket
-            a, b = max(lo, blo), min(hi, bhi)
-            assert 0 < a <= b
-            # the one root in the cell lies in [a, b]
-            assert X._value_at(info.algebraic.coeffs, a) * \
-                X._value_at(info.algebraic.coeffs, b) <= 0
-            assert bhi - blo <= F(D.ADJUGATE_TOL) * bhi
-        assert taken > 100
-
-    @pytest.mark.parametrize("mutation", ["sigma", "coefficient"])
-    def test_adjugate_mutations_are_caught(self, monkeypatch, mutation):
-        # a sigma 10^-6 off either way, or one wrong c_k, must send the
-        # matrix to Noda's iteration or raise: never give a bracket
-        # silently
-        column = D._adjugate_column
-        rng = random.Random(2006)
-        cases = [self.random_matrix(rng, rng.randrange(2, 25), True)
-                 for _ in range(40)]
-        cases.append(sqrt2_24_rows().entries)
-        cases.append(build_intersection_graph(ex51_setup()[1])
-                     .count_matrix.entries)
-        for k, m in enumerate(cases):
-            if mutation == "sigma":
-                def wrong(succ, cp, sigma, k=k):
-                    return column(succ, cp,
-                                  sigma + (-1)**k * F(1, 10**6))
-            else:
-                def wrong(succ, cp, sigma, k=k):
-                    cp = list(cp)
-                    cp[1 + k % (len(cp) - 2)] += 1  # one of c_1 .. c_(n-1)
-                    return column(succ, cp, sigma)
-            monkeypatch.setattr(D, "_adjugate_column", wrong)
-            noda = record_noda(monkeypatch)
-            cm = CountMatrix(m)
-            try:
-                cm.perron()
-            except D.VerificationFailed:
-                continue
-            assert noda == [cm]
+            assert blo.denominator == bhi.denominator == 1
 
     def test_integer_eigenvalues_at_both_split_points(self):
         # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
         # midpoint 3 and the nudged point 4 are both roots
-        info = CountMatrix([[4, 1], [0, 3]]).perron()
+        cm = CountMatrix([[4, 1], [0, 3]])
+        info = cm.perron()
         assert info.algebraic.coeffs == (12, -7, 1)
         lo, hi = info.enclosure()
-        assert lo < 4 < hi and info.rowsum_bracket == (4, 4)
+        assert lo < 4 < hi
+        assert cm.rowsum_enclosure(cm.power_estimate()) == (4, 4)
 
     def test_acyclic_matrix_gets_no_char_poly(self):
         # nilpotent: radius 0, and neither a char poly nor a root
@@ -728,6 +695,21 @@ class TestCountMatrix:
             CountMatrix([[1, 0]])
         with pytest.raises(ValueError):
             CountMatrix([[1, -1], [0, 1]])
+
+    @pytest.mark.parametrize("entry", [1.5, F(5, 2), "2", 2.0],
+                             ids=["float", "fraction", "str", "integral-float"])
+    def test_rejects_non_integer_entries(self, entry):
+        # int() would truncate 1.5 and 5/2 and parse "2"
+        with pytest.raises(ValueError, match="integers"):
+            CountMatrix([[entry]])
+
+    def test_integer_rows_build(self):
+        want = CountMatrix([[0, 2], [1, 1]])
+        for rows in ([(0, 2), (1, 1)], np.array([[0, 2], [1, 1]]),
+                     [[np.int64(0), np.int32(2)], [np.uint8(1), np.int16(1)]]):
+            cm = CountMatrix(rows)
+            assert cm.succ == want.succ and cm.entries == want.entries
+            assert all(type(a) is int for out in cm.succ for _, a in out)
 
     def test_graph_lists_are_successors_of_entries(self):
         # build_intersection_graph hands over summed lists: columns

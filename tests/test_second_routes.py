@@ -1,10 +1,10 @@
 """Every certified number and the test that sets it against a second,
 independent route.  A number with no line here has one route only.
 
-- The Perron root's Collatz-Wielandt bracket, its vector the adjugate
-  column adj(sigma I - A) e_0 or, where that column has a zero, Noda's
-  iteration, vs the characteristic polynomial's root:
-  test_dimension.py::TestPerron::test_random_matrices_two_routes_agree
+- The Perron root of a matrix of at most 24 rows, the characteristic
+  polynomial's largest real root, vs the Collatz-Wielandt bracket of
+  Noda's vectors:
+  test_dimension.py::TestPerron::test_root_against_second_route
 - ``log_enclosure`` vs ln by the standard library's ``decimal``:
   test_exactnum.py::TestLogEnclosure::test_seeded_rationals
 - The uniqueness test vs the old two-block scan:
