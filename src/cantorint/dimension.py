@@ -6,15 +6,11 @@ Routes implemented:
   for translations with a unique expansion,
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
-  alpha).  Each matrix takes one certificate of its spectral radius.  Up
-  to 24 rows with a cycle it is the largest real root of the exact
-  characteristic polynomial: by Perron-Frobenius the radius is an
-  eigenvalue and bounds every real one.  Past 24 rows it is a
-  Collatz-Wielandt bracket, the least and largest (Av)_i/v_i per strongly
-  connected component from one exact integer mat-vec, for a float Perron
-  vector v from Noda's shift-and-invert iteration scaled exactly to ints;
-  the floats are plain Python ones, so the bracket is the same on every
-  machine,
+  alpha).  The radius is mu^(1/h), mu that of a matrix B: the matrix
+  itself up to 24 rows, past them the block product of a component's h
+  cyclic classes.  For a B of at most 24 rows mu is the largest real root
+  of the exact characteristic polynomial (Perron-Frobenius), and for a
+  larger one a Collatz-Wielandt bracket,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -38,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -201,32 +197,46 @@ def char_poly(succ: list) -> list:
 
 @dataclass
 class PerronInfo:
-    """The spectral radius of a nonnegative integer matrix by one
-    certificate, the other field None: ``algebraic``, the largest real root
-    of the characteristic polynomial ``char``, up to ``CHARPOLY_MAX_DIM``
-    rows with a cycle; else ``rowsum_bracket``, a Collatz-Wielandt bracket."""
+    """The spectral radius mu^(1/``period``) of a nonnegative integer
+    matrix (see :meth:`CountMatrix.perron`), by one certificate of mu, the
+    other field None: ``algebraic``, the largest real root of ``char``; else
+    ``rowsum_bracket``, a Collatz-Wielandt bracket, (0, 0) if nilpotent."""
 
     algebraic: Optional[AlgebraicReal]
     rowsum_bracket: Optional[tuple]  # (Fraction lo, Fraction hi)
     char: Optional[list] = None
+    period: int = 1
 
-    def enclosure(self, width=Fraction(1, 10**12)):
-        """(lo, hi) holding the radius: the root narrowed to ``width``, or,
-        past ``CHARPOLY_MAX_DIM`` rows and for a nilpotent matrix, the
+    def mu_enclosure(self, width=Fraction(1, 10**12)):
+        """(lo, hi) holding mu: the root narrowed to ``width``, or the
         bracket as it stands, whatever the width."""
         if self.algebraic is not None:
             return self.algebraic.refine(width)
         return self.rowsum_bracket
 
+    def enclosure(self, width=Fraction(1, 10**12)):
+        """(lo, hi) holding the radius: mu's, or for h > 1 the 1/h powers of
+        mu's at width / 2 on a grid of width / 16, within ``width`` for a
+        root as mu >= 1 (:func:`exactnum._root_interval`)."""
+        if self.period == 1:
+            return self.mu_enclosure(width)
+        width = Fraction(width)
+        lo, hi = self.mu_enclosure(width / 2)
+        k = (-(-16 * width.denominator // width.numerator)).bit_length()
+        return exactnum._root_interval(max(lo, 1), hi, self.period, k)
+
     def exact_str(self) -> str:
         if self.algebraic is not None:
             cs = ",".join(str(c) for c in self.algebraic.coeffs)
-            return f"largest real root of [{cs}]"
-        lo, hi = self.rowsum_bracket
-        return f"in [{lo}, {hi}]"
+            name = f"largest real root of [{cs}]"
+        else:
+            name = "in [{}, {}]".format(*self.rowsum_bracket)
+        return name if self.period == 1 else f"({name})^(1/{self.period})"
 
 
-CHARPOLY_MAX_DIM = 24  # larger matrices get the bracket instead of the root
+CHARPOLY_MAX_DIM = 24  # larger blocks B get the bracket instead of the root
+POWER_STEPS = 1000  # the most steps of power_estimate per component
+POWER_TOL = 1e-13   # a component stops once hi - lo <= POWER_TOL * hi
 
 
 class CountMatrix:
@@ -275,16 +285,27 @@ class CountMatrix:
 
     def power_estimate(self) -> list:
         """Positive int Perron vectors: ``(rows, v)`` for each strongly
-        connected component that carries a cycle, from Noda's iteration
-        (:func:`_noda_vector`) on its successor lists, each float vector
-        scaled exactly to ints by one power of two; an estimate only."""
+        connected component that carries a cycle, by the power iteration
+        from v = 1 until the least and largest (Av)_i / v_i meet to
+        POWER_TOL, as a primitive component's do, or for POWER_STEPS steps;
+        an estimate only.  ``math.fsum`` makes each float vector the same
+        on every machine, and one power of two scales it exactly to ints."""
         out = []
         for rows in graph.sccs(self.succ):
             local = {r: k for k, r in enumerate(rows)}
             adj = [[(local[j], a) for j, a in self.succ[r] if j in local]
                    for r in rows]
             if any(adj):  # else a transient state with no self-loop
-                ratios = [x.as_integer_ratio() for x in _noda_vector(adj)]
+                v = [1.0] * len(adj)
+                for _ in range(POWER_STEPS):
+                    w = [math.fsum(a * v[j] for j, a in row) for row in adj]
+                    q = [x / y for x, y in zip(w, v)]
+                    top = max(w)
+                    if max(q) - min(q) <= POWER_TOL * max(q) or \
+                            min(w) / top == 0:  # underflow: keep this v
+                        break
+                    v = [x / top for x in w]
+                ratios = [x.as_integer_ratio() for x in v]
                 den = max(q for _, q in ratios)
                 out.append((rows, [p * (den // q) for p, q in ratios]))
         return out
@@ -315,168 +336,70 @@ class CountMatrix:
             lo, hi = max(lo, Fraction(s0, w0)), max(hi, Fraction(s1, w1))
         return lo, hi
 
-    def perron(self) -> PerronInfo:
-        """The spectral radius, by one certificate (see :class:`PerronInfo`).
+    def _block_product(self, classes: list) -> list:
+        """A[C_0, C_1] ... A[C_(h-1), C_0] for the cyclic ``classes`` of a
+        component: row r is e_r walked h steps on ints."""
+        pos = {r: i for i, r in enumerate(classes[0])}
+        inside = {u for c in classes for u in c}
+        rows = []
+        for r in classes[0]:
+            walk = {r: 1}
+            for _ in classes:
+                step: dict = {}
+                for u, x in walk.items():
+                    for v, a in self.succ[u]:
+                        if v in inside:
+                            step[v] = step.get(v, 0) + a * x
+                walk = step
+            rows.append(sorted((pos[v], x) for v, x in walk.items()))
+        return rows
 
-        For at most ``CHARPOLY_MAX_DIM`` rows with a cycle, the largest real
-        root of the characteristic polynomial in (0, max row sum + 1] is
-        the radius rho by Perron-Frobenius: rho is an eigenvalue, and every
-        real eigenvalue r has |r| <= rho.  :func:`char_poly` and one Sturm
-        chain make it exact; it is narrowed to 10^-12 here, so every later
-        enclosure starts from that cell.  Past the limit, or for a
-        nilpotent matrix, it is the bracket of Noda's vectors.
-        """
+    def perron(self) -> PerronInfo:
+        """The spectral radius from pairs (h, B): (1, A) up to
+        ``CHARPOLY_MAX_DIM`` rows, past them per component with a cycle its
+        period and the block product of its :func:`graph.cyclic_classes`, as
+        det(xI - A_c) = x^(n_c - h |C_0|) det(x^h I - B).  Up to
+        ``CHARPOLY_MAX_DIM`` rows of B, mu is the largest real root of the
+        characteristic polynomial in (0, hi], hi above the row sums (Perron-
+        Frobenius: mu is an eigenvalue, and bounds every real one), exact by
+        :func:`char_poly` and one Sturm chain and narrowed to 10^-12 here; a
+        larger, primitive B takes its power iteration's bracket.  Pairs of
+        other (h, mu) whose enclosures meet at the top give their hull."""
         if self._perron is not None:
             return self._perron
-        algebraic = cp = bracket = None
         if self.n <= CHARPOLY_MAX_DIM:
-            cp = char_poly(self.succ)
+            pairs = [(1, self.succ)]
+        else:
+            classes = [graph.cyclic_classes(self.succ, rows)
+                       for rows in graph.sccs(self.succ)]
+            pairs = [(len(cs), self._block_product(cs)) for cs in classes
+                     if cs]
+        found: dict = {}  # one per (h, mu's polynomial or bracket)
+        for h, b in pairs:
+            if len(b) > CHARPOLY_MAX_DIM:
+                bm = CountMatrix.from_successors(b)
+                bracket = bm.rowsum_enclosure(bm.power_estimate())
+                found[h, bracket] = PerronInfo(None, bracket, None, h)
+                continue
+            cp = char_poly(b)
             k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
-            if k == self.n:
-                cp = None  # nilpotent: no cycle, radius 0
-            else:
-                hi = Fraction(max(self.row_sums()) + 1)
-                algebraic = exactnum.isolate_largest_root(cp[k:],
-                                                          Fraction(0), hi)
-                algebraic.refine(Fraction(1, 10**12))
-        if algebraic is None:
-            bracket = self.rowsum_enclosure(self.power_estimate())
-        self._perron = PerronInfo(algebraic, bracket, cp)
+            if k < len(b):  # else nilpotent: no cycle, radius 0
+                hi = Fraction(max(sum(a for _, a in out) for out in b) + 1)
+                mu = exactnum.isolate_largest_root(cp[k:], Fraction(0), hi)
+                # past 24 rows the dimension is ln mu / h: a 10^-20 cell
+                # leaves its width to float rounding
+                mu.refine(Fraction(1, 10**12 if b is self.succ else 10**20))
+                found[h, mu.coeffs] = PerronInfo(mu, None, cp, h)
+        infos = list(found.values())
+        if len(infos) > 1:  # those whose enclosure meets the largest
+            encs = [t.enclosure() for t in infos]
+            lo = max(e[0] for e in encs)
+            infos = [t for t, e in zip(infos, encs) if e[1] >= lo]
+            if len(infos) > 1:
+                infos = [PerronInfo(None, (lo, max(e[1] for e in encs)))]
+        self._perron = infos[0] if infos else \
+            PerronInfo(None, (Fraction(0), Fraction(0)))
         return self._perron
-
-
-NODA_TOL = 1e-13        # a component stops once hi - lo <= NODA_TOL * hi
-NODA_SHIFT = 1e-3       # sigma exceeds hi by this share of hi - lo,
-NODA_SHIFT_MIN = 1e-12  # and by at least this much
-NODA_FILL_CAP = 8       # factor entries allowed per entry of sigma I - A
-
-
-def _quotient_range(adj: list, v: list) -> tuple:
-    """The least and largest (Av)_i / v_i in floats.  The sums run left to
-    right: ``sum`` of floats is compensated from Python 3.12 on, and the
-    vectors must not depend on the Python version."""
-    q = []
-    for out, x in zip(adj, v):
-        s = 0.0
-        for j, a in out:
-            s += a * v[j]
-        q.append(s / x)
-    return min(q), max(q)
-
-
-def _noda_vector(adj: list) -> list:
-    """Positive float Perron vector of the irreducible matrix A with
-    successor lists ``adj``, by Noda's shift-and-invert iteration (Noda
-    1971, Numer. Math. 17), for the bracket of a matrix past
-    ``CHARPOLY_MAX_DIM`` rows.
-
-    From v = 1, with lo and hi the least and largest (Av)_i / v_i, each
-    step solves (sigma I - A) y = v for sigma = hi + max(NODA_SHIFT_MIN,
-    NODA_SHIFT (hi - lo)) and takes v = |y| / max |y|, until hi - lo <=
-    NODA_TOL hi.  Since (Ay)_i / y_i = sigma - v_i / y_i, the new hi is
-    below sigma.  It stops early, keeping the last positive v, when the
-    factors would hold more than NODA_FILL_CAP times the entries of
-    sigma I - A, when a solve fails (see :func:`_shifted_solve`), when a
-    new v has an entry 0, or when a step does not narrow hi - lo, as once
-    rounding dominates.  The bracket needs no convergence: any positive v
-    certifies one.
-    """
-    v = [1.0] * len(adj)
-    lo, hi = _quotient_range(adj, v)
-    pattern = None
-    while hi - lo > NODA_TOL * hi:
-        if pattern is None:
-            pattern = _elimination_pattern(
-                adj, NODA_FILL_CAP * (len(adj) + sum(map(len, adj))))
-            if pattern is None:
-                break
-        sigma = hi + max(NODA_SHIFT_MIN, NODA_SHIFT * (hi - lo))
-        y = _shifted_solve(adj, pattern, sigma, v)
-        if y is None:
-            break
-        top = max(map(abs, y))
-        w = [abs(x) / top for x in y]
-        if not all(x > 0 for x in w):
-            break
-        width = hi - lo
-        v = w
-        lo, hi = _quotient_range(adj, v)
-        if hi - lo >= width:
-            break
-    return v
-
-
-def _elimination_pattern(adj: list, cap: int):
-    """The sparsity pattern of Gaussian elimination without pivoting on a
-    matrix with the pattern of ``adj`` and a full diagonal: per row, the
-    columns it eliminates, ascending, and the columns of its row of the
-    upper factor.  None once the factors would hold more than ``cap``
-    entries."""
-    elim, upper = [], []
-    size = 0
-    for i, out in enumerate(adj):
-        cols = {j for j, _ in out}
-        cols.add(i)
-        todo = sorted(k for k in cols if k < i)
-        ks = []
-        while todo:
-            k = todo.pop(0)
-            ks.append(k)
-            for j in upper[k]:
-                if j not in cols:
-                    cols.add(j)
-                    if j < i:
-                        insort(todo, j)
-        size += len(cols)
-        if size > cap:
-            return None
-        elim.append(ks)
-        upper.append(sorted(j for j in cols if j > i))
-    return elim, upper
-
-
-def _shifted_solve(adj: list, pattern: tuple, sigma: float, v: list):
-    """y with (sigma I - A) y = v by Gaussian elimination without
-    pivoting, on the rows of ``adj`` and their ``pattern``
-    (:func:`_elimination_pattern`); None if a pivot is not positive.
-
-    For sigma above the radius of A, sigma I - A is a nonsingular
-    M-matrix, whose LU factors are M-matrices (Fiedler and Ptak 1962), so
-    every pivot is positive; only rounding can make one not.  The forward
-    substitution runs along with the elimination, so the lower factor is
-    never stored.
-    """
-    elim, ucols = pattern
-    n = len(adj)
-    work = [0.0] * n  # row i during its elimination, zero elsewhere
-    urows, pivots, z = [], [], []
-    for i, out in enumerate(adj):
-        work[i] = sigma
-        for j, a in out:
-            work[j] -= a
-        zi = v[i]
-        for k in elim[i]:
-            f = work[k] / pivots[k]
-            work[k] = 0.0
-            zi -= f * z[k]
-            for j, u in urows[k]:
-                work[j] -= f * u
-        p = work[i]
-        if not p > 0:
-            return None
-        work[i] = 0.0
-        urows.append([(j, work[j]) for j in ucols[i]])
-        for j in ucols[i]:
-            work[j] = 0.0
-        pivots.append(p)
-        z.append(zi)
-    y = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        yi = z[i]
-        for j, u in urows[i]:
-            yi -= u * y[j]
-        y[i] = yi / pivots[i]
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +436,9 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
 
 
 def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
-    """dim = log(lambda) / (-log alpha) for the trimmed count matrix.
+    """dim = log(lambda) / (-log alpha) for the trimmed count matrix, with
+    ln lambda = ln mu / h from mu's 10^-12 cell (see :class:`PerronInfo`),
+    so no h-th root is taken.
 
     An empty intersection yields dimension 0 flagged ``empty`` rather than
     an error; any other graph is trimmed, so no row is zero.  It derives
@@ -526,12 +451,13 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
         # every trimmed state has out-degree exactly one label: a single
         # path, spectral radius exactly 1, dimension exactly 0
         return DimensionValue(DimForm.PERRON, 0.0, 0.0, perron=info)
-    lam_lo, lam_hi = info.enclosure()
-    if lam_hi < 1:
+    mu_lo, mu_hi = info.mu_enclosure()
+    if mu_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
-    # lambda >= 1 on a trimmed graph, so its log is >= 0
-    num = exactnum._log_interval(max(lam_lo, 1), lam_hi)
-    return _dimension_value(DimForm.PERRON, exactnum._neg_log(alpha), num,
+    # rho >= 1 on a trimmed graph, so ln rho = ln mu / h is >= 0
+    num = exactnum._log_interval(max(mu_lo, 1), mu_hi)
+    return _dimension_value(DimForm.PERRON, exactnum._neg_log(alpha),
+                            (num[0] / info.period, num[1] / info.period),
                             perron=info)
 
 

@@ -47,7 +47,7 @@ from copy import copy
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, log2
 from operator import ge, gt, le, lt, mul
 from typing import Callable, Union
 
@@ -574,6 +574,30 @@ def _log_interval(lo: Fraction, hi: Fraction) -> tuple:
     """ln over [lo, hi], lo > 0, from one log, as ln(1 + x) <= x."""
     log_lo, log_hi = log_enclosure(lo)
     return log_lo, log_hi + (hi - lo) / lo
+
+
+def _iroot(X: int, h: int) -> int:
+    """floor(X^(1/h)) for X >= 1: Newton's method on ints from a float
+    estimate; every step from x > 0 lands at or above the root (AM-GM),
+    and the first step that does not go down ends it."""
+    L = log2(X) / h
+    e = max(0, int(L) - 60)  # so 2^(L - e) is no float overflow
+
+    def step(x):
+        return ((h - 1) * x + X // x ** (h - 1)) // h
+    x = step(int(2.0 ** (L - e)) << e)
+    while (y := step(x)) < x:
+        x = y
+    return x
+
+
+def _root_interval(lo: Fraction, hi: Fraction, h: int, k: int) -> tuple:
+    """(P/2^k, Q/2^k) holding [lo^(1/h), hi^(1/h)], lo >= 1, at most two
+    steps of 2^-k wider: the floor h-th roots of lo 2^(kh) and, one step
+    up, of the integer below hi 2^(kh)."""
+    P = _iroot((lo.numerator << k * h) // lo.denominator, h)
+    Q = _iroot(-(-(hi.numerator << k * h) // hi.denominator) - 1, h) + 1
+    return Fraction(P, 1 << k), Fraction(Q, 1 << k)
 
 
 def _neg_log(alpha) -> tuple:

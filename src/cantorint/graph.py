@@ -9,6 +9,7 @@ multiplicities in a count matrix and 0/1 weights in the zero-frequency bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 
@@ -87,6 +88,29 @@ def sccs(succ: list) -> list:
                         members.append(v)
             comps.append(sorted(members))
     return sorted(comps)
+
+
+def cyclic_classes(succ: list, members: list) -> list:
+    """The cyclic classes C_0 .. C_(h-1) of the strongly connected component
+    ``members``, [] if it has no edge: each edge inside it goes from some
+    C_i to C_(i+1 mod h), h its period (Berman and Plemmons 1979, ch. 2).
+    Levels from one breadth-first search from its least member give h, the
+    gcd of level(u) + 1 - level(v) over its edges, and C_i, the members of
+    level i mod h."""
+    inside, level, queue = set(members), {members[0]: 0}, [members[0]]
+    for u in queue:  # grows while it is walked
+        for v, _ in succ[u]:
+            if v in inside and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    h = gcd(*(level[u] + 1 - level[v] for u in members
+              for v, _ in succ[u] if v in inside))
+    if not h:  # one member and no self-loop
+        return []
+    classes: list = [[] for _ in range(h)]
+    for u in members:
+        classes[level[u] % h].append(u)
+    return classes
 
 
 def max_path(succ: list) -> tuple:

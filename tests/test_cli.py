@@ -602,7 +602,8 @@ class TestEnvelopeOrder:
 class TestReproducible:
     def test_bracket_ignores_blas_threads(self):
         # a 712-row count matrix, past the char-poly limit: the printed
-        # lambda and dimension come from the bracket alone
+        # lambda and dimension come from its one component's cyclic
+        # classes on ints, and the floats only seed checked steps
         path = os.pathsep.join(filter(None, [str(SRC),
                                              os.environ.get("PYTHONPATH")]))
         outs = []

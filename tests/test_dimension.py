@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from bisect import insort
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -298,17 +299,58 @@ class TestCharPoly:
                            rtol=1e-9, atol=1e-6)
 
 
-def record_noda(monkeypatch):
-    """The count matrices whose ``perron()`` reaches Noda's iteration, in
-    call order."""
-    noda = []
+def record_power(monkeypatch):
+    """The count matrices whose ``power_estimate`` runs, in call order."""
+    calls = []
     estimate = CountMatrix.power_estimate
 
     def recorded(self):
-        noda.append(self)
+        calls.append(self)
         return estimate(self)
     monkeypatch.setattr(CountMatrix, "power_estimate", recorded)
-    return noda
+    return calls
+
+
+def behind_a_chain(*blocks):
+    """A chain of 24 transient rows, its last row leading to the first row
+    of each square block: past 24 rows, whatever the blocks."""
+    n = 24 + sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    for i in range(23):
+        m[i][i + 1] = 1
+    at = 24
+    for b in blocks:
+        m[23][at] = 1
+        for i, row in enumerate(b):
+            m[at + i][at:at + len(b)] = row
+        at += len(b)
+    return m
+
+
+def sqrt2_minus_1_graph(q):
+    """The intersection graph of sqrt(2) - 1 at t = 1/q."""
+    sys = BaseSystem(X.parse_real("alg:-1,2,1@[2/5,1/2]"), TERNARY)
+    auto = E.build_expansion_automaton(sys, sys.embed(F(1, q)))
+    return build_intersection_graph(auto)
+
+
+def class_radius(cm):
+    """(h, B) per strongly connected component with a cycle, by
+    ``graph.cyclic_classes`` and the block product, and the enclosure of
+    the largest mu^(1/h), mu the radius of B: the cyclic-class route on
+    any number of rows."""
+    pairs = []
+    for rows in G.sccs(cm.succ):
+        classes = G.cyclic_classes(cm.succ, rows)
+        if classes:
+            b = CountMatrix.from_successors(cm._block_product(classes))
+            pairs.append((len(classes), b))
+    lo = hi = F(0)
+    for h, b in pairs:
+        info = D.PerronInfo(b.perron().algebraic, None, period=h)
+        a, c = info.enclosure()
+        lo, hi = max(lo, a), max(hi, c)
+    return pairs, (lo, hi)
 
 
 class TestPerron:
@@ -383,30 +425,70 @@ class TestPerron:
             assert got.refine(F(1, 10**12)) == want.refine(F(1, 10**12))
         assert repeated >= 10
 
-    def test_712_state_matrix(self):
-        # sqrt(2)-1 with t = 1/211: one 712-row component, past the
-        # char-poly limit, so the bracket alone certifies the radius
-        sys = BaseSystem(X.AlgebraicReal([-1, 2, 1], F(2, 5), F(1, 2)),
-                         TERNARY)
-        auto = E.build_expansion_automaton(sys, sys.embed(F(1, 211)))
-        g = build_intersection_graph(auto)
-        cm = g.count_matrix
+    def test_712_state_matrix(self, monkeypatch):
+        # sqrt(2)-1 with t = 1/211: one 712-row component of period 424
+        # whose C_0 has one row, so lambda^424 is the integer N, exactly
+        cm = sqrt2_minus_1_graph(211).count_matrix
         assert cm.n == 712
         # recorded before the graph code moved to cantorint.graph: any
-        # reordering of rows, or of the component members handed to
-        # Noda's iteration, changes these
+        # reordering of rows changes it
         assert hashlib.sha1(repr(cm.entries).encode()).hexdigest() == \
             "1cec84dff9c16a06dc79dbdd61ae797ab149da6b"
         assert cm.succ == G.successors(cm.entries)
+        calls = record_power(monkeypatch)
         info = cm.perron()
-        lo, hi = info.rowsum_bracket
-        # plain float arithmetic in a fixed order: the same bracket on every
-        # machine, thread count and Python version
-        assert (lo, hi) == (F(7331391921057554, 4476719101222533),
-                            F(10055211463208422, 6139946917158333))
-        assert info.algebraic is None
-        assert hi - lo <= F(1, 10**14)
+        assert calls == [] and info.rowsum_bracket is None
+        assert info.period == 424
+        N = -info.char[0]
+        assert info.char == [-N, 1] and info.algebraic.coeffs == (-N, 1)
+        assert N.bit_length() == 302
+        assert info.exact_str() == f"(largest real root of [{-N},1])^(1/424)"
+        lo, hi = info.enclosure()
+        assert lo**424 <= N <= hi**424 and hi - lo <= F(1, 10**12)
+        # the Noda bracket this matrix took before, from plain float
+        # arithmetic in a fixed order, holds N^(1/424)
+        nlo = F(7331391921057554, 4476719101222533)
+        nhi = F(10055211463208422, 6139946917158333)
+        assert nlo**424 <= N <= nhi**424 and max(lo, nlo) <= min(hi, nhi)
         assert round(float(lo), 8) == round(float(hi), 8) == 1.63767075
+
+    def test_root_of_a_two_row_class_product(self):
+        # (3 - sqrt(5))/2 at t = -5/9: 28 rows of period 12 whose C_0 has
+        # two rows, mu the larger root of x^2 - 154 x + 441; and past a
+        # chain, a 4-row component of period 2 whose block product is
+        # [[1, 1], [1, 0]], mu the golden ratio: the 1/h powers of mu's
+        # cell stay within each width asked for
+        sys = BaseSystem(X.parse_real("alg:1,-3,1@[1/3,1/2]"), TERNARY)
+        auto = E.build_expansion_automaton(sys, sys.embed(F(-5, 9)))
+        golden = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [1, 0, 0, 0]]
+        for cm, h, f in [
+                (build_intersection_graph(auto).count_matrix, 12,
+                 (441, -154, 1)),
+                (CountMatrix(behind_a_chain(golden)), 2, (-1, -1, 1))]:
+            info = cm.perron()
+            assert info.period == h and info.algebraic.coeffs == f
+            for width in (F(1, 10**12), F(1, 10**30), F(1, 2**200)):
+                lo, hi = info.enclosure(width)
+                assert 0 < hi - lo <= width
+                assert X._value_at(f, lo**h) < 0 < X._value_at(f, hi**h)
+
+    def test_6824_state_matrix(self):
+        # sqrt(2)-1 with t = 1/2003: period 4008, one row in C_0; in
+        # process, as its CLI JSON holds the dense 6 824-row matrix
+        g = sqrt2_minus_1_graph(2003)
+        cm = g.count_matrix
+        assert cm.n == 6824
+        info = cm.perron()
+        N = -info.char[0]
+        assert info.period == 4008 and info.algebraic.coeffs == (-N, 1)
+        lo, hi = info.enclosure()
+        assert lo**4008 <= N <= hi**4008 and hi - lo <= F(1, 10**12)
+        assert round(float(lo), 8) == 1.62991035
+        alpha = X.parse_real("alg:-1,2,1@[2/5,1/2]")
+        dv = perron_dimension(g, alpha)
+        assert dv.hi - dv.lo <= 1e-15
+        want = math.log(float(lo)) / -math.log(float(alpha))
+        assert abs(dv.decimal - want) <= 1e-12
 
     def test_reducible_ex51_shift_is_narrow(self):
         # 25 rows in 12 components; the least row sum of A^k follows the
@@ -421,17 +503,18 @@ class TestPerron:
 
     def test_long_periodic_cycle(self):
         # a 30-cycle with one edge of weight 2: period 30, lambda^30 = 2,
-        # too many rows for the char poly
+        # too many rows for the char poly of the whole matrix
         n = 30
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             m[i][(i + 1) % n] = 1
         m[n - 1][0] = 2
         info = CountMatrix(m).perron()
-        lo, hi = info.rowsum_bracket
-        assert info.algebraic is None
+        assert info.rowsum_bracket is None and info.char == [-2, 1]
+        assert info.exact_str() == "(largest real root of [-2,1])^(1/30)"
+        lo, hi = info.enclosure()
         assert lo**30 <= 2 <= hi**30
-        assert hi - lo <= F(1, 10**9)
+        assert hi - lo <= F(1, 10**12)
 
     @staticmethod
     def random_matrix(rng, n, irreducible):
@@ -454,19 +537,63 @@ class TestPerron:
         order = rng.sample(range(n), n)
         return [[m[i][j] for j in order] for i in order]
 
-    def test_noda_bracket_holds_numpy_radius(self):
-        # past the char-poly limit the bracket alone certifies the radius;
-        # numpy, used here only as a reference, must lie inside it
+    @classmethod
+    def past_24_rows(cls):
+        """24 seeded matrices of 25 to 150 rows, irreducible and reducible,
+        with numpy's spectral radius, a reference only."""
         rng = random.Random(1971)
         for k in range(24):
             n = rng.randrange(25, 151)
-            m = self.random_matrix(rng, n, irreducible=k % 2 == 0)
-            rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
-            info = CountMatrix(m).perron()
-            lo, hi = info.rowsum_bracket
-            assert info.algebraic is None
+            m = cls.random_matrix(rng, n, irreducible=k % 2 == 0)
+            yield m, max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
+
+    def test_noda_bracket_holds_numpy_radius(self):
+        # the reference route past 24 rows: the Noda bracket holds numpy's
+        # radius, and no fill cap is hit on these matrices
+        for m, rho in self.past_24_rows():
+            lo, hi = reference_noda_bracket(CountMatrix(m))
             assert lo - 1e-9 <= rho <= hi + 1e-9
-            assert hi - lo <= F(1, 10**12) * hi  # no fill cap hit here
+            assert hi - lo <= F(1, 10**12) * hi
+
+    def test_class_route_holds_numpy_radius(self):
+        # past 24 rows each component gives (h, B); numpy's radius lies in
+        # every enclosure, 10^-12 wide when it is a root, and inside a
+        # bracket of the power iteration where the largest B has more than
+        # 24 rows
+        roots = 0
+        for m, rho in self.past_24_rows():
+            info = CountMatrix(m).perron()
+            lo, hi = info.enclosure()
+            assert lo - 1e-9 <= rho <= hi + 1e-9
+            if info.algebraic is not None:
+                roots += 1
+                assert hi - lo <= F(1, 10**12)
+            else:
+                assert info.exact_str() == f"in [{lo}, {hi}]"
+        assert roots >= 5
+
+    def test_components_of_one_radius(self):
+        # past 24 rows: a 2-cycle of weights 2 and 2 (h = 2, mu = 4) and a
+        # self-loop of weight 2 (h = 1, mu = 2) share the radius 2, and
+        # their enclosures meet, so the radius is their hull, named as a
+        # bracket; so do a 2-cycle and a self-loop of weight 1, whose
+        # enclosures are the point 1; two 2-cycles of one (h, mu) name
+        # their root
+        def cycle(*weights):
+            n = len(weights)
+            return [[w if j == (i + 1) % n else 0 for j in range(n)]
+                    for i, w in enumerate(weights)]
+
+        info = CountMatrix(behind_a_chain(cycle(2, 2), cycle(2))).perron()
+        lo, hi = info.enclosure()
+        assert info.algebraic is None and info.rowsum_bracket == (lo, hi)
+        assert lo <= 2 <= hi and hi - lo <= F(1, 10**12)
+        info = CountMatrix(behind_a_chain(cycle(1, 1), cycle(1))).perron()
+        assert info.exact_str() == "in [1, 1]"
+        info = CountMatrix(behind_a_chain(cycle(2, 2), cycle(1, 4))).perron()
+        assert info.exact_str() == "(largest real root of [-4,1])^(1/2)"
+        lo, hi = info.enclosure()
+        assert lo * lo <= 4 <= hi * hi and hi - lo <= F(1, 10**12)
 
     @staticmethod
     def second_route_cases():
@@ -501,32 +628,91 @@ class TestPerron:
 
     def test_root_against_second_route(self, monkeypatch):
         # the char-poly root, the one certificate up to 24 rows, lies in
-        # the Collatz-Wielandt bracket of Noda's vectors: the root's one
-        # sign change in its 10^-12 cell falls where the two meet
-        noda = record_noda(monkeypatch)
+        # the Collatz-Wielandt bracket of the power iteration's vectors:
+        # the root's one sign change in its 10^-12 cell falls where the two
+        # meet
+        calls = record_power(monkeypatch)
         for cm in self.second_route_cases():
             info = cm.perron()
-            assert noda == [] and info.rowsum_bracket is None
+            assert calls == [] and info.rowsum_bracket is None
             lo, hi = info.enclosure(F(1, 10**12))
             blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
-            noda.clear()
+            calls.clear()
             a, b = max(lo, blo), min(hi, bhi)
             assert 0 < a <= b
             assert X._value_at(info.algebraic.coeffs, a) * \
                 X._value_at(info.algebraic.coeffs, b) <= 0
 
-    def test_bracket_without_iteration_holds_root(self, monkeypatch):
-        # a fill cap too small for any factorisation leaves v = 1, the
-        # row sums: a wider bracket with integer ends, but still certified
-        monkeypatch.setattr(D, "NODA_FILL_CAP", 0)
+    def test_bracket_without_iteration_holds_root(self):
+        # the reference Noda bracket with a fill cap too small for any
+        # factorisation leaves v = 1, the row sums: a wider bracket with
+        # integer ends, but still certified
         rng = random.Random(1962)
         for k in range(60):
             n = rng.randrange(1, 25)
             cm = CountMatrix(self.random_matrix(rng, n, k % 2 == 0))
             lo, hi = cm.perron().algebraic.interval()
-            blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
+            blo, bhi = reference_noda_bracket(cm, fill_cap=0)
             assert blo <= hi and lo <= bhi
             assert blo.denominator == bhi.denominator == 1
+
+    def test_power_bracket_where_the_fill_cap_bit(self):
+        # a seeded sparse irreducible matrix of 139 rows and 500 entries:
+        # Noda's factors pass 8 times its entries, so the bracket it took
+        # stayed at the row sums, [1, 11]; the power iteration on it, the
+        # one primitive block past 24 rows, brackets the radius closely
+        rng = random.Random(8)
+        n = 139
+        m = [[0] * n for _ in range(n)]
+        order = rng.sample(range(n), n)
+        for a, b in zip(order, order[1:] + order[:1]):
+            m[a][b] = 1
+        while sum(x > 0 for row in m for x in row) < 500:
+            m[rng.randrange(n)][rng.randrange(n)] += 1
+        cm = CountMatrix(m)
+        assert reference_noda_bracket(cm) == (1, 11)
+        rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
+        info = cm.perron()
+        assert info.algebraic is None and info.period == 1
+        lo, hi = info.enclosure()
+        assert (lo, hi) == info.rowsum_bracket
+        assert lo - 1e-12 <= rho <= hi + 1e-12
+        assert hi - lo <= F(1, 10**9) * F(rho)
+        assert info.exact_str() == f"in [{lo}, {hi}]"
+
+    def test_periodic_block_past_24_rows_takes_a_bracket(self):
+        # a 60-row component of period 2 whose C_0 has 30 rows: B is
+        # primitive and past 24 rows, so mu takes its power iteration's
+        # bracket, and the radius the square roots of its ends.  B's
+        # second eigenvalue is 0.9999 of its first, so the 1 000 steps
+        # leave the bracket about 0.1 wide: certified, not narrow
+        rng = random.Random(60)
+        m = periodic_matrix(rng, 60, blocks=1, periods=(2,))
+        info = CountMatrix(m).perron()
+        assert info.period == 2 and info.algebraic is None
+        mlo, mhi = info.rowsum_bracket
+        lo, hi = info.enclosure()
+        assert info.exact_str() == f"(in [{mlo}, {mhi}])^(1/2)"
+        assert lo * lo <= mlo and mhi <= hi * hi
+        rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
+        assert lo - 1e-12 <= rho <= hi + 1e-12
+
+    def test_class_route_within_noda_brackets(self):
+        # the reference Noda bracket against the cyclic-class route at 712
+        # rows and on every pool matrix past 24 rows: they overlap, and
+        # the dimension narrows
+        graphs = [(sqrt2_minus_1_graph(211),
+                   X.parse_real("alg:-1,2,1@[2/5,1/2]"))]
+        for alpha, auto in pool_automata(lambda e: e["rows"] > 24):
+            graphs.append((build_intersection_graph(auto), alpha))
+        assert len(graphs) == 103
+        for g, alpha in graphs:
+            cm = g.count_matrix
+            lo, hi = cm.perron().enclosure()
+            nlo, nhi = reference_noda_bracket(cm)
+            assert max(lo, nlo) <= min(hi, nhi)
+            dv = perron_dimension(g, alpha)
+            assert dv.hi - dv.lo <= 1e-12
 
     def test_integer_eigenvalues_at_both_split_points(self):
         # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
@@ -599,6 +785,135 @@ def reference_rowsum_enclosure(cm, vectors):
     return lo, hi
 
 
+# ---------------------------------------------------------------------------
+# Noda's shift-and-invert bracket, the Perron route past 24 rows before the
+# cyclic classes, kept as a reference
+# ---------------------------------------------------------------------------
+
+NODA_TOL = 1e-13        # a component stops once hi - lo <= NODA_TOL * hi
+NODA_SHIFT = 1e-3       # sigma exceeds hi by this share of hi - lo,
+NODA_SHIFT_MIN = 1e-12  # and by at least this much
+
+
+def _quotient_range(adj, v):
+    """The least and largest (Av)_i / v_i in floats, summed left to right."""
+    q = []
+    for out, x in zip(adj, v):
+        s = 0.0
+        for j, a in out:
+            s += a * v[j]
+        q.append(s / x)
+    return min(q), max(q)
+
+
+def _elimination_pattern(adj, cap):
+    """Per row, the columns Gaussian elimination without pivoting
+    eliminates and the columns of its row of the upper factor, for the
+    pattern of ``adj`` with a full diagonal; None past ``cap`` entries."""
+    elim, upper = [], []
+    size = 0
+    for i, out in enumerate(adj):
+        cols = {j for j, _ in out}
+        cols.add(i)
+        todo = sorted(k for k in cols if k < i)
+        ks = []
+        while todo:
+            k = todo.pop(0)
+            ks.append(k)
+            for j in upper[k]:
+                if j not in cols:
+                    cols.add(j)
+                    if j < i:
+                        insort(todo, j)
+        size += len(cols)
+        if size > cap:
+            return None
+        elim.append(ks)
+        upper.append(sorted(j for j in cols if j > i))
+    return elim, upper
+
+
+def _shifted_solve(adj, pattern, sigma, v):
+    """y with (sigma I - A) y = v by elimination without pivoting; None if
+    a pivot is not positive."""
+    elim, ucols = pattern
+    n = len(adj)
+    work = [0.0] * n
+    urows, pivots, z = [], [], []
+    for i, out in enumerate(adj):
+        work[i] = sigma
+        for j, a in out:
+            work[j] -= a
+        zi = v[i]
+        for k in elim[i]:
+            f = work[k] / pivots[k]
+            work[k] = 0.0
+            zi -= f * z[k]
+            for j, u in urows[k]:
+                work[j] -= f * u
+        p = work[i]
+        if not p > 0:
+            return None
+        work[i] = 0.0
+        urows.append([(j, work[j]) for j in ucols[i]])
+        for j in ucols[i]:
+            work[j] = 0.0
+        pivots.append(p)
+        z.append(zi)
+    y = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        yi = z[i]
+        for j, u in urows[i]:
+            yi -= u * y[j]
+        y[i] = yi / pivots[i]
+    return y
+
+
+def _noda_vector(adj, fill_cap):
+    """Noda's shift-and-invert iteration (Noda 1971, Numer. Math. 17) from
+    v = 1, stopping early as the library's did: factors past ``fill_cap``
+    times the entries, a failed solve, a zero entry, or a step that does
+    not narrow hi - lo."""
+    v = [1.0] * len(adj)
+    lo, hi = _quotient_range(adj, v)
+    pattern = None
+    while hi - lo > NODA_TOL * hi:
+        if pattern is None:
+            pattern = _elimination_pattern(
+                adj, fill_cap * (len(adj) + sum(map(len, adj))))
+            if pattern is None:
+                break
+        sigma = hi + max(NODA_SHIFT_MIN, NODA_SHIFT * (hi - lo))
+        y = _shifted_solve(adj, pattern, sigma, v)
+        if y is None:
+            break
+        top = max(map(abs, y))
+        w = [abs(x) / top for x in y]
+        if not all(x > 0 for x in w):
+            break
+        width = hi - lo
+        v = w
+        lo, hi = _quotient_range(adj, v)
+        if hi - lo >= width:
+            break
+    return v
+
+
+def reference_noda_bracket(cm, fill_cap=8):
+    """The Collatz-Wielandt bracket of Noda's vectors, one per component
+    with a cycle, as ``CountMatrix.perron`` took it past 24 rows."""
+    vectors = []
+    for rows in G.sccs(cm.succ):
+        local = {r: k for k, r in enumerate(rows)}
+        adj = [[(local[j], a) for j, a in cm.succ[r] if j in local]
+               for r in rows]
+        if any(adj):
+            ratios = [x.as_integer_ratio() for x in _noda_vector(adj, fill_cap)]
+            den = max(q for _, q in ratios)
+            vectors.append((rows, [p * (den // q) for p, q in ratios]))
+    return cm.rowsum_enclosure(vectors)
+
+
 def sqrt2_24_rows():
     """The 24-row count matrix of sqrt(2) - 1 at t = -7/10, CHARPOLY_MAX_DIM
     rows, whose squarefree char poly is x^24 - 106 x^12 + 9."""
@@ -625,6 +940,83 @@ def seeded_successors(rng, n):
                 cols.append(i)
         succ.append(sorted({j: rng.randrange(1, 4) for j in cols}.items()))
     return succ
+
+
+def periodic_matrix(rng, n, blocks=3, periods=(1, 2, 3, 4)):
+    """A block-triangular matrix of 1 to ``blocks`` diagonal blocks, each
+    with a cycle through all its rows in class order for a period h from
+    ``periods`` that divides its size, and extra entries only from one
+    class to the next, so that its period is a multiple of h; plus an edge
+    or two to later blocks, with the rows shuffled.  Weights are 1 or 2."""
+    m = [[0] * n for _ in range(n)]
+    cuts = sorted({0, n, *rng.sample(range(1, n), min(n - 1,
+                                                      rng.randrange(blocks)))})
+    for a, b in zip(cuts, cuts[1:]):
+        s = b - a
+        h = rng.choice([d for d in periods if s % d == 0] or [1])
+        for i in range(s):
+            m[a + i][a + (i + 1) % s] = rng.randrange(1, 3)
+        for _ in range(rng.randrange(s)):
+            i, j = rng.randrange(s), rng.randrange(s)
+            m[a + i][a + (j - (j - i - 1) % h) % s] += 1  # i's class + 1
+        if b < n:
+            m[rng.randrange(a, b)][rng.randrange(b, n)] += 1
+    order = rng.sample(range(n), n)
+    return [[m[i][j] for j in order] for i in order]
+
+
+class TestCyclicClasses:
+    """The class-product route, which ``CountMatrix.perron`` takes past 24
+    rows, against the whole matrix up to 24 rows."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(4008)
+        return [CountMatrix(periodic_matrix(rng, n))
+                for n in list(range(1, 25)) * 6]
+
+    def test_class_root_against_char_poly_root(self):
+        # the largest mu^(1/h) over the components, each mu the char-poly
+        # root of its block product, is the whole matrix's char-poly root:
+        # the enclosures meet, and that root changes sign where they do
+        periodic = 0
+        for cm in self.cases():
+            pairs, (lo, hi) = class_radius(cm)
+            periodic += any(h > 1 for h, _ in pairs)
+            info = cm.perron()
+            assert info.period == 1 and info.rowsum_bracket is None
+            rlo, rhi = info.enclosure()
+            a, b = max(lo, rlo), min(hi, rhi)
+            assert 0 < a <= b and hi - lo <= F(1, 10**12)
+            assert X._value_at(info.algebraic.coeffs, a) * \
+                X._value_at(info.algebraic.coeffs, b) <= 0
+        assert periodic >= 60
+
+    def test_char_poly_factors_over_the_classes(self):
+        # det(xI - A) = x^k prod_c x^(n_c - h_c m_c) f_c(x^(h_c)), with f_c
+        # the char poly of component c's block product on its m_c rows of
+        # C_0 and k the rows on no cycle
+        rng = random.Random(400)
+        periodic = 0
+        for i in range(400):
+            n = rng.randrange(1, 17)
+            m = periodic_matrix(rng, n) if i % 2 else \
+                TestPerron.random_matrix(rng, n, irreducible=i % 4 == 0)
+            cm = CountMatrix(m)
+            want = [1]
+            for rows in G.sccs(cm.succ):
+                classes = G.cyclic_classes(cm.succ, rows)
+                if not classes:
+                    want = X.poly_mul(want, [0, 1])
+                    continue
+                h, f = len(classes), char_poly(cm._block_product(classes))
+                periodic += h > 1
+                spread = [0] * (len(rows) - h * (len(f) - 1))
+                for j, c in enumerate(f):
+                    spread += [c] + [0] * (h - 1) * (j + 1 < len(f))
+                want = X.poly_mul(want, spread)
+            assert char_poly(cm.succ) == want
+        assert periodic >= 100
 
 
 class TestSparseCharPoly:
@@ -1679,11 +2071,12 @@ def pool_translation(sys, text):
     return sys.embed(F(text))
 
 
-def pool_automata():
-    """(alpha, automaton) for every closed automaton of the intersect pool."""
+def pool_automata(keep=lambda e: True):
+    """(alpha, automaton) for every closed automaton of the intersect pool,
+    or for those whose entry ``keep`` passes."""
     pool = [e for v in REFERENCE["intersect"].values()
             if isinstance(v, list) and v and isinstance(v[0], dict)
-            for e in v if e["complete"]]
+            for e in v if e["complete"] and keep(e)]
     for e in pool:
         alpha = X.parse_real(e["base"])
         sys = BaseSystem(alpha, TERNARY)

@@ -2,6 +2,7 @@
 digraphs of 1-9 nodes with self-loops and parallel edges."""
 
 import random
+from math import gcd
 from fractions import Fraction as F
 
 from cantorint import graph
@@ -128,3 +129,56 @@ def test_max_path_matches_largest_words():
         ties += any(len({d for _, d in out}) < len(out) for out in succ)
     assert ties > 500
 
+
+
+def test_cyclic_classes_on_known_graphs():
+    def cycle(n, start=0):
+        return [[((u + 1) % n + start, 1)] for u in range(n)]
+
+    assert graph.cyclic_classes(cycle(5), list(range(5))) == \
+        [[0], [1], [2], [3], [4]]
+    assert graph.cyclic_classes([[(0, 2)]], [0]) == [[0]]  # a self-loop
+    assert graph.cyclic_classes([[]], [0]) == []  # no edge, no cycle
+    # cycles of lengths 2 and 3 through node 0: gcd 1, one class
+    succ = [[(1, 1), (2, 1)], [(0, 1)], [(3, 1)], [(0, 1)]]
+    assert graph.cyclic_classes(succ, [0, 1, 2, 3]) == [[0, 1, 2, 3]]
+    # cycles of lengths 2 and 4 through node 0: period 2
+    succ = [[(1, 1), (2, 1)], [(0, 1)], [(3, 1)], [(4, 1)], [(0, 1)]]
+    assert graph.cyclic_classes(succ, [0, 1, 2, 3, 4]) == [[0, 3], [1, 2, 4]]
+    # reducible: a 3-cycle on 1..3 feeds a 2-cycle on 4, 5 and is fed by 0;
+    # edges out of a component do not count
+    succ = [[(1, 1)], [(2, 1)], [(3, 1), (4, 1)], [(1, 1)], [(5, 1)],
+            [(4, 1)]]
+    assert graph.cyclic_classes(succ, [1, 2, 3]) == [[1], [2], [3]]
+    assert graph.cyclic_classes(succ, [4, 5]) == [[4], [5]]
+    assert graph.cyclic_classes(succ, [0]) == []
+
+
+def test_cyclic_classes_follow_every_edge():
+    # on each component: h is the gcd of its simple cycle lengths, the
+    # classes split its members with the least one in C_0, and every edge
+    # inside it goes from some C_i to C_(i+1 mod h)
+    periodic = 0
+    for succ in random_graphs(400, seed=41):
+        cycles = labelled_simple_cycles(succ)
+        for members in graph.sccs(succ):
+            classes = graph.cyclic_classes(succ, members)
+            inside = [len(nodes) for nodes, _ in cycles
+                      if nodes[0] in members]
+            if not inside:
+                assert classes == []
+                continue
+            h = 0
+            for k in inside:
+                h = gcd(h, k)
+            assert len(classes) == h
+            periodic += h > 1
+            assert sorted(u for c in classes for u in c) == members
+            assert classes[0][0] == members[0]
+            assert all(c == sorted(c) for c in classes)
+            cls = {u: i for i, c in enumerate(classes) for u in c}
+            for u in members:
+                for v, _ in succ[u]:
+                    if v in cls:
+                        assert cls[v] == (cls[u] + 1) % h
+    assert periodic > 30

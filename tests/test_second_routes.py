@@ -2,9 +2,23 @@
 independent route.  A number with no line here has one route only.
 
 - The Perron root of a matrix of at most 24 rows, the characteristic
-  polynomial's largest real root, vs the Collatz-Wielandt bracket of
-  Noda's vectors:
+  polynomial's largest real root, vs the Collatz-Wielandt bracket of the
+  power iteration's vectors:
   test_dimension.py::TestPerron::test_root_against_second_route
+- The cyclic-class root, the largest mu^(1/h) over the components, vs the
+  whole matrix's char-poly root on periodic and reducible matrices of at
+  most 24 rows:
+  test_dimension.py::TestCyclicClasses::test_class_root_against_char_poly_root
+- The cyclic classes' factorisation of det(xI - A) vs ``char_poly``:
+  test_dimension.py::TestCyclicClasses::test_char_poly_factors_over_the_classes
+- The Perron root past 24 rows vs numpy's ``eigvals``:
+  test_dimension.py::TestPerron::test_class_route_holds_numpy_radius
+- The Perron root past 24 rows vs Noda's bracket, the route it replaced,
+  kept in the tests as ``reference_noda_bracket``:
+  test_dimension.py::TestPerron::test_class_route_within_noda_brackets
+- ``graph.cyclic_classes`` vs the gcd of the simple cycle lengths, with
+  every edge from C_i to C_(i+1 mod h):
+  test_graph.py::test_cyclic_classes_follow_every_edge
 - ``log_enclosure`` vs ln by the standard library's ``decimal``:
   test_exactnum.py::TestLogEnclosure::test_seeded_rationals
 - The uniqueness test vs the old two-block scan:
@@ -32,15 +46,16 @@ import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-NODE = re.compile(r"(test_\w+\.py)::(\w+)::(\w+)")
+NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 8
+    assert len(named) == 13
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
-        methods = {m.name for c in tree.body if isinstance(c, ast.ClassDef)
-                   and c.name == cls for m in c.body
-                   if isinstance(m, ast.FunctionDef)}
-        assert fn in methods, f"{path}::{cls}::{fn} is no test"
+        scope = tree.body if not cls else [
+            m for c in tree.body if isinstance(c, ast.ClassDef)
+            and c.name == cls for m in c.body]
+        tests = {m.name for m in scope if isinstance(m, ast.FunctionDef)}
+        assert fn in tests, f"{path}::{cls}::{fn} is no test"
