@@ -227,15 +227,29 @@ class PerronInfo:
 
     def exact_str(self) -> str:
         if self.algebraic is not None:
-            cs = ",".join(str(c) for c in self.algebraic.coeffs)
+            cs = ",".join(map(_decimal, self.algebraic.coeffs))
             name = f"largest real root of [{cs}]"
         else:
-            name = "in [{}, {}]".format(*self.rowsum_bracket)
+            name = "in [{}, {}]".format(*map(_decimal, self.rowsum_bracket))
         return name if self.period == 1 else f"({name})^(1/{self.period})"
 
 
+_CHUNK = 10**600  # under 640 digits, the least int-to-str limit Python has
+
+
+def _decimal(x) -> str:
+    """str(x) for an int or a Fraction of any size, 600 digits at a time."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    n, digits = abs(int(x)), ""
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        digits = f"{r:0600d}" + digits
+    return "-" * (x < 0) + str(n) + digits
+
+
 CHARPOLY_MAX_DIM = 24  # larger blocks B get the bracket instead of the root
-POWER_STEPS = 1000  # the most steps of power_estimate per component
+POWER_STEPS = 2000  # the most steps of power_estimate per component
 POWER_TOL = 1e-13   # a component stops once hi - lo <= POWER_TOL * hi
 
 
@@ -285,11 +299,12 @@ class CountMatrix:
 
     def power_estimate(self) -> list:
         """Positive int Perron vectors: ``(rows, v)`` for each strongly
-        connected component that carries a cycle, by the power iteration
-        from v = 1 until the least and largest (Av)_i / v_i meet to
-        POWER_TOL, as a primitive component's do, or for POWER_STEPS steps;
-        an estimate only.  ``math.fsum`` makes each float vector the same
-        on every machine, and one power of two scales it exactly to ints."""
+        connected component A_c that carries a cycle, by the power iteration
+        on A_c + I, which has A_c's Perron vector and maps an eigenvalue -mu
+        to 1 - mu, from v = 1 until the least and largest ((A_c + I)v)_i /
+        v_i meet to POWER_TOL, or for POWER_STEPS steps; an estimate only.
+        ``math.fsum`` makes each float vector the same on every machine,
+        and one power of two scales it exactly to ints."""
         out = []
         for rows in graph.sccs(self.succ):
             local = {r: k for k, r in enumerate(rows)}
@@ -298,7 +313,8 @@ class CountMatrix:
             if any(adj):  # else a transient state with no self-loop
                 v = [1.0] * len(adj)
                 for _ in range(POWER_STEPS):
-                    w = [math.fsum(a * v[j] for j, a in row) for row in adj]
+                    w = [math.fsum([x, *(a * v[j] for j, a in row)])
+                         for x, row in zip(v, adj)]
                     q = [x / y for x, y in zip(w, v)]
                     top = max(w)
                     if max(q) - min(q) <= POWER_TOL * max(q) or \

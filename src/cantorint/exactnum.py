@@ -38,6 +38,8 @@ checked where it is built: alpha's polynomial is proven irreducible over
 Q by reduction modulo a prime below 50, or it raises ``UnsupportedBase``.
 So Q(alpha) is a field, the zero vector is the only exact 0, and every
 other vector has a nonzero value, which the doubling filter certifies.
+``field`` keeps one context per base and process, so each base's proof,
+tables and -ln alpha are derived once.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import re
 from copy import copy
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from math import gcd, inf, lcm, log2
 from operator import ge, gt, le, lt, mul
 from typing import Callable, Union
@@ -58,6 +60,7 @@ _BISECTION_CAP = 100_000
 _NEWTON_STEPS = 64  # the most steps _newton takes
 _NEWTON_GUARD = 16  # bits its estimate carries below _bisect's grid
 _DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
+FIELDS_MAX = 64  # the most field contexts, and checked roots, a process keeps
 
 
 class ExactnumError(Exception):
@@ -369,11 +372,33 @@ def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
     return (Fraction(N, M), Fraction(N + R, M))
 
 
+@lru_cache(maxsize=FIELDS_MAX)
+def _check_isolating(coeffs: tuple, lo: Fraction, hi: Fraction) -> None:
+    """Raise ``NonIsolatingInterval`` unless (lo, hi) holds one root of
+    ``coeffs``, where it changes sign; once per process per argument."""
+    if len(coeffs) < 2:
+        raise NonIsolatingInterval("polynomial must be nonconstant")
+    if not lo < hi:
+        raise NonIsolatingInterval("empty interval")
+    vlo, vhi = _value_at(coeffs, lo), _value_at(coeffs, hi)
+    if vlo == 0 or vhi == 0:
+        raise NonIsolatingInterval(
+            "interval endpoint is itself a root; use the rational directly")
+    n = sturm_root_count(coeffs, lo, hi)
+    if n != 1:
+        raise NonIsolatingInterval(
+            f"interval ({lo}, {hi}) contains {n} roots, need exactly 1")
+    if (vlo > 0) == (vhi > 0):
+        raise NonIsolatingInterval(
+            "no sign change over the interval (even multiplicity?); "
+            "pass the squarefree part of the polynomial")
+
+
 class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
     The interval must contain exactly one real root of the polynomial
-    (verified with a Sturm chain at construction, or, for
+    (verified with a Sturm chain at construction, once per argument, or, for
     ``isolate_largest_root``, by the chain it isolated the root on).
     Refinement takes the bisection bracket, reached through a checked
     Newton cell; the cached interval only ever shrinks, so the denoted root
@@ -384,24 +409,8 @@ class AlgebraicReal:
 
     def __init__(self, coeffs, lo, hi):
         self.coeffs = poly_normalize(coeffs)
-        if len(self.coeffs) < 2:
-            raise NonIsolatingInterval("polynomial must be nonconstant")
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not lo < hi:
-            raise NonIsolatingInterval("empty interval")
-        vlo, vhi = _value_at(self.coeffs, lo), _value_at(self.coeffs, hi)
-        if vlo == 0 or vhi == 0:
-            raise NonIsolatingInterval(
-                "interval endpoint is itself a root; use the rational directly")
-        n = sturm_root_count(self.coeffs, lo, hi)
-        if n != 1:
-            raise NonIsolatingInterval(
-                f"interval ({lo}, {hi}) contains {n} roots, need exactly 1")
-        if (vlo > 0) == (vhi > 0):
-            raise NonIsolatingInterval(
-                "no sign change over the interval (even multiplicity?); "
-                "pass the squarefree part of the polynomial")
-        self._lo, self._hi = lo, hi
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
+        _check_isolating(self.coeffs, self._lo, self._hi)
 
     @property
     def degree(self) -> int:
@@ -602,7 +611,14 @@ def _root_interval(lo: Fraction, hi: Fraction, h: int, k: int) -> tuple:
 
 def _neg_log(alpha) -> tuple:
     """Fraction interval holding -ln alpha, for a real alpha > 0, from one
-    enclosure of alpha 10^-20 wide; ``BaseSystem.neg_log`` caches it."""
+    enclosure of alpha 10^-20 wide: a rational or algebraic alpha's is its
+    field's ``log_cell``, and its interval is narrowed to that cell."""
+    if isinstance(alpha, (int, Fraction, AlgebraicReal)):
+        (lo, hi), neg_log = field(alpha).log_cell
+        if isinstance(alpha, AlgebraicReal) and \
+                alpha._lo <= lo <= hi <= alpha._hi:
+            alpha._lo, alpha._hi = lo, hi
+        return neg_log
     log_lo, log_hi = _log_interval(*enclosure(alpha, Fraction(1, 10**20)))
     return -log_hi, -log_lo
 
@@ -794,9 +810,9 @@ class QAlphaContext:
 
     Each B_i rounds the midpoint of an enclosure of alpha^i 2^K at most 1
     wide, so it is within 1/2 + 1/2 of alpha^i 2^K.  The enclosures are
-    the powers of alpha's isolating interval, refined without storing the
-    result; they are computed at the first sign that needs them, once per
-    K.
+    the powers of the bisection cells of alpha's ``interval`` as built,
+    computed at the first sign that needs them, once per K.  ``field``
+    keeps one context per base and process.
     """
 
     def __init__(self, alpha: RealNumber):
@@ -806,10 +822,12 @@ class QAlphaContext:
             self.degree = 1
             self.key = ("rat", alpha)
             a = (-alpha.numerator, alpha.denominator)
+            self.interval = (alpha, alpha)
         elif isinstance(alpha, AlgebraicReal):
             self.degree = alpha.degree
             self.key = ("alg", alpha.coeffs)
             a = alpha.coeffs
+            self.interval = alpha.interval()
         else:
             raise UnsupportedBase(
                 "Q(alpha) arithmetic requires a rational or algebraic base")
@@ -958,15 +976,25 @@ class QAlphaContext:
 
     # -- signs and enclosures ------------------------------------------------
 
+    def _cell(self, width: Fraction) -> tuple:
+        """alpha's bisection bracket from ``interval``, at most width wide."""
+        return _bisect(partial(_scaled_value, self.poly), *self.interval,
+                       width, poly=self.poly)
+
+    @cached_property
+    def log_cell(self) -> tuple:
+        """(alpha's cell 10^-20 wide, -ln alpha as Fractions from it)."""
+        cell = self._cell(Fraction(1, 10**20))
+        log_lo, log_hi = _log_interval(*cell)
+        return cell, (-log_hi, -log_lo)
+
     def _fixed_point(self, K: int) -> tuple:
         B = self._B.get(K)
         if B is None:
             one = 1 << K
-            alpha = self.alpha
             width = Fraction(1, one << 4)
             while True:
-                lo, hi = _bisect(partial(_scaled_value, alpha.coeffs),
-                                 *alpha.interval(), width, poly=alpha.coeffs)
+                lo, hi = self._cell(width)
                 if lo >= 0 or hi <= 0:  # alpha^i is then monotone on [lo, hi]
                     pows = [(lo**i, hi**i) for i in range(1, self.degree)]
                     if all(abs(h - l) * one <= 1 for l, h in pows):
@@ -1078,6 +1106,31 @@ class QAlphaContext:
                 out.append((_reduced(x, Dq), d))
             return out
         return kids
+
+
+_FIELDS: dict = {}  # (p, q) or (polynomial, interval) -> context, oldest first
+
+
+def field(alpha) -> QAlphaContext:
+    """The process's one ``QAlphaContext`` of a rational or algebraic alpha,
+    so its proof, tables and -ln alpha are derived once: found by value, or
+    by polynomial and an interval that holds alpha's or lies in it, as two
+    such isolating intervals of one polynomial hold one root.  Its facts
+    depend on its key alone: one dropped past ``FIELDS_MAX`` is rebuilt
+    the same."""
+    if isinstance(alpha, AlgebraicReal):
+        p, lo, hi = key = (alpha.coeffs, *alpha.interval())
+        nested = (c for k, c in _FIELDS.items() if k[0] == p and (
+            k[1] <= lo <= hi <= k[2] or lo <= k[1] <= k[2] <= hi))
+        ctx = _FIELDS.get(key) or next(nested, None)
+    else:
+        key = (alpha.numerator, alpha.denominator)
+        ctx = _FIELDS.get(key)
+    if ctx is None:
+        if len(_FIELDS) >= FIELDS_MAX:
+            del _FIELDS[next(iter(_FIELDS))]
+        ctx = _FIELDS[key] = QAlphaContext(copy(alpha))
+    return ctx
 
 
 def _ordering(op):

@@ -100,7 +100,7 @@ class BaseSystem:
         self.alpha = alpha
         self.alphabet = alphabet
         if isinstance(alpha, (Fraction, AlgebraicReal)):
-            self.ctx = QAlphaContext(alpha)
+            self.ctx = exactnum.field(alpha)  # one per base and process
         else:
             self.ctx = None  # series base: only delta via the known expansion
         self._delta = None
@@ -175,8 +175,9 @@ class BaseSystem:
 
     @cached_property
     def neg_log(self) -> tuple:
-        """-ln alpha as a Fraction interval (lo, hi), from one log: every
-        dimension value on this base divides by it."""
+        """-ln alpha as a Fraction interval (lo, hi), from one log per
+        field and process: every dimension value on this base divides by
+        it."""
         return exactnum._neg_log(self.alpha)
 
     @cached_property

@@ -558,9 +558,11 @@ class TestPerron:
     def test_class_route_holds_numpy_radius(self):
         # past 24 rows each component gives (h, B); numpy's radius lies in
         # every enclosure, 10^-12 wide when it is a root, and inside a
-        # bracket of the power iteration where the largest B has more than
-        # 24 rows
-        roots = 0
+        # bracket of the power iteration at most 10^-9 rho wide where the
+        # largest B has more than 24 rows.  On A + I the 115-row matrix's
+        # next eigenvalues, from 1.3495 +- 0.31 i, are still 0.984 of the
+        # first in modulus, so it takes 1 825 of the 2 000 POWER_STEPS
+        roots = brackets = 0
         for m, rho in self.past_24_rows():
             info = CountMatrix(m).perron()
             lo, hi = info.enclosure()
@@ -569,8 +571,10 @@ class TestPerron:
                 roots += 1
                 assert hi - lo <= F(1, 10**12)
             else:
+                brackets += len(m) == 115
                 assert info.exact_str() == f"in [{lo}, {hi}]"
-        assert roots >= 5
+                assert hi - lo <= F(1, 10**9) * F(rho)
+        assert roots >= 5 and brackets == 1
 
     def test_components_of_one_radius(self):
         # past 24 rows: a 2-cycle of weights 2 and 2 (h = 2, mu = 4) and a
@@ -684,8 +688,9 @@ class TestPerron:
         # a 60-row component of period 2 whose C_0 has 30 rows: B is
         # primitive and past 24 rows, so mu takes its power iteration's
         # bracket, and the radius the square roots of its ends.  B's
-        # second eigenvalue is 0.9999 of its first, so the 1 000 steps
-        # leave the bracket about 0.1 wide: certified, not narrow
+        # second eigenvalue is -0.99989 of its first, which left a bracket
+        # about 0.1 wide after 1 000 steps on B; on B + I the next one
+        # is 0.76 of the first in modulus, and the bracket is narrow
         rng = random.Random(60)
         m = periodic_matrix(rng, 60, blocks=1, periods=(2,))
         info = CountMatrix(m).perron()
@@ -696,6 +701,7 @@ class TestPerron:
         assert lo * lo <= mlo and mhi <= hi * hi
         rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
         assert lo - 1e-12 <= rho <= hi + 1e-12
+        assert hi - lo <= F(1, 10**9) * F(rho)
 
     def test_class_route_within_noda_brackets(self):
         # the reference Noda bracket against the cyclic-class route at 712
@@ -713,6 +719,30 @@ class TestPerron:
             assert max(lo, nlo) <= min(hi, nhi)
             dv = perron_dimension(g, alpha)
             assert dv.hi - dv.lo <= 1e-12
+
+    def test_exact_str_past_the_int_str_limit(self):
+        # a weight N of 5 001 digits, past Python's 4 300-digit limit on
+        # int-to-str conversion: as a 1-row matrix, on a 25-cycle, whose
+        # class product is the 1 x 1 matrix [N], in the repr of its
+        # dimension, and as the ends of a bracket
+        N = 10**5000 + 7
+        text = "1" + "0" * 4999 + "7"
+        assert CountMatrix([[N]]).perron().exact_str() == \
+            f"largest real root of [-{text},1]"
+        cycle = [[0] * 25 for _ in range(25)]
+        for i in range(25):
+            cycle[i][(i + 1) % 25] = N if i == 0 else 1
+        cm = CountMatrix(cycle)
+        root = f"(largest real root of [-{text},1])^(1/25)"
+        assert cm.perron().period == 25 and cm.perron().exact_str() == root
+        dv = perron_dimension(D.IntersectionGraph(cm), F(2, 5))
+        assert repr(dv) == ("DimensionValue(log(lambda)/(-log(alpha)), "
+                            f"lambda = {root} ~ {dv.decimal:.6f})")
+        assert dv.decimal == pytest.approx(
+            5000 * math.log(10) / 25 / math.log(5 / 2), rel=1e-12)
+        for ends, want in (((F(N, 3), F(N, 2)), f"in [{text}/3, {text}/2]"),
+                           ((F(-N), F(N)), f"in [-{text}, {text}]")):
+            assert D.PerronInfo(None, ends).exact_str() == want
 
     def test_integer_eigenvalues_at_both_split_points(self):
         # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
@@ -1916,7 +1946,9 @@ class TestDSet:
     @pytest.mark.parametrize("base", ["rat:21/50", "rat:19/50", "rat:39/100",
                                       "alg:-1,1,2,2@[2/5,1/2]", "akl"])
     def test_one_log_per_call(self, monkeypatch, base):
-        # every value of one call divides by the one cached -ln alpha
+        # every value of one call divides by the one cached -ln alpha, and a
+        # second call on a field already built takes none; alpha_KL has no
+        # field, so each of its systems takes its own
         calls = []
         real = X.log_enclosure
 
@@ -1925,8 +1957,11 @@ class TestDSet:
             return real(x)
 
         monkeypatch.setattr(X, "log_enclosure", counted)
+        X._FIELDS.clear()
         d_set(X.parse_real(base))
         assert len(calls) == 1
+        d_set(X.parse_real(base))
+        assert len(calls) == (2 if base == "akl" else 1)
 
     @pytest.mark.parametrize("base", [
         "rat:21/50", "rat:3944/10000", "rat:19/50", "rat:39/100",

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import os
 import random
@@ -8,6 +9,7 @@ import time
 from copy import copy
 from fractions import Fraction as F
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,9 +25,15 @@ from cantorint.exactnum import (
     parse_real,
 )
 from cantorint import thuemorse as T
+from cantorint import acceptance as A
+from cantorint import dimension as D
 from cantorint.dimension import char_poly, liouville_witness
-from cantorint.expansions import BaseSystem
-from cantorint.words import TERNARY
+from cantorint.expansions import (
+    BaseSystem,
+    build_expansion_automaton,
+    golden_threshold,
+)
+from cantorint.words import BINARY, TERNARY
 
 
 ALPHA_CUBIC = [-1, 1, 2, 2]  # 2x^3 + 2x^2 + x - 1, root ~ 0.44062
@@ -1311,6 +1319,127 @@ class TestFieldIdentity:
         assert float(x) == pytest.approx((5 - math.sqrt(5)) / 2, abs=1e-15)
         sys_ = BaseSystem(a.alpha, TERNARY)
         assert sys_.embed(b.alpha_element) == sys_.ctx.alpha_element
+
+
+def pool_bases() -> set:
+    """Every base of the benchmark's reference pools but alpha_KL, which
+    has no field."""
+    ref = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                      / "reference.json").read_text())
+    found, todo = set(), [ref]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, dict):
+            found.add(o.get("base"))
+            todo += o.values()
+        elif isinstance(o, list):
+            todo += o
+    return {b for b in found if isinstance(b, str)} - {"akl"}
+
+
+class TestFieldRegistry:
+    """``field``, the one context per base and process, against a fresh
+    ``QAlphaContext``: the same facts, shared where the base is the same,
+    and a bounded registry."""
+
+    @pytest.mark.parametrize("text", sorted(set(KERNEL_BASES) | pool_bases()))
+    def test_interned_matches_fresh(self, text):
+        ctx, fresh = X.field(parse_real(text)), QAlphaContext(parse_real(text))
+        alpha = parse_real(text)
+        cell = X.enclosure(alpha, F(1, 10**20))
+        log_lo, log_hi = X._log_interval(*cell)
+        assert ctx.log_cell == fresh.log_cell == (cell, (-log_hi, -log_lo))
+        xs = seeded_elements(fresh, random.Random(text + "field"), 20)
+        assert [ctx.element(x.coeffs).state for x in xs] == \
+            [x.state for x in xs]
+        for x in xs:
+            assert ctx.sign(x.state) == fresh.sign(x.state)
+            for width in (F(1, 10**6), F(1, 2**100)):
+                assert ctx.enclosure(x.state, width) == \
+                    fresh.enclosure(x.state, width)
+        for a, b in zip(xs, xs[1:]):
+            assert ctx.compare(a.state, b.state) == \
+                fresh.compare(a.state, b.state)
+        kids, fresh_kids = (c.children(c.state(0), c.state(2), range(2, -1, -1))
+                            for c in (ctx, fresh))
+        assert [kids(x.state) for x in xs] == [fresh_kids(x.state) for x in xs]
+
+    def test_one_context_per_field(self):
+        # two parses, a refined interval inside, a wider one around it, the
+        # threshold and both alphabets share one context; the other root
+        # of x^2 - 3x + 1 gets its own
+        X._FIELDS.clear()
+        text = "alg:1,-3,1@[1/3,1/2]"
+        a, b, narrow = (parse_real(text) for _ in range(3))
+        narrow.refine(F(1, 10**30))
+        ctx = X.field(a)
+        for x in (b, narrow, parse_real("alg:1,-3,1@[0,1/2]"),
+                  golden_threshold()):
+            assert X.field(x) is ctx
+        assert BaseSystem(a, TERNARY).ctx is BaseSystem(narrow, BINARY).ctx \
+            is ctx
+        other = X.field(parse_real("alg:1,-3,1@[2,3]"))
+        assert other is not ctx and other.interval == (2, 3)
+        assert float(other.alpha_element) == \
+            pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-15)
+        assert X.field(F(2, 5)) is X.field(parse_real("rat:4/10")) is \
+            BaseSystem(F(2, 5), BINARY).ctx
+        assert len(X._FIELDS) == 3
+
+    def test_registry_is_bounded(self):
+        X._FIELDS.clear()
+        first = X.field(F(1, 3))
+        for k in range(X.FIELDS_MAX + 5):
+            X.field(F(1, k + 4))
+        assert len(X._FIELDS) == X.FIELDS_MAX
+        again = X.field(F(1, 3))  # dropped, and rebuilt the same
+        assert again is not first and again.log_cell == first.log_cell
+        for k in range(2 * X.FIELDS_MAX):
+            AlgebraicReal(SQRT2_MINUS_1, F(2, 5) - F(k, 10**6), F(1, 2))
+        info = X._check_isolating.cache_info()
+        assert info.maxsize == X.FIELDS_MAX and info.currsize <= X.FIELDS_MAX
+
+    def test_one_root_check_per_interval(self, monkeypatch):
+        calls, count = [], X.sturm_root_count
+        monkeypatch.setattr(X, "sturm_root_count",
+                            lambda *args: calls.append(args) or count(*args))
+        X._check_isolating.cache_clear()
+        for _ in range(3):
+            parse_real(KERNEL_BASES[0])
+            golden_threshold()
+        assert len(calls) == 2
+
+    def test_one_field_per_base(self, monkeypatch):
+        # ex51's system, its Perron dimension, which narrows alpha to the
+        # field's cell, and the box walk's own system on the narrowed
+        # alpha build one context and take one -ln alpha; a second round,
+        # from a new parse, builds and takes none
+        built, logs, real_log = [], [], X.log_enclosure
+
+        class Counted(QAlphaContext):
+            def __init__(self, alpha):
+                built.append(alpha)
+                super().__init__(alpha)
+
+        def counted_log(x):
+            logs.append(x)
+            return real_log(x)
+
+        monkeypatch.setattr(X, "QAlphaContext", Counted)
+        monkeypatch.setattr(X, "log_enclosure", counted_log)
+        X._FIELDS.clear()
+        for round_ in (1, 0):
+            del built[:], logs[:]
+            alpha = parse_real(KERNEL_BASES[0])
+            sys_ = BaseSystem(alpha, TERNARY)
+            t = A.ex51_translation(sys_)
+            auto = build_expansion_automaton(sys_, t)
+            D.perron_dimension(D.build_intersection_graph(auto), alpha)
+            cell, neg_log = sys_.ctx.log_cell
+            assert alpha.interval() == cell and sys_.neg_log == neg_log
+            D.box_count_oracle(alpha, t, 4)
+            assert len(built) == round_
+            assert len([x for x in logs if x < 1]) == round_  # alpha's only
 
 
 def has_rational_root(coeffs) -> bool:

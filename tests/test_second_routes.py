@@ -33,6 +33,10 @@ independent route.  A number with no line here has one route only.
   test_expansions.py::TestGammaSearch::test_shared_matches_fresh
 - delta vs the shift-by-shift admissibility scan (Parry 1960):
   test_expansions.py::TestDelta::test_admissible
+- A base's interned field context (``exactnum.field``), its states, signs,
+  comparisons, enclosures, children and -ln alpha, vs a fresh
+  ``QAlphaContext`` on the same base:
+  test_exactnum.py::TestFieldRegistry::test_interned_matches_fresh
 
 Planned in ROADMAP.md, and missing until their code lands, each with
 today's code kept in the tests as the reference:
@@ -51,7 +55,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 13
+    assert len(named) == 14
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [
