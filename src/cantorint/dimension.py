@@ -6,11 +6,11 @@ Routes implemented:
   for translations with a unique expansion,
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
-  alpha).  The radius is mu^(1/h), mu that of a matrix B: the matrix
-  itself up to 24 rows, past them the block product of a component's h
-  cyclic classes.  For a B of at most 24 rows mu is the largest real root
-  of the exact characteristic polynomial (Perron-Frobenius), and for a
-  larger one a Collatz-Wielandt bracket,
+  alpha).  The radius is mu^(1/h), mu that of the block product B of a
+  component's h cyclic classes, at every size of the matrix.  For a B of
+  at most 24 rows mu is the largest real root of the exact characteristic
+  polynomial (Perron-Frobenius), and for a larger one a Collatz-Wielandt
+  bracket,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -198,13 +198,14 @@ def char_poly(succ: list) -> list:
 @dataclass
 class PerronInfo:
     """The spectral radius mu^(1/``period``) of a nonnegative integer
-    matrix (see :meth:`CountMatrix.perron`), by one certificate of mu, the
-    other field None: ``algebraic``, the largest real root of ``char``; else
-    ``rowsum_bracket``, a Collatz-Wielandt bracket, (0, 0) if nilpotent."""
+    matrix (see :meth:`CountMatrix.perron`), mu that of a component's
+    cyclic-class product B, by one certificate of mu, the other field
+    None: ``algebraic``, the largest real root of B's characteristic
+    polynomial; else ``rowsum_bracket``, a Collatz-Wielandt bracket, (0, 0)
+    if nilpotent, or the hull of two components' enclosures, h = 1."""
 
     algebraic: Optional[AlgebraicReal]
     rowsum_bracket: Optional[tuple]  # (Fraction lo, Fraction hi)
-    char: Optional[list] = None
     period: int = 1
 
     def mu_enclosure(self, width=Fraction(1, 10**12)):
@@ -248,7 +249,7 @@ def _decimal(x) -> str:
     return "-" * (x < 0) + str(n) + digits
 
 
-CHARPOLY_MAX_DIM = 24  # larger blocks B get the bracket instead of the root
+CHARPOLY_MAX_DIM = 24  # rows of a class product B with a char-poly root
 POWER_STEPS = 2000  # the most steps of power_estimate per component
 POWER_TOL = 1e-13   # a component stops once hi - lo <= POWER_TOL * hi
 
@@ -371,41 +372,37 @@ class CountMatrix:
         return rows
 
     def perron(self) -> PerronInfo:
-        """The spectral radius from pairs (h, B): (1, A) up to
-        ``CHARPOLY_MAX_DIM`` rows, past them per component with a cycle its
-        period and the block product of its :func:`graph.cyclic_classes`, as
-        det(xI - A_c) = x^(n_c - h |C_0|) det(x^h I - B).  Up to
-        ``CHARPOLY_MAX_DIM`` rows of B, mu is the largest real root of the
-        characteristic polynomial in (0, hi], hi above the row sums (Perron-
-        Frobenius: mu is an eigenvalue, and bounds every real one), exact by
-        :func:`char_poly` and one Sturm chain and narrowed to 10^-12 here; a
-        larger, primitive B takes its power iteration's bracket.  Pairs of
-        other (h, mu) whose enclosures meet at the top give their hull."""
+        """The spectral radius from pairs (h, B), one per component with a
+        cycle at every size: its period and the block product of its
+        :func:`graph.cyclic_classes`, as det(xI - A_c) = x^(n_c - h |C_0|)
+        det(x^h I - B).  Up to ``CHARPOLY_MAX_DIM`` rows of B, mu is the
+        largest real root of the characteristic polynomial in (0, hi], hi
+        above the row sums (Perron-Frobenius: mu is an eigenvalue, and
+        bounds every real one), exact by :func:`char_poly` and one Sturm
+        chain and narrowed to 10^-20 here; a larger, primitive B takes its
+        power iteration's bracket.  Pairs of other (h, mu) whose enclosures
+        meet at the top give their hull."""
         if self._perron is not None:
             return self._perron
-        if self.n <= CHARPOLY_MAX_DIM:
-            pairs = [(1, self.succ)]
-        else:
-            classes = [graph.cyclic_classes(self.succ, rows)
-                       for rows in graph.sccs(self.succ)]
-            pairs = [(len(cs), self._block_product(cs)) for cs in classes
-                     if cs]
+        classes = [graph.cyclic_classes(self.succ, rows)
+                   for rows in graph.sccs(self.succ)]
+        pairs = [(len(cs), self._block_product(cs)) for cs in classes if cs]
         found: dict = {}  # one per (h, mu's polynomial or bracket)
         for h, b in pairs:
             if len(b) > CHARPOLY_MAX_DIM:
                 bm = CountMatrix.from_successors(b)
                 bracket = bm.rowsum_enclosure(bm.power_estimate())
-                found[h, bracket] = PerronInfo(None, bracket, None, h)
+                found[h, bracket] = PerronInfo(None, bracket, h)
                 continue
+            # a component's cycle makes mu > 0: B is not nilpotent
             cp = char_poly(b)
             k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
-            if k < len(b):  # else nilpotent: no cycle, radius 0
-                hi = Fraction(max(sum(a for _, a in out) for out in b) + 1)
-                mu = exactnum.isolate_largest_root(cp[k:], Fraction(0), hi)
-                # past 24 rows the dimension is ln mu / h: a 10^-20 cell
-                # leaves its width to float rounding
-                mu.refine(Fraction(1, 10**12 if b is self.succ else 10**20))
-                found[h, mu.coeffs] = PerronInfo(mu, None, cp, h)
+            hi = Fraction(max(sum(a for _, a in out) for out in b) + 1)
+            mu = exactnum.isolate_largest_root(cp[k:], Fraction(0), hi)
+            # the dimension is ln mu / h: a 10^-20 cell leaves its width
+            # to float rounding
+            mu.refine(Fraction(1, 10**20))
+            found[h, mu.coeffs] = PerronInfo(mu, None, h)
         infos = list(found.values())
         if len(infos) > 1:  # those whose enclosure meets the largest
             encs = [t.enclosure() for t in infos]
@@ -453,8 +450,8 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
 
 def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     """dim = log(lambda) / (-log alpha) for the trimmed count matrix, with
-    ln lambda = ln mu / h from mu's 10^-12 cell (see :class:`PerronInfo`),
-    so no h-th root is taken.
+    ln lambda = ln mu / h from mu's enclosure, a 10^-20 cell for a root
+    (see :class:`PerronInfo`), so no h-th root is taken.
 
     An empty intersection yields dimension 0 flagged ``empty`` rather than
     an error; any other graph is trimmed, so no row is zero.  It derives

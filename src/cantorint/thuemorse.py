@@ -166,9 +166,13 @@ def series_sign_at(a: Fraction) -> int:
 def alpha_kl_enclosure(width) -> tuple:
     """Rational interval of width <= ``width`` certified to contain alpha_KL.
 
-    ``exactnum._bisect`` on F, which is strictly increasing in a (all series
-    coefficients are nonnegative, infinitely many positive).  Successive
-    calls refine a module-level bracket, so enclosures are nested.
+    It is the level-s cell of the dyadic grid of [1/3, 1/2], of width
+    1 / (6 2^s), that holds alpha_KL, s the least level whose cell is at most
+    ``width`` wide, whatever was asked before.  ``_AKL_BRACKET`` keeps the
+    finest cell found yet: a coarser one is its ancestor, which takes no
+    series sign, and ``exactnum._bisect`` on F halves on from it to a finer
+    one; F is strictly increasing in a (all series coefficients are
+    nonnegative, infinitely many positive).
     """
     width = Fraction(width)
     if width <= 0:
@@ -182,7 +186,10 @@ def alpha_kl_enclosure(width) -> tuple:
     lo, hi = exactnum._bisect(lambda N, M: series_sign_at(Fraction(N, M)),
                               *_AKL_BRACKET, width, up=False)
     _AKL_BRACKET[0], _AKL_BRACKET[1] = lo, hi
-    return (lo, hi)
+    # 1/3 is on every level's grid: the cell is [j, j + 1] / (6 2^s)
+    s = (-(-width.denominator // (6 * width.numerator)) - 1).bit_length()
+    j = lo.numerator * (6 << s) // lo.denominator
+    return (Fraction(j, 6 << s), Fraction(j + 1, 6 << s))
 
 
 _AKL_REAL: list = []

@@ -4,12 +4,11 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cantorint import dimension, expansions, thuemorse
+from cantorint import dimension, expansions
 from cantorint.cli import BOX_DEPTH_MAX, _HANDLERS, _build_parser, main
 from cantorint.exactnum import parse_real
 from cantorint.words import TERNARY, format_seq
@@ -239,16 +238,17 @@ CUBIC = "alg:-1,1,2,2@[2/5,1/2]"
 SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
 
 # SHA-256 of `cantor --json` stdout, followed by the --export file where
-# there is one.  Every automaton here has at most 24 rows, so lambda comes
-# from the characteristic polynomial.  CI runs these under two hash seeds
+# there is one.  Every automaton here has at most 24 rows and one
+# component with a cycle, so lambda is mu^(1/h), mu the char-poly root of
+# its cyclic classes' block product.  CI runs these under two hash seeds
 # as well, which pins the output order across processes.
 GOLDEN = [
     (("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
       "--export", "ex51.json"),
-     "553f99da4841329a27cc206ec3fdfffd0517acb86b462d1149e602d2b4587b5a"),
+     "b4361ee22ecde25543e863e5d99b4fc500b77cc435d52f9549ddd5c90e59424c"),
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "ex52",
       "--export", "ex52.json"),
-     "c28dd9641073883cd24529242ef9d4512781c40c10117e3cc5e446040429b547"),
+     "65c5a85712148c8eadd8462592b2627990493b6e21b745b2dd6d3629ce0068e0"),
     (("boxcount", "--alpha", CUBIC, "--t", "sum-neg-alpha", "--depth", "12"),
      "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
@@ -294,12 +294,12 @@ GOLDEN = [
     (("dense-targets", "--alpha", "rat:19/50", "--targets", "0,1/3,1",
       "--tol", "1/100"),
      "17561028df8a4cfe0e2aec0fcaed8df778f10e25e741750b918500d8d2c05f78"),
-    # the char-poly route's largest input, 24 rows; and a reducible 7-row
-    # matrix: both certified by the char-poly root alone
+    # 24 rows of period 12, whose 2-row B has char poly x^2 - 106 x + 9;
+    # and 7 reducible rows, whose one cycle, of period 3, gives B = [2]
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "rat:-7/10"),
-     "a207e23f1927709a6059328a915ecf6e5218a8c5db39e3eab5c90a13aa173679"),
+     "dba9f0514e67b396e7ea438d09933533fb41d031ef077e088cad5817a3188d65"),
     (("intersect", "--alpha", "alg:-1,2,2@[1/3,1/2]", "--t", "rat:5/12"),
-     "c580d5385c5aa010c082ea62808b920538b3a789c47d855d2fe7062bc3fdc5cf"),
+     "539e24400b88a763dfa646e0a393ea99865f8887c03d828c16524454603fd9f9"),
 ]
 
 
@@ -308,10 +308,6 @@ class TestGoldenOutput:
                              ids=[" ".join(a[:5:2]) for a, _ in GOLDEN])
     def test_json_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)  # the export name in stdout is fixed
-        # the alpha_KL bracket as a new process has it: earlier calls in
-        # this one may have narrowed it
-        monkeypatch.setattr(thuemorse, "_AKL_BRACKET",
-                            [Fraction(1, 3), Fraction(1, 2)])
         code, out, _ = run(capsys, "--json", *argv)
         data = out.encode()
         if "--export" in argv:
@@ -323,13 +319,9 @@ class TestGoldenOutput:
     def test_digests_do_not_depend_on_history(self, capsys, tmp_path,
                                               monkeypatch):
         # the list twice in one process, forward and then backward: the
-        # fields, checked roots and caches that earlier calls leave behind
-        # change no byte of a later call's output.  The alpha_KL bracket
-        # starts as a new process has it, once: a test outside the list
-        # that narrows it past 10^-30 changes what alpha-kl prints
+        # fields, checked roots, caches and alpha_KL cell that earlier
+        # calls leave behind change no byte of a later call's output
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(thuemorse, "_AKL_BRACKET",
-                            [Fraction(1, 3), Fraction(1, 2)])
         for argv, digest in GOLDEN + GOLDEN[::-1]:
             code, out, _ = run(capsys, "--json", *argv)
             data = out.encode()

@@ -419,7 +419,7 @@ class TestPerron:
             cp = char_poly(cm.succ)
             stripped = cp[next(i for i, c in enumerate(cp) if c):]
             repeated += len(X.sturm_chain(stripped)[-1]) > 1
-            got = cm.perron().algebraic
+            got = reference_char_poly_root(cm)
             want = two_pass(stripped, F(max(cm.row_sums()) + 1))
             assert got.coeffs == want.coeffs
             assert got.refine(F(1, 10**12)) == want.refine(F(1, 10**12))
@@ -439,9 +439,8 @@ class TestPerron:
         info = cm.perron()
         assert calls == [] and info.rowsum_bracket is None
         assert info.period == 424
-        N = -info.char[0]
-        assert info.char == [-N, 1] and info.algebraic.coeffs == (-N, 1)
-        assert N.bit_length() == 302
+        N = -info.algebraic.coeffs[0]
+        assert info.algebraic.coeffs == (-N, 1) and N.bit_length() == 302
         assert info.exact_str() == f"(largest real root of [{-N},1])^(1/424)"
         lo, hi = info.enclosure()
         assert lo**424 <= N <= hi**424 and hi - lo <= F(1, 10**12)
@@ -479,7 +478,7 @@ class TestPerron:
         cm = g.count_matrix
         assert cm.n == 6824
         info = cm.perron()
-        N = -info.char[0]
+        N = -info.algebraic.coeffs[0]
         assert info.period == 4008 and info.algebraic.coeffs == (-N, 1)
         lo, hi = info.enclosure()
         assert lo**4008 <= N <= hi**4008 and hi - lo <= F(1, 10**12)
@@ -503,14 +502,15 @@ class TestPerron:
 
     def test_long_periodic_cycle(self):
         # a 30-cycle with one edge of weight 2: period 30, lambda^30 = 2,
-        # too many rows for the char poly of the whole matrix
+        # the one row of C_0 gives the class product [2]
         n = 30
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             m[i][(i + 1) % n] = 1
         m[n - 1][0] = 2
         info = CountMatrix(m).perron()
-        assert info.rowsum_bracket is None and info.char == [-2, 1]
+        assert info.rowsum_bracket is None
+        assert info.algebraic.coeffs == (-2, 1)
         assert info.exact_str() == "(largest real root of [-2,1])^(1/30)"
         lo, hi = info.enclosure()
         assert lo**30 <= 2 <= hi**30
@@ -631,21 +631,28 @@ class TestPerron:
         return cases
 
     def test_root_against_second_route(self, monkeypatch):
-        # the char-poly root, the one certificate up to 24 rows, lies in
-        # the Collatz-Wielandt bracket of the power iteration's vectors:
-        # the root's one sign change in its 10^-12 cell falls where the two
-        # meet
+        # the radius from the class route's char-poly roots, or the hull
+        # of two components' roots that meet, lies in the Collatz-Wielandt
+        # bracket of the power iteration's vectors on the whole matrix,
+        # and the whole char poly's largest root changes sign where the
+        # two meet
         calls = record_power(monkeypatch)
+        hulls = 0
         for cm in self.second_route_cases():
             info = cm.perron()
-            assert calls == [] and info.rowsum_bracket is None
+            assert calls == []
+            hulls += info.rowsum_bracket is not None
             lo, hi = info.enclosure(F(1, 10**12))
+            assert hi - lo <= F(2, 10**12)
             blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
             calls.clear()
             a, b = max(lo, blo), min(hi, bhi)
             assert 0 < a <= b
-            assert X._value_at(info.algebraic.coeffs, a) * \
-                X._value_at(info.algebraic.coeffs, b) <= 0
+            coeffs = reference_char_poly_root(cm).coeffs
+            assert X._value_at(coeffs, a) * X._value_at(coeffs, b) <= 0
+        # two reducible cases have components of one radius and two
+        # periods, whose roots' enclosures meet: their hull is a bracket
+        assert hulls == 2
 
     def test_bracket_without_iteration_holds_root(self):
         # the reference Noda bracket with a fill cap too small for any
@@ -655,7 +662,7 @@ class TestPerron:
         for k in range(60):
             n = rng.randrange(1, 25)
             cm = CountMatrix(self.random_matrix(rng, n, k % 2 == 0))
-            lo, hi = cm.perron().algebraic.interval()
+            lo, hi = cm.perron().enclosure()
             blo, bhi = reference_noda_bracket(cm, fill_cap=0)
             assert blo <= hi and lo <= bhi
             assert blo.denominator == bhi.denominator == 1
@@ -720,6 +727,30 @@ class TestPerron:
             dv = perron_dimension(g, alpha)
             assert dv.hi - dv.lo <= 1e-12
 
+    def test_pool_within_char_poly_roots(self):
+        # every complete pool graph of at most 24 rows against the whole
+        # matrix's char-poly root, the second route there: the radius and
+        # dimension enclosures meet that route's, no dimension enclosure
+        # is wider, and none is a bracket
+        graphs = 0
+        for alpha, auto in pool_automata(lambda e: 0 < e["rows"] <= 24):
+            g = build_intersection_graph(auto)
+            cm = g.count_matrix
+            info = cm.perron()
+            assert info.rowsum_bracket is None
+            lo, hi = info.enclosure()
+            root = reference_char_poly_root(cm)
+            rlo, rhi = root.refine(F(1, 10**12))
+            assert max(lo, rlo) <= min(hi, rhi)
+            ref = CountMatrix.from_successors(cm.succ)
+            ref._perron = D.PerronInfo(root, None)
+            want = perron_dimension(D.IntersectionGraph(ref), alpha)
+            dv = perron_dimension(g, alpha)
+            assert max(dv.lo, want.lo) <= min(dv.hi, want.hi)
+            assert dv.hi - dv.lo <= want.hi - want.lo
+            graphs += 1
+        assert graphs == 199
+
     def test_exact_str_past_the_int_str_limit(self):
         # a weight N of 5 001 digits, past Python's 4 300-digit limit on
         # int-to-str conversion: as a 1-row matrix, on a 25-cycle, whose
@@ -746,19 +777,22 @@ class TestPerron:
 
     def test_integer_eigenvalues_at_both_split_points(self):
         # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
-        # midpoint 3 and the nudged point 4 are both roots
+        # midpoint 3 and the nudged point 4 are both roots.  The class
+        # route sees the two 1-row components [4] and [3] apart, so the
+        # root of their product is isolated directly
         cm = CountMatrix([[4, 1], [0, 3]])
-        info = cm.perron()
-        assert info.algebraic.coeffs == (12, -7, 1)
-        lo, hi = info.enclosure()
+        root = X.isolate_largest_root(char_poly(cm.succ), F(0), F(6))
+        assert root.coeffs == (12, -7, 1)
+        lo, hi = root.refine(F(1, 10**12))
         assert lo < 4 < hi
+        assert cm.perron().exact_str() == "largest real root of [-4,1]"
         assert cm.rowsum_enclosure(cm.power_estimate()) == (4, 4)
 
     def test_acyclic_matrix_gets_no_char_poly(self):
-        # nilpotent: radius 0, and neither a char poly nor a root
+        # nilpotent: radius 0, no component with a cycle and no root
         for m in ([], [[0]], [[0, 1, 2], [0, 0, 3], [0, 0, 0]]):
             info = CountMatrix(m).perron()
-            assert info.char is None and info.algebraic is None
+            assert info.algebraic is None
             assert info.rowsum_bracket == (0, 0)
 
     def test_dominant_component_behind_transient_states(self):
@@ -780,6 +814,18 @@ class TestPerron:
         info = cm.perron()
         glo, ghi = info.enclosure(F(1, 10**12))
         assert glo * glo - glo - 1 <= 0 <= ghi * ghi - ghi - 1
+
+
+def reference_char_poly_root(cm):
+    """The largest real root of the whole matrix's characteristic
+    polynomial in (0, max row sum + 1], narrowed to 10^-12: the Perron
+    root as ``CountMatrix.perron`` took it up to 24 rows before every
+    size took the cyclic classes, for a matrix with a cycle."""
+    cp = char_poly(cm.succ)
+    k = next(i for i, c in enumerate(cp) if c)
+    root = X.isolate_largest_root(cp[k:], F(0), F(max(cm.row_sums()) + 1))
+    root.refine(F(1, 10**12))
+    return root
 
 
 def reference_char_poly(succ):
@@ -945,12 +991,12 @@ def reference_noda_bracket(cm, fill_cap=8):
 
 
 def sqrt2_24_rows():
-    """The 24-row count matrix of sqrt(2) - 1 at t = -7/10, CHARPOLY_MAX_DIM
-    rows, whose squarefree char poly is x^24 - 106 x^12 + 9."""
+    """The 24-row count matrix of sqrt(2) - 1 at t = -7/10, one component
+    of period 12, whose squarefree char poly is x^24 - 106 x^12 + 9."""
     sys = BaseSystem(X.parse_real("alg:-1,2,1@[2/5,1/2]"), TERNARY)
     auto = E.build_expansion_automaton(sys, sys.embed(F(-7, 10)))
     cm = build_intersection_graph(auto).count_matrix
-    assert cm.n == D.CHARPOLY_MAX_DIM
+    assert cm.n == 24
     return cm
 
 
@@ -996,8 +1042,8 @@ def periodic_matrix(rng, n, blocks=3, periods=(1, 2, 3, 4)):
 
 
 class TestCyclicClasses:
-    """The class-product route, which ``CountMatrix.perron`` takes past 24
-    rows, against the whole matrix up to 24 rows."""
+    """The class-product route, which ``CountMatrix.perron`` takes at every
+    size, against the whole matrix up to 24 rows."""
 
     @staticmethod
     def cases():
@@ -1008,18 +1054,19 @@ class TestCyclicClasses:
     def test_class_root_against_char_poly_root(self):
         # the largest mu^(1/h) over the components, each mu the char-poly
         # root of its block product, is the whole matrix's char-poly root:
-        # the enclosures meet, and that root changes sign where they do
+        # the enclosures meet, both that of ``perron`` and that of the
+        # helper, and that root changes sign where they do
         periodic = 0
         for cm in self.cases():
             pairs, (lo, hi) = class_radius(cm)
             periodic += any(h > 1 for h, _ in pairs)
-            info = cm.perron()
-            assert info.period == 1 and info.rowsum_bracket is None
-            rlo, rhi = info.enclosure()
-            a, b = max(lo, rlo), min(hi, rhi)
+            plo, phi = cm.perron().enclosure()
+            root = reference_char_poly_root(cm)
+            rlo, rhi = root.refine(F(1, 10**12))
+            a, b = max(lo, plo, rlo), min(hi, phi, rhi)
             assert 0 < a <= b and hi - lo <= F(1, 10**12)
-            assert X._value_at(info.algebraic.coeffs, a) * \
-                X._value_at(info.algebraic.coeffs, b) <= 0
+            assert X._value_at(root.coeffs, a) * \
+                X._value_at(root.coeffs, b) <= 0
         assert periodic >= 60
 
     def test_char_poly_factors_over_the_classes(self):
@@ -1058,7 +1105,7 @@ class TestSparseCharPoly:
         for succ in cases:
             assert char_poly(succ) == reference_char_poly(succ)
         want = [9] + [0] * 11 + [-106] + [0] * 11 + [1]
-        assert sqrt2_24_rows().perron().algebraic.coeffs == tuple(want)
+        assert char_poly(sqrt2_24_rows().succ) == want
 
     def test_integrality_guard_stays(self):
         # a non-integer entry makes a trace that k does not divide

@@ -1,10 +1,14 @@
 """Every certified number and the test that sets it against a second,
 independent route.  A number with no line here has one route only.
 
-- The Perron root of a matrix of at most 24 rows, the characteristic
-  polynomial's largest real root, vs the Collatz-Wielandt bracket of the
-  power iteration's vectors:
+- The Perron radius of a matrix of at most 24 rows, from its cyclic
+  classes, vs the Collatz-Wielandt bracket of the power iteration's
+  vectors on the whole matrix:
   test_dimension.py::TestPerron::test_root_against_second_route
+- The Perron radius and dimension of every complete pool graph of at most
+  24 rows vs the whole matrix's char-poly root, the route those sizes
+  took before, kept in the tests as ``reference_char_poly_root``:
+  test_dimension.py::TestPerron::test_pool_within_char_poly_roots
 - The cyclic-class root, the largest mu^(1/h) over the components, vs the
   whole matrix's char-poly root on periodic and reducible matrices of at
   most 24 rows:
@@ -55,7 +59,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 14
+    assert len(named) == 15
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [

@@ -154,6 +154,38 @@ class TestAlphaKL:
         lo2, hi2 = T.alpha_kl_enclosure(F(1, 10**10))
         assert lo1 <= lo2 and hi2 <= hi1
 
+    def test_narrow_then_wide_matches_fresh(self, monkeypatch):
+        # the answer at a width is the level-s cell of the dyadic grid of
+        # [1/3, 1/2], s the least level whose cell fits, whatever was asked
+        # before: after a 10^-30 request every coarser one is its ancestor,
+        # a fresh call's answer, and takes no series sign; a finer request
+        # halves on from the cached cell, one sign per level
+        signs = []
+        sign = T.series_sign_at
+        monkeypatch.setattr(T, "series_sign_at",
+                            lambda a: signs.append(a) or sign(a))
+        monkeypatch.setattr(T, "_AKL_CHECKED", [True])
+        widths = [F(1, 10**6), F(1, 10**30), F(1, 7), F(1, 6), F(1),
+                  F(3, 10**12)]
+        fresh, levels = {}, {}
+        for w in widths:
+            monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+            signs.clear()
+            lo, hi = fresh[w] = T.alpha_kl_enclosure(w)
+            levels[w] = len(signs)
+            assert hi - lo == F(1, 6 << levels[w]) <= w
+            assert levels[w] == 0 or w < 2 * (hi - lo)
+            assert (lo - F(1, 3)) * (6 << levels[w]) % 1 == 0
+        T.alpha_kl_enclosure(F(1, 10**30))
+        for w in widths:
+            signs.clear()
+            assert T.alpha_kl_enclosure(w) == fresh[w] and signs == []
+        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+        T.alpha_kl_enclosure(F(1, 10**6))
+        signs.clear()
+        assert T.alpha_kl_enclosure(F(1, 10**30)) == fresh[F(1, 10**30)]
+        assert len(signs) == levels[F(1, 10**30)] - levels[F(1, 10**6)]
+
     def test_sign_oracle_at_two_fifths(self):
         assert T.series_sign_at(F(2, 5)) == 1
         assert T.series_sign_at(F(1, 3)) == -1
