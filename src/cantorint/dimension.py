@@ -202,7 +202,7 @@ class PerronInfo:
     cyclic-class product B, by one certificate of mu, the other field
     None: ``algebraic``, the largest real root of B's characteristic
     polynomial; else ``rowsum_bracket``, a Collatz-Wielandt bracket, (0, 0)
-    if nilpotent, or the hull of two components' enclosures, h = 1."""
+    if nilpotent, or the hull of enclosures that meet, one a bracket, h = 1."""
 
     algebraic: Optional[AlgebraicReal]
     rowsum_bracket: Optional[tuple]  # (Fraction lo, Fraction hi)
@@ -380,8 +380,10 @@ class CountMatrix:
         above the row sums (Perron-Frobenius: mu is an eigenvalue, and
         bounds every real one), exact by :func:`char_poly` and one Sturm
         chain and narrowed to 10^-20 here; a larger, primitive B takes its
-        power iteration's bracket.  Pairs of other (h, mu) whose enclosures
-        meet at the top give their hull."""
+        power iteration's bracket.  Where pairs of other (h, mu) meet at
+        the top, one radius (:func:`_one_radius`) keeps the least h's
+        root, a bracket among them gives the hull, and else narrower cells
+        part them."""
         if self._perron is not None:
             return self._perron
         classes = [graph.cyclic_classes(self.succ, rows)
@@ -403,16 +405,42 @@ class CountMatrix:
             # to float rounding
             mu.refine(Fraction(1, 10**20))
             found[h, mu.coeffs] = PerronInfo(mu, None, h)
-        infos = list(found.values())
-        if len(infos) > 1:  # those whose enclosure meets the largest
-            encs = [t.enclosure() for t in infos]
-            lo = max(e[0] for e in encs)
-            infos = [t for t, e in zip(infos, encs) if e[1] >= lo]
-            if len(infos) > 1:
-                infos = [PerronInfo(None, (lo, max(e[1] for e in encs)))]
+        infos, width = list(found.values()), Fraction(1, 10**12)
+        while len(infos) > 1:  # those whose enclosure meets the largest
+            encs = [(t, t.enclosure(width)) for t in infos]
+            lo = max(e[0] for _, e in encs)
+            encs = [(t, e) for t, e in encs if e[1] >= lo]
+            infos = [t for t, _ in encs]
+            if len(infos) > 1 and any(t.algebraic is None for t in infos):
+                infos = [PerronInfo(None, (lo, max(e[1] for _, e in encs)))]
+            elif len(infos) > 1 and _one_radius(encs, lo):
+                infos = [min(infos, key=operator.attrgetter("period"))]
+            width /= 2**32  # else distinct roots: narrower cells part them
         self._perron = infos[0] if infos else \
             PerronInfo(None, (Fraction(0), Fraction(0)))
         return self._perron
+
+
+def _one_radius(encs: list, lo: Fraction) -> bool:
+    """Whether the radii mu^(1/h) of algebraic ``(PerronInfo, (a, b))``
+    pairs, each [a, b] holding the radius and ``lo``, are one number.  With
+    d the periods' gcd, rho^d is a root of q(y) = p(y^(h/d)), p mu's
+    polynomial, and its one in [a^d, b^d] when p has one root in [a^h,
+    b^h].  So the radii are one iff the q's gcd has a root in [lo^d,
+    hi^d], hi the least b, which every [a, b] holds."""
+    def roots(p, a, b):  # distinct real roots in [a, b]
+        return exactnum.sturm_root_count(p, a, b) + \
+            (exactnum._value_at(p, a) == 0)
+    d, g = math.gcd(*(t.period for t, _ in encs)), []
+    for t, (a, b) in encs:
+        p, h = t.algebraic.coeffs, t.period
+        if roots(p, a ** h, b ** h) != 1:
+            return False  # not yet isolating: narrower cells follow
+        q = [0] * ((len(p) - 1) * h // d + 1)
+        q[::h // d] = p
+        g = exactnum.poly_gcd(g, q)
+    hi = min(b for _, (_, b) in encs)
+    return roots(g, lo ** d, hi ** d) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,15 @@ def poly_pseudo_divmod(a, b):
     return poly_trim(quot), rem
 
 
+def poly_gcd(a, b) -> list:
+    """A greatest common divisor of two int polynomials, primitive, by
+    Euclid's algorithm on pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(poly_pseudo_divmod(a, b)[1])
+    return a
+
+
 def _primitive(coeffs) -> list:
     """The primitive int polynomial c p, c > 0, of an int or rational p."""
     coeffs = poly_trim(coeffs)
@@ -321,6 +330,12 @@ def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
     return x
 
 
+def grid_level(R: int, Q: int, width: Fraction) -> int:
+    """The least level s whose cells R / (Q 2^s) are at most ``width``."""
+    cells = -(-R * width.denominator // (width.numerator * Q))  # ceil
+    return (cells - 1).bit_length()
+
+
 def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
             poly=None):
     """Halve a bracket [lo, hi] on the one sign change of f until it is at
@@ -340,7 +355,7 @@ def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
     Q = lcm(lo.denominator, hi.denominator)
     P = lo.numerator * (Q // lo.denominator)
     R = hi.numerator * (Q // hi.denominator) - P
-    s = (-(-R * width.denominator // (width.numerator * Q)) - 1).bit_length()
+    s = grid_level(R, Q, width)
     if s > _BISECTION_CAP:
         raise IterationLimit("bisection exceeded cap")
     if poly is not None:

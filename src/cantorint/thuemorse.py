@@ -181,13 +181,14 @@ def alpha_kl_enclosure(width) -> tuple:
         if series_sign_at(_AKL_BRACKET[0]) >= 0 or series_sign_at(_AKL_BRACKET[1]) <= 0:
             raise exactnum.ExactnumError("alpha_KL bracket invalid")
         _AKL_CHECKED[0] = True
-    # series_sign_at is looked up at each midpoint N/M, so a wrapper
-    # installed on this module sees every call
-    lo, hi = exactnum._bisect(lambda N, M: series_sign_at(Fraction(N, M)),
-                              *_AKL_BRACKET, width, up=False)
-    _AKL_BRACKET[0], _AKL_BRACKET[1] = lo, hi
-    # 1/3 is on every level's grid: the cell is [j, j + 1] / (6 2^s)
-    s = (-(-width.denominator // (6 * width.numerator)) - 1).bit_length()
+    lo, hi = _AKL_BRACKET
+    if hi - lo > width:  # series_sign_at is looked up at each midpoint
+        # N/M, so a wrapper installed on this module sees every call
+        _AKL_BRACKET[:] = exactnum._bisect(lambda N, M: series_sign_at(
+            Fraction(N, M)), lo, hi, width, up=False)
+        return tuple(_AKL_BRACKET)
+    # the level-s ancestor, on a grid 1/3 is on: [j, j + 1] / (6 2^s)
+    s = exactnum.grid_level(1, 6, width)
     j = lo.numerator * (6 << s) // lo.denominator
     return (Fraction(j, 6 << s), Fraction(j + 1, 6 << s))
 

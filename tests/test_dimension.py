@@ -353,6 +353,17 @@ def class_radius(cm):
     return pairs, (lo, hi)
 
 
+def top_components(cm):
+    """How many distinct pairs (h, mu's polynomial) over the components
+    have radius enclosures, from their class products' char-poly roots,
+    that meet the largest lower end."""
+    infos = {(h, b.perron().algebraic.coeffs):
+             D.PerronInfo(b.perron().algebraic, None, h)
+             for h, b in class_radius(cm)[0]}
+    encs = [t.enclosure() for t in infos.values()]
+    return sum(hi >= max(lo for lo, _ in encs) for _, hi in encs)
+
+
 class TestPerron:
     def test_single_entry_two(self):
         cm = CountMatrix([[2]])
@@ -579,25 +590,50 @@ class TestPerron:
     def test_components_of_one_radius(self):
         # past 24 rows: a 2-cycle of weights 2 and 2 (h = 2, mu = 4) and a
         # self-loop of weight 2 (h = 1, mu = 2) share the radius 2, and
-        # their enclosures meet, so the radius is their hull, named as a
-        # bracket; so do a 2-cycle and a self-loop of weight 1, whose
-        # enclosures are the point 1; two 2-cycles of one (h, mu) name
-        # their root
+        # their enclosures meet, so the root of the least period names it;
+        # so do a 2-cycle and a self-loop of weight 1, whose enclosures are
+        # the point 1; two 2-cycles of one (h, mu) name their root
         def cycle(*weights):
             n = len(weights)
             return [[w if j == (i + 1) % n else 0 for j in range(n)]
                     for i, w in enumerate(weights)]
 
         info = CountMatrix(behind_a_chain(cycle(2, 2), cycle(2))).perron()
+        assert info.exact_str() == "largest real root of [-2,1]"
         lo, hi = info.enclosure()
-        assert info.algebraic is None and info.rowsum_bracket == (lo, hi)
         assert lo <= 2 <= hi and hi - lo <= F(1, 10**12)
         info = CountMatrix(behind_a_chain(cycle(1, 1), cycle(1))).perron()
-        assert info.exact_str() == "in [1, 1]"
+        assert info.exact_str() == "largest real root of [-1,1]"
         info = CountMatrix(behind_a_chain(cycle(2, 2), cycle(1, 4))).perron()
         assert info.exact_str() == "(largest real root of [-4,1])^(1/2)"
         lo, hi = info.enclosure()
         assert lo * lo <= 4 <= hi * hi and hi - lo <= F(1, 10**12)
+        # up to 24 rows: blocks of one radius, 2, with periods 1 to 4 or
+        # two polynomials keep the root of the least period; a near tie,
+        # radii 10^-25 apart, is parted by narrower cells, in either order
+        def blocks(*ms):
+            n = sum(map(len, ms))
+            out, k = [[0] * n for _ in range(n)], 0
+            for m in ms:
+                for i, row in enumerate(m):
+                    out[k + i][k:k + len(m)] = row
+                k += len(m)
+            return CountMatrix(out)
+        a = 10**25
+        near = f"largest real root of [-1,-{a},1]"
+        cases = [
+            ((cycle(4, 1), [[2]]), "largest real root of [-2,1]"),
+            ((cycle(8, 1, 1), cycle(4, 1)),
+             "(largest real root of [-4,1])^(1/2)"),
+            ((cycle(16, 1, 1, 1), cycle(8, 1, 1)),
+             "(largest real root of [-8,1])^(1/3)"),
+            (([[0, 1], [2, 1]], [[2]]), "largest real root of [-2,-1,1]"),
+            (([[a]], [[a, 1], [1, 0]]), near),
+            (([[a, 1], [1, 0]], [[a]]), near),
+        ]
+        for ms, want in cases:
+            info = blocks(*ms).perron()
+            assert info.rowsum_bracket is None and info.exact_str() == want
 
     @staticmethod
     def second_route_cases():
@@ -631,28 +667,28 @@ class TestPerron:
         return cases
 
     def test_root_against_second_route(self, monkeypatch):
-        # the radius from the class route's char-poly roots, or the hull
-        # of two components' roots that meet, lies in the Collatz-Wielandt
+        # the radius from the class route's char-poly roots, one root also
+        # where components of one radius meet, lies in the Collatz-Wielandt
         # bracket of the power iteration's vectors on the whole matrix,
         # and the whole char poly's largest root changes sign where the
         # two meet
         calls = record_power(monkeypatch)
-        hulls = 0
+        ties = 0
         for cm in self.second_route_cases():
             info = cm.perron()
-            assert calls == []
-            hulls += info.rowsum_bracket is not None
+            assert calls == [] and info.rowsum_bracket is None
             lo, hi = info.enclosure(F(1, 10**12))
-            assert hi - lo <= F(2, 10**12)
+            assert hi - lo <= F(1, 10**12)
             blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
             calls.clear()
             a, b = max(lo, blo), min(hi, bhi)
             assert 0 < a <= b
             coeffs = reference_char_poly_root(cm).coeffs
             assert X._value_at(coeffs, a) * X._value_at(coeffs, b) <= 0
+            ties += top_components(cm) > 1
         # two reducible cases have components of one radius and two
-        # periods, whose roots' enclosures meet: their hull is a bracket
-        assert hulls == 2
+        # periods, whose roots' enclosures meet
+        assert ties == 2
 
     def test_bracket_without_iteration_holds_root(self):
         # the reference Noda bracket with a fill cap too small for any
@@ -1056,18 +1092,21 @@ class TestCyclicClasses:
         # root of its block product, is the whole matrix's char-poly root:
         # the enclosures meet, both that of ``perron`` and that of the
         # helper, and that root changes sign where they do
-        periodic = 0
+        periodic = ties = 0
         for cm in self.cases():
             pairs, (lo, hi) = class_radius(cm)
             periodic += any(h > 1 for h, _ in pairs)
-            plo, phi = cm.perron().enclosure()
+            ties += top_components(cm) > 1
+            info = cm.perron()
+            assert info.rowsum_bracket is None
+            plo, phi = info.enclosure()
             root = reference_char_poly_root(cm)
             rlo, rhi = root.refine(F(1, 10**12))
             a, b = max(lo, plo, rlo), min(hi, phi, rhi)
             assert 0 < a <= b and hi - lo <= F(1, 10**12)
             assert X._value_at(root.coeffs, a) * \
                 X._value_at(root.coeffs, b) <= 0
-        assert periodic >= 60
+        assert periodic >= 60 and ties == 5
 
     def test_char_poly_factors_over_the_classes(self):
         # det(xI - A) = x^k prod_c x^(n_c - h_c m_c) f_c(x^(h_c)), with f_c

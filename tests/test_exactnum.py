@@ -932,6 +932,23 @@ class TestPseudoDivision:
             assert c in {abs(b[-1]) ** k for k in range(len(a) + 1)}
             assert q == [c * x for x in q0] and r == [c * x for x in r0]
 
+    def test_poly_gcd(self):
+        # gcd(f a, f b) divides both and f divides it; gcd(p, p') is the
+        # Sturm chain's last member up to sign; gcd([], q) is q primitive
+        rng = random.Random(62)
+        for _ in range(200):
+            f, a, b = ([rng.randrange(-9, 10) for _ in range(rng.randrange(
+                1, 5))] + [rng.choice((-3, 1, 2))] for _ in range(3))
+            g = X.poly_gcd(X.poly_mul(f, a), X.poly_mul(f, b))
+            for p in (X.poly_mul(f, a), X.poly_mul(f, b)):
+                assert X.poly_pseudo_divmod(p, g)[1] == []
+            assert X.poly_pseudo_divmod(g, f)[1] == []
+        for p in self.chain_polys():
+            g = X.poly_gcd(p, X.poly_derivative(p))
+            assert X.poly_normalize(g) == \
+                X.poly_normalize(X.sturm_chain(p)[-1])
+        assert X.poly_gcd([], [2, 4]) == [1, 2]
+
     def test_pseudo_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             X.poly_pseudo_divmod([1, 2], [0, 0])

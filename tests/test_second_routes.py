@@ -2,8 +2,9 @@
 independent route.  A number with no line here has one route only.
 
 - The Perron radius of a matrix of at most 24 rows, from its cyclic
-  classes, vs the Collatz-Wielandt bracket of the power iteration's
-  vectors on the whole matrix:
+  classes, one root also where components of one radius meet, vs the
+  Collatz-Wielandt bracket of the power iteration's vectors on the whole
+  matrix:
   test_dimension.py::TestPerron::test_root_against_second_route
 - The Perron radius and dimension of every complete pool graph of at most
   24 rows vs the whole matrix's char-poly root, the route those sizes
