@@ -481,10 +481,14 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     ln lambda = ln mu / h from mu's enclosure, a 10^-20 cell for a root
     (see :class:`PerronInfo`), so no h-th root is taken.
 
-    An empty intersection yields dimension 0 flagged ``empty`` rather than
-    an error; any other graph is trimmed, so no row is zero.  It derives
-    -ln alpha as ``BaseSystem.neg_log`` does, once.
+    The route holds for alpha <= 1/2; above, Gamma_alpha is an interval
+    whose first-level cylinders overlap: ``OutOfDomain``.  An empty
+    intersection yields dimension 0 flagged ``empty`` rather than an
+    error; any other graph is trimmed, so no row is zero.  It derives -ln
+    alpha as ``BaseSystem.neg_log`` does, once.
     """
+    if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
+        raise OutOfDomain("Perron dimension needs alpha <= 1/2")
     if g.empty:
         return DimensionValue(DimForm.PERRON, 0.0, 0.0, empty=True)
     info = g.count_matrix.perron()
@@ -586,7 +590,8 @@ def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
     exact certificate that the prefix value p has p - t in Gamma_alpha.
     The least-squares slope of log(upper) against n * (-log alpha) over
     the last half of the depths, in closed form by :func:`_lsq_slope`,
-    estimates the dimension.
+    estimates the dimension for alpha <= 1/2, and none above, where the
+    cylinders overlap (it reads 1.36 at alpha = 3/5, t = 0).
 
     No deeper look can prune a kept prefix: a translated prefix (g_0,
     g_1) at level m >= n that meets I has a child that does.  If the

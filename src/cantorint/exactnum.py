@@ -29,8 +29,8 @@ cleared where they enter, and one int pseudo-division builds both the
 Sturm chain and the squarefree part.  One int evaluator signs every
 polynomial at a rational, and ``log_enclosure`` encloses ln x by atanh
 series summed on ints.  One bisection defines every bracket, alpha_KL's
-too: halving gives it, and a polynomial root reaches it at once through a
-Newton estimate's cell, checked by two signs.
+too: halving gives it, and a polynomial root reaches it at once through an
+integer Newton estimate's cell, checked by two signs.
 ``QAlphaContext`` does all Q(alpha) arithmetic on ints, and its
 fixed-point filter decides every sign and enclosure: an undecided sign
 doubles K from 64 bits up to a cap.  The one invariant it relies on is
@@ -49,7 +49,7 @@ from copy import copy
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import gcd, inf, lcm, log2
+from math import gcd, lcm, log2
 from operator import ge, gt, le, lt, mul
 from typing import Callable, Union
 
@@ -185,49 +185,16 @@ def _scaled_value(coeffs, N: int, M: int) -> int:
     return acc
 
 
-def _float_start(coeffs, a: int, b: int, M: int, up: bool) -> int:
-    """A grid point N in [a, b] near the root of p in [a/M, b/M], where
-    ``up`` is whether p > 0 at a/M: Newton's method in floats from the
-    midpoint, p and p' by one Horner pass, until a step fails to shrink,
-    put on the grid exactly by ``as_integer_ratio``.  Each value's sign
-    narrows the float bracket, and a step that would leave it halves it
-    instead (rtsafe, as in :func:`_newton`).  The midpoint (a + b) // 2
-    instead when a coefficient or an end is past float range."""
-    mid = (a + b) // 2
-    try:
-        cs = [float(c) for c in reversed(coeffs)]
-        lo, hi = a / M, b / M
-        x, last = mid / M, inf
-    except OverflowError:
-        return mid
-    for _ in range(_NEWTON_STEPS):
-        f = d = 0.0
-        for c in cs:
-            d = d * x + f
-            f = f * x + c
-        lo, hi = (x, hi) if (f > 0) == up else (lo, x)
-        step = f / d if d else inf
-        if lo <= x - step <= hi:
-            if not abs(step) < last:  # rounding dominates
-                break
-            x, last = x - step, abs(step)
-        else:
-            x, last = lo / 2 + hi / 2, inf  # no overflow near float's top
-    p, q = x.as_integer_ratio()
-    return min(max(p * M // q, a), b)
-
-
 def _newton(coeffs, a: int, b: int, M: int) -> int:
     """An unchecked N in [a, b] with N/M near the root of p in [a/M, b/M]:
-    Newton's method on ints at the one denominator M, from a float
-    estimate (:func:`_float_start`), where a step N/M - p/p' is (N -
-    A/B)/M for A = M^n p(N/M) and B = M^(n-1) p'(N/M), until a step moves
-    N by at most 1.  A step that leaves the bracket the signs keep, or
-    fails to halve the step before it, halves the bracket instead (rtsafe,
-    Press et al., Numerical Recipes 9.4)."""
+    Newton's method on ints at the one denominator M, from the midpoint,
+    where a step N/M - p/p' is (N - A/B)/M for A = M^n p(N/M) and B =
+    M^(n-1) p'(N/M), until a step moves N by at most 1.  A step that leaves
+    the bracket the signs keep, or fails to halve the step before it,
+    halves the bracket instead (rtsafe, Press et al., Numerical Recipes
+    9.4)."""
     dp = poly_derivative(coeffs)
-    up, last = _scaled_value(coeffs, a, M) > 0, b - a
-    x = _float_start(coeffs, a, b, M, up)
+    up, x, last = _scaled_value(coeffs, a, M) > 0, (a + b) // 2, b - a
     for _ in range(_NEWTON_STEPS):
         A, B = _scaled_value(coeffs, x, M), _scaled_value(dp, x, M)
         a, b = (x, b) if (A > 0) == up else (a, x)
@@ -346,9 +313,10 @@ def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
     grid lo + (hi - lo) j / 2^s: with lo = P/Q and hi - lo = R/Q it is
     (P 2^s + R j) / (Q 2^s), so the halvings run on ints.  The last level
     s is known at once, and an s over ``_BISECTION_CAP`` raises.  For f the
-    int polynomial ``poly``, its one zero in (lo, hi), a Newton estimate
-    names the level-s cell, and opposite signs at its ends, or a 0 at an
-    inner end, give the halvings' bracket; they run only should that fail.
+    int polynomial ``poly``, its one zero in (lo, hi), an integer Newton
+    estimate names the level-s cell, and opposite signs at its ends, or a 0
+    at an inner end, give the halvings' bracket; they run only should that
+    fail.
     """
     if hi - lo <= width:
         return (lo, hi)

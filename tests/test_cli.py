@@ -236,6 +236,7 @@ class TestDeterminism:
 
 CUBIC = "alg:-1,1,2,2@[2/5,1/2]"
 SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
+DEGREE_12 = "alg:-2,3,3,1,2,-3,3,3,2,0,-3,-2,1@[2/5,1/2]"
 
 # SHA-256 of `cantor --json` stdout, followed by the --export file where
 # there is one.  Every automaton here has at most 24 rows and one
@@ -300,6 +301,12 @@ GOLDEN = [
      "dba9f0514e67b396e7ea438d09933533fb41d031ef077e088cad5817a3188d65"),
     (("intersect", "--alpha", "alg:-1,2,2@[1/3,1/2]", "--t", "rat:5/12"),
      "539e24400b88a763dfa646e0a393ea99865f8887c03d828c16524454603fd9f9"),
+    # a degree-12 base: alpha's fixed-point table, its -ln alpha cell and
+    # the box walk's grid all refine alpha by integer Newton steps
+    (("expand", "--alpha", DEGREE_12, "--x", "rat:1/3", "--length", "200"),
+     "7bbc42bea97f81144db4d3704271d5e7544d51f89595012990b9b0fa3cc33f9c"),
+    (("boxcount", "--alpha", DEGREE_12, "--t", "rat:1/7", "--depth", "10"),
+     "8da231cb7226d049533f16d88a0b685907bbb67bc3b977ca71cb6c58d3b301cd"),
 ]
 
 
@@ -404,6 +411,15 @@ class TestErrors:
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
         assert code == 1
         assert payload["status"].startswith("error")
+
+    def test_perron_dimension_refused_above_one_half(self, capsys):
+        # the automaton closes at the golden base, but the Perron route
+        # gives no dimension above 1/2
+        code, payload = run_json(capsys, "intersect", "--alpha",
+                                 "alg:-1,1,1@[1/2,1]", "--t", "rat:0")
+        assert code == 1 and payload["result"] is None
+        assert payload["status"] == ("error: Perron dimension needs "
+                                     "alpha <= 1/2")
 
     def test_json_error_envelope_keeps_inputs(self, capsys):
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")

@@ -279,6 +279,22 @@ class TestPerronFormula:
         self.assert_encloses(dv, ctx.divide(ctx.ln(4), 3),
                              ctx.ln(1 + ctx.sqrt(2)))
 
+    @pytest.mark.parametrize("t", [F(0), F(1, 3), F(1, 7)])
+    def test_refused_above_one_half(self, t):
+        # above 1/2 Gamma_alpha is an interval whose first-level cylinders
+        # overlap: at the golden base the formula read 1.88 at t = 0, a
+        # dimension above 1 for a subset of the line.  At 1/2 the cylinders
+        # meet in one point, and the dimension 1 stays
+        for alpha in (X.AlgebraicReal([-1, 1, 1], F(1, 2), F(1)), F(1, 2)):
+            auto = E.build_expansion_automaton(BaseSystem(alpha, TERNARY), t)
+            g = build_intersection_graph(auto)
+            if alpha != F(1, 2):
+                with pytest.raises(OutOfDomain, match="alpha <= 1/2"):
+                    perron_dimension(g, alpha)
+            else:
+                dv = perron_dimension(g, alpha)
+                assert not dv.empty and dv.lo <= 1 <= dv.hi
+
 
 class TestCharPoly:
     def test_companion(self):

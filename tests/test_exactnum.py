@@ -394,6 +394,11 @@ KERNEL_BASES = ("alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]",
 # (x^2 + 2x - 1)(x - 3) with sqrt(2) - 1 isolated: the ring has zero
 # divisors, and alpha^2 + 2 alpha - 1 is a nonzero vector of value 0
 REDUCIBLE = "alg:3,-7,-1,1@[2/5,1/2]"
+# irreducible bases of degree 8, 10 and 12 in (2/5, 1/2), whose alpha takes
+# the integer Newton route at every width the fixed-point tables ask
+HIGH_DEGREE_BASES = ("alg:-1,2,0,2,-1,-3,0,-1,1@[2/5,1/2]",
+                     "alg:2,-3,-3,-2,-1,-2,-2,2,1,2,2@[2/5,1/2]",
+                     "alg:-2,3,3,1,2,-3,3,3,2,0,-3,-2,1@[2/5,1/2]")
 
 
 def horner_enclosures(el, cap):
@@ -492,7 +497,7 @@ class TestIntegerBisection:
     def test_matches_fraction_loop(self):
         rng = random.Random(41)
         cases = [(parse_real(b).coeffs, *parse_real(b).interval())
-                 for b in KERNEL_BASES]
+                 for b in KERNEL_BASES + HIGH_DEGREE_BASES]
         cases.append(((-1, 2), F(0), F(1)))          # 1/2 is a midpoint
         cases.append(((-1, 0, 0, 3), F(1, 7), F(5, 6)))
         for coeffs, lo, hi in cases:
@@ -575,7 +580,7 @@ class TestNewtonCell:
             assert copy(x).refine(width) == want
 
     def test_kernel_bases(self):
-        for b in KERNEL_BASES:
+        for b in KERNEL_BASES + HIGH_DEGREE_BASES:
             self.assert_same(parse_real(b), NEWTON_WIDTHS + (F(1, 2**2052),))
 
     def test_seeded_polynomials_to_degree_24(self):
@@ -600,36 +605,6 @@ class TestNewtonCell:
         for n in list(range(1, 25)) * 2:
             self.assert_same(perron_root(random_count_matrix(rng, n)),
                              NEWTON_WIDTHS)
-
-    def test_pool_sized_count_matrices_take_few_integer_steps(
-            self, monkeypatch):
-        # one sign at the lower end, then at most three integer steps of
-        # two values each, at every width; from the midpoint, six of these
-        # roots (degrees 14-19) take 8 to 11
-        steps, inside = [], []  # values per _newton call; in one
-        scaled, newton = X._scaled_value, X._newton
-
-        def counted(*args):
-            if inside:
-                steps[-1] += 1
-            return scaled(*args)
-
-        def counting(*args):
-            steps.append(0)
-            inside.append(True)
-            try:
-                return newton(*args)
-            finally:
-                inside.pop()
-        monkeypatch.setattr(X, "_scaled_value", counted)
-        monkeypatch.setattr(X, "_newton", counting)
-        rng = random.Random(32)
-        for n in list(range(1, 25)) * 2:
-            x = perron_root(random_count_matrix(rng, n))
-            for width in NEWTON_WIDTHS:
-                copy(x).refine(width)
-        assert len(steps) == 48 * len(NEWTON_WIDTHS)
-        assert max(steps) <= 1 + 2 * 3
 
     def test_integer_perron_roots_collapse(self):
         # all ones has lambda = 2, a row of weight 3 into it lifts hi to 4
@@ -656,7 +631,7 @@ class TestNewtonCell:
                 assert newton_bracket(x.coeffs, F(0), F(1), width) == want
 
     def test_fixed_point_tables_match_halving(self):
-        for b in KERNEL_BASES:
+        for b in KERNEL_BASES + HIGH_DEGREE_BASES:
             alpha = parse_real(b)
             ctx = QAlphaContext(alpha)
             for K in (64, 128, 256, 512, 1024, 2048):
@@ -671,54 +646,31 @@ class TestNewtonCell:
                 want = (one, *(round((l + h) * one / 2) for l, h in pows))
                 assert ctx._fixed_point(K) == want
 
-    @staticmethod
-    def record_starts(monkeypatch):
-        """(bits of M, whether the float estimate was taken) per call of
-        ``_float_start``."""
-        starts, start = [], X._float_start
-
-        def recorded(coeffs, a, b, M, up):
-            N = start(coeffs, a, b, M, up)
-            starts.append((M.bit_length(), N != (a + b) // 2))
-            return N
-        monkeypatch.setattr(X, "_float_start", recorded)
-        return starts
-
-    def test_float_start_on_the_widest_grid(self, monkeypatch):
-        # the K = 2048 table's width 2^-2052 puts M past 2^2052: the ends
-        # still divide to floats, the estimate is taken, and the cell is
-        # the halving's; so it is from a bracket already narrower than a
-        # float's resolution, where the estimate may miss [a, b]
-        starts = self.record_starts(monkeypatch)
-        for b in KERNEL_BASES:
-            self.assert_same(parse_real(b), (F(1, 2**2052),))
-        assert len(starts) == 2 * len(KERNEL_BASES)  # and in copy().refine
-        assert all(bits > 2052 and taken for bits, taken in starts)
-        for b in KERNEL_BASES:
+    def test_narrow_brackets_on_the_widest_grid(self):
+        # the K = 2048 table's width 2^-2052 asked of a bracket 2^-1028
+        # wide: the integer steps start at its midpoint, and the cell is
+        # the halving's
+        for b in KERNEL_BASES + HIGH_DEGREE_BASES:
             x = parse_real(b)
             x.refine(F(1, 2**1028))
             self.assert_same(x, (F(1, 2**2052),))
 
-    def test_midpoint_starts_give_the_halving_cell(self, monkeypatch):
-        # float() of a coefficient, or of the bracket's ends, overflows:
-        # the integer steps start from the midpoint, and the cell is the
-        # halving's
-        starts = self.record_starts(monkeypatch)
-        big = 10**309  # over the largest float, about 1.8e308
+    def test_coefficients_past_float_range(self):
+        # a coefficient, or the bracket's ends, past the largest float
+        # (about 1.8e308): the integer steps never leave the ints, and the
+        # cell is the halving's
+        big = 10**309
         for coeffs, lo, hi in (((-(2 * big + 1), 0, big), F(1), F(2)),
                                ((-2 * big**2, 0, 1), F(big), F(2 * big))):
             x = AlgebraicReal(coeffs, lo, hi)
             self.assert_same(x, NEWTON_WIDTHS)
-        assert starts and not any(taken for _, taken in starts)
 
-    def test_zero_derivative_halves_the_float_bracket(self, monkeypatch):
-        # x^3 - 3x - 1 has p' = 0 at the midpoint 1 of [0, 2]: the float
-        # steps halve the bracket there and go on, and the estimate,
-        # not the midpoint, starts the integer steps
-        starts = self.record_starts(monkeypatch)
-        self.assert_same(AlgebraicReal((-1, -3, 0, 1), F(0), F(2)),
-                         NEWTON_WIDTHS)
-        assert starts and all(taken for _, taken in starts)
+    def test_zero_derivative_at_the_midpoint(self):
+        # x^3 - 3x - 1 has p' = 0 at the midpoint 1 of [0, 2]: the first
+        # integer step halves the bracket there and the steps go on
+        x = AlgebraicReal((-1, -3, 0, 1), F(0), F(2))
+        assert X._scaled_value(X.poly_derivative(x.coeffs), 1, 1) == 0
+        self.assert_same(x, NEWTON_WIDTHS)
 
     def test_fallbacks_give_the_halving_bracket(self, monkeypatch):
         # (3x - 1)^3: Newton gains only a third of the distance to a triple

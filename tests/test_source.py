@@ -4,7 +4,8 @@ name that nothing in the package references, no public top-level function
 or class that only the tests call, and no public class member that only
 the tests read.  All four catch code left behind when a second copy of
 something is deleted, or state that is written and never read.  No module
-imports one from a layer above its own, deferred imports included."""
+imports one from a layer above its own, deferred imports included, and no
+float enters the bisection of a root bracket."""
 
 import ast
 from collections import Counter
@@ -63,6 +64,29 @@ def test_no_unused_module_level_import(name):
                 if bound not in used:
                     unused.append(bound)
     assert not unused, f"{name} imports but never uses {unused}"
+
+
+def test_root_brackets_take_no_float():
+    # _bisect's checked cell, the _newton estimate that names it and every
+    # exactnum function they call run on ints and Fractions: no true
+    # division, float() or float literal
+    funcs = {n.name: n for n in TREES["exactnum.py"].body
+             if isinstance(n, ast.FunctionDef)}
+    todo, seen = ["_bisect"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            assert not (isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Div)
+                        or isinstance(node, ast.Constant)
+                        and isinstance(node.value, float)
+                        or isinstance(node, ast.Name)
+                        and node.id in ("float", "inf")), (name, node.lineno)
+            if isinstance(node, ast.Name) and node.id in funcs \
+                    and node.id not in seen:
+                todo.append(node.id)
+    assert {"_newton", "_scaled_value", "grid_level"} <= seen
 
 
 def test_every_private_top_level_name_is_referenced():
