@@ -213,9 +213,7 @@ def _cmd_intersect(args):
     result = {"states": len(auto.states), "complete": auto.complete,
               "t": _num_payload(t)}
     if args.export:
-        with open(args.export, "w") as fh:
-            json.dump(auto.to_json_dict(), fh, indent=1, sort_keys=False)
-        result["exported"] = args.export
+        result["exported"] = args.export  # written once the answer stands
     if auto.complete:
         g = dimension.build_intersection_graph(auto)
         dv = dimension.perron_dimension(g, alpha)
@@ -235,6 +233,9 @@ def _cmd_intersect(args):
             result["reason"] += (
                 f"; 1/alpha = {1 / alpha} is not an algebraic integer, so it "
                 "is not a Pisot number and no finite closure is guaranteed")
+    if args.export:
+        with open(args.export, "w") as fh:
+            json.dump(auto.to_json_dict(), fh, indent=1, sort_keys=False)
     return ({"alpha": args.alpha, "t": args.t}, result)
 
 
@@ -254,7 +255,7 @@ def _cmd_boxcount(args):
                 fh.write(f"{n},{lo},{up}\n")
     return ({"alpha": args.alpha, "t": args.t, "depth": args.depth},
             {"rows": [list(r) for r in rep.rows],
-             "slope": repr(rep.slope),
+             "slope": None if rep.slope is None else repr(rep.slope),
              "csv": args.csv or None})
 
 

@@ -578,7 +578,7 @@ def _box_grid(alpha, t, levels: int) -> tuple:
 @dataclass(frozen=True)
 class BoxCountReport:
     rows: list  # (n, lower_count, upper_count)
-    slope: float
+    slope: Optional[float]  # None above alpha = 1/2
 
 
 def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
@@ -590,8 +590,8 @@ def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
     exact certificate that the prefix value p has p - t in Gamma_alpha.
     The least-squares slope of log(upper) against n * (-log alpha) over
     the last half of the depths, in closed form by :func:`_lsq_slope`,
-    estimates the dimension for alpha <= 1/2, and none above, where the
-    cylinders overlap (it reads 1.36 at alpha = 3/5, t = 0).
+    estimates the dimension for alpha <= 1/2.  Above, where the cylinders
+    overlap, it estimates none (a fit gives 1.36 at 3/5, t = 0): slope None.
 
     No deeper look can prune a kept prefix: a translated prefix (g_0,
     g_1) at level m >= n that meets I has a child that does.  If the
@@ -657,7 +657,9 @@ def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]
     half = pts[len(pts) // 2:]
-    if len(half) >= 2:
+    if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
+        slope = None  # overlapping cylinders: no dimension to estimate
+    elif len(half) >= 2:
         neg_log = -math.log(float((alo + ahi) / 2))
         slope = _lsq_slope([n * neg_log for (n, _) in half],
                            [math.log(u) for (_, u) in half])

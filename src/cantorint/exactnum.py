@@ -18,8 +18,9 @@ text.  The module also provides arithmetic in the number field Q(alpha) for
 alpha rational or algebraic, which backs every exact test in the expansion
 algorithms.  Q(alpha) is one object, ``QAlphaContext``, and has one
 representation: a state, an integer vector over 1, alpha, ..., alpha^(n-1)
-with a denominator.  A ``QAlphaElement`` is a handle on one state, and the
-follower-value closures s -> s/alpha - d step on the states themselves.
+with a denominator.  A ``QAlphaElement`` is a handle on one state, ordered
+only by the sign of a difference, and the follower-value closures s ->
+s/alpha - d step on the states themselves.
 
 Each exact fact has one routine: ``enclosure`` encloses every number kind
 and every ``QAlphaElement``, and one Sturm chain per polynomial both
@@ -50,7 +51,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm, log2
-from operator import ge, gt, le, lt, mul
+from operator import mul
 from typing import Callable, Union
 
 Rational = Fraction
@@ -441,10 +442,6 @@ class EnclosedReal:
         self.enclosure = enclose
         self.description = description
 
-    def __float__(self):
-        lo, hi = self.enclosure(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
-
     def __repr__(self):
         return f"{type(self).__name__}<{self.description}>"
 
@@ -757,10 +754,10 @@ class QAlphaContext:
     tuples, so states are dict keys.  Every :class:`QAlphaElement` holds
     one.  ``element``, ``embed``, ``one`` and ``alpha_element`` build
     elements; ``state``, ``reduce``, ``add``, ``neg``, ``mul``,
-    ``inverse``, ``sign``, ``compare``, ``enclosure`` and ``children``
-    work on the states themselves, which is what the closures under s ->
-    s/alpha - d step on.  A rational alpha has degree 1, where a
-    state is a plain rational (N, D).
+    ``inverse``, ``sign``, ``enclosure`` and ``children`` work on the
+    states themselves, which is what the closures under s -> s/alpha - d
+    step on.  A rational alpha has degree 1, where a state is a plain
+    rational (N, D).
 
     Step.  Let a_0 + a_1 x + ... + a_n x^n be the primitive integer
     minimal polynomial of alpha with a_n > 0, and write c = |a_0| and r_i
@@ -1013,12 +1010,6 @@ class QAlphaContext:
     def sign(self, s) -> int:
         return self._sign_vector(s[:self.degree])
 
-    def compare(self, a, b) -> int:
-        """The sign of a - b."""
-        n = self.degree
-        aD, bD = a[n], b[n]
-        return self._sign_vector([a[i] * bD - b[i] * aD for i in range(n)])
-
     def enclosure(self, s, width) -> tuple:
         """[(S - E) / (2^K D), (S + E) / (2^K D)] at the least K that makes
         it at most ``width`` wide."""
@@ -1116,20 +1107,11 @@ def field(alpha) -> QAlphaContext:
     return ctx
 
 
-def _ordering(op):
-    """``op(self, other)`` on QAlphaElements, by ``QAlphaContext.compare``."""
-    def method(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return op(self.ctx.compare(self.state, o.state), 0)
-    return method
-
-
 class QAlphaElement:
     """Element of Q(alpha): a handle on a canonical state of its
     :class:`QAlphaContext`, which does its arithmetic with elements of the
-    same field and with rationals, and decides its sign and enclosures.
+    same field and with rationals, and decides its sign and enclosures; it
+    has no ordering (take the ``sign()`` of a difference) and no float.
     ``QAlphaElement(ctx, s)`` wraps a state s.  Immutable and hashable."""
 
     __slots__ = ("ctx", "state")
@@ -1196,7 +1178,7 @@ class QAlphaElement:
     def sign(self) -> int:
         return self.ctx.sign(self.state)
 
-    # exact comparisons
+    # canonical states: equal values have equal states
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -1205,15 +1187,6 @@ class QAlphaElement:
 
     def __hash__(self):
         return hash((self.ctx.key, self.state))
-
-    __lt__ = _ordering(lt)
-    __le__ = _ordering(le)
-    __gt__ = _ordering(gt)
-    __ge__ = _ordering(ge)
-
-    def __float__(self):
-        lo, hi = self.ctx.enclosure(self.state, Fraction(1, 10**17))
-        return float((lo + hi) / 2)
 
     def __repr__(self):
         return f"QAlpha{list(self.coeffs)}"

@@ -353,8 +353,8 @@ def strongly_eventually_periodic(s: EPSeq):
 
 
 # ---------------------------------------------------------------------------
-# text format: '+', '-', '0' over {-1,0,1}; comma-separated ints otherwise;
-# a parenthesised suffix repeats forever, e.g.  "+0(0)"  or  "2(1)"
+# text format: '+', '-', '0' over {-1,0,1}; comma-separated ints otherwise,
+# written only; a parenthesised suffix repeats forever, e.g. "+0(0)", "2(1)"
 # ---------------------------------------------------------------------------
 
 _TERNARY_RE = re.compile(r"^(?P<pre>[+\-0]*)(\((?P<per>[+\-0]+)\))?$")
@@ -362,37 +362,20 @@ _CHAR_TO_DIGIT = {"+": 1, "-": -1, "0": 0}
 _DIGIT_TO_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
-def parse_seq(text: str, alphabet: Alphabet = TERNARY) -> Union[FiniteWord, EPSeq]:
-    """Parse the sequence text format for the given alphabet."""
+def parse_seq(text: str) -> Union[FiniteWord, EPSeq]:
+    """Parse a sequence over the ternary alphabet {-1, 0, 1}, written with
+    '+', '-' and '0'."""
     text = text.strip()
-    if alphabet == TERNARY:
-        m = _TERNARY_RE.match(text)
-        if not m:
-            raise WordsError(f"cannot parse ternary sequence {text!r}")
-        pre = tuple(map(_CHAR_TO_DIGIT.__getitem__, m.group("pre")))
-        per = m.group("per")
-        if per is None:
-            if not pre:
-                raise WordsError("empty sequence")
-            return FiniteWord(pre, alphabet)
-        return EPSeq(pre, map(_CHAR_TO_DIGIT.__getitem__, per), alphabet)
-    # comma-separated integer format
-    m = re.match(r"^(?P<pre>[^()]*)(\((?P<per>[^()]+)\))?$", text)
+    m = _TERNARY_RE.match(text)
     if not m:
-        raise WordsError(f"cannot parse sequence {text!r}")
-
-    def ints(part):
-        part = part.strip().strip(",")
-        if not part:
-            return ()
-        return tuple(int(x) for x in part.split(","))
-
-    pre = ints(m.group("pre"))
-    if m.group("per") is None:
+        raise WordsError(f"cannot parse ternary sequence {text!r}")
+    pre = tuple(map(_CHAR_TO_DIGIT.__getitem__, m.group("pre")))
+    per = m.group("per")
+    if per is None:
         if not pre:
             raise WordsError("empty sequence")
-        return FiniteWord(pre, alphabet)
-    return EPSeq(pre, ints(m.group("per")), alphabet)
+        return FiniteWord(pre, TERNARY)
+    return EPSeq(pre, map(_CHAR_TO_DIGIT.__getitem__, per), TERNARY)
 
 
 def format_seq(s: Union[FiniteWord, EPSeq]) -> str:

