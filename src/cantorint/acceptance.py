@@ -157,13 +157,16 @@ _PUBLISHED_MATRIX_51 = ((0, 1, 0, 0, 0, 0),
 
 def _permutation_equivalent(a, b) -> bool:
     n = len(a)
-    if len(b) != n:
-        return False
-    for perm in permutations(range(n)):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n)
-               for j in range(n)):
-            return True
-    return False
+    return len(b) == n and any(
+        all(a[i][j] == b[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in permutations(range(n)))
+
+
+def _rounds_to(lo, hi, d: str) -> bool:
+    """Whether [lo, hi] rounds to ``d`` at its k printed places: d - 10^-k/2
+    <= lo and hi < d + 10^-k/2, exactly, as a Fraction compares a float."""
+    half = Fraction(1, 2 * 10 ** len(d.partition(".")[2]))
+    return Fraction(d) - half <= lo and hi < Fraction(d) + half
 
 
 def check_05_example_51() -> AccResult:
@@ -182,11 +185,11 @@ def check_05_example_51() -> AccResult:
         "six states, complete": len(auto.states) == 6 and auto.complete,
         "matrix matches up to state order": _permutation_equivalent(
             cm.entries, _PUBLISHED_MATRIX_51),
-        "perron ~ 1.69562": abs(float((lam_lo + lam_hi) / 2) - 1.69562) <= 1e-4,
+        "perron rounds to 1.69562": _rounds_to(lam_lo, lam_hi, "1.69562"),
         "rowsum bracket contains perron": b_lo <= lam_hi and lam_lo <= b_hi,
-        "dim ~ 0.644297": abs(dv.decimal - 0.644297) <= 1e-4,
+        "dim rounds to 0.644297": _rounds_to(dv.lo, dv.hi, "0.644297"),
         "cycle bound = 1/3": bound == Fraction(1, 3),
-        "rhs ~ 0.281914": abs(rhs.decimal - 0.281914) <= 1e-4,
+        "rhs rounds to 0.281914": _rounds_to(rhs.lo, rhs.hi, "0.281914"),
         "strict inequality": rhs.hi < dv.lo,
     }
     bad = [k for k, v in checks.items() if not v]

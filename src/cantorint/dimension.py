@@ -7,10 +7,10 @@ Routes implemented:
 * the intersection-graph route: relabel the all-expansions automaton by the
   number of admissible {0,1} digits per edge, then dim = log(Perron)/(-log
   alpha).  The radius is mu^(1/h), mu that of the block product B of a
-  component's h cyclic classes, at every size of the matrix.  For a B of
-  at most 24 rows mu is the largest real root of the exact characteristic
-  polynomial (Perron-Frobenius), and for a larger one a Collatz-Wielandt
-  bracket,
+  component's h cyclic classes, taken from its smallest class, at every
+  size of the matrix: the largest real root of B's exact characteristic
+  polynomial (Perron-Frobenius).  A B past ``CHARPOLY_MAX_DIM`` rows is
+  refused with ``ClassProductTooLarge``,
 * an independent box-counting estimator over {0,1} cylinders,
 * the self-similarity test for unique-expansion translations, the dense
   family of self-similar targets below the threshold base, and the
@@ -71,6 +71,10 @@ class VerificationFailed(DimensionError):
     """An exactness check that must always hold did not; treat as a bug."""
 
 
+class ClassProductTooLarge(DimensionError):
+    """A smallest cyclic class past ``CHARPOLY_MAX_DIM`` rows."""
+
+
 # ---------------------------------------------------------------------------
 # dimension values
 # ---------------------------------------------------------------------------
@@ -102,8 +106,7 @@ class DimensionValue:
             return "0 (empty intersection)"
         if self.form is DimForm.FREQUENCY:
             return f"({self.freq}) * log(2)/(-log(alpha))"
-        return "log(lambda)/(-log(alpha)), lambda = " + \
-            (self.perron.exact_str() if self.perron else "?")
+        return "log(lambda)/(-log(alpha)), lambda = " + self.perron.exact_str()
 
     def __repr__(self):
         return f"DimensionValue({self.exact_str()} ~ {self.decimal:.6f})"
@@ -199,21 +202,17 @@ def char_poly(succ: list) -> list:
 class PerronInfo:
     """The spectral radius mu^(1/``period``) of a nonnegative integer
     matrix (see :meth:`CountMatrix.perron`), mu that of a component's
-    cyclic-class product B, by one certificate of mu, the other field
-    None: ``algebraic``, the largest real root of B's characteristic
-    polynomial; else ``rowsum_bracket``, a Collatz-Wielandt bracket, (0, 0)
-    if nilpotent, or the hull of enclosures that meet, one a bracket, h = 1."""
+    cyclic-class product B: ``algebraic``, the largest real root of B's
+    characteristic polynomial, or None for a nilpotent matrix, radius 0."""
 
     algebraic: Optional[AlgebraicReal]
-    rowsum_bracket: Optional[tuple]  # (Fraction lo, Fraction hi)
     period: int = 1
 
     def mu_enclosure(self, width=Fraction(1, 10**12)):
-        """(lo, hi) holding mu: the root narrowed to ``width``, or the
-        bracket as it stands, whatever the width."""
-        if self.algebraic is not None:
-            return self.algebraic.refine(width)
-        return self.rowsum_bracket
+        """(lo, hi) holding mu: the root's cell of ``width``, or (0, 0)."""
+        if self.algebraic is None:
+            return Fraction(0), Fraction(0)
+        return self.algebraic.refine(width)
 
     def enclosure(self, width=Fraction(1, 10**12)):
         """(lo, hi) holding the radius: mu's, or for h > 1 the 1/h powers of
@@ -227,29 +226,26 @@ class PerronInfo:
         return exactnum._root_interval(max(lo, 1), hi, self.period, k)
 
     def exact_str(self) -> str:
-        if self.algebraic is not None:
-            cs = ",".join(map(_decimal, self.algebraic.coeffs))
-            name = f"largest real root of [{cs}]"
-        else:
-            name = "in [{}, {}]".format(*map(_decimal, self.rowsum_bracket))
+        if self.algebraic is None:
+            return "0"
+        cs = ",".join(map(_decimal, self.algebraic.coeffs))
+        name = f"largest real root of [{cs}]"
         return name if self.period == 1 else f"({name})^(1/{self.period})"
 
 
 _CHUNK = 10**600  # under 640 digits, the least int-to-str limit Python has
 
 
-def _decimal(x) -> str:
-    """str(x) for an int or a Fraction of any size, 600 digits at a time."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-    n, digits = abs(int(x)), ""
+def _decimal(x: int) -> str:
+    """str(x) for an int of any size, 600 digits at a time."""
+    n, digits = abs(x), ""
     while n >= _CHUNK:
         n, r = divmod(n, _CHUNK)
         digits = f"{r:0600d}" + digits
     return "-" * (x < 0) + str(n) + digits
 
 
-CHARPOLY_MAX_DIM = 24  # rows of a class product B with a char-poly root
+CHARPOLY_MAX_DIM = 64  # rows of a class product B, past which perron refuses
 POWER_STEPS = 2000  # the most steps of power_estimate per component
 POWER_TOL = 1e-13   # a component stops once hi - lo <= POWER_TOL * hi
 
@@ -305,7 +301,8 @@ class CountMatrix:
         to 1 - mu, from v = 1 until the least and largest ((A_c + I)v)_i /
         v_i meet to POWER_TOL, or for POWER_STEPS steps; an estimate only.
         ``math.fsum`` makes each float vector the same on every machine,
-        and one power of two scales it exactly to ints."""
+        and one power of two scales it exactly to ints.  Check 5's second
+        route, with :meth:`rowsum_enclosure`; :meth:`perron` takes neither."""
         out = []
         for rows in graph.sccs(self.succ):
             local = {r: k for k, r in enumerate(rows)}
@@ -337,8 +334,8 @@ class CountMatrix:
         diag(v), picked by cross-multiplication after one exact integer
         mat-vec over the successor lists.  The radius of A is the largest
         component radius: [max_c lo_c, max_c hi_c] holds it, for
-        components that cover every cycle, or for all rows as one.
-        """
+        components that cover every cycle, or for all rows as one.  With
+        :meth:`power_estimate`, verify-paper check 5's second route."""
         lo = hi = Fraction(0)
         for rows, v in vectors:
             w = dict(zip(rows, v))
@@ -373,51 +370,50 @@ class CountMatrix:
 
     def perron(self) -> PerronInfo:
         """The spectral radius from pairs (h, B), one per component with a
-        cycle at every size: its period and the block product of its
-        :func:`graph.cyclic_classes`, as det(xI - A_c) = x^(n_c - h |C_0|)
-        det(x^h I - B).  Up to ``CHARPOLY_MAX_DIM`` rows of B, mu is the
-        largest real root of the characteristic polynomial in (0, hi], hi
-        above the row sums (Perron-Frobenius: mu is an eigenvalue, and
-        bounds every real one), exact by :func:`char_poly` and one Sturm
-        chain and narrowed to 10^-20 here; a larger, primitive B takes its
-        power iteration's bracket.  Where pairs of other (h, mu) meet at
-        the top, one radius (:func:`_one_radius`) keeps the least h's
-        root, a bracket among them gives the hull, and else narrower cells
-        part them."""
+        cycle: its period and the block product of its
+        :func:`graph.cyclic_classes` from the smallest class C_k, as
+        det(xI - A_c) = x^(n_c - h |C_k|) det(x^h I - B).  mu is B's largest
+        real root in (0, hi], hi above the row sums (Perron-Frobenius),
+        exact by :func:`char_poly` and one Sturm chain, in a 10^-20 cell; a
+        B past ``CHARPOLY_MAX_DIM`` rows raises ``ClassProductTooLarge``
+        unbuilt.  Where pairs of other (h, mu) meet at the top, one radius
+        (:func:`_one_radius`) keeps the least h's, else narrower cells part
+        them."""
         if self._perron is not None:
             return self._perron
-        classes = [graph.cyclic_classes(self.succ, rows)
-                   for rows in graph.sccs(self.succ)]
-        pairs = [(len(cs), self._block_product(cs)) for cs in classes if cs]
-        found: dict = {}  # one per (h, mu's polynomial or bracket)
-        for h, b in pairs:
-            if len(b) > CHARPOLY_MAX_DIM:
-                bm = CountMatrix.from_successors(b)
-                bracket = bm.rowsum_enclosure(bm.power_estimate())
-                found[h, bracket] = PerronInfo(None, bracket, h)
-                continue
+        cycles = []  # each component's classes, from its smallest one
+        for rows in graph.sccs(self.succ):
+            cs = graph.cyclic_classes(self.succ, rows)
+            if cs:
+                k = cs.index(min(cs, key=len))
+                if len(cs[k]) > CHARPOLY_MAX_DIM:
+                    raise ClassProductTooLarge(
+                        f"class product of {len(cs[k])} rows (period "
+                        f"{len(cs)}) is over the bound CHARPOLY_MAX_DIM = "
+                        f"{CHARPOLY_MAX_DIM}")
+                cycles.append(cs[k:] + cs[:k])
+        found: dict = {}  # one per (h, mu's polynomial)
+        for cs in cycles:
+            h, b = len(cs), self._block_product(cs)
             # a component's cycle makes mu > 0: B is not nilpotent
             cp = char_poly(b)
-            k = next(i for i, c in enumerate(cp) if c)  # x^k: zero eigenvalues
+            z = next(i for i, c in enumerate(cp) if c)  # x^z: zero eigenvalues
             hi = Fraction(max(sum(a for _, a in out) for out in b) + 1)
-            mu = exactnum.isolate_largest_root(cp[k:], Fraction(0), hi)
+            mu = exactnum.isolate_largest_root(cp[z:], Fraction(0), hi)
             # the dimension is ln mu / h: a 10^-20 cell leaves its width
             # to float rounding
             mu.refine(Fraction(1, 10**20))
-            found[h, mu.coeffs] = PerronInfo(mu, None, h)
+            found[h, mu.coeffs] = PerronInfo(mu, h)
         infos, width = list(found.values()), Fraction(1, 10**12)
         while len(infos) > 1:  # those whose enclosure meets the largest
             encs = [(t, t.enclosure(width)) for t in infos]
             lo = max(e[0] for _, e in encs)
             encs = [(t, e) for t, e in encs if e[1] >= lo]
             infos = [t for t, _ in encs]
-            if len(infos) > 1 and any(t.algebraic is None for t in infos):
-                infos = [PerronInfo(None, (lo, max(e[1] for _, e in encs)))]
-            elif len(infos) > 1 and _one_radius(encs, lo):
+            if len(infos) > 1 and _one_radius(encs, lo):
                 infos = [min(infos, key=operator.attrgetter("period"))]
             width /= 2**32  # else distinct roots: narrower cells part them
-        self._perron = infos[0] if infos else \
-            PerronInfo(None, (Fraction(0), Fraction(0)))
+        self._perron = infos[0] if infos else PerronInfo(None)
         return self._perron
 
 

@@ -48,6 +48,19 @@ def test_criterion_05_example51():
     _assert_check(A.check_05_example_51())
 
 
+def test_rounds_to_is_exact_at_both_ends():
+    # d - 10^-k / 2 rounds to d and d + 10^-k / 2 does not, and a float end
+    # is taken exactly: 0.15 is 0.1499999999999999944..., which rounds to
+    # 0.1 at one place
+    half = F(1, 2 * 10**5)
+    d = F("1.69562")
+    assert A._rounds_to(d - half, d + half - F(1, 10**30), "1.69562")
+    assert not A._rounds_to(d - half, d + half, "1.69562")
+    assert not A._rounds_to(d - half - F(1, 10**30), d, "1.69562")
+    assert A._rounds_to(0.15, 0.15, "0.1")
+    assert not A._rounds_to(0.15, 0.15, "0.2")
+
+
 def test_criterion_06_example52():
     _assert_check(A.check_06_example_52())
 

@@ -316,14 +316,14 @@ class TestCharPoly:
 
 
 def record_power(monkeypatch):
-    """The count matrices whose ``power_estimate`` runs, in call order."""
+    """The count matrices whose ``power_estimate`` or ``rowsum_enclosure``
+    runs, in call order."""
     calls = []
-    estimate = CountMatrix.power_estimate
-
-    def recorded(self):
-        calls.append(self)
-        return estimate(self)
-    monkeypatch.setattr(CountMatrix, "power_estimate", recorded)
+    for name in ("power_estimate", "rowsum_enclosure"):
+        def recorded(self, *args, method=getattr(CountMatrix, name)):
+            calls.append(self)
+            return method(self, *args)
+        monkeypatch.setattr(CountMatrix, name, recorded)
     return calls
 
 
@@ -363,7 +363,7 @@ def class_radius(cm):
             pairs.append((len(classes), b))
     lo = hi = F(0)
     for h, b in pairs:
-        info = D.PerronInfo(b.perron().algebraic, None, period=h)
+        info = D.PerronInfo(b.perron().algebraic, period=h)
         a, c = info.enclosure()
         lo, hi = max(lo, a), max(hi, c)
     return pairs, (lo, hi)
@@ -374,7 +374,7 @@ def top_components(cm):
     have radius enclosures, from their class products' char-poly roots,
     that meet the largest lower end."""
     infos = {(h, b.perron().algebraic.coeffs):
-             D.PerronInfo(b.perron().algebraic, None, h)
+             D.PerronInfo(b.perron().algebraic, h)
              for h, b in class_radius(cm)[0]}
     encs = [t.enclosure() for t in infos.values()]
     return sum(hi >= max(lo for lo, _ in encs) for _, hi in encs)
@@ -386,7 +386,7 @@ class TestPerron:
         info = cm.perron()
         lo, hi = info.enclosure()
         assert lo <= 2 <= hi
-        assert info.rowsum_bracket is None  # the root is the one certificate
+        assert info.algebraic.coeffs == (-2, 1)  # the one certificate
         assert cm.rowsum_enclosure(cm.power_estimate()) == (2, 2)
 
     def test_rowsum_bracket_contains_true_value(self):
@@ -464,7 +464,7 @@ class TestPerron:
         assert cm.succ == G.successors(cm.entries)
         calls = record_power(monkeypatch)
         info = cm.perron()
-        assert calls == [] and info.rowsum_bracket is None
+        assert calls == [] and info.algebraic is not None
         assert info.period == 424
         N = -info.algebraic.coeffs[0]
         assert info.algebraic.coeffs == (-N, 1) and N.bit_length() == 302
@@ -536,7 +536,7 @@ class TestPerron:
             m[i][(i + 1) % n] = 1
         m[n - 1][0] = 2
         info = CountMatrix(m).perron()
-        assert info.rowsum_bracket is None
+        assert info.period == 30
         assert info.algebraic.coeffs == (-2, 1)
         assert info.exact_str() == "(largest real root of [-2,1])^(1/30)"
         lo, hi = info.enclosure()
@@ -583,25 +583,44 @@ class TestPerron:
             assert hi - lo <= F(1, 10**12) * hi
 
     def test_class_route_holds_numpy_radius(self):
-        # past 24 rows each component gives (h, B); numpy's radius lies in
-        # every enclosure, 10^-12 wide when it is a root, and inside a
-        # bracket of the power iteration at most 10^-9 rho wide where the
-        # largest B has more than 24 rows.  On A + I the 115-row matrix's
-        # next eigenvalues, from 1.3495 +- 0.31 i, are still 0.984 of the
-        # first in modulus, so it takes 1 825 of the 2 000 POWER_STEPS
-        roots = brackets = 0
+        # past 24 rows each component gives (h, B), B from its smallest
+        # class.  Where every B is within CHARPOLY_MAX_DIM rows, numpy's
+        # radius lies in the root's enclosure, 10^-12 wide, which meets the
+        # Noda bracket and, up to that many rows of A, the whole matrix's
+        # char-poly root; past it, perron refuses and names the first such
+        # B's rows and period.  The power iteration's bracket, called
+        # directly, holds the radius within 10^-9 rho everywhere.  On A + I
+        # the 115-row matrix's next eigenvalues, from 1.3495 +- 0.31 i, are
+        # still 0.984 of the first in modulus, so it takes 1 825 of the
+        # 2 000 POWER_STEPS
+        roots = refused = whole = 0
         for m, rho in self.past_24_rows():
-            info = CountMatrix(m).perron()
+            cm = CountMatrix(m)
+            blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
+            assert blo - 1e-9 <= rho <= bhi + 1e-9
+            assert bhi - blo <= F(1, 10**9) * F(rho)
+            classes = [G.cyclic_classes(cm.succ, rows)
+                       for rows in G.sccs(cm.succ)]
+            big = [(min(map(len, cs)), len(cs)) for cs in classes
+                   if cs and min(map(len, cs)) > D.CHARPOLY_MAX_DIM]
+            if big:
+                with pytest.raises(D.ClassProductTooLarge,
+                                   match=r"of %d rows \(period %d\)" % big[0]):
+                    cm.perron()
+                refused += 1
+                continue
+            info = cm.perron()
             lo, hi = info.enclosure()
-            assert lo - 1e-9 <= rho <= hi + 1e-9
-            if info.algebraic is not None:
-                roots += 1
-                assert hi - lo <= F(1, 10**12)
-            else:
-                brackets += len(m) == 115
-                assert info.exact_str() == f"in [{lo}, {hi}]"
-                assert hi - lo <= F(1, 10**9) * F(rho)
-        assert roots >= 5 and brackets == 1
+            assert lo - 1e-9 <= rho <= hi + 1e-9 and hi - lo <= F(1, 10**12)
+            assert info.exact_str().startswith("largest real root of [")
+            nlo, nhi = reference_noda_bracket(cm)
+            assert max(lo, nlo, blo) <= min(hi, nhi, bhi)
+            if cm.n <= D.CHARPOLY_MAX_DIM:
+                rlo, rhi = reference_char_poly_root(cm).refine(F(1, 10**12))
+                assert max(lo, rlo) <= min(hi, rhi)
+                whole += 1
+            roots += 1
+        assert (roots, refused, whole) == (11, 13, 4)
 
     def test_components_of_one_radius(self):
         # past 24 rows: a 2-cycle of weights 2 and 2 (h = 2, mu = 4) and a
@@ -649,7 +668,7 @@ class TestPerron:
         ]
         for ms, want in cases:
             info = blocks(*ms).perron()
-            assert info.rowsum_bracket is None and info.exact_str() == want
+            assert info.algebraic is not None and info.exact_str() == want
 
     @staticmethod
     def second_route_cases():
@@ -692,7 +711,7 @@ class TestPerron:
         ties = 0
         for cm in self.second_route_cases():
             info = cm.perron()
-            assert calls == [] and info.rowsum_bracket is None
+            assert calls == [] and info.algebraic is not None
             lo, hi = info.enclosure(F(1, 10**12))
             assert hi - lo <= F(1, 10**12)
             blo, bhi = cm.rowsum_enclosure(cm.power_estimate())
@@ -722,8 +741,9 @@ class TestPerron:
     def test_power_bracket_where_the_fill_cap_bit(self):
         # a seeded sparse irreducible matrix of 139 rows and 500 entries:
         # Noda's factors pass 8 times its entries, so the bracket it took
-        # stayed at the row sums, [1, 11]; the power iteration on it, the
-        # one primitive block past 24 rows, brackets the radius closely
+        # stayed at the row sums, [1, 11]; the power iteration on it, called
+        # directly, brackets the radius closely.  Its one primitive block,
+        # of period 1, is past CHARPOLY_MAX_DIM rows, so perron refuses it
         rng = random.Random(8)
         n = 139
         m = [[0] * n for _ in range(n)]
@@ -735,32 +755,69 @@ class TestPerron:
         cm = CountMatrix(m)
         assert reference_noda_bracket(cm) == (1, 11)
         rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
-        info = cm.perron()
-        assert info.algebraic is None and info.period == 1
-        lo, hi = info.enclosure()
-        assert (lo, hi) == info.rowsum_bracket
+        vectors = cm.power_estimate()
+        assert [len(rows) for rows, _ in vectors] == [n]
+        lo, hi = cm.rowsum_enclosure(vectors)
         assert lo - 1e-12 <= rho <= hi + 1e-12
         assert hi - lo <= F(1, 10**9) * F(rho)
-        assert info.exact_str() == f"in [{lo}, {hi}]"
+        with pytest.raises(D.ClassProductTooLarge,
+                           match=r"of 139 rows \(period 1\) is over the "
+                                 r"bound CHARPOLY_MAX_DIM = 64$"):
+            cm.perron()
 
-    def test_periodic_block_past_24_rows_takes_a_bracket(self):
-        # a 60-row component of period 2 whose C_0 has 30 rows: B is
-        # primitive and past 24 rows, so mu takes its power iteration's
-        # bracket, and the radius the square roots of its ends.  B's
-        # second eigenvalue is -0.99989 of its first, which left a bracket
-        # about 0.1 wide after 1 000 steps on B; on B + I the next one
-        # is 0.76 of the first in modulus, and the bracket is narrow
+    def test_periodic_block_past_24_rows_takes_a_root(self):
+        # a 60-row component of period 2 whose classes have 30 rows each: B
+        # is primitive and within CHARPOLY_MAX_DIM rows, so mu is its
+        # char-poly root, and the radius its square root, which numpy's
+        # radius, the Noda bracket and the whole matrix's char-poly root
+        # meet.  B's second eigenvalue is -0.99989 of its first, which left
+        # a bracket about 0.1 wide after 1 000 steps on B; on B + I the
+        # next one is 0.76 of the first in modulus, and the bracket of the
+        # power iteration on B, called directly, is narrow and holds mu
         rng = random.Random(60)
         m = periodic_matrix(rng, 60, blocks=1, periods=(2,))
-        info = CountMatrix(m).perron()
-        assert info.period == 2 and info.algebraic is None
-        mlo, mhi = info.rowsum_bracket
+        cm = CountMatrix(m)
+        classes = G.cyclic_classes(cm.succ, G.sccs(cm.succ)[0])
+        assert [len(c) for c in classes] == [30, 30]
+        info = cm.perron()
+        assert info.period == 2 and len(info.algebraic.coeffs) > 2
+        cs = ",".join(map(str, info.algebraic.coeffs))
+        assert info.exact_str() == f"(largest real root of [{cs}])^(1/2)"
+        mlo, mhi = info.mu_enclosure()
         lo, hi = info.enclosure()
-        assert info.exact_str() == f"(in [{mlo}, {mhi}])^(1/2)"
-        assert lo * lo <= mlo and mhi <= hi * hi
+        assert lo * lo <= mlo and mhi <= hi * hi and hi - lo <= F(1, 10**12)
         rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
         assert lo - 1e-12 <= rho <= hi + 1e-12
-        assert hi - lo <= F(1, 10**9) * F(rho)
+        nlo, nhi = reference_noda_bracket(cm)
+        rlo, rhi = reference_char_poly_root(cm).refine(F(1, 10**12))
+        assert max(lo, nlo, rlo) <= min(hi, nhi, rhi)
+        b = CountMatrix.from_successors(cm._block_product(classes))
+        blo, bhi = b.rowsum_enclosure(b.power_estimate())
+        assert max(mlo, blo) <= min(mhi, bhi)
+        assert bhi - blo <= F(1, 10**9) * F(rho) ** 2
+
+    def test_ex51_shifts_past_24_rows_take_roots(self):
+        # seeded small shifts at ex51's base, 63 to 455 states, each one
+        # component whose smallest class has 26 to 35 rows: each prints a
+        # closed form, with a dimension enclosure at most 10^-15 wide, and
+        # its radius meets the Noda bracket
+        sys = cubic_base()
+        shifts = {F(-3, 10): (455, 12), F(7, 10): (454, 12),
+                  F(5, 8): (63, 2), F(1, 8): (69, 2), F(3, 8): (69, 2),
+                  F(9, 20): (342, 12), F(-1, 20): (345, 12)}
+        for t, (n, h) in shifts.items():
+            auto = E.build_expansion_automaton(sys, sys.embed(t))
+            g = build_intersection_graph(auto)
+            assert g.count_matrix.n == n
+            dv = perron_dimension(g, sys.alpha)
+            info = dv.perron
+            assert info.period == h
+            assert info.exact_str().startswith("(largest real root of [")
+            assert info.exact_str().endswith(f"])^(1/{h})")
+            assert dv.hi - dv.lo <= 1e-15
+            lo, hi = info.enclosure()
+            nlo, nhi = reference_noda_bracket(g.count_matrix)
+            assert max(lo, nlo) <= min(hi, nhi)
 
     def test_class_route_within_noda_brackets(self):
         # the reference Noda bracket against the cyclic-class route at 712
@@ -789,13 +846,13 @@ class TestPerron:
             g = build_intersection_graph(auto)
             cm = g.count_matrix
             info = cm.perron()
-            assert info.rowsum_bracket is None
+            assert info.algebraic is not None
             lo, hi = info.enclosure()
             root = reference_char_poly_root(cm)
             rlo, rhi = root.refine(F(1, 10**12))
             assert max(lo, rlo) <= min(hi, rhi)
             ref = CountMatrix.from_successors(cm.succ)
-            ref._perron = D.PerronInfo(root, None)
+            ref._perron = D.PerronInfo(root)
             want = perron_dimension(D.IntersectionGraph(ref), alpha)
             dv = perron_dimension(g, alpha)
             assert max(dv.lo, want.lo) <= min(dv.hi, want.hi)
@@ -807,7 +864,7 @@ class TestPerron:
         # a weight N of 5 001 digits, past Python's 4 300-digit limit on
         # int-to-str conversion: as a 1-row matrix, on a 25-cycle, whose
         # class product is the 1 x 1 matrix [N], in the repr of its
-        # dimension, and as the ends of a bracket
+        # dimension, and as a negative int and chunks of zeros
         N = 10**5000 + 7
         text = "1" + "0" * 4999 + "7"
         assert CountMatrix([[N]]).perron().exact_str() == \
@@ -823,9 +880,8 @@ class TestPerron:
                             f"lambda = {root} ~ {dv.decimal:.6f})")
         assert dv.decimal == pytest.approx(
             5000 * math.log(10) / 25 / math.log(5 / 2), rel=1e-12)
-        for ends, want in (((F(N, 3), F(N, 2)), f"in [{text}/3, {text}/2]"),
-                           ((F(-N), F(N)), f"in [-{text}, {text}]")):
-            assert D.PerronInfo(None, ends).exact_str() == want
+        assert D._decimal(-N) == f"-{text}"
+        assert D._decimal(10**1200 * N) == text + "0" * 1200
 
     def test_integer_eigenvalues_at_both_split_points(self):
         # radius 4 and eigenvalue 3 with the search interval (0, 6]: its
@@ -844,8 +900,8 @@ class TestPerron:
         # nilpotent: radius 0, no component with a cycle and no root
         for m in ([], [[0]], [[0, 1, 2], [0, 0, 3], [0, 0, 0]]):
             info = CountMatrix(m).perron()
-            assert info.algebraic is None
-            assert info.rowsum_bracket == (0, 0)
+            assert info.algebraic is None and info.period == 1
+            assert info.enclosure() == (0, 0) and info.exact_str() == "0"
 
     def test_dominant_component_behind_transient_states(self):
         # block triangular: a self-loop (radius 1) feeds the transient
@@ -1114,7 +1170,7 @@ class TestCyclicClasses:
             periodic += any(h > 1 for h, _ in pairs)
             ties += top_components(cm) > 1
             info = cm.perron()
-            assert info.rowsum_bracket is None
+            assert info.algebraic is not None
             plo, phi = info.enclosure()
             root = reference_char_poly_root(cm)
             rlo, rhi = root.refine(F(1, 10**12))

@@ -21,6 +21,9 @@ independent route.  A number with no line here has one route only.
 - The Perron root past 24 rows vs Noda's bracket, the route it replaced,
   kept in the tests as ``reference_noda_bracket``:
   test_dimension.py::TestPerron::test_class_route_within_noda_brackets
+- The Perron root of class products of 26 to 35 rows, at seeded shifts of
+  ex51's base, vs Noda's bracket:
+  test_dimension.py::TestPerron::test_ex51_shifts_past_24_rows_take_roots
 - ``graph.cyclic_classes`` vs the gcd of the simple cycle lengths, with
   every edge from C_i to C_(i+1 mod h):
   test_graph.py::test_cyclic_classes_follow_every_edge
@@ -60,7 +63,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 15
+    assert len(named) == 16
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [
