@@ -3,7 +3,8 @@
 Every operation of the library is reachable through a subcommand, with
 deterministic text output, an optional ``--json`` envelope
 ``{command, inputs, result, status}``, and CSV export where tabular data is
-produced.  Numbers are printed in their exact text form alongside a decimal
+produced.  Handlers return only their result; this module builds
+``inputs`` once from the parsed options and prints every output.  Numbers are printed in their exact text form alongside a decimal
 rendering; decimals never feed back into any computation.
 
 Exit codes: 0 success, 1 domain/input errors, 2 usage errors.
@@ -90,7 +91,7 @@ def _dim_payload(dv: dimension.DimensionValue) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, result) dictionaries
+# subcommand handlers: each returns its result dictionary
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args):
@@ -101,10 +102,7 @@ def _cmd_expand(args):
     x = _parse_alpha(args.x)
     fn = expansions.greedy_expansion if args.algorithm == "greedy" \
         else expansions.quasi_greedy_expansion
-    word = fn(sys_, x, args.length)
-    return ({"alpha": args.alpha, "x": args.x, "length": args.length,
-             "algorithm": args.algorithm, "alphabet": args.alphabet},
-            {"digits": format_seq(word)})
+    return {"digits": format_seq(fn(sys_, x, args.length))}
 
 
 def _cmd_delta(args):
@@ -114,10 +112,8 @@ def _cmd_delta(args):
     sys_ = BaseSystem(alpha, alphabet)
     word = expansions.delta(sys_, args.length)
     ep = expansions.try_ep_form(sys_, depth_cap=_depth_cap(2048))
-    return ({"alpha": args.alpha, "length": args.length,
-             "alphabet": args.alphabet},
-            {"prefix": format_seq(word),
-             "eventually_periodic": format_seq(ep) if ep else None})
+    return {"prefix": format_seq(word),
+            "eventually_periodic": format_seq(ep) if ep else None}
 
 
 def _cmd_unique(args):
@@ -129,29 +125,24 @@ def _cmd_unique(args):
                        "parenthesised period")
     res = expansions.is_unique_expansion(sys_, seq,
                                          depth_cap=_depth_cap(4096))
-    return ({"alpha": args.alpha, "t_seq": args.t_seq},
-            {"status": res.status.value,
-             "violation": list(res.violation) if res.violation else None})
+    return {"status": res.status.value,
+            "violation": list(res.violation) if res.violation else None}
+
+
+# each Thue-Morse word with its bound on --n: tau and lambda have n
+# digits, the others 2^n
+_TM_WORDS = {"tau": (thuemorse.tau_prefix, 2**TM_N_MAX, "2**TM_N_MAX"),
+             "lambda": (thuemorse.lambda_prefix, 2**TM_N_MAX, "2**TM_N_MAX"),
+             "w": (thuemorse.w_word, TM_N_MAX, "TM_N_MAX"),
+             "zeta": (thuemorse.zeta, TM_N_MAX, "TM_N_MAX"),
+             "eta": (thuemorse.eta, TM_N_MAX, "TM_N_MAX")}
 
 
 def _cmd_tm(args):
-    n = args.n
-    if args.what in ("tau", "lambda"):  # n digits
-        _check_bound("--n", n, 2**TM_N_MAX, "2**TM_N_MAX")
-    else:
-        _check_bound("--n", n, TM_N_MAX, "TM_N_MAX")
-    if args.what == "tau":
-        word = thuemorse.tau_prefix(n)
-    elif args.what == "lambda":
-        word = thuemorse.lambda_prefix(n)
-    elif args.what == "w":
-        word = thuemorse.w_word(n)
-    elif args.what == "zeta":
-        word = thuemorse.zeta(n)
-    else:
-        word = thuemorse.eta(n)
-    return ({"what": args.what, "n": n},
-            {"word": format_seq(word), "length": len(word)})
+    build, bound, name = _TM_WORDS[args.what]
+    _check_bound("--n", args.n, bound, name)
+    word = build(args.n)
+    return {"word": format_seq(word), "length": len(word)}
 
 
 def _cmd_alpha_kl(args):
@@ -160,15 +151,14 @@ def _cmd_alpha_kl(args):
         raise CliError(f"--width {args.width} is under the bound "
                        f"AKL_WIDTH_MIN = {float(AKL_WIDTH_MIN):g}")
     lo, hi = thuemorse.alpha_kl_enclosure(width)
-    return ({"width": args.width},
-            {"lo": format_real(lo), "hi": format_real(hi),
-             "decimal": repr(float((lo + hi) / 2))})
+    return {"lo": format_real(lo), "hi": format_real(hi),
+            "decimal": repr(float((lo + hi) / 2))}
 
 
 def _cmd_dset(args):
     alpha = _parse_alpha(args.alpha)
     ds = dimension.d_set(alpha, depth_cap=_depth_cap(4096))
-    result = {
+    return {
         "kind": ds.kind.value,
         "proper_subset": ds.proper_subset,
         "full_dimension": _dim_payload(ds.full),
@@ -182,7 +172,6 @@ def _cmd_dset(args):
         if ds.excluded_band else None,
         "note": ds.note,
     }
-    return ({"alpha": args.alpha}, result)
 
 
 def _cmd_dim(args):
@@ -198,9 +187,8 @@ def _cmd_dim(args):
                        "formula does not apply (use `cantor intersect`)")
     freq = words.zero_density(seq)
     dv = dimension.dim_from_frequency(sys_, freq)
-    return ({"alpha": args.alpha, "t_seq": args.t_seq},
-            {"zero_density": str(freq.lower), "uniqueness": uniq.status.value,
-             "dimension": _dim_payload(dv)})
+    return {"zero_density": str(freq.lower), "uniqueness": uniq.status.value,
+            "dimension": _dim_payload(dv)}
 
 
 def _cmd_intersect(args):
@@ -217,12 +205,11 @@ def _cmd_intersect(args):
     if auto.complete:
         g = dimension.build_intersection_graph(auto)
         dv = dimension.perron_dimension(g, alpha)
-        info = g.count_matrix.perron() if not g.empty else None
         result["count_matrix"] = [list(r) for r in g.count_matrix.entries]
-        result["lambda"] = (
-            {"exact": info.exact_str(),
-             "decimal": repr(float(sum(info.enclosure()) / 2))}
-            if info else None)
+        result["lambda"] = (  # no Perron data for an empty intersection
+            {"exact": dv.perron.exact_str(),
+             "decimal": repr(float(sum(dv.perron.enclosure()) / 2))}
+            if dv.perron else None)
         result["dimension"] = _dim_payload(dv)
         bound = dimension.freq_upper_bound_over_expansions(auto)
         result["cycle_zero_frequency_bound"] = str(bound)
@@ -236,7 +223,7 @@ def _cmd_intersect(args):
     if args.export:
         with open(args.export, "w") as fh:
             json.dump(auto.to_json_dict(), fh, indent=1, sort_keys=False)
-    return ({"alpha": args.alpha, "t": args.t}, result)
+    return result
 
 
 def _cmd_boxcount(args):
@@ -253,10 +240,9 @@ def _cmd_boxcount(args):
             fh.write("n,lower,upper\n")
             for (n, lo, up) in rep.rows:
                 fh.write(f"{n},{lo},{up}\n")
-    return ({"alpha": args.alpha, "t": args.t, "depth": args.depth},
-            {"rows": [list(r) for r in rep.rows],
-             "slope": None if rep.slope is None else repr(rep.slope),
-             "csv": args.csv or None})
+    return {"rows": [list(r) for r in rep.rows],
+            "slope": None if rep.slope is None else repr(rep.slope),
+            "csv": args.csv or None}
 
 
 def _cmd_selfsimilar(args):
@@ -271,7 +257,7 @@ def _cmd_selfsimilar(args):
     if res.witness:
         payload["witness"] = {"I": format_seq(res.witness[0]),
                               "J": format_seq(res.witness[1])}
-    return ({"alpha": args.alpha, "t_seq": args.t_seq}, payload)
+    return payload
 
 
 def _cmd_dense_targets(args):
@@ -287,8 +273,7 @@ def _cmd_dense_targets(args):
         rows.append({"target": str(tg), "sequence": format_seq(sq),
                      "zero_density": str(dens),
                      "dimension": _dim_payload(dv)})
-    return ({"alpha": args.alpha, "targets": args.targets,
-             "tol": args.tol}, {"rows": rows})
+    return {"rows": rows}
 
 
 def _cmd_liouville(args):
@@ -298,21 +283,17 @@ def _cmd_liouville(args):
     approx = [{"p": a.numerator, "q": a.denominator,
                "decimal": repr(float(a))} for a in lw.approximants]
     lo, hi = lw.x_enclosure
-    return ({"pq": args.pq, "k": args.k, "free_rule": args.free_rule},
-            {"nk": lw.nk[:args.k + 1],
-             "approximants": approx,
-             "x_enclosure": [format_real(lo), format_real(hi)],
-             "x_decimal": repr(float((lo + hi) / 2))})
+    return {"nk": lw.nk[:args.k + 1],
+            "approximants": approx,
+            "x_enclosure": [format_real(lo), format_real(hi)],
+            "x_decimal": repr(float((lo + hi) / 2))}
 
 
 def _cmd_verify_paper(args):
     from . import acceptance
-
-    results = acceptance.run_all(verbose=not args.json)
-    payload = [{"number": r.number, "name": r.name,
-                "passed": r.passed, "detail": r.detail} for r in results]
-    ok = all(r.passed for r in results)
-    return ({}, {"checks": payload, "all_passed": ok})
+    checks = [{"number": r.number, "name": r.name, "passed": r.passed,
+               "detail": r.detail} for r in acceptance.run_all()]
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
 
 
 def _alphabet_from_arg(text: str) -> Alphabet:
@@ -327,9 +308,6 @@ def _alphabet_from_arg(text: str) -> Alphabet:
     return Alphabet(low, size)
 
 
-_HANDLERS = {}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cantor",
@@ -342,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, configure, help_):
         sp = sub.add_parser(name, help=help_)
         configure(sp)
-        _HANDLERS[name] = handler
+        sp.set_defaults(handler=handler)
 
     def alpha_arg(sp):
         sp.add_argument("--alpha", required=True,
@@ -369,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ), "lexicographic uniqueness test")
     add("tm", _cmd_tm, lambda sp: (
         sp.add_argument("--what", required=True,
-                        choices=("tau", "lambda", "w", "zeta", "eta")),
+                        choices=tuple(_TM_WORDS)),
         sp.add_argument("--n", type=int, required=True),
     ), "Thue-Morse words")
     add("alpha-kl", _cmd_alpha_kl, lambda sp: (
@@ -415,30 +393,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_text(result, indent=0):
+    """A line per scalar or flat list; a nested value goes one level in
+    under its key, and stays at its list's level."""
     pad = "  " * indent
-    if isinstance(result, dict):
-        for k, v in result.items():
-            if isinstance(v, list) and all(
-                    not isinstance(x, (dict, list)) for x in v):
-                print(f"{pad}{k}: [{', '.join(str(x) for x in v)}]")
-            elif isinstance(v, (dict, list)):
-                print(f"{pad}{k}:")
-                _render_text(v, indent + 1)
-            else:
-                print(f"{pad}{k}: {v}")
-    elif isinstance(result, list):
-        for v in result:
-            if isinstance(v, list) and all(
-                    not isinstance(x, (dict, list)) for x in v):
-                print(f"{pad}- [{', '.join(str(x) for x in v)}]")
-            elif isinstance(v, (dict, list)):
-                _render_text(v, indent)
-                if indent == 1:
-                    print()
-            else:
-                print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{result}")
+    items = result.items() if isinstance(result, dict) \
+        else ((None, v) for v in result)
+    for k, v in items:
+        head = f"{pad}- " if k is None else f"{pad}{k}: "
+        if not isinstance(v, (dict, list)):
+            print(f"{head}{v}")
+        elif isinstance(v, list) and not any(
+                isinstance(x, (dict, list)) for x in v):
+            print(f"{head}[{', '.join(str(x) for x in v)}]")
+        elif k is not None:
+            print(f"{pad}{k}:")
+            _render_text(v, indent + 1)
+        else:
+            _render_text(v, indent)
+            if indent == 1:
+                print()
 
 
 _DOMAIN_ERRORS = (CliError, exactnum.ExactnumError, words.WordsError,
@@ -457,35 +430,35 @@ def main(argv=None) -> int:
         return 1
 
 
+# parsed options that shape no answer: the dispatch, and the output paths,
+# which the result reports as ``exported`` and ``csv``
+_NOT_INPUTS = ("command", "json", "handler", "export", "csv")
+
+
 def _run(args) -> int:
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
     try:
-        inputs, result = _HANDLERS[args.command](args)
+        result, status = args.handler(args), "ok"
     except BrokenPipeError:
         raise  # an OSError, but not an input problem: see main
     except _DOMAIN_ERRORS as e:
-        if args.json:
-            inputs = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "json")}
-            print(json.dumps({"command": args.command, "inputs": inputs,
-                              "result": None,
-                              "status": f"error: {e}"}, sort_keys=False))
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        result, status = None, f"error: {e}"
     if args.json:
         print(json.dumps({"command": args.command, "inputs": inputs,
-                          "result": result, "status": "ok"},
-                         sort_keys=False))
+                          "result": result, "status": status}))
+    elif result is None:
+        print(status, file=sys.stderr)
+    elif args.command == "verify-paper":
+        for c in result["checks"]:
+            mark = "PASS" if c["passed"] else "FAIL"
+            detail = f"  ({c['detail']})" if c["detail"] else ""
+            print(f"[{mark}] {c['number']:>3}  {c['name']}{detail}")
+        print(f"\nall checks passed: {result['all_passed']}")
     else:
-        if args.command != "verify-paper":
-            _render_text(result)
-        else:
-            ok = result["all_passed"]
-            print(f"\nall checks passed: {ok}")
+        _render_text(result)
     sys.stdout.flush()
-    if args.command == "verify-paper" and not result["all_passed"]:
-        return 1
-    return 0
+    # an error, or a verify-paper check that fails, exits 1
+    return 1 if result is None or result.get("all_passed") is False else 0
 
 
 if __name__ == "__main__":

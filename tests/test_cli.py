@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cantorint import dimension, expansions
-from cantorint.cli import BOX_DEPTH_MAX, _HANDLERS, _build_parser, main
+from cantorint.cli import BOX_DEPTH_MAX, _build_parser, main
 from cantorint.exactnum import parse_real
 from cantorint.words import TERNARY, format_seq
 
@@ -177,6 +178,20 @@ class TestSubcommands:
             == ["10"]
         assert lines[-1] == "all checks passed: False"
 
+    def test_verify_paper_text_is_the_json_table(self, capsys):
+        # both modes print one result: the text lines rebuilt from the
+        # --json checks are the text mode's lines
+        code_text, out, _ = run(capsys, "verify-paper")
+        code_json, payload = run_json(capsys, "verify-paper")
+        assert code_text == code_json == 1
+        result = payload["result"]
+        rebuilt = [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['number']:>3}"
+                   f"  {c['name']}" + (f"  ({c['detail']})" if c["detail"]
+                                       else "")
+                   for c in result["checks"]]
+        assert out.splitlines() == rebuilt + [
+            "", f"all checks passed: {result['all_passed']}"]
+
     def test_boxcount_csv(self, capsys, tmp_path):
         csv = tmp_path / "counts.csv"
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
@@ -246,10 +261,10 @@ DEGREE_12 = "alg:-2,3,3,1,2,-3,3,3,2,0,-3,-2,1@[2/5,1/2]"
 GOLDEN = [
     (("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
       "--export", "ex51.json"),
-     "b4361ee22ecde25543e863e5d99b4fc500b77cc435d52f9549ddd5c90e59424c"),
+     "01b0f824c4d7755e21c67ff8187f8a082dd5d566e5d7bf48dc010b76350184d8"),
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "ex52",
       "--export", "ex52.json"),
-     "65c5a85712148c8eadd8462592b2627990493b6e21b745b2dd6d3629ce0068e0"),
+     "3ae877cdfda79d46d7eb19541eb8d4fb769531362f2a6562e63bfcf4f47347e2"),
     (("boxcount", "--alpha", CUBIC, "--t", "sum-neg-alpha", "--depth", "12"),
      "85d1652f648f8705ce7b862a13a224677fb7611f3b1f730de611fc1d8b98aff5"),
     (("expand", "--alpha", CUBIC, "--x", "rat:1/3", "--length", "40",
@@ -298,9 +313,9 @@ GOLDEN = [
     # 24 rows of period 12, whose 2-row B has char poly x^2 - 106 x + 9;
     # and 7 reducible rows, whose one cycle, of period 3, gives B = [2]
     (("intersect", "--alpha", SQRT2_MINUS_1, "--t", "rat:-7/10"),
-     "dba9f0514e67b396e7ea438d09933533fb41d031ef077e088cad5817a3188d65"),
+     "732948b4f2e859aaa830f8d7c6020ec704361dd40e318834ddddfae1c17994b8"),
     (("intersect", "--alpha", "alg:-1,2,2@[1/3,1/2]", "--t", "rat:5/12"),
-     "539e24400b88a763dfa646e0a393ea99865f8887c03d828c16524454603fd9f9"),
+     "ce6aec52ac50a81feb61690992337878a70fbbb75855f143826699082abbefa6"),
     # a degree-12 base: alpha's fixed-point table, its -ln alpha cell and
     # the box walk's grid all refine alpha by integer Newton steps
     (("expand", "--alpha", DEGREE_12, "--x", "rat:1/3", "--length", "200"),
@@ -621,27 +636,51 @@ class TestStartup:
         assert {"cantorint.dimension", "cantorint.acceptance"} <= loaded
 
 
+def subcommand_names(parser) -> set:
+    return next(set(a.choices) for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+# parsed options that are no inputs: the dispatch and the output paths
+NON_INPUTS = {"command", "json", "handler", "export", "csv"}
+
+
 class TestEnvelopeOrder:
-    def test_success_inputs_in_parser_order(self, capsys, monkeypatch,
-                                            tmp_path):
-        """A success envelope lists its inputs in the order of vars(args),
-        the error envelope's order, so one argv prints one layout."""
+    # with output paths, which the result reports; and two refusals: the
+    # automaton closes at the golden base but the Perron route needs
+    # alpha <= 1/2, and the depth is over BOX_DEPTH_MAX
+    WITH_PATHS = [
+        ("intersect", "--alpha", CUBIC, "--t", "sum-neg-alpha",
+         "--export", "g.json", "--state-cap", "500"),
+        ("boxcount", "--alpha", "rat:2/5", "--t", "rat:0", "--depth", "6",
+         "--csv", "c.csv"),
+    ]
+    ERRORS = [
+        ("intersect", "--alpha", "alg:-1,1,1@[1/2,1]", "--t", "rat:0",
+         "--export", "g.json"),
+        ("boxcount", "--alpha", "rat:2/5", "--t", "rat:0", "--depth", "21",
+         "--csv", "c.csv"),
+    ]
+
+    def test_inputs_are_the_parsed_options(self, capsys, monkeypatch,
+                                           tmp_path):
+        """Every envelope, success or error, lists as inputs the parsed
+        options but the non-inputs, with their values and in the order of
+        vars(args), so one argv prints one layout."""
         monkeypatch.chdir(tmp_path)
         parser = _build_parser()
         firsts = {}
         for argv in SUBCOMMANDS:
             firsts.setdefault(argv[0], argv)
-        assert set(firsts) == set(_HANDLERS)
-        out_of_order = []
-        for name, argv in firsts.items():
+        assert set(firsts) == subcommand_names(parser)
+        cases = [(argv, "ok") for argv in [*firsts.values(), *self.WITH_PATHS]]
+        cases += [(argv, "error: ") for argv in self.ERRORS]
+        for argv, status in cases:
             _, payload = run_json(capsys, *argv)
-            assert payload["status"] == "ok"
-            order = [k for k in vars(parser.parse_args(["--json", *argv]))
-                     if k not in ("command", "json")]
-            keys = list(payload["inputs"])
-            if keys != sorted(keys, key=order.index):
-                out_of_order.append(name)
-        assert out_of_order == []
+            assert payload["status"].startswith(status), argv
+            parsed = vars(parser.parse_args(["--json", *argv]))
+            assert list(payload["inputs"].items()) == [
+                (k, v) for k, v in parsed.items() if k not in NON_INPUTS], argv
 
 
 class TestReproducible:

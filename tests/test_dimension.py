@@ -2304,7 +2304,7 @@ class TestInsideFloatRecipe:
         assert_inside_float_recipe(built_values)
 
     def test_verify_paper(self, built_values):
-        A.run_all(verbose=False)
+        A.run_all()
         assert_inside_float_recipe(built_values)
 
     def test_spectrum_bases(self, built_values):

@@ -4,8 +4,9 @@ name that nothing in the package references, no public top-level function
 or class that only the tests call, and no public class member that only
 the tests read.  All four catch code left behind when a second copy of
 something is deleted, or state that is written and never read.  No module
-imports one from a layer above its own, deferred imports included, and no
-float enters the bisection of a root bracket."""
+imports one from a layer above its own, deferred imports included, no
+float enters the bisection of a root bracket, and no certified clause of
+verify-paper compares floats within a tolerance."""
 
 import ast
 from collections import Counter
@@ -379,3 +380,73 @@ def test_libm_flow_check_sees_the_float_recipe():
         "    return DimensionValue(form, alpha, num[0], num[1])")
     assert "perron_dimension" in \
         {f.split(":")[0] for f in libm_flows(ast.parse(wrapped))}
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# the two estimates among verify-paper's clauses, by the name they read:
+# check 1's elapsed time and check 7's box-count slope
+ESTIMATE_CLAUSES = {("check_01_alpha_kl", "elapsed"),
+                    ("check_07_box_counting", "slope")}
+
+
+def _reads_float(node) -> bool:
+    """A float literal, a ``.decimal``, a ``float()`` or a ``math`` call."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Attribute) and node.attr == "decimal"
+            or isinstance(node, ast.Call) and _called_name(node) == "float"
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math")
+
+
+def float_tolerances(tree) -> list:
+    """``function:line`` of each ordering comparison in a top-level
+    function that reads a float (see :func:`_reads_float`), bar the
+    estimate clauses: a tolerance on floats, where a certified clause
+    compares exact enclosure ends or Fractions."""
+    out = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Compare)
+                    and any(isinstance(op, ORDERINGS) for op in node.ops)
+                    and any(map(_reads_float, ast.walk(node)))):
+                continue
+            if not any((fn.name, name) in ESTIMATE_CLAUSES
+                       for name in loaded_names(node)):
+                out.append(f"{fn.name}:{node.lineno}")
+    return out
+
+
+def test_no_float_tolerance_in_a_certified_clause():
+    tree = TREES["acceptance.py"]
+    assert float_tolerances(tree) == []
+    # each estimate clause is still there, and still reads a float
+    estimates = {(fn.name, name) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                 and any(map(_reads_float, ast.walk(node)))
+                 for name in loaded_names(node)}
+    assert ESTIMATE_CLAUSES <= estimates
+
+
+def test_float_tolerance_check_sees_the_old_clauses():
+    # checks 6 and 11 as they compared floats, beside the exact forms
+    tree = ast.parse(
+        "def check_06_example_52():\n"
+        "    a = abs(dv.decimal - independent) <= 1e-6\n"
+        "    b = Fraction(dv.lo) - slack <= independent\n"
+        "    c = rhs.hi < dv.lo\n"
+        "def check_11_sft_interval():\n"
+        "    d = abs(lo_v.decimal - full / 3) <= 1e-9\n"
+        "    e = v.lo <= full_hi / k\n"
+        "    f = [v.decimal for v in ds.values] == expected\n"
+        "    g = float(x) < hi\n"
+        "def check_07_box_counting():\n"
+        "    h = abs(rep1.slope - 0.644297) <= 0.08\n"
+        "    i = abs(rep1.width - 0.5) <= 0.08\n")
+    assert float_tolerances(tree) == [
+        "check_06_example_52:2", "check_11_sft_interval:6",
+        "check_11_sft_interval:9", "check_07_box_counting:12"]
