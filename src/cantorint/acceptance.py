@@ -255,7 +255,7 @@ def check_07_box_counting() -> AccResult:
     empty_ok = all(l == 0 and u == 0 for (_, l, u) in rep2.rows)
     ok = zeros_ok and slope_ok and empty_ok
     return AccResult("7", "box-counting oracle", bool(ok),
-                     f"slope={rep1.slope:.4f}")
+                     f"slope estimate={rep1.slope:.4f}")
 
 
 def check_08_dimension_spectra() -> AccResult:

@@ -55,13 +55,6 @@ def _depth_cap(default: int) -> int:
     return default
 
 
-def _parse_alpha(text: str):
-    try:
-        return parse_real(text)
-    except exactnum.ExactnumError as e:
-        raise CliError(str(e))
-
-
 def _parse_t(text: str, sys_: BaseSystem):
     """Translation values: a number format, or closed-form sugar."""
     # the worked examples live with the checks, which are not loaded on import
@@ -71,7 +64,7 @@ def _parse_t(text: str, sys_: BaseSystem):
     if text == "ex52":
         from .acceptance import ex52_translation
         return ex52_translation(sys_)
-    value = _parse_alpha(text)
+    value = parse_real(text)
     if isinstance(value, Fraction):
         return sys_.embed(value)
     raise CliError("translation must be rational or one of the named forms "
@@ -96,10 +89,10 @@ def _dim_payload(dv: dimension.DimensionValue) -> dict:
 
 def _cmd_expand(args):
     _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
     sys_ = BaseSystem(alpha, alphabet)
-    x = _parse_alpha(args.x)
+    x = parse_real(args.x)
     fn = expansions.greedy_expansion if args.algorithm == "greedy" \
         else expansions.quasi_greedy_expansion
     return {"digits": format_seq(fn(sys_, x, args.length))}
@@ -107,7 +100,7 @@ def _cmd_expand(args):
 
 def _cmd_delta(args):
     _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
     sys_ = BaseSystem(alpha, alphabet)
     word = expansions.delta(sys_, args.length)
@@ -117,7 +110,7 @@ def _cmd_delta(args):
 
 
 def _cmd_unique(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if isinstance(seq, FiniteWord):
@@ -156,7 +149,7 @@ def _cmd_alpha_kl(args):
 
 
 def _cmd_dset(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     ds = dimension.d_set(alpha, depth_cap=_depth_cap(4096))
     return {
         "kind": ds.kind.value,
@@ -175,7 +168,7 @@ def _cmd_dset(args):
 
 
 def _cmd_dim(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if isinstance(seq, FiniteWord):
@@ -193,7 +186,7 @@ def _cmd_dim(args):
 
 def _cmd_intersect(args):
     _check_bound("--state-cap", args.state_cap, STATE_CAP_MAX, "STATE_CAP_MAX")
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
     auto = expansions.build_expansion_automaton(
@@ -216,10 +209,11 @@ def _cmd_intersect(args):
     else:
         result["reason"] = (f"state cap {args.state_cap} hit before the "
                             "automaton closed; no dimension computed")
-        if isinstance(alpha, Fraction) and alpha.numerator > 1:
+        if sys_.ctx.c > 1:
             result["reason"] += (
-                f"; 1/alpha = {1 / alpha} is not an algebraic integer, so it "
-                "is not a Pisot number and no finite closure is guaranteed")
+                "; alpha's polynomial has the constant term "
+                f"{sys_.ctx.poly[0]}, so 1/alpha is not an algebraic integer, "
+                "not a Pisot number, and no finite closure is guaranteed")
     if args.export:
         with open(args.export, "w") as fh:
             json.dump(auto.to_json_dict(), fh, indent=1, sort_keys=False)
@@ -231,7 +225,7 @@ def _cmd_boxcount(args):
     _check_bound("--depth", args.depth, BOX_DEPTH_MAX, "BOX_DEPTH_MAX")
     _check_bound("--depth", args.depth, _depth_cap(BOX_DEPTH_MAX),
                  "CANTOR_DEPTH_CAP")
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
     rep = dimension.box_count_oracle(alpha, t, args.depth)
@@ -246,7 +240,7 @@ def _cmd_boxcount(args):
 
 
 def _cmd_selfsimilar(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     sys_ = BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if not isinstance(seq, EPSeq):
@@ -261,7 +255,7 @@ def _cmd_selfsimilar(args):
 
 
 def _cmd_dense_targets(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_real(args.alpha)
     targets = [Fraction(x) for x in args.targets.split(",")]
     tol = Fraction(args.tol)
     sys_ = BaseSystem(alpha, TERNARY)  # one system: the words, -ln alpha

@@ -25,8 +25,8 @@ the only float estimates.  Frequency values take a ``BaseSystem`` and
 divide by its cached -ln alpha, ``neg_log``.
 
 The graph algorithms behind these routes (trimming to states on an
-infinite path, reachability, strongly connected components, Karp's
-maximum cycle mean) live in :mod:`cantorint.graph`.
+infinite path, strongly connected components, Karp's maximum cycle
+mean) live in :mod:`cantorint.graph`.
 """
 
 from __future__ import annotations
@@ -291,9 +291,6 @@ class CountMatrix:
                 row[j] = a
         return tuple(tuple(row) for row in rows)
 
-    def row_sums(self):
-        return [sum(a for _, a in out) for out in self.succ]
-
     def power_estimate(self) -> list:
         """Positive int Perron vectors: ``(rows, v)`` for each strongly
         connected component A_c that carries a cycle, by the power iteration
@@ -451,9 +448,11 @@ class IntersectionGraph:
 
 def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
     """Relabel automaton edges by admissible {0,1} digit counts and trim to
-    states that are reachable and lie on infinite paths.  A difference
-    digit d in {-1,0,1} has #({0,1} intersect ({0,1}+d)) = 2 - |d| such
-    counts; any other alphabet is ``OutOfDomain``."""
+    the states that start an infinite path, which stay reachable, as a path
+    into one is live (:class:`ExpansionAutomaton` has the rest).  A
+    difference digit d in {-1,0,1} has #({0,1} intersect ({0,1}+d)) = 2 -
+    |d| counts, one per edge, as no two edges of a state share a target;
+    any other alphabet is ``OutOfDomain``."""
     if auto.alphabet != TERNARY:
         raise OutOfDomain("intersection graph needs an automaton over {-1,0,1}")
     if not auto.complete:
@@ -461,14 +460,9 @@ def build_intersection_graph(auto: ExpansionAutomaton) -> IntersectionGraph:
     live = graph.trim(auto.succ)
     if auto.initial is None or not live[auto.initial]:
         return IntersectionGraph(CountMatrix([]), empty=True)
-    keep = graph.reachable(live, auto.initial)
-    pos = {i: r for r, i in enumerate(keep)}
-    succ = []
-    for f in keep:
-        row: dict = {}
-        for (t, d) in live[f]:
-            row[pos[t]] = row.get(pos[t], 0) + 2 - abs(d)
-        succ.append(sorted(row.items()))
+    keep = [u for u, out in enumerate(live) if out]
+    pos = {u: r for r, u in enumerate(keep)}
+    succ = [sorted((pos[t], 2 - abs(d)) for t, d in live[u]) for u in keep]
     return IntersectionGraph(CountMatrix.from_successors(succ))
 
 
@@ -480,22 +474,21 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     The route holds for alpha <= 1/2; above, Gamma_alpha is an interval
     whose first-level cylinders overlap: ``OutOfDomain``.  An empty
     intersection yields dimension 0 flagged ``empty`` rather than an
-    error; any other graph is trimmed, so no row is zero.  It derives -ln
-    alpha as ``BaseSystem.neg_log`` does, once.
+    error; any other graph is trimmed, so no row is zero and rho >= 1, and
+    mu_hi = 1 proves lambda = 1: dimension exactly 0, countably many
+    expansions (each cycle weighs 1; ``_bisect`` collapses onto B = [1]'s
+    root).  It derives -ln alpha as ``BaseSystem.neg_log`` does, once.
     """
     if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
         raise OutOfDomain("Perron dimension needs alpha <= 1/2")
     if g.empty:
         return DimensionValue(DimForm.PERRON, 0.0, 0.0, empty=True)
     info = g.count_matrix.perron()
-    if max(g.count_matrix.row_sums()) == 1:
-        # every trimmed state has out-degree exactly one label: a single
-        # path, spectral radius exactly 1, dimension exactly 0
-        return DimensionValue(DimForm.PERRON, 0.0, 0.0, perron=info)
     mu_lo, mu_hi = info.mu_enclosure()
     if mu_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
-    # rho >= 1 on a trimmed graph, so ln rho = ln mu / h is >= 0
+    if mu_hi == 1:
+        return DimensionValue(DimForm.PERRON, 0.0, 0.0, perron=info)
     num = exactnum._log_interval(max(mu_lo, 1), mu_hi)
     return _dimension_value(DimForm.PERRON, exactnum._neg_log(alpha),
                             (num[0] / info.period, num[1] / info.period),

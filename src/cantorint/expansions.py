@@ -214,8 +214,8 @@ class _DeltaCache:
     when a remainder repeats.
 
     ``ep`` stays None, and nothing is searched, where delta is proved never
-    eventually periodic: for a rational base p/q with p >= 2 (below), and
-    for alpha_KL, as lambda is eventually periodic only if its bounded
+    eventually periodic: where 1/alpha is not an algebraic integer (below),
+    and for alpha_KL, as lambda is eventually periodic only if its bounded
     partial sums tau are, and Thue-Morse is not.  For other bases a
     repeated remainder reveals the period.
     """
@@ -240,15 +240,14 @@ class _DeltaCache:
             raise OutOfDomain("quasi-greedy expansion of 1 needs "
                               "alpha >= 1/(M+1)")
         self._loop = _digit_loop(sys, ctx.state(1), strict=True)
-        # Rational alpha = p/q with p >= 2: by _digit_loop the remainder
-        # after k digits is N_k / p^k with N_0 = 1, and N_(k+1) = q N_k - d
-        # p^(k+1) is q N_k mod p.  As gcd(q, p) = 1, no N_k shares a factor
-        # with p, so the remainders have the distinct reduced denominators
-        # p^k and never repeat.  A remainder is the value of the tail after
-        # it, so no two tails of delta are equal: delta is never eventually
-        # periodic.  Only other bases look for a repeat, keyed as
-        # _digit_loop yields them (N_k, or the state of the remainder).
-        self._aperiodic = ctx.degree == 1 and -ctx.poly[0] >= 2
+        # An eventually periodic delta, 1 = sum d_i alpha^i with m digits
+        # before a period of p, times beta^m (beta^p - 1), beta = 1/alpha,
+        # is a monic integer equation of degree m + p: beta is an algebraic
+        # integer, which it is iff alpha's irreducible polynomial has the
+        # constant term +-1, ctx.c = 1.  Only such bases look for a
+        # repeated remainder, keyed as _digit_loop yields them (N_k, or
+        # the state of the remainder).
+        self._aperiodic = ctx.c > 1
         self._seen = None if self._aperiodic else \
             {1 if ctx.degree == 1 else ctx.state(1): 0}
 
@@ -382,9 +381,9 @@ def delta_seq(sys: BaseSystem) -> LazySeq:
 def try_ep_form(sys: BaseSystem, depth_cap: int = 2048) -> Optional[EPSeq]:
     """Eventually periodic form of delta, over sys.alphabet, or None.
 
-    None is proved for a rational base p/q with p >= 2, where delta is never
-    eventually periodic, and for alpha_KL; for other bases it means that no
-    remainder repeats within the cap."""
+    None is proved where 1/alpha is not an algebraic integer, as delta is
+    then never eventually periodic, and for alpha_KL; for other bases it
+    means that no remainder repeats within the cap."""
     ep = sys.delta_cache().ep_form(depth_cap)
     if ep is None:
         return None
@@ -530,7 +529,9 @@ class ExpansionAutomaton:
     States are exact Q(alpha) elements in [low*u, high*u] for
     u = alpha/(1-alpha); ``succ[s]`` holds a pair (s', d) for each digit d
     with s' = s/alpha - d in that interval.  Infinite paths from the initial
-    state spell exactly the expansions of t.
+    state spell exactly the expansions of t.  The closure is breadth-first
+    from ``initial``, so each state is reachable, and the children of a state
+    are distinct canonical states: one digit per edge, one edge per target.
     """
 
     states: list

@@ -78,8 +78,30 @@ class TestSubcommands:
         res = payload["result"]
         assert res["states"] == 2000 and not res["complete"]
         assert "state cap 2000" in res["reason"]
-        assert "1/alpha = 5/2 is not an algebraic integer" in res["reason"]
+        assert "constant term -2, so 1/alpha is not an algebraic integer" \
+            in res["reason"]
         assert "dimension" not in res
+
+    @pytest.mark.parametrize("alpha", ["alg:-2,5@[0,1]",
+                                       "alg:-2,4,1@[2/5,1/2]"],
+                             ids=["two-fifths", "sqrt6-2"])
+    def test_capped_reason_for_every_base(self, capsys, alpha):
+        # the constant term -2 makes 1/alpha no algebraic integer, whether
+        # alpha is written as a rational or not
+        code, payload = run_json(capsys, "intersect", "--alpha", alpha,
+                                 "--t", "rat:1/7", "--state-cap", "2000")
+        res = payload["result"]
+        assert code == 0 and not res["complete"]
+        assert "constant term -2, so 1/alpha is not an algebraic integer" \
+            in res["reason"]
+
+    def test_intersect_radius_one_is_exactly_zero(self, capsys):
+        # lambda = 1 with a row of count 2: the dimension is exactly 0
+        code, payload = run_json(capsys, "intersect", "--alpha", "rat:2/5",
+                                 "--t", "rat:4/35")
+        dim = payload["result"]["dimension"]
+        assert code == 0 and payload["result"]["lambda"]["decimal"] == "1.0"
+        assert dim["decimal"] == "0.0" and dim["enclosure"] == ["0.0", "0.0"]
 
     def test_capped_reason_for_integer_reciprocal(self, capsys):
         # 1/alpha = 3 is a Pisot number; only the cap stopped the closure

@@ -5,6 +5,7 @@ import math
 import random
 from bisect import insort
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -447,7 +448,7 @@ class TestPerron:
             stripped = cp[next(i for i, c in enumerate(cp) if c):]
             repeated += len(X.sturm_chain(stripped)[-1]) > 1
             got = reference_char_poly_root(cm)
-            want = two_pass(stripped, F(max(cm.row_sums()) + 1))
+            want = two_pass(stripped, F(max(map(sum, m)) + 1))
             assert got.coeffs == want.coeffs
             assert got.refine(F(1, 10**12)) == want.refine(F(1, 10**12))
         assert repeated >= 10
@@ -931,7 +932,8 @@ def reference_char_poly_root(cm):
     size took the cyclic classes, for a matrix with a cycle."""
     cp = char_poly(cm.succ)
     k = next(i for i, c in enumerate(cp) if c)
-    root = X.isolate_largest_root(cp[k:], F(0), F(max(cm.row_sums()) + 1))
+    top = max(sum(a for _, a in out) for out in cm.succ)
+    root = X.isolate_largest_root(cp[k:], F(0), F(top + 1))
     root.refine(F(1, 10**12))
     return root
 
@@ -1266,7 +1268,6 @@ class TestCountMatrix:
         cm = CountMatrix(m)
         assert cm.succ == [[(1, 2)], [(0, 1), (2, 3)], []]
         assert cm.entries == m and cm.n == 3
-        assert cm.row_sums() == [2, 4, 0]
         assert CountMatrix.from_successors(cm.succ).entries == m
         assert CountMatrix([]).entries == () and CountMatrix([]).succ == []
 
@@ -1301,9 +1302,8 @@ class TestCountMatrix:
                 E.build_expansion_automaton(sys, t))
             cm = g.count_matrix
             assert cm.succ == G.successors(cm.entries)
-            assert cm.row_sums() == [sum(r) for r in cm.entries]
             # trimmed: no zero row, so perron_dimension tests g.empty alone
-            assert not g.empty and min(cm.row_sums()) >= 1
+            assert not g.empty and min(map(sum, cm.entries)) >= 1
 
 
 class TestIntersectionGraph:
@@ -1344,6 +1344,38 @@ class TestIntersectionGraph:
         g = build_intersection_graph(auto)
         dv = perron_dimension(g, F(2, 5))
         assert dv.empty and dv.decimal == 0.0
+
+    @pytest.mark.parametrize("text", ["alg:-1,2,1@[2/5,1/2]", "rat:2/5"])
+    def test_radius_one_is_exactly_zero(self, text):
+        # shifts pre (per)^inf: lambda = 1 exactly where every cycle of the
+        # graph is its component's only one, of weight 1 (then the
+        # dimension is 0.0 on both ends), and lambda > 1 otherwise
+        alpha = X.parse_real(text)
+        sys = BaseSystem(alpha, TERNARY)
+        branching = 0
+        for k in range(4):
+            for pre in product("+-0", repeat=k):
+                for per in ("+", "-", "+-", "0"):
+                    seq = W.parse_seq("".join(pre) + f"({per})")
+                    auto = E.build_expansion_automaton(
+                        sys, E.seq_value(sys, seq), state_cap=3000)
+                    if not auto.complete:
+                        continue
+                    g = build_intersection_graph(auto)
+                    if g.empty:
+                        continue
+                    succ = g.count_matrix.succ
+                    one = all(
+                        [a for v, a in succ[u] if v in c] == [1]
+                        for c in map(set, G.sccs(succ)) for u in c
+                        if any(v in c for v, _ in succ[u]))
+                    dv = perron_dimension(g, alpha)
+                    if one:
+                        assert (dv.lo, dv.hi) == (0.0, 0.0)
+                        branching += max(map(sum, g.count_matrix.entries)) > 1
+                    else:
+                        assert dv.lo > 0
+        assert branching > 0
 
 
     # sqrt(2) - 1: over {0,1} the graph was empty (dimension 0), over

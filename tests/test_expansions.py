@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import islice, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -81,12 +83,12 @@ def fresh_membership(alpha, x):
 
 def has_unique_infinite_path(auto) -> bool:
     """Whether a closed automaton spells one infinite path: every live
-    state reachable from the initial one has one live successor."""
+    state, each reachable from the initial one, has one live successor."""
     assert auto.complete
     live = G.trim(auto.succ)
     if auto.initial is None or not live[auto.initial]:
         return False
-    return all(len(live[i]) == 1 for i in G.reachable(live, auto.initial))
+    return all(len(out) <= 1 for out in live)
 
 
 class TestGreedy:
@@ -325,7 +327,9 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS)
     def test_no_periodicity_search_for_p_at_least_2(self, alphabet):
         M = alphabet.size - 1
-        for a in seeded_bases(random.Random(700 + M), M, 6) + [F(2, 3)]:
+        # sqrt(3) - 1 has the constant term -2, as a rational p/q has -p
+        for a in seeded_bases(random.Random(700 + M), M, 6) + [
+                F(2, 3), X.parse_real("alg:-2,2,1@[1/2,1]")]:
             sys = BaseSystem(a, alphabet)
             assert E.try_ep_form(sys) is None
             assert len(sys.delta_cache().digits) == 0
@@ -712,7 +716,57 @@ class TestForbiddenZeroRun:
             is UniqStatus.NOT_UNIQUE
 
 
+INTERSECT_POOL_BASES = sorted(
+    {e["base"] for v in json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench"
+         / "reference.json").read_text())["intersect"].values()
+     if isinstance(v, list) for e in v if isinstance(e, dict)})
+
+
+def seeded_automata(text, count=12, cap=400):
+    """Automata of ``count`` seeded shifts at a base: rationals in
+    [-2/5, 2/5], inside [-u, u] from alpha = 3/10 up, and 0."""
+    sys = BaseSystem(X.parse_real(text), TERNARY)
+    rng = random.Random(text)
+    shifts = [F(0)]
+    for _ in range(count - 1):
+        q = rng.randrange(1, 30)
+        shifts.append(F(rng.randrange(-q, q + 1), q) * F(2, 5))
+    return [E.build_expansion_automaton(sys, t, state_cap=cap)
+            for t in shifts]
+
+
 class TestAutomaton:
+    @pytest.mark.parametrize("text", INTERSECT_POOL_BASES + ["rat:3/10"])
+    def test_every_state_reachable_one_edge_per_target(self, text):
+        # the closure is breadth-first from the initial state, and the
+        # children of a state are distinct canonical states
+        for auto in seeded_automata(text):
+            seen, todo = {auto.initial}, [auto.initial]
+            for u in todo:  # grows while it is walked
+                for v, _ in auto.succ[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            assert len(seen) == len(auto.states)
+            assert all(len({v for v, _ in out}) == len(out)
+                       for out in auto.succ)
+
+    def test_trim_removes_nothing_from_one_third(self):
+        # every state s in [-u, u] has a child once u >= 1/2, alpha >= 1/3:
+        # every pool base is; below 1/3 the trim does remove states
+        closed = 0
+        for text in INTERSECT_POOL_BASES:
+            assert X.compare(X.parse_real(text), F(1, 3)) is not \
+                X.Comparison.LESS
+            for auto in seeded_automata(text):
+                if auto.complete and auto.initial is not None:
+                    assert G.trim(auto.succ) == auto.succ
+                    closed += 1
+        assert closed >= 40
+        assert any(G.trim(auto.succ) != auto.succ
+                   for auto in seeded_automata("rat:3/10"))
+
     def test_example51_structure(self):
         sys = cubic_base()
         ctx = sys.ctx

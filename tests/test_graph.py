@@ -70,14 +70,6 @@ def test_trim_matches_fixpoint():
             for u, out in enumerate(succ)]
 
 
-def test_reachable_matches_closure():
-    for succ in random_graphs():
-        reach = closure(succ)
-        for s in range(len(succ)):
-            assert graph.reachable(succ, s) == \
-                [v for v in range(len(succ)) if reach[s][v]]
-
-
 def test_sccs_are_mutual_reachability_classes():
     for succ in random_graphs():
         n = len(succ)
