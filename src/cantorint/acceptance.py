@@ -206,8 +206,15 @@ def check_06_example_52() -> AccResult:
     t = ex52_translation(sys)
     auto = expansions.build_expansion_automaton(sys, t)
     blocks = {(0, -1, -1), (-1, 1, 0)}
-    lang_ok = auto.complete and auto.path_words(3) == blocks
-    count_ok = all(auto.path_count(3 * k) == 2**k for k in range(1, 7))
+    # each word is one path: walk (word, end state) pairs to length 18
+    walk = [((), auto.initial)] if auto.initial is not None else []
+    counts = []
+    for n in range(1, 19):
+        walk = [(w + (d,), j) for w, i in walk for j, d in auto.succ[i]]
+        counts.append(len(walk))
+        if n == 3:
+            lang_ok = auto.complete and {w for w, _ in walk} == blocks
+    count_ok = counts[2::3] == [2**k for k in range(1, 7)]
     g = dimension.build_intersection_graph(auto)
     info = g.count_matrix.perron()
     # lambda^3 = 4 exactly: x^3 - 4 divides the characteristic polynomial
@@ -324,12 +331,9 @@ def _approximants_ok(lw) -> bool:
     |x - p_k/q_k| q_k^k <= 1."""
     q = lw.pq.denominator
     xl, xh = lw.x_enclosure
-    ok = True
-    for k, approx in enumerate(lw.approximants, 1):
-        qk = approx.denominator
-        ok = ok and qk <= q**(lw.block_boundary(k) + 3)
-        ok = ok and max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
-    return ok
+    return all(a.denominator <= q**(m_k + 3)
+               and max(abs(xl - a), abs(xh - a)) * a.denominator**k <= 1
+               for k, (a, m_k) in enumerate(zip(lw.approximants, lw.m), 1))
 
 
 def check_10_liouville() -> AccResult:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import dimension, exactnum, expansions, thuemorse, words
 from .dimension import BOX_DEPTH_MAX
-from .exactnum import QAlphaElement, decimal_string, format_real, parse_real
+from .exactnum import decimal_string, format_real, parse_fraction, parse_real
 from .expansions import BaseSystem
 from .words import TERNARY, Alphabet, EPSeq, FiniteWord, format_seq, parse_seq
 
@@ -33,7 +33,8 @@ class CliError(Exception):
 TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
 AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 0.1 s at 1e-40
-STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3
+STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3;
+# the cap admits sqrt2-1's 6824 (7.3 s, 1.09 GB), 17104 (Karp 19 s, 2.3 GB)
 # --alphabet size: on an algebraic base expand and delta filter every digit
 # at each step; expand --length 5000 on a cubic base takes 0.26 s at 0:64
 # (CLI, best of 3, 2-core Xeon); a rational base takes one floor division
@@ -69,13 +70,6 @@ def _parse_t(text: str, sys_: BaseSystem):
         return sys_.embed(value)
     raise CliError("translation must be rational or one of the named forms "
                    "(sum-neg-alpha, ex52)")
-
-
-def _num_payload(x) -> dict:
-    if isinstance(x, QAlphaElement):
-        return {"exact": ",".join(str(c) for c in x.coeffs),
-                "decimal": decimal_string(x)}
-    return {"exact": format_real(x), "decimal": decimal_string(x)}
 
 
 def _dim_payload(dv: dimension.DimensionValue) -> dict:
@@ -139,7 +133,7 @@ def _cmd_tm(args):
 
 
 def _cmd_alpha_kl(args):
-    width = Fraction(args.width)
+    width = parse_fraction(args.width)
     if 0 < width < AKL_WIDTH_MIN:
         raise CliError(f"--width {args.width} is under the bound "
                        f"AKL_WIDTH_MIN = {float(AKL_WIDTH_MIN):g}")
@@ -191,8 +185,8 @@ def _cmd_intersect(args):
     t = _parse_t(args.t, sys_)
     auto = expansions.build_expansion_automaton(
         sys_, t, state_cap=args.state_cap)
-    result = {"states": len(auto.states), "complete": auto.complete,
-              "t": _num_payload(t)}
+    result = {"states": len(auto.states), "complete": auto.complete, "t": {
+        "exact": ",".join(map(str, t.coeffs)), "decimal": decimal_string(t)}}
     if args.export:
         result["exported"] = args.export  # written once the answer stands
     if auto.complete:
@@ -256,8 +250,8 @@ def _cmd_selfsimilar(args):
 
 def _cmd_dense_targets(args):
     alpha = parse_real(args.alpha)
-    targets = [Fraction(x) for x in args.targets.split(",")]
-    tol = Fraction(args.tol)
+    targets = [parse_fraction(x) for x in args.targets.split(",")]
+    tol = parse_fraction(args.tol)
     sys_ = BaseSystem(alpha, TERNARY)  # one system: the words, -ln alpha
     seqs = dimension.dense_words(sys_, targets, tol)
     rows = []
@@ -271,7 +265,7 @@ def _cmd_dense_targets(args):
 
 
 def _cmd_liouville(args):
-    pq = Fraction(args.pq)
+    pq = parse_fraction(args.pq)
     lw = dimension.liouville_witness(pq, args.k,
                                      free_digit_rule=args.free_rule)
     approx = [{"p": a.numerator, "q": a.denominator,

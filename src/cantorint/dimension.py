@@ -79,18 +79,12 @@ class ClassProductTooLarge(DimensionError):
 # dimension values
 # ---------------------------------------------------------------------------
 
-class DimForm(Enum):
-    FREQUENCY = "frequency"
-    PERRON = "perron"
-
-
 @dataclass(frozen=True)
 class DimensionValue:
-    """An exact dimension expression together with a decimal rendering,
-    the midpoint of the float interval ``(lo, hi)`` that holds the
-    dimension (built by :func:`_dimension_value`)."""
+    """A dimension: the frequency formula if ``freq`` is set, else the log
+    of ``perron``'s root, rendered as the midpoint of the float interval
+    ``(lo, hi)`` that holds it (built by :func:`_dimension_value`)."""
 
-    form: DimForm
     lo: float
     hi: float
     freq: Optional[Fraction] = None
@@ -104,7 +98,7 @@ class DimensionValue:
     def exact_str(self) -> str:
         if self.empty:
             return "0 (empty intersection)"
-        if self.form is DimForm.FREQUENCY:
+        if self.freq is not None:
             return f"({self.freq}) * log(2)/(-log(alpha))"
         return "log(lambda)/(-log(alpha)), lambda = " + self.perron.exact_str()
 
@@ -127,13 +121,13 @@ def _outward_quotient(a: Fraction, b: Fraction, up: bool) -> float:
 _LN2 = exactnum.log_enclosure(2)
 
 
-def _dimension_value(form, neg_log, num, **fields) -> DimensionValue:
+def _dimension_value(neg_log, num, **fields) -> DimensionValue:
     """The value whose (lo, hi) holds num / (-ln alpha), for Fraction
     intervals ``num`` >= 0 and ``neg_log`` > 0: the two intervals divide
     exactly, and each end is rounded outward to a float once."""
     lo = _outward_quotient(num[0], neg_log[1], False)
     hi = _outward_quotient(num[1], neg_log[0], True)
-    return DimensionValue(form, lo, hi, **fields)
+    return DimensionValue(lo, hi, **fields)
 
 
 def dim_from_frequency(sys: BaseSystem,
@@ -147,8 +141,7 @@ def dim_from_frequency(sys: BaseSystem,
     f = freq.value if isinstance(freq, FreqReport) else Fraction(freq)
     if not 0 <= f <= 1:
         raise ValueError("zero frequency must lie in [0, 1]")
-    return _dimension_value(DimForm.FREQUENCY, sys.neg_log,
-                            (f * _LN2[0], f * _LN2[1]), freq=f)
+    return _dimension_value(sys.neg_log, (f * _LN2[0], f * _LN2[1]), freq=f)
 
 
 def full_dimension(sys: BaseSystem) -> DimensionValue:
@@ -482,15 +475,15 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
         raise OutOfDomain("Perron dimension needs alpha <= 1/2")
     if g.empty:
-        return DimensionValue(DimForm.PERRON, 0.0, 0.0, empty=True)
+        return DimensionValue(0.0, 0.0, empty=True)
     info = g.count_matrix.perron()
     mu_lo, mu_hi = info.mu_enclosure()
     if mu_hi < 1:
         raise VerificationFailed("trimmed matrix must have spectral radius >= 1")
     if mu_hi == 1:
-        return DimensionValue(DimForm.PERRON, 0.0, 0.0, perron=info)
+        return DimensionValue(0.0, 0.0, perron=info)
     num = exactnum._log_interval(max(mu_lo, 1), mu_hi)
-    return _dimension_value(DimForm.PERRON, exactnum._neg_log(alpha),
+    return _dimension_value(exactnum._neg_log(alpha),
                             (num[0] / info.period, num[1] / info.period),
                             perron=info)
 
@@ -522,7 +515,7 @@ def freq_upper_bound_over_expansions(auto: ExpansionAutomaton) -> Fraction:
 
 _BOX_BITS = 64  # the walk's intervals are ints times 2^-64
 _BOX_WIDTH = Fraction(1, 2**80)  # of the enclosures of alpha and t
-BOX_DEPTH_MAX = 20  # 2/5 with t = 0 keeps all 2^20 cells in 16 s
+BOX_DEPTH_MAX = 20  # 2/5, t = 0 keeps all 2^20 cells: 10-12 s (2-core Xeon)
 
 
 def _lsq_slope(xs: list, ys: list) -> float:
@@ -726,7 +719,7 @@ def dense_words(sys: BaseSystem, targets: Sequence, tol) -> list:
     self-similarity criterion.  Only valid in the full-interval regime,
     alpha in (1/3, (3-sqrt(5))/2].  The word for a target near 1 has about
     2/tol zeros; a ``DimensionError`` stops before building one longer than
-    ``FAMILY_WORD_MAX`` digits."""
+    ``FAMILY_WORD_MAX`` digits.  Targets and ``tol`` are taken exactly."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -736,8 +729,7 @@ def dense_words(sys: BaseSystem, targets: Sequence, tol) -> list:
     out = []
     n2_cap = int(4 / tol) + 4
     for target in targets:
-        a = Fraction(target) if not isinstance(target, float) \
-            else Fraction(target).limit_denominator(10**6)
+        a = Fraction(target)
         if not 0 <= a <= 1:
             raise ValueError("targets must lie in [0, 1]")
         found = _family_counts(a, tol, n2_cap)
@@ -765,14 +757,11 @@ def dense_words(sys: BaseSystem, targets: Sequence, tol) -> list:
 class LiouvilleWitness:
     pq: Fraction
     nk: list  # n_1 .. n_(K+1)
+    m: list  # m_k = 2(n_1+..+n_k) + k, the k-th separating zero, k <= K+1
     approximants: list  # Fractions p_k/q_k for k = 1..K
     x_enclosure: tuple  # rational interval certified to contain x
     x: exactnum.SeriesReal
     t_seq: LazySeq
-
-    def block_boundary(self, k: int) -> int:
-        """Index of the k-th separating zero: m_k = 2(n_1+..+n_k) + k."""
-        return 2 * sum(self.nk[:k]) + k
 
 
 def _liouville_min_next(p: int, q: int, nk: list) -> int:
@@ -911,7 +900,7 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
         if x_lo <= approx <= x_hi:
             raise VerificationFailed(f"x's enclosure holds p_{k}/q_{k}")
 
-    return LiouvilleWitness(pq, nk, approximants, (x_lo, x_hi), x, t_seq)
+    return LiouvilleWitness(pq, nk, m, approximants, (x_lo, x_hi), x, t_seq)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ _NEWTON_STEPS = 64  # the most steps _newton takes
 _NEWTON_GUARD = 16  # bits its estimate carries below _bisect's grid
 _DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
 FIELDS_MAX = 64  # the most field contexts, and checked roots, a process keeps
+NUMBER_DIGITS_MAX = 4000  # under Python's 4300-digit int-to-str limit
 
 
 class ExactnumError(Exception):
@@ -82,6 +83,10 @@ class NonIsolatingInterval(ExactnumError):
 
 class UndecidedComparison(ExactnumError):
     """An algorithm needed a sign that could not be certified."""
+
+
+class NumberTooLarge(ExactnumError):
+    """Number text past ``NUMBER_DIGITS_MAX``, refused before parsing."""
 
 
 class Comparison(Enum):
@@ -1199,6 +1204,18 @@ class QAlphaElement:
 _ALG_RE = re.compile(r"^alg:(?P<coeffs>[^@]+)@\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\]$")
 
 
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused first when its digits plus its exponent
+    E pass ``NUMBER_DIGITS_MAX``, as Fraction builds 10^|E| unchecked."""
+    exp = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
+    size = sum(map(str.isdecimal, text))  # an E of 5+ digits is >= 10**4
+    size += min(int(exp[:5]), NUMBER_DIGITS_MAX) if exp.isdecimal() else 0
+    if size > NUMBER_DIGITS_MAX:
+        raise NumberTooLarge(f"number {text!r} needs more digits than the "
+                             f"bound NUMBER_DIGITS_MAX = {NUMBER_DIGITS_MAX}")
+    return Fraction(text)
+
+
 def parse_real(text: str) -> RealNumber:
     """Parse ``rat:p/q``, ``alg:c0,...,ck@[lo,hi]``, a bare rational, or
     ``akl``: the ``thuemorse.alpha_kl_real()`` singleton itself, which
@@ -1208,16 +1225,16 @@ def parse_real(text: str) -> RealNumber:
         from . import thuemorse  # deferred: thuemorse builds on this module
         return thuemorse.alpha_kl_real()
     if text.startswith("rat:"):
-        return Fraction(text[4:])
+        return parse_fraction(text[4:])
     m = _ALG_RE.match(text)
     if m:
         coeffs = [int(c) for c in m.group("coeffs").split(",")]
-        lo = Fraction(m.group("lo"))
-        hi = Fraction(m.group("hi"))
+        lo = parse_fraction(m.group("lo"))
+        hi = parse_fraction(m.group("hi"))
         return AlgebraicReal(coeffs, lo, hi)  # raises NonIsolatingInterval
     # bare rational literal as a convenience
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except ValueError:
         raise ExactnumError(f"cannot parse real number {text!r}") from None
 

@@ -92,8 +92,6 @@ class BaseSystem:
     """
 
     def __init__(self, alpha, alphabet: Alphabet = TERNARY):
-        if isinstance(alpha, int):
-            alpha = Fraction(alpha)
         if compare(alpha, Fraction(0)) is not Comparison.GREATER or \
                 compare(alpha, Fraction(1)) is not Comparison.LESS:
             raise OutOfDomain("base must lie strictly between 0 and 1")
@@ -531,7 +529,8 @@ class ExpansionAutomaton:
     with s' = s/alpha - d in that interval.  Infinite paths from the initial
     state spell exactly the expansions of t.  The closure is breadth-first
     from ``initial``, so each state is reachable, and the children of a state
-    are distinct canonical states: one digit per edge, one edge per target.
+    are distinct canonical states: one digit per edge, one edge per target,
+    so each digit word from ``initial`` is one path (check 6 walks them).
     """
 
     states: list
@@ -544,36 +543,6 @@ class ExpansionAutomaton:
     def edges(self) -> list:
         """(from, digit, to) triples, by source state, then by digit."""
         return [(i, d, j) for i, out in enumerate(self.succ) for j, d in out]
-
-    def path_count(self, length: int) -> int:
-        """Number of digit words of the given length spelled from the
-        initial state."""
-        if self.initial is None:
-            return 0
-        counts = {self.initial: 1}
-        for _ in range(length):
-            nxt: dict = {}
-            for i, c in counts.items():
-                for (t, _) in self.succ[i]:
-                    nxt[t] = nxt.get(t, 0) + c
-            counts = nxt
-        return sum(counts.values())
-
-    def path_words(self, length: int) -> set:
-        """All digit words of the given length from the initial state."""
-        if self.initial is None:
-            return set()
-        out: set = set()
-
-        def rec(i, prefix):
-            if len(prefix) == length:
-                out.add(tuple(prefix))
-                return
-            for (t, d) in self.succ[i]:
-                rec(t, prefix + [d])
-
-        rec(self.initial, [])
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -85,7 +85,7 @@ def test_criterion_10_exact_clauses():
     for k in (1, 2, 3):
         approx = lw.approximants[k - 1]
         qk = approx.denominator
-        assert qk <= 5 ** (lw.block_boundary(k) + 3)
+        assert qk <= 5 ** (lw.m[k - 1] + 3)
         assert max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
 
 

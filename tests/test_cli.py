@@ -745,3 +745,28 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait() == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+class TestHugeNumbers:
+    """Number text whose exponent would make Fraction build 10^E with
+    millions of digits is refused before it is parsed: each command exits
+    1 at once and names the bound, where it hung or failed only after
+    building the automaton."""
+
+    @pytest.mark.parametrize("argv", [
+        ("alpha-kl", "--width", "1e-99999999"),
+        ("dense-targets", "--alpha", "rat:19/50", "--targets", "0",
+         "--tol", "1e-99999999"),
+        ("intersect", "--alpha", "rat:2/5", "--t", "1e-30000"),
+    ])
+    def test_refused_within_timeout(self, argv):
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cantorint.cli", "--json", *argv],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 1, proc.stderr
+        status = json.loads(proc.stdout)["status"]
+        assert status.startswith("error: ")
+        assert "NUMBER_DIGITS_MAX = 4000" in status

@@ -20,7 +20,6 @@ from cantorint import thuemorse as T
 from cantorint import words as W
 from cantorint.dimension import (
     CountMatrix,
-    DimForm,
     DSetKind,
     SelfSimilarStatus,
     box_count_oracle,
@@ -2001,11 +2000,13 @@ class TestLiouville:
 
     def test_witness_inequalities(self):
         lw = liouville_witness(F(2, 5), 2)
+        # m_k = 2(n_1+..+n_k) + k, the k-th separating zero, for k <= K + 1
+        assert lw.m == [2 * sum(lw.nk[:k]) + k for k in (1, 2, 3)]
         xl, xh = lw.x_enclosure
         for k in (1, 2):
             approx = lw.approximants[k - 1]
             qk = approx.denominator
-            assert qk <= 5 ** (lw.block_boundary(k) + 3)
+            assert qk <= 5 ** (lw.m[k - 1] + 3)
             assert max(abs(xl - approx), abs(xh - approx)) * qk**k <= 1
             # the approximant never equals x: the stored enclosure separates
             assert not (xl <= approx <= xh)
@@ -2041,8 +2042,7 @@ class TestLiouville:
         # m_(k+1) + 1, so they lie at least gap(k) apart; the enclosure,
         # at most pq^(m_(K+1) + 63) wide, keeps that gap from both its ends
         def gap(lw, k):
-            return pq ** (lw.block_boundary(k + 1) + 1) * (1 - 2 * pq) \
-                / (1 - pq)
+            return pq ** (lw.m[k] + 1) * (1 - 2 * pq) / (1 - pq)
 
         admitted = 0
         for K in range(1, 6):
@@ -2054,7 +2054,7 @@ class TestLiouville:
             admitted = K
             for lw in witnesses:
                 xl, xh = lw.x_enclosure
-                assert xh - xl <= pq ** (lw.block_boundary(K + 1) + 63)
+                assert xh - xl <= pq ** (lw.m[K] + 63)
                 for k, approx in enumerate(lw.approximants, 1):
                     assert not (xl <= approx <= xh)
                     assert min(abs(xl - approx), abs(xh - approx)) >= \
@@ -2254,7 +2254,7 @@ def float_recipe(dv, alpha):
     """(lo, hi) as libm's widened logs and quotients rounded to nearest
     gave it for the same exact ingredients."""
     la, lb = _libm_log_interval(*X.enclosure(alpha, F(1, 10**20)))
-    if dv.form is DimForm.FREQUENCY:
+    if dv.freq is not None:
         l2 = math.log(2)
         num = (float(dv.freq) * math.nextafter(l2, 0),
                float(dv.freq) * math.nextafter(l2, 2))
@@ -2283,8 +2283,8 @@ def built_values(monkeypatch):
         bases[out] = alpha
         return out
 
-    def dimension_value(form, neg_log, num, **fields):
-        dv = real_value(form, neg_log, num, **fields)
+    def dimension_value(neg_log, num, **fields):
+        dv = real_value(neg_log, num, **fields)
         built[-1] = (dv, bases[neg_log])
         return dv
 

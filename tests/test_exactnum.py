@@ -330,6 +330,23 @@ class TestParsing:
         with pytest.raises(X.ExactnumError):
             parse_real("definitely-not-a-number")
 
+    def test_digit_bound(self):
+        # the text's digits, the exponent's too, plus |E|: 1e-3995 is at
+        # the bound, and every path from text to a Fraction is checked
+        assert X.parse_fraction("1e-3995") == F(1, 10**3995)
+        assert X.parse_fraction("-2_5e+0_3") == -25_000
+        for text in ("1e-3996", "1E99999999", "12e3995", "1" * 4001,
+                     "1e" + "9" * 5000):
+            with pytest.raises(X.NumberTooLarge,
+                               match="NUMBER_DIGITS_MAX = 4000"):
+                X.parse_fraction(text)
+        for text in ("rat:1e-3996", "1e-3996", "alg:-1,2,1@[1e-3996,1/2]"):
+            with pytest.raises(X.NumberTooLarge):
+                parse_real(text)
+        # text Fraction would refuse keeps Fraction's own error
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            X.parse_fraction("1e5x")
+
 
 class TestPolynomials:
     def test_sturm_counts(self):

@@ -450,3 +450,29 @@ def test_float_tolerance_check_sees_the_old_clauses():
     assert float_tolerances(tree) == [
         "check_06_example_52:2", "check_11_sft_interval:6",
         "check_11_sft_interval:9", "check_07_box_counting:12"]
+
+
+def fractions_of_names(tree) -> list:
+    """Line of each ``Fraction(...)`` call with a name in its arguments.
+    Number text reaches a Fraction through ``exactnum.parse_fraction``,
+    which bounds its digits before Fraction can build 10^E."""
+    return sorted(node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "Fraction"
+            and any(isinstance(n, (ast.Name, ast.Attribute))
+                    for arg in node.args + [k.value for k in node.keywords]
+                    for n in ast.walk(arg)))
+
+
+def test_cli_parses_no_number_text_with_fraction():
+    assert fractions_of_names(TREES["cli.py"]) == []
+
+
+def test_fraction_check_sees_option_text():
+    tree = ast.parse(
+        "LIMIT = Fraction(1, 10**40)\n"
+        "def handler(args):\n"
+        "    width = Fraction(args.width)\n"
+        "    ts = [Fraction(x) for x in args.targets.split(',')]\n"
+        "    tol = fractions.Fraction(numerator=args.tol)\n"
+        "    return parse_fraction(args.pq), width, ts, tol\n")
+    assert fractions_of_names(tree) == [3, 4, 5]
