@@ -32,7 +32,7 @@ class CliError(Exception):
 # size limits, checked before anything is allocated
 TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
-AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 0.1 s at 1e-40
+AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 2 ms at 1e-40
 STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3;
 # the cap admits sqrt2-1's 6824 (7.3 s, 1.09 GB), 17104 (Karp 19 s, 2.3 GB)
 # --alphabet size: on an algebraic base expand and delta filter every digit

@@ -1204,16 +1204,22 @@ class QAlphaElement:
 _ALG_RE = re.compile(r"^alg:(?P<coeffs>[^@]+)@\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\]$")
 
 
-def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refused first when its digits plus its exponent
-    E pass ``NUMBER_DIGITS_MAX``, as Fraction builds 10^|E| unchecked."""
+def _bounded(text: str) -> str:
+    """``text``, refused when its digits plus its exponent E pass
+    ``NUMBER_DIGITS_MAX``, as Fraction builds 10^|E| unchecked and int
+    converts no more than 4300 digits."""
     exp = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
     size = sum(map(str.isdecimal, text))  # an E of 5+ digits is >= 10**4
     size += min(int(exp[:5]), NUMBER_DIGITS_MAX) if exp.isdecimal() else 0
     if size > NUMBER_DIGITS_MAX:
         raise NumberTooLarge(f"number {text!r} needs more digits than the "
                              f"bound NUMBER_DIGITS_MAX = {NUMBER_DIGITS_MAX}")
-    return Fraction(text)
+    return text
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused first by :func:`_bounded`."""
+    return Fraction(_bounded(text))
 
 
 def parse_real(text: str) -> RealNumber:
@@ -1228,7 +1234,7 @@ def parse_real(text: str) -> RealNumber:
         return parse_fraction(text[4:])
     m = _ALG_RE.match(text)
     if m:
-        coeffs = [int(c) for c in m.group("coeffs").split(",")]
+        coeffs = [int(_bounded(c)) for c in m.group("coeffs").split(",")]
         lo = parse_fraction(m.group("lo"))
         hi = parse_fraction(m.group("hi"))
         return AlgebraicReal(coeffs, lo, hi)  # raises NonIsolatingInterval

@@ -8,6 +8,15 @@ zero-density formulas, the base constant alpha_KL solving
 subshift of the interval-of-dimensions regime with its level search
 against a base's delta.  It builds on :mod:`exactnum`, :mod:`words` and
 :mod:`graph` only; the layers above pass it their delta.
+
+alpha_KL is bisected on the sign of F(a) = sum (1+lambda_i) a^i - 1, read
+off the Thue-Morse product P(a) = prod_(k>=0) (1 - a^(2^k)), the
+generating function of (-1)^(tau_i) that Allouche and Cosnard use to prove
+the Komornik-Loreti constant transcendental: 2 (1 - a) F(a) = (3a - 1) -
+(1 - a)^2 P(a).  P is bounded on ints at B bits, every lower bound floored
+and every upper one ceiled, its factors taken until a^(2^K) is at most
+2^-B, the rest in [1 - a^(2^K) / (1 - a), 1].  B doubles from 64 while the
+sign is open, up to ``_SERIES_BITS_CAP``.
 """
 
 from __future__ import annotations
@@ -137,30 +146,60 @@ def dw(n: int) -> Fraction:
 
 _AKL_BRACKET = [Fraction(1, 3), Fraction(1, 2)]
 _AKL_CHECKED = [False]
-_SERIES_CAP = 200_000
+_SERIES_BITS_CAP = 1 << 18  # the last B an undecided sign is tried at
+
+
+def _tm_product(N: int, D: int, B: int) -> tuple:
+    """Ints lo <= P(a) 2^B <= hi for a = N/D in (0, 1) and the Thue-Morse
+    product P(a) = prod_(k>=0) (1 - a^(2^k)).
+
+    Fixed point at B bits, rounded outward: a lower bound is floored and an
+    upper one ceiled, both of x_k = a^(2^k), squared from a, and of the
+    partial product P_K of the factors 1 - x_k, k < K.  The squaring stops
+    at the first K whose x_K is at most one unit.  The tail
+    prod_(k>=K) (1 - x_k) lies in [1 - x_K / (1 - a), 1], as
+    sum_(k>=K) x_k <= sum_(i>=2^K) a^i, and above 0.  An a within two units
+    of 1, whose square would not shrink, takes no factor: its bounds are
+    0 and 1.
+    """
+    one = 1 << B
+    xl, xu = (N << B) // D, -(-(N << B) // D)
+    lo = hi = one
+    while 1 < xu < one - 1:
+        lo = lo * (one - xu) >> B
+        hi = -(-hi * (one - xl) >> B)
+        xl, xu = xl * xl >> B, -(-xu * xu >> B)
+    tail = one - -(-xu * D // (D - N))  # 1 - x_K / (1 - a), floored
+    return lo * max(tail, 0) >> B, hi
 
 
 def series_sign_at(a: Fraction) -> int:
-    """Certified sign of F(a) for rational a in (0, 1), from enclosures of
-    ``SeriesReal(1 + lambda_i, a, 0, 2)`` at widths 2^-32, 2^-64, 2^-128,
-    ... until one excludes 1.  F has no rational zero in (1/3, 1/2) (its
-    unique zero there is transcendental), so this ends for the inputs we
-    feed it; ``IterationLimit`` once ``_SERIES_CAP`` terms leave the sign
-    undecided.
+    """Certified sign of F(a) = sum_(i>=1) (1 + lambda_i) a^i - 1 for
+    rational a in (0, 1), from the Thue-Morse product.
+
+    With P(x) = prod_(k>=0) (1 - x^(2^k)) = sum_(i>=0) (-1)^(tau_i) x^i and
+    T(x) = sum_(i>=0) tau_i x^i = (1/(1 - x) - P(x)) / 2, the lambda series
+    is sum_(i>=1) lambda_i x^i = (1 - x) T(x) = (1 - (1 - x) P(x)) / 2, so
+    2 (1 - a) F(a) = (3a - 1) - (1 - a)^2 P(a).  F has the sign of that
+    G(a).  At a = N/D, :func:`_tm_product`'s bounds on P(a) 2^B bound
+    G(a) D^2 2^B on ints; the sign is taken once both ends agree, at
+    B = 64, 128, 256, ... .  F is strictly increasing on (0, 1) and its one
+    zero is transcendental, so every rational a ends; ``IterationLimit``
+    past B = ``_SERIES_BITS_CAP``, a resource guard.
     """
-    a = Fraction(a)
-    if not 0 < a < 1:
+    N, D = a.as_integer_ratio()
+    if not 0 < N < D:
         raise ValueError("series sign needs a in (0, 1)")
-    series = exactnum.SeriesReal(lambda i: 1 + lam(i), a, 0, 2)
-    width = Fraction(1, 2**32)
-    while series.terms < _SERIES_CAP:
-        lo, hi = series.enclosure(width)
-        if lo > 1:
+    lin, sq = (3 * N - D) * D, (D - N)**2  # (3a - 1) D^2, (1 - a)^2 D^2
+    B = 64
+    while B <= _SERIES_BITS_CAP:
+        lo, hi = _tm_product(N, D, B)
+        if lin << B > sq * hi:
             return 1
-        if hi < 1:
+        if lin << B < sq * lo:
             return -1
-        width *= width
-    raise exactnum.IterationLimit("series sign undecided at cap")
+        B *= 2
+    raise exactnum.IterationLimit("series sign undecided at the bits cap")
 
 
 def alpha_kl_enclosure(width) -> tuple:

@@ -10,6 +10,7 @@ strongly-eventually-periodic test.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -67,10 +68,10 @@ def _check_digits(digits, alphabet):
 
 def _signed_digits(b, alphabet) -> tuple:
     """The digits of a bytes or bytearray string of signed digits (0xff is
-    -1), checked by one ``translate`` that deletes every byte of
-    ``alphabet``; a byte left over raises :func:`_check_digits`'s error,
-    naming the first digit outside."""
-    digits = tuple(memoryview(b).cast("b"))
+    -1), read by one ``struct.unpack`` and checked by one ``translate``
+    that deletes every byte of ``alphabet``; a byte left over raises
+    :func:`_check_digits`'s error, naming the first digit outside."""
+    digits = struct.unpack(f"{len(b)}b", b)
     allowed = bytes(d & 0xFF for d in range(max(alphabet.low, -128),
                                             min(alphabet.high, 127) + 1))
     if b.translate(None, allowed):

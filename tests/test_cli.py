@@ -749,15 +749,18 @@ class TestBrokenPipe:
 
 class TestHugeNumbers:
     """Number text whose exponent would make Fraction build 10^E with
-    millions of digits is refused before it is parsed: each command exits
-    1 at once and names the bound, where it hung or failed only after
-    building the automaton."""
+    millions of digits, or an alg: coefficient past Python's int-to-str
+    limit, is refused before it is parsed: each command exits 1 at once and
+    names the bound, where it hung, failed only after building the
+    automaton, or failed with Python's own message."""
 
     @pytest.mark.parametrize("argv", [
         ("alpha-kl", "--width", "1e-99999999"),
         ("dense-targets", "--alpha", "rat:19/50", "--targets", "0",
          "--tol", "1e-99999999"),
         ("intersect", "--alpha", "rat:2/5", "--t", "1e-30000"),
+        ("delta", "--alpha", f"alg:-1,2,{'9' * 4400}@[0,1/2]",
+         "--length", "8"),
     ])
     def test_refused_within_timeout(self, argv):
         path = os.pathsep.join(filter(None, [str(SRC),

@@ -45,11 +45,20 @@ independent route.  A number with no line here has one route only.
   comparisons, enclosures, children and -ln alpha, vs a fresh
   ``QAlphaContext`` on the same base:
   test_exactnum.py::TestFieldRegistry::test_interned_matches_fresh
+- F's sign, from the Thue-Morse product prod (1 - a^(2^k)), vs the
+  term-by-term series sum (1 + lambda_i) a^i, kept in the tests as
+  ``reference_series_sign_at``, at seeded points, every midpoint of a
+  halving to 1e-40 and points within 2^-300 of alpha_KL, and alpha_KL's
+  cell at 1e-12 vs the halving on that series; the product's outward
+  bounds vs the series sum (-1)^(tau_i) a^i:
+  test_thuemorse.py::TestAlphaKL::test_series_sign_matches_fraction_sum
+  test_thuemorse.py::TestAlphaKL::test_bisection_meets_the_fraction_halving
+  test_thuemorse.py::TestAlphaKL::test_product_bounds_hold_the_series
 
 Planned in ROADMAP.md, and missing until their code lands, each with
 today's code kept in the tests as the reference:
 
-- Howard's policy iteration for the max cycle mean vs Karp's table;
+- the max-plus class product for the max cycle mean vs Karp's table;
 - the memoized box walk vs the current walk.
 """
 
@@ -63,7 +72,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 16
+    assert len(named) == 19
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [

@@ -131,17 +131,43 @@ class TestDensities:
 
 
 def reference_series_sign_at(a, cap=200_000):
-    """series_sign_at as it summed F(a) + 1 in Fractions, one term at a
-    time, with the tail bound 2 a^(i+1) / (1 - a)."""
-    partial, power = F(0), F(1)
+    """series_sign_at as it summed F(a) + 1 exactly, one term at a time,
+    with the tail bound 2 a^(i+1) / (1 - a): at a = N/D the partial sum is
+    S / D^i, on ints, where the Fractions it once used reduced each term."""
+    N, D = a.numerator, a.denominator
+    S, Ni, Di = 0, 1, 1
     for i in range(1, cap + 1):
-        power *= a
-        partial += (1 + T.lam(i)) * power
-        if partial > 1:
+        Ni, Di = Ni * N, Di * D
+        S = S * D + (1 + T.lam(i)) * Ni
+        if S > Di:
             return 1
-        if partial + 2 * power * a / (1 - a) < 1:
+        if S * (D - N) + 2 * Ni * N < Di * (D - N):
             return -1
     raise X.IterationLimit("series sign undecided at cap")
+
+
+def near_alpha_kl(monkeypatch, rng, bits, count):
+    """``count`` seeded points within 2^-bits of alpha_KL, from a fresh
+    module bracket, as earlier calls may have narrowed it."""
+    monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+    lo, hi = T.alpha_kl_enclosure(F(1, 2**(bits + 10)))
+    mid = (lo + hi) / 2
+    return [mid + F(rng.randrange(-1000, 1000), 2**(bits + 10))
+            for _ in range(count)]
+
+
+def reference_product(a, B):
+    """Ints S_lo <= P(a) 2^B D^n (D - N) <= S_hi for the Thue-Morse
+    product P(a) = sum_(i>=0) (-1)^(tau_i) a^i at a = N/D, and that scale
+    D^n (D - N): n terms of the series, the rest at most a^(n+1) / (1 - a)
+    < 2^-(2B + 16), far below the unit 2^-B of the bounds it checks."""
+    N, D = a.numerator, a.denominator
+    S, Ni, Dn, n = 1, 1, 1, 0  # S / D^n, the sum of the terms i <= n
+    while Ni * N << (2 * B + 16) >= Dn * (D - N):
+        n, Ni, Dn = n + 1, Ni * N, Dn * D
+        S = S * D + (1 - 2 * T.tau(n)) * Ni
+    S, tail = S * (D - N) << B, Ni * N << B
+    return S - tail, S + tail, Dn * (D - N)
 
 
 class TestAlphaKL:
@@ -190,7 +216,19 @@ class TestAlphaKL:
         assert T.series_sign_at(F(2, 5)) == 1
         assert T.series_sign_at(F(1, 3)) == -1
 
-    def test_series_sign_matches_fraction_sum(self):
+    def test_signs_near_0_and_1(self):
+        # within two units of 1 at 64 bits the product takes no factor, and
+        # its bounds 0 and 1 decide; near 0 one factor and the tail decide
+        assert T._tm_product(2**64 - 1, 2**64, 64) == (0, 2**64)
+        for a in (F(2**64 - 1, 2**64), 1 - F(1, 2**300), F(99, 100)):
+            assert T.series_sign_at(a) == 1
+        for a in (F(1, 2**300), F(1, 10**30), F(1, 100)):
+            assert T.series_sign_at(a) == -1
+        for a in (F(0), F(1), F(3, 2), F(-1, 2)):
+            with pytest.raises(ValueError):
+                T.series_sign_at(a)
+
+    def test_series_sign_matches_fraction_sum(self, monkeypatch):
         rng = random.Random(29)
         points = [F(rng.randrange(10**4 + 1, 15_000), 3 * 10**4)
                   for _ in range(140)]  # (1/3, 1/2)
@@ -201,6 +239,58 @@ class TestAlphaKL:
         signs = [T.series_sign_at(a) for a in points]
         assert signs == [reference_series_sign_at(a) for a in points]
         assert -1 in signs[140:] and 1 in signs[140:]
+        # every midpoint of a halving to 1e-40, and points within 2^-300,
+        # whose signs take B = 512 bits at least
+        lo, hi, halving = F(1, 3), F(1, 2), []
+        while hi - lo > F(1, 10**40):
+            halving.append((lo + hi) / 2)
+            if T.series_sign_at(halving[-1]) < 0:
+                lo = halving[-1]
+            else:
+                hi = halving[-1]
+        assert len(halving) == 131
+        near = near_alpha_kl(monkeypatch, rng, 300, 20)
+        for group in (halving, near):
+            signs = [T.series_sign_at(a) for a in group]
+            assert signs == [reference_series_sign_at(a) for a in group]
+            assert -1 in signs and 1 in signs
+
+    def test_bits_cap_raises(self, monkeypatch):
+        # within 2^-300 of alpha_KL 256 bits leave every sign undecided
+        near = near_alpha_kl(monkeypatch, random.Random(31), 300, 4)
+        monkeypatch.setattr(T, "_SERIES_BITS_CAP", 256)
+        for a in near:
+            with pytest.raises(X.IterationLimit):
+                T.series_sign_at(a)
+        assert T.series_sign_at(F(2, 5)) == 1  # decided at 64 bits
+
+    def test_product_bounds_hold_the_series(self):
+        # _tm_product's outward-rounded bounds on P(a) 2^B hold the value
+        # of the series sum (-1)^(tau_i) a^i: at dyadic points, where some
+        # products are exact and the tail decides, near 0 and 1, at the
+        # midpoints of alpha_KL's bisection, and at seeded rationals
+        rng = random.Random(37)
+        points = [F(1, 2), F(3, 8), F(1, 4), F(5, 16), F(7, 16), F(1, 3),
+                  F(9, 10), F(19, 20)]
+        # a at most a unit: the squaring stops at once, and the tail decides
+        points += [F(1, 2**64), F(3, 2**66), F(1, 2**128), F(5, 2**130),
+                   F(1, 2**256)]
+        points += [F(rng.randrange(1, 3 * 2**k // 5), 2**k)
+                   for k in (6, 12, 20, 33) for _ in range(10)]
+        lo, hi = F(1, 3), F(1, 2)
+        while hi - lo > F(1, 10**12):
+            mid = (lo + hi) / 2
+            points.append(mid)
+            lo, hi = (mid, hi) if T.series_sign_at(mid) < 0 else (lo, mid)
+        points += [F(rng.randrange(1, 3 * q // 5), q)
+                   for q in (7, 10**6, 3**80) for _ in range(20)]
+        for B in (64, 128, 256):
+            for a in points:
+                p_lo, p_hi = T._tm_product(a.numerator, a.denominator, B)
+                s_lo, s_hi, scale = reference_product(a, B)
+                assert 0 <= p_lo <= p_hi
+                assert p_lo * scale <= s_hi and s_lo <= p_hi * scale, (a, B)
+                assert p_hi - p_lo <= 64
 
     def test_bisection_meets_the_fraction_halving(self, monkeypatch):
         # a fresh module bracket, as earlier calls may have narrowed it

@@ -177,6 +177,29 @@ class TestSignedDigitStrings:
             assert str(got.value) == str(want.value) == \
                 f"digit {d} outside alphabet [{alphabet.low}, {alphabet.high}]"
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 65536])
+    def test_unpack_matches_the_memoryview_cast(self, n):
+        # _signed_digits reads a string with one struct.unpack; the cast
+        # through a memoryview of signed chars is the second route
+        rng = random.Random(n)
+        whole = Alphabet(-128, 256)  # every byte a digit
+        for alphabet, pool in ((TERNARY, b"\x00\x01\xff"), (BINARY, b"\x00\x01"),
+                               (whole, bytes(range(256)))):
+            b = bytes(rng.choices(pool, k=n))
+            for kind in (bytes, bytearray):
+                got = W._signed_digits(kind(b), alphabet)
+                assert type(got) is tuple
+                assert got == tuple(memoryview(kind(b)).cast("b"))
+        for byte in (0x02, 0x80, 0xFE):
+            b = bytearray(rng.choices(b"\x00\x01\xff", k=n + 1))
+            b[rng.randrange(n + 1)] = byte
+            with pytest.raises(W.WordsError) as want:
+                W._check_digits(tuple(memoryview(b).cast("b")), TERNARY)
+            for kind in (bytes, bytearray):
+                with pytest.raises(W.WordsError) as got:
+                    W._signed_digits(kind(b), TERNARY)
+                assert str(got.value) == str(want.value)
+
     def test_first_stray_byte_named(self):
         with pytest.raises(W.WordsError) as err:
             FiniteWord(b"\x00\xfe\x02", TERNARY)
