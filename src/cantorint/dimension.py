@@ -364,11 +364,11 @@ class CountMatrix:
         :func:`graph.cyclic_classes` from the smallest class C_k, as
         det(xI - A_c) = x^(n_c - h |C_k|) det(x^h I - B).  mu is B's largest
         real root in (0, hi], hi above the row sums (Perron-Frobenius),
-        exact by :func:`char_poly` and one Sturm chain, in a 10^-20 cell; a
-        B past ``CHARPOLY_MAX_DIM`` rows raises ``ClassProductTooLarge``
-        unbuilt.  Where pairs of other (h, mu) meet at the top, one radius
-        (:func:`_one_radius`) keeps the least h's, else narrower cells part
-        them."""
+        exact by :func:`char_poly` and one Descartes search, in a 10^-20
+        cell; a B past ``CHARPOLY_MAX_DIM`` rows raises
+        ``ClassProductTooLarge`` unbuilt.  Where pairs of other (h, mu) meet
+        at the top, one radius (:func:`_one_radius`) keeps the least h's,
+        else narrower cells part them."""
         if self._perron is not None:
             return self._perron
         cycles = []  # each component's classes, from its smallest one
@@ -414,19 +414,16 @@ def _one_radius(encs: list, lo: Fraction) -> bool:
     polynomial, and its one in [a^d, b^d] when p has one root in [a^h,
     b^h].  So the radii are one iff the q's gcd has a root in [lo^d,
     hi^d], hi the least b, which every [a, b] holds."""
-    def roots(p, a, b):  # distinct real roots in [a, b]
-        return exactnum.sturm_root_count(p, a, b) + \
-            (exactnum._value_at(p, a) == 0)
     d, g = math.gcd(*(t.period for t, _ in encs)), []
     for t, (a, b) in encs:
         p, h = t.algebraic.coeffs, t.period
-        if roots(p, a ** h, b ** h) != 1:
+        if exactnum.root_count(p, a ** h, b ** h) != 1:
             return False  # not yet isolating: narrower cells follow
         q = [0] * ((len(p) - 1) * h // d + 1)
         q[::h // d] = p
         g = exactnum.poly_gcd(g, q)
     hi = min(b for _, (_, b) in encs)
-    return roots(g, lo ** d, hi ** d) > 0
+    return exactnum.root_count(g, lo ** d, hi ** d) > 0
 
 
 # ---------------------------------------------------------------------------

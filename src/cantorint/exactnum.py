@@ -23,11 +23,12 @@ only by the sign of a difference, and the follower-value closures s ->
 s/alpha - d step on the states themselves.
 
 Each exact fact has one routine: ``enclosure`` encloses every number kind
-and every ``QAlphaElement``, and one Sturm chain per polynomial both
-isolates a root and yields the squarefree polynomial that defines it.
-Every polynomial is a primitive int list: rational coefficients are
-cleared where they enter, and one int pseudo-division builds both the
-Sturm chain and the squarefree part.  One int evaluator signs every
+and every ``QAlphaElement``, and one search on Descartes' rule of signs
+isolates and counts the real roots of a polynomial's squarefree part,
+which a gcd modulo one prime proves is the polynomial itself, or
+``poly_gcd`` divides out.  Every polynomial is a primitive int list:
+rational coefficients are cleared where they enter, and one int
+pseudo-division serves every gcd.  One int evaluator signs every
 polynomial at a rational, and ``log_enclosure`` encloses ln x by atanh
 series summed on ints.  One bisection defines every bracket, alpha_KL's
 too: halving gives it, and a polynomial root reaches it at once through an
@@ -63,6 +64,7 @@ _NEWTON_GUARD = 16  # bits its estimate carries below _bisect's grid
 _DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
 FIELDS_MAX = 64  # the most field contexts, and checked roots, a process keeps
 NUMBER_DIGITS_MAX = 4000  # under Python's 4300-digit int-to-str limit
+_SQUAREFREE_PRIME = 2**61 - 1  # a Mersenne prime
 
 
 class ExactnumError(Exception):
@@ -160,6 +162,26 @@ def poly_gcd(a, b) -> list:
     return a
 
 
+def _rem_mod(a, b, p: int) -> list:
+    """a mod b in F_p[x], b's lead a unit mod p: long division by the monic
+    b / lead, each quotient term taken mod p, so the ints stay small."""
+    inv, n, r = pow(b[-1], -1, p), len(b) - 1, [c % p for c in a]
+    for k in range(len(r) - 1, n - 1, -1):
+        t = r[k] * inv % p
+        if t:
+            for i in range(n):
+                r[k - n + i] -= t * b[i]
+    return poly_trim([c % p for c in r[:n]])
+
+
+def _coprime_mod(a, b, p: int) -> bool:
+    """Whether gcd(a, b) = 1 in F_p[x], a's lead a unit mod p (Euclid)."""
+    b = _rem_mod(b, a, p)
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(a) == 1
+
+
 def _primitive(coeffs) -> list:
     """The primitive int polynomial c p, c > 0, of an int or rational p."""
     coeffs = poly_trim(coeffs)
@@ -220,86 +242,81 @@ def _value_at(coeffs, x) -> int:
     return _scaled_value(coeffs, x.numerator, x.denominator)
 
 
-def sturm_chain(coeffs):
-    """p, p', then the negated pseudo-remainders of Euclid's algorithm on
-    them, each a primitive int polynomial.  A pseudo-remainder is the
-    rational remainder times a positive factor, so every member has the
-    signs of the classical Sturm sequence.  The chain stops at the last
-    nonzero remainder, so its last member is gcd(p, p') up to a positive
-    factor, for any nonconstant p.
-    """
-    chain = [_primitive(coeffs)]
-    d = _primitive(poly_derivative(chain[0]))
-    if d:
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            _, rem = poly_pseudo_divmod(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(_primitive([-c for c in rem]))
-    return chain
+def _squarefree(coeffs) -> tuple:
+    """p / gcd(p, p'), primitive with a positive lead: p's roots, simple.
+    A square factor f^2 of p leaves f, of its degree, dividing p and p'
+    modulo a prime P prime to p's lead; so gcd(p, p') = 1 in F_P[x], P =
+    2^61 - 1, proves p squarefree, and ``poly_gcd`` runs only if it fails."""
+    p = poly_normalize(coeffs)
+    dp = poly_derivative(p)
+    if p[-1] % _SQUAREFREE_PRIME and _coprime_mod(p, dp, _SQUAREFREE_PRIME):
+        return p
+    return poly_normalize(poly_pseudo_divmod(p, poly_gcd(p, dp))[0])
 
 
-def _sign_variations(chain, N: int, M: int) -> int:
-    """Sign variations of the chain at N/M, M > 0."""
-    signs = [v > 0 for v in (_scaled_value(p, N, M) for p in chain) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _variations(q, a: int, b: int, M: int) -> int:
+    """Sign variations of T(y) = (1 + y)^n M^n q((a + b y)/(M (1 + y))),
+    n = deg q: by Descartes' rule of signs, 0 leave q no root in (a/M, b/M)
+    and 1 exactly one, simple (Vincent 1836; Collins and Akritas 1976).
+    One Horner pass builds R(t) = M^n q((b + (a - b) t)/M) on ints; w^n
+    R(1/w), R reversed, is T at y = w - 1, which one Taylor shift gives."""
+    acc, m = [q[-1]], 1
+    for c in q[-2::-1]:
+        m *= M
+        acc = [b * x + (a - b) * y for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c * m
+    acc.reverse()
+    for i in range(len(acc) - 1):
+        for j in range(len(acc) - 2, i - 1, -1):
+            acc[j] += acc[j + 1]
+    signs = [x > 0 for x in acc if x]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def sturm_root_count(coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    if hi <= lo:
-        return 0
-    chain = sturm_chain(coeffs)
-    return (_sign_variations(chain, lo.numerator, lo.denominator)
-            - _sign_variations(chain, hi.numerator, hi.denominator))
+def _pieces(q, lo: Fraction, hi: Fraction):
+    """Pieces (a, b, M) of (lo, hi) with one root each of the squarefree q,
+    rightmost first: a piece of 0 variations is dropped, of 1 yielded, any
+    other split at the first of (a + b)/(2 M), (a + 2 b)/(3 M), ... that is
+    no root of q; small pieces have at most 1, so the search ends."""
+    M = lcm(lo.denominator, hi.denominator)
+    stack = [(lo.numerator * (M // lo.denominator),
+              hi.numerator * (M // hi.denominator), M)] if lo < hi else []
+    while stack:
+        a, b, M = stack.pop()
+        v = _variations(q, a, b, M)
+        if v == 1:
+            yield a, b, M
+        elif v:
+            k = 2  # the split point (a + (k - 1) b)/(k M) must be no root
+            while _scaled_value(q, a + (k - 1) * b, k * M) == 0:
+                k += 1
+            m = a + (k - 1) * b
+            stack += [(k * a, m, k * M), (m, k * b, k * M)]
+
+
+def root_count(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """The number of distinct real roots of ``coeffs`` in [lo, hi]."""
+    q = _squarefree(coeffs)
+    return sum(1 for _ in _pieces(q, lo, hi)) + \
+        sum(_value_at(q, x) == 0 for x in {lo, hi})
 
 
 def isolate_largest_root(coeffs, lo: Fraction, hi: Fraction) -> "AlgebraicReal":
-    """Isolate the largest real root of ``coeffs`` inside (lo, hi].
-
-    The polynomial p need not be squarefree.  One Sturm chain serves: it
-    counts the distinct roots of p in (a, b] when neither end is a root
-    (Sturm's theorem), and its last member is g = gcd(p, p'), so p / g,
-    with the same roots, all simple, defines the returned
-    ``AlgebraicReal``: the pseudo-quotient of p by g, made primitive
-    (Gauss's lemma).  The chain's count of one root holds for p / g, so
-    only its signs at the ends are checked, nonzero and opposite.  The
-    bracket (a/M, b/M) is split on ints at the first of (a + b)/(2 M),
-    (a + 2 b)/(3 M), (a + 3 b)/(4 M), ... that is not a root of p, distinct
-    points of which at most deg p are roots; its ends' variations are kept.
-
-    Raises ``NonIsolatingInterval`` if the interval holds no root.  The
-    endpoints must not themselves be roots.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    chain = sturm_chain(coeffs)
-    p = chain[0]  # coeffs as ints
-    if _value_at(p, lo) == 0 or _value_at(p, hi) == 0:
+    """Isolate the largest real root of p = ``coeffs`` in (lo, hi], whose
+    ends must be no roots, or raise ``NonIsolatingInterval``.  q = p /
+    gcd(p, p') (:func:`_squarefree`), of p's roots, all simple, defines the
+    ``AlgebraicReal``, on the first piece of :func:`_pieces`: q changes sign
+    there, and no piece right of it holds a root.  Its midpoint splits keep
+    the dyadic grid of (lo, hi) that ``_bisect`` refines on."""
+    q = _squarefree(coeffs)
+    if _value_at(q, lo) == 0 or _value_at(q, hi) == 0:
         raise NonIsolatingInterval("endpoint is a root; shift the interval")
-    M = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (M // lo.denominator)
-    b = hi.numerator * (M // hi.denominator)
-    va, vb = _sign_variations(chain, a, M), _sign_variations(chain, b, M)
-    total = va - vb if lo < hi else 0
-    if total == 0:
+    piece = next(_pieces(q, lo, hi), None)
+    if piece is None:
         raise NonIsolatingInterval("no real root in the given interval")
-    while total > 1:
-        k = 2  # the split point (a + (k - 1) b)/(k M) must be no root
-        while _scaled_value(p, a + (k - 1) * b, k * M) == 0:
-            k += 1
-        m = a + (k - 1) * b
-        a, b, M = k * a, k * b, k * M
-        vm = _sign_variations(chain, m, M)
-        if vm > vb:
-            a, va, total = m, vm, vm - vb
-        else:
-            b, vb, total = m, vm, va - vm
+    a, b, M = piece
     x = AlgebraicReal.__new__(AlgebraicReal)
-    x.coeffs = q = poly_normalize(poly_pseudo_divmod(p, chain[-1])[0])
-    if _scaled_value(q, a, M) * _scaled_value(q, b, M) >= 0:
-        raise NonIsolatingInterval("the squarefree part does not change sign")
-    x._lo, x._hi = Fraction(a, M), Fraction(b, M)
+    x.coeffs, x._lo, x._hi = q, Fraction(a, M), Fraction(b, M)
     return x
 
 
@@ -373,7 +390,7 @@ def _check_isolating(coeffs: tuple, lo: Fraction, hi: Fraction) -> None:
     if vlo == 0 or vhi == 0:
         raise NonIsolatingInterval(
             "interval endpoint is itself a root; use the rational directly")
-    n = sturm_root_count(coeffs, lo, hi)
+    n = root_count(coeffs, lo, hi)
     if n != 1:
         raise NonIsolatingInterval(
             f"interval ({lo}, {hi}) contains {n} roots, need exactly 1")
@@ -387,8 +404,8 @@ class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
     The interval must contain exactly one real root of the polynomial
-    (verified with a Sturm chain at construction, once per argument, or, for
-    ``isolate_largest_root``, by the chain it isolated the root on).
+    (verified by ``root_count`` at construction, once per argument, or,
+    for ``isolate_largest_root``, by the search that isolated the root).
     Refinement takes the bisection bracket, reached through a checked
     Newton cell; the cached interval only ever shrinks, so the denoted root
     never changes.
@@ -632,13 +649,11 @@ def compare(a: RealNumber, b: RealNumber) -> Comparison:
         return _ORDER[1 - _rat_minus_alg_sign(b, a)]
 
     if isinstance(a, AlgebraicReal) and isinstance(b, AlgebraicReal):
-        if a.coeffs == b.coeffs:
-            lo = min(a.interval()[0], b.interval()[0])
-            hi = max(a.interval()[1], b.interval()[1])
-            if a.interval()[1] > b.interval()[0] and b.interval()[1] > a.interval()[0]:
-                if sturm_root_count(a.coeffs, lo, hi) == 1:
-                    return Comparison.EQUAL
-        # fall through to interval separation
+        (alo, ahi), (blo, bhi) = a.interval(), b.interval()
+        if a.coeffs == b.coeffs and ahi > blo and bhi > alo and \
+                root_count(a.coeffs, min(alo, blo), max(ahi, bhi)) == 1:
+            return Comparison.EQUAL
+        # else separate by intervals
 
     return _compare_by_enclosure(a, b)
 
@@ -687,18 +702,6 @@ SIGN_BITS_CAP = 2048  # the last K an undecided sign is tried at
 _PROOF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _rem_mod(a, b, p: int) -> list:
-    """a mod b in F_p[x], b's lead a unit mod p: long division by the monic
-    b / lead, each quotient term taken mod p, so the ints stay small."""
-    inv, n, r = pow(b[-1], -1, p), len(b) - 1, [c % p for c in a]
-    for k in range(len(r) - 1, n - 1, -1):
-        t = r[k] * inv % p
-        if t:
-            for i in range(n):
-                r[k - n + i] -= t * b[i]
-    return poly_trim([c % p for c in r[:n]])
-
-
 def _irreducible_mod(P, p: int) -> bool:
     """Whether the int polynomial P, of degree n with p prime to its lead,
     is irreducible in F_p[x].  A reducible P, repeated factors included,
@@ -715,10 +718,7 @@ def _irreducible_mod(P, p: int) -> bool:
                 h = _rem_mod([0] + h, f, p)
         h += [0] * (2 - len(h))
         h[1] -= 1
-        a, b = f, _rem_mod(h, f, p)
-        while b:  # Euclid in F_p[x]
-            a, b = b, _rem_mod(a, b, p)
-        if len(a) > 1:
+        if not _coprime_mod(f, h, p):
             return False
     return True
 
@@ -1207,13 +1207,15 @@ _ALG_RE = re.compile(r"^alg:(?P<coeffs>[^@]+)@\[(?P<lo>[^,\]]+),(?P<hi>[^,\]]+)\
 def _bounded(text: str) -> str:
     """``text``, refused when its digits plus its exponent E pass
     ``NUMBER_DIGITS_MAX``, as Fraction builds 10^|E| unchecked and int
-    converts no more than 4300 digits."""
+    converts no more than 4300 digits; the message quotes 20 characters."""
     exp = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
-    size = sum(map(str.isdecimal, text))  # an E of 5+ digits is >= 10**4
+    size = digits = sum(map(str.isdecimal, text))  # an E of 5+ is >= 10**4
     size += min(int(exp[:5]), NUMBER_DIGITS_MAX) if exp.isdecimal() else 0
     if size > NUMBER_DIGITS_MAX:
-        raise NumberTooLarge(f"number {text!r} needs more digits than the "
-                             f"bound NUMBER_DIGITS_MAX = {NUMBER_DIGITS_MAX}")
+        shown = text[:20] + "..." * (len(text) > 20)
+        raise NumberTooLarge(f"number text {shown!r} of {digits} digits needs "
+                             f"more digits than the bound NUMBER_DIGITS_MAX = "
+                             f"{NUMBER_DIGITS_MAX}")
     return text
 
 

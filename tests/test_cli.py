@@ -773,3 +773,4 @@ class TestHugeNumbers:
         status = json.loads(proc.stdout)["status"]
         assert status.startswith("error: ")
         assert "NUMBER_DIGITS_MAX = 4000" in status
+        assert len(status) < 200  # the refused text is not echoed whole

@@ -36,6 +36,12 @@ from cantorint.dimension import (
 )
 from cantorint.expansions import BaseSystem, OutOfDomain
 from cantorint.words import TERNARY, EPSeq
+from test_exactnum import (
+    NUDGED,
+    NUDGED_TWICE,
+    assert_same_root,
+    reference_sturm_count,
+)
 
 
 def cubic_base():
@@ -412,8 +418,8 @@ class TestPerron:
         assert lo <= 1 <= hi
 
     def test_one_chain_root_matches_two_pass_route(self):
-        # the squarefree part by a gcd, then isolation on it, as the root
-        # was found before one Sturm chain did both
+        # the squarefree part by a Fraction gcd, then isolation on it, as
+        # the root was found before one Sturm chain did both
         def frac_divmod(num, den):  # over the rationals
             quot, rem = [F(0)] * max(0, len(num) - len(den) + 1), num[:]
             while len(rem) >= len(den):
@@ -445,7 +451,8 @@ class TestPerron:
             cm = CountMatrix(m)
             cp = char_poly(cm.succ)
             stripped = cp[next(i for i, c in enumerate(cp) if c):]
-            repeated += len(X.sturm_chain(stripped)[-1]) > 1
+            repeated += len(X.poly_gcd(stripped,
+                                       X.poly_derivative(stripped))) > 1
             got = reference_char_poly_root(cm)
             want = two_pass(stripped, F(max(map(sum, m)) + 1))
             assert got.coeffs == want.coeffs
@@ -1208,6 +1215,65 @@ class TestCyclicClasses:
         assert periodic >= 100
 
 
+def test_descartes_isolation_against_sturm_chain():
+    """Each class product's char-poly root, as ``CountMatrix.perron`` takes
+    it, and the whole matrix's, of ``TestPerron``'s and
+    ``TestCyclicClasses``' seeded matrices and a dense 24-row class product
+    of 58-bit entries, and the nudged polynomials' roots: the Descartes
+    search against the integer Sturm chain it replaced."""
+    rng = random.Random(5)
+    dense = CountMatrix.from_successors([[(j, rng.getrandbits(58) + 1)
+                                          for j in range(24)]
+                                         for _ in range(24)])
+    cases = [(NUDGED, F(6)), (NUDGED, F(10)), (NUDGED_TWICE, F(6)),
+             (NUDGED_TWICE, F(8))]
+    for cm in TestPerron.second_route_cases() + TestCyclicClasses.cases() \
+            + [dense]:
+        products = [cm.succ]
+        for rows in G.sccs(cm.succ):
+            cs = G.cyclic_classes(cm.succ, rows)
+            if cs:
+                k = cs.index(min(cs, key=len))
+                products.append(cm._block_product(cs[k:] + cs[:k]))
+        for succ in products:
+            cp = char_poly(succ)
+            cp = cp[next(i for i, c in enumerate(cp) if c):]
+            if len(cp) > 1:
+                hi = max(sum(a for _, a in out) for out in succ) + 1
+                cases.append((cp, F(hi)))
+    isolated = repeated = 0
+    for p, hi in cases:
+        assert_same_root(X.isolate_largest_root(p, F(0), hi), p, F(0), hi)
+        isolated += 1
+        repeated += len(X.poly_gcd(p, X.poly_derivative(p))) > 1
+    assert isolated >= 800 and repeated >= 30
+    mu = dense.perron().algebraic
+    assert mu.degree == 24 and mu.interval() == \
+        X.isolate_largest_root(cases[-1][0], F(0), cases[-1][1]) \
+        .refine(F(1, 10**20))
+
+
+def test_one_radius_as_under_the_sturm_count(monkeypatch):
+    """The matrices whose components of other (h, mu) meet at the top, so
+    that ``_one_radius`` decides, give the same root and cell when its
+    counts come from the Sturm chain."""
+    cases = [cm for cm in TestPerron.second_route_cases()
+             + TestCyclicClasses.cases() if top_components(cm) > 1]
+    got = [(cm.perron().exact_str(), cm.perron().enclosure())
+           for cm in cases]
+    calls = []
+
+    def sturm_count(p, lo, hi):  # roots in [lo, hi]
+        calls.append(p)
+        return reference_sturm_count(p, lo, hi) + (X._value_at(p, lo) == 0)
+    monkeypatch.setattr(X, "root_count", sturm_count)
+    assert len(cases) == 7
+    for cm, want in zip(cases, got):
+        cm._perron = None
+        assert (cm.perron().exact_str(), cm.perron().enclosure()) == want
+    assert len(calls) >= 3 * len(cases)
+
+
 class TestSparseCharPoly:
     def test_matches_dense_loop(self):
         rng = random.Random(2417)
@@ -1229,13 +1295,13 @@ class TestOneChainPerron:
     @pytest.mark.parametrize("make", [
         lambda: build_intersection_graph(ex51_setup()[1]).count_matrix,
         sqrt2_24_rows], ids=["ex51", "sqrt2-24"])
-    def test_one_sturm_chain_per_root(self, make, monkeypatch):
+    def test_one_squarefree_step_per_root(self, make, monkeypatch):
         cm = make()
         assert cm.n in (6, 24)
         calls = []
-        chain = X.sturm_chain
-        monkeypatch.setattr(X, "sturm_chain",
-                            lambda p: calls.append(p) or chain(p))
+        squarefree = X._squarefree
+        monkeypatch.setattr(X, "_squarefree",
+                            lambda p: calls.append(p) or squarefree(p))
         info = cm.perron()
         assert info.algebraic is not None and len(calls) == 1
 

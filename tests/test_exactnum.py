@@ -350,10 +350,16 @@ class TestParsing:
 
 class TestPolynomials:
     def test_sturm_counts(self):
-        # (x-1)(x-2)(x-3)
+        # (x-1)(x-2)(x-3): the Descartes count on the closed interval, and
+        # the Sturm count on (lo, hi] where lo is no root
         p = [-6, 11, -6, 1]
-        assert X.sturm_root_count(p, F(0), F(4)) == 3
-        assert X.sturm_root_count(p, F(3, 2), F(5, 2)) == 1
+        assert X.root_count(p, F(0), F(4)) == 3
+        assert X.root_count(p, F(3, 2), F(5, 2)) == 1
+        assert X.root_count(p, F(1), F(3)) == 3
+        assert X.root_count(p, F(2), F(2)) == 1
+        assert X.root_count(p, F(7, 2), F(9)) == 0
+        for lo, hi in ((F(0), F(4)), (F(3, 2), F(5, 2)), (F(7, 2), F(9))):
+            assert X.root_count(p, lo, hi) == reference_sturm_count(p, lo, hi)
 
     def test_squarefree_part(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2: the root carries the squarefree
@@ -366,6 +372,27 @@ class TestPolynomials:
         r = X.isolate_largest_root([-6, 11, -6, 1], F(0), F(10))
         lo, hi = r.refine(F(1, 1000))
         assert lo <= 3 <= hi
+
+    def test_alg_base_at_a_repeated_root(self):
+        # sqrt(2) - 1 as a root of multiplicity 3 is accepted, as it
+        # changes sign, and takes the squarefree polynomial's cells; of
+        # multiplicity 2 it is refused as it was under the Sturm count
+        cubed = X.poly_mul(X.poly_mul(SQRT2_MINUS_1, SQRT2_MINUS_1),
+                           SQRT2_MINUS_1)
+        x = parse_real("alg:" + ",".join(map(str, cubed)) + "@[2/5,1/2]")
+        assert x.coeffs == tuple(cubed)
+        plain = AlgebraicReal(SQRT2_MINUS_1, F(2, 5), F(1, 2))
+        for width in (F(1, 10**6), F(1, 10**20)):
+            assert x.refine(width) == plain.refine(width)
+        assert X.root_count(cubed, F(2, 5), F(1, 2)) == 1
+        squared = X.poly_mul(SQRT2_MINUS_1, SQRT2_MINUS_1)
+        with pytest.raises(X.NonIsolatingInterval,
+                           match=r"no sign change over the interval "
+                                 r"\(even multiplicity\?\)"):
+            AlgebraicReal(squared, F(2, 5), F(1, 2))
+        with pytest.raises(X.NonIsolatingInterval,
+                           match=r"interval \(0, 1\) contains 2 roots"):
+            AlgebraicReal(X.poly_mul(squared, [-3, 4]), F(0), F(1))
 
 
 # The Fraction polynomial arithmetic that int pseudo-division and the int
@@ -723,7 +750,8 @@ class TestNewtonCell:
 
 
 # The Fraction loops that the integer Sturm evaluation and the integer
-# series sum replaced.
+# series sum replaced, and the integer Sturm chain that the Descartes search
+# replaced.
 
 def reference_chain(coeffs):
     """The Sturm chain of p, built in Fractions with no rescaling of its
@@ -781,6 +809,83 @@ def reference_isolate(coeffs, lo, hi):
     return X.poly_normalize(frac_divmod(p, g)[0]), (lo, hi)
 
 
+def reference_sturm_chain(coeffs):
+    """p, p', then the negated pseudo-remainders of Euclid's algorithm on
+    them, each a primitive int polynomial: the signs of the classical Sturm
+    sequence, with gcd(p, p') last, up to a positive factor."""
+    chain = [X._primitive(coeffs)]
+    d = X._primitive(X.poly_derivative(chain[0]))
+    if d:
+        chain.append(d)
+        while len(chain[-1]) > 1:
+            _, rem = X.poly_pseudo_divmod(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(X._primitive([-c for c in rem]))
+    return chain
+
+
+def reference_sturm_variations(chain, N, M):
+    """Sign variations of the chain at N/M, M > 0."""
+    signs = [v > 0 for v in (X._scaled_value(p, N, M) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def reference_sturm_count(coeffs, lo, hi):
+    """The number of distinct real roots in (lo, hi], by Sturm's theorem."""
+    if hi <= lo:
+        return 0
+    chain = reference_sturm_chain(coeffs)
+    return (reference_sturm_variations(chain, lo.numerator, lo.denominator)
+            - reference_sturm_variations(chain, hi.numerator,
+                                         hi.denominator))
+
+
+def reference_sturm_isolate(coeffs, lo, hi):
+    """isolate_largest_root as one integer Sturm chain isolated it: split
+    at the first of (a + b)/2, (a + 2 b)/3, ... that is no root, keep the
+    upper piece while it holds a root, stop at one root; the chain's last
+    member divides out of p for the squarefree part."""
+    chain = reference_sturm_chain(coeffs)
+    p = chain[0]
+    if X._value_at(p, lo) == 0 or X._value_at(p, hi) == 0:
+        raise X.NonIsolatingInterval("endpoint is a root")
+    M = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (M // lo.denominator), \
+        hi.numerator * (M // hi.denominator)
+    va = reference_sturm_variations(chain, a, M)
+    vb = reference_sturm_variations(chain, b, M)
+    total = va - vb if lo < hi else 0
+    if total == 0:
+        raise X.NonIsolatingInterval("no root")
+    while total > 1:
+        k = 2
+        while X._scaled_value(p, a + (k - 1) * b, k * M) == 0:
+            k += 1
+        m = a + (k - 1) * b
+        a, b, M = k * a, k * b, k * M
+        vm = reference_sturm_variations(chain, m, M)
+        if vm > vb:
+            a, va, total = m, vm, vm - vb
+        else:
+            b, vb, total = m, vm, va - vm
+    squarefree = X.poly_normalize(X.poly_pseudo_divmod(p, chain[-1])[0])
+    return squarefree, (F(a, M), F(b, M))
+
+
+def assert_same_root(got, coeffs, lo, hi):
+    """The Descartes root ``got`` against the Sturm chain's on (lo, hi]:
+    the same squarefree polynomial and root count, a piece inside the
+    chain's interval, and the identical 10^-20 cell."""
+    want, (slo, shi) = reference_sturm_isolate(coeffs, lo, hi)
+    assert got.coeffs == want
+    assert X.root_count(coeffs, lo, hi) == reference_sturm_count(coeffs,
+                                                                 lo, hi)
+    assert slo <= got.interval()[0] < got.interval()[1] <= shi
+    width = F(1, 10**20)
+    assert got.refine(width) == AlgebraicReal(want, slo, shi).refine(width)
+
+
 def reference_series_enclosure(digits, ratio, low, high, widths):
     """SeriesReal.enclosure as it summed in Fractions: the enclosures that
     one series returns for ``widths`` asked in turn."""
@@ -834,21 +939,25 @@ class TestIntegerSturm:
         return rng, polys
 
     def test_sign_variations_and_counts_match_fraction_chain(self):
+        # the integer chain against the Fraction chain, and the Descartes
+        # count against both where lo is no root
         rng, polys = self.seeded_polys()
         for p in polys:
-            chain = X.sturm_chain(p)
+            chain = reference_sturm_chain(p)
             assert all(isinstance(c, int) for q in chain for c in q)
             points = [F(rng.randrange(-60, 61), rng.randrange(1, 9))
                       for _ in range(12)] + [F(1), F(3), F(1, 2)]
             for x in points:
-                assert X._sign_variations(chain, x.numerator,
-                                          x.denominator) == \
+                assert reference_sturm_variations(chain, x.numerator,
+                                                  x.denominator) == \
                     reference_sign_variations(p, x)
             for a, b in zip(points, points[1:]):
                 lo, hi = min(a, b), max(a, b)
                 want = (reference_sign_variations(p, lo)
                         - reference_sign_variations(p, hi)) if lo < hi else 0
-                assert X.sturm_root_count(p, lo, hi) == want
+                assert reference_sturm_count(p, lo, hi) == want
+                if frac_eval(p, lo) != 0:  # else lo may be a multiple root
+                    assert X.root_count(p, lo, hi) == want
 
     def test_isolation_matches_fraction_bisection(self):
         rng, polys = self.seeded_polys()
@@ -864,11 +973,13 @@ class TestIntegerSturm:
             try:
                 want = reference_isolate(p, lo, hi)
             except X.NonIsolatingInterval:
-                with pytest.raises(X.NonIsolatingInterval):
-                    X.isolate_largest_root(p, lo, hi)
+                for isolate in (reference_sturm_isolate,
+                                X.isolate_largest_root):
+                    with pytest.raises(X.NonIsolatingInterval):
+                        isolate(p, lo, hi)
                 continue
-            got = X.isolate_largest_root(p, lo, hi)
-            assert (got.coeffs, got.interval()) == want
+            assert reference_sturm_isolate(p, lo, hi) == want
+            assert_same_root(X.isolate_largest_root(p, lo, hi), p, lo, hi)
             isolated += 1
         assert isolated >= 100
         # the nudged split: 3 is a root, so (0 + 2 * 6) / 3 = 4 splits
@@ -921,7 +1032,7 @@ class TestPseudoDivision:
         for p in self.chain_polys():
             g = X.poly_gcd(p, X.poly_derivative(p))
             assert X.poly_normalize(g) == \
-                X.poly_normalize(X.sturm_chain(p)[-1])
+                X.poly_normalize(reference_sturm_chain(p)[-1])
         assert X.poly_gcd([], [2, 4]) == [1, 2]
 
     def test_pseudo_divmod_by_zero(self):
@@ -947,7 +1058,7 @@ class TestPseudoDivision:
         # and remainders that drop one, two and more degrees
         drops, odd_negative = set(), 0
         for p in self.chain_polys():
-            chain = X.sturm_chain(p)
+            chain = reference_sturm_chain(p)
             assert chain == [X._primitive(m) for m in reference_chain(p)]
             drops.update(len(a) - len(b) for a, b in zip(chain[1:],
                                                           chain[2:]))
@@ -959,45 +1070,36 @@ class TestPseudoDivision:
         assert odd_negative >= 5
 
     def test_squarefree_part_is_fraction_quotient(self):
-        scaled = 0
+        # p over the Fraction chain's last member, gcd(p, p'); where the
+        # gcd modulo 2^61 - 1 proves p squarefree, p itself
+        repeated = scaled = 0
         for p in self.chain_polys():
             g = reference_chain(p)[-1]
             want = X.poly_normalize(frac_divmod(p, g)[0])
-            chain = X.sturm_chain(p)
-            quot, rem = X.poly_pseudo_divmod(chain[0], chain[-1])
-            assert rem == [] and X.poly_normalize(quot) == want
-            scaled += abs(chain[-1][-1]) > 1 and len(quot) > 1
-        assert scaled >= 10  # q is scaled in more than one step
+            assert X._squarefree(p) == want
+            proven = X._coprime_mod(p, X.poly_derivative(p),
+                                    X._SQUAREFREE_PRIME)
+            assert proven == (len(g) == 1)
+            repeated += len(g) > 1
+            scaled += len(g) > 1 and abs(g[-1]) != 1 and len(want) > 2
+        assert repeated >= 40 and scaled >= 10
 
-
-# isolate_largest_root as it bisected on Fraction midpoints, with the
-# AlgebraicReal constructor's own Sturm check on the squarefree part
-
-def fraction_isolate(coeffs, lo, hi):
-    def count(a, b):  # roots in (a, b], a < b, on the one chain
-        return (X._sign_variations(chain, a.numerator, a.denominator)
-                - X._sign_variations(chain, b.numerator, b.denominator))
-
-    lo, hi = F(lo), F(hi)
-    chain = X.sturm_chain(coeffs)
-    p = chain[0]
-    if X._value_at(p, lo) == 0 or X._value_at(p, hi) == 0:
-        raise X.NonIsolatingInterval("endpoint is a root")
-    total = count(lo, hi) if lo < hi else 0
-    if total == 0:
-        raise X.NonIsolatingInterval("no root")
-    while total > 1:
-        k = 2  # the first of (lo + (k - 1) hi) / k that is no root
-        while X._value_at(p, (lo + (k - 1) * hi) / k) == 0:
-            k += 1
-        mid = (lo + (k - 1) * hi) / k
-        upper = count(mid, hi)
-        if upper >= 1:
-            lo, total = mid, upper
-        else:
-            hi = mid
-            total = count(lo, hi)
-    return AlgebraicReal(X.poly_pseudo_divmod(p, chain[-1])[0], lo, hi)
+    def test_squarefree_fallbacks(self):
+        # the modular proof fails on a squarefree p whose roots meet
+        # modulo P = 2^61 - 1, and where P divides p's lead; poly_gcd
+        # then finds p squarefree all the same
+        P = X._SQUAREFREE_PRIME
+        meet = poly_from_roots([3, 3 + P])
+        assert not X._coprime_mod(meet, X.poly_derivative(meet), P)
+        assert X._squarefree(meet) == tuple(meet)
+        lead = [-2, 0, P]
+        assert X._squarefree(lead) == tuple(lead)
+        assert X._squarefree(X.poly_mul(lead, lead)) == tuple(lead)
+        assert X._squarefree([-5]) == (1,)
+        root = X.isolate_largest_root(meet, F(0), F(P + 4))
+        assert root.coeffs == tuple(meet)
+        lo, hi = root.refine(F(1, 10**3))
+        assert lo <= 3 + P <= hi and hi - lo <= F(1, 10**3)
 
 
 def isolation_cases():
@@ -1014,24 +1116,31 @@ def isolation_cases():
 
 
 class TestOneChainIsolation:
-    """isolate_largest_root bisects on ints and builds one Sturm chain."""
+    """isolate_largest_root bisects on ints and takes one squarefree
+    part."""
 
     def test_matches_fraction_bisection(self):
-        isolated = repeated = 0
+        # the Fraction chain's bisection, an interval that holds the
+        # Descartes piece, and the same cell at 10^-20
+        isolated = repeated = narrower = 0
         for p, lo, hi in isolation_cases():
             try:
-                want = fraction_isolate(p, lo, hi)
+                want, (slo, shi) = reference_isolate(p, lo, hi)
             except X.NonIsolatingInterval:
                 with pytest.raises(X.NonIsolatingInterval):
                     X.isolate_largest_root(p, lo, hi)
                 continue
             got = X.isolate_largest_root(p, lo, hi)
-            assert got.coeffs == want.coeffs
-            assert got.interval() == want.interval()
+            assert got.coeffs == want
             assert all(type(e) is F for e in got.interval())
+            assert slo <= got.interval()[0] < got.interval()[1] <= shi
+            narrower += got.interval() != (slo, shi)
+            width = F(1, 10**20)
+            assert got.refine(width) == \
+                AlgebraicReal(want, slo, shi).refine(width)
             isolated += 1
-            repeated += len(X.sturm_chain(p)[-1]) > 1
-        assert isolated >= 150 and repeated >= 50
+            repeated += len(reference_chain(p)[-1]) > 1
+        assert isolated >= 150 and repeated >= 50 and narrower >= 20
 
     def test_equals_public_constructor(self):
         for p, lo, hi in isolation_cases():
@@ -1039,32 +1148,58 @@ class TestOneChainIsolation:
                 got = X.isolate_largest_root(p, lo, hi)
             except X.NonIsolatingInterval:
                 continue
-            squarefree = X.poly_pseudo_divmod(p, X.sturm_chain(p)[-1])[0]
-            want = AlgebraicReal(squarefree, *got.interval())
+            want = AlgebraicReal(X._squarefree(p), *got.interval())
             assert (got.coeffs, got.interval()) == \
                 (want.coeffs, want.interval())
             assert got.refine(F(1, 10**30)) == want.refine(F(1, 10**30))
 
-    def test_one_chain_per_root(self, monkeypatch):
-        calls = []
-        chain = X.sturm_chain
-        monkeypatch.setattr(X, "sturm_chain",
-                            lambda p: calls.append(p) or chain(p))
+    def test_one_squarefree_step_per_root(self, monkeypatch):
+        # one squarefree part per root; poly_gcd only where p has a
+        # repeated root, as NUDGED has, and the modular proof fails
+        calls, gcds = [], []
+        squarefree, poly_gcd = X._squarefree, X.poly_gcd
+        monkeypatch.setattr(X, "_squarefree",
+                            lambda p: calls.append(p) or squarefree(p))
+        monkeypatch.setattr(X, "poly_gcd",
+                            lambda a, b: gcds.append(a) or poly_gcd(a, b))
         X.isolate_largest_root(NUDGED, F(0), F(6))
-        assert calls == [NUDGED]
+        assert calls == [NUDGED] and len(gcds) == 1
+        X.isolate_largest_root(SQRT2_MINUS_1, F(0), F(1))
+        assert calls[1:] == [SQRT2_MINUS_1] and len(gcds) == 1
 
-    def test_end_signs_of_the_squarefree_part_are_checked(self,
-                                                           monkeypatch):
-        # a squared quotient keeps the chain's count but not the sign
-        # change; the check at the ends must refuse it
-        divmod_ = X.poly_pseudo_divmod
+    def test_squarefree_part_changes_sign_over_the_piece(self):
+        # one sign variation leaves one simple root in the piece, so the
+        # squarefree part changes sign over it with no check of its own
+        for p, lo, hi in isolation_cases():
+            try:
+                got = X.isolate_largest_root(p, lo, hi)
+            except X.NonIsolatingInterval:
+                continue
+            a, b = got.interval()
+            assert X._value_at(got.coeffs, a) * \
+                X._value_at(got.coeffs, b) < 0
+            assert X.root_count(got.coeffs, a, b) == 1
 
-        def squared(a, b):
-            q, r = divmod_(a, b)
-            return X.poly_mul(q, q), r
-        monkeypatch.setattr(X, "poly_pseudo_divmod", squared)
-        with pytest.raises(X.NonIsolatingInterval, match="sign"):
-            X.isolate_largest_root(SQRT2_MINUS_1, F(0), F(1))
+    def test_root_on_a_split_point(self):
+        # 1 is the one real root of (x - 1)(100 x^2 - 200 x + 101) in
+        # (0, 2), and its midpoint.  The Sturm count stops at (0, 2), but
+        # the pair 1 +- i/10 leaves 3 variations, so the search splits on,
+        # at 4/3 for the root at 1, and again; 1 stays a dyadic point of
+        # each piece, so both cells collapse onto it
+        p = X.poly_mul([-1, 1], [101, -200, 100])
+        assert reference_sturm_isolate(p, F(0), F(2))[1] == (F(0), F(2))
+        assert X._variations(p, 0, 2, 1) == 3
+        got = X.isolate_largest_root(p, F(0), F(2))
+        assert got.interval() == (F(8, 9), F(28, 27))
+        assert_same_root(got, p, F(0), F(2))
+        assert got.interval() == (F(1), F(1))
+        # NUDGED_TWICE on (0, 8): its largest root 4 is the first midpoint,
+        # and 3 and 4 are split points on the way down
+        got = X.isolate_largest_root(NUDGED_TWICE, F(0), F(8))
+        assert got.interval() == (F(32, 9), F(40, 9))
+        assert_same_root(got, NUDGED_TWICE, F(0), F(8))
+        assert X.root_count(NUDGED_TWICE, F(0), F(8)) == 4
+        assert X.root_count(NUDGED_TWICE, F(3), F(4)) == 2
 
 
 class TestIntegerSeries:
@@ -1393,8 +1528,8 @@ class TestFieldRegistry:
         assert info.maxsize == X.FIELDS_MAX and info.currsize <= X.FIELDS_MAX
 
     def test_one_root_check_per_interval(self, monkeypatch):
-        calls, count = [], X.sturm_root_count
-        monkeypatch.setattr(X, "sturm_root_count",
+        calls, count = [], X.root_count
+        monkeypatch.setattr(X, "root_count",
                             lambda *args: calls.append(args) or count(*args))
         X._check_isolating.cache_clear()
         for _ in range(3):

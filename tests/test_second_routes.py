@@ -54,6 +54,13 @@ independent route.  A number with no line here has one route only.
   test_thuemorse.py::TestAlphaKL::test_series_sign_matches_fraction_sum
   test_thuemorse.py::TestAlphaKL::test_bisection_meets_the_fraction_halving
   test_thuemorse.py::TestAlphaKL::test_product_bounds_hold_the_series
+- Descartes isolation vs the Sturm count: the largest root of each class
+  product's and each whole matrix's char poly, of seeded matrices, a dense
+  24-row class product and the nudged polynomials, vs the integer Sturm
+  chain it replaced, kept in the tests as ``reference_sturm_count`` and
+  ``reference_sturm_isolate``: the same squarefree polynomial and root
+  count, and the identical 10^-20 cell:
+  test_dimension.py::test_descartes_isolation_against_sturm_chain
 
 Planned in ROADMAP.md, and missing until their code lands, each with
 today's code kept in the tests as the reference:
@@ -72,7 +79,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 19
+    assert len(named) == 20
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [
