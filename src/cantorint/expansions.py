@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
-from typing import Callable, Optional, Union
+from itertools import chain, count, islice
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import exactnum, graph, thuemorse, words
 from .exactnum import (
@@ -394,8 +394,7 @@ class UniqStatus(Enum):
     UNDECIDED = "undecided-at-depth"
 
 
-@dataclass(frozen=True)
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     status: UniqStatus
     violation: Optional[tuple] = None  # (shift n, absolute position or None)
     shifts_checked: int = 0
@@ -438,41 +437,53 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
     exactly when delta is eventually periodic: the cap then passes
     ``words._ep_equality_bound``, so a tail that reaches it equals delta.
     Otherwise a tail reaching the cap, or a LazySeq, leaves it UNDECIDED.
+    An EPSeq's digits are read from ``pre`` and ``per`` by index, and
+    delta's from the cache's list, so each digit read is one subscript.
     """
+    lazy = isinstance(seq, LazySeq)
+    if not lazy and not isinstance(seq, EPSeq):
+        raise TypeError("is_unique_expansion needs an EPSeq or LazySeq, "
+                        f"not {type(seq).__name__}")
     if seq.alphabet != sys.alphabet:
         raise words.AlphabetMismatch("sequence alphabet differs from system")
     M, low = sys.M, sys.alphabet.low
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
-    exact = isinstance(seq, EPSeq) and ep_delta is not None
-    if isinstance(seq, EPSeq):
-        shifts = len(seq.pre) + len(seq.per)
+    exact = not lazy and ep_delta is not None
+    if lazy:
+        shifts = depth_cap if depth_cap is not None else _DEFAULT_LAZY_SHIFTS
+    else:
+        pre, per = seq.pre, seq.per
+        p, q = len(pre), len(per)
+        shifts = p + q
         if exact:
             compare_cap = max(compare_cap,
                               words._ep_equality_bound(seq, ep_delta) + 1)
-    else:
-        shifts = depth_cap if depth_cap is not None else _DEFAULT_LAZY_SHIFTS
 
     if compare_cap < 1:  # every tail ties delta up to the cap
         return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)
-    if isinstance(seq, LazySeq) and seq.grammar is not None and \
+    if lazy and seq.grammar is not None and \
             parry_certified(seq.grammar, delta_seq(sys), compare_cap):
         return UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
-    get, dget, d1 = seq.digit, dcache.digit, dcache.digit(1)
+    get, dd, dget = seq.digit, dcache.digits, dcache.digit
+    d1 = dget(1)
+    # the first digits of the shifts 0..shifts, then digit j of tail n at
+    # 0-based index k = n + j - 1: pre[k], or per[(k - p) % q] past pre
+    firsts = map(get, range(1, shifts + 2)) if lazy else \
+        chain(pre, per, per[:1])
     all_high = all_low = True
     undecided = False
-    for n in range(shifts + 1):
-        f = get(n + 1) - low
-        # the tail, then its reflection: u_j = offset + sign * digit n + j
-        for u, exempt, offset, sign in ((f, all_high, -low, 1),
-                                        (M - f, all_low, M + low, -1)):
-            if exempt or u < d1:
-                continue
-            j, dj = 1, d1
-            while u == dj and j < compare_cap:  # a tie: read on
+    for n, f in enumerate(firsts):
+        f -= low
+        if f >= d1 and not all_high:  # the tail ties or passes d1
+            k, j, u, dj = n, 1, f, d1
+            while u == dj and j < compare_cap:
+                k += 1
                 j += 1
-                u, dj = offset + sign * get(n + j), dget(j)
+                u = (get(k + 1) if lazy else pre[k] if k < p
+                     else per[(k - p) % q]) - low
+                dj = dd[j - 1] if j <= len(dd) else dget(j)
             if u > dj:
                 return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
                                         n, compare_cap)
@@ -481,10 +492,26 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
                     return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
                                             n, compare_cap)
                 undecided = True
+        if M - f >= d1 and not all_low:  # so does its reflection
+            k, j, u, dj = n, 1, M - f, d1
+            while u == dj and j < compare_cap:
+                k += 1
+                j += 1
+                u = M + low - (get(k + 1) if lazy else pre[k] if k < p
+                               else per[(k - p) % q])
+                dj = dd[j - 1] if j <= len(dd) else dget(j)
+            if u > dj:
+                return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
+                                        n, compare_cap)
+            if u == dj:
+                if exact:
+                    return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
+                                            n, compare_cap)
+                undecided = True
         all_high = all_high and f == M
         all_low = all_low and f == 0
 
-    if isinstance(seq, LazySeq) or undecided:
+    if lazy or undecided:
         return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)
     return UniquenessResult(UniqStatus.UNIQUE, None, shifts, compare_cap)
 

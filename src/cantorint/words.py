@@ -14,8 +14,9 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 
 class WordsError(Exception):
@@ -30,16 +31,21 @@ class SizeMismatch(WordsError):
     pass
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Digits {low, ..., low + size - 1}."""
-
+class _AlphabetFields(NamedTuple):
     low: int
     size: int
 
-    def __post_init__(self):
-        if self.size < 2:
+
+class Alphabet(_AlphabetFields):
+    """Digits {low, ..., low + size - 1}.  A named tuple, so equality,
+    hashing and field access run in C; ``in`` is the digit range."""
+
+    __slots__ = ()
+
+    def __new__(cls, low: int, size: int):
+        if size < 2:
             raise WordsError("alphabet needs at least two digits")
+        return tuple.__new__(cls, (low, size))
 
     @property
     def high(self) -> int:
@@ -66,15 +72,20 @@ def _check_digits(digits, alphabet):
                              f"[{alphabet.low}, {alphabet.high}]")
 
 
+@cache
+def _alphabet_bytes(alphabet) -> bytes:
+    """The bytes of ``alphabet``'s digits as signed bytes (0xff is -1)."""
+    return bytes(d & 0xFF for d in range(max(alphabet.low, -128),
+                                         min(alphabet.high, 127) + 1))
+
+
 def _signed_digits(b, alphabet) -> tuple:
     """The digits of a bytes or bytearray string of signed digits (0xff is
     -1), read by one ``struct.unpack`` and checked by one ``translate``
     that deletes every byte of ``alphabet``; a byte left over raises
     :func:`_check_digits`'s error, naming the first digit outside."""
     digits = struct.unpack(f"{len(b)}b", b)
-    allowed = bytes(d & 0xFF for d in range(max(alphabet.low, -128),
-                                            min(alphabet.high, 127) + 1))
-    if b.translate(None, allowed):
+    if b.translate(None, _alphabet_bytes(alphabet)):
         _check_digits(digits, alphabet)
     return digits
 
@@ -292,7 +303,7 @@ def _map_digits(s: SeqLike, f: Callable[[int], int], alphabet: Alphabet,
 def reflect(s: SeqLike) -> SeqLike:
     """Digitwise map d -> low + high - d (negation for {-1,0,1})."""
     total = s.alphabet.low + s.alphabet.high
-    return _map_digits(s, lambda d: total - d, s.alphabet, "reflect")
+    return _map_digits(s, total.__sub__, s.alphabet, "reflect")
 
 
 def zero_density(s: Union[FiniteWord, EPSeq]) -> FreqReport:
@@ -326,7 +337,7 @@ def substitute_alphabet(s: SeqLike, frm: Alphabet, to: Alphabet) -> SeqLike:
     if s.alphabet != frm:
         raise AlphabetMismatch("sequence is not over the source alphabet")
     shift = to.low - frm.low
-    return _map_digits(s, lambda d: d + shift, to, "shift")
+    return _map_digits(s, shift.__add__, to, "shift")
 
 
 def strongly_eventually_periodic(s: EPSeq):
@@ -359,24 +370,25 @@ def strongly_eventually_periodic(s: EPSeq):
 # ---------------------------------------------------------------------------
 
 _TERNARY_RE = re.compile(r"^(?P<pre>[+\-0]*)(\((?P<per>[+\-0]+)\))?$")
-_CHAR_TO_DIGIT = {"+": 1, "-": -1, "0": 0}
+_TO_SIGNED = bytes.maketrans(b"+-0", b"\x01\xff\x00")
 _DIGIT_TO_CHAR = {1: "+", -1: "-", 0: "0"}
 
 
 def parse_seq(text: str) -> Union[FiniteWord, EPSeq]:
     """Parse a sequence over the ternary alphabet {-1, 0, 1}, written with
-    '+', '-' and '0'."""
+    '+', '-' and '0'.  One ``translate`` turns the matched text into
+    signed-digit bytes, which the words read as they are."""
     text = text.strip()
     m = _TERNARY_RE.match(text)
     if not m:
         raise WordsError(f"cannot parse ternary sequence {text!r}")
-    pre = tuple(map(_CHAR_TO_DIGIT.__getitem__, m.group("pre")))
-    per = m.group("per")
-    if per is None:
+    signed = text.encode("ascii").translate(_TO_SIGNED)
+    pre = signed[:m.end("pre")]
+    if m.start("per") < 0:
         if not pre:
             raise WordsError("empty sequence")
         return FiniteWord(pre, TERNARY)
-    return EPSeq(pre, map(_CHAR_TO_DIGIT.__getitem__, per), TERNARY)
+    return EPSeq(pre, signed[m.start("per"):m.end("per")], TERNARY)
 
 
 def format_seq(s: Union[FiniteWord, EPSeq]) -> str:

@@ -404,6 +404,14 @@ class TestUniqueness:
             res = E.is_unique_expansion(sys, EPSeq((), per, TERNARY))
             assert res.status is UniqStatus.UNIQUE
 
+    @pytest.mark.parametrize("seq, kind", [
+        (W.parse_seq("+0-"), "FiniteWord"), ((1, 0, -1), "tuple")])
+    def test_other_kinds_are_refused(self, seq, kind):
+        # a finite word has no tail past its end to scan
+        sys = BaseSystem(F(2, 5), TERNARY)
+        with pytest.raises(TypeError, match=f"not {kind}$"):
+            E.is_unique_expansion(sys, seq)
+
     def test_reflection_symmetry(self):
         rng = random.Random(71)
         sys = BaseSystem(F(9, 25), TERNARY)
@@ -530,12 +538,42 @@ def tie_lazies():
     return out
 
 
+def wrap_words():
+    """Words whose tail ties delta through two turns of its period and a
+    digit more: the preperiod is a prefix of delta at 2/5 or 9/20, then
+    the period is a block that delta repeats from there, with or without
+    a 0 in front, so the tie is read at shift 0 or 1."""
+    out = []
+    for alpha in (F(2, 5), F(9, 20)):
+        d = E.delta(BaseSystem(alpha, TERNARY), 60).digits
+        for q in (1, 2, 3):
+            for i in range(len(d) - 2 * q):
+                if all(d[i + r] == d[i + r % q] for r in range(2 * q + 1)):
+                    out += [EPSeq(d[:i], d[i:i + q], TERNARY),
+                            EPSeq((0, *d[:i]), d[i:i + q], TERNARY)]
+    return list(dict.fromkeys(out))
+
+
+def dense_family_words():
+    """Words ((1 -1)^a 0^b)^inf of the dense family with periods of 134
+    to 240 digits."""
+    from cantorint.dimension import dense_selfsimilar_targets
+    return [s for tol in (F(1, 100), F(1, 120))
+            for s in dense_selfsimilar_targets(F(9, 25), [F(199, 200), F(1)],
+                                               tol)]
+
+
 def uniqueness_words(rng, count=60):
     from cantorint.thuemorse import tm_block_word
-    seqs = [tm_block_word(n) for n in range(1, 7)] + tie_words()
+    seqs = [tm_block_word(n) for n in range(1, 13)] + tie_words()
+    seqs += wrap_words() + dense_family_words()
     for _ in range(count):
         pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4))]
         per = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 9))]
+        seqs.append(EPSeq(pre, per, TERNARY))
+    for _ in range(count // 2):  # preperiods longer than their period
+        pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(5, 25))]
+        per = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 5))]
         seqs.append(EPSeq(pre, per, TERNARY))
     return [s for seq in seqs for s in (seq, W.reflect(seq))]
 

@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -504,3 +507,78 @@ class TestTextFormat:
             parse_seq("abc")
         with pytest.raises(W.WordsError):
             parse_seq("")
+
+
+_REFERENCE_RE = re.compile(r"^(?P<pre>[+\-0]*)(\((?P<per>[+\-0]+)\))?$")
+_REFERENCE_DIGITS = {"+": 1, "-": -1, "0": 0}
+
+
+def reference_parse_seq(text):
+    """parse_seq as it mapped each character through a dict into tuples of
+    ints."""
+    text = text.strip()
+    m = _REFERENCE_RE.match(text)
+    if not m:
+        raise W.WordsError(f"cannot parse ternary sequence {text!r}")
+    pre = tuple(map(_REFERENCE_DIGITS.__getitem__, m.group("pre")))
+    per = m.group("per")
+    if per is None:
+        if not pre:
+            raise W.WordsError("empty sequence")
+        return FiniteWord(pre, TERNARY)
+    return EPSeq(pre, map(_REFERENCE_DIGITS.__getitem__, per), TERNARY)
+
+
+POOL_WORDS = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                         / "reference.json").read_text())["spectrum"]["words"]
+
+
+class TestParseReference:
+    """parse_seq reads the signed-digit bytes path; the tuple parser is the
+    reference."""
+
+    def test_pool_words(self):
+        assert len(POOL_WORDS) == 400
+        for text in POOL_WORDS:
+            finite = text.replace("(", "").replace(")", "")
+            for t in (text, f" {text}\n", finite, "0" * 40 + text):
+                got, want = parse_seq(t), reference_parse_seq(t)
+                assert type(got) is type(want) and got == want
+                assert isinstance(got, FiniteWord) or \
+                    (got.pre, got.per) == (want.pre, want.per)
+
+    @pytest.mark.parametrize("text", [
+        "", "  ", "abc", "()", "+(", "(+", "+0)", "(0)(0)", "(+)-", "+ 0",
+        "+(0 )", "+\n0", "(+-\n)", "é", "+0(é)", "2,1(1)", "+-0(+-0", None,
+        b"+0(0)", 12])
+    def test_malformed_texts(self, text):
+        with pytest.raises(Exception) as want:
+            reference_parse_seq(text)
+        with pytest.raises(Exception) as got:
+            parse_seq(text)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+class TestAlphabet:
+    @pytest.mark.parametrize("size", [1, 0, -2])
+    def test_needs_two_digits(self, size):
+        with pytest.raises(W.WordsError, match="at least two digits"):
+            Alphabet(0, size)
+
+    def test_equal_when_built_apart(self):
+        a, b = Alphabet(-1, 3), Alphabet(low=-1, size=3)
+        assert a == b == TERNARY and hash(a) == hash(b) == hash(TERNARY)
+        assert len({a, b, TERNARY, Alphabet(0, 3), Alphabet(-1, 2)}) == 3
+        assert Alphabet(0, 3) != TERNARY and Alphabet(-1, 2) != TERNARY
+
+    def test_in_is_the_digit_range(self):
+        for a in (TERNARY, BINARY, Alphabet(-3, 7), Alphabet(5, 2)):
+            for d in range(-10, 11):
+                assert (d in a) is (a.low <= d <= a.high)
+        assert 3 not in TERNARY and -1 in TERNARY  # the fields are not digits
+
+    def test_repr_and_high(self):
+        assert repr(TERNARY) == "Alphabet(low=-1, size=3)"
+        assert repr(Alphabet(0, 2)) == "Alphabet(low=0, size=2)"
+        assert (TERNARY.high, BINARY.high, Alphabet(-3, 7).high) == (1, 1, 3)
