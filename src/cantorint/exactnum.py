@@ -41,7 +41,8 @@ Q by reduction modulo a prime below 50, or it raises ``UnsupportedBase``.
 So Q(alpha) is a field, the zero vector is the only exact 0, and every
 other vector has a nonzero value, which the doubling filter certifies.
 ``field`` keeps one context per base and process, so each base's proof,
-tables and -ln alpha are derived once.
+tables and -ln alpha are derived once, and the context holds the base's
+``expansions.BaseSystem`` of each alphabet, which go with it.
 """
 
 from __future__ import annotations
@@ -830,6 +831,8 @@ class QAlphaContext:
         self.r = tuple(sg * x for x in a[1:])  # r_0 .. r_(n-1)
         self._B: dict = {}  # K -> (B_0, ..., B_(n-1))
         self.fallbacks = 0
+        # alphabet -> the expansions.BaseSystem on this field, oldest first
+        self.systems: dict = {}
 
     # -- elements ------------------------------------------------------------
 
@@ -1096,7 +1099,8 @@ def field(alpha) -> QAlphaContext:
     by polynomial and an interval that holds alpha's or lies in it, as two
     such isolating intervals of one polynomial hold one root.  Its facts
     depend on its key alone: one dropped past ``FIELDS_MAX`` is rebuilt
-    the same."""
+    the same, and the base systems in its ``systems`` are dropped with
+    it."""
     if isinstance(alpha, AlgebraicReal):
         p, lo, hi = key = (alpha.coeffs, *alpha.interval())
         nested = (c for k, c in _FIELDS.items() if k[0] == p and (

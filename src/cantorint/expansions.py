@@ -58,9 +58,16 @@ class OutOfDomain(ExpansionError):
     pass
 
 
-# (3 - sqrt(5)) / 2, the threshold base: root of x^2 - 3x + 1 in (1/3, 1/2)
+_GOLDEN: list = []
+
+
 def golden_threshold() -> AlgebraicReal:
-    return AlgebraicReal([1, -3, 1], Fraction(1, 3), Fraction(1, 2))
+    """(3 - sqrt(5))/2, the threshold base: the root of x^2 - 3x + 1 in
+    (1/3, 1/2), as a module singleton, so its interval is checked once."""
+    if not _GOLDEN:
+        _GOLDEN.append(AlgebraicReal([1, -3, 1], Fraction(1, 3),
+                                     Fraction(1, 2)))
+    return _GOLDEN[0]
 
 
 class DSetKind(Enum):
@@ -80,6 +87,10 @@ def _side(alpha, bound, name: str) -> Comparison:
     return pos
 
 
+SYSTEMS_MAX = 4  # the most alphabets a field, or alpha_KL, keeps systems of
+_AKL_SYSTEMS: dict = {}  # alphabet -> alpha_KL's system, oldest first
+
+
 class BaseSystem:
     """A base alpha in (0,1) together with a digit alphabet.
 
@@ -89,12 +100,34 @@ class BaseSystem:
     can run off its known quasi-greedy expansion of 1, and for
     ``neg_log``, ``dimension_domain``, ``past_threshold`` and ``regime``,
     all cached.
+
+    ``BaseSystem(alpha, alphabet)`` is the process's one system of alpha's
+    field and that alphabet, so delta's digits and every cached fact are
+    derived once per base.  The field's context keeps it in ``systems``
+    (alpha_KL's are in ``_AKL_SYSTEMS``), at most ``SYSTEMS_MAX`` of them,
+    oldest dropped, and ``exactnum.field`` drops them with the context.
+    A system's facts depend on its field and alphabet alone, so a dropped
+    one is rebuilt the same.  Any other series base gets a new system.
     """
 
-    def __init__(self, alpha, alphabet: Alphabet = TERNARY):
+    def __new__(cls, alpha, alphabet: Alphabet = TERNARY):
         if compare(alpha, Fraction(0)) is not Comparison.GREATER or \
                 compare(alpha, Fraction(1)) is not Comparison.LESS:
             raise OutOfDomain("base must lie strictly between 0 and 1")
+        if isinstance(alpha, (Fraction, AlgebraicReal)):
+            systems = exactnum.field(alpha).systems
+        else:
+            systems = _AKL_SYSTEMS if thuemorse.is_alpha_kl(alpha) else {}
+        sys = systems.get(alphabet)
+        if sys is None:
+            if len(systems) >= SYSTEMS_MAX:
+                del systems[next(iter(systems))]
+            sys = systems[alphabet] = super().__new__(cls)
+        return sys
+
+    def __init__(self, alpha, alphabet: Alphabet = TERNARY):
+        if "alpha" in vars(self):  # the process's system, built once
+            return
         self.alpha = alpha
         self.alphabet = alphabet
         if isinstance(alpha, (Fraction, AlgebraicReal)):

@@ -9,6 +9,12 @@ subshift of the interval-of-dimensions regime with its level search
 against a base's delta.  It builds on :mod:`exactnum`, :mod:`words` and
 :mod:`graph` only; the layers above pass it their delta.
 
+Each word that is a function of n alone (``lambda_prefix``, ``w_word``,
+``zeta``, ``eta``, ``tm_block_word``, ``sft_blocks``, ``sft_max_word``)
+is built once per process, one immutable object for every caller, in an
+``lru_cache`` sized to the levels its callers reach; no word past 2^16
+digits is kept.
+
 alpha_KL is bisected on the sign of F(a) = sum (1+lambda_i) a^i - 1, read
 off the Thue-Morse product P(a) = prod_(k>=0) (1 - a^(2^k)), the
 generating function of (-1)^(tau_i) that Allouche and Cosnard use to prove
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, wraps
 
 from . import exactnum, graph
 from .words import (
@@ -72,61 +79,83 @@ def tau_prefix(n: int) -> FiniteWord:
 
 # signed digits as bytes: 0x01 = 1, 0x00 = 0, 0xff = -1; d -> -d
 _REFLECT = bytes.maketrans(b"\x01\x00\xff", b"\xff\x00\x01")
+_PREFIXES_MAX = 4  # lambda_prefix lengths and w_word levels kept at once
+_BLOCK_LEVELS = 12  # the block-word levels dimension.n_star tests
+_SFT_N_CAP = 8  # highest subshift level find_smallest_sft_n tries
 
 
-def _lambda_pair(n: int) -> tuple:
-    """The signed-digit strings (w, reflect(w)) of w = lambda_1 ...
-    lambda_(2^k), 2^k the least power of 2 >= n, built by doubling: w_(k+1)
-    is w_k reflect(w_k) with its last digit raised by one.  A level is one
-    ``translate`` and one append on a ``bytearray``, and the reflection is
-    one more ``translate``."""
+def _memo(top: int, maxsize: int | None = None):
+    """Keep the words of n <= ``top`` in an ``lru_cache`` of ``maxsize``
+    entries (``top`` if None), behind a plain function of n, which
+    perfbench's tracer spans as it spans plain functions only.  A larger n
+    is built anew at each call, so no word past 2^16 digits stays in
+    memory.  ``cache_info`` is the cache's own."""
+    def wrap(build):
+        cached = lru_cache(maxsize or top)(build)
+        word = wraps(build)(lambda n: cached(n) if n <= top else build(n))
+        word.cache_info = cached.cache_info
+        return word
+    return wrap
+
+
+def _lambda_bytes(n: int) -> bytearray:
+    """The signed-digit string of w = lambda_1 ... lambda_(2^k), 2^k the
+    least power of 2 >= n, built by doubling: w_(k+1) is w_k reflect(w_k)
+    with its last digit raised by one.  A level is one ``translate`` and
+    one append on a ``bytearray``."""
     w = bytearray(b"\x01")
     while len(w) < n:
         w += w.translate(_REFLECT)
         w[-1] = (w[-1] + 1) & 0xFF  # -1 + 1 = 0 wraps from 0xff
-    return w, w.translate(_REFLECT)
+    return w
 
 
+@_memo(2**16, _PREFIXES_MAX)
 def lambda_prefix(n: int) -> FiniteWord:
     """lambda_1 ... lambda_n over {-1,0,1}: the first n signed digits of
-    the doubling word of :func:`_lambda_pair`."""
+    the doubling word of :func:`_lambda_bytes`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(_lambda_pair(n)[0][:n], TERNARY)
+    return FiniteWord(_lambda_bytes(n)[:n], TERNARY)
 
 
 def lambda_seq() -> LazySeq:
     return LazySeq(lam, TERNARY, "lambda")
 
 
+@_memo(16, _PREFIXES_MAX)
 def w_word(n: int) -> FiniteWord:
     """w_n = lambda_1 ... lambda_{2^n}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(_lambda_pair(2**n)[0], TERNARY)
+    return FiniteWord(_lambda_bytes(2**n), TERNARY)
 
 
+@_memo(_BLOCK_LEVELS)
 def tm_block_word(n: int) -> EPSeq:
     """The periodic word (w_n reflect(w_n))^inf over {-1,0,1}: its period
-    joins the two signed-digit strings of one :func:`_lambda_pair`."""
+    joins the signed-digit string of :func:`_lambda_bytes` and its
+    reflection, the one caller that reads it."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    pos, neg = _lambda_pair(2**n)
-    return EPSeq(b"", pos + neg, TERNARY)
+    w = _lambda_bytes(2**n)
+    return EPSeq(b"", w + w.translate(_REFLECT), TERNARY)
 
 
+@_memo(_SFT_N_CAP)
 def zeta(n: int) -> FiniteWord:
     """zeta_n = 0 lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(b"\x00" + _lambda_pair(2**n)[0][:-1], TERNARY)
+    return FiniteWord(b"\x00" + _lambda_bytes(2**n)[:-1], TERNARY)
 
 
+@_memo(_SFT_N_CAP)
 def eta(n: int) -> FiniteWord:
     """eta_n = (-1) lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return FiniteWord(b"\xff" + _lambda_pair(2**n)[0][:-1], TERNARY)
+    return FiniteWord(b"\xff" + _lambda_bytes(2**n)[:-1], TERNARY)
 
 
 def dw(n: int) -> Fraction:
@@ -257,7 +286,6 @@ SFT_MATRIX = ((0, 1, 1, 0),
               (0, 0, 1, 0),
               (1, 0, 0, 1),
               (1, 0, 0, 0))
-_SFT_N_CAP = 8  # highest subshift level find_smallest_sft_n tries
 
 
 @dataclass(frozen=True)
@@ -284,6 +312,7 @@ class SftBlocks:
                 max(self.d_omega1, self.d_omega2))
 
 
+@_memo(_SFT_N_CAP)
 def sft_blocks(n: int) -> SftBlocks:
     z, e = zeta(n), eta(n)
     zb, eb = reflect(z), reflect(e)
@@ -304,6 +333,7 @@ def _sft_graph(n: int) -> list:
             for i, d in enumerate(blocks[b])]
 
 
+@_memo(_SFT_N_CAP)
 def sft_max_word(n: int) -> EPSeq:
     """The lexicographically largest sequence of the level-n subshift."""
     return EPSeq(*graph.max_path(_sft_graph(n)), TERNARY)

@@ -349,16 +349,19 @@ def strongly_eventually_periodic(s: EPSeq):
     other k, I(k) starts with I(k0), and J(k) starts with J(k0) because both
     read the periodic part at offsets differing by a multiple of q; and
     I(k0) = J(k0) makes s = I(k0)^inf, so I(k) = J(k).  So I(k) <= J(k) iff
-    I(k0) <= J(k0), and k0 gives the witness if any k does.
+    I(k0) <= J(k0), and k0 gives the witness if any k does.  I is ``pre``
+    and the first k - p digits of the repeated period, J the next k.
     """
     if not isinstance(s, EPSeq):
         raise TypeError("strongly_eventually_periodic needs an EPSeq")
     if s.alphabet.size != 2:
         raise WordsError("test is defined over two-letter alphabets")
-    p, q = len(s.pre), len(s.per)
+    pre, per = s.pre, s.per
+    p, q = len(pre), len(per)
     k = q * -(-max(p, 1) // q)
-    word_i = tuple(s.digit(i) for i in range(1, k + 1))
-    word_j = tuple(s.digit(i) for i in range(k + 1, 2 * k + 1))
+    rep = per * (k // q + 1)  # 2k - p <= k + q digits are read
+    word_i = pre + rep[:k - p]
+    word_j = rep[k - p:2 * k - p]
     if word_i <= word_j:
         return (FiniteWord(word_i, s.alphabet), FiniteWord(word_j, s.alphabet))
     return None

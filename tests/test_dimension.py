@@ -35,8 +35,9 @@ from cantorint.dimension import (
     self_similar_check,
 )
 from cantorint.expansions import BaseSystem, OutOfDomain
-from cantorint.words import TERNARY, EPSeq
+from cantorint.words import BINARY, TERNARY, EPSeq
 from test_exactnum import (
+    KERNEL_BASES,
     NUDGED,
     NUDGED_TWICE,
     assert_same_root,
@@ -2148,6 +2149,15 @@ class TestLiouville:
             liouville_witness(F(2**63 - 1, 2**64), 1)
 
 
+def cold_registries(monkeypatch):
+    """Empty registries for the test, as a new process has them: no field
+    context, and so no base system, no alpha_KL system and no threshold;
+    the process's own come back after it."""
+    monkeypatch.setattr(X, "_FIELDS", {})
+    monkeypatch.setattr(E, "_AKL_SYSTEMS", {})
+    monkeypatch.setattr(E, "_GOLDEN", [])
+
+
 class TestDSet:
     def test_finite_regime(self):
         ds = d_set(F(21, 50))
@@ -2222,8 +2232,8 @@ class TestDSet:
                                       "alg:-1,1,2,2@[2/5,1/2]", "akl"])
     def test_one_log_per_call(self, monkeypatch, base):
         # every value of one call divides by the one cached -ln alpha, and a
-        # second call on a field already built takes none; alpha_KL has no
-        # field, so each of its systems takes its own
+        # second call on a base already met takes none: alpha_KL's too, as
+        # the process keeps its one system
         calls = []
         real = X.log_enclosure
 
@@ -2232,11 +2242,11 @@ class TestDSet:
             return real(x)
 
         monkeypatch.setattr(X, "log_enclosure", counted)
-        X._FIELDS.clear()
+        cold_registries(monkeypatch)
         d_set(X.parse_real(base))
         assert len(calls) == 1
         d_set(X.parse_real(base))
-        assert len(calls) == (2 if base == "akl" else 1)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("base", [
         "rat:21/50", "rat:3944/10000", "rat:19/50", "rat:39/100",
@@ -2292,6 +2302,7 @@ class TestDSet:
                 super().__init__(sys)
 
         monkeypatch.setattr(E, "_DeltaCache", Counted)
+        cold_registries(monkeypatch)
         ds = d_set(alpha)
         assert ds.kind is DSetKind.CONTAINS_INTERVAL
         assert ds.sft_n == (1 if alpha == F(39, 100) else 3)
@@ -2335,7 +2346,9 @@ def float_recipe(dv, alpha):
 def built_values(monkeypatch):
     """Every DimensionValue the dimension module builds while in use, with
     the base whose -ln alpha its enclosure divides by, or None for a value
-    built as 0 directly."""
+    built as 0 directly.  The registries start empty, so each base's
+    ``BaseSystem.neg_log`` is derived, and recorded, in the test."""
+    cold_registries(monkeypatch)
     built, bases = [], {}
     real, real_value, real_neg_log = \
         D.DimensionValue, D._dimension_value, X._neg_log
@@ -2411,6 +2424,59 @@ class TestInsideFloatRecipe:
         for base in bases:
             d_set(X.parse_real(base))
         assert_inside_float_recipe(built_values)
+
+
+def system_facts(text):
+    """What a ``BaseSystem`` derives once, and the d_set built on it:
+    delta to 512 digits, its periodic form, the regime, the threshold
+    fact and -ln alpha."""
+    sys = BaseSystem(X.parse_real(text), TERNARY)
+    return (E.delta(sys, 512), E.try_ep_form(sys), sys.regime,
+            sys.past_threshold, sys.neg_log, d_set(X.parse_real(text)))
+
+
+class TestSystemRegistry:
+    """``BaseSystem``, the process's one system of a field and an alphabet,
+    against a fresh one built under empty registries, and its bounds."""
+
+    @pytest.mark.parametrize("text", sorted(REFERENCE["spectrum"]["bases"])
+                             + list(KERNEL_BASES) + ["akl"])
+    def test_interned_matches_fresh(self, monkeypatch, text):
+        with monkeypatch.context() as m:
+            cold_registries(m)
+            fresh = BaseSystem(X.parse_real(text), TERNARY)
+            fresh_facts = system_facts(text)
+        sys = BaseSystem(X.parse_real(text), TERNARY)
+        assert sys is not fresh
+        assert BaseSystem(X.parse_real(text), TERNARY) is sys
+        assert system_facts(text) == system_facts(text) == fresh_facts
+
+    def test_systems_go_with_their_field(self, monkeypatch):
+        cold_registries(monkeypatch)
+        first = BaseSystem(F(2, 5), TERNARY)
+        assert first.ctx.systems == {TERNARY: first}
+        assert BaseSystem(F(4, 10), TERNARY) is first
+        assert BaseSystem(F(2, 5), BINARY) is not first
+        for k in range(X.FIELDS_MAX):
+            BaseSystem(F(1, k + 3), TERNARY)
+        assert len(X._FIELDS) == X.FIELDS_MAX
+        again = BaseSystem(F(2, 5), TERNARY)  # dropped, and rebuilt the same
+        assert again is not first and again.ctx is not first.ctx
+        assert (again.regime, again.neg_log, E.delta(again, 64)) == \
+            (first.regime, first.neg_log, E.delta(first, 64))
+
+    @pytest.mark.parametrize("text", ["rat:2/5", "akl"])
+    def test_alphabets_per_base_are_bounded(self, monkeypatch, text):
+        cold_registries(monkeypatch)
+        alpha = X.parse_real(text)
+        alphabets = [W.Alphabet(low, 3) for low in range(E.SYSTEMS_MAX + 2)]
+        systems = [BaseSystem(alpha, a) for a in alphabets]
+        ctx = BaseSystem(alpha, TERNARY).ctx
+        kept = E._AKL_SYSTEMS if ctx is None else ctx.systems
+        assert E.SYSTEMS_MAX == 4 and len(kept) == E.SYSTEMS_MAX
+        assert list(kept) == alphabets[3:] + [TERNARY]
+        assert BaseSystem(alpha, alphabets[-1]) is systems[-1]
+        assert BaseSystem(alpha, alphabets[0]) is not systems[0]
 
 
 # ---------------------------------------------------------------------------

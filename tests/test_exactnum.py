@@ -27,6 +27,7 @@ from cantorint.exactnum import (
 from cantorint import thuemorse as T
 from cantorint import acceptance as A
 from cantorint import dimension as D
+from cantorint import expansions as E
 from cantorint.dimension import char_poly, liouville_witness
 from cantorint.expansions import (
     BaseSystem,
@@ -1532,6 +1533,7 @@ class TestFieldRegistry:
         monkeypatch.setattr(X, "root_count",
                             lambda *args: calls.append(args) or count(*args))
         X._check_isolating.cache_clear()
+        monkeypatch.setattr(E, "_GOLDEN", [])  # the threshold is built here
         for _ in range(3):
             parse_real(KERNEL_BASES[0])
             golden_threshold()

@@ -45,6 +45,11 @@ independent route.  A number with no line here has one route only.
   comparisons, enclosures, children and -ln alpha, vs a fresh
   ``QAlphaContext`` on the same base:
   test_exactnum.py::TestFieldRegistry::test_interned_matches_fresh
+- A base's interned ``BaseSystem``, its delta to 512 digits, periodic
+  form, regime, threshold fact, -ln alpha and d_set, vs a fresh system
+  built under empty registries, on the 24 spectrum bases, the kernel
+  bases and alpha_KL:
+  test_dimension.py::TestSystemRegistry::test_interned_matches_fresh
 - F's sign, from the Thue-Morse product prod (1 - a^(2^k)), vs the
   term-by-term series sum (1 + lambda_i) a^i, kept in the tests as
   ``reference_series_sign_at``, at seeded points, every midpoint of a
@@ -79,7 +84,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 20
+    assert len(named) == 21
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -102,6 +103,27 @@ class TestDoublingKernel:
         for f in (T.w_word, T.zeta, T.eta, T.lambda_prefix):
             with pytest.raises(ValueError):
                 f(0)
+
+    def test_words_are_built_once_in_bounded_caches(self):
+        # each word of n is one object per process, kept in a cache sized
+        # to the levels its callers reach, for n up to a top past which no
+        # word is kept; each stays a plain function of the module, which
+        # perfbench's tracer spans
+        from cantorint import dimension
+        bounds = {T.lambda_prefix: (4, 2**16), T.w_word: (4, 16),
+                  T.tm_block_word: (12, 12), T.zeta: (8, 8), T.eta: (8, 8),
+                  T.sft_blocks: (8, 8), T.sft_max_word: (8, 8)}
+        assert T.tm_block_word.cache_info().maxsize == dimension._NSTAR_CAP
+        assert T.sft_max_word.cache_info().maxsize == T._SFT_N_CAP
+        for f, (size, top) in bounds.items():
+            assert inspect.isfunction(f) and f.__module__ == T.__name__
+            assert f.cache_info().maxsize == size
+            for n in range(1, size + 2):
+                f(n)
+            assert f.cache_info().currsize == size
+            assert f(top) is f(top) and f(1) == f.__wrapped__(1)
+            a, b = f(top + 1), f(top + 1)  # built anew: not kept
+            assert a is not b and a == b
 
 
 class TestDensities:
