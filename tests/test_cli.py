@@ -325,6 +325,9 @@ GOLDEN = [
      "9d48ce47a37071666a0cff894b081fa6a19b058024992a9893bd9b038cd91204"),
     (("liouville", "--pq", "7/20", "--k", "3", "--free-rule", "1"),
      "1aa4f53b34ead9a6c626e817beb2109a328000a16fddecc58703893e85feb648"),
+    # the thinnest margin between x's enclosure and an approximant
+    (("liouville", "--pq", "499/1000", "--k", "2"),
+     "65680ad36d5c1da0eaa2a9ee198e3681d53b16050dcd6a8bc9dd3b2c837f1940"),
     (("dim", "--alpha", "rat:19/50", "--t-seq", "(+-000)"),
      "905288c4c6b6b0256917bb1ea5064e178a7d1ddd2cfaa01919630d3215731dd2"),
     (("dim", "--alpha", CUBIC, "--t-seq", "(0)"),
@@ -359,6 +362,13 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_verify_paper_digest(self, capsys):
+        # the whole table, every check's detail string included; it exits
+        # 1 by design, as check 10 fails
+        code, out, _ = run(capsys, "--json", "verify-paper")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "a0a0d41f1380cda72451ee5964c7861bd9909f862a0b58bc9ea03a9a6dd4121f"
 
     def test_digests_do_not_depend_on_history(self, capsys, tmp_path,
                                               monkeypatch):
