@@ -14,9 +14,7 @@ from .exactnum import (  # noqa: F401
     Comparison,
     QAlphaContext,
     QAlphaElement,
-    Rational,
     EnclosedReal,
-    SeriesReal,
     compare,
     decimal_string,
     format_real,

@@ -757,7 +757,6 @@ class LiouvilleWitness:
     m: list  # m_k = 2(n_1+..+n_k) + k, the k-th separating zero, k <= K+1
     approximants: list  # Fractions p_k/q_k for k = 1..K
     x_enclosure: tuple  # rational interval certified to contain x
-    x: exactnum.SeriesReal
     t_seq: LazySeq
 
 
@@ -825,8 +824,9 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
       |x - p_k/q_k| >= a^(m_(k+1) + 1) (1 - 2a) / (1 - a), a = p/q.
 
     Any failure raises ``VerificationFailed`` (it would be a bug, not an
-    input problem).  One running sum of x's digits up to m_K gives every
-    p_k/q_k, each with the tail of the block after m_k.
+    input problem).  One running sum of x's digits, one int over q^i, gives
+    every p_k/q_k, each with the tail of the block after m_k, and then
+    x's enclosure, with the geometric bound on the digits after it.
 
     n_1 = 1, and each later n_k is the least that meets the growth
     inequality of ``_liouville_min_next``.  The enclosure of x at width
@@ -865,27 +865,26 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
     t_seq = LazySeq(blocks.digit, TERNARY, f"liouville({pq})",
                     [[(1, 1)], [(2, -1)], [(1, 1), (0, 0)]])
 
+    # one running sum S of x's digits to i, over q^i.  The digits after i
+    # add at most p^(i+1) / (q^i (q - p)), which is above pq^n, for
+    # n = m_(K+1) + 63, while i < n, as q - p < q, and not at i = n, as
+    # p <= q - p: the sum stops at the least i whose enclosure is that wide
     x_digit = {1: 1, -1: 0, 0: int(free_digit_rule)}
-
-    def eps(i: int) -> int:
-        return x_digit[blocks.digit(i)]
-
-    x = exactnum.SeriesReal(eps, pq, 0, 1, description=f"liouville-x({pq})")
-
     m = blocks.bounds[:K + 1]  # m_1 .. m_(K+1)
+    p, n = pq.numerator, m[K] + 63
+    s, p_i, q_i = 0, 1, 1  # S, p^i, q^i
     approximants = []
-    partial, power = Fraction(0), Fraction(1)  # the sum up to m_k, pq^m_k
-    for prev, m_k in zip([0] + m, m[:K]):
-        for i in range(prev + 1, m_k + 1):
-            power *= pq
-            partial += eps(i) * power
-        approx = partial + power * pq / (1 - pq * pq)
-        approximants.append(approx)
-        if approx.denominator > q ** (m_k + 3):
-            raise VerificationFailed("denominator bound violated")
-
-    # enclose x deep enough for all checks
-    x_lo, x_hi = x.enclosure(pq ** (m[K] + 63))
+    for i in range(1, n + 1):
+        p_i, q_i = p_i * p, q_i * q
+        s = s * q + x_digit[blocks.digit(i)] * p_i
+        if i in m[:K]:  # p_k/q_k: x's digits to m_k = i, then 1 0 1 0 ...
+            approx = Fraction(s * (q * q - p * p) + p_i * p * q,
+                              q_i * (q * q - p * p))
+            if approx.denominator > q ** (i + 3):
+                raise VerificationFailed("denominator bound violated")
+            approximants.append(approx)
+    x_lo, x_hi = Fraction(s, q_i), Fraction(s * (q - p) + p_i * p,
+                                            q_i * (q - p))
 
     for k in range(1, K + 1):
         approx = approximants[k - 1]
@@ -897,7 +896,7 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
         if x_lo <= approx <= x_hi:
             raise VerificationFailed(f"x's enclosure holds p_{k}/q_{k}")
 
-    return LiouvilleWitness(pq, nk, m, approximants, (x_lo, x_hi), x, t_seq)
+    return LiouvilleWitness(pq, nk, m, approximants, (x_lo, x_hi), t_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -918,26 +917,23 @@ class DSetDescription:
     note: str = ""
 
 
-_NSTAR_CAP = 12  # highest block-word level n_star tests
-
-
 def n_star(sys: BaseSystem, depth_cap: int = 4096) -> tuple:
-    """Largest n <= ``_NSTAR_CAP`` with (w_n reflect(w_n))^inf passing the
-    uniqueness test over ``sys``; returns (n*, cap_hit).
+    """Largest n <= ``thuemorse._BLOCK_LEVELS`` with (w_n reflect(w_n))^inf
+    passing the uniqueness test over ``sys``; returns (n*, cap_hit).
 
     Every level up to the cap is tested (passes have always been downward
     closed in practice, but the maximum is what is reported).  cap_hit is
     True when the top level itself passes, i.e. the cap may be binding.
     """
     last_pass = 0
-    for n in range(1, _NSTAR_CAP + 1):
+    for n in range(1, thuemorse._BLOCK_LEVELS + 1):
         res = is_unique_expansion(sys, tm_block_word(n), depth_cap=depth_cap)
         if res.status is UniqStatus.UNIQUE:
             last_pass = n
         elif res.status is UniqStatus.UNDECIDED:
             raise exactnum.UndecidedComparison(
                 f"uniqueness of the level-{n} block word undecided at depth")
-    return last_pass, last_pass == _NSTAR_CAP
+    return last_pass, last_pass == thuemorse._BLOCK_LEVELS
 
 
 def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:

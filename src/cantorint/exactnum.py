@@ -2,13 +2,11 @@
 
 Three number kinds are supported:
 
-* ``Fraction`` (aliased ``Rational``) -- exact rationals,
+* ``Fraction`` -- exact rationals,
 * ``AlgebraicReal`` -- an integer polynomial together with a rational
   isolating interval containing exactly one of its real roots,
 * ``EnclosedReal`` -- a number known only through its own nested
-  enclosures, such as the bisection brackets of alpha_KL, or, as a
-  ``SeriesReal``, a lazy digit series ``sum d_i * r^i`` enclosed by a
-  partial sum plus a geometric tail bound, both kept on ints.
+  enclosures: alpha_KL, through its bisection brackets.
 
 Comparisons between any two of these either return a certified sign or an
 explicit ``Comparison.UNDECIDED`` below ``DEFAULT_PRECISION`` = 2^-128, the
@@ -55,8 +53,6 @@ from functools import cached_property, lru_cache, partial
 from math import gcd, lcm, log2
 from operator import mul
 from typing import Callable, Union
-
-Rational = Fraction
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
@@ -455,71 +451,17 @@ class AlgebraicReal:
 
 class EnclosedReal:
     """A real known by ``enclose(width)``, nested rational enclosures each at
-    most ``width`` wide: a bisection's brackets on a monotone function with
-    signs certified at rational points, or a :class:`SeriesReal`'s sums."""
+    most ``width`` wide: alpha_KL, through the bisection's brackets on a
+    monotone function with signs certified at rational points."""
 
     __slots__ = ("enclosure", "description")
 
-    def __init__(self, enclose: Callable[[Fraction], tuple],
-                 description: str = ""):
+    def __init__(self, enclose: Callable[[Fraction], tuple], description: str):
         self.enclosure = enclose
         self.description = description
 
     def __repr__(self):
         return f"{type(self).__name__}<{self.description}>"
-
-
-class SeriesReal(EnclosedReal):
-    """The ``EnclosedReal`` ``sum_{i>=1} d_i * ratio^i`` of a lazy digit
-    stream, described as ``series`` when no description is given.
-
-    ``digits(i)`` must be a pure, total function of ``i >= 1`` with values in
-    ``[digit_low, digit_high]``.  With ratio p/q, the first n terms sum to
-    one int S over q^n and the tail after them lies in [digit_low,
-    digit_high] p^(n+1) / (q^n (q - p)), so every enclosure rigorously
-    contains the value; ``enclosure(w)`` sums up to the least n
-    (``terms``) that makes it at most w wide.
-    """
-
-    __slots__ = ("digits", "ratio", "digit_low", "digit_high", "terms",
-                 "_sum", "_pn", "_qn")
-
-    def __init__(self, digits: Callable[[int], int], ratio, digit_low: int,
-                 digit_high: int, description: str = ""):
-        super().__init__(self._sum_to, description or "series")
-        self.digits = digits
-        self.ratio = Fraction(ratio)
-        if not 0 < self.ratio < 1:
-            raise ValueError("ratio must lie in (0, 1)")
-        if digit_low > digit_high:
-            raise ValueError("digit bounds out of order")
-        self.digit_low = digit_low
-        self.digit_high = digit_high
-        self.terms = 0
-        self._sum = 0  # S, the partial sum times q^n
-        self._pn = self._qn = 1  # p^n, q^n
-
-    def _sum_to(self, width: Fraction):
-        width = Fraction(width)
-        if width <= 0:
-            raise ValueError("width must be positive")
-        p, q = self.ratio.numerator, self.ratio.denominator
-        low, high = self.digit_low, self.digit_high
-        over = (high - low) * p * width.denominator * self._pn
-        under = width.numerator * (q - p) * self._qn
-        steps = 0
-        while over > under:
-            steps += 1
-            if steps > _BISECTION_CAP:
-                raise IterationLimit("series refinement exceeded cap")
-            over, under = over * p, under * q
-            self.terms += 1
-            self._pn, self._qn = self._pn * p, self._qn * q
-            self._sum = self._sum * q + self.digits(self.terms) * self._pn
-        base, tail = self._sum * (q - p), self._pn * p
-        den = self._qn * (q - p)
-        return (Fraction(base + low * tail, den),
-                Fraction(base + high * tail, den))
 
 
 RealNumber = Union[Fraction, AlgebraicReal, EnclosedReal]
@@ -1261,7 +1203,7 @@ def format_real(x: RealNumber) -> str:
         cs = ",".join(str(c) for c in x.coeffs)
         return f"alg:{cs}@[{lo},{hi}]"
     if isinstance(x, EnclosedReal):
-        return x.description or "series"
+        return x.description
     raise TypeError(f"not a RealNumber: {x!r}")
 
 

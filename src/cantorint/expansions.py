@@ -107,7 +107,8 @@ class BaseSystem:
     (alpha_KL's are in ``_AKL_SYSTEMS``), at most ``SYSTEMS_MAX`` of them,
     oldest dropped, and ``exactnum.field`` drops them with the context.
     A system's facts depend on its field and alphabet alone, so a dropped
-    one is rebuilt the same.  Any other series base gets a new system.
+    one is rebuilt the same.  Any other ``EnclosedReal`` base gets a new
+    system.
     """
 
     def __new__(cls, alpha, alphabet: Alphabet = TERNARY):
@@ -133,7 +134,7 @@ class BaseSystem:
         if isinstance(alpha, (Fraction, AlgebraicReal)):
             self.ctx = exactnum.field(alpha)  # one per base and process
         else:
-            self.ctx = None  # series base: only delta via the known expansion
+            self.ctx = None  # enclosed: only delta via the known expansion
         self._delta = None
 
     @property

@@ -80,7 +80,7 @@ def tau_prefix(n: int) -> FiniteWord:
 # signed digits as bytes: 0x01 = 1, 0x00 = 0, 0xff = -1; d -> -d
 _REFLECT = bytes.maketrans(b"\x01\x00\xff", b"\xff\x00\x01")
 _PREFIXES_MAX = 4  # lambda_prefix lengths and w_word levels kept at once
-_BLOCK_LEVELS = 12  # the block-word levels dimension.n_star tests
+_BLOCK_LEVELS = 12  # the block-word levels kept, all dimension.n_star tests
 _SFT_N_CAP = 8  # highest subshift level find_smallest_sft_n tries
 
 

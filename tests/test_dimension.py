@@ -41,6 +41,7 @@ from test_exactnum import (
     NUDGED,
     NUDGED_TWICE,
     assert_same_root,
+    reference_series_enclosure,
     reference_sturm_count,
 )
 
@@ -2061,6 +2062,19 @@ class TestDenseTargets:
         assert 0 < found < 3000
 
 
+def reference_liouville_approximants(pq, m, digit):
+    """p_k/q_k for k < len(m), summed in Fractions: x's digits to m_k, then
+    the tail 1 0 1 0 ..., pq^(m_k + 1) / (1 - pq^2)."""
+    out = []
+    partial, power = F(0), F(1)  # the sum up to m_k, pq^m_k
+    for prev, m_k in zip([0] + m, m[:-1]):
+        for i in range(prev + 1, m_k + 1):
+            power *= pq
+            partial += digit(i) * power
+        out.append(partial + power * pq / (1 - pq * pq))
+    return out
+
+
 class TestLiouville:
     def test_minimal_growth_two_fifths(self):
         assert liouville_witness(F(2, 5), 3).nk == [1, 4, 20, 121]
@@ -2129,20 +2143,47 @@ class TestLiouville:
         assert admitted >= 1
 
     def test_enclosure_holding_an_approximant_fails(self, monkeypatch):
-        # p_k/q_k != x stays a checked clause: an enclosure stretched to
-        # hold p_1/q_1 still meets |x - p_1/q_1| <= 1/q_1, and must fail
-        approx = liouville_witness(F(2, 5), 1).approximants[0]
+        # p_k/q_k != x stays a checked clause: with the control digits
+        # past m_1 = 3 read as 1 -1 1 -1 ..., x's are 1 0 1 0 ..., so x is
+        # p_1/q_1 itself, which still meets |x - p_1/q_1| <= 1/q_1
+        digit = D._LiouvilleBlocks.digit
 
-        class Stretched(X.SeriesReal):
-            __slots__ = ()
+        def periodic_past_m1(blocks, i):
+            return digit(blocks, i) if i <= 3 else 1 - 2 * (i % 2)
 
-            def _sum_to(self, width):
-                lo, hi = super()._sum_to(width)
-                return min(lo, approx), max(hi, approx)
-
-        monkeypatch.setattr(X, "SeriesReal", Stretched)
-        with pytest.raises(D.VerificationFailed):
+        monkeypatch.setattr(D._LiouvilleBlocks, "digit", periodic_past_m1)
+        with pytest.raises(D.VerificationFailed, match="holds p_1/q_1"):
             liouville_witness(F(2, 5), 1)
+
+    def test_one_sum_matches_the_fraction_routes(self):
+        # the witness's one running sum on ints vs the Fraction routes it
+        # replaced: the approximants summed term by term, and x's
+        # enclosure at width pq^(m_(K+1) + 63) by the series tail bound;
+        # seeded bases, K up to the digit bound, and both free rules
+        rng = random.Random(55)
+        cases = [(F(2, 5), 4, 0), (F(499, 1000), 2, 1)]
+        while len(cases) < 14:
+            q = rng.randrange(5, 60)
+            pq = F(rng.randrange(q // 3 + 1, (q + 1) // 2), q)
+            if F(1, 3) < pq < F(1, 2):
+                cases.append((pq, rng.randrange(1, 5), rng.randrange(2)))
+        admitted = 0
+        for pq, K, rule in cases:
+            try:
+                lw = liouville_witness(pq, K, free_digit_rule=rule)
+            except D.DimensionError:
+                continue
+            admitted += 1
+            x_digit = {1: 1, -1: 0, 0: rule}
+
+            def digit(i):
+                return x_digit[lw.t_seq.digit(i)]
+
+            assert lw.approximants == \
+                reference_liouville_approximants(pq, lw.m, digit)
+            assert lw.x_enclosure == reference_series_enclosure(
+                digit, pq, 0, 1, [pq ** (lw.m[K] + 63)])[0]
+        assert admitted == 10
 
     def test_over_two_to_the_62_stops_at_the_digit_bound(self):
         with pytest.raises(D.DimensionError):
@@ -2189,9 +2230,8 @@ class TestDSet:
         assert len(ds.values) == 3
 
     def test_alpha_kl_lookalike(self):
-        # alpha_KL is the singleton, not any series carrying its description
-        look = X.SeriesReal(lambda i: int(i in (2, 3)), F(1, 2), 0, 1,
-                            description="alpha_KL")  # 3/8
+        # alpha_KL is the singleton, not any number carrying its description
+        look = X.EnclosedReal(lambda width: (F(3, 8), F(3, 8)), "alpha_KL")
         assert T.is_alpha_kl(T.alpha_kl_real())
         assert not T.is_alpha_kl(look)
         with pytest.raises(X.UnsupportedBase):

@@ -20,7 +20,6 @@ from cantorint.exactnum import (
     Comparison,
     QAlphaContext,
     QAlphaElement,
-    SeriesReal,
     compare,
     parse_real,
 )
@@ -887,22 +886,43 @@ def assert_same_root(got, coeffs, lo, hi):
     assert got.refine(width) == AlgebraicReal(want, slo, shi).refine(width)
 
 
-def reference_series_enclosure(digits, ratio, low, high, widths):
-    """SeriesReal.enclosure as it summed in Fractions: the enclosures that
-    one series returns for ``widths`` asked in turn."""
+def reference_series(digits, ratio, low, high):
+    """The enclosure of ``sum d_i * ratio^i``, i >= 1, at a width, as the
+    number kind ``SeriesReal`` summed it in Fractions: the terms only grow,
+    so a width asked after a smaller one gets the deeper sum."""
     n, partial_sum, power = 0, F(0), F(1)
-    out = []
-    for width in widths:
+
+    def enclose(width):
+        nonlocal n, partial_sum, power
         while True:
             geo = power * ratio / (1 - ratio)
             t_lo, t_hi = low * geo, high * geo
             if high == low or t_hi - t_lo <= width:
-                out.append((partial_sum + t_lo, partial_sum + t_hi))
-                break
+                return (partial_sum + t_lo, partial_sum + t_hi)
             n += 1
             power *= ratio
             partial_sum += digits(n) * power
-    return out
+
+    return enclose
+
+
+def reference_series_enclosure(digits, ratio, low, high, widths):
+    """The enclosures that one series returns for ``widths`` asked in
+    turn."""
+    enclose = reference_series(digits, ratio, low, high)
+    return [enclose(width) for width in widths]
+
+
+class SeriesReal(X.EnclosedReal):
+    """The digit series ``sum d_i * ratio^i``, i >= 1, as an
+    ``EnclosedReal`` enclosed by ``reference_series``; described as
+    ``series`` when no description is given, as that number kind was."""
+
+    __slots__ = ()
+
+    def __init__(self, digits, ratio, low, high, description=""):
+        super().__init__(reference_series(digits, F(ratio), low, high),
+                         description or "series")
 
 
 def poly_from_roots(roots, quadratics=()):
@@ -1216,11 +1236,16 @@ class TestIntegerSeries:
         widths += [F(rng.randrange(1, 100), 2**rng.randrange(1, 900))
                    for _ in range(12)]
         series = SeriesReal(digits, ratio, -1, 2)
-        got = [series.enclosure(w) for w in widths]
+        got = [X.enclosure(series, w) for w in widths]
         assert got == reference_series_enclosure(digits, ratio, -1, 2,
                                                   widths)
+        # the digits have period 2000, so the value is one ratio of ints
+        p, q, n = ratio.numerator, ratio.denominator, len(table)
+        value = F(sum(digits(i) * p**i * q**(n - i) for i in range(1, n + 1)),
+                  q**n - p**n)
         for (lo, hi), w in zip(got, widths):
             assert hi - lo <= w
+            assert lo <= value <= hi
 
     def test_constant_series_matches_fraction_sum(self):
         third = SeriesReal(lambda i: 3, F(1, 10), 3, 3, "1/3")
@@ -1231,9 +1256,12 @@ class TestIntegerSeries:
         assert got[0] == (F(1, 3), F(1, 3))
 
     def test_series_is_an_enclosed_real_with_its_strings(self):
+        # x of the Liouville witness: 1 on each 1 of its control sequence
+        liouville = liouville_witness(F(7, 20), 2).t_seq
         reals = [SeriesReal(lambda i: 3, F(1, 10), 3, 3, "1/3"),
                  SeriesReal(lambda i: 1 + T.lam(i), F(2, 5), 0, 2),
-                 liouville_witness(F(7, 20), 2).x,
+                 SeriesReal(lambda i: int(liouville.digit(i) == 1), F(7, 20),
+                            0, 1, "liouville-x(7/20)"),
                  T.alpha_kl_real()]
         assert all(isinstance(x, X.EnclosedReal) for x in reals)
         # the strings the two classes printed before SeriesReal inherited

@@ -66,6 +66,12 @@ independent route.  A number with no line here has one route only.
   ``reference_sturm_isolate``: the same squarefree polynomial and root
   count, and the identical 10^-20 cell:
   test_dimension.py::test_descartes_isolation_against_sturm_chain
+- The Liouville witness's one running sum on ints, its approximants
+  p_k/q_k and x's enclosure, vs the Fraction sums it replaced, kept in the
+  tests as ``reference_liouville_approximants`` and
+  ``reference_series_enclosure``, on seeded bases and K up to the digit
+  bound:
+  test_dimension.py::TestLiouville::test_one_sum_matches_the_fraction_routes
 
 Planned in ROADMAP.md, and missing until their code lands, each with
 today's code kept in the tests as the reference:
@@ -84,7 +90,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 21
+    assert len(named) == 22
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [

@@ -109,11 +109,9 @@ class TestDoublingKernel:
         # to the levels its callers reach, for n up to a top past which no
         # word is kept; each stays a plain function of the module, which
         # perfbench's tracer spans
-        from cantorint import dimension
         bounds = {T.lambda_prefix: (4, 2**16), T.w_word: (4, 16),
                   T.tm_block_word: (12, 12), T.zeta: (8, 8), T.eta: (8, 8),
                   T.sft_blocks: (8, 8), T.sft_max_word: (8, 8)}
-        assert T.tm_block_word.cache_info().maxsize == dimension._NSTAR_CAP
         assert T.sft_max_word.cache_info().maxsize == T._SFT_N_CAP
         for f, (size, top) in bounds.items():
             assert inspect.isfunction(f) and f.__module__ == T.__name__
