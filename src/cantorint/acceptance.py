@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -97,45 +98,33 @@ def check_02_tau_lambda_identities() -> AccResult:
     ok = ok and tuple(thuemorse.lambda_prefix(16)) == display
     # the digit-sum generator must agree with the doubling oracle everywhere
     ok = ok and bytes(map(thuemorse.tau, range(n + 1))) == tau
-    lam = list(map(sub, tau[1:], tau))  # lam[i-1] = lambda_i
-    # the doubling kernel behind lambda_prefix, which check 3 counts
-    ok = ok and thuemorse.lambda_prefix(n).digits == tuple(lam)
-    neg = [-d for d in lam]
+    # the doubling kernel behind every lambda word, which check 3 counts,
+    # against tau's differences, as signed bytes
+    kernel = thuemorse._lambda_bytes(n)
+    ok = ok and kernel == array("b", map(sub, tau[1:], tau)).tobytes()
+    # signed views: lam[i-1] = lambda_i and neg[i-1] = -lambda_i
+    lam = memoryview(kernel).cast("b")
+    neg = memoryview(kernel.translate(thuemorse._REFLECT)).cast("b")
+    # w_(m+1) is w_m reflect(w_m) with its last digit raised by one, for
+    # m < 20: lambda_(2^m + j) = -lambda_j for j < 2^m, and
+    # lambda_(2^(m+1)) = 1 - lambda_(2^m)
     ok = ok and lam[0] == 1
-    p = 1
-    while 2 * 2**p <= n:
-        ok = ok and lam[2**(p + 1) - 1] == 1 - lam[2**p - 1]
-        p += 1
-    p = 1
-    while 2**p <= n // 2:
-        half = 2**p
-        ok = ok and lam[half:2 * half - 1] == neg[:half - 1]
-        p += 1
-    # doubling property of the block words, n <= 18
-    for m in range(1, 19):
-        w_next = lam[:2**(m + 1)]
-        w_next[-1] -= 1
-        ok = ok and w_next == lam[:2**m] + neg[:2**m]
+    for m in range(1, 20):
+        h = 2**m
+        ok = (ok and lam[h:2 * h - 1] == neg[:h - 1]
+              and lam[2 * h - 1] == 1 - lam[h - 1])
     return AccResult("2", "Thue-Morse prefixes and recursions", bool(ok))
 
 
 def check_03_block_densities() -> AccResult:
-    lam = thuemorse.lambda_prefix(2**20)
-    zeros = 0
-    counts = {}
-    digits = lam.digits
-    marks = {2**m for m in range(1, 21)}
-    for i, d in enumerate(digits, start=1):
-        if d == 0:
-            zeros += 1
-        if i in marks:
-            counts[i] = zeros
-    ok = all(Fraction(counts[2**m], 2**m) == thuemorse.dw(m)
-             for m in range(1, 21))
-    dens = Fraction(counts[2**20], 2**20)
-    ok = ok and abs(dens - Fraction(1, 3)) <= Fraction(1, 10**6)
+    kernel = thuemorse._lambda_bytes(2**20)  # lambda, as check 2 proves
+    dens = {m: Fraction(kernel.count(0, 0, 2**m), 2**m)
+            for m in range(1, 21)}
+    ok = all(dens[m] == thuemorse.dw(m) for m in dens)
+    gap = abs(dens[20] - Fraction(1, 3))
+    ok = ok and gap <= Fraction(1, 10**6)
     return AccResult("3", "zero densities of the block words", bool(ok),
-                     f"|d - 1/3| = {float(abs(dens - Fraction(1,3))):.2e}")
+                     f"|d - 1/3| = {float(gap):.2e}")
 
 
 def check_04_delta_threshold() -> AccResult:

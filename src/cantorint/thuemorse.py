@@ -89,7 +89,10 @@ def _memo(top: int, maxsize: int | None = None):
     entries (``top`` if None), behind a plain function of n, which
     perfbench's tracer spans as it spans plain functions only.  A larger n
     is built anew at each call, so no word past 2^16 digits stays in
-    memory.  ``cache_info`` is the cache's own."""
+    memory: one of 2^20 digits is an 8 MB tuple, which ``cantor tm`` asks
+    for once per process, and ``verify-paper`` reads lambda's 2^20 digits
+    off :func:`_lambda_bytes`, 1 MB of bytes.  ``cache_info`` is the
+    cache's own."""
     def wrap(build):
         cached = lru_cache(maxsize or top)(build)
         word = wraps(build)(lambda n: cached(n) if n <= top else build(n))

@@ -11,12 +11,13 @@ where every clause holds.
 """
 
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from cantorint import acceptance as A
-from cantorint import dimension, expansions
+from cantorint import dimension, expansions, thuemorse
 from cantorint.expansions import BaseSystem, UniqStatus
 from cantorint.words import TERNARY
 
@@ -38,6 +39,76 @@ def test_criterion_02_tau_lambda_identities():
 
 def test_criterion_03_block_densities():
     _assert_check(A.check_03_block_densities())
+
+
+_LAMBDA_CHECKS = [A.check_02_tau_lambda_identities, A.check_03_block_densities]
+
+
+@pytest.fixture(params=[(0, 1), (1, 0)], ids=["0 to 1", "1 to 0"])
+def corrupt_lambda(monkeypatch, request):
+    """lambda's doubling kernel with its first digit d past index 2^19
+    changed to e, (d, e) the param; the cached words of at most 2^16
+    digits are unaffected.  Check 3 sees 1 to 0 through d(w_20) alone, as
+    that density stays within 10^-6 of 1/3."""
+    d, e = request.param
+    build = thuemorse._lambda_bytes
+
+    def corrupted(n):
+        w = build(n)
+        if len(w) > 2**19 + 1:
+            w[w.index(d, 2**19 + 1)] = e
+        return w
+    monkeypatch.setattr(thuemorse, "_lambda_bytes", corrupted)
+
+
+@pytest.mark.parametrize("check", _LAMBDA_CHECKS)
+def test_corrupt_lambda_fails_checks_2_and_3(corrupt_lambda, check):
+    assert check().passed is False
+
+
+def test_wrong_tau_fails_check_2(monkeypatch):
+    tau = thuemorse.tau
+    monkeypatch.setattr(thuemorse, "tau", lambda i: tau(i) ^ (i == 2**19 + 3))
+    assert A.check_02_tau_lambda_identities().passed is False
+
+
+def test_kernel_that_is_not_lambda_fails_check_2(monkeypatch):
+    """The doubling from 1 1 in place of lambda_1 lambda_2 = 1 0 meets
+    every identity of check 2; only tau's differences tell it from
+    lambda."""
+    build = thuemorse._lambda_bytes
+
+    def doubled_from_1_1(n):
+        if n <= 16:
+            return build(n)
+        w = bytearray(b"\x01\x01")
+        while len(w) < n:
+            w += w.translate(thuemorse._REFLECT)
+            w[-1] = (w[-1] + 1) & 0xFF
+        return w
+    monkeypatch.setattr(thuemorse, "_lambda_bytes", doubled_from_1_1)
+    assert A.check_02_tau_lambda_identities().passed is False
+
+
+@pytest.mark.parametrize("check", _LAMBDA_CHECKS)
+def test_lambda_checks_build_no_long_word(monkeypatch, check):
+    """Checks 2 and 3 read lambda's 2^20 digits as 1 MB of signed bytes:
+    no tuple or list of that length, and no word past 16 digits."""
+    lengths, word = [], thuemorse.FiniteWord
+
+    def spy(digits, alphabet):
+        lengths.append(len(digits))
+        return word(digits, alphabet)
+    monkeypatch.setattr(thuemorse, "FiniteWord", spy)
+    tracemalloc.start()
+    try:
+        res = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_check(res)
+    assert peak < 8 * 2**20
+    assert max(lengths, default=0) <= 16
 
 
 def test_criterion_04_delta_threshold():
