@@ -20,10 +20,10 @@ import math
 import random
 import time
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import sub
+from typing import NamedTuple
 
 from . import dimension, exactnum, expansions, thuemorse, words
 from .exactnum import AlgebraicReal
@@ -32,8 +32,7 @@ from .thuemorse import tm_block_word
 from .words import TERNARY, EPSeq
 
 
-@dataclass
-class AccResult:
+class AccResult(NamedTuple):
     number: str
     name: str
     passed: bool

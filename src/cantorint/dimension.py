@@ -35,11 +35,10 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import exactnum, expansions, graph, thuemorse, words
 from .exactnum import AlgebraicReal
@@ -79,8 +78,7 @@ class ClassProductTooLarge(DimensionError):
 # dimension values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionValue:
+class DimensionValue(NamedTuple):
     """A dimension: the frequency formula if ``freq`` is set, else the log
     of ``perron``'s root, rendered as the midpoint of the float interval
     ``(lo, hi)`` that holds it (built by :func:`_dimension_value`)."""
@@ -191,8 +189,7 @@ def char_poly(succ: list) -> list:
     return list(reversed(cs)) + [1]
 
 
-@dataclass
-class PerronInfo:
+class PerronInfo(NamedTuple):
     """The spectral radius mu^(1/``period``) of a nonnegative integer
     matrix (see :meth:`CountMatrix.perron`), mu that of a component's
     cyclic-class product B: ``algebraic``, the largest real root of B's
@@ -430,8 +427,7 @@ def _one_radius(encs: list, lo: Fraction) -> bool:
 # intersection graph from an expansion automaton
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IntersectionGraph:
+class IntersectionGraph(NamedTuple):
     count_matrix: CountMatrix
     empty: bool = False
 
@@ -554,8 +550,7 @@ def _box_grid(alpha, t, levels: int) -> tuple:
     return alo, ahi, t_iv, pows, tails
 
 
-@dataclass(frozen=True)
-class BoxCountReport:
+class BoxCountReport(NamedTuple):
     rows: list  # (n, lower_count, upper_count)
     slope: Optional[float]  # None above alpha = 1/2
 
@@ -658,8 +653,7 @@ class SelfSimilarStatus(Enum):
     UNDECIDED = "undecided-at-depth"
 
 
-@dataclass(frozen=True)
-class SelfSimilarResult:
+class SelfSimilarResult(NamedTuple):
     status: SelfSimilarStatus
     witness: Optional[tuple] = None  # (I, J) finite words over {0,1}
 
@@ -750,8 +744,7 @@ def dense_words(sys: BaseSystem, targets: Sequence, tol) -> list:
 # the Liouville construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiouvilleWitness:
+class LiouvilleWitness(NamedTuple):
     pq: Fraction
     nk: list  # n_1 .. n_(K+1)
     m: list  # m_k = 2(n_1+..+n_k) + k, the k-th separating zero, k <= K+1
@@ -763,15 +756,22 @@ class LiouvilleWitness:
 def _liouville_min_next(p: int, q: int, nk: list) -> int:
     """Minimal n_{k+1} >= 1 with (q/p)^(2 sum+2m+k+1) >= q^(k(2 sum+k+3)).
 
-    A float estimate seeds the search; minimality is then pinned by exact
-    integer comparisons one step in each direction.
+    A float estimate seeds the search; minimality is then pinned one step
+    in each direction by the test e ln(q/p) >= f ln q, with e and f the
+    two exponents, on :func:`exactnum.log_enclosure`'s intervals, and by
+    exact integer powers only where those intervals overlap.
     """
     k = len(nk)
     s = sum(nk)
     f_exp = k * (2 * s + k + 3)
+    (r_lo, r_hi), (q_lo, q_hi) = map(exactnum.log_enclosure,
+                                     (Fraction(q, p), q))
 
     def ok(m: int) -> bool:
         e = 2 * s + 2 * m + k + 1
+        lo, hi = e * r_lo - f_exp * q_hi, e * r_hi - f_exp * q_lo
+        if lo >= 0 or hi < 0:  # [lo, hi] holds e ln(q/p) - f ln q
+            return lo >= 0
         return q**e >= p**e * q**f_exp
 
     lnq, lnp = math.log(q), math.log(p)
@@ -903,12 +903,11 @@ def liouville_witness(pq, K: int, free_digit_rule: int = 0) -> LiouvilleWitness:
 # the dimension spectrum D_alpha
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DSetDescription:
+class DSetDescription(NamedTuple):
     kind: DSetKind
     full: DimensionValue
     proper_subset: bool
-    values: list = field(default_factory=list)
+    values: tuple = ()
     nstar: Optional[int] = None
     nstar_cap_hit: bool = False
     sft_n: Optional[int] = None
@@ -952,26 +951,25 @@ def d_set(alpha, depth_cap: int = 4096) -> DSetDescription:
     sys = BaseSystem(alpha, TERNARY)
     full = full_dimension(sys)  # refuses alpha outside (1/3, 1/2)
     kind = sys.regime
-    ds = DSetDescription(kind, full,
-                         proper_subset=kind is not DSetKind.FULL_INTERVAL)
     if kind is DSetKind.COUNTABLE_FAMILY:
-        ds.values = [dim_from_frequency(sys, Fraction(0)),
-                     dim_from_frequency(sys, Fraction(1, 3)), full]
-        ds.note = ("countable family: {0, full, full/3} together with "
-                   "full * d(w_n) for every n >= 1")
-        return ds
+        values = (dim_from_frequency(sys, Fraction(0)),
+                  dim_from_frequency(sys, Fraction(1, 3)), full)
+        return DSetDescription(kind, full, True, values, note=(
+            "countable family: {0, full, full/3} together with "
+            "full * d(w_n) for every n >= 1"))
     if kind is DSetKind.FINITE_LIST:
-        ds.nstar, ds.nstar_cap_hit = n_star(sys, depth_cap)
-        freqs = [Fraction(0), *map(thuemorse.dw, range(1, ds.nstar + 1))]
-        ds.values = [dim_from_frequency(sys, f) for f in freqs] + [full]
+        nstar, cap_hit = n_star(sys, depth_cap)
+        freqs = [Fraction(0), *map(thuemorse.dw, range(1, nstar + 1))]
+        values = tuple(dim_from_frequency(sys, f) for f in freqs) + (full,)
+        found = dict(values=values, nstar=nstar, nstar_cap_hit=cap_hit)
     else:  # alpha below alpha_KL: interval regime
         n = thuemorse.find_smallest_sft_n(expansions.delta_seq(sys), depth_cap)
         bounds = thuemorse.sft_blocks(n).density_interval
-        ds.sft_n = n
-        ds.sft_interval = tuple(dim_from_frequency(sys, d) for d in bounds)
+        found = dict(sft_n=n, sft_interval=tuple(
+            dim_from_frequency(sys, d) for d in bounds))
         if kind is DSetKind.FULL_INTERVAL:
-            ds.note = "D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]"
-            return ds
+            return DSetDescription(kind, full, False, note=(
+                "D_alpha = [0, full] on (1/3, (3-sqrt(5))/2]"), **found)
     k = expansions.forbidden_zero_run(sys)
-    ds.excluded_band = (Fraction(k + 1, k + 2), Fraction(1))
-    return ds
+    return DSetDescription(kind, full, True, excluded_band=(
+        Fraction(k + 1, k + 2), Fraction(1)), **found)

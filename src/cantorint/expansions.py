@@ -20,7 +20,6 @@ Gamma search step on the canonical integer states of the base's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -581,8 +580,7 @@ def forbidden_zero_run(sys: BaseSystem) -> int:
 # the all-expansions automaton
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExpansionAutomaton:
+class ExpansionAutomaton(NamedTuple):
     """Follower-value graph of all expansions of t over the alphabet.
 
     States are exact Q(alpha) elements in [low*u, high*u] for

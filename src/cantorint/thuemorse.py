@@ -27,9 +27,9 @@ sign is open, up to ``_SERIES_BITS_CAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from . import exactnum, graph
 from .words import (
@@ -291,8 +291,7 @@ SFT_MATRIX = ((0, 1, 1, 0),
               (1, 0, 0, 0))
 
 
-@dataclass(frozen=True)
-class SftBlocks:
+class SftBlocks(NamedTuple):
     n: int
     zeta: FiniteWord
     eta: FiniteWord

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -90,21 +89,37 @@ def _signed_digits(b, alphabet) -> tuple:
     return digits
 
 
-@dataclass(frozen=True)
 class FiniteWord:
     """A finite word, its digits a tuple.  ``digits`` may be any iterable
-    of ints, or a bytes or bytearray string of signed digits."""
+    of ints, or a bytes or bytearray string of signed digits.  Immutable,
+    so a cached word is one object for every caller."""
 
-    digits: tuple
-    alphabet: Alphabet = TERNARY
+    __slots__ = ("digits", "alphabet")
 
-    def __post_init__(self):
-        if isinstance(self.digits, (bytes, bytearray)):
-            digits = _signed_digits(self.digits, self.alphabet)
+    def __init__(self, digits, alphabet: Alphabet = TERNARY):
+        if isinstance(digits, (bytes, bytearray)):
+            digits = _signed_digits(digits, alphabet)
         else:
-            digits = tuple(self.digits)
-            _check_digits(digits, self.alphabet)
+            digits = tuple(digits)
+            _check_digits(digits, alphabet)
         object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FiniteWord is immutable: {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteWord:
+            return NotImplemented
+        return (self.digits, self.alphabet) == (other.digits, other.alphabet)
+
+    def __hash__(self):
+        return hash((self.digits, self.alphabet))
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return FiniteWord, (self.digits, self.alphabet)
 
     def __len__(self):
         return len(self.digits)
@@ -203,16 +218,23 @@ class EPSeq:
         return f"EPSeq({format_seq(self)!r})"
 
 
-@dataclass
 class LazySeq:
     """Infinite sequence given by a pure function of the (1-based) index,
     and a ``grammar`` if known: a digit graph with every tail as a path.
     ``digit`` calls ``fn`` and stores nothing; costly sources keep tables."""
 
-    fn: Callable[[int], int]
-    alphabet: Alphabet = TERNARY
-    description: str = ""
-    grammar: Optional[list] = field(default=None, repr=False)
+    __slots__ = ("fn", "alphabet", "description", "grammar")
+
+    def __init__(self, fn: Callable[[int], int], alphabet: Alphabet = TERNARY,
+                 description: str = "", grammar: Optional[list] = None):
+        self.fn, self.alphabet = fn, alphabet
+        self.description, self.grammar = description, grammar
+
+    def __eq__(self, other):
+        if other.__class__ is not LazySeq:
+            return NotImplemented
+        return (self.fn, self.alphabet, self.description, self.grammar) == \
+            (other.fn, other.alphabet, other.description, other.grammar)
 
     def digit(self, i: int) -> int:
         return self.fn(i)
@@ -224,8 +246,7 @@ class LazySeq:
 SeqLike = Union[FiniteWord, EPSeq, LazySeq]
 
 
-@dataclass(frozen=True)
-class FreqReport:
+class FreqReport(NamedTuple):
     """A zero density: exact, or the estimate a prefix gives."""
 
     lower: Fraction

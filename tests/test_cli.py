@@ -650,20 +650,25 @@ def loaded_after(*commands):
     return codes, set(modules)
 
 
+# the result records are NamedTuples and slotted classes: no path of
+# ``cantor`` loads ``dataclasses``, nor the ``inspect`` that it imports
+NOT_LOADED = {"numpy", "dataclasses", "inspect"}
+
+
 class TestStartup:
-    """numpy is on no path of ``cantor``, and the acceptance checks are
-    not on its start-up path: they are loaded only by verify-paper and
-    the worked-example shifts."""
+    """numpy, ``dataclasses`` and ``inspect`` are on no path of
+    ``cantor``, and the acceptance checks are not on its start-up path:
+    they are loaded only by verify-paper and the worked-example shifts."""
 
     def test_import_loads_no_numpy(self):
         _, loaded = loaded_after()
-        assert "numpy" not in loaded
+        assert not NOT_LOADED & loaded
         assert "cantorint.acceptance" not in loaded
 
     def test_no_subcommand_loads_numpy(self):
         codes, loaded = loaded_after(*SUBCOMMANDS)
         assert codes == [0] * (len(SUBCOMMANDS) - 1) + [1]
-        assert "numpy" not in loaded
+        assert not NOT_LOADED & loaded
         # the probe sees the modules that these calls do load
         assert {"cantorint.dimension", "cantorint.acceptance"} <= loaded
 

@@ -1,7 +1,9 @@
+import copy
 import decimal
 import hashlib
 import json
 import math
+import pickle
 import random
 from bisect import insort
 from fractions import Fraction as F
@@ -2075,9 +2077,50 @@ def reference_liouville_approximants(pq, m, digit):
     return out
 
 
+def reference_liouville_min_next(p, q, nk):
+    """Minimal n_(k+1) >= 1 with q^e >= p^e q^f, e = 2 sum + 2m + k + 1
+    and f = k(2 sum + k + 3), by exact integer powers alone: a float
+    estimate seeds the search, and exact steps pin it each way."""
+    k, s = len(nk), sum(nk)
+    f_exp = k * (2 * s + k + 3)
+
+    def ok(m):
+        e = 2 * s + 2 * m + k + 1
+        return q**e >= p**e * q**f_exp
+
+    need = f_exp * math.log(q) / (math.log(q) - math.log(p))
+    m = max(1, math.ceil((need - (2 * s + k + 1)) / 2) - 2)
+    while not ok(m):
+        m += 1
+    while m > 1 and ok(m - 1):
+        m -= 1
+    return m
+
+
 class TestLiouville:
     def test_minimal_growth_two_fifths(self):
         assert liouville_witness(F(2, 5), 3).nk == [1, 4, 20, 121]
+
+    @pytest.mark.parametrize("widen", [0, 10**6])
+    def test_min_next_matches_exact_powers(self, monkeypatch, widen):
+        # the growth test on log intervals against the exact powers, on
+        # seeded (p, q, n_1..n_k); widened by 10^6 each way, every pair of
+        # intervals overlaps, so every decision takes the exact route
+        log_enclosure = X.log_enclosure
+        monkeypatch.setattr(X, "log_enclosure", lambda x: tuple(
+            end + d for end, d in zip(log_enclosure(x), (-widen, widen))))
+        rng = random.Random(57)
+        cases = [(499, 1000, [1, 28, 596]), (2, 5, [1, 4, 20, 121])]
+        while len(cases) < 40:
+            q = rng.randrange(5, 200)
+            pq = F(rng.randrange(q // 3, q // 2 + 1), q)
+            if F(1, 3) < pq < F(1, 2):
+                nk = [rng.randrange(1, 40) for _ in range(rng.randrange(1, 4))]
+                cases.append((pq.numerator, pq.denominator, nk))
+        for p, q, nk in cases:
+            assert D._liouville_min_next(p, q, nk) == \
+                reference_liouville_min_next(p, q, nk)
+        assert D._liouville_min_next(499, 1000, [1, 28, 596]) == 18_095
 
     def test_witness_inequalities(self):
         lw = liouville_witness(F(2, 5), 2)
@@ -2517,6 +2560,59 @@ class TestSystemRegistry:
         assert list(kept) == alphabets[3:] + [TERNARY]
         assert BaseSystem(alpha, alphabets[-1]) is systems[-1]
         assert BaseSystem(alpha, alphabets[0]) is not systems[0]
+
+
+def _record_pair(name):
+    """Two equal records from the call that makes them: a cached word and
+    a fresh build of it, or two calls."""
+    sys, seq = BaseSystem(F(9, 25), TERNARY), EPSeq((), (1, -1, 0), TERNARY)
+    make = {"lambda_prefix": lambda: T.lambda_prefix(8),
+            "lambda_prefix_fresh": lambda: T.lambda_prefix.__wrapped__(8),
+            "w_word": lambda: T.w_word(4),
+            "w_word_fresh": lambda: T.w_word.__wrapped__(4),
+            "sft_blocks": lambda: T.sft_blocks(3),
+            "sft_blocks_fresh": lambda: T.sft_blocks.__wrapped__(3),
+            "zero_density": lambda: W.zero_density(seq),
+            "full_dimension": lambda: full_dimension(sys),
+            "box_count_oracle": lambda: box_count_oracle(F(2, 5), F(0), 4),
+            "self_similar_check": lambda: self_similar_check(sys, seq)}
+    return make[name](), make.get(f"{name}_fresh", make[name])()
+
+
+class TestRecords:
+    """The result records: one that was frozen refuses assignment and
+    deletion, and two equal ones compare and hash equal, so each cached
+    word stays one immutable object for every caller; a copy and a
+    pickled round trip give an equal record."""
+
+    # (call, a field, hashable): a box-count report's rows are a list
+    FROZEN = [("lambda_prefix", "digits", True),
+              ("w_word", "alphabet", True),
+              ("sft_blocks", "zeta", True),
+              ("zero_density", "lower", True),
+              ("full_dimension", "lo", True),
+              ("box_count_oracle", "rows", False),
+              ("self_similar_check", "status", True)]
+
+    @pytest.mark.parametrize("name, field, hashable", FROZEN,
+                             ids=[c[0] for c in FROZEN])
+    def test_frozen(self, name, field, hashable):
+        a, b = _record_pair(name)
+        assert a == b and a is not b and not a != b
+        assert not hashable or hash(a) == hash(b)
+        assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+        value = getattr(a, field)
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) is value
+
+    @pytest.mark.parametrize("alpha", [F(19, 50), F(96, 250), F(21, 50)])
+    def test_d_sets_of_one_base_are_equal(self, alpha):
+        a, b = d_set(alpha), d_set(alpha)
+        assert a == b and a is not b
+        assert a != d_set(F(2, 5))
 
 
 # ---------------------------------------------------------------------------
