@@ -7,7 +7,14 @@ produced.  Handlers return only their result; this module builds
 ``inputs`` once from the parsed options and prints every output.  Numbers are printed in their exact text form alongside a decimal
 rendering; decimals never feed back into any computation.
 
-Exit codes: 0 success, 1 domain/input errors, 2 usage errors.
+Start-up loads only the layers that every subcommand reaches: ``exactnum``,
+``words``, ``graph`` and ``thuemorse``.  A handler that needs
+``expansions`` or ``dimension`` imports it in its own body, so ``tm`` and
+``alpha-kl`` compile neither, and ``unique``, ``delta`` and ``expand`` no
+``dimension``.
+
+Exit codes: 0 success, 1 domain/input errors (every ``CantorintError``),
+2 usage errors.
 """
 
 from __future__ import annotations
@@ -18,10 +25,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import dimension, exactnum, expansions, thuemorse, words
-from .dimension import BOX_DEPTH_MAX
-from .exactnum import decimal_string, format_real, parse_fraction, parse_real
-from .expansions import BaseSystem
+from . import thuemorse, words
+from .exactnum import (CantorintError, decimal_string, format_real,
+                       parse_fraction, parse_real)
 from .words import TERNARY, Alphabet, EPSeq, FiniteWord, format_seq, parse_seq
 
 
@@ -56,7 +62,7 @@ def _depth_cap(default: int) -> int:
     return default
 
 
-def _parse_t(text: str, sys_: BaseSystem):
+def _parse_t(text: str, sys_):
     """Translation values: a number format, or closed-form sugar."""
     # the worked examples live with the checks, which are not loaded on import
     if text == "sum-neg-alpha":
@@ -72,7 +78,7 @@ def _parse_t(text: str, sys_: BaseSystem):
                    "(sum-neg-alpha, ex52)")
 
 
-def _dim_payload(dv: dimension.DimensionValue) -> dict:
+def _dim_payload(dv) -> dict:
     return {"exact": dv.exact_str(), "decimal": repr(dv.decimal),
             "enclosure": [repr(dv.lo), repr(dv.hi)], "empty": dv.empty}
 
@@ -82,10 +88,11 @@ def _dim_payload(dv: dimension.DimensionValue) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args):
+    from . import expansions
     _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
     alpha = parse_real(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
-    sys_ = BaseSystem(alpha, alphabet)
+    sys_ = expansions.BaseSystem(alpha, alphabet)
     x = parse_real(args.x)
     fn = expansions.greedy_expansion if args.algorithm == "greedy" \
         else expansions.quasi_greedy_expansion
@@ -93,10 +100,11 @@ def _cmd_expand(args):
 
 
 def _cmd_delta(args):
+    from . import expansions
     _check_bound("--length", args.length, LENGTH_MAX, "LENGTH_MAX")
     alpha = parse_real(args.alpha)
     alphabet = _alphabet_from_arg(args.alphabet)
-    sys_ = BaseSystem(alpha, alphabet)
+    sys_ = expansions.BaseSystem(alpha, alphabet)
     word = expansions.delta(sys_, args.length)
     ep = expansions.try_ep_form(sys_, depth_cap=_depth_cap(2048))
     return {"prefix": format_seq(word),
@@ -104,8 +112,9 @@ def _cmd_delta(args):
 
 
 def _cmd_unique(args):
+    from . import expansions
     alpha = parse_real(args.alpha)
-    sys_ = BaseSystem(alpha, TERNARY)
+    sys_ = expansions.BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if isinstance(seq, FiniteWord):
         raise CliError("uniqueness needs an infinite sequence; add a "
@@ -143,6 +152,7 @@ def _cmd_alpha_kl(args):
 
 
 def _cmd_dset(args):
+    from . import dimension
     alpha = parse_real(args.alpha)
     ds = dimension.d_set(alpha, depth_cap=_depth_cap(4096))
     return {
@@ -162,8 +172,9 @@ def _cmd_dset(args):
 
 
 def _cmd_dim(args):
+    from . import dimension, expansions
     alpha = parse_real(args.alpha)
-    sys_ = BaseSystem(alpha, TERNARY)
+    sys_ = expansions.BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if isinstance(seq, FiniteWord):
         raise CliError("the frequency route needs an infinite sequence")
@@ -179,9 +190,10 @@ def _cmd_dim(args):
 
 
 def _cmd_intersect(args):
+    from . import dimension, expansions
     _check_bound("--state-cap", args.state_cap, STATE_CAP_MAX, "STATE_CAP_MAX")
     alpha = parse_real(args.alpha)
-    sys_ = BaseSystem(alpha, TERNARY)
+    sys_ = expansions.BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
     auto = expansions.build_expansion_automaton(
         sys_, t, state_cap=args.state_cap)
@@ -215,12 +227,13 @@ def _cmd_intersect(args):
 
 
 def _cmd_boxcount(args):
+    from . import dimension, expansions
     # CANTOR_DEPTH_CAP can lower the bound, not raise it
-    _check_bound("--depth", args.depth, BOX_DEPTH_MAX, "BOX_DEPTH_MAX")
-    _check_bound("--depth", args.depth, _depth_cap(BOX_DEPTH_MAX),
-                 "CANTOR_DEPTH_CAP")
+    bound = dimension.BOX_DEPTH_MAX
+    _check_bound("--depth", args.depth, bound, "BOX_DEPTH_MAX")
+    _check_bound("--depth", args.depth, _depth_cap(bound), "CANTOR_DEPTH_CAP")
     alpha = parse_real(args.alpha)
-    sys_ = BaseSystem(alpha, TERNARY)
+    sys_ = expansions.BaseSystem(alpha, TERNARY)
     t = _parse_t(args.t, sys_)
     rep = dimension.box_count_oracle(alpha, t, args.depth)
     if args.csv:
@@ -234,8 +247,9 @@ def _cmd_boxcount(args):
 
 
 def _cmd_selfsimilar(args):
+    from . import dimension, expansions
     alpha = parse_real(args.alpha)
-    sys_ = BaseSystem(alpha, TERNARY)
+    sys_ = expansions.BaseSystem(alpha, TERNARY)
     seq = parse_seq(args.t_seq)
     if not isinstance(seq, EPSeq):
         raise CliError("self-similarity test needs an eventually periodic "
@@ -249,10 +263,11 @@ def _cmd_selfsimilar(args):
 
 
 def _cmd_dense_targets(args):
+    from . import dimension, expansions
     alpha = parse_real(args.alpha)
     targets = [parse_fraction(x) for x in args.targets.split(",")]
     tol = parse_fraction(args.tol)
-    sys_ = BaseSystem(alpha, TERNARY)  # one system: the words, -ln alpha
+    sys_ = expansions.BaseSystem(alpha, TERNARY)  # one for words and -ln alpha
     seqs = dimension.dense_words(sys_, targets, tol)
     rows = []
     for tg, sq in zip(targets, seqs):
@@ -265,6 +280,7 @@ def _cmd_dense_targets(args):
 
 
 def _cmd_liouville(args):
+    from . import dimension
     pq = parse_fraction(args.pq)
     lw = dimension.liouville_witness(pq, args.k,
                                      free_digit_rule=args.free_rule)
@@ -402,9 +418,8 @@ def _render_text(result, indent=0):
                 print()
 
 
-_DOMAIN_ERRORS = (CliError, exactnum.ExactnumError, words.WordsError,
-                  expansions.ExpansionError, dimension.DimensionError,
-                  ValueError, ZeroDivisionError, OSError)
+_DOMAIN_ERRORS = (CliError, CantorintError, ValueError, ZeroDivisionError,
+                  OSError)
 
 
 def main(argv=None) -> int:

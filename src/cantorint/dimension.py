@@ -54,7 +54,7 @@ from .thuemorse import tm_block_word
 from .words import BINARY, TERNARY, Alphabet, EPSeq, FreqReport, LazySeq
 
 
-class DimensionError(Exception):
+class DimensionError(exactnum.CantorintError):
     pass
 
 

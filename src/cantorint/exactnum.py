@@ -64,7 +64,11 @@ NUMBER_DIGITS_MAX = 4000  # under Python's 4300-digit int-to-str limit
 _SQUAREFREE_PRIME = 2**61 - 1  # a Mersenne prime
 
 
-class ExactnumError(Exception):
+class CantorintError(Exception):
+    """The root of every error the library raises; the CLI exits 1 on it."""
+
+
+class ExactnumError(CantorintError):
     pass
 
 

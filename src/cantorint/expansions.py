@@ -45,7 +45,7 @@ from .words import (
 )
 
 
-class ExpansionError(Exception):
+class ExpansionError(exactnum.CantorintError):
     pass
 
 

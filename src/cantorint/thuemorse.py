@@ -341,7 +341,7 @@ def sft_max_word(n: int) -> EPSeq:
     return EPSeq(*graph.max_path(_sft_graph(n)), TERNARY)
 
 
-class NotFoundUnderCap(Exception):
+class NotFoundUnderCap(exactnum.CantorintError):
     pass
 
 

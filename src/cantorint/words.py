@@ -17,8 +17,10 @@ from functools import cache
 from math import lcm
 from typing import Callable, NamedTuple, Optional, Union
 
+from .exactnum import CantorintError
 
-class WordsError(Exception):
+
+class WordsError(CantorintError):
     pass
 
 

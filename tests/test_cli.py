@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from cantorint import dimension, expansions
-from cantorint.cli import BOX_DEPTH_MAX, _build_parser, main
+import cantorint
+from cantorint import dimension, exactnum, expansions, thuemorse, words
+from cantorint.cli import _build_parser, main
+from cantorint.dimension import BOX_DEPTH_MAX
 from cantorint.exactnum import parse_real
 from cantorint.words import TERNARY, format_seq
 
@@ -594,7 +597,7 @@ class TestErrors:
     def test_depth_cap_env_lowers_the_bound(self, capsys, monkeypatch):
         # the CLI checks --depth against the oracle's own bound, and the
         # env var lowers it before any cell is walked
-        assert BOX_DEPTH_MAX is dimension.BOX_DEPTH_MAX == 20
+        assert BOX_DEPTH_MAX == 20
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "12")
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
                                  "--t", "rat:0", "--depth", "14")
@@ -607,6 +610,16 @@ class TestErrors:
         code, payload = run_json(capsys, "boxcount", "--alpha", "rat:2/5",
                                  "--t", "rat:0", "--depth", "14")
         assert code == 1  # depth above the overridden cap
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_subshift_search_under_depth_cap(self, capsys, monkeypatch, cap):
+        # thuemorse.NotFoundUnderCap is a CantorintError like every error
+        # of the library, so it ends in an envelope, not a traceback
+        monkeypatch.setenv("CANTOR_DEPTH_CAP", cap)
+        code, payload = run_json(capsys, "dset", "--alpha", "rat:7/18")
+        assert code == 1 and payload["result"] is None
+        assert payload["status"] == ("error: no subshift level n <= 8 "
+                                     f"certified at depth cap {cap}")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -655,15 +668,41 @@ def loaded_after(*commands):
 NOT_LOADED = {"numpy", "dataclasses", "inspect"}
 
 
+# the layers that every subcommand reaches; the CLI imports the others in
+# the handlers that use them
+COMMON_LAYERS = {"cantorint", "cantorint.cli", "cantorint.exactnum",
+                 "cantorint.words", "cantorint.graph", "cantorint.thuemorse"}
+
+
+def package_modules(loaded) -> set:
+    return {m for m in loaded if m.split(".")[0] == "cantorint"}
+
+
 class TestStartup:
     """numpy, ``dataclasses`` and ``inspect`` are on no path of
-    ``cantor``, and the acceptance checks are not on its start-up path:
-    they are loaded only by verify-paper and the worked-example shifts."""
+    ``cantor``.  Start-up loads the four layers that every subcommand
+    reaches and no other: ``expansions`` and ``dimension`` load in the
+    handlers that use them, and the acceptance checks only for
+    verify-paper and the worked-example shifts."""
 
     def test_import_loads_no_numpy(self):
         _, loaded = loaded_after()
         assert not NOT_LOADED & loaded
-        assert "cantorint.acceptance" not in loaded
+        assert package_modules(loaded) == COMMON_LAYERS
+
+    def test_thue_morse_commands_load_neither_upper_layer(self):
+        codes, loaded = loaded_after(*(argv for argv in SUBCOMMANDS
+                                       if argv[0] in ("tm", "alpha-kl")))
+        assert codes == [0, 0]
+        assert package_modules(loaded) == COMMON_LAYERS
+
+    def test_expansion_commands_load_no_dimension(self):
+        codes, loaded = loaded_after(*(
+            argv for argv in SUBCOMMANDS
+            if argv[0] in ("unique", "delta", "expand")))
+        assert codes == [0, 0, 0]
+        assert package_modules(loaded) == \
+            COMMON_LAYERS | {"cantorint.expansions"}
 
     def test_no_subcommand_loads_numpy(self):
         codes, loaded = loaded_after(*SUBCOMMANDS)
@@ -671,6 +710,46 @@ class TestStartup:
         assert not NOT_LOADED & loaded
         # the probe sees the modules that these calls do load
         assert {"cantorint.dimension", "cantorint.acceptance"} <= loaded
+
+
+def documented_names() -> set:
+    """The names that README's example and the demos import from the
+    package itself."""
+    texts = [(SRC.parent / "README.md").read_text()] + [
+        p.read_text() for p in sorted((SRC.parent / "demos").glob("*.py"))]
+    return {name for text in texts
+            for group in re.findall(
+                r"^from cantorint import (\([^)]*\)|.*)", text, re.M)
+            for name in re.findall(r"\w+", group)}
+
+
+class TestNamespace:
+    """The package resolves each exported name on access from the module
+    that its table names, and binds none of them itself."""
+
+    def test_each_name_is_its_modules_object(self):
+        for name in cantorint.__all__:
+            owners = [m for m in (dimension, expansions, thuemorse, words,
+                                  exactnum) if name in vars(m)]
+            assert owners, name
+            assert all(getattr(cantorint, name) is vars(m)[name]
+                       for m in owners), name
+        assert not set(cantorint.__all__) & set(vars(cantorint))
+        assert {"BaseSystem", "d_set", "tau_prefix"} <= documented_names()
+        assert documented_names() <= set(cantorint.__all__)
+
+    def test_access_reads_the_module_now(self, monkeypatch):
+        marker = object()
+        monkeypatch.setattr(expansions, "delta", marker)
+        assert cantorint.delta is marker
+
+    def test_dir_lists_every_name(self):
+        assert set(cantorint.__all__) <= set(dir(cantorint))
+        assert "__version__" in dir(cantorint)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such'"):
+            cantorint.no_such
 
 
 def subcommand_names(parser) -> set:
