@@ -463,9 +463,10 @@ def perron_dimension(g: IntersectionGraph, alpha) -> DimensionValue:
     error; any other graph is trimmed, so no row is zero and rho >= 1, and
     mu_hi = 1 proves lambda = 1: dimension exactly 0, countably many
     expansions (each cycle weighs 1; ``_bisect`` collapses onto B = [1]'s
-    root).  It derives -ln alpha as ``BaseSystem.neg_log`` does, once.
+    root).  It derives -ln alpha as ``BaseSystem.neg_log`` does, once, and
+    reads alpha > 1/2 off alpha's field, as the box walk's slope does.
     """
-    if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
+    if exactnum.above_half(alpha):
         raise OutOfDomain("Perron dimension needs alpha <= 1/2")
     if g.empty:
         return DimensionValue(0.0, 0.0, empty=True)
@@ -631,7 +632,7 @@ def box_count_oracle(alpha, t, depth: int) -> BoxCountReport:
     rows = [(n, lowers[n], uppers[n]) for n in range(1, depth + 1)]
     pts = [(n, u) for (n, _, u) in rows if u > 0]
     half = pts[len(pts) // 2:]
-    if exactnum.compare(alpha, Fraction(1, 2)) is exactnum.Comparison.GREATER:
+    if ctx.above_half:
         slope = None  # overlapping cylinders: no dimension to estimate
     elif len(half) >= 2:
         neg_log = -math.log(float((alo + ahi) / 2))

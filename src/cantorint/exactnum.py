@@ -39,8 +39,8 @@ Q by reduction modulo a prime below 50, or it raises ``UnsupportedBase``.
 So Q(alpha) is a field, the zero vector is the only exact 0, and every
 other vector has a nonzero value, which the doubling filter certifies.
 ``field`` keeps one context per base and process, so each base's proof,
-tables and -ln alpha are derived once, and the context holds the base's
-``expansions.BaseSystem`` of each alphabet, which go with it.
+tables, -ln alpha and range facts are derived once, and the context holds
+the base's ``expansions.BaseSystem`` of each alphabet, which go with it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm, log2
 from operator import mul
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 DEFAULT_PRECISION = Fraction(1, 2**128)
 _BISECTION_CAP = 100_000
@@ -605,6 +605,15 @@ def compare(a: RealNumber, b: RealNumber) -> Comparison:
     return _compare_by_enclosure(a, b)
 
 
+def _in_unit_interval(alpha) -> bool:
+    return compare(alpha, Fraction(0)) is Comparison.GREATER and \
+        compare(alpha, Fraction(1)) is Comparison.LESS
+
+
+def _above_half(alpha) -> bool:
+    return compare(alpha, Fraction(1, 2)) is Comparison.GREATER
+
+
 def _rat_minus_alg_sign(q: Fraction, x: AlgebraicReal) -> int:
     """The sign of q - x, with x left as it is.  The root lies in the open
     interval (lo, hi), where x's polynomial p changes sign, or is lo once
@@ -922,6 +931,16 @@ class QAlphaContext:
         log_lo, log_hi = _log_interval(*cell)
         return cell, (-log_hi, -log_lo)
 
+    @cached_property
+    def in_unit_interval(self) -> bool:
+        """Whether 0 < alpha < 1, by ``compare`` once per field."""
+        return _in_unit_interval(self.alpha)
+
+    @cached_property
+    def above_half(self) -> bool:
+        """Whether alpha > 1/2, by ``compare`` once per field."""
+        return _above_half(self.alpha)
+
     def _fixed_point(self, K: int) -> tuple:
         B = self._B.get(K)
         if B is None:
@@ -1036,30 +1055,62 @@ class QAlphaContext:
         return kids
 
 
-_FIELDS: dict = {}  # (p, q) or (polynomial, interval) -> context, oldest first
+_FIELDS: dict = {}  # _field_key(alpha) -> context, oldest first
+
+
+def _field_key(alpha) -> tuple:
+    """(p, q) of a rational alpha; an algebraic one's polynomial and its
+    interval's ends as ints, which hash faster than Fractions."""
+    if isinstance(alpha, AlgebraicReal):
+        lo, hi = alpha._lo, alpha._hi
+        return (alpha.coeffs, lo.numerator, lo.denominator, hi.numerator,
+                hi.denominator)
+    return (alpha.numerator, alpha.denominator)
+
+
+def _registered(alpha) -> Optional[QAlphaContext]:
+    """The registered context of alpha's field, or None: found by value, or
+    by polynomial and an interval that holds alpha's or lies in it, as two
+    such isolating intervals of one polynomial hold one root.  A base with
+    no field, such as alpha_KL, has none."""
+    if not isinstance(alpha, (int, Fraction, AlgebraicReal)):
+        return None
+    ctx = _FIELDS.get(_field_key(alpha))
+    if ctx is None and isinstance(alpha, AlgebraicReal):
+        key, lo, hi = ("alg", alpha.coeffs), alpha._lo, alpha._hi
+        ctx = next((c for c in _FIELDS.values() if c.key == key and (
+            c.interval[0] <= lo <= hi <= c.interval[1]
+            or lo <= c.interval[0] <= c.interval[1] <= hi)), None)
+    return ctx
 
 
 def field(alpha) -> QAlphaContext:
     """The process's one ``QAlphaContext`` of a rational or algebraic alpha,
-    so its proof, tables and -ln alpha are derived once: found by value, or
-    by polynomial and an interval that holds alpha's or lies in it, as two
-    such isolating intervals of one polynomial hold one root.  Its facts
-    depend on its key alone: one dropped past ``FIELDS_MAX`` is rebuilt
-    the same, and the base systems in its ``systems`` are dropped with
-    it."""
-    if isinstance(alpha, AlgebraicReal):
-        p, lo, hi = key = (alpha.coeffs, *alpha.interval())
-        nested = (c for k, c in _FIELDS.items() if k[0] == p and (
-            k[1] <= lo <= hi <= k[2] or lo <= k[1] <= k[2] <= hi))
-        ctx = _FIELDS.get(key) or next(nested, None)
-    else:
-        key = (alpha.numerator, alpha.denominator)
-        ctx = _FIELDS.get(key)
+    so its proof, tables, range facts and -ln alpha are derived once (see
+    :func:`_registered`).  Its facts depend on its key alone: one dropped
+    past ``FIELDS_MAX`` is rebuilt the same, and the base systems in its
+    ``systems`` are dropped with it."""
+    ctx = _registered(alpha)
     if ctx is None:
+        ctx = QAlphaContext(copy(alpha))
         if len(_FIELDS) >= FIELDS_MAX:
             del _FIELDS[next(iter(_FIELDS))]
-        ctx = _FIELDS[key] = QAlphaContext(copy(alpha))
+        _FIELDS[_field_key(alpha)] = ctx
     return ctx
+
+
+def in_unit_interval(alpha) -> bool:
+    """Whether 0 < alpha < 1: the cached fact of alpha's registered field,
+    else derived by ``compare``, with no field built (alpha_KL, or a base
+    seen first, which may have no field at all, such as 0)."""
+    ctx = _registered(alpha)
+    return _in_unit_interval(alpha) if ctx is None else ctx.in_unit_interval
+
+
+def above_half(alpha) -> bool:
+    """Whether alpha > 1/2, as :func:`in_unit_interval` reads its fact."""
+    ctx = _registered(alpha)
+    return _above_half(alpha) if ctx is None else ctx.above_half
 
 
 class QAlphaElement:
@@ -1174,27 +1225,42 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(_bounded(text))
 
 
+_ALG_TEXTS: dict = {}  # alg: text -> its checked (polynomial, lo, hi)
+
+
 def parse_real(text: str) -> RealNumber:
     """Parse ``rat:p/q``, ``alg:c0,...,ck@[lo,hi]``, a bare rational, or
     ``akl``: the ``thuemorse.alpha_kl_real()`` singleton itself, which
-    ``thuemorse.is_alpha_kl`` recognises."""
+    ``thuemorse.is_alpha_kl`` recognises.  An ``alg:`` text is read once
+    per process (``FIELDS_MAX`` kept), and each parse is a new root with
+    the interval as written, which ``refine`` narrows in place."""
     text = text.strip()
     if text == "akl":
         from . import thuemorse  # deferred: thuemorse builds on this module
         return thuemorse.alpha_kl_real()
     if text.startswith("rat:"):
         return parse_fraction(text[4:])
-    m = _ALG_RE.match(text)
-    if m:
+    written = _ALG_TEXTS.get(text)
+    if written is None:
+        m = _ALG_RE.match(text)
+        if not m:  # a bare rational literal, as a convenience
+            try:
+                return parse_fraction(text)
+            except ValueError:
+                raise ExactnumError(
+                    f"cannot parse real number {text!r}") from None
         coeffs = [int(_bounded(c)) for c in m.group("coeffs").split(",")]
-        lo = parse_fraction(m.group("lo"))
-        hi = parse_fraction(m.group("hi"))
-        return AlgebraicReal(coeffs, lo, hi)  # raises NonIsolatingInterval
-    # bare rational literal as a convenience
-    try:
-        return parse_fraction(text)
-    except ValueError:
-        raise ExactnumError(f"cannot parse real number {text!r}") from None
+        lo, hi = parse_fraction(m.group("lo")), parse_fraction(m.group("hi"))
+        written = (poly_normalize(coeffs), lo, hi)
+        _check_isolating(*written)  # raises NonIsolatingInterval
+        if len(_ALG_TEXTS) >= FIELDS_MAX:
+            del _ALG_TEXTS[next(iter(_ALG_TEXTS))]
+        _ALG_TEXTS[text] = written
+    else:
+        _check_isolating(*written)  # memoized: once per interval
+    x = AlgebraicReal.__new__(AlgebraicReal)
+    x.coeffs, x._lo, x._hi = written
+    return x
 
 
 def format_real(x: RealNumber) -> str:

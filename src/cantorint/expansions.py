@@ -111,8 +111,7 @@ class BaseSystem:
     """
 
     def __new__(cls, alpha, alphabet: Alphabet = TERNARY):
-        if compare(alpha, Fraction(0)) is not Comparison.GREATER or \
-                compare(alpha, Fraction(1)) is not Comparison.LESS:
+        if not exactnum.in_unit_interval(alpha):  # before any field is built
             raise OutOfDomain("base must lie strictly between 0 and 1")
         if isinstance(alpha, (Fraction, AlgebraicReal)):
             systems = exactnum.field(alpha).systems
@@ -159,11 +158,18 @@ class BaseSystem:
         return QAlphaElement(ctx, ctx.reduce(
             [0] + [sg * sum(a[k:]) for k in range(1, len(a))], sg * sum(a)))
 
+    @cached_property
+    def tails(self) -> tuple:
+        """(low_tail, high_tail), the values of the all-low and all-high
+        tails, which bound every expansion's value."""
+        return self.alphabet.low * self.tail_unit, \
+            self.alphabet.high * self.tail_unit
+
     def low_tail(self) -> QAlphaElement:
-        return self.alphabet.low * self.tail_unit
+        return self.tails[0]
 
     def high_tail(self) -> QAlphaElement:
-        return self.alphabet.high * self.tail_unit
+        return self.tails[1]
 
     def embed(self, x) -> QAlphaElement:
         return self._require_ctx().embed(x)

@@ -416,6 +416,23 @@ class TestErrors:
         assert code == 1 and payload["result"] is None
         assert payload["status"].startswith(status)
 
+    @pytest.mark.parametrize("alpha", [
+        "rat:0", "rat:1", "rat:3/2", "rat:-1/3", "alg:-1,2,1@[-3,-2]",
+        "alg:2,-3,1@[3/2,5/2]",  # (x - 1)(x - 2): reducible, still no base
+    ])
+    def test_out_of_range_base_errors(self, capsys, alpha):
+        # every command that builds a BaseSystem refuses these bases before
+        # any field is built, with one text, also when asked again
+        for command, *rest in (("intersect", "--t", "rat:0"),
+                               ("boxcount", "--t", "rat:0", "--depth", "2"),
+                               ("delta", "--length", "4")):
+            for _ in range(2):
+                code, payload = run_json(capsys, command, "--alpha", alpha,
+                                         *rest)
+                assert code == 1 and payload["result"] is None
+                assert payload["status"] == \
+                    "error: base must lie strictly between 0 and 1"
+
     def test_dset_refuses_base_at_threshold_undecided(self, capsys):
         # the root of 2^140 (x^2 - 3x + 1) + 1 lies about 2^-141 above
         # (3-sqrt(5))/2, inside the comparison cutoff: D_alpha is not

@@ -2235,9 +2235,10 @@ class TestLiouville:
 
 def cold_registries(monkeypatch):
     """Empty registries for the test, as a new process has them: no field
-    context, and so no base system, no alpha_KL system and no threshold;
-    the process's own come back after it."""
+    context, and so no base system, no alpha_KL system, no threshold and
+    no parsed alg: text; the process's own come back after it."""
     monkeypatch.setattr(X, "_FIELDS", {})
+    monkeypatch.setattr(X, "_ALG_TEXTS", {})
     monkeypatch.setattr(E, "_AKL_SYSTEMS", {})
     monkeypatch.setattr(E, "_GOLDEN", [])
 
@@ -2512,10 +2513,12 @@ class TestInsideFloatRecipe:
 def system_facts(text):
     """What a ``BaseSystem`` derives once, and the d_set built on it:
     delta to 512 digits, its periodic form, the regime, the threshold
-    fact and -ln alpha."""
+    fact, -ln alpha and the hull's tails, which alpha_KL has none of."""
     sys = BaseSystem(X.parse_real(text), TERNARY)
+    tails = sys.ctx and tuple(x.state for x in sys.tails)
     return (E.delta(sys, 512), E.try_ep_form(sys), sys.regime,
-            sys.past_threshold, sys.neg_log, d_set(X.parse_real(text)))
+            sys.past_threshold, sys.neg_log, tails,
+            d_set(X.parse_real(text)))
 
 
 class TestSystemRegistry:

@@ -438,6 +438,10 @@ def fraction_refine(coeffs, lo, hi, width):
     return (lo, hi)
 
 
+# bases on both sides of the cached fact alpha > 1/2, and 1/2 itself;
+# 1/sqrt(2) is alg:-1,0,2@[1/2,1]
+RANGE_BASES = ("rat:1/3", "rat:1/2", "rat:3/5", "alg:1,-3,1@[1/3,1/2]",
+               "alg:-1,0,2@[1/2,1]")
 KERNEL_BASES = ("alg:-1,1,2,2@[2/5,1/2]", "alg:-1,2,1@[2/5,1/2]",
                 "alg:1,-3,1@[1/3,1/2]", "alg:-1,2,2@[1/3,1/2]",
                 "alg:-2,4,1@[2/5,1/2]")
@@ -1500,10 +1504,19 @@ class TestFieldRegistry:
     ``QAlphaContext``: the same facts, shared where the base is the same,
     and a bounded registry."""
 
-    @pytest.mark.parametrize("text", sorted(set(KERNEL_BASES) | pool_bases()))
+    @pytest.mark.parametrize("text", sorted(set(KERNEL_BASES) | pool_bases()
+                                            | set(RANGE_BASES)))
     def test_interned_matches_fresh(self, text):
         ctx, fresh = X.field(parse_real(text)), QAlphaContext(parse_real(text))
         alpha = parse_real(text)
+        # the range facts, cached once per field, vs compare afresh
+        unit = compare(alpha, F(0)) is Comparison.GREATER and \
+            compare(alpha, F(1)) is Comparison.LESS
+        half = compare(alpha, F(1, 2)) is Comparison.GREATER
+        assert ctx.in_unit_interval is fresh.in_unit_interval is \
+            X.in_unit_interval(alpha) is unit
+        assert ctx.above_half is fresh.above_half is X.above_half(alpha) is \
+            half
         cell = X.enclosure(alpha, F(1, 10**20))
         log_lo, log_hi = X._log_interval(*cell)
         assert ctx.log_cell == fresh.log_cell == (cell, (-log_hi, -log_lo))
@@ -1555,6 +1568,47 @@ class TestFieldRegistry:
             AlgebraicReal(SQRT2_MINUS_1, F(2, 5) - F(k, 10**6), F(1, 2))
         info = X._check_isolating.cache_info()
         assert info.maxsize == X.FIELDS_MAX and info.currsize <= X.FIELDS_MAX
+
+    @pytest.mark.parametrize("text", KERNEL_BASES + ("alg:-1,0,2@[1/2,1]",))
+    def test_repeated_parse_is_a_new_root(self, text):
+        # the text is read once, but refine and -ln alpha narrow a root in
+        # place: the next parse still carries the interval as written
+        first = parse_real(text)
+        assert first is not parse_real(text)
+        first.refine(F(1, 10**30))
+        narrowed = parse_real(text)
+        X._neg_log(narrowed)
+        assert narrowed.interval() == X.field(narrowed).log_cell[0]
+        for x in (first, narrowed):
+            assert x.interval() != parse_real(text).interval()
+        written = tuple(map(F, text[text.index("[") + 1:-1].split(",")))
+        again = parse_real(text)
+        assert again.interval() == written and X.format_real(again) == text
+
+    @pytest.mark.parametrize("text, has_field", [
+        ("rat:0", False), ("rat:1", True), ("rat:3/2", True),
+        ("rat:-1/3", True), ("alg:-1,2,1@[-3,-2]", True),
+        ("alg:2,-3,1@[3/2,5/2]", False),  # (x - 1)(x - 2): reducible
+    ])
+    def test_out_of_range_base_refused_before_its_field(self, monkeypatch,
+                                                        text, has_field):
+        # refused by compare before any field is built, as 0 and a
+        # reducible polynomial have none; then, where the field exists, by
+        # its cached fact, with the same error and message
+        monkeypatch.setattr(X, "_FIELDS", {})
+        message = r"^base must lie strictly between 0 and 1$"
+        with pytest.raises(E.OutOfDomain, match=message):
+            BaseSystem(parse_real(text), TERNARY)
+        assert not X._FIELDS
+        if not has_field:
+            with pytest.raises(X.UnsupportedBase):
+                X.field(parse_real(text))
+            return
+        ctx = X.field(parse_real(text))
+        for alphabet in (TERNARY, BINARY):
+            with pytest.raises(E.OutOfDomain, match=message):
+                BaseSystem(parse_real(text), alphabet)
+        assert vars(ctx)["in_unit_interval"] is False and not ctx.systems
 
     def test_one_root_check_per_interval(self, monkeypatch):
         calls, count = [], X.root_count

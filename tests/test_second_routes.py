@@ -43,12 +43,15 @@ independent route.  A number with no line here has one route only.
   test_expansions.py::TestDelta::test_admissible
 - A base's interned field context (``exactnum.field``), its states, signs,
   comparisons, enclosures, children and -ln alpha, vs a fresh
-  ``QAlphaContext`` on the same base:
+  ``QAlphaContext`` on the same base, and its cached range facts 0 < alpha
+  < 1 and alpha > 1/2, which ``BaseSystem``, ``perron_dimension`` and the
+  box walk's slope read, vs ``compare`` afresh, on the kernel and pool
+  bases and on 1/3, 1/2, 3/5, (3-sqrt(5))/2 and 1/sqrt(2):
   test_exactnum.py::TestFieldRegistry::test_interned_matches_fresh
 - A base's interned ``BaseSystem``, its delta to 512 digits, periodic
-  form, regime, threshold fact, -ln alpha and d_set, vs a fresh system
-  built under empty registries, on the 24 spectrum bases, the kernel
-  bases and alpha_KL:
+  form, regime, threshold fact, -ln alpha, hull tails and d_set, vs a
+  fresh system built under empty registries, on the 24 spectrum bases,
+  the kernel bases and alpha_KL:
   test_dimension.py::TestSystemRegistry::test_interned_matches_fresh
 - F's sign, from the Thue-Morse product prod (1 - a^(2^k)), vs the
   term-by-term series sum (1 + lambda_i) a^i, kept in the tests as
