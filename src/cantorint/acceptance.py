@@ -21,6 +21,7 @@ import random
 import time
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from operator import sub
 from typing import NamedTuple
@@ -47,6 +48,8 @@ def _alpha_ex52() -> AlgebraicReal:
     return AlgebraicReal([-1, 2, 1], Fraction(2, 5), Fraction(1, 2))
 
 
+# t depends on the base alone: each is derived once per system, and shared
+@lru_cache(maxsize=expansions.SYSTEMS_MAX)
 def ex51_translation(sys: BaseSystem):
     """t = sum (-alpha)^i = -alpha/(1+alpha)."""
     ctx = sys._require_ctx()
@@ -54,6 +57,7 @@ def ex51_translation(sys: BaseSystem):
     return -a / (ctx.one + a)
 
 
+@lru_cache(maxsize=expansions.SYSTEMS_MAX)
 def ex52_translation(sys: BaseSystem):
     """t = alpha/(alpha^3-1) + alpha^2/(1-alpha^3), the value whose
     expansions are exactly the concatenations of 0(-1)(-1) and (-1)10."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import exactnum, graph, thuemorse, words
@@ -129,15 +129,12 @@ class BaseSystem:
             return
         self.alpha = alpha
         self.alphabet = alphabet
+        self.M, self.low = alphabet.size - 1, alphabet.low  # read per scan
         if isinstance(alpha, (Fraction, AlgebraicReal)):
             self.ctx = exactnum.field(alpha)  # one per base and process
         else:
             self.ctx = None  # enclosed: only delta via the known expansion
         self._delta = None
-
-    @property
-    def M(self) -> int:
-        return self.alphabet.size - 1
 
     def _require_ctx(self) -> QAlphaContext:
         if self.ctx is None:
@@ -466,18 +463,19 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
 
     A sequence is the unique expansion of its value iff every tail after a
     prefix that is not all-high stays lex-< delta, and symmetrically for the
-    reflected sequence after prefixes that are not all-low.  A cap under 1
-    compares no digit and leaves any sequence UNDECIDED.  A LazySeq whose
-    grammar :func:`parry_certified` passes is UNIQUE; otherwise each shift
-    reads the tail's first digit f over {0..M} once, sets the prefix flags
-    from it, and compares f, then its reflection M - f, with delta's first
-    digit; only a tie reads on, comparing with delta for at most
-    ``compare_cap`` digits.  An EPSeq is decided
-    exactly when delta is eventually periodic: the cap then passes
-    ``words._ep_equality_bound``, so a tail that reaches it equals delta.
-    Otherwise a tail reaching the cap, or a LazySeq, leaves it UNDECIDED.
-    An EPSeq's digits are read from ``pre`` and ``per`` by index, and
-    delta's from the cache's list, so each digit read is one subscript.
+    reflected sequence after prefixes that are not all-low.  A LazySeq whose
+    grammar :func:`parry_certified` passes is UNIQUE.  Otherwise one loop
+    reads each shift's first digit f once: the tail ties or passes delta's
+    first digit d1 iff f >= low + d1, its reflection iff f <= high - d1,
+    and only a tie reads on, comparing with delta for at most
+    ``compare_cap`` digits.  An EPSeq is decided exactly when delta is
+    eventually periodic: the cap is first raised past
+    ``words._ep_equality_bound``, whatever cap was asked, 0 and below too,
+    so a tail that reaches it equals delta.  Otherwise a cap under 1
+    compares no digit and leaves the sequence UNDECIDED, and a tail that
+    reaches the cap, or a LazySeq, leaves it UNDECIDED.  An EPSeq's first
+    digits come from one tuple, ``pre + per + per[:1]``, its later ones
+    from ``pre`` and ``per`` by index, and delta's from the cache's list.
     """
     lazy = isinstance(seq, LazySeq)
     if not lazy and not isinstance(seq, EPSeq):
@@ -485,7 +483,7 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
                         f"not {type(seq).__name__}")
     if seq.alphabet != sys.alphabet:
         raise words.AlphabetMismatch("sequence alphabet differs from system")
-    M, low = sys.M, sys.alphabet.low
+    low = sys.low
     dcache = sys.delta_cache()
     ep_delta = dcache.ep_form(512)
     compare_cap = depth_cap if depth_cap is not None else _DEFAULT_COMPARE_CAP
@@ -506,17 +504,17 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
             parry_certified(seq.grammar, delta_seq(sys), compare_cap):
         return UniquenessResult(UniqStatus.UNIQUE, None, 0, compare_cap)
     get, dd, dget = seq.digit, dcache.digits, dcache.digit
-    d1 = dget(1)
+    d1 = dd[0] if dd else dget(1)
+    high = low + sys.M
+    tail_from, mirror_to = low + d1, high - d1
     # the first digits of the shifts 0..shifts, then digit j of tail n at
     # 0-based index k = n + j - 1: pre[k], or per[(k - p) % q] past pre
-    firsts = map(get, range(1, shifts + 2)) if lazy else \
-        chain(pre, per, per[:1])
+    firsts = map(get, range(1, shifts + 2)) if lazy else pre + per + per[:1]
     all_high = all_low = True
     undecided = False
     for n, f in enumerate(firsts):
-        f -= low
-        if f >= d1 and not all_high:  # the tail ties or passes d1
-            k, j, u, dj = n, 1, f, d1
+        if f >= tail_from and not all_high:  # the tail ties or passes d1
+            k, j, u, dj = n, 1, f - low, d1
             while u == dj and j < compare_cap:
                 k += 1
                 j += 1
@@ -531,13 +529,13 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
                     return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
                                             n, compare_cap)
                 undecided = True
-        if M - f >= d1 and not all_low:  # so does its reflection
-            k, j, u, dj = n, 1, M - f, d1
+        if f <= mirror_to and not all_low:  # so does its reflection
+            k, j, u, dj = n, 1, high - f, d1
             while u == dj and j < compare_cap:
                 k += 1
                 j += 1
-                u = M + low - (get(k + 1) if lazy else pre[k] if k < p
-                               else per[(k - p) % q])
+                u = high - (get(k + 1) if lazy else pre[k] if k < p
+                            else per[(k - p) % q])
                 dj = dd[j - 1] if j <= len(dd) else dget(j)
             if u > dj:
                 return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, n + j),
@@ -547,8 +545,10 @@ def is_unique_expansion(sys: BaseSystem, seq: Union[EPSeq, LazySeq],
                     return UniquenessResult(UniqStatus.NOT_UNIQUE, (n, None),
                                             n, compare_cap)
                 undecided = True
-        all_high = all_high and f == M
-        all_low = all_low and f == 0
+        if f != high:
+            all_high = False
+        if f != low:
+            all_low = False
 
     if lazy or undecided:
         return UniquenessResult(UniqStatus.UNDECIDED, None, shifts, compare_cap)

@@ -153,21 +153,17 @@ class EPSeq:
     equality coincide with sequence equality.  The d with ``per ==
     per[:d] * (n // d)``, n = len(per), are the multiples of the root's
     length r that divide n, so stripping each prime factor q of n from
-    d = n while d // q is one of them leaves d = r.  One pass checks the
-    digits of ``pre + per``; a digit bijection keeps the form canonical,
-    so ``_map_digits`` builds its image through ``_canonical``.  ``pre``
-    and ``per`` are iterables of ints, or both bytes or bytearray strings
-    of signed digits, checked as one string.
+    d = n while d // q is one of them leaves d = r.  ``pre`` and ``per``
+    are iterables of ints, whose ``pre + per`` one pass checks, or both
+    bytes or bytearray strings of signed digits, made canonical as bytes,
+    then read and checked as one string of the same digits.
     """
 
     __slots__ = ("pre", "per", "alphabet")
 
     def __init__(self, pre, per, alphabet: Alphabet = TERNARY):
-        if isinstance(per, (bytes, bytearray)):  # signed digits, as is pre
-            k = len(pre)
-            digits = _signed_digits(pre + per, alphabet)
-            pre, per = digits[:k], digits[k:]
-        else:
+        signed = isinstance(per, (bytes, bytearray))  # and so is pre
+        if not signed:
             pre, per = tuple(pre), tuple(per)
             if per:  # an empty period is refused before any digit
                 _check_digits(pre + per, alphabet)
@@ -187,19 +183,15 @@ class EPSeq:
             q += 1
         per = per[:d]
         # minimal preperiod: absorb matching tail digits into a rotation
-        pre = list(pre)
-        while pre and pre[-1] == per[-1]:
+        k = len(pre)
+        while k and pre[k - 1] == per[-1]:
             per = per[-1:] + per[:-1]
-            pre.pop()
-        self.pre, self.per, self.alphabet = tuple(pre), per, alphabet
-
-    @classmethod
-    def _canonical(cls, pre: tuple, per: tuple, alphabet: Alphabet):
-        """A canonical ``pre`` and ``per`` as they are, digits checked."""
-        _check_digits(pre + per, alphabet)
-        s = object.__new__(cls)
-        s.pre, s.per, s.alphabet = pre, per, alphabet
-        return s
+            k -= 1
+        pre = pre[:k]
+        if signed:  # the canonical bytes, read and checked at once
+            digits = _signed_digits(pre + per, alphabet)
+            pre, per = digits[:k], digits[k:]
+        self.pre, self.per, self.alphabet = pre, per, alphabet
 
     def digit(self, i: int) -> int:
         """1-indexed digit access."""
@@ -308,13 +300,16 @@ def _map_digits(s: SeqLike, f: Callable[[int], int], alphabet: Alphabet,
     """s with f applied to every digit, over ``alphabet``; a lazy result
     is described as ``name(description)``, its grammar's labels mapped.
     f is a bijection from s's alphabet onto ``alphabet``, so it keeps an
-    EPSeq's primitive period primitive and its minimal preperiod minimal:
-    the image is canonical as it stands."""
+    EPSeq's primitive period primitive and its minimal preperiod minimal,
+    and puts every digit in ``alphabet``: the image is built as it stands,
+    with no canonical search and no digit check."""
     if isinstance(s, FiniteWord):
         return FiniteWord(tuple(map(f, s.digits)), alphabet)
     if isinstance(s, EPSeq):
-        return EPSeq._canonical(tuple(map(f, s.pre)), tuple(map(f, s.per)),
-                                alphabet)
+        image = object.__new__(EPSeq)
+        image.pre, image.per = tuple(map(f, s.pre)), tuple(map(f, s.per))
+        image.alphabet = alphabet
+        return image
     if isinstance(s, LazySeq):
         grammar = s.grammar and [[(v, f(d)) for v, d in out]
                                  for out in s.grammar]

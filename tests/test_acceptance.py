@@ -18,6 +18,7 @@ import pytest
 
 from cantorint import acceptance as A
 from cantorint import dimension, expansions, thuemorse
+from cantorint.exactnum import parse_real
 from cantorint.expansions import BaseSystem, UniqStatus
 from cantorint.words import TERNARY
 
@@ -130,6 +131,25 @@ def test_rounds_to_is_exact_at_both_ends():
     assert not A._rounds_to(d - half - F(1, 10**30), d, "1.69562")
     assert A._rounds_to(0.15, 0.15, "0.1")
     assert not A._rounds_to(0.15, 0.15, "0.2")
+
+
+@pytest.mark.parametrize("base", ["alg:-1,1,2,2@[2/5,1/2]",
+                                  "alg:-1,2,1@[2/5,1/2]", "rat:7/18",
+                                  "rat:2/5"])
+def test_translations_cached_equal_fresh(base):
+    # each worked-example shift is derived once per system: a second call
+    # returns the same element, equal to a fresh derivation, and t is the
+    # closed form: t (1 + alpha) = -alpha, and (alpha^3 - 1) t = alpha -
+    # alpha^2 for ex52
+    sys_ = BaseSystem(parse_real(base), TERNARY)
+    a, one = sys_.ctx.alpha_element, sys_.ctx.one
+    for translation in (A.ex51_translation, A.ex52_translation):
+        t = translation(sys_)
+        assert translation(sys_) is t
+        assert t == translation.__wrapped__(sys_)
+        assert translation.cache_info().maxsize == expansions.SYSTEMS_MAX
+    assert A.ex51_translation(sys_) * (one + a) == -a
+    assert A.ex52_translation(sys_) * (a * a * a - one) == a - a * a
 
 
 def test_criterion_06_example52():

@@ -507,6 +507,14 @@ UNIQUENESS_BASES = ("rat:9/25", "rat:39/100", "rat:3943/10000",
                     "rat:3944/10000", "rat:2/5", "rat:9/20",
                     "alg:-1,2,1@[2/5,1/2]", "alg:1,-3,1@[1/3,1/2]",
                     "alg:-1,1,2,2@[2/5,1/2]")
+# the spectrum benchmark's other pool bases, 19717/50000, 39433/100000 and
+# 394329/1000000 near alpha_KL, where ties run long.  Its warm batches ask
+# block words up to level 6, so these take levels up to 9 and fewer words
+POOL_BASES = ("rat:11/25", "rat:17/45", "rat:19/50", "rat:197/500",
+              "rat:19717/50000", "rat:21/50", "rat:3/8", "rat:31/80",
+              "rat:37/100", "rat:383/1000", "rat:394329/1000000",
+              "rat:39433/100000", "rat:41/100", "rat:43/100", "rat:5/13",
+              "rat:7/18", "rat:7/20", "rat:77/200")
 
 
 SQRT2_MINUS_1 = "alg:-1,2,1@[2/5,1/2]"
@@ -563,9 +571,9 @@ def dense_family_words():
                                                tol)]
 
 
-def uniqueness_words(rng, count=60):
+def uniqueness_words(rng, count=60, top=12):
     from cantorint.thuemorse import tm_block_word
-    seqs = [tm_block_word(n) for n in range(1, 13)] + tie_words()
+    seqs = [tm_block_word(n) for n in range(1, top + 1)] + tie_words()
     seqs += wrap_words() + dense_family_words()
     for _ in range(count):
         pre = [rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4))]
@@ -581,12 +589,14 @@ def uniqueness_words(rng, count=60):
 class TestUniquenessReference:
     """Every field of every result matches the two-block scan."""
 
-    @pytest.mark.parametrize("base", UNIQUENESS_BASES)
+    @pytest.mark.parametrize("base", UNIQUENESS_BASES + POOL_BASES)
     def test_words_match_reference(self, base):
         sys = BaseSystem(X.parse_real(base), TERNARY)
         rng = random.Random(len(base) * 31 + sum(map(ord, base)))
         seen = set()
-        for seq in uniqueness_words(rng):
+        seqs = uniqueness_words(rng) if base in UNIQUENESS_BASES else \
+            uniqueness_words(rng, 30, 9)
+        for seq in seqs:
             for cap in (None, 3, 40):
                 got = E.is_unique_expansion(sys, seq, cap)
                 assert got == reference_is_unique_expansion(sys, seq, cap)
@@ -618,10 +628,27 @@ class TestUniquenessReference:
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_compares_no_digit(self, cap):
-        sys = BaseSystem(F(2, 5), TERNARY)
-        for seq in tie_words()[:3] + tie_lazies()[:2]:
-            assert E.is_unique_expansion(sys, seq, cap) == \
-                reference_is_unique_expansion(sys, seq, cap)
+        # a cap under 1 compares no digit for a LazySeq, or where delta is
+        # not eventually periodic (2/5); where it is (sqrt(2) - 1, ex51),
+        # an EPSeq's cap is first raised past the equality bound, so the
+        # EPSeq is decided: (+0-) at sqrt(2) - 1 has the violation (3, 5)
+        seqs = tie_words()[:3] + [W.parse_seq("(+0-)")] + tie_lazies()[:2]
+        for base in ("rat:2/5", SQRT2_MINUS_1, EX51):
+            sys = BaseSystem(X.parse_real(base), TERNARY)
+            periodic = sys.delta_cache().ep_form(512) is not None
+            assert periodic == (base != "rat:2/5")
+            for seq in seqs:
+                got = E.is_unique_expansion(sys, seq, cap)
+                assert got == reference_is_unique_expansion(sys, seq, cap)
+                if isinstance(seq, LazySeq) or not periodic:
+                    assert got == (UniqStatus.UNDECIDED, None, got[2], cap)
+                else:
+                    assert got.status is not UniqStatus.UNDECIDED
+                    assert got.compare_cap > 1
+        got = E.is_unique_expansion(BaseSystem(X.parse_real(SQRT2_MINUS_1),
+                                               TERNARY),
+                                    W.parse_seq("(+0-)"), cap)
+        assert (got.status, got.violation) == (UniqStatus.NOT_UNIQUE, (3, 5))
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_with_a_grammar(self, cap):

@@ -29,8 +29,12 @@ independent route.  A number with no line here has one route only.
   test_graph.py::test_cyclic_classes_follow_every_edge
 - ``log_enclosure`` vs ln by the standard library's ``decimal``:
   test_exactnum.py::TestLogEnclosure::test_seeded_rationals
-- The uniqueness test vs the old two-block scan:
+- The uniqueness test vs the old two-block scan, on the 24 spectrum
+  bases, sqrt(2) - 1, (3-sqrt(5))/2 and ex51's base:
   test_expansions.py::TestUniquenessReference::test_words_match_reference
+- The worked-example shifts t of Examples 5.1 and 5.2, derived once per
+  system, vs a fresh derivation and their closed forms:
+  test_acceptance.py::test_translations_cached_equal_fresh
 - The Perron dimension vs the frequency dimension:
   test_dimension.py::TestPerronMeetsFrequency::test_enclosures_overlap
 - The box walk's exact integer grid vs the float walk:
@@ -93,7 +97,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 22
+    assert len(named) == 23
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [
