@@ -40,7 +40,8 @@ So Q(alpha) is a field, the zero vector is the only exact 0, and every
 other vector has a nonzero value, which the doubling filter certifies.
 ``field`` keeps one context per base and process, so each base's proof,
 tables, -ln alpha and range facts are derived once, and the context holds
-the base's ``expansions.BaseSystem`` of each alphabet, which go with it.
+the base's ``expansions.BaseSystem`` of each alphabet, which go with it;
+``forget`` empties every process registry and cache.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import re
 from copy import copy
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import gcd, lcm, log2
 from operator import mul
 from typing import Callable, Optional, Union
@@ -59,7 +60,7 @@ _BISECTION_CAP = 100_000
 _NEWTON_STEPS = 64  # the most steps _newton takes
 _NEWTON_GUARD = 16  # bits its estimate carries below _bisect's grid
 _DECIMAL_DIGITS = 12  # decimal places decimal_string rounds to
-FIELDS_MAX = 64  # the most field contexts, and checked roots, a process keeps
+FIELDS_MAX = 64  # the most field contexts, and alg: texts, a process keeps
 NUMBER_DIGITS_MAX = 4000  # under Python's 4300-digit int-to-str limit
 _SQUAREFREE_PRIME = 2**61 - 1  # a Mersenne prime
 
@@ -379,10 +380,9 @@ def _bisect(value, lo: Fraction, hi: Fraction, width: Fraction, up=None,
     return (Fraction(N, M), Fraction(N + R, M))
 
 
-@lru_cache(maxsize=FIELDS_MAX)
 def _check_isolating(coeffs: tuple, lo: Fraction, hi: Fraction) -> None:
     """Raise ``NonIsolatingInterval`` unless (lo, hi) holds one root of
-    ``coeffs``, where it changes sign; once per process per argument."""
+    ``coeffs``, where it changes sign."""
     if len(coeffs) < 2:
         raise NonIsolatingInterval("polynomial must be nonconstant")
     if not lo < hi:
@@ -405,8 +405,8 @@ class AlgebraicReal:
     """A real algebraic number: integer polynomial + isolating interval.
 
     The interval must contain exactly one real root of the polynomial
-    (verified by ``root_count`` at construction, once per argument, or,
-    for ``isolate_largest_root``, by the search that isolated the root).
+    (verified by ``root_count`` at construction, or, for
+    ``isolate_largest_root``, by the search that isolated the root).
     Refinement takes the bisection bracket, reached through a checked
     Newton cell; the cached interval only ever shrinks, so the denoted root
     never changes.
@@ -1055,6 +1055,29 @@ class QAlphaContext:
         return kids
 
 
+def _remember(store: dict, key, value, most: int):
+    """``store[key] = value``, dropping the oldest entry first if ``store``
+    holds ``most``: the one way a process registry grows.  Returns value."""
+    if len(store) >= most:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
+
+
+def forget() -> None:
+    """Empty every process registry and cache, as a new process has them;
+    alpha_KL's cell goes back to [1/3, 1/2].  The alpha_KL singleton holds
+    no fact and stays, as ``thuemorse.is_alpha_kl`` knows it by identity."""
+    from . import expansions, thuemorse, words  # deferred: layers above
+    for store in (_FIELDS, _ALG_TEXTS, expansions._AKL_SYSTEMS,
+                  thuemorse._AKL_CELL):
+        store.clear()
+    for cached in (words._alphabet_bytes, expansions._golden_threshold,
+                   thuemorse.lambda_prefix, thuemorse.tm_block_word,
+                   thuemorse.sft_blocks, thuemorse.sft_max_word):
+        cached.cache_clear()
+
+
 _FIELDS: dict = {}  # _field_key(alpha) -> context, oldest first
 
 
@@ -1090,13 +1113,8 @@ def field(alpha) -> QAlphaContext:
     :func:`_registered`).  Its facts depend on its key alone: one dropped
     past ``FIELDS_MAX`` is rebuilt the same, and the base systems in its
     ``systems`` are dropped with it."""
-    ctx = _registered(alpha)
-    if ctx is None:
-        ctx = QAlphaContext(copy(alpha))
-        if len(_FIELDS) >= FIELDS_MAX:
-            del _FIELDS[next(iter(_FIELDS))]
-        _FIELDS[_field_key(alpha)] = ctx
-    return ctx
+    return _registered(alpha) or _remember(
+        _FIELDS, _field_key(alpha), QAlphaContext(copy(alpha)), FIELDS_MAX)
 
 
 def in_unit_interval(alpha) -> bool:
@@ -1253,11 +1271,7 @@ def parse_real(text: str) -> RealNumber:
         lo, hi = parse_fraction(m.group("lo")), parse_fraction(m.group("hi"))
         written = (poly_normalize(coeffs), lo, hi)
         _check_isolating(*written)  # raises NonIsolatingInterval
-        if len(_ALG_TEXTS) >= FIELDS_MAX:
-            del _ALG_TEXTS[next(iter(_ALG_TEXTS))]
-        _ALG_TEXTS[text] = written
-    else:
-        _check_isolating(*written)  # memoized: once per interval
+        _remember(_ALG_TEXTS, text, written, FIELDS_MAX)
     x = AlgebraicReal.__new__(AlgebraicReal)
     x.coeffs, x._lo, x._hi = written
     return x

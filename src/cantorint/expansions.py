@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, islice
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -57,16 +57,16 @@ class OutOfDomain(ExpansionError):
     pass
 
 
-_GOLDEN: list = []
+@cache
+def _golden_threshold() -> AlgebraicReal:
+    return AlgebraicReal([1, -3, 1], Fraction(1, 3), Fraction(1, 2))
 
 
 def golden_threshold() -> AlgebraicReal:
     """(3 - sqrt(5))/2, the threshold base: the root of x^2 - 3x + 1 in
-    (1/3, 1/2), as a module singleton, so its interval is checked once."""
-    if not _GOLDEN:
-        _GOLDEN.append(AlgebraicReal([1, -3, 1], Fraction(1, 3),
-                                     Fraction(1, 2)))
-    return _GOLDEN[0]
+    (1/3, 1/2), built once per process, so its interval is checked once;
+    a plain function over the cache, which perfbench's tracer spans."""
+    return _golden_threshold()
 
 
 class DSetKind(Enum):
@@ -117,12 +117,8 @@ class BaseSystem:
             systems = exactnum.field(alpha).systems
         else:
             systems = _AKL_SYSTEMS if thuemorse.is_alpha_kl(alpha) else {}
-        sys = systems.get(alphabet)
-        if sys is None:
-            if len(systems) >= SYSTEMS_MAX:
-                del systems[next(iter(systems))]
-            sys = systems[alphabet] = super().__new__(cls)
-        return sys
+        return systems.get(alphabet) or exactnum._remember(
+            systems, alphabet, super().__new__(cls), SYSTEMS_MAX)
 
     def __init__(self, alpha, alphabet: Alphabet = TERNARY):
         if "alpha" in vars(self):  # the process's system, built once

@@ -9,11 +9,11 @@ subshift of the interval-of-dimensions regime with its level search
 against a base's delta.  It builds on :mod:`exactnum`, :mod:`words` and
 :mod:`graph` only; the layers above pass it their delta.
 
-Each word that is a function of n alone (``lambda_prefix``, ``w_word``,
-``zeta``, ``eta``, ``tm_block_word``, ``sft_blocks``, ``sft_max_word``)
-is built once per process, one immutable object for every caller, in an
-``lru_cache`` sized to the levels its callers reach; no word past 2^16
-digits is kept.
+``lambda_prefix``, ``tm_block_word``, ``sft_blocks`` and ``sft_max_word``,
+which queries ask for again, are built once per process, one immutable
+object for every caller, in an ``lru_cache`` sized to the levels their
+callers reach; no word past 2^16 digits is kept.  ``w_word``, ``zeta`` and
+``eta`` are built at each call.
 
 alpha_KL is bisected on the sign of F(a) = sum (1+lambda_i) a^i - 1, read
 off the Thue-Morse product P(a) = prod_(k>=0) (1 - a^(2^k)), the
@@ -28,7 +28,7 @@ sign is open, up to ``_SERIES_BITS_CAP``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cache, lru_cache, wraps
 from typing import NamedTuple
 
 from . import exactnum, graph
@@ -79,7 +79,7 @@ def tau_prefix(n: int) -> FiniteWord:
 
 # signed digits as bytes: 0x01 = 1, 0x00 = 0, 0xff = -1; d -> -d
 _REFLECT = bytes.maketrans(b"\x01\x00\xff", b"\xff\x00\x01")
-_PREFIXES_MAX = 4  # lambda_prefix lengths and w_word levels kept at once
+_PREFIXES_MAX = 4  # lambda_prefix lengths kept at once
 _BLOCK_LEVELS = 12  # the block-word levels kept, all dimension.n_star tests
 _SFT_N_CAP = 8  # highest subshift level find_smallest_sft_n tries
 
@@ -88,15 +88,13 @@ def _memo(top: int, maxsize: int | None = None):
     """Keep the words of n <= ``top`` in an ``lru_cache`` of ``maxsize``
     entries (``top`` if None), behind a plain function of n, which
     perfbench's tracer spans as it spans plain functions only.  A larger n
-    is built anew at each call, so no word past 2^16 digits stays in
-    memory: one of 2^20 digits is an 8 MB tuple, which ``cantor tm`` asks
-    for once per process, and ``verify-paper`` reads lambda's 2^20 digits
-    off :func:`_lambda_bytes`, 1 MB of bytes.  ``cache_info`` is the
-    cache's own."""
+    is built anew at each call: one of 2^20 digits is an 8 MB tuple, which
+    ``cantor tm`` asks for once per process."""
     def wrap(build):
         cached = lru_cache(maxsize or top)(build)
         word = wraps(build)(lambda n: cached(n) if n <= top else build(n))
-        word.cache_info = cached.cache_info
+        word.cache_info, word.cache_clear = (cached.cache_info,
+                                             cached.cache_clear)
         return word
     return wrap
 
@@ -126,7 +124,6 @@ def lambda_seq() -> LazySeq:
     return LazySeq(lam, TERNARY, "lambda")
 
 
-@_memo(16, _PREFIXES_MAX)
 def w_word(n: int) -> FiniteWord:
     """w_n = lambda_1 ... lambda_{2^n}."""
     if n < 1:
@@ -145,7 +142,6 @@ def tm_block_word(n: int) -> EPSeq:
     return EPSeq(b"", w + w.translate(_REFLECT), TERNARY)
 
 
-@_memo(_SFT_N_CAP)
 def zeta(n: int) -> FiniteWord:
     """zeta_n = 0 lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
@@ -153,7 +149,6 @@ def zeta(n: int) -> FiniteWord:
     return FiniteWord(b"\x00" + _lambda_bytes(2**n)[:-1], TERNARY)
 
 
-@_memo(_SFT_N_CAP)
 def eta(n: int) -> FiniteWord:
     """eta_n = (-1) lambda_1 ... lambda_{2^n - 1}."""
     if n < 1:
@@ -176,8 +171,7 @@ def dw(n: int) -> Fraction:
 # alpha_KL: the root of F(a) = sum_{i>=1} (1 + lambda_i) a^i - 1 in (1/3, 1/2)
 # ---------------------------------------------------------------------------
 
-_AKL_BRACKET = [Fraction(1, 3), Fraction(1, 2)]
-_AKL_CHECKED = [False]
+_AKL_CELL: dict = {}  # level s -> the finest checked cell around alpha_KL
 _SERIES_BITS_CAP = 1 << 18  # the last B an undecided sign is tried at
 
 
@@ -239,46 +233,45 @@ def alpha_kl_enclosure(width) -> tuple:
 
     It is the level-s cell of the dyadic grid of [1/3, 1/2], of width
     1 / (6 2^s), that holds alpha_KL, s the least level whose cell is at most
-    ``width`` wide, whatever was asked before.  ``_AKL_BRACKET`` keeps the
-    finest cell found yet: a coarser one is its ancestor, which takes no
-    series sign, and ``exactnum._bisect`` on F halves on from it to a finer
-    one; F is strictly increasing in a (all series coefficients are
-    nonnegative, infinitely many positive).
+    ``width`` wide, whatever was asked before.  ``_AKL_CELL`` keeps the
+    finest cell found yet, from [1/3, 1/2], its end signs checked once: a
+    coarser one is its ancestor, which takes no series sign, and
+    ``exactnum._bisect`` on F halves on from it to a finer one; F is
+    strictly increasing (its coefficients are nonnegative, infinitely many
+    positive).
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if not _AKL_CHECKED[0]:
-        if series_sign_at(_AKL_BRACKET[0]) >= 0 or series_sign_at(_AKL_BRACKET[1]) <= 0:
-            raise exactnum.ExactnumError("alpha_KL bracket invalid")
-        _AKL_CHECKED[0] = True
-    lo, hi = _AKL_BRACKET
-    if hi - lo > width:  # series_sign_at is looked up at each midpoint
-        # N/M, so a wrapper installed on this module sees every call
-        _AKL_BRACKET[:] = exactnum._bisect(lambda N, M: series_sign_at(
-            Fraction(N, M)), lo, hi, width, up=False)
-        return tuple(_AKL_BRACKET)
-    # the level-s ancestor, on a grid 1/3 is on: [j, j + 1] / (6 2^s)
     s = exactnum.grid_level(1, 6, width)
+    if not _AKL_CELL:
+        lo, hi = Fraction(1, 3), Fraction(1, 2)
+        if series_sign_at(lo) >= 0 or series_sign_at(hi) <= 0:
+            raise exactnum.ExactnumError("alpha_KL bracket invalid")
+        exactnum._remember(_AKL_CELL, 0, (lo, hi), 1)
+    ((level, (lo, hi)),) = _AKL_CELL.items()
+    if level < s:  # series_sign_at is looked up at each midpoint N/M, so
+        # a wrapper installed on this module sees every call
+        return exactnum._remember(_AKL_CELL, s, exactnum._bisect(
+            lambda N, M: series_sign_at(Fraction(N, M)), lo, hi, width,
+            up=False), 1)
+    # the level-s ancestor, on a grid 1/3 is on: [j, j + 1] / (6 2^s)
     j = lo.numerator * (6 << s) // lo.denominator
     return (Fraction(j, 6 << s), Fraction(j + 1, 6 << s))
 
 
-_AKL_REAL: list = []
-
-
+@cache
 def alpha_kl_real() -> exactnum.EnclosedReal:
-    """alpha_KL as an ``EnclosedReal`` (module singleton) whose enclosure
-    at width w is ``alpha_kl_enclosure(w)``, the bisection on F itself."""
-    if not _AKL_REAL:
-        _AKL_REAL.append(exactnum.EnclosedReal(alpha_kl_enclosure, "alpha_KL"))
-    return _AKL_REAL[0]
+    """alpha_KL as an ``EnclosedReal`` (the process's one) whose enclosure
+    at width w is ``alpha_kl_enclosure(w)``, the bisection on F itself.
+    It holds no fact, so ``exactnum.forget`` keeps it."""
+    return exactnum.EnclosedReal(alpha_kl_enclosure, "alpha_KL")
 
 
 def is_alpha_kl(x) -> bool:
     """Whether x is the :func:`alpha_kl_real` singleton itself; a number
     that merely carries the same description is not alpha_KL."""
-    return bool(_AKL_REAL) and x is _AKL_REAL[0]
+    return x is alpha_kl_real()
 
 
 # ---------------------------------------------------------------------------

@@ -2233,16 +2233,6 @@ class TestLiouville:
             liouville_witness(F(2**63 - 1, 2**64), 1)
 
 
-def cold_registries(monkeypatch):
-    """Empty registries for the test, as a new process has them: no field
-    context, and so no base system, no alpha_KL system, no threshold and
-    no parsed alg: text; the process's own come back after it."""
-    monkeypatch.setattr(X, "_FIELDS", {})
-    monkeypatch.setattr(X, "_ALG_TEXTS", {})
-    monkeypatch.setattr(E, "_AKL_SYSTEMS", {})
-    monkeypatch.setattr(E, "_GOLDEN", [])
-
-
 class TestDSet:
     def test_finite_regime(self):
         ds = d_set(F(21, 50))
@@ -2326,7 +2316,7 @@ class TestDSet:
             return real(x)
 
         monkeypatch.setattr(X, "log_enclosure", counted)
-        cold_registries(monkeypatch)
+        X.forget()
         d_set(X.parse_real(base))
         assert len(calls) == 1
         d_set(X.parse_real(base))
@@ -2386,7 +2376,7 @@ class TestDSet:
                 super().__init__(sys)
 
         monkeypatch.setattr(E, "_DeltaCache", Counted)
-        cold_registries(monkeypatch)
+        X.forget()
         ds = d_set(alpha)
         assert ds.kind is DSetKind.CONTAINS_INTERVAL
         assert ds.sft_n == (1 if alpha == F(39, 100) else 3)
@@ -2432,7 +2422,7 @@ def built_values(monkeypatch):
     the base whose -ln alpha its enclosure divides by, or None for a value
     built as 0 directly.  The registries start empty, so each base's
     ``BaseSystem.neg_log`` is derived, and recorded, in the test."""
-    cold_registries(monkeypatch)
+    X.forget()
     built, bases = [], {}
     real, real_value, real_neg_log = \
         D.DimensionValue, D._dimension_value, X._neg_log
@@ -2523,22 +2513,22 @@ def system_facts(text):
 
 class TestSystemRegistry:
     """``BaseSystem``, the process's one system of a field and an alphabet,
-    against a fresh one built under empty registries, and its bounds."""
+    against a fresh one built after ``exactnum.forget``, as a new process
+    builds it, and its bounds."""
 
     @pytest.mark.parametrize("text", sorted(REFERENCE["spectrum"]["bases"])
                              + list(KERNEL_BASES) + ["akl"])
-    def test_interned_matches_fresh(self, monkeypatch, text):
-        with monkeypatch.context() as m:
-            cold_registries(m)
-            fresh = BaseSystem(X.parse_real(text), TERNARY)
-            fresh_facts = system_facts(text)
+    def test_interned_matches_fresh(self, text):
         sys = BaseSystem(X.parse_real(text), TERNARY)
-        assert sys is not fresh
         assert BaseSystem(X.parse_real(text), TERNARY) is sys
-        assert system_facts(text) == system_facts(text) == fresh_facts
+        warm = system_facts(text), system_facts(text)
+        X.forget()
+        fresh = BaseSystem(X.parse_real(text), TERNARY)
+        assert fresh is not sys
+        assert warm == (system_facts(text),) * 2
 
-    def test_systems_go_with_their_field(self, monkeypatch):
-        cold_registries(monkeypatch)
+    def test_systems_go_with_their_field(self):
+        X.forget()
         first = BaseSystem(F(2, 5), TERNARY)
         assert first.ctx.systems == {TERNARY: first}
         assert BaseSystem(F(4, 10), TERNARY) is first
@@ -2552,8 +2542,8 @@ class TestSystemRegistry:
             (first.regime, first.neg_log, E.delta(first, 64))
 
     @pytest.mark.parametrize("text", ["rat:2/5", "akl"])
-    def test_alphabets_per_base_are_bounded(self, monkeypatch, text):
-        cold_registries(monkeypatch)
+    def test_alphabets_per_base_are_bounded(self, text):
+        X.forget()
         alpha = X.parse_real(text)
         alphabets = [W.Alphabet(low, 3) for low in range(E.SYSTEMS_MAX + 2)]
         systems = [BaseSystem(alpha, a) for a in alphabets]
@@ -2572,7 +2562,6 @@ def _record_pair(name):
     make = {"lambda_prefix": lambda: T.lambda_prefix(8),
             "lambda_prefix_fresh": lambda: T.lambda_prefix.__wrapped__(8),
             "w_word": lambda: T.w_word(4),
-            "w_word_fresh": lambda: T.w_word.__wrapped__(4),
             "sft_blocks": lambda: T.sft_blocks(3),
             "sft_blocks_fresh": lambda: T.sft_blocks.__wrapped__(3),
             "zero_density": lambda: W.zero_density(seq),

@@ -577,9 +577,9 @@ class TestIntegerBisection:
     def test_cap_raises_before_any_series_sign(self, monkeypatch):
         def series_sign_at(a):
             raise AssertionError("a series sign was taken")
+        X.forget()
+        T.alpha_kl_enclosure(F(1))  # [1/3, 1/2], its end signs checked
         monkeypatch.setattr(T, "series_sign_at", series_sign_at)
-        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
-        monkeypatch.setattr(T, "_AKL_CHECKED", [True])
         with pytest.raises(X.IterationLimit):
             T.alpha_kl_enclosure(F(1, 2**100_004))  # s = 100 002
 
@@ -1538,7 +1538,7 @@ class TestFieldRegistry:
         # two parses, a refined interval inside, a wider one around it, the
         # threshold and both alphabets share one context; the other root
         # of x^2 - 3x + 1 gets its own
-        X._FIELDS.clear()
+        X.forget()
         text = "alg:1,-3,1@[1/3,1/2]"
         a, b, narrow = (parse_real(text) for _ in range(3))
         narrow.refine(F(1, 10**30))
@@ -1557,17 +1557,14 @@ class TestFieldRegistry:
         assert len(X._FIELDS) == 3
 
     def test_registry_is_bounded(self):
-        X._FIELDS.clear()
+        X.forget()
         first = X.field(F(1, 3))
         for k in range(X.FIELDS_MAX + 5):
             X.field(F(1, k + 4))
         assert len(X._FIELDS) == X.FIELDS_MAX
+        assert list(X._FIELDS) == [(1, k) for k in range(9, X.FIELDS_MAX + 9)]
         again = X.field(F(1, 3))  # dropped, and rebuilt the same
         assert again is not first and again.log_cell == first.log_cell
-        for k in range(2 * X.FIELDS_MAX):
-            AlgebraicReal(SQRT2_MINUS_1, F(2, 5) - F(k, 10**6), F(1, 2))
-        info = X._check_isolating.cache_info()
-        assert info.maxsize == X.FIELDS_MAX and info.currsize <= X.FIELDS_MAX
 
     @pytest.mark.parametrize("text", KERNEL_BASES + ("alg:-1,0,2@[1/2,1]",))
     def test_repeated_parse_is_a_new_root(self, text):
@@ -1590,12 +1587,12 @@ class TestFieldRegistry:
         ("rat:-1/3", True), ("alg:-1,2,1@[-3,-2]", True),
         ("alg:2,-3,1@[3/2,5/2]", False),  # (x - 1)(x - 2): reducible
     ])
-    def test_out_of_range_base_refused_before_its_field(self, monkeypatch,
-                                                        text, has_field):
+    def test_out_of_range_base_refused_before_its_field(self, text,
+                                                        has_field):
         # refused by compare before any field is built, as 0 and a
         # reducible polynomial have none; then, where the field exists, by
         # its cached fact, with the same error and message
-        monkeypatch.setattr(X, "_FIELDS", {})
+        X.forget()
         message = r"^base must lie strictly between 0 and 1$"
         with pytest.raises(E.OutOfDomain, match=message):
             BaseSystem(parse_real(text), TERNARY)
@@ -1614,8 +1611,7 @@ class TestFieldRegistry:
         calls, count = [], X.root_count
         monkeypatch.setattr(X, "root_count",
                             lambda *args: calls.append(args) or count(*args))
-        X._check_isolating.cache_clear()
-        monkeypatch.setattr(E, "_GOLDEN", [])  # the threshold is built here
+        X.forget()  # the text is parsed and the threshold built here
         for _ in range(3):
             parse_real(KERNEL_BASES[0])
             golden_threshold()
@@ -1639,7 +1635,7 @@ class TestFieldRegistry:
 
         monkeypatch.setattr(X, "QAlphaContext", Counted)
         monkeypatch.setattr(X, "log_enclosure", counted_log)
-        X._FIELDS.clear()
+        X.forget()
         for round_ in (1, 0):
             del built[:], logs[:]
             alpha = parse_real(KERNEL_BASES[0])

@@ -684,6 +684,52 @@ class TestUniquenessReference:
         assert {UniqStatus.NOT_UNIQUE, UniqStatus.UNDECIDED} <= seen
 
 
+def reference_branch_unique(sys, seq) -> UniqStatus:
+    """Uniqueness of an EP word t from the definition.  For alpha >= 1/3
+    the sums of ``sys``'s digit tails fill the hull, so a value has an
+    expansion iff it lies in the hull, and its first digits are the d
+    whose child s/alpha - d stays there (``sys.children``, on the shifted
+    digits).  Another expansion of t first differs from t at some digit,
+    so t is unique iff no state on t's own follower path has two children.
+    The path's states repeat after |pre| + |per| steps."""
+    state = (E.seq_value(sys, seq) - sys.low_tail()).state
+    for digit in seq.pre + seq.per:
+        kids = sys.children(state)
+        if len(kids) > 1:
+            return UniqStatus.NOT_UNIQUE
+        ((state, d),) = kids
+        assert d == digit - sys.alphabet.low  # t's own digit
+    return UniqStatus.UNIQUE
+
+
+SPECTRUM_POOL = json.loads((Path(__file__).resolve().parent.parent
+                            / "perfbench" / "reference.json").read_text()
+                           )["spectrum"]
+
+
+class TestUniquenessDefinition:
+    """The lexicographic test against the definition of a unique
+    expansion, a route that reads no delta."""
+
+    @pytest.mark.parametrize("base", sorted(SPECTRUM_POOL["bases"])
+                             + [SQRT2_MINUS_1, "alg:1,-3,1@[1/3,1/2]", EX51])
+    def test_matches_the_scan(self, base):
+        sys = BaseSystem(X.parse_real(base), TERNARY)
+        rng = random.Random(base)
+        seqs = [W.parse_seq(w) for w in SPECTRUM_POOL["words"]]
+        for _ in range(100):  # few zeros, so that some words are unique
+            def draw(k):
+                return [rng.choice((-1, 1, -1, 1, 0)) for _ in range(k)]
+            seqs.append(EPSeq(draw(rng.randrange(0, 5)),
+                              draw(rng.randrange(1, 11)), TERNARY))
+        seen = set()
+        for seq in seqs:
+            got = E.is_unique_expansion(sys, seq).status
+            assert got == reference_branch_unique(sys, seq), (base, seq)
+            seen.add(got)
+        assert seen == {UniqStatus.UNIQUE, UniqStatus.NOT_UNIQUE}
+
+
 class TestParryCertificate:
     """parry_certified, and the grammar that certifies the control sequence
     of the Liouville construction."""

@@ -32,9 +32,15 @@ independent route.  A number with no line here has one route only.
 - The uniqueness test vs the old two-block scan, on the 24 spectrum
   bases, sqrt(2) - 1, (3-sqrt(5))/2 and ex51's base:
   test_expansions.py::TestUniquenessReference::test_words_match_reference
-- The worked-example shifts t of Examples 5.1 and 5.2, derived once per
-  system, vs a fresh derivation and their closed forms:
-  test_acceptance.py::test_translations_cached_equal_fresh
+- The uniqueness test vs the definition: t is unique iff no state on its
+  own follower path has two children in the hull, on the 24 spectrum
+  bases, sqrt(2) - 1, (3-sqrt(5))/2 and ex51's base, with the pool's
+  words and a seeded draw, kept in the tests as
+  ``reference_branch_unique``:
+  test_expansions.py::TestUniquenessDefinition::test_matches_the_scan
+- The worked-example shifts t of Examples 5.1 and 5.2 vs their closed
+  forms:
+  test_acceptance.py::test_translations_closed_forms
 - The Perron dimension vs the frequency dimension:
   test_dimension.py::TestPerronMeetsFrequency::test_enclosures_overlap
 - The box walk's exact integer grid vs the float walk:
@@ -54,7 +60,7 @@ independent route.  A number with no line here has one route only.
   test_exactnum.py::TestFieldRegistry::test_interned_matches_fresh
 - A base's interned ``BaseSystem``, its delta to 512 digits, periodic
   form, regime, threshold fact, -ln alpha, hull tails and d_set, vs a
-  fresh system built under empty registries, on the 24 spectrum bases,
+  fresh system built after ``exactnum.forget``, on the 24 spectrum bases,
   the kernel bases and alpha_KL:
   test_dimension.py::TestSystemRegistry::test_interned_matches_fresh
 - F's sign, from the Thue-Morse product prod (1 - a^(2^k)), vs the
@@ -97,7 +103,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 23
+    assert len(named) == 24
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [

@@ -114,9 +114,14 @@ def unreferenced_public_names(trees, callers) -> list:
                         if other is not node)]
 
 
+# exactnum.forget, the one reset of the process caches, serves the tests;
+# no run of the package needs one (ROADMAP item 1 gives perfbench a call)
+RESET = "exactnum.py:forget"
+
+
 def test_every_public_top_level_name_has_a_caller():
     orphans = unreferenced_public_names(TREES, CALLERS)
-    assert not orphans, f"only the tests call {orphans}"
+    assert orphans in ([], [RESET]), f"only the tests call {orphans}"
 
 
 def test_public_name_check_skips_own_body_and_reexports():
@@ -198,8 +203,12 @@ LAYERS = (("exactnum",), ("words", "graph"), ("thuemorse",), ("expansions",),
           ("dimension",), ("acceptance",), ("cli",))
 RANK = {mod: rank for rank, layer in enumerate(LAYERS) for mod in layer}
 # parse_real("akl") returns thuemorse's alpha_KL, and the benchmark parses
-# its bases through exactnum.parse_real
-UPWARD_ALLOWED = {("exactnum", "parse_real", "thuemorse")}
+# its bases through exactnum.parse_real; forget empties the caches of the
+# layers above, importing them only when it is called
+UPWARD_ALLOWED = {("exactnum", "parse_real", "thuemorse"),
+                  ("exactnum", "forget", "words"),
+                  ("exactnum", "forget", "thuemorse"),
+                  ("exactnum", "forget", "expansions")}
 
 
 def package_imports(tree, scope=None):
@@ -476,3 +485,137 @@ def test_fraction_check_sees_option_text():
         "    tol = fractions.Fraction(numerator=args.tol)\n"
         "    return parse_fraction(args.pq), width, ts, tol\n")
     assert fractions_of_names(tree) == [3, 4, 5]
+
+
+# process state: every registry grows through exactnum._remember, and
+# exactnum.forget empties every registry and every functools cache
+STATE_KEEPERS = {"_remember", "forget"}
+CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "clear",
+            "update", "setdefault", "add", "discard", "remove", "sort",
+            "reverse"}
+CACHE_DECORATORS = {"cache", "lru_cache", "_memo"}
+# the alpha_KL singleton is an identity, not a derived fact: forget keeps it
+FORGET_KEEPS = {("thuemorse", "alpha_kl_real")}
+
+
+def module_containers(tree) -> set:
+    """Names a module binds at top level to a new dict, list, set or
+    bytearray."""
+    out = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                   ast.ListComp, ast.SetComp))
+                or isinstance(value, ast.Call)
+                and _called_name(value) in CONTAINER_CALLS):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)}
+    return out
+
+
+def state_writes(trees) -> list:
+    """``module:function:line`` of each write to module state inside a
+    function other than :data:`STATE_KEEPERS`: a ``global`` statement, or
+    a mutating call, an item or slice assignment or deletion on a
+    module-level container, by its bare name in its own module or as an
+    attribute anywhere."""
+    owned = {name: module_containers(tree) for name, tree in trees.items()}
+    anywhere = set().union(*owned.values())
+
+    def is_state(node, mine):
+        return (isinstance(node, ast.Name) and node.id in mine
+                or isinstance(node, ast.Attribute) and node.attr in anywhere)
+
+    out = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name in STATE_KEEPERS:
+                continue
+            for node in ast.walk(fn):
+                owners = []  # the containers the node writes into
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    owners = [t.value for t in targets
+                              if isinstance(t, ast.Subscript)]
+                elif isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Attribute) and \
+                        node.func.attr in MUTATORS:
+                    owners = [node.func.value]
+                if isinstance(node, ast.Global) or any(
+                        is_state(o, owned[name]) for o in owners):
+                    out.append(f"{name}:{fn.name}:{node.lineno}")
+    return out
+
+
+def test_module_state_is_written_by_the_helper_alone():
+    assert state_writes(TREES) == []
+
+
+def test_state_check_sees_singletons_and_evictions():
+    trees = {"a.py": ast.parse(
+        "_ONE: list = []\n"
+        "_SEEN = {}\n"
+        "TABLE = {1: 2}\n"
+        "def one():\n"
+        "    if not _ONE:\n"
+        "        _ONE.append(1)\n"
+        "    return _ONE[0]\n"
+        "def seen(k):\n"
+        "    if len(_SEEN) >= 4:\n"
+        "        del _SEEN[next(iter(_SEEN))]\n"
+        "    _SEEN[k] = TABLE[k]\n"
+        "def flag():\n"
+        "    global _FLAG\n"
+        "    _FLAG = True\n"
+        "def _remember(store, key, value):\n"
+        "    store[key] = value\n"
+        "    _SEEN[key] = value\n"),
+        "b.py": ast.parse(
+        "def reset():\n"
+        "    a._ONE[:] = []\n"
+        "def local():\n"
+        "    out = {}\n"
+        "    out[1] = 2\n")}
+    assert sorted(state_writes(trees)) == [
+        "a.py:flag:13", "a.py:one:6", "a.py:seen:10", "a.py:seen:11",
+        "b.py:reset:2"]
+
+
+def cached_functions(trees) -> list:
+    """(module, function) of each top-level function under a functools
+    cache, directly or through thuemorse's ``_memo``."""
+    def name(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+
+    return [(mod[:-3], fn.name) for mod, tree in trees.items()
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and any(name(d) in CACHE_DECORATORS for d in fn.decorator_list)]
+
+
+def test_forget_clears_every_cache(monkeypatch):
+    import importlib
+    from cantorint import exactnum
+    cached = cached_functions(TREES)
+    assert FORGET_KEEPS <= set(cached)
+    cleared = []
+    for mod, name in cached:
+        fn = getattr(importlib.import_module(f"cantorint.{mod}"), name)
+        monkeypatch.setattr(fn, "cache_clear",
+                            lambda key=(mod, name): cleared.append(key))
+    exactnum.forget()
+    assert sorted(cleared) == sorted(set(cached) - FORGET_KEEPS)
+
+
+def test_cache_check_sees_every_decorator():
+    tree = ast.parse("@lru_cache(maxsize=4)\ndef a(n): pass\n"
+                     "@functools.cache\ndef b(): pass\n"
+                     "@_memo(8)\ndef c(n): pass\n"
+                     "@wraps(a)\ndef d(n): pass\n")
+    assert cached_functions({"m.py": tree}) == [("m", "a"), ("m", "b"),
+                                                ("m", "c")]

@@ -109,8 +109,7 @@ class TestDoublingKernel:
         # to the levels its callers reach, for n up to a top past which no
         # word is kept; each stays a plain function of the module, which
         # perfbench's tracer spans
-        bounds = {T.lambda_prefix: (4, 2**16), T.w_word: (4, 16),
-                  T.tm_block_word: (12, 12), T.zeta: (8, 8), T.eta: (8, 8),
+        bounds = {T.lambda_prefix: (4, 2**16), T.tm_block_word: (12, 12),
                   T.sft_blocks: (8, 8), T.sft_max_word: (8, 8)}
         assert T.sft_max_word.cache_info().maxsize == T._SFT_N_CAP
         for f, (size, top) in bounds.items():
@@ -166,10 +165,10 @@ def reference_series_sign_at(a, cap=200_000):
     raise X.IterationLimit("series sign undecided at cap")
 
 
-def near_alpha_kl(monkeypatch, rng, bits, count):
+def near_alpha_kl(rng, bits, count):
     """``count`` seeded points within 2^-bits of alpha_KL, from a fresh
-    module bracket, as earlier calls may have narrowed it."""
-    monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+    module cell, as earlier calls may have narrowed it."""
+    X.forget()
     lo, hi = T.alpha_kl_enclosure(F(1, 2**(bits + 10)))
     mid = (lo + hi) / 2
     return [mid + F(rng.randrange(-1000, 1000), 2**(bits + 10))
@@ -205,20 +204,21 @@ class TestAlphaKL:
         # [1/3, 1/2], s the least level whose cell fits, whatever was asked
         # before: after a 10^-30 request every coarser one is its ancestor,
         # a fresh call's answer, and takes no series sign; a finer request
-        # halves on from the cached cell, one sign per level
+        # halves on from the cached cell, one sign per level.  A fresh
+        # process first signs the ends of [1/3, 1/2], once
         signs = []
         sign = T.series_sign_at
         monkeypatch.setattr(T, "series_sign_at",
                             lambda a: signs.append(a) or sign(a))
-        monkeypatch.setattr(T, "_AKL_CHECKED", [True])
         widths = [F(1, 10**6), F(1, 10**30), F(1, 7), F(1, 6), F(1),
                   F(3, 10**12)]
         fresh, levels = {}, {}
         for w in widths:
-            monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+            X.forget()
             signs.clear()
             lo, hi = fresh[w] = T.alpha_kl_enclosure(w)
-            levels[w] = len(signs)
+            assert signs[:2] == [F(1, 3), F(1, 2)]
+            levels[w] = len(signs) - 2
             assert hi - lo == F(1, 6 << levels[w]) <= w
             assert levels[w] == 0 or w < 2 * (hi - lo)
             assert (lo - F(1, 3)) * (6 << levels[w]) % 1 == 0
@@ -226,7 +226,7 @@ class TestAlphaKL:
         for w in widths:
             signs.clear()
             assert T.alpha_kl_enclosure(w) == fresh[w] and signs == []
-        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+        X.forget()
         T.alpha_kl_enclosure(F(1, 10**6))
         signs.clear()
         assert T.alpha_kl_enclosure(F(1, 10**30)) == fresh[F(1, 10**30)]
@@ -248,7 +248,7 @@ class TestAlphaKL:
             with pytest.raises(ValueError):
                 T.series_sign_at(a)
 
-    def test_series_sign_matches_fraction_sum(self, monkeypatch):
+    def test_series_sign_matches_fraction_sum(self):
         rng = random.Random(29)
         points = [F(rng.randrange(10**4 + 1, 15_000), 3 * 10**4)
                   for _ in range(140)]  # (1/3, 1/2)
@@ -269,7 +269,7 @@ class TestAlphaKL:
             else:
                 hi = halving[-1]
         assert len(halving) == 131
-        near = near_alpha_kl(monkeypatch, rng, 300, 20)
+        near = near_alpha_kl(rng, 300, 20)
         for group in (halving, near):
             signs = [T.series_sign_at(a) for a in group]
             assert signs == [reference_series_sign_at(a) for a in group]
@@ -277,7 +277,7 @@ class TestAlphaKL:
 
     def test_bits_cap_raises(self, monkeypatch):
         # within 2^-300 of alpha_KL 256 bits leave every sign undecided
-        near = near_alpha_kl(monkeypatch, random.Random(31), 300, 4)
+        near = near_alpha_kl(random.Random(31), 300, 4)
         monkeypatch.setattr(T, "_SERIES_BITS_CAP", 256)
         for a in near:
             with pytest.raises(X.IterationLimit):
@@ -312,9 +312,9 @@ class TestAlphaKL:
                 assert p_lo * scale <= s_hi and s_lo <= p_hi * scale, (a, B)
                 assert p_hi - p_lo <= 64
 
-    def test_bisection_meets_the_fraction_halving(self, monkeypatch):
-        # a fresh module bracket, as earlier calls may have narrowed it
-        monkeypatch.setattr(T, "_AKL_BRACKET", [F(1, 3), F(1, 2)])
+    def test_bisection_meets_the_fraction_halving(self):
+        # a fresh module cell, as earlier calls may have narrowed it
+        X.forget()
         lo, hi = F(1, 3), F(1, 2)
         while hi - lo > F(1, 10**12):
             mid = (lo + hi) / 2

@@ -365,6 +365,16 @@ class TestZeroDensity:
         assert not rep.exact
         assert abs(rep.lower - F(1, 3)) <= F(1, 3) / 2**12 + F(1, 2**12)
 
+    def test_prefix_counts_its_last_digits(self):
+        # lambda_1000 = 0 and lambda_999 = -1, so a prefix that dropped its
+        # last two digits would read 333/1000; lambda_i = 0 iff i and i - 1
+        # have binary digit sums of one parity
+        n = 1000
+        zeros = sum(bin(i).count("1") % 2 == bin(i - 1).count("1") % 2
+                    for i in range(1, n + 1))
+        rep = zero_density_prefix(T.lambda_seq(), n)
+        assert rep.lower == F(zeros, n) == F(167, 500)
+
     def test_reflection_invariant(self):
         rng = random.Random(17)
         for _ in range(100):
