@@ -40,7 +40,7 @@ TM_N_MAX = 20  # w, zeta and eta have 2^n digits: 1 MB of text at n = 20
 LENGTH_MAX = 5000  # expand and delta digits: under 2 s on a cubic base
 AKL_WIDTH_MIN = Fraction(1, 10**40)  # alpha-kl bisection: 2 ms at 1e-40
 STATE_CAP_MAX = 100_000  # intersect states: 0.6 s and 60 MB at 2/5, t=1/3;
-# the cap admits sqrt2-1's 6824 (7.3 s, 1.09 GB), 17104 (Karp 19 s, 2.3 GB)
+# the cap admits sqrt2-1's 6824 (6.8 s, 647 MB), 17104 (Karp 19 s, 2.3 GB)
 # --alphabet size: on an algebraic base expand and delta filter every digit
 # at each step; expand --length 5000 on a cubic base takes 0.26 s at 0:64
 # (CLI, best of 3, 2-core Xeon); a rational base takes one floor division
@@ -121,8 +121,7 @@ def _cmd_unique(args):
                        "parenthesised period")
     res = expansions.is_unique_expansion(sys_, seq,
                                          depth_cap=_depth_cap(4096))
-    return {"status": res.status.value,
-            "violation": list(res.violation) if res.violation else None}
+    return {"status": res.status.value, "violation": res.violation}
 
 
 # each Thue-Morse word with its bound on --n: tau and lambda have n
@@ -204,13 +203,14 @@ def _cmd_intersect(args):
     if auto.complete:
         g = dimension.build_intersection_graph(auto)
         dv = dimension.perron_dimension(g, alpha)
-        result["count_matrix"] = [list(r) for r in g.count_matrix.entries]
+        # Karp's table is gone before the dense rows are made
+        bound = dimension.freq_upper_bound_over_expansions(auto)
+        result["count_matrix"] = g.count_matrix.entries
         result["lambda"] = (  # no Perron data for an empty intersection
             {"exact": dv.perron.exact_str(),
              "decimal": repr(float(sum(dv.perron.enclosure()) / 2))}
             if dv.perron else None)
         result["dimension"] = _dim_payload(dv)
-        bound = dimension.freq_upper_bound_over_expansions(auto)
         result["cycle_zero_frequency_bound"] = str(bound)
     else:
         result["reason"] = (f"state cap {args.state_cap} hit before the "
@@ -241,7 +241,7 @@ def _cmd_boxcount(args):
             fh.write("n,lower,upper\n")
             for (n, lo, up) in rep.rows:
                 fh.write(f"{n},{lo},{up}\n")
-    return {"rows": [list(r) for r in rep.rows],
+    return {"rows": rep.rows,
             "slope": None if rep.slope is None else repr(rep.slope),
             "csv": args.csv or None}
 
@@ -397,17 +397,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_text(result, indent=0):
-    """A line per scalar or flat list; a nested value goes one level in
-    under its key, and stays at its list's level."""
+    """A line per scalar or flat list or tuple; a nested value goes one
+    level in under its key, and stays at its list's level."""
     pad = "  " * indent
     items = result.items() if isinstance(result, dict) \
         else ((None, v) for v in result)
     for k, v in items:
         head = f"{pad}- " if k is None else f"{pad}{k}: "
-        if not isinstance(v, (dict, list)):
+        if not isinstance(v, (dict, list, tuple)):
             print(f"{head}{v}")
-        elif isinstance(v, list) and not any(
-                isinstance(x, (dict, list)) for x in v):
+        elif not isinstance(v, dict) and not any(
+                isinstance(x, (dict, list, tuple)) for x in v):
             print(f"{head}[{', '.join(str(x) for x in v)}]")
         elif k is not None:
             print(f"{pad}{k}:")

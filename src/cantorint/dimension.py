@@ -247,7 +247,7 @@ class CountMatrix:
     The matrix is held as successor lists ``succ`` in the form of
     :func:`graph.successors`: ``(j, a)`` per nonzero entry, columns
     ascending, so parallel edges are summed and zeros dropped.  Every
-    computation reads them; the dense ``entries`` are derived on first use.
+    computation reads them; the dense ``entries`` are built once, when read.
     """
 
     def __init__(self, entries):
@@ -274,12 +274,14 @@ class CountMatrix:
 
     @functools.cached_property
     def entries(self) -> tuple:
-        """The dense rows, as a tuple of int tuples."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for row, out in zip(rows, self.succ):
+        """The dense rows, as a tuple of int tuples, each made as filled."""
+        rows = []
+        for out in self.succ:
+            row = [0] * self.n
             for j, a in out:
                 row[j] = a
-        return tuple(tuple(row) for row in rows)
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def power_estimate(self) -> list:
         """Positive int Perron vectors: ``(rows, v)`` for each strongly

@@ -585,7 +585,7 @@ def forbidden_zero_run(sys: BaseSystem) -> int:
 class ExpansionAutomaton(NamedTuple):
     """Follower-value graph of all expansions of t over the alphabet.
 
-    States are exact Q(alpha) elements in [low*u, high*u] for
+    States are canonical state tuples of Q(alpha) in [low*u, high*u] for
     u = alpha/(1-alpha); ``succ[s]`` holds a pair (s', d) for each digit d
     with s' = s/alpha - d in that interval.  Infinite paths from the initial
     state spell exactly the expansions of t.  The closure is breadth-first
@@ -607,10 +607,11 @@ class ExpansionAutomaton(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "states": [",".join(str(c) for c in s.coeffs) for s in self.states],
+            "states": [",".join(str(Fraction(v, s[-1])) for v in s[:-1])
+                       for s in self.states],
             "initial": self.initial,
-            "edges": [{"from": f, "digit": d, "to": t}
-                      for (f, d, t) in self.edges],
+            "edges": [{"from": i, "digit": d, "to": j}
+                      for i, out in enumerate(self.succ) for j, d in out],
             "complete": self.complete,
         }
 
@@ -621,8 +622,8 @@ def build_expansion_automaton(sys: BaseSystem, t,
 
     The closure runs on the integer states of the base's
     :class:`exactnum.QAlphaContext`, whose certified signs decide interval
-    membership and whose canonical form deduplicates states; they are the
-    states QAlphaElements hold, so nothing converts.  For alpha the
+    membership and whose canonical form deduplicates states; the automaton
+    keeps them as they are, so nothing converts.  For alpha the
     reciprocal of a Pisot number and t in Q(alpha) the closure is finite;
     the state cap guards other bases and yields a partial automaton
     flagged ``complete=False``; a cap under 1 raises ``ValueError``.
@@ -633,12 +634,9 @@ def build_expansion_automaton(sys: BaseSystem, t,
     hull = sys._hull(t_el)
     if hull is None:
         return ExpansionAutomaton([], None, [], True, sys.alphabet)
-    ctx = sys.ctx
-    children = ctx.children(hull[0].state, hull[1].state,
-                            range(sys.alphabet.low, sys.alphabet.high + 1))
-    first = t_el.state
-    states = [first]
-    index = {first: 0}
+    children = sys.ctx.children(hull[0].state, hull[1].state,
+                                range(sys.alphabet.low, sys.alphabet.high + 1))
+    states, index = [t_el.state], {t_el.state: 0}
     succ: list = []
     complete = True
     for s in states:  # grows while walked: discovery order is breadth-first
@@ -654,8 +652,7 @@ def build_expansion_automaton(sys: BaseSystem, t,
                 states.append(child)
             out.append((j, d))
         succ.append(out)
-    return ExpansionAutomaton([QAlphaElement(ctx, s) for s in states], 0,
-                              succ, complete, sys.alphabet)
+    return ExpansionAutomaton(states, 0, succ, complete, sys.alphabet)
 
 
 def seq_value(sys: BaseSystem, seq: Union[FiniteWord, EPSeq]) -> QAlphaElement:

@@ -12,7 +12,7 @@ import pytest
 
 import cantorint
 from cantorint import dimension, exactnum, expansions, thuemorse, words
-from cantorint.cli import _build_parser, main
+from cantorint.cli import _build_parser, _render_text, main
 from cantorint.dimension import BOX_DEPTH_MAX
 from cantorint.exactnum import parse_real
 from cantorint.words import TERNARY, format_seq
@@ -814,6 +814,24 @@ class TestEnvelopeOrder:
             parsed = vars(parser.parse_args(["--json", *argv]))
             assert list(payload["inputs"].items()) == [
                 (k, v) for k, v in parsed.items() if k not in NON_INPUTS], argv
+
+
+class TestRenderText:
+    def test_tuples_print_as_lists(self, capsys):
+        # intersect, boxcount and unique hand back count_matrix, rows and
+        # violation as made, tuples: they print as the lists JSON makes
+        lists = {"matrix": [[0, 2], [1, 1]], "violation": [1, None],
+                 "none": [], "nested": {"rows": [[4, 5, 6]], "n": 3}}
+        tuples = {"matrix": ((0, 2), (1, 1)), "violation": (1, None),
+                  "none": (), "nested": {"rows": [(4, 5, 6)], "n": 3}}
+        texts = []
+        for result in (lists, tuples):
+            _render_text(result)
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("matrix:\n  - [0, 2]\n  - [1, 1]\n"
+                                   "violation: [1, None]\nnone: []\n")
+        assert json.dumps(tuples) == json.dumps(lists)
 
 
 class TestReproducible:

@@ -1,5 +1,6 @@
 import copy
 import decimal
+import functools
 import hashlib
 import json
 import math
@@ -46,6 +47,8 @@ from test_exactnum import (
     reference_series_enclosure,
     reference_sturm_count,
 )
+from test_expansions import reference_branch_unique
+from test_graph import reference_max_cycle_mean
 
 
 def cubic_base():
@@ -1365,7 +1368,7 @@ class TestCountMatrix:
         # build_intersection_graph hands over summed lists: columns
         # ascending, parallel edges summed, zeros dropped
         sys, auto = ex51_setup()
-        for t in (auto.states[0], sys.high_tail(),
+        for t in (X.QAlphaElement(sys.ctx, auto.states[0]), sys.high_tail(),
                   E.seq_value(sys, W.parse_seq("+++-0+"))):
             g = build_intersection_graph(
                 E.build_expansion_automaton(sys, t))
@@ -2383,6 +2386,84 @@ class TestDSet:
         assert len(built) == 1
 
 
+# the zero densities of the UNIQUE words pre(per) over {-1, 0, 1}, |pre| <= 1
+# and |per| <= 8, at bases on either side of 1/3, (3-sqrt(5))/2, alpha_KL
+# and 1/2; with the regime and, in the finite list, n*
+UNIQUE_WORD_DENSITIES = {
+    "rat:34/100": (DSetKind.FULL_INTERVAL, None, "0 1/8 1/7 1/6 1/5 1/4 2/7 "
+                   "1/3 3/8 2/5 3/7 1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 5/6 6/7 "
+                   "7/8 1"),
+    "rat:381/1000": (DSetKind.FULL_INTERVAL, None, "0 1/7 1/5 1/4 1/3 3/7 "
+                     "1/2 4/7 3/5 5/8 2/3 5/7 3/4 4/5 5/6 6/7 7/8 1"),
+    "alg:1,-3,1@[1/3,1/2]": (DSetKind.FULL_INTERVAL, None, "0 1/7 1/5 1/4 "
+                             "1/3 3/7 1/2 3/5 2/3 5/7 3/4 1"),
+    "rat:382/1000": (DSetKind.CONTAINS_INTERVAL, None, "0 1/7 1/5 1/4 1/3 "
+                     "3/7 1/2 3/5 2/3 5/7 3/4 1"),
+    "rat:39/100": (DSetKind.CONTAINS_INTERVAL, None,
+                   "0 1/7 1/5 1/4 1/3 3/7 1/2 1"),
+    "rat:394329/1000000": (DSetKind.CONTAINS_INTERVAL, None, "0 1/4 1/2 1"),
+    "akl": (DSetKind.COUNTABLE_FAMILY, None, "0 1/4 1/2 1"),
+    "rat:39432985/100000000": (DSetKind.FINITE_LIST, 3, "0 1/4 1/2 1"),
+    "rat:394331/1000000": (DSetKind.FINITE_LIST, 2, "0 1/4 1/2 1"),
+    "rat:3944/10000": (DSetKind.FINITE_LIST, 1, "0 1/2 1"),
+    "rat:21/50": (DSetKind.FINITE_LIST, 0, "0 1"),
+    "rat:49/100": (DSetKind.FINITE_LIST, 0, "0 1"),
+}
+
+
+@functools.cache
+def short_ep_words() -> tuple:
+    """Every EP word pre(per) over {-1, 0, 1} with |pre| <= 1 and |per| <=
+    8, once in its canonical form, shortest period first."""
+    return tuple(dict.fromkeys(
+        EPSeq(pre, per, TERNARY) for k in range(1, 9)
+        for per in product((-1, 0, 1), repeat=k)
+        for j in (0, 1) for pre in product((-1, 0, 1), repeat=j)))
+
+
+class TestDSetAgainstUniqueWords:
+    """D_alpha's description against the unique expansions themselves: a
+    unique t has dimension d(t) log 2 / (-log alpha), so d_set's
+    frequencies hold the zero density of each short unique word.  In the
+    finite list they are {0, d(w_1), ..., d(w_n*), 1}, and the level-n block
+    word has period 2^(n+1): up to n* = 2 the words find all of them.
+    The found sets are recorded, so that a change to the uniqueness test
+    or to d_set shows."""
+
+    @pytest.mark.parametrize("base", UNIQUE_WORD_DENSITIES)
+    def test_densities_of_unique_words(self, base):
+        kind, nstar, recorded = UNIQUE_WORD_DENSITIES[base]
+        alpha = X.parse_real(base)
+        sys = BaseSystem(alpha, TERNARY)
+        found = set()
+        for seq in short_ep_words():
+            status = E.is_unique_expansion(sys, seq).status
+            assert status is not E.UniqStatus.UNDECIDED, seq
+            if status is not E.UniqStatus.UNIQUE:
+                continue
+            density = W.zero_density(seq).value
+            if density not in found:
+                # the first word of each density is unique by the
+                # definition too, a route that reads no delta
+                if sys.ctx is not None:
+                    assert reference_branch_unique(sys, seq)[0] is status
+                found.add(density)
+        assert found == set(map(F, recorded.split()))
+        ds = d_set(alpha)
+        assert (ds.kind, ds.nstar) == (kind, nstar)
+        if kind is DSetKind.FINITE_LIST:
+            listed = {F(0), F(1), *map(T.dw, range(1, nstar + 1))}
+            assert found == listed if nstar <= 2 else found < listed
+        elif kind is DSetKind.COUNTABLE_FAMILY:
+            # {0, 1/3, 1} and d(w_n) for every n; d(w_n) has denominator
+            # 2^n, so periods of at most 8 digits reach n <= 3
+            family = {F(0), F(1, 3), F(1), *map(T.dw, range(1, 4))}
+            assert found <= family
+        if ds.excluded_band:
+            lo, hi = ds.excluded_band
+            assert not any(lo < f < hi for f in found)
+
+
 # ---------------------------------------------------------------------------
 # the float recipe the dimension values had before exactnum.log_enclosure,
 # kept as a reference: each new enclosure lies inside the one it gives
@@ -2608,32 +2689,8 @@ class TestRecords:
 
 
 # ---------------------------------------------------------------------------
-# Karp's maximum cycle mean as it compared Fractions, kept as the reference
-# for the int-pair comparisons of graph.max_cycle_mean
+# Karp's maximum cycle mean on int pairs against the Fraction reference
 # ---------------------------------------------------------------------------
-
-def reference_max_cycle_mean(succ):
-    best = None
-    for members in G.sccs(succ):
-        n = len(members)
-        pos = {u: i for i, u in enumerate(members)}
-        edges = [(pos[u], pos[v], w) for u in members for v, w in succ[u]
-                 if v in pos]
-        d = [[0] + [None] * (n - 1)]
-        for _ in range(n):
-            prev, row = d[-1], [None] * n
-            for u, v, w in edges:
-                if prev[u] is not None and (row[v] is None
-                                            or prev[u] + w > row[v]):
-                    row[v] = prev[u] + w
-            d.append(row)
-        for v in range(n):
-            if d[n][v] is not None:
-                mean = min(F(d[n][v] - d[k][v], n - k)
-                           for k in range(n) if d[k][v] is not None)
-                best = mean if best is None else max(best, mean)
-    return best
-
 
 class TestKarpOnIntPairs:
     def test_seeded_graphs_match_reference(self):

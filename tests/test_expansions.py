@@ -684,22 +684,23 @@ class TestUniquenessReference:
         assert {UniqStatus.NOT_UNIQUE, UniqStatus.UNDECIDED} <= seen
 
 
-def reference_branch_unique(sys, seq) -> UniqStatus:
-    """Uniqueness of an EP word t from the definition.  For alpha >= 1/3
-    the sums of ``sys``'s digit tails fill the hull, so a value has an
-    expansion iff it lies in the hull, and its first digits are the d
-    whose child s/alpha - d stays there (``sys.children``, on the shifted
-    digits).  Another expansion of t first differs from t at some digit,
-    so t is unique iff no state on t's own follower path has two children.
-    The path's states repeat after |pre| + |per| steps."""
+def reference_branch_unique(sys, seq) -> tuple:
+    """Uniqueness of an EP word t from the definition, with the index of
+    the first state on t's follower path that has two children, or None.
+    For alpha >= 1/3 the sums of ``sys``'s digit tails fill the hull, so a
+    value has an expansion iff it lies in the hull, and its first digits
+    are the d whose child s/alpha - d stays there (``sys.children``, on the
+    shifted digits).  Another expansion of t first differs from t at some
+    digit, so t is unique iff no state on t's own follower path has two
+    children.  The path's states repeat after |pre| + |per| steps."""
     state = (E.seq_value(sys, seq) - sys.low_tail()).state
-    for digit in seq.pre + seq.per:
+    for i, digit in enumerate(seq.pre + seq.per):
         kids = sys.children(state)
         if len(kids) > 1:
-            return UniqStatus.NOT_UNIQUE
+            return UniqStatus.NOT_UNIQUE, i
         ((state, d),) = kids
         assert d == digit - sys.alphabet.low  # t's own digit
-    return UniqStatus.UNIQUE
+    return UniqStatus.UNIQUE, None
 
 
 SPECTRUM_POOL = json.loads((Path(__file__).resolve().parent.parent
@@ -709,7 +710,10 @@ SPECTRUM_POOL = json.loads((Path(__file__).resolve().parent.parent
 
 class TestUniquenessDefinition:
     """The lexicographic test against the definition of a unique
-    expansion, a route that reads no delta."""
+    expansion, a route that reads no delta.  A violation at shift n, the
+    tail after n digits, gives another expansion that differs from t in
+    its n-th digit, which the state before that digit chooses: so t's
+    first state with two children comes before n."""
 
     @pytest.mark.parametrize("base", sorted(SPECTRUM_POOL["bases"])
                              + [SQRT2_MINUS_1, "alg:1,-3,1@[1/3,1/2]", EX51])
@@ -724,9 +728,12 @@ class TestUniquenessDefinition:
                               draw(rng.randrange(1, 11)), TERNARY))
         seen = set()
         for seq in seqs:
-            got = E.is_unique_expansion(sys, seq).status
-            assert got == reference_branch_unique(sys, seq), (base, seq)
-            seen.add(got)
+            got = E.is_unique_expansion(sys, seq)
+            want, branch = reference_branch_unique(sys, seq)
+            assert got.status == want, (base, seq)
+            if want is UniqStatus.NOT_UNIQUE:
+                assert branch < got.violation[0], (base, seq)
+            seen.add(want)
         assert seen == {UniqStatus.UNIQUE, UniqStatus.NOT_UNIQUE}
 
 
@@ -1158,7 +1165,8 @@ class TestTailUnit:
 
 
 def reference_automaton(sys, t, state_cap):
-    """build_expansion_automaton as it stepped in Q(alpha)."""
+    """build_expansion_automaton as it stepped in Q(alpha), with the
+    states of its elements."""
     t_el = sys.embed(t)
     lo, hi = sys.low_tail(), sys.high_tail()
     if (t_el - lo).sign() < 0 or (hi - t_el).sign() < 0:
@@ -1182,7 +1190,8 @@ def reference_automaton(sys, t, state_cap):
                 states.append(child)
             out.append((j, d))
         succ.append(out)
-    return E.ExpansionAutomaton(states, 0, succ, complete, sys.alphabet)
+    return E.ExpansionAutomaton([s.state for s in states], 0, succ, complete,
+                                sys.alphabet)
 
 
 class ReferenceGammaSearch:
@@ -1332,8 +1341,7 @@ class TestFollowerClosures:
             auto = E.build_expansion_automaton(sys, t, state_cap=150)
             ref = reference_automaton(sys, t, state_cap=150)
             assert auto.to_json_dict() == ref.to_json_dict()
-            assert [s.coeffs for s in auto.states] == \
-                [s.coeffs for s in ref.states]
+            assert auto.states == ref.states
             assert auto.complete == ref.complete
 
     @pytest.mark.parametrize("base,seed", closure_cases())

@@ -1,5 +1,6 @@
 """The graph helpers against brute-force definitions, on seeded random
-digraphs of 1-9 nodes with self-loops and parallel edges."""
+digraphs of 1-9 nodes with self-loops and parallel edges, and Karp's cycle
+mean on ties."""
 
 import random
 from math import gcd
@@ -62,6 +63,31 @@ def labelled_simple_cycles(succ):
     return found
 
 
+def reference_max_cycle_mean(succ):
+    """Karp's maximum cycle mean as it compared Fractions, kept as the
+    reference for the int-pair comparisons of graph.max_cycle_mean."""
+    best = None
+    for members in graph.sccs(succ):
+        n = len(members)
+        pos = {u: i for i, u in enumerate(members)}
+        edges = [(pos[u], pos[v], w) for u in members for v, w in succ[u]
+                 if v in pos]
+        d = [[0] + [None] * (n - 1)]
+        for _ in range(n):
+            prev, row = d[-1], [None] * n
+            for u, v, w in edges:
+                if prev[u] is not None and (row[v] is None
+                                            or prev[u] + w > row[v]):
+                    row[v] = prev[u] + w
+            d.append(row)
+        for v in range(n):
+            if d[n][v] is not None:
+                mean = min(F(d[n][v] - d[k][v], n - k)
+                           for k in range(n) if d[k][v] is not None)
+                best = mean if best is None else max(best, mean)
+    return best
+
+
 def test_trim_matches_fixpoint():
     for succ in random_graphs():
         alive = fixpoint_alive(succ)
@@ -90,6 +116,36 @@ def test_karp_matches_exhaustive_cycle_means():
         means = [F(sum(labels), len(labels))
                  for _, labels in labelled_simple_cycles(succ)]
         assert graph.max_cycle_mean(succ) == (max(means) if means else None)
+
+
+def test_karp_ties_between_cycles_of_one_mean():
+    # the mean 1/2 written two ways, a 2-cycle of sum 1 and a 4-cycle of
+    # sum 2: through one node of one component, either edge first, and in
+    # two components, either first, with an edge between them or none;
+    # each alone, beside a larger mean 3/4 and beside a smaller 1/3, on
+    # either side
+    def shift(succ, k):
+        return [[(v + k, x) for v, x in out] for out in succ]
+
+    two = [[(1, 1)], [(0, 0)]]
+    four = [[(1, 1)], [(2, 0)], [(3, 1)], [(0, 0)]]
+    one = [[(1, 1), (2, 1)], [(0, 0)], [(3, 0)], [(4, 1)], [(0, 0)]]
+    ties = [one, [one[0][::-1], *one[1:]],
+            two + shift(four, 2), four + shift(two, 4),
+            [[(1, 1), (2, 0)], *two[1:], *shift(four, 2)],
+            [[(1, 1), (4, 0)], *four[1:], *shift(two, 4)]]
+    larger = [[(1, 1)], [(2, 1)], [(3, 1)], [(0, 0)]]
+    smaller = [[(1, 1)], [(2, 0)], [(0, 0)]]
+    for tie in ties:
+        for extra, want in (([], F(1, 2)), (larger, F(3, 4)),
+                            (smaller, F(1, 2))):
+            for succ in (tie + shift(extra, len(tie)),
+                         extra + shift(tie, len(extra))):
+                got = graph.max_cycle_mean(succ)
+                assert got == want == reference_max_cycle_mean(succ)
+                assert type(got) is F
+                assert want == max(F(sum(labels), len(labels)) for _, labels
+                                   in labelled_simple_cycles(succ))
 
 
 def random_digit_graphs(count=1000, seed=23):

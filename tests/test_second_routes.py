@@ -38,6 +38,12 @@ independent route.  A number with no line here has one route only.
   words and a seeded draw, kept in the tests as
   ``reference_branch_unique``:
   test_expansions.py::TestUniquenessDefinition::test_matches_the_scan
+- D_alpha, the paper's main theorem, as ``d_set`` describes it, vs the
+  zero densities of the unique EP words pre(per), |pre| <= 1 and |per| <=
+  8, at bases on either side of each regime boundary: equal to its finite
+  list up to n* = 2 and inside it beyond, none in its excluded band, and
+  inside the countable family at alpha_KL:
+  test_dimension.py::TestDSetAgainstUniqueWords::test_densities_of_unique_words
 - The worked-example shifts t of Examples 5.1 and 5.2 vs their closed
   forms:
   test_acceptance.py::test_translations_closed_forms
@@ -103,7 +109,7 @@ NODE = re.compile(r"(test_\w+\.py)::(?:(\w+)::)?(test_\w+)")
 
 def test_every_named_route_is_a_test():
     named = NODE.findall(__doc__)
-    assert len(named) == 24
+    assert len(named) == 25
     for path, cls, fn in named:
         tree = ast.parse((TESTS / path).read_text())
         scope = tree.body if not cls else [
